@@ -151,6 +151,26 @@ fn golden_v2_fixture_predicts_the_committed_bits() {
     assert_eq!(y1, y1_expected, "y1 bits drifted from the committed golden fixture");
 }
 
+/// Each committed fixture re-encodes to its own bytes at its own format
+/// version. A round trip alone would still pass if the encoder and decoder
+/// drifted together; this pins the on-disk layout itself.
+#[test]
+fn committed_fixtures_re_encode_byte_for_byte() {
+    for (name, version) in [
+        ("golden_v1.sbrl", 1),
+        ("golden_v2.sbrl", 2),
+        ("registry/cfr-sbrl-hap.sbrl", 2),
+        ("registry/tarnet.sbrl", 2),
+    ] {
+        let bytes = fs::read(fixture_path(name)).expect("committed fixture readable");
+        let loaded = FittedModel::from_sbrl_bytes(&bytes).expect("committed fixture loads");
+        assert!(
+            loaded.to_sbrl_bytes_versioned(version) == bytes,
+            "{name} does not re-encode byte for byte at format version {version}"
+        );
+    }
+}
+
 /// Version skew, old reader side: a committed format-v1 artifact (no `FITR`
 /// section) still loads, with the fault-tolerance provenance defaulted, and
 /// predicts the same bits as its v2 sibling (same weights).

@@ -17,7 +17,8 @@ use sbrl_hap::core::wire::{
     decode_message, encode_message, read_message, Message, MAX_FRAME_PAYLOAD, WIRE_MAGIC,
 };
 use sbrl_hap::core::{
-    ClientConfig, ModelRegistry, SbrlError, ServeClient, ServeConfig, SocketServer, WireError,
+    ClientConfig, HealthReport, ModelRegistry, SbrlError, ServeClient, ServeConfig, SocketServer,
+    WireError,
 };
 use sbrl_hap::tensor::Matrix;
 
@@ -253,6 +254,77 @@ fn client_deadline_bounds_retries_against_a_dead_address() {
         "expected timeout/wire error, got: {err}"
     );
     assert!(started.elapsed() < Duration::from_secs(10), "the deadline must bound the retry loop");
+}
+
+// ---------------------------------------------------------------------------
+// Golden frames: the byte layout of each message kind, pinned
+// ---------------------------------------------------------------------------
+
+/// One frame of each kind encodes to exactly these bytes. The round-trip
+/// tests would still pass if the encoder and decoder drifted together;
+/// these would not. Every frame is
+/// `[magic 4][version 1][kind 1][payload_len u32][payload][crc32 u32]`.
+#[test]
+fn each_message_kind_encodes_to_its_golden_frame() {
+    let predict = Message::Predict {
+        model: "TARNet".into(),
+        x: Matrix::from_vec(2, 2, vec![1.0, -2.5, 0.5, 0.0]),
+    };
+    let predict_frame: &[u8] = &[
+        0x89, 0x53, 0x42, 0x57, 0x01, 0x01, 0x32, 0x00, 0x00, 0x00, // header, 50-byte payload
+        0x06, 0x00, 0x00, 0x00, 0x54, 0x41, 0x52, 0x4e, 0x65, 0x74, // model name (u32 length)
+        0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, // rows, cols
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, // 1.0
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xc0, // -2.5
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, // 0.5
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // 0.0
+        0x46, 0x63, 0xe8, 0xd3, // crc32
+    ];
+    let prediction = Message::Prediction { y0_hat: vec![1.5], y1_hat: vec![-0.25] };
+    let prediction_frame: &[u8] = &[
+        0x89, 0x53, 0x42, 0x57, 0x01, 0x02, 0x14, 0x00, 0x00, 0x00, // header, 20-byte payload
+        0x01, 0x00, 0x00, 0x00, // row count
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, // y0: 1.5
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0xbf, // y1: -0.25
+        0xae, 0xfe, 0x72, 0x0c, // crc32
+    ];
+    let overloaded = Message::Failure(SbrlError::Overloaded { depth: 9, limit: 8 });
+    let overloaded_frame: &[u8] = &[
+        0x89, 0x53, 0x42, 0x57, 0x01, 0x03, 0x15, 0x00, 0x00, 0x00, // header, 21-byte payload
+        0x03, // code: overloaded
+        0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // depth
+        0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // limit
+        0x00, 0x00, 0x00, 0x00, // empty message
+        0xa9, 0x67, 0xae, 0xff, // crc32
+    ];
+    let health_frame: &[u8] = &[
+        0x89, 0x53, 0x42, 0x57, 0x01, 0x04, 0x00, 0x00, 0x00, 0x00, // header, empty payload
+        0xc2, 0x50, 0x53, 0x01, // crc32
+    ];
+    let report = Message::HealthReport(HealthReport {
+        ready: true,
+        queue_depth: 3,
+        queue_max: 64,
+        models: vec!["a".into(), "TARNet".into()],
+    });
+    let report_frame: &[u8] = &[
+        0x89, 0x53, 0x42, 0x57, 0x01, 0x05, 0x1c, 0x00, 0x00, 0x00, // header, 28-byte payload
+        0x01, // ready
+        0x03, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, // queue depth, queue max
+        0x02, 0x00, 0x00, 0x00, // model count
+        0x01, 0x00, 0x00, 0x00, 0x61, // "a"
+        0x06, 0x00, 0x00, 0x00, 0x54, 0x41, 0x52, 0x4e, 0x65, 0x74, // "TARNet"
+        0xee, 0x8e, 0xa2, 0x08, // crc32
+    ];
+    for (msg, golden) in [
+        (predict, predict_frame),
+        (prediction, prediction_frame),
+        (overloaded, overloaded_frame),
+        (Message::Health, health_frame),
+        (report, report_frame),
+    ] {
+        assert_eq!(encode_message(&msg).expect("encodes"), golden, "{msg:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
