@@ -53,10 +53,8 @@
 //! let fitted = Estimator::builder().method("CFR+SBRL-HAP".parse()?).fit(&train_data, &val_data)?;
 //! # Ok::<(), sbrl_core::SbrlError>(())
 //! ```
-//!
-//! The positional `train()` free function of the 0.1 API survives as a
-//! deprecated shim for one release; migrate to [`Estimator::builder`].
 
+mod codec;
 pub mod config;
 pub mod error;
 pub mod estimator;
@@ -82,8 +80,6 @@ pub use persist::{ModelRegistry, PersistError};
 pub use recovery::{FitReport, RecoveryEvent, RecoveryPolicy};
 pub use regularizers::{weight_objective, WeightLossTerms};
 pub use serve::{InferenceService, LatencySummary, PendingPrediction, ServeConfig, SocketServer};
-#[allow(deprecated)]
-pub use trainer::{train, TrainError};
 pub use trainer::{FittedModel, TrainConfig, TrainReport};
 pub use weights::SampleWeights;
 pub use wire::{ClientConfig, HealthReport, ServeClient, WireError};

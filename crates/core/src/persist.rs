@@ -55,6 +55,10 @@ use sbrl_stats::IpmKind;
 use sbrl_tensor::kernels::NumericsMode;
 use sbrl_tensor::rng::rng_from_seed;
 
+pub use crate::codec::crc32;
+use crate::codec::{
+    put_f64, put_f64s, put_str, put_u32, put_u64, put_u8, put_usize, CodecError, Prefix, Reader,
+};
 use crate::config::Framework;
 use crate::error::{NonFiniteTerm, SbrlError};
 use crate::estimator::INIT_SEED_SALT;
@@ -199,22 +203,15 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-// ---------------------------------------------------------------------------
-// Checksum
-// ---------------------------------------------------------------------------
-
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xedb88320`) — the PNG/zlib
-/// checksum, hand-rolled bitwise so the format stays dependency-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+impl From<CodecError> for PersistError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { what, needed, available } => {
+                PersistError::Truncated { section: what, needed, available }
+            }
+            CodecError::Malformed(what) => PersistError::Malformed { what },
         }
     }
-    !crc
 }
 
 // ---------------------------------------------------------------------------
@@ -324,41 +321,15 @@ fn bool_from_byte(b: u8, what: &str) -> Result<bool, PersistError> {
 // Writer
 // ---------------------------------------------------------------------------
 
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_usize(buf: &mut Vec<u8>, v: usize) {
-    put_u64(buf, v as u64);
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64s(buf: &mut Vec<u8>, xs: &[f64]) {
-    for &x in xs {
-        put_f64(buf, x);
-    }
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_usize(buf, s.len());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_section(out: &mut Vec<u8>, tag: &[u8; 4], payload: &[u8]) {
+fn encode_section(out: &mut Vec<u8>, tag: &[u8; 4], payload: &[u8]) {
     out.extend_from_slice(tag);
     put_usize(out, payload.len());
     out.extend_from_slice(payload);
+}
+
+/// Writes a `u64`-prefixed string, which holds any length: cannot fail.
+fn encode_str(buf: &mut Vec<u8>, s: &str) {
+    let _ = put_str(buf, Prefix::U64, s);
 }
 
 fn encode_ipm(buf: &mut Vec<u8>, ipm: IpmKind) {
@@ -426,7 +397,7 @@ fn encode<B: Backbone>(m: &FittedModel<B>, version: u32) -> Vec<u8> {
     let mut parm = Vec::new();
     put_usize(&mut parm, m.model().store().len());
     for (_, name, value) in m.model().store().iter() {
-        put_str(&mut parm, name);
+        encode_str(&mut parm, name);
         let (rows, cols) = value.shape();
         put_usize(&mut parm, rows);
         put_usize(&mut parm, cols);
@@ -437,7 +408,7 @@ fn encode<B: Backbone>(m: &FittedModel<B>, version: u32) -> Vec<u8> {
     let mut xtra = Vec::new();
     put_usize(&mut xtra, extra.len());
     for (name, values) in &extra {
-        put_str(&mut xtra, name);
+        encode_str(&mut xtra, name);
         put_usize(&mut xtra, values.len());
         put_f64s(&mut xtra, values);
     }
@@ -479,12 +450,12 @@ fn encode<B: Backbone>(m: &FittedModel<B>, version: u32) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
     put_u32(&mut out, version);
-    put_section(&mut out, b"META", &meta);
-    put_section(&mut out, b"BCFG", &bcfg);
-    put_section(&mut out, b"PARM", &parm);
-    put_section(&mut out, b"XTRA", &xtra);
-    put_section(&mut out, b"SCAL", &scal);
-    put_section(&mut out, b"WGHT", &wght);
+    encode_section(&mut out, b"META", &meta);
+    encode_section(&mut out, b"BCFG", &bcfg);
+    encode_section(&mut out, b"PARM", &parm);
+    encode_section(&mut out, b"XTRA", &xtra);
+    encode_section(&mut out, b"SCAL", &scal);
+    encode_section(&mut out, b"WGHT", &wght);
 
     if version >= 2 {
         let fit = m.fit_report();
@@ -509,10 +480,10 @@ fn encode<B: Backbone>(m: &FittedModel<B>, version: u32) -> Vec<u8> {
             put_f64(&mut fitr, ev.lr);
             put_f64(&mut fitr, ev.clip_norm);
         }
-        put_section(&mut out, b"TREP", &trep);
-        put_section(&mut out, b"FITR", &fitr);
+        encode_section(&mut out, b"TREP", &trep);
+        encode_section(&mut out, b"FITR", &fitr);
     } else {
-        put_section(&mut out, b"TREP", &trep);
+        encode_section(&mut out, b"TREP", &trep);
     }
 
     let checksum = crc32(&out);
@@ -524,142 +495,19 @@ fn encode<B: Backbone>(m: &FittedModel<B>, version: u32) -> Vec<u8> {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// A bounds-checked cursor over untrusted bytes: every read goes through
-/// [`Reader::take`], which validates length *before* touching the data, so
-/// the decode path cannot panic and cannot allocate from an unvalidated
-/// length field.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], section: &'static str) -> Self {
-        Reader { buf, pos: 0, section }
+/// Reads the `[tag][u64 len]` frame of the next section, validates the tag,
+/// and returns a reader confined to exactly that payload.
+fn open_section<'a>(
+    body: &mut Reader<'a>,
+    tag: &[u8; 4],
+    name: &'static str,
+) -> Result<Reader<'a>, PersistError> {
+    let found = body.take(4)?;
+    if found != tag {
+        return Err(malformed(format!("expected section {name}, found tag {found:02x?}")));
     }
-
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| malformed(format!("length overflow in section {}", self.section)))?;
-        match self.buf.get(self.pos..end) {
-            Some(slice) => {
-                self.pos = end;
-                Ok(slice)
-            }
-            None => Err(PersistError::Truncated {
-                section: self.section,
-                needed: n,
-                available: self.remaining(),
-            }),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, PersistError> {
-        let bytes = self.take(1)?;
-        bytes.first().copied().ok_or_else(|| malformed("empty take(1)"))
-    }
-
-    fn u32(&mut self) -> Result<u32, PersistError> {
-        let mut a = [0u8; 4];
-        a.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(a))
-    }
-
-    fn u64(&mut self) -> Result<u64, PersistError> {
-        let mut a = [0u8; 8];
-        a.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f64(&mut self) -> Result<f64, PersistError> {
-        let mut a = [0u8; 8];
-        a.copy_from_slice(self.take(8)?);
-        Ok(f64::from_le_bytes(a))
-    }
-
-    /// Reads a plain `u64` scalar (an iteration number, a retry count) as
-    /// `usize` — no remaining-bytes bound, because nothing follows it.
-    fn usize_val(&mut self) -> Result<usize, PersistError> {
-        let raw = self.u64()?;
-        usize::try_from(raw)
-            .map_err(|_| malformed(format!("value {raw} exceeds this platform's usize")))
-    }
-
-    /// Reads a `u64` count and validates that `count * elem_bytes` elements
-    /// could still fit in the remaining buffer — the OOM guard that makes a
-    /// corrupted length field a [`PersistError::Truncated`], not a
-    /// multi-gigabyte allocation.
-    fn count(&mut self, elem_bytes: usize) -> Result<usize, PersistError> {
-        let count = self.usize_val()?;
-        let needed = count.checked_mul(elem_bytes.max(1)).ok_or_else(|| {
-            malformed(format!("count {count} overflows in section {}", self.section))
-        })?;
-        if needed > self.remaining() {
-            return Err(PersistError::Truncated {
-                section: self.section,
-                needed,
-                available: self.remaining(),
-            });
-        }
-        Ok(count)
-    }
-
-    fn f64s(&mut self, count: usize) -> Result<Vec<f64>, PersistError> {
-        let needed = count.checked_mul(8).ok_or_else(|| {
-            malformed(format!("f64 count {count} overflows in section {}", self.section))
-        })?;
-        let bytes = self.take(needed)?;
-        let mut out = Vec::with_capacity(count);
-        for chunk in bytes.chunks_exact(8) {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(chunk);
-            out.push(f64::from_le_bytes(a));
-        }
-        Ok(out)
-    }
-
-    fn string(&mut self) -> Result<String, PersistError> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| malformed(format!("non-UTF-8 string in section {}", self.section)))
-    }
-
-    /// Reads the `[tag][u64 len]` frame of the next section, validates the
-    /// tag, and returns a sub-reader confined to exactly that payload.
-    fn open_section(
-        &mut self,
-        tag: &[u8; 4],
-        name: &'static str,
-    ) -> Result<Reader<'a>, PersistError> {
-        let found = self.take(4)?;
-        if found != tag {
-            return Err(malformed(format!("expected section {name}, found tag {found:02x?}")));
-        }
-        let len = self.count(1)?;
-        let payload = self.take(len)?;
-        Ok(Reader::new(payload, name))
-    }
-
-    /// Asserts the payload was consumed exactly — extra bytes inside a
-    /// section mean the writer and reader disagree about its layout.
-    fn finish(self) -> Result<(), PersistError> {
-        if self.pos != self.buf.len() {
-            return Err(malformed(format!(
-                "{} trailing bytes in section {}",
-                self.buf.len() - self.pos,
-                self.section
-            )));
-        }
-        Ok(())
-    }
+    let len = body.count(Prefix::U64, 1)?;
+    Ok(Reader::new(body.take(len)?, name))
 }
 
 fn decode_ipm(r: &mut Reader<'_>) -> Result<IpmKind, PersistError> {
@@ -668,8 +516,7 @@ fn decode_ipm(r: &mut Reader<'_>) -> Result<IpmKind, PersistError> {
         1 => Ok(IpmKind::MmdRbf { sigma: r.f64()? }),
         2 => {
             let lambda = r.f64()?;
-            let iterations = usize::try_from(r.u64()?)
-                .map_err(|_| malformed("Sinkhorn iteration count exceeds usize"))?;
+            let iterations = r.usize()?;
             Ok(IpmKind::Wasserstein { lambda, iterations })
         }
         b => Err(malformed(format!("unknown IPM kind byte {b}"))),
@@ -741,11 +588,9 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
     }
 
     // --- Version gate ------------------------------------------------------
-    let version = {
-        let mut header = Reader::new(bytes, "header");
-        let _ = header.take(8)?;
-        header.u32()?
-    };
+    let mut header = Reader::new(bytes, "header");
+    header.take(MAGIC.len())?;
+    let version = header.u32()?;
     if !(MIN_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&version) {
         return Err(PersistError::UnsupportedVersion {
             found: version,
@@ -755,28 +600,19 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
     }
 
     // --- Checksum: reject random corruption before parsing anything --------
-    if bytes.len() < 16 {
-        return Err(PersistError::Truncated {
-            section: "checksum trailer",
-            needed: 16_usize.saturating_sub(bytes.len()),
-            available: 0,
-        });
-    }
-    let body_end = bytes.len() - 4;
-    let stored = {
-        let mut a = [0u8; 4];
-        a.copy_from_slice(bytes.get(body_end..).unwrap_or(&[0; 4]));
-        u32::from_le_bytes(a)
-    };
-    let computed = crc32(bytes.get(..body_end).unwrap_or(&[]));
+    // The trailer is the last 4 bytes; the 12 header bytes precede it.
+    let mut framed = Reader::new(bytes, "checksum trailer");
+    let signed = framed.take(bytes.len().saturating_sub(4).max(12))?;
+    let stored = framed.u32()?;
+    let computed = crc32(signed);
     if stored != computed {
         return Err(PersistError::ChecksumMismatch { stored, computed });
     }
 
-    let mut body = Reader::new(bytes.get(12..body_end).unwrap_or(&[]), "body");
+    let mut body = Reader::new(signed.get(12..).unwrap_or_default(), "body");
 
     // --- META --------------------------------------------------------------
-    let mut meta = body.open_section(b"META", "META")?;
+    let mut meta = open_section(&mut body, b"META", "META")?;
     let meta_kind = kind_from_byte(meta.u8()?)?;
     let framework = framework_from_byte(meta.u8()?)?;
     let numerics = numerics_from_byte(meta.u8()?)?;
@@ -785,7 +621,7 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
     meta.finish()?;
 
     // --- BCFG + provenance cross-check -------------------------------------
-    let mut bcfg = body.open_section(b"BCFG", "BCFG")?;
+    let mut bcfg = open_section(&mut body, b"BCFG", "BCFG")?;
     let config = decode_backbone_config(&mut bcfg)?;
     bcfg.finish()?;
     if config.kind() != meta_kind {
@@ -802,10 +638,10 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
     let mut model = config.build(&mut init_rng);
 
     // --- PARM --------------------------------------------------------------
-    let mut parm = body.open_section(b"PARM", "PARM")?;
+    let mut parm = open_section(&mut body, b"PARM", "PARM")?;
     let expected: Vec<(sbrl_nn::ParamHandle, String, (usize, usize))> =
         model.store().iter().map(|(h, name, value)| (h, name.to_string(), value.shape())).collect();
-    let stored_params = parm.count(8)?;
+    let stored_params = parm.count(Prefix::U64, 8)?;
     if stored_params != expected.len() {
         return Err(conflict(format!(
             "artifact stores {stored_params} parameters but the rebuilt {} \
@@ -815,9 +651,9 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
         )));
     }
     for (handle, exp_name, (exp_rows, exp_cols)) in expected {
-        let name = parm.string()?;
-        let rows = parm.count(1)?;
-        let cols = parm.count(1)?;
+        let name = parm.string(Prefix::U64)?;
+        let rows = parm.count(Prefix::U64, 1)?;
+        let cols = parm.count(Prefix::U64, 1)?;
         if name != exp_name || rows != exp_rows || cols != exp_cols {
             return Err(conflict(format!(
                 "parameter mismatch: artifact has '{name}' ({rows}x{cols}), \
@@ -833,12 +669,12 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
     parm.finish()?;
 
     // --- XTRA --------------------------------------------------------------
-    let mut xtra = body.open_section(b"XTRA", "XTRA")?;
-    let extra_entries = xtra.count(16)?;
+    let mut xtra = open_section(&mut body, b"XTRA", "XTRA")?;
+    let extra_entries = xtra.count(Prefix::U64, 16)?;
     let mut extra: Vec<(String, Vec<f64>)> = Vec::with_capacity(extra_entries);
     for _ in 0..extra_entries {
-        let name = xtra.string()?;
-        let values_len = xtra.count(8)?;
+        let name = xtra.string(Prefix::U64)?;
+        let values_len = xtra.count(Prefix::U64, 8)?;
         let values = xtra.f64s(values_len)?;
         extra.push((name, values));
     }
@@ -846,11 +682,11 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
     model.import_extra_state(&extra).map_err(conflict)?;
 
     // --- SCAL --------------------------------------------------------------
-    let mut scal = body.open_section(b"SCAL", "SCAL")?;
+    let mut scal = open_section(&mut body, b"SCAL", "SCAL")?;
     let scaler = match scal.u8()? {
         0 => None,
         1 => {
-            let dim = scal.count(16)?;
+            let dim = scal.count(Prefix::U64, 16)?;
             let means = scal.f64s(dim)?;
             let stds = scal.f64s(dim)?;
             Some(Scaler::from_stats(means, stds).ok_or_else(|| {
@@ -882,22 +718,22 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
     }
 
     // --- WGHT --------------------------------------------------------------
-    let mut wght = body.open_section(b"WGHT", "WGHT")?;
-    let n_weights = wght.count(8)?;
+    let mut wght = open_section(&mut body, b"WGHT", "WGHT")?;
+    let n_weights = wght.count(Prefix::U64, 8)?;
     let weights = wght.f64s(n_weights)?;
     wght.finish()?;
 
     // --- TREP --------------------------------------------------------------
-    let mut trep = body.open_section(b"TREP", "TREP")?;
-    let iterations_run = trep.usize_val()?;
+    let mut trep = open_section(&mut body, b"TREP", "TREP")?;
+    let iterations_run = trep.usize()?;
     let best_val_loss = trep.f64()?;
-    let best_iteration = trep.usize_val()?;
+    let best_iteration = trep.usize()?;
     let train_seconds = trep.f64()?;
     let weight_stats = (trep.f64()?, trep.f64()?, trep.f64()?);
-    let curve_len = trep.count(16)?;
+    let curve_len = trep.count(Prefix::U64, 16)?;
     let mut val_curve = Vec::with_capacity(curve_len);
     for _ in 0..curve_len {
-        let iter = trep.usize_val()?;
+        let iter = trep.usize()?;
         let loss = trep.f64()?;
         val_curve.push((iter, loss));
     }
@@ -913,8 +749,8 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
 
     // --- FITR (format version 2+) -------------------------------------------
     let fit_report = if version >= 2 {
-        let mut fitr = body.open_section(b"FITR", "FITR")?;
-        let max_retries = fitr.usize_val()?;
+        let mut fitr = open_section(&mut body, b"FITR", "FITR")?;
+        let max_retries = fitr.usize()?;
         let lr_backoff = fitr.f64()?;
         let grad_clip_escalation = fitr.f64()?;
         let policy = RecoveryPolicy { max_retries, lr_backoff, grad_clip_escalation };
@@ -936,13 +772,13 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
                 )))
             }
         };
-        let n_events = fitr.count(41)?;
+        let n_events = fitr.count(Prefix::U64, 41)?;
         let mut recoveries = Vec::with_capacity(n_events);
         for _ in 0..n_events {
-            let iteration = fitr.usize_val()?;
+            let iteration = fitr.usize()?;
             let term = term_from_byte(fitr.u8()?)?;
-            let retry = fitr.usize_val()?;
-            let rolled_back_to = fitr.usize_val()?;
+            let retry = fitr.usize()?;
+            let rolled_back_to = fitr.usize()?;
             let lr = fitr.f64()?;
             let clip_norm = fitr.f64()?;
             recoveries.push(RecoveryEvent {
@@ -962,12 +798,7 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
         FitReport::default()
     };
 
-    if body.remaining() != 0 {
-        return Err(malformed(format!(
-            "{} trailing bytes after the final section",
-            body.remaining()
-        )));
-    }
+    body.finish()?;
 
     Ok(FittedModel {
         model,
@@ -1319,7 +1150,7 @@ mod tests {
     fn reader_reports_truncation_with_counts() {
         let mut r = Reader::new(&[1, 2, 3], "unit");
         assert_eq!(r.take(2).unwrap(), &[1, 2]);
-        let err = r.take(5).unwrap_err();
+        let err = PersistError::from(r.take(5).unwrap_err());
         assert_eq!(err, PersistError::Truncated { section: "unit", needed: 5, available: 1 });
     }
 
@@ -1330,7 +1161,7 @@ mod tests {
         let mut buf = Vec::new();
         put_u64(&mut buf, 1 << 30);
         let mut r = Reader::new(&buf, "unit");
-        let err = r.count(8).unwrap_err();
+        let err = PersistError::from(r.count(Prefix::U64, 8).unwrap_err());
         assert!(matches!(err, PersistError::Truncated { section: "unit", .. }));
     }
 

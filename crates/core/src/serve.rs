@@ -756,10 +756,23 @@ fn accept_loop(
                 let handle = std::thread::spawn(move || {
                     handle_connection(stream, &conn_service, &conn_stop);
                 });
-                lock_handlers(handlers).push(handle);
+                let mut live = lock_handlers(handlers);
+                reap_finished(&mut live);
+                live.push(handle);
             }
             Err(_) => std::thread::sleep(POLL_TICK),
         }
+    }
+}
+
+/// Joins the handlers whose connection has closed, so a long-lived server
+/// keeps one entry per live connection, not one per connection ever accepted.
+fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
+    let (finished, live): (Vec<_>, Vec<_>) =
+        std::mem::take(handlers).into_iter().partition(JoinHandle::is_finished);
+    *handlers = live;
+    for handle in finished {
+        let _ = handle.join();
     }
 }
 
@@ -917,10 +930,14 @@ mod tests {
     use super::*;
     use crate::persist::fixture;
 
-    fn service() -> InferenceService {
+    fn service_registry() -> ModelRegistry {
         let mut registry = ModelRegistry::new();
         registry.insert(fixture::train_golden().expect("fixture fit")).expect("insert");
-        InferenceService::start(registry, ServeConfig::default()).expect("start")
+        registry
+    }
+
+    fn service() -> InferenceService {
+        InferenceService::start(service_registry(), ServeConfig::default()).expect("start")
     }
 
     fn dummy_request() -> Request {
@@ -1044,6 +1061,29 @@ mod tests {
         assert_eq!(cfg.queue_max, 1024);
         assert!(cfg.deadline.is_none());
         assert!(ServeConfig { queue_max: 0, ..cfg }.validate().is_err());
+    }
+
+    #[test]
+    fn finished_connection_handlers_are_reaped() {
+        let server = SocketServer::bind(service_registry(), ServeConfig::default(), "127.0.0.1:0")
+            .expect("bind");
+        let all_finished = || {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !lock_handlers(&server.handlers).iter().all(JoinHandle::is_finished) {
+                assert!(Instant::now() < deadline, "a closed connection's handler never exited");
+                std::thread::yield_now();
+            }
+        };
+        for _ in 0..32 {
+            let mut client = wire::ServeClient::connect(server.local_addr(), Default::default());
+            client.health().expect("health round trip");
+            drop(client);
+            all_finished();
+            // Each accept reaps the handlers that have exited, so at most
+            // this connection and its predecessor can be listed.
+            assert!(lock_handlers(&server.handlers).len() <= 2);
+        }
+        server.shutdown();
     }
 
     #[test]

@@ -162,10 +162,6 @@ impl TrainConfig {
     }
 }
 
-/// Former name of the unified error type, kept for one release.
-#[deprecated(since = "0.2.0", note = "use `SbrlError` (the unified error enum) instead")]
-pub type TrainError = SbrlError;
-
 /// Summary of one training run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TrainReport {
@@ -671,34 +667,6 @@ pub(crate) fn fit_backbone<B: Backbone>(
         framework: sbrl.framework(),
         seed: cfg.seed,
     })
-}
-
-/// Trains a prebuilt backbone with the positional argument list of the 0.1
-/// API. Deprecated shim kept for one release: migrate to the fluent builder,
-///
-/// ```no_run
-/// # use sbrl_core::{Estimator, Framework, TrainConfig};
-/// # use sbrl_models::CfrConfig;
-/// # let (train_data, val_data) = unimplemented!();
-/// let fitted = Estimator::builder()
-///     .backbone(CfrConfig::small(10))
-///     .framework(Framework::SbrlHap)
-///     .train(TrainConfig::default())
-///     .fit(&train_data, &val_data)?;
-/// # Ok::<(), sbrl_core::SbrlError>(())
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Estimator::builder().backbone(..).framework(..).train(..).fit(train, val)`"
-)]
-pub fn train<B: Backbone>(
-    model: B,
-    train: &CausalDataset,
-    val: &CausalDataset,
-    sbrl: &SbrlConfig,
-    cfg: &TrainConfig,
-) -> Result<FittedModel<B>, SbrlError> {
-    fit_backbone(model, train, val, sbrl, cfg)
 }
 
 #[cfg(test)]

@@ -16,9 +16,10 @@
 //! * the trailing CRC-32 (same IEEE polynomial as the `.sbrl` format) covers
 //!   header and payload, so a flipped bit anywhere is a typed
 //!   [`WireError::ChecksumMismatch`];
-//! * every decode goes through the bounds-checked `WireReader` cursor —
-//!   the reader is panic- and index-free (enforced by the `wire_reader`
-//!   lint rule), so malformed bytes can produce *only* typed errors.
+//! * every decode goes through the bounds-checked reader of the shared
+//!   `codec` module — panic- and index-free (enforced by the
+//!   `untrusted_reader` lint rule), so malformed bytes can produce *only*
+//!   typed errors.
 //!
 //! `f64` payloads travel as little-endian bit patterns, so a served
 //! prediction is **bit-identical** to the in-process result — the socket hop
@@ -41,8 +42,9 @@ use std::time::{Duration, Instant};
 use sbrl_metrics::EffectEstimate;
 use sbrl_tensor::Matrix;
 
+use crate::codec::{crc32, put_f64s, put_str, put_u32, put_u64, CodecError, Prefix, Reader};
 use crate::error::SbrlError;
-use crate::persist::{crc32, PersistError};
+use crate::persist::PersistError;
 
 /// First bytes of every frame; `0x89` keeps text protocols out on byte one.
 pub const WIRE_MAGIC: [u8; 4] = [0x89, b'S', b'B', b'W'];
@@ -159,6 +161,17 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { what, needed, available } => {
+                WireError::Truncated { what, needed, available }
+            }
+            CodecError::Malformed(what) => WireError::Malformed { what },
+        }
+    }
+}
+
 fn malformed(what: impl Into<String>) -> WireError {
     WireError::Malformed { what: what.into() }
 }
@@ -210,29 +223,6 @@ pub struct HealthReport {
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), WireError> {
-    let len = u32::try_from(s.len())
-        .map_err(|_| malformed(format!("string of {} bytes does not fit a u32", s.len())))?;
-    put_u32(out, len);
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
-}
-
-fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
-    out.reserve(xs.len() * 8);
-    for x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
 
 fn wire_dim(n: usize, what: &'static str) -> Result<u32, WireError> {
     if n == 0 || n > MAX_WIRE_DIM {
@@ -288,7 +278,7 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, WireError> {
     let mut payload = Vec::new();
     let kind = match msg {
         Message::Predict { model, x } => {
-            put_str(&mut payload, model)?;
+            put_str(&mut payload, Prefix::U32, model)?;
             put_u32(&mut payload, wire_dim(x.rows(), "request rows")?);
             put_u32(&mut payload, wire_dim(x.cols(), "request cols")?);
             put_f64s(&mut payload, x.as_slice());
@@ -314,7 +304,7 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, WireError> {
             payload.push(code);
             put_u64(&mut payload, a);
             put_u64(&mut payload, b);
-            put_str(&mut payload, &message)?;
+            put_str(&mut payload, Prefix::U32, &message)?;
             KIND_FAILURE
         }
         Message::Health => KIND_HEALTH,
@@ -328,7 +318,7 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, WireError> {
                 .map_err(|_| malformed("model count does not fit a u32"))?;
             put_u32(&mut payload, n);
             for name in &report.models {
-                put_str(&mut payload, name)?;
+                put_str(&mut payload, Prefix::U32, name)?;
             }
             KIND_HEALTH_REPORT
         }
@@ -348,123 +338,14 @@ pub fn encode_message(msg: &Message) -> Result<Vec<u8>, WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// Decoding: the bounds-checked cursor over untrusted bytes
+// Decoding
 // ---------------------------------------------------------------------------
 
-/// A bounds-checked cursor over untrusted wire bytes; every read validates
-/// length *before* touching data, so the decode path cannot panic and
-/// cannot allocate from an unvalidated length field.
-struct WireReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    what: &'static str,
-}
-
-impl<'a> WireReader<'a> {
-    fn new(buf: &'a [u8], what: &'static str) -> Self {
-        WireReader { buf, pos: 0, what }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or_else(|| malformed(format!("length overflow in {}", self.what)))?;
-        match self.buf.get(self.pos..end) {
-            Some(slice) => {
-                self.pos = end;
-                Ok(slice)
-            }
-            None => Err(WireError::Truncated {
-                what: self.what,
-                needed: n,
-                available: self.remaining(),
-            }),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        let bytes = self.take(1)?;
-        bytes.first().copied().ok_or_else(|| malformed("empty take(1)"))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let mut a = [0u8; 4];
-        a.copy_from_slice(self.take(4)?);
-        Ok(u32::from_le_bytes(a))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        let mut a = [0u8; 8];
-        a.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    /// Reads a `u32` element count and validates that `count * elem_bytes`
-    /// bytes are still present — the OOM guard that turns a corrupted count
-    /// into a typed [`WireError::Truncated`], never a huge allocation.
-    fn count(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
-        let count = self.u32()? as usize;
-        let needed = count
-            .checked_mul(elem_bytes.max(1))
-            .ok_or_else(|| malformed(format!("count {count} overflows in {}", self.what)))?;
-        if needed > self.remaining() {
-            return Err(WireError::Truncated {
-                what: self.what,
-                needed,
-                available: self.remaining(),
-            });
-        }
-        Ok(count)
-    }
-
-    fn f64s(&mut self, count: usize) -> Result<Vec<f64>, WireError> {
-        let needed = count
-            .checked_mul(8)
-            .ok_or_else(|| malformed(format!("f64 count {count} overflows in {}", self.what)))?;
-        let bytes = self.take(needed)?;
-        let mut out = Vec::with_capacity(count);
-        for chunk in bytes.chunks_exact(8) {
-            let mut a = [0u8; 8];
-            a.copy_from_slice(chunk);
-            out.push(f64::from_le_bytes(a));
-        }
-        Ok(out)
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let len = self.count(1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| malformed(format!("non-UTF-8 string in {}", self.what)))
-    }
-
-    /// Asserts the buffer was consumed exactly — trailing bytes mean the
-    /// writer and reader disagree about the layout.
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos != self.buf.len() {
-            return Err(malformed(format!(
-                "{} trailing bytes after {}",
-                self.buf.len() - self.pos,
-                self.what
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Parses one complete frame (as produced by [`encode_message`]) back into
-/// a [`Message`], validating magic, version, length bound, and CRC.
-pub fn decode_message(bytes: &[u8]) -> Result<Message, WireError> {
-    let mut r = WireReader::new(bytes, "frame header");
-    let magic = r.take(4)?;
-    if magic != WIRE_MAGIC {
-        let mut found = [0u8; 4];
-        found.copy_from_slice(magic);
+/// Reads and validates a frame header (magic, version, length bound),
+/// returning the kind byte and the declared payload length.
+fn read_header(r: &mut Reader<'_>) -> Result<(u8, usize), WireError> {
+    let found = r.array()?;
+    if found != WIRE_MAGIC {
         return Err(WireError::BadMagic { found });
     }
     let version = r.u8()?;
@@ -476,6 +357,14 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, WireError> {
     if len > MAX_FRAME_PAYLOAD {
         return Err(WireError::FrameTooLarge { len, max: MAX_FRAME_PAYLOAD });
     }
+    Ok((kind, len))
+}
+
+/// Parses one complete frame (as produced by [`encode_message`]) back into
+/// a [`Message`], validating magic, version, length bound, and CRC.
+pub fn decode_message(bytes: &[u8]) -> Result<Message, WireError> {
+    let mut r = Reader::new(bytes, "frame header");
+    let (kind, len) = read_header(&mut r)?;
     let payload = r.take(len)?;
     let stored = r.u32()?;
     r.finish()?;
@@ -488,10 +377,10 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, WireError> {
 }
 
 fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
-    let mut r = WireReader::new(payload, "payload");
+    let mut r = Reader::new(payload, "payload");
     let msg = match kind {
         KIND_PREDICT => {
-            let model = r.string()?;
+            let model = r.string(Prefix::U32)?;
             let rows = r.u32()? as usize;
             let cols = r.u32()? as usize;
             if rows == 0 || rows > MAX_WIRE_DIM || cols == 0 || cols > MAX_WIRE_DIM {
@@ -502,19 +391,11 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
             let n = rows
                 .checked_mul(cols)
                 .ok_or_else(|| malformed(format!("request dims {rows}x{cols} overflow")))?;
-            let needed = n.checked_mul(8).ok_or_else(|| malformed("request bytes overflow"))?;
-            if needed > r.remaining() {
-                return Err(WireError::Truncated {
-                    what: "payload",
-                    needed,
-                    available: r.remaining(),
-                });
-            }
             let data = r.f64s(n)?;
             Message::Predict { model, x: Matrix::from_vec(rows, cols, data) }
         }
         KIND_PREDICTION => {
-            let n = r.count(16)?;
+            let n = r.count(Prefix::U32, 16)?;
             let y0_hat = r.f64s(n)?;
             let y1_hat = r.f64s(n)?;
             Message::Prediction { y0_hat, y1_hat }
@@ -523,7 +404,7 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
             let code = r.u8()?;
             let a = r.u64()?;
             let b = r.u64()?;
-            let message = r.string()?;
+            let message = r.string(Prefix::U32)?;
             Message::Failure(decode_failure(code, a, b, message))
         }
         KIND_HEALTH => Message::Health,
@@ -531,10 +412,10 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<Message, WireError> {
             let ready = r.u8()? != 0;
             let queue_depth = r.u32()? as usize;
             let queue_max = r.u32()? as usize;
-            let n = r.count(4)?;
+            let n = r.count(Prefix::U32, 4)?;
             let mut models = Vec::with_capacity(n);
             for _ in 0..n {
-                models.push(r.string()?);
+                models.push(r.string(Prefix::U32)?);
             }
             Message::HealthReport(HealthReport { ready, queue_depth, queue_max, models })
         }
@@ -568,29 +449,11 @@ pub fn write_message(w: &mut impl Write, msg: &Message) -> Result<(), WireError>
 /// Reads one complete frame. The header is read and validated first, so a
 /// hostile length field is rejected *before* the payload buffer is sized.
 pub fn read_message(r: &mut impl Read) -> Result<Message, WireError> {
-    let mut header = [0u8; HEADER_LEN];
-    read_exact_wire(r, &mut header, "frame header")?;
-    let mut hr = WireReader::new(&header, "frame header");
-    let magic = hr.take(4)?;
-    if magic != WIRE_MAGIC {
-        let mut found = [0u8; 4];
-        found.copy_from_slice(magic);
-        return Err(WireError::BadMagic { found });
-    }
-    let version = hr.u8()?;
-    if version != WIRE_VERSION {
-        return Err(WireError::UnsupportedVersion { found: version });
-    }
-    let _kind = hr.u8()?;
-    let len = hr.u32()? as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(WireError::FrameTooLarge { len, max: MAX_FRAME_PAYLOAD });
-    }
-    let mut rest = vec![0u8; len + CRC_LEN];
-    read_exact_wire(r, &mut rest, "frame body")?;
-    let mut frame = Vec::with_capacity(HEADER_LEN + rest.len());
-    frame.extend_from_slice(&header);
-    frame.extend_from_slice(&rest);
+    let mut frame = vec![0u8; HEADER_LEN];
+    read_exact_wire(r, &mut frame, "frame header")?;
+    let (_, len) = read_header(&mut Reader::new(&frame, "frame header"))?;
+    frame.resize(HEADER_LEN + len + CRC_LEN, 0);
+    read_exact_wire(r, frame.get_mut(HEADER_LEN..).unwrap_or_default(), "frame body")?;
     decode_message(&frame)
 }
 
@@ -991,7 +854,7 @@ mod tests {
     #[test]
     fn zero_dim_predict_payloads_are_malformed() {
         let mut payload = Vec::new();
-        put_str(&mut payload, "m").expect("str");
+        put_str(&mut payload, Prefix::U32, "m").expect("str");
         put_u32(&mut payload, 0);
         put_u32(&mut payload, 4);
         let mut frame = Vec::new();

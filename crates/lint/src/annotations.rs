@@ -20,7 +20,7 @@
 
 /// Rule names accepted inside `allow(…)`.
 pub const ALLOW_RULES: &[&str] =
-    &["hash_collection", "spawn", "fma", "time", "panic", "persist_reader", "wire_reader", "alloc"];
+    &["hash_collection", "spawn", "fma", "time", "panic", "untrusted_reader", "alloc"];
 
 /// A parsed `lint:` annotation found in a comment.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -11,8 +11,7 @@
 //! | `time`            | determinism   | kernel files (`kernels.rs`, `matrix.rs`)     |
 //! | `unsafe`          | unsafe hygiene| every `unsafe` token, tests included         |
 //! | `panic`           | panic-freedom | library (non-bin, non-test) code             |
-//! | `persist_reader`  | panic-freedom | `persist.rs` non-test code, stricter overlay |
-//! | `wire_reader`     | panic-freedom | `wire.rs` non-test code, stricter overlay    |
+//! | `untrusted_reader`| panic-freedom | `codec.rs`, `persist.rs`, `wire.rs` non-test code, stricter overlay |
 //! | `alloc`           | static no-alloc| bodies of `// lint: no_alloc` functions     |
 //! | `annotation`      | meta          | malformed / dangling `lint:` annotations     |
 //!
@@ -291,68 +290,52 @@ fn panic_rule(ctx: &FileContext, lexed: &LexedFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// The files that decode *untrusted* bytes, each with its own rule id so
-/// allow annotations and docs stay precise: `(file name, rule id, what the
-/// bytes are, the typed error, the bounds-checked reader helpers)`.
-const READER_SCOPES: &[(&str, &str, &str, &str, &str)] = &[
-    ("persist.rs", "persist_reader", "artifact bytes", "PersistError", "Reader::take/u64/f64s"),
-    (
-        "wire.rs",
-        "wire_reader",
-        "frame bytes off the socket",
-        "WireError",
-        "WireReader::take/u32/f64s",
-    ),
-];
+/// The files that decode *untrusted* bytes: the shared bounds-checked
+/// reader, the `.sbrl` artifact decoder, and the wire-frame decoder.
+const UNTRUSTED_READER_FILES: &[&str] = &["codec.rs", "persist.rs", "wire.rs"];
 
-/// Untrusted-reader hardening: `persist.rs` decodes artifact bytes and
-/// `wire.rs` decodes socket frames — both inputs are attacker-shaped, so
-/// their non-test code may not use panicking constructs or direct `[`
-/// indexing/slicing. Every read must flow through the bounds-checked reader
-/// helpers, which return typed errors instead of panicking.
+/// Untrusted-reader hardening: artifact bytes and socket frames are
+/// attacker-shaped, so the non-test code of [`UNTRUSTED_READER_FILES`] may
+/// not use panicking constructs or direct `[` indexing/slicing. Every read
+/// must flow through the bounds-checked `codec::Reader`, which returns typed
+/// errors instead of panicking.
 ///
 /// This is a stricter overlay on the `panic` rule: a `// lint: allow(panic)`
 /// escape elsewhere in the library does not exist here — reader code has no
 /// provably-infallible panics, because the input is attacker-shaped.
 fn untrusted_reader_rule(ctx: &FileContext, lexed: &LexedFile, out: &mut Vec<Diagnostic>) {
-    let Some(&(_, rule, what, error, helpers)) =
-        READER_SCOPES.iter().find(|(file, ..)| *file == ctx.file_name())
-    else {
+    const RULE: &str = "untrusted_reader";
+    if !UNTRUSTED_READER_FILES.contains(&ctx.file_name()) {
         return;
-    };
+    }
     for line_no in 1..=lexed.len() {
-        if ctx.is_test_line(line_no) {
+        if ctx.is_test_line(line_no) || allowed(lexed, line_no, RULE) {
             continue;
         }
         let code = lexed.line(line_no).code;
-        for token in PANIC_TOKENS {
-            if has_token(&code, token) && !allowed(lexed, line_no, rule) {
-                diag(
-                    out,
-                    ctx,
-                    line_no,
-                    rule,
-                    format!(
-                        "`{token}` in untrusted-reader code: {what} are untrusted, \
-                         so every failure mode must surface as a typed {error} — \
-                         route the read through the {helpers} helpers"
-                    ),
-                );
-                break;
-            }
-        }
-        if has_index_expr(&code) && !allowed(lexed, line_no, rule) {
+        if let Some(token) = PANIC_TOKENS.iter().find(|t| has_token(&code, t)) {
             diag(
                 out,
                 ctx,
                 line_no,
-                rule,
+                RULE,
                 format!(
-                    "direct `[` indexing/slicing in untrusted-reader code: \
-                     out-of-range positions in {what} must become a typed {error}, \
-                     not a panic — use the bounds-checked {helpers} helpers \
-                     (or slice::get)"
+                    "`{token}` in untrusted-reader code: the bytes are untrusted, so \
+                     every failure mode must surface as a typed error — route the \
+                     read through the bounds-checked codec::Reader"
                 ),
+            );
+        }
+        if has_index_expr(&code) {
+            diag(
+                out,
+                ctx,
+                line_no,
+                RULE,
+                "direct `[` indexing/slicing in untrusted-reader code: an \
+                 out-of-range position must become a typed error, not a panic — \
+                 use codec::Reader (or slice::get)"
+                    .to_string(),
             );
         }
     }
@@ -443,64 +426,55 @@ mod tests {
         assert!(check("crates/stats/src/x.rs", src).is_empty());
     }
 
-    #[test]
-    fn persist_reader_flags_indexing_only_in_persist_rs() {
-        let src = "fn peek(bytes: &[u8]) -> u8 {\n    bytes[0]\n}\n";
-        let found = check("crates/core/src/persist.rs", src);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].rule, "persist_reader");
-        assert_eq!(found[0].line, 2);
-        // The same indexing outside persist.rs is not this rule's business.
-        assert!(check("crates/core/src/trainer.rs", src).is_empty());
+    const INDEXING: &str = "fn peek(bytes: &[u8]) -> u8 {\n    bytes[0]\n}\n";
+    const PANICKING: &str = "fn read(bytes: &[u8]) -> u8 {\n    decode(bytes).unwrap()\n}\n";
+
+    fn listed_files() -> impl Iterator<Item = String> {
+        UNTRUSTED_READER_FILES.iter().map(|f| format!("crates/core/src/{f}"))
     }
 
     #[test]
-    fn persist_reader_flags_panics_on_top_of_the_panic_rule() {
-        let src = "fn read(bytes: &[u8]) -> u8 {\n    decode(bytes).unwrap()\n}\n";
-        let found = check("crates/core/src/persist.rs", src);
-        let rules: Vec<&str> = found.iter().map(|d| d.rule).collect();
-        assert!(rules.contains(&"persist_reader"), "rules: {rules:?}");
-        assert!(rules.contains(&"panic"), "rules: {rules:?}");
+    fn untrusted_reader_flags_indexing_and_panics_in_every_listed_file() {
+        for path in listed_files() {
+            let found = check(&path, INDEXING);
+            assert_eq!(found.len(), 1, "{path}: {found:?}");
+            assert_eq!(found[0].rule, "untrusted_reader");
+            assert_eq!(found[0].line, 2);
+
+            // A stricter overlay: it fires on top of the panic rule.
+            let rules: Vec<&str> = check(&path, PANICKING).iter().map(|d| d.rule).collect();
+            assert!(rules.contains(&"untrusted_reader"), "{path}: {rules:?}");
+            assert!(rules.contains(&"panic"), "{path}: {rules:?}");
+        }
     }
 
     #[test]
-    fn persist_reader_spares_attributes_literals_and_tests() {
+    fn untrusted_reader_ignores_unlisted_files() {
+        assert!(check("crates/core/src/trainer.rs", INDEXING).is_empty());
+        let rules: Vec<&str> =
+            check("crates/core/src/trainer.rs", PANICKING).iter().map(|d| d.rule).collect();
+        assert_eq!(rules, ["panic"]);
+    }
+
+    #[test]
+    fn untrusted_reader_spares_attributes_literals_and_tests() {
         let src = "#[derive(Debug)]\n\
                    pub struct Header {\n    magic: [u8; 8],\n}\n\
                    const TAGS: &[&str] = &[\"META\"];\n\
+                   const HINT: &str = \"never bytes[0].unwrap() here\";\n\
                    #[cfg(test)]\n\
-                   mod tests {\n    fn t(b: &[u8]) -> u8 { b[0] }\n}\n";
-        assert!(check("crates/core/src/persist.rs", src).is_empty());
+                   mod tests {\n    fn t(b: &[u8]) -> u8 { b[0].unwrap() }\n}\n";
+        for path in listed_files() {
+            assert!(check(&path, src).is_empty(), "{path}");
+        }
     }
 
     #[test]
-    fn persist_reader_allows_with_an_annotation() {
-        let src = "// lint: allow(persist_reader) — length proven by the section frame\n\
+    fn untrusted_reader_allows_with_an_annotation() {
+        let src = "// lint: allow(untrusted_reader) — length proven by the frame header\n\
                    fn peek(bytes: &[u8]) -> u8 { bytes[0] }\n";
-        assert!(check("crates/core/src/persist.rs", src).is_empty());
-    }
-
-    #[test]
-    fn wire_reader_fires_in_wire_rs_with_its_own_rule_id() {
-        let src = "fn peek(bytes: &[u8]) -> u8 {\n    bytes[0]\n}\n";
-        let found = check("crates/core/src/wire.rs", src);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].rule, "wire_reader");
-        assert!(found[0].message.contains("WireError"), "message: {}", found[0].message);
-
-        let src = "fn read(bytes: &[u8]) -> u8 {\n    decode(bytes).unwrap()\n}\n";
-        let found = check("crates/core/src/wire.rs", src);
-        let rules: Vec<&str> = found.iter().map(|d| d.rule).collect();
-        assert!(rules.contains(&"wire_reader"), "rules: {rules:?}");
-    }
-
-    #[test]
-    fn wire_reader_allows_with_an_annotation_and_spares_tests() {
-        let src = "// lint: allow(wire_reader) — index bounded by HEADER_LEN check above\n\
-                   fn peek(bytes: &[u8]) -> u8 { bytes[0] }\n";
-        assert!(check("crates/core/src/wire.rs", src).is_empty());
-
-        let src = "#[cfg(test)]\nmod tests {\n    fn t(b: &[u8]) -> u8 { b[0] }\n}\n";
-        assert!(check("crates/core/src/wire.rs", src).is_empty());
+        for path in listed_files() {
+            assert!(check(&path, src).is_empty(), "{path}");
+        }
     }
 }

@@ -45,9 +45,6 @@
 //! let est = hap.predict_batched(&split.test.x, 8); // bit-identical to predict()
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-//!
-//! The 0.1 positional `train()` entry point survives as a deprecated shim
-//! for one release; see [`core::Estimator`] for the migration path.
 
 pub use sbrl_core as core;
 pub use sbrl_data as data;

@@ -263,6 +263,18 @@ fn truncation_at_structural_boundaries_is_a_typed_error() {
     }
 }
 
+/// An artifact cut inside its checksum trailer (valid magic and version, 2
+/// of the 4 trailer bytes present) reports the bytes it actually has.
+#[test]
+fn a_cut_checksum_trailer_reports_true_byte_counts() {
+    let bytes = golden_bytes();
+    let err = expect_persist_err(FittedModel::from_sbrl_bytes(&bytes[..14]));
+    assert_eq!(
+        err,
+        PersistError::Truncated { section: "checksum trailer", needed: 4, available: 2 }
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Proptest corruption suite: >= 128 mutated artifacts, typed errors only
 // ---------------------------------------------------------------------------

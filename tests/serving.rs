@@ -1,8 +1,6 @@
 //! Serving-shaped guarantees of the redesigned estimator API: a fitted
 //! model is an immutable `Send + Sync` artifact whose inference fans out
-//! across threads with bit-identical results, and the deprecated positional
-//! `train()` shim still reproduces the builder pipeline during its grace
-//! release.
+//! across threads with bit-identical results.
 
 use sbrl_hap::core::{Estimator, FittedModel, SbrlConfig, TrainConfig};
 use sbrl_hap::data::{CausalDataset, SyntheticConfig, SyntheticProcess};
@@ -95,37 +93,4 @@ fn predict_batched_matches_sequential_for_any_worker_count() {
     // Repeated calls are deterministic.
     let again = fitted.predict_batched(&test_data.x, 4);
     assert_eq!(again.y0_hat, sequential.y0_hat);
-}
-
-/// The deprecated positional `train()` must keep reproducing the builder
-/// pipeline (same seed derivation) for its one-release grace period.
-#[test]
-#[allow(deprecated)]
-fn deprecated_train_shim_matches_the_builder() {
-    use sbrl_hap::core::train;
-    use sbrl_hap::models::Cfr;
-    use sbrl_hap::tensor::rng::rng_from_seed;
-
-    let (train_data, val_data, test_data) = splits();
-    let cfg = budget();
-    let sbrl = SbrlConfig::sbrl_hap(1.0, 1.0, 0.1, 0.01);
-
-    let via_builder = Estimator::builder()
-        .backbone(CfrConfig::small(train_data.dim()))
-        .sbrl(sbrl)
-        .train(cfg)
-        .fit(&train_data, &val_data)
-        .expect("builder training");
-
-    // The builder derives the model-init RNG as seed ^ 0x00f1_77ed; hand the
-    // shim an identically initialised model.
-    let mut rng = rng_from_seed(cfg.seed ^ 0x00f1_77ed);
-    let model = Cfr::new(CfrConfig::small(train_data.dim()), &mut rng);
-    let via_shim = train(model, &train_data, &val_data, &sbrl, &cfg).expect("shim training");
-
-    assert_eq!(
-        via_builder.predict(&test_data.x).ite_hat(),
-        via_shim.predict(&test_data.x).ite_hat(),
-        "the deprecated shim must reproduce the builder pipeline"
-    );
 }
