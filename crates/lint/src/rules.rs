@@ -477,4 +477,55 @@ mod tests {
             assert!(check(&path, src).is_empty(), "{path}");
         }
     }
+
+    // The checks below predate the shared rule id: `persist.rs` and `wire.rs`
+    // each had a reader rule of their own. They keep pinning each file's
+    // behaviour under `untrusted_reader`.
+
+    #[test]
+    fn persist_reader_flags_indexing_only_in_persist_rs() {
+        let found = check("crates/core/src/persist.rs", INDEXING);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].rule, "untrusted_reader");
+        assert_eq!(found[0].line, 2);
+        // The same indexing outside the listed files is not this rule's business.
+        assert!(check("crates/core/src/trainer.rs", INDEXING).is_empty());
+    }
+
+    #[test]
+    fn persist_reader_flags_panics_on_top_of_the_panic_rule() {
+        let found = check("crates/core/src/persist.rs", PANICKING);
+        let rules: Vec<&str> = found.iter().map(|d| d.rule).collect();
+        assert!(rules.contains(&"untrusted_reader"), "rules: {rules:?}");
+        assert!(rules.contains(&"panic"), "rules: {rules:?}");
+    }
+
+    #[test]
+    fn persist_reader_allows_with_an_annotation() {
+        let src = "// lint: allow(untrusted_reader) — length proven by the section frame\n\
+                   fn peek(bytes: &[u8]) -> u8 { bytes[0] }\n";
+        assert!(check("crates/core/src/persist.rs", src).is_empty());
+    }
+
+    #[test]
+    fn wire_reader_fires_in_wire_rs_with_its_own_rule_id() {
+        let found = check("crates/core/src/wire.rs", INDEXING);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].rule, "untrusted_reader");
+        assert!(found[0].message.contains("typed error"), "message: {}", found[0].message);
+
+        let found = check("crates/core/src/wire.rs", PANICKING);
+        let rules: Vec<&str> = found.iter().map(|d| d.rule).collect();
+        assert!(rules.contains(&"untrusted_reader"), "rules: {rules:?}");
+    }
+
+    #[test]
+    fn wire_reader_allows_with_an_annotation_and_spares_tests() {
+        let src = "// lint: allow(untrusted_reader) — index bounded by HEADER_LEN check above\n\
+                   fn peek(bytes: &[u8]) -> u8 { bytes[0] }\n";
+        assert!(check("crates/core/src/wire.rs", src).is_empty());
+
+        let src = "#[cfg(test)]\nmod tests {\n    fn t(b: &[u8]) -> u8 { b[0] }\n}\n";
+        assert!(check("crates/core/src/wire.rs", src).is_empty());
+    }
 }
