@@ -403,6 +403,14 @@ mod enabled {
     }
 }
 
+/// Whether this build compiles in fault injection (the `fault-inject`
+/// feature). Plans are process-global and one-shot, so code that would run
+/// fits concurrently runs them one at a time when this is `true`: which fit
+/// a fault hits must not depend on scheduling.
+pub const fn compiled_in() -> bool {
+    cfg!(feature = "fault-inject")
+}
+
 // ---- No-op shims: the trainer calls these unconditionally; without the
 // ---- feature they compile away entirely (zero overhead, no env reads).
 

@@ -24,8 +24,9 @@
 //!   probability `prod_i |rho|^(-10 |Y1 - Y0 - sign(rho) X_vi|)`.
 
 use rand::rngs::StdRng;
-use sbrl_tensor::rng::{randn, rng_from_seed, sample_standard_normal, sample_uniform};
-use sbrl_tensor::stable_sigmoid;
+use rand::RngCore;
+use sbrl_tensor::rng::{rng_from_seed, sample_bernoulli, sample_standard_normal, sample_uniform};
+use sbrl_tensor::{stable_sigmoid, Matrix};
 
 use crate::dataset::{CausalDataset, OutcomeKind};
 use crate::sampling::{selection_log_weight, weighted_sample_without_replacement};
@@ -110,17 +111,19 @@ impl SyntheticProcess {
         let mut process =
             Self { config, theta_t, theta_y0, theta_y1, threshold0: 0.0, threshold1: 0.0 };
 
-        // Estimate the population means of z0 / z1 from an unbiased pool.
-        let pool = randn(&mut rng, config.threshold_pool, config.dim());
+        // Estimate the population means of z0 / z1 from an unbiased pool,
+        // folded one row at a time instead of materialising the pool.
+        let mut row = vec![0.0; config.dim()];
         let mut sum0 = 0.0;
         let mut sum1 = 0.0;
-        for i in 0..pool.rows() {
-            let (z0, z1) = process.outcome_latents(pool.row(i));
+        for _ in 0..config.threshold_pool {
+            fill_standard_normal(&mut rng, &mut row);
+            let (z0, z1) = process.outcome_latents(&row);
             sum0 += z0;
             sum1 += z1;
         }
-        process.threshold0 = sum0 / pool.rows() as f64;
-        process.threshold1 = sum1 / pool.rows() as f64;
+        process.threshold0 = sum0 / config.threshold_pool as f64;
+        process.threshold1 = sum1 / config.threshold_pool as f64;
         process
     }
 
@@ -139,79 +142,113 @@ impl SyntheticProcess {
         (z0, z1)
     }
 
-    fn treatment_logit(&self, x: &[f64], xi: f64) -> f64 {
+    /// The covariate part `theta_t . X_IC / 10` of the treatment logit; the
+    /// logit itself is this term `+ xi`.
+    fn treatment_term(&self, x: &[f64]) -> f64 {
         let c = &self.config;
         let ic = &x[..c.m_instrument + c.m_confounder];
-        ic.iter().zip(&self.theta_t).map(|(&x, &th)| th * x).sum::<f64>() / 10.0 + xi
+        ic.iter().zip(&self.theta_t).map(|(&x, &th)| th * x).sum::<f64>() / 10.0
     }
 
     /// Generates one environment: `n` units sampled with bias rate `rho`.
     ///
     /// `rho.abs()` must exceed 1 (the paper uses
     /// `rho in {±1.3, ±1.5, ±2.5, ±3}`).
+    ///
+    /// The unbiased pool of `n * pool_factor` rows is streamed, never
+    /// materialised: a first pass keeps only what treatment and selection
+    /// need per row, and the `n` selected rows are then redrawn from a
+    /// replay of the same random stream. The draws, and so the bits, are
+    /// those of drawing the whole pool up front.
     #[track_caller]
     pub fn generate(&self, rho: f64, n: usize, seed: u64) -> CausalDataset {
         assert!(rho.abs() > 1.0, "bias rate must satisfy |rho| > 1, got {rho}");
         let c = &self.config;
+        let dim = c.dim();
         let mut rng = rng_from_seed(seed ^ 0x5b5b_0001);
+        let mut replay = rng.clone();
         let pool_n = n * c.pool_factor.max(1);
 
-        let x_pool = randn(&mut rng, pool_n, c.dim());
+        // Pass 1: the pool's covariates, one row at a time.
+        let v_cols = c.unstable_columns();
+        let mut row = vec![0.0; dim];
         let mut y0 = Vec::with_capacity(pool_n);
         let mut y1 = Vec::with_capacity(pool_n);
-        let mut t = Vec::with_capacity(pool_n);
-        for i in 0..pool_n {
-            let row = x_pool.row(i);
-            let (z0, z1) = self.outcome_latents(row);
-            let y0i = if z0 - self.threshold0 > 0.0 { 1.0 } else { 0.0 };
-            let y1i = if z1 - self.threshold1 > 0.0 { 1.0 } else { 0.0 };
-            y0.push(y0i);
-            y1.push(y1i);
-            let xi = sample_standard_normal(&mut rng);
-            let p = stable_sigmoid(self.treatment_logit(row, xi));
-            t.push(if rng_coin(&mut rng, p) { 1.0 } else { 0.0 });
+        let mut t_terms = Vec::with_capacity(pool_n);
+        let mut unstable = Vec::with_capacity(pool_n * v_cols.len());
+        for _ in 0..pool_n {
+            fill_standard_normal(&mut rng, &mut row);
+            let (z0, z1) = self.outcome_latents(&row);
+            y0.push(if z0 - self.threshold0 > 0.0 { 1.0 } else { 0.0 });
+            y1.push(if z1 - self.threshold1 > 0.0 { 1.0 } else { 0.0 });
+            t_terms.push(self.treatment_term(&row));
+            unstable.extend_from_slice(&row[v_cols.clone()]);
         }
+        let t: Vec<f64> = t_terms
+            .into_iter()
+            .map(|term| {
+                let xi = sample_standard_normal(&mut rng);
+                let p = stable_sigmoid(term + xi);
+                if sample_bernoulli(&mut rng, p) {
+                    1.0
+                } else {
+                    0.0
+                }
+            })
+            .collect();
 
         // Biased environment selection on the unstable block.
-        let v_cols = c.unstable_columns();
+        let m_v = v_cols.len();
         let log_w: Vec<f64> = (0..pool_n)
-            .map(|i| {
-                let row = x_pool.row(i);
-                selection_log_weight(rho, y1[i] - y0[i], &row[v_cols.clone()])
-            })
+            .map(|i| selection_log_weight(rho, y1[i] - y0[i], &unstable[i * m_v..(i + 1) * m_v]))
             .collect();
         let idx = weighted_sample_without_replacement(&mut rng, &log_w, n);
 
-        let x = x_pool.select_rows(&idx);
-        let pick = |v: &[f64]| idx.iter().map(|&i| v[i]).collect::<Vec<f64>>();
-        let t = pick(&t);
-        let y0 = pick(&y0);
-        let y1 = pick(&y1);
-        let yf: Vec<f64> = t
-            .iter()
-            .zip(y0.iter().zip(&y1))
-            .map(|(&t, (&y0, &y1))| if t > 0.5 { y1 } else { y0 })
-            .collect();
-        let ycf: Vec<f64> = t
-            .iter()
-            .zip(y0.iter().zip(&y1))
-            .map(|(&t, (&y0, &y1))| if t > 0.5 { y0 } else { y1 })
-            .collect();
-
-        CausalDataset {
-            x,
-            t,
-            yf,
-            ycf: Some(ycf),
-            mu0: Some(y0),
-            mu1: Some(y1),
-            outcome: OutcomeKind::Binary,
+        // Pass 2: redraw the selected rows. Each standard normal consumes
+        // exactly two raw draws, so an unselected row skips `2 * dim`.
+        let mut x = Matrix::zeros(n, dim);
+        let mut next_row = 0;
+        for (k, &i) in idx.iter().enumerate() {
+            for _ in 0..2 * dim * (i - next_row) {
+                replay.next_u64();
+            }
+            fill_standard_normal(&mut replay, x.row_mut(k));
+            next_row = i + 1;
         }
+        let pick = |v: &[f64]| idx.iter().map(|&i| v[i]).collect::<Vec<f64>>();
+        binary_dataset(x, pick(&t), pick(&y0), pick(&y1))
     }
 }
 
-fn rng_coin(rng: &mut StdRng, p: f64) -> bool {
-    sbrl_tensor::rng::sample_bernoulli(rng, p)
+/// Overwrites `row` with i.i.d. `N(0, 1)` draws, in order.
+fn fill_standard_normal(rng: &mut StdRng, row: &mut [f64]) {
+    for v in row {
+        *v = sample_standard_normal(rng);
+    }
+}
+
+/// Assembles a binary-outcome dataset from the selected units' covariates,
+/// treatments and potential outcomes.
+fn binary_dataset(x: Matrix, t: Vec<f64>, y0: Vec<f64>, y1: Vec<f64>) -> CausalDataset {
+    let yf: Vec<f64> = t
+        .iter()
+        .zip(y0.iter().zip(&y1))
+        .map(|(&t, (&y0, &y1))| if t > 0.5 { y1 } else { y0 })
+        .collect();
+    let ycf: Vec<f64> = t
+        .iter()
+        .zip(y0.iter().zip(&y1))
+        .map(|(&t, (&y0, &y1))| if t > 0.5 { y0 } else { y1 })
+        .collect();
+    CausalDataset {
+        x,
+        t,
+        yf,
+        ycf: Some(ycf),
+        mu0: Some(y0),
+        mu1: Some(y1),
+        outcome: OutcomeKind::Binary,
+    }
 }
 
 /// The bias rates evaluated in Table I / Fig. 3 of the paper.
@@ -223,6 +260,100 @@ pub const TRAIN_BIAS_RATE: f64 = 2.5;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbrl_tensor::rng::randn;
+
+    /// The materialising recipe `SyntheticProcess::new` and `generate`
+    /// replaced: the whole threshold pool and the whole unbiased pool drawn
+    /// up front. Kept to pin the streamed versions to its bits.
+    mod materialised {
+        use super::*;
+
+        pub fn new(config: SyntheticConfig, seed: u64) -> SyntheticProcess {
+            let mut rng = rng_from_seed(seed);
+            let n_ic = config.m_instrument + config.m_confounder;
+            let n_ca = config.m_confounder + config.m_adjustment;
+            let theta_t = (0..n_ic).map(|_| sample_uniform(&mut rng, 8.0, 16.0)).collect();
+            let theta_y0 = (0..n_ca).map(|_| sample_uniform(&mut rng, 8.0, 16.0)).collect();
+            let theta_y1 = (0..n_ca).map(|_| sample_uniform(&mut rng, 8.0, 16.0)).collect();
+            let mut process = SyntheticProcess {
+                config,
+                theta_t,
+                theta_y0,
+                theta_y1,
+                threshold0: 0.0,
+                threshold1: 0.0,
+            };
+            let pool = randn(&mut rng, config.threshold_pool, config.dim());
+            let (mut sum0, mut sum1) = (0.0, 0.0);
+            for i in 0..pool.rows() {
+                let (z0, z1) = process.outcome_latents(pool.row(i));
+                sum0 += z0;
+                sum1 += z1;
+            }
+            process.threshold0 = sum0 / pool.rows() as f64;
+            process.threshold1 = sum1 / pool.rows() as f64;
+            process
+        }
+
+        pub fn generate(p: &SyntheticProcess, rho: f64, n: usize, seed: u64) -> CausalDataset {
+            let c = &p.config;
+            let mut rng = rng_from_seed(seed ^ 0x5b5b_0001);
+            let pool_n = n * c.pool_factor.max(1);
+            let x_pool = randn(&mut rng, pool_n, c.dim());
+            let (mut y0, mut y1, mut t) = (Vec::new(), Vec::new(), Vec::new());
+            for i in 0..pool_n {
+                let row = x_pool.row(i);
+                let (z0, z1) = p.outcome_latents(row);
+                y0.push(if z0 - p.threshold0 > 0.0 { 1.0 } else { 0.0 });
+                y1.push(if z1 - p.threshold1 > 0.0 { 1.0 } else { 0.0 });
+                let xi = sample_standard_normal(&mut rng);
+                let prob = stable_sigmoid(p.treatment_term(row) + xi);
+                t.push(if sample_bernoulli(&mut rng, prob) { 1.0 } else { 0.0 });
+            }
+            let v_cols = c.unstable_columns();
+            let log_w: Vec<f64> = (0..pool_n)
+                .map(|i| selection_log_weight(rho, y1[i] - y0[i], &x_pool.row(i)[v_cols.clone()]))
+                .collect();
+            let idx = weighted_sample_without_replacement(&mut rng, &log_w, n);
+            let pick = |v: &[f64]| idx.iter().map(|&i| v[i]).collect::<Vec<f64>>();
+            binary_dataset(x_pool.select_rows(&idx), pick(&t), pick(&y0), pick(&y1))
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn streamed_generation_matches_the_materialising_recipe() {
+        let mut one_row_pool = small_config();
+        one_row_pool.pool_factor = 1; // every pool row is selected
+        for (config, seed) in
+            [(SyntheticConfig::syn_8_8_8_2(), 1000), (small_config(), 7), (one_row_pool, 3)]
+        {
+            let streamed = SyntheticProcess::new(config, seed);
+            let reference = materialised::new(config, seed);
+            assert_eq!(streamed.threshold0.to_bits(), reference.threshold0.to_bits());
+            assert_eq!(streamed.threshold1.to_bits(), reference.threshold1.to_bits());
+            for rho in [1.3, -1.3, 3.0, -3.0] {
+                for n in [1, 120] {
+                    let a = streamed.generate(rho, n, 11);
+                    let b = materialised::generate(&reference, rho, n, 11);
+                    let what = format!("{} rho {rho} n {n}", config.name());
+                    assert_eq!(bits(a.x.as_slice()), bits(b.x.as_slice()), "x: {what}");
+                    assert_eq!(bits(&a.t), bits(&b.t), "t: {what}");
+                    assert_eq!(bits(&a.yf), bits(&b.yf), "yf: {what}");
+                    for (u, v) in [(&a.ycf, &b.ycf), (&a.mu0, &b.mu0), (&a.mu1, &b.mu1)] {
+                        assert_eq!(
+                            bits(u.as_deref().unwrap()),
+                            bits(v.as_deref().unwrap()),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn small_config() -> SyntheticConfig {
         SyntheticConfig {

@@ -1,10 +1,14 @@
 //! Shared experiment execution: fit one method on one split, and run the
 //! full method grid over synthetic environment sweeps with replications.
 
+use std::sync::{Mutex, OnceLock, PoisonError};
+
 use sbrl_core::{Estimator, FittedModel, SbrlError, TrainConfig};
 use sbrl_data::{CausalDataset, SyntheticConfig, SyntheticProcess};
 use sbrl_metrics::Evaluation;
 use sbrl_models::Backbone;
+use sbrl_tensor::workers::run_tasks;
+use sbrl_tensor::Parallelism;
 
 use crate::methods::{ExperimentPreset, MethodSpec};
 use crate::scale::Scale;
@@ -151,13 +155,73 @@ impl MethodEnvResults {
 /// evaluated on every test environment. A failed fit is reported through
 /// `progress` and recorded in [`MethodEnvResults::failures`] instead of
 /// aborting the whole sweep.
+///
+/// Replications run concurrently, one per worker of the global
+/// [`Parallelism`] knob (`SBRL_THREADS=1` runs them one after another on
+/// the calling thread). Results and `progress` lines are merged in
+/// replication order, so neither depends on the worker count; a
+/// replication's lines are reported once it and every earlier replication
+/// have finished. Builds with fault injection compiled in always run
+/// serially, so an armed fault hits the same fit on every run.
 pub fn run_synthetic_sweep(
     exp: &SyntheticExperiment,
     methods: &[MethodSpec],
-    mut progress: impl FnMut(&str),
+    progress: impl FnMut(&str) + Send,
 ) -> Vec<MethodEnvResults> {
-    let (n_train, n_val, n_test) = exp.scale.synthetic_samples();
+    let workers =
+        if sbrl_core::faults::compiled_in() { 1 } else { Parallelism::global().workers() };
+    run_synthetic_sweep_on(exp, methods, workers, progress)
+}
+
+/// One method's outcome in one replication.
+enum RepOutcome {
+    /// The fit succeeded: its evaluation on every test environment, the
+    /// retry note when it needed reseeding, and its training time.
+    Fitted { evals: Vec<Evaluation>, retry: Option<String>, train_seconds: f64 },
+    /// The fit failed; the failure note.
+    Failed(String),
+}
+
+/// [`run_synthetic_sweep`] on `workers` workers: each replication is one
+/// worker-pool task writing its own slot.
+fn run_synthetic_sweep_on(
+    exp: &SyntheticExperiment,
+    methods: &[MethodSpec],
+    workers: usize,
+    progress: impl FnMut(&str) + Send,
+) -> Vec<MethodEnvResults> {
     let reps = exp.scale.replications();
+    let slots: Vec<OnceLock<Vec<RepOutcome>>> = (0..reps).map(|_| OnceLock::new()).collect();
+    // The next replication to report, and the sink it is reported to.
+    let reporter = Mutex::new((0, progress));
+    run_tasks(reps, workers.min(reps), &|rep| {
+        let _ = slots[rep].set(run_replication(exp, methods, rep));
+        let mut guard = reporter.lock().unwrap_or_else(PoisonError::into_inner);
+        let (next, progress) = &mut *guard;
+        while let Some(outcomes) = slots.get(*next).and_then(OnceLock::get) {
+            for (mi, outcome) in outcomes.iter().enumerate() {
+                match outcome {
+                    RepOutcome::Failed(msg) => progress(msg),
+                    RepOutcome::Fitted { retry, train_seconds, .. } => {
+                        if let Some(msg) = retry {
+                            progress(msg);
+                        }
+                        progress(&format!(
+                            "rep {}/{} method {}/{} ({}) done in {:.1}s",
+                            *next + 1,
+                            reps,
+                            mi + 1,
+                            methods.len(),
+                            methods[mi].name(),
+                            train_seconds
+                        ));
+                    }
+                }
+            }
+            *next += 1;
+        }
+    });
+
     let mut results: Vec<MethodEnvResults> = methods
         .iter()
         .map(|m| MethodEnvResults {
@@ -167,22 +231,46 @@ pub fn run_synthetic_sweep(
             retries: Vec::new(),
         })
         .collect();
+    for slot in slots {
+        // lint: allow(panic) — infallible: `run_tasks` returned, so every
+        // replication task ran to completion and set its slot.
+        let outcomes = slot.into_inner().expect("a completed task set its slot");
+        for (result, outcome) in results.iter_mut().zip(outcomes) {
+            match outcome {
+                RepOutcome::Fitted { evals, retry, .. } => {
+                    for (env, eval) in result.per_env.iter_mut().zip(evals) {
+                        env.push(eval);
+                    }
+                    result.retries.extend(retry);
+                }
+                RepOutcome::Failed(msg) => result.failures.push(msg),
+            }
+        }
+    }
+    results
+}
 
-    for rep in 0..reps {
-        let process = SyntheticProcess::new(exp.data_cfg, 1000 + rep as u64);
-        let train_data = process.generate(exp.train_rho, n_train, 10 * rep as u64);
-        let val_data = process.generate(exp.train_rho, n_val, 10 * rep as u64 + 1);
-        let test_envs: Vec<CausalDataset> = exp
-            .test_rhos
-            .iter()
-            .enumerate()
-            .map(|(k, &rho)| process.generate(rho, n_test, 10 * rep as u64 + 2 + k as u64))
-            .collect();
+/// One replication: draws its mechanism and train/val pair, fits every
+/// method, then generates the test environments one at a time and scores
+/// every fitted model on each, so at most one environment is alive.
+fn run_replication(
+    exp: &SyntheticExperiment,
+    methods: &[MethodSpec],
+    rep: usize,
+) -> Vec<RepOutcome> {
+    let (n_train, n_val, n_test) = exp.scale.synthetic_samples();
+    let reps = exp.scale.replications();
+    let process = SyntheticProcess::new(exp.data_cfg, 1000 + rep as u64);
+    let train_data = process.generate(exp.train_rho, n_train, 10 * rep as u64);
+    let val_data = process.generate(exp.train_rho, n_val, 10 * rep as u64 + 1);
 
-        for (mi, spec) in methods.iter().enumerate() {
+    let fits: Vec<Result<_, String>> = methods
+        .iter()
+        .enumerate()
+        .map(|(mi, spec)| {
             let train_cfg =
                 exp.scale.train_config(exp.preset.lr, exp.preset.l2, (rep * 97 + mi) as u64);
-            let fitted = match fit_method_retrying(
+            match fit_method_retrying(
                 *spec,
                 &exp.preset,
                 &train_data,
@@ -190,7 +278,7 @@ pub fn run_synthetic_sweep(
                 &train_cfg,
                 DEFAULT_FIT_RETRIES,
             ) {
-                Ok((fitted, 0)) => fitted,
+                Ok((fitted, 0)) => Ok((fitted, None)),
                 Ok((fitted, attempts)) => {
                     let msg = format!(
                         "rep {}/{} method {} recovered after {attempts} reseeded retries",
@@ -198,36 +286,39 @@ pub fn run_synthetic_sweep(
                         reps,
                         spec.name()
                     );
-                    progress(&msg);
-                    results[mi].retries.push(msg);
-                    fitted
+                    Ok((fitted, Some(msg)))
                 }
                 Err(e) => {
-                    let msg =
-                        format!("rep {}/{} method {} FAILED: {e}", rep + 1, reps, spec.name());
-                    progress(&msg);
-                    results[mi].failures.push(msg);
-                    continue;
+                    Err(format!("rep {}/{} method {} FAILED: {e}", rep + 1, reps, spec.name()))
                 }
-            };
-            for (env_idx, test) in test_envs.iter().enumerate() {
+            }
+        })
+        .collect();
+    // The folds are dead once every method is fitted; freeing them before
+    // the test environments are drawn keeps concurrent replications small.
+    drop((train_data, val_data));
+
+    let mut evals: Vec<Vec<Evaluation>> =
+        methods.iter().map(|_| Vec::with_capacity(exp.test_rhos.len())).collect();
+    for (k, &rho) in exp.test_rhos.iter().enumerate() {
+        let test = process.generate(rho, n_test, 10 * rep as u64 + 2 + k as u64);
+        for (fit, evals) in fits.iter().zip(&mut evals) {
+            if let Ok((fitted, _)) = fit {
                 // lint: allow(panic) — synthetic environments always carry the
                 // oracle; a miss is a generator bug, not a recoverable state.
-                let eval = fitted.evaluate(test).expect("synthetic data carries the oracle");
-                results[mi].per_env[env_idx].push(eval);
+                evals.push(fitted.evaluate(&test).expect("synthetic data carries the oracle"));
             }
-            progress(&format!(
-                "rep {}/{} method {}/{} ({}) done in {:.1}s",
-                rep + 1,
-                reps,
-                mi + 1,
-                methods.len(),
-                spec.name(),
-                fitted.report().train_seconds
-            ));
         }
     }
-    results
+    fits.into_iter()
+        .zip(evals)
+        .map(|(fit, evals)| match fit {
+            Ok((fitted, retry)) => {
+                RepOutcome::Fitted { evals, retry, train_seconds: fitted.report().train_seconds }
+            }
+            Err(msg) => RepOutcome::Failed(msg),
+        })
+        .collect()
 }
 
 /// Records one skipped fit: logs it to stderr under the runner's tag and
@@ -331,6 +422,50 @@ mod tests {
         assert_eq!(results[0].failures.len(), 1);
         assert!(results[0].per_env.iter().all(Vec::is_empty));
         assert!(messages.iter().any(|m| m.contains("FAILED")));
+    }
+
+    #[test]
+    fn sweep_output_does_not_depend_on_the_worker_count() {
+        let mut exp = tiny_exp();
+        // Three replications, on a one-layer network that keeps nine
+        // quick-scale fits cheap in debug.
+        exp.scale = Scale::Quick;
+        (exp.preset.rep_layers, exp.preset.head_layers) = (1, 1);
+        (exp.preset.rep_width, exp.preset.head_width) = (8, 4);
+        let mut broken = exp.clone();
+        broken.preset.lr = f64::NAN; // every fit fails: exercises `failures`
+        let methods =
+            vec![MethodSpec { backbone: BackboneKind::Tarnet, framework: Framework::Vanilla }];
+        let run = |exp: &SyntheticExperiment, workers| {
+            let mut lines = Vec::new();
+            let results = run_synthetic_sweep_on(exp, &methods, workers, |m: &str| {
+                // Fit wall-clock varies run to run; the line order must not.
+                lines.push(m.split(" done in ").next().unwrap_or(m).to_string());
+            });
+            let r = &results[0];
+            let bits: Vec<Vec<[u64; 4]>> = r
+                .per_env
+                .iter()
+                .map(|env| {
+                    env.iter()
+                        .map(|e| {
+                            [e.pehe, e.ate_bias, e.factual_score, e.counterfactual_score]
+                                .map(f64::to_bits)
+                        })
+                        .collect()
+                })
+                .collect();
+            (bits, r.failures.clone(), r.retries.clone(), lines)
+        };
+        for (exp, failed) in [(&exp, 0), (&broken, 3)] {
+            let serial = run(exp, 1);
+            assert!(serial.0.iter().all(|env| env.len() == 3 - failed));
+            assert_eq!(serial.1.len(), failed);
+            assert_eq!(serial.3.len(), 3, "one progress line per replication");
+            for workers in [2, 3] {
+                assert_eq!(run(exp, workers), serial, "workers = {workers}");
+            }
+        }
     }
 
     #[test]

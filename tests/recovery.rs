@@ -40,6 +40,18 @@ fn fit(
         .fit(train, val)
 }
 
+/// Held by every fit outside `injected`. Fault plans are process-global and
+/// one-shot, so a fault-free fit running beside an injected test could
+/// consume that test's fault; the guard of an empty plan serialises them.
+#[cfg(feature = "fault-inject")]
+fn fault_free() -> sbrl_hap::core::FaultGuard {
+    sbrl_hap::core::inject(&sbrl_hap::core::FaultPlan::default())
+}
+
+/// Without the feature there are no plans to race for.
+#[cfg(not(feature = "fault-inject"))]
+fn fault_free() -> impl Sized {}
+
 fn prediction_bits(est: &sbrl_hap::metrics::EffectEstimate) -> (Vec<u64>, Vec<u64>) {
     (
         est.y0_hat.iter().map(|v| v.to_bits()).collect(),
@@ -49,6 +61,7 @@ fn prediction_bits(est: &sbrl_hap::metrics::EffectEstimate) -> (Vec<u64>, Vec<u6
 
 #[test]
 fn zero_time_budget_times_out_with_a_typed_error() {
+    let _serial = fault_free();
     let (train, val, _) = fixtures();
     let cfg = TrainConfig { time_budget: Some(Duration::ZERO), ..train_cfg() };
     match fit(&train, &val, cfg) {
@@ -59,6 +72,7 @@ fn zero_time_budget_times_out_with_a_typed_error() {
 
 #[test]
 fn generous_time_budget_does_not_interfere() {
+    let _serial = fault_free();
     let (train, val, _) = fixtures();
     let cfg = TrainConfig { time_budget: Some(Duration::from_secs(3600)), ..train_cfg() };
     let fitted = fit(&train, &val, cfg).expect("an hour is plenty for 30 iterations");
@@ -67,6 +81,7 @@ fn generous_time_budget_does_not_interfere() {
 
 #[test]
 fn malformed_recovery_policies_are_rejected_up_front() {
+    let _serial = fault_free();
     let (train, val, _) = fixtures();
     for (policy, what) in [
         (
@@ -92,6 +107,7 @@ fn malformed_recovery_policies_are_rejected_up_front() {
 
 #[test]
 fn default_fit_reports_are_empty_and_policy_free() {
+    let _serial = fault_free();
     let (train, val, _) = fixtures();
     let fitted = fit(&train, &val, train_cfg()).expect("training succeeds");
     let report = fitted.fit_report();
@@ -107,6 +123,7 @@ fn default_fit_reports_are_empty_and_policy_free() {
 /// training state, so predictions stay bit-identical to the default path.
 #[test]
 fn recovery_policy_without_faults_is_bit_identical_to_default() {
+    let _serial = fault_free();
     let (train, val, test) = fixtures();
     let baseline = fit(&train, &val, train_cfg()).expect("training succeeds");
     let armed_cfg = TrainConfig { recovery: RecoveryPolicy::retries(2), ..train_cfg() };
@@ -121,6 +138,7 @@ fn recovery_policy_without_faults_is_bit_identical_to_default() {
 
 #[test]
 fn builder_threads_recovery_knobs_into_the_config() {
+    let _serial = fault_free();
     let (train, val, _) = fixtures();
     let fitted = Estimator::builder()
         .backbone(CfrConfig::small(train.dim()))
