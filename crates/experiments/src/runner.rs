@@ -7,7 +7,7 @@ use sbrl_core::{Estimator, FittedModel, SbrlError, TrainConfig};
 use sbrl_data::{CausalDataset, SyntheticConfig, SyntheticProcess};
 use sbrl_metrics::Evaluation;
 use sbrl_models::Backbone;
-use sbrl_tensor::workers::run_tasks;
+use sbrl_tensor::workers::run_coarse_tasks;
 use sbrl_tensor::Parallelism;
 
 use crate::methods::{ExperimentPreset, MethodSpec};
@@ -161,8 +161,10 @@ impl MethodEnvResults {
 /// the calling thread). Results and `progress` lines are merged in
 /// replication order, so neither depends on the worker count; a
 /// replication's lines are reported once it and every earlier replication
-/// have finished. Builds with fault injection compiled in always run
-/// serially, so an armed fault hits the same fit on every run.
+/// have finished. The kernels of concurrent replications run on their own
+/// replication's thread, so replications never wait on each other. Builds
+/// with fault injection compiled in always run serially, so an armed fault
+/// hits the same fit on every run.
 pub fn run_synthetic_sweep(
     exp: &SyntheticExperiment,
     methods: &[MethodSpec],
@@ -194,7 +196,7 @@ fn run_synthetic_sweep_on(
     let slots: Vec<OnceLock<Vec<RepOutcome>>> = (0..reps).map(|_| OnceLock::new()).collect();
     // The next replication to report, and the sink it is reported to.
     let reporter = Mutex::new((0, progress));
-    run_tasks(reps, workers.min(reps), &|rep| {
+    run_coarse_tasks(reps, workers.min(reps), &|rep| {
         let _ = slots[rep].set(run_replication(exp, methods, rep));
         let mut guard = reporter.lock().unwrap_or_else(PoisonError::into_inner);
         let (next, progress) = &mut *guard;
@@ -232,7 +234,7 @@ fn run_synthetic_sweep_on(
         })
         .collect();
     for slot in slots {
-        // lint: allow(panic) — infallible: `run_tasks` returned, so every
+        // lint: allow(panic) — infallible: `run_coarse_tasks` returned, so every
         // replication task ran to completion and set its slot.
         let outcomes = slot.into_inner().expect("a completed task set its slot");
         for (result, outcome) in results.iter_mut().zip(outcomes) {

@@ -33,6 +33,7 @@
 //! adds deterministic panic/stall hooks to the catching path (and only
 //! there); without the feature no hook code is compiled at all.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -104,6 +105,17 @@ struct Pool {
 }
 
 static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set while this thread runs a task of [`run_coarse_tasks`]; parallel
+    /// calls made meanwhile run inline.
+    static IN_COARSE_TASK: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether parallel calls on this thread must stay inline.
+fn inline_here(total: usize, workers: usize) -> bool {
+    workers <= 1 || total == 1 || IN_COARSE_TASK.with(Cell::get)
+}
 
 fn pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
@@ -245,7 +257,8 @@ fn run_parallel(
 /// persistent pool plus the calling thread, blocking until every call
 /// completes. `workers <= 1` (or `total <= 1`) runs everything inline on
 /// the calling thread and never touches the pool — the
-/// [`Parallelism::Serial`](crate::kernels::Parallelism) guarantee.
+/// [`Parallelism::Serial`](crate::kernels::Parallelism) guarantee. So does
+/// any call made inside a [`run_coarse_tasks`] task.
 ///
 /// Chunks are claimed dynamically, so thread assignment is
 /// scheduling-dependent; callers must make each `f(i)` independent (write
@@ -259,7 +272,7 @@ pub fn run_tasks(total: usize, workers: usize, f: &(dyn Fn(usize) + Sync)) {
     if total == 0 {
         return;
     }
-    if workers <= 1 || total == 1 {
+    if inline_here(total, workers) {
         // Hot kernel path: no unwind machinery between the caller and `f`.
         for i in 0..total {
             f(i);
@@ -271,6 +284,35 @@ pub fn run_tasks(total: usize, workers: usize, f: &(dyn Fn(usize) + Sync)) {
         // needing a recoverable result use `run_tasks_catching`.
         panic!("a worker-pool task panicked (task {})", e.task);
     }
+}
+
+/// [`run_tasks`] for coarse tasks that each keep their thread busy for a
+/// long stretch, such as whole replications of a sweep. Every parallel
+/// call made inside a task runs inline on the task's thread: its siblings
+/// occupy the other workers, so a nested job would find no thread to help
+/// it and would only take the shared queue lock on every kernel call,
+/// where one task can stall behind a sibling whose CPU was preempted while
+/// holding it. The tasks thereby run independently of each other.
+/// `workers <= 1` (or `total <= 1`) is plain [`run_tasks`]: the tasks run
+/// one after another and their kernels keep the pool.
+///
+/// # Panics
+/// As [`run_tasks`].
+pub fn run_coarse_tasks(total: usize, workers: usize, f: &(dyn Fn(usize) + Sync)) {
+    if workers <= 1 || total <= 1 {
+        return run_tasks(total, workers, f);
+    }
+    /// Restores the flag even when the task panics.
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_COARSE_TASK.with(|c| c.set(self.0));
+        }
+    }
+    run_tasks(total, workers, &|i| {
+        let _restore = Restore(IN_COARSE_TASK.with(|c| c.replace(true)));
+        f(i);
+    });
 }
 
 /// Like [`run_tasks`], but converts task panics into the typed
@@ -299,7 +341,7 @@ pub fn run_tasks_catching(
     };
     #[cfg(feature = "fault-inject")]
     let f: &(dyn Fn(usize) + Sync) = &hooked;
-    if workers <= 1 || total == 1 {
+    if inline_here(total, workers) {
         let mut first_panic = None;
         for i in 0..total {
             if catch_unwind(AssertUnwindSafe(|| f(i))).is_err() && first_panic.is_none() {
@@ -420,6 +462,25 @@ mod tests {
         });
         assert_eq!(outer_hits.load(Ordering::Relaxed), 4);
         assert_eq!(inner_hits.load(Ordering::Relaxed), 16);
+    }
+
+    #[test]
+    fn coarse_tasks_run_their_nested_calls_inline() {
+        run_tasks(2, 2, &|_| {}); // warm the pool
+        let threads: Vec<Mutex<Vec<std::thread::ThreadId>>> =
+            (0..4).map(|_| Mutex::new(Vec::new())).collect();
+        run_coarse_tasks(4, 2, &|i| {
+            run_tasks(8, 2, &|_| {
+                threads[i].lock().unwrap().push(std::thread::current().id());
+            });
+        });
+        for (i, ids) in threads.iter().enumerate() {
+            let ids = ids.lock().unwrap();
+            assert_eq!(ids.len(), 8, "task {i}");
+            assert!(ids.iter().all(|id| *id == ids[0]), "task {i} left its thread");
+        }
+        // The flag ends with the task: this thread's calls may use the pool.
+        assert!(!IN_COARSE_TASK.with(Cell::get));
     }
 
     #[test]
