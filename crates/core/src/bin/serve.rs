@@ -8,7 +8,6 @@
 //!     --requests N   total requests          (default 200)
 //!     --clients C    client threads          (default 4)
 //!     --rows R       rows per request        (default 16)
-//!     --batch-max B  batcher batch size      (default 64)
 //!     --socket       also bench over a loopback TCP socket
 //!     --json PATH    write a BENCH_serving.json-format snapshot
 //! serve listen <registry-dir> [opts]     TCP front-end (wire protocol)
@@ -24,8 +23,8 @@
 //! and the smoke client honours `SBRL_DEADLINE_MS` / `SBRL_RETRIES` /
 //! `SBRL_BACKOFF_MS` (client knobs) — see `docs/SERVING.md`. Without
 //! `--smoke`, `listen` serves until stdin reaches EOF, then drains
-//! gracefully (fulfil or deadline-fail every queued request, bounded by the
-//! drain budget).
+//! gracefully (finish every in-flight request, bounded by the drain
+//! budget).
 //!
 //! Exit code 0 on success, 1 on any typed failure (printed to stderr).
 
@@ -169,14 +168,12 @@ struct BenchOpts {
     requests: usize,
     clients: usize,
     rows: usize,
-    batch_max: usize,
     socket: bool,
     json: Option<PathBuf>,
 }
 
 fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, SbrlError> {
-    let mut opts =
-        BenchOpts { requests: 200, clients: 4, rows: 16, batch_max: 64, socket: false, json: None };
+    let mut opts = BenchOpts { requests: 200, clients: 4, rows: 16, socket: false, json: None };
     let bad = |message: String| SbrlError::InvalidConfig { what: "serve.bench", message };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -191,7 +188,6 @@ fn parse_bench_opts(args: &[String]) -> Result<BenchOpts, SbrlError> {
             "--requests" => opts.requests = parse(value)?.max(1),
             "--clients" => opts.clients = parse(value)?.max(1),
             "--rows" => opts.rows = parse(value)?.max(1),
-            "--batch-max" => opts.batch_max = parse(value)?.max(1),
             "--json" => opts.json = Some(PathBuf::from(value)),
             other => return Err(bad(format!("unknown flag {other}"))),
         }
@@ -210,10 +206,7 @@ fn bench(dir: &Path, args: &[String]) -> Result<(), SbrlError> {
         .iter()
         .filter_map(|n| registry.get(n).map(|m| m.model().export_config().in_dim()))
         .collect();
-    let service = InferenceService::start(
-        registry,
-        ServeConfig { batch_max: opts.batch_max, ..ServeConfig::default() },
-    )?;
+    let service = InferenceService::start(registry, ServeConfig::default())?;
 
     let started = Instant::now();
     let mut all_latencies: Vec<u64> = Vec::with_capacity(opts.requests);
@@ -261,18 +254,12 @@ fn bench(dir: &Path, args: &[String]) -> Result<(), SbrlError> {
     let rows_per_sec = total_rows as f64 / wall.as_secs_f64().max(1e-9);
     let mean_ns_per_row = summary.mean_ns / opts.rows.max(1) as u64;
 
-    println!(
-        "serving bench: {completed} requests x {} rows, {} clients, batch_max {}",
-        opts.rows, opts.clients, opts.batch_max
-    );
+    println!("serving bench: {completed} requests x {} rows, {} clients", opts.rows, opts.clients);
     println!("  p50 latency  {:>12} ns", summary.p50_ns);
     println!("  p99 latency  {:>12} ns", summary.p99_ns);
     println!("  mean/row     {:>12} ns", mean_ns_per_row);
     println!("  throughput   {rows_per_sec:>12.0} rows/s (wall {:.3}s)", wall.as_secs_f64());
 
-    // Free the in-process service's worker pool before the socket run so the
-    // two phases don't compete for cores.
-    drop(service);
     let socket = if opts.socket {
         let (p50, p99) = socket_bench(dir, &opts)?;
         println!("  socket p50   {p50:>12} ns");
@@ -306,11 +293,7 @@ fn socket_bench(dir: &Path, opts: &BenchOpts) -> Result<(u64, u64), SbrlError> {
         .iter()
         .filter_map(|n| registry.get(n).map(|m| m.model().export_config().in_dim()))
         .collect();
-    let server = SocketServer::bind(
-        registry,
-        ServeConfig { batch_max: opts.batch_max, ..ServeConfig::default() },
-        "127.0.0.1:0",
-    )?;
+    let server = SocketServer::bind(registry, ServeConfig::default(), "127.0.0.1:0")?;
     let addr = server.local_addr();
     let per_client = opts.requests.div_ceil(opts.clients);
     let mut all_latencies: Vec<u64> = Vec::with_capacity(opts.requests);
@@ -405,8 +388,8 @@ fn bench_json(
 /// serves the wire protocol until stdin reaches EOF (operator stop signal)
 /// or, with `--smoke N`, until N loopback requests have been verified
 /// bit-identical to the in-process answers. Either way the exit path is a
-/// graceful drain: every queued request is fulfilled or deadline-failed
-/// within the drain budget before the process returns.
+/// graceful drain: every in-flight request finishes, bounded by the drain
+/// budget, before the process returns.
 fn listen(dir: &Path, args: &[String]) -> Result<(), SbrlError> {
     let bad = |message: String| SbrlError::InvalidConfig { what: "serve.listen", message };
     let mut addr = String::from("127.0.0.1:7878");
@@ -451,8 +434,8 @@ fn listen(dir: &Path, args: &[String]) -> Result<(), SbrlError> {
                 .map_err(|e| bad(format!("stdin wait failed: {e}")))?;
         }
     }
-    let queued = server.shutdown();
-    println!("drained: {queued} request(s) were queued at close, all answered");
+    let in_flight = server.shutdown();
+    println!("drained: {in_flight} request(s) were in flight at close");
     Ok(())
 }
 

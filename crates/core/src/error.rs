@@ -87,8 +87,8 @@ pub enum SbrlError {
         /// The configured `queue_max` admission limit.
         limit: usize,
     },
-    /// The inference service stopped (drain, shutdown, or a dead batcher)
-    /// before this request could be answered.
+    /// The inference service stopped (drain or shutdown closed admission)
+    /// before this request could be admitted.
     ServiceStopped {
         /// What stopped the service.
         reason: String,

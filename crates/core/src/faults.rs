@@ -20,7 +20,6 @@
 //! SBRL_FAULTS="stall-iter@3:250"       # sleep 250 ms before iteration 3
 //! SBRL_FAULTS="panic-task@1"           # catching-path pool task 1 panics
 //! SBRL_FAULTS="stall-task@0:50"        # pool task 0 sleeps 50 ms
-//! SBRL_FAULTS="batcher-panic@0"        # serving batcher panics at batch 0
 //! SBRL_FAULTS="net-drop@2"             # close the conn instead of reply 2
 //! SBRL_FAULTS="net-delay@1:100"        # delay server reply 1 by 100 ms
 //! SBRL_FAULTS="net-trunc@0"            # send half of reply 0, then close
@@ -93,8 +92,6 @@ mod enabled {
         PanicTask { index: usize },
         /// Stall the catching-path pool task with this chunk index.
         StallTask { index: usize, millis: u64 },
-        /// Panic the serving batcher thread at this batch index.
-        BatcherPanic { batch: usize },
         /// Close the connection instead of writing response frame `frame`.
         NetDrop { frame: usize },
         /// Delay response frame `frame` by `millis`.
@@ -137,7 +134,6 @@ mod enabled {
                     ("stall-iter", Some(ms)) => Fault::StallIteration { iteration: at, millis: ms },
                     ("panic-task", None) => Fault::PanicTask { index: at },
                     ("stall-task", Some(ms)) => Fault::StallTask { index: at, millis: ms },
-                    ("batcher-panic", None) => Fault::BatcherPanic { batch: at },
                     ("net-drop", None) => Fault::NetDrop { frame: at },
                     ("net-delay", Some(ms)) => Fault::NetDelay { frame: at, millis: ms },
                     ("net-trunc", None) => Fault::NetTrunc { frame: at },
@@ -149,8 +145,7 @@ mod enabled {
                         return Err(format!(
                             "'{part}': unknown fault kind '{other}' (expected nan-loss, \
                              nan-reg, nan-weight-loss, nan-grad, stall-iter, panic-task, \
-                             stall-task, batcher-panic, net-drop, net-delay, net-trunc, \
-                             net-garbage)"
+                             stall-task, net-drop, net-delay, net-trunc, net-garbage)"
                         ));
                     }
                 };
@@ -285,16 +280,6 @@ mod enabled {
         }
     }
 
-    /// Panics when a batcher fault is armed for this batch index (one-shot)
-    /// — the serving layer's drop/unwind guards are the subject under test.
-    pub(crate) fn batcher_panic(batch: usize) {
-        if fire(|f| matches!(*f, Fault::BatcherPanic { batch: at } if at == batch)).is_some() {
-            // lint: allow(panic) — the injected fault *is* a panic; chaos
-            // tests assert the service degrades to typed errors around it.
-            panic!("injected fault: batcher panicked at batch {batch}");
-        }
-    }
-
     /// The action for the next server response frame (one-shot per armed
     /// fault; the frame counter advances on every call).
     pub(crate) fn net_response() -> NetAction {
@@ -327,7 +312,7 @@ mod enabled {
             let plan = FaultPlan::parse(
                 "nan-loss@10; nan-reg@3,nan-weight-loss@4;nan-grad@5;\
                  stall-iter@2:250;panic-task@1;stall-task@0:50;\
-                 batcher-panic@0;net-drop@1;net-delay@2:100;net-trunc@3;net-garbage@4",
+                 net-drop@1;net-delay@2:100;net-trunc@3;net-garbage@4",
             )
             .expect("valid plan");
             assert_eq!(
@@ -340,7 +325,6 @@ mod enabled {
                     Fault::StallIteration { iteration: 2, millis: 250 },
                     Fault::PanicTask { index: 1 },
                     Fault::StallTask { index: 0, millis: 50 },
-                    Fault::BatcherPanic { batch: 0 },
                     Fault::NetDrop { frame: 1 },
                     Fault::NetDelay { frame: 2, millis: 100 },
                     Fault::NetTrunc { frame: 3 },
@@ -461,15 +445,6 @@ pub(crate) fn stall(_iteration: usize) {}
 
 #[cfg(feature = "fault-inject")]
 pub(crate) use enabled::stall;
-
-/// No-op without `fault-inject`; with it, panics the serving batcher when a
-/// fault is armed for this batch index.
-#[cfg(not(feature = "fault-inject"))]
-#[inline(always)]
-pub(crate) fn batcher_panic(_batch: usize) {}
-
-#[cfg(feature = "fault-inject")]
-pub(crate) use enabled::batcher_panic;
 
 /// Always [`NetAction::None`] without `fault-inject`; with it, the armed
 /// action for the next server response frame.

@@ -23,8 +23,9 @@
 //! * [`persist`] — the versioned `.sbrl` artifact format
 //!   ([`FittedModel::save`]/[`FittedModel::load`]) and the method-keyed
 //!   [`ModelRegistry`];
-//! * [`serve`] — the request-batching [`InferenceService`] over a loaded
-//!   registry (the `serve` binary's engine) and the [`SocketServer`]
+//! * [`serve`] — the [`InferenceService`] over a loaded registry (the
+//!   `serve` binary's engine; each request is predicted on its caller's
+//!   thread behind a counting admission limit) and the [`SocketServer`]
 //!   front-end with deadlines, backpressure, and graceful drain;
 //! * [`wire`] — the length-framed, CRC-checked socket protocol and the
 //!   retrying [`ServeClient`];

@@ -947,7 +947,7 @@ impl ModelRegistry {
 
     /// Looks a model up by method name, case-insensitively.
     pub fn get(&self, name: &str) -> Option<&FittedModel<Box<dyn Backbone>>> {
-        self.index_of(name).and_then(|i| self.entries.get(i)).map(|(_, m)| m)
+        self.entries.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, m)| m)
     }
 
     /// Like [`get`](Self::get) but a typed
@@ -960,16 +960,6 @@ impl ModelRegistry {
                 known: self.names(),
             })
         })
-    }
-
-    /// Position of a method name in the registry (case-insensitive).
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.entries.iter().position(|(n, _)| n.eq_ignore_ascii_case(name))
-    }
-
-    /// The model at a registry position (see [`index_of`](Self::index_of)).
-    pub fn model_at(&self, index: usize) -> Option<&FittedModel<Box<dyn Backbone>>> {
-        self.entries.get(index).map(|(_, m)| m)
     }
 
     /// Method names in registry order.

@@ -1,49 +1,44 @@
-//! A threaded inference service over a [`ModelRegistry`], with a socket
-//! front-end hardened for overload and failure.
+//! An inference service over a [`ModelRegistry`], with a socket front-end
+//! hardened for overload and failure.
 //!
 //! The life of a served prediction (see `ARCHITECTURE.md`):
 //!
 //! ```text
-//! client ──TCP──▶ handler thread        batcher thread             worker pool
-//! ──────          ──────────────        ──────────────             ───────────
-//! Predict frame   decode + validate
-//!   (CRC-checked)  submit(name, x) ──▶ bounded admission queue
-//!                   sheds Overloaded    collect ≤ batch_max reqs
-//!                   at queue_max        within batch_window,
-//!                  wait_deadline()      shed expired deadlines,
-//!                    blocks on the      group by model, vstack
-//!                    slot's condvar     ──▶ try_predict_batched ──▶ row shards
-//!                              ◀─ fulfil ─ split rows back per
-//! Prediction /                            request, notify slots
+//! client ──TCP──▶ handler thread (one per connection)          worker pool
+//! ──────          ───────────────────────────────────          ───────────
+//! Predict frame   decode + validate, TimedOut past the deadline
+//!   (CRC-checked)  submit(name, x): take an admission permit
+//!                   (Overloaded at queue_max in flight,
+//!                    ServiceStopped once closed)
+//!                   try_predict_batched(x) ────────────────▶ row shards
+//! Prediction /      release the permit
 //!   Failure frame ◀── encode
 //! ```
 //!
-//! One long-lived batcher thread owns the queue's receive side; the actual
-//! numeric work still goes through the workspace's persistent worker pool via
-//! [`FittedModel::try_predict_batched`](crate::FittedModel::try_predict_batched), so serving adds **zero** per-request
-//! thread spawns beyond the per-connection handler. Because every per-row
-//! operation of the inference path is row-independent, folding many requests
-//! into one batched call and splitting the rows back out returns
-//! **bit-identical** results to serving each request alone — batching (and
-//! the socket hop, which moves `f64` bit patterns) is a pure
-//! latency/throughput trade.
+//! Each request is predicted on the thread that submitted it, with no
+//! queue or hand-off in between: requests are not batched, because the
+//! wait to fill a batch cost more than batching saved. The numeric work
+//! goes through the workspace's persistent worker pool via
+//! [`FittedModel::try_predict_batched`](crate::FittedModel::try_predict_batched),
+//! so serving adds **zero** per-request thread spawns beyond the
+//! per-connection handler. The socket hop moves `f64` bit patterns, so a
+//! served answer is **bit-identical** to [`FittedModel::predict`](crate::FittedModel::predict).
 //!
 //! **The degradation contract.** Every submitted request terminates with a
 //! typed outcome — never a hang:
 //!
-//! * a full admission queue sheds the request with [`SbrlError::Overloaded`]
-//!   *before* it queues (backpressure at the door);
-//! * a request whose `SBRL_DEADLINE_MS` budget expires while queued is
-//!   failed with [`SbrlError::TimedOut`], and [`PendingPrediction::wait_deadline`]
-//!   bounds the caller's wait symmetrically;
-//! * a batcher that panics or stops fulfils every dequeued **and** every
-//!   still-queued slot with [`SbrlError::ServiceStopped`] via its
-//!   drop/unwind guards — the `wait` forever-hang is structurally gone;
+//! * with `queue_max` requests already in flight, a request is shed with
+//!   [`SbrlError::Overloaded`] before any work is done (backpressure at the
+//!   door);
+//! * a socket request already past its `SBRL_DEADLINE_MS` budget when its
+//!   frame is decoded (the budget runs from the frame's first byte) is
+//!   failed with [`SbrlError::TimedOut`] and not predicted;
+//! * a worker panic inside a prediction is contained by the pool and
+//!   answered with [`SbrlError::WorkerPanic`]; the service keeps serving;
 //! * graceful drain ([`InferenceService::drain`], [`SocketServer::shutdown`])
-//!   stops admission, then fulfils or deadline-fails every queued slot
-//!   within `drain_budget`, then joins all threads.
+//!   closes admission, waits up to `drain_budget` for in-flight requests to
+//!   finish, then joins all threads.
 
-use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,55 +52,32 @@ use sbrl_tensor::Matrix;
 
 use crate::error::SbrlError;
 use crate::faults::{self, NetAction};
-use crate::persist::{ModelRegistry, PersistError};
+use crate::persist::ModelRegistry;
 use crate::wire::{self, HealthReport, Message, WireError};
 
-/// Knobs of the request batcher and admission control.
+/// Knobs of admission control.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Maximum requests folded into one batched prediction call.
-    pub batch_max: usize,
-    /// How long the batcher waits for more requests after the first one
-    /// before dispatching a partial batch.
-    pub batch_window: Duration,
-    /// Worker count handed to [`FittedModel::try_predict_batched`](crate::FittedModel::try_predict_batched)
-    /// (`0` = the workspace-wide `SBRL_THREADS` / core-count default).
-    pub workers: usize,
-    /// Admission limit: a request arriving with this many already queued is
-    /// shed with a typed [`SbrlError::Overloaded`] (`SBRL_QUEUE_MAX`).
+    /// Admission limit: a request arriving with this many already in flight
+    /// is shed with a typed [`SbrlError::Overloaded`] (`SBRL_QUEUE_MAX`).
     pub queue_max: usize,
-    /// Per-request budget from submission to fulfilment
-    /// (`SBRL_DEADLINE_MS`); expired requests are failed with
-    /// [`SbrlError::TimedOut`], not served late. `None` = unbounded.
+    /// Per-request budget of a socket request, from the first byte of its
+    /// frame (`SBRL_DEADLINE_MS`); a request past it when decoded is failed
+    /// with [`SbrlError::TimedOut`], not served late. `None` = unbounded.
     pub deadline: Option<Duration>,
-    /// Budget of a graceful drain: queued requests not fulfilled within it
-    /// are failed with [`SbrlError::ServiceStopped`] so shutdown stays
-    /// bounded.
+    /// How long a graceful drain waits for in-flight requests to finish.
     pub drain_budget: Duration,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            batch_max: 64,
-            batch_window: Duration::from_micros(200),
-            workers: 0,
-            queue_max: 1024,
-            deadline: None,
-            drain_budget: Duration::from_secs(5),
-        }
+        Self { queue_max: 1024, deadline: None, drain_budget: Duration::from_secs(5) }
     }
 }
 
 impl ServeConfig {
-    /// Validates the batcher knobs.
+    /// Validates the admission knobs.
     pub fn validate(&self) -> Result<(), SbrlError> {
-        if self.batch_max == 0 {
-            return Err(SbrlError::InvalidConfig {
-                what: "serve.batch_max",
-                message: "must be at least 1".into(),
-            });
-        }
         if self.queue_max == 0 {
             return Err(SbrlError::InvalidConfig {
                 what: "serve.queue_max",
@@ -131,216 +103,104 @@ impl ServeConfig {
     }
 }
 
-/// One request's result slot: a mutex-guarded option plus the condvar the
-/// waiting client blocks on.
-#[derive(Debug, Default)]
-struct Slot {
-    state: Mutex<Option<Result<EffectEstimate, SbrlError>>>,
-    ready: Condvar,
-}
-
-/// Poison-tolerant lock: a panicking peer must not cascade panics into
-/// waiting clients — the protected state is a plain `Option` that is valid
-/// in either lock outcome.
-fn lock_state(slot: &Slot) -> MutexGuard<'_, Option<Result<EffectEstimate, SbrlError>>> {
-    slot.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// First write wins: the drop/unwind guards race benignly with the normal
-/// fulfilment path, and a slot abandoned by a timed-out waiter must keep
-/// its first (authoritative) outcome.
-fn fulfil(slot: &Slot, outcome: Result<EffectEstimate, SbrlError>) {
-    let mut state = lock_state(slot);
-    if state.is_none() {
-        *state = Some(outcome);
-        slot.ready.notify_all();
-    }
-}
-
-/// A submitted prediction that has not been waited on yet.
+/// A submitted prediction. It already holds its outcome: `submit` predicts
+/// on the caller's thread.
 #[derive(Debug)]
 pub struct PendingPrediction {
-    slot: Arc<Slot>,
+    outcome: Result<EffectEstimate, SbrlError>,
 }
 
 impl PendingPrediction {
-    /// Blocks until the batcher fulfils this request and returns its typed
-    /// outcome. This cannot hang: a batcher that stops or panics fulfils
-    /// every owed slot with [`SbrlError::ServiceStopped`] on its way out.
+    /// Returns the request's typed outcome. Never blocks.
     pub fn wait(self) -> Result<EffectEstimate, SbrlError> {
-        let mut state = lock_state(&self.slot);
-        loop {
-            if let Some(outcome) = state.take() {
-                return outcome;
-            }
-            state = self.slot.ready.wait(state).unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-
-    /// Like [`wait`](Self::wait), but gives up with [`SbrlError::TimedOut`]
-    /// once `deadline` has elapsed. The slot itself stays valid — a late
-    /// fulfilment lands in a slot nobody reads, which is safe.
-    pub fn wait_deadline(self, deadline: Duration) -> Result<EffectEstimate, SbrlError> {
-        let started = Instant::now();
-        let mut state = lock_state(&self.slot);
-        loop {
-            if let Some(outcome) = state.take() {
-                return outcome;
-            }
-            let elapsed = started.elapsed();
-            let Some(remaining) = deadline.checked_sub(elapsed) else {
-                return Err(SbrlError::TimedOut { iteration: 0, elapsed });
-            };
-            if remaining.is_zero() {
-                return Err(SbrlError::TimedOut { iteration: 0, elapsed });
-            }
-            let (guard, _timed_out) = self
-                .slot
-                .ready
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            state = guard;
-        }
+        self.outcome
     }
 }
 
-struct Request {
-    model_idx: usize,
-    x: Matrix,
-    slot: Arc<Slot>,
-    submitted: Instant,
-    deadline: Option<Instant>,
-}
-
 // ---------------------------------------------------------------------------
-// Bounded admission queue
+// Counting admission limit
 // ---------------------------------------------------------------------------
 
-struct QueueState {
-    queue: VecDeque<Request>,
+#[derive(Default)]
+struct AdmissionState {
+    in_flight: usize,
     closed: bool,
-    drain_deadline: Option<Instant>,
 }
 
-/// The bounded admission queue between `submit` and the batcher: pushes shed
-/// load with typed errors instead of growing without bound, and closing the
-/// queue wakes every waiter exactly once.
-struct AdmissionQueue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
-    max: usize,
+/// Counts the requests in flight: admits at most `limit` of them, none once
+/// closed, and lets a drain wait for the count to reach zero.
+struct Admission {
+    state: Mutex<AdmissionState>,
+    idle: Condvar,
+    limit: usize,
 }
 
-enum Popped {
-    Request(Request),
-    TimedOut,
-    Closed,
+/// One admitted request's share of the count, given back on drop.
+struct Permit<'a> {
+    admission: &'a Admission,
 }
 
-impl AdmissionQueue {
-    fn new(max: usize) -> Self {
-        Self {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                closed: false,
-                drain_deadline: None,
-            }),
-            ready: Condvar::new(),
-            max,
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut state = self.admission.lock();
+        state.in_flight -= 1;
+        if state.in_flight == 0 && state.closed {
+            self.admission.idle.notify_all();
         }
     }
+}
 
-    fn lock(&self) -> MutexGuard<'_, QueueState> {
+impl Admission {
+    fn new(limit: usize) -> Self {
+        Self { state: Mutex::default(), idle: Condvar::new(), limit }
+    }
+
+    /// Poison-tolerant lock: the state is two plain fields, valid whichever
+    /// way a panicking holder left them.
+    fn lock(&self) -> MutexGuard<'_, AdmissionState> {
         self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Admits a request, or sheds it: [`SbrlError::Overloaded`] at the
-    /// depth limit, [`SbrlError::ServiceStopped`] once closed.
-    fn push(&self, request: Request) -> Result<(), SbrlError> {
+    /// Admits one request, or refuses it: [`SbrlError::ServiceStopped`] once
+    /// closed, [`SbrlError::Overloaded`] with `limit` already in flight.
+    fn admit(&self) -> Result<Permit<'_>, SbrlError> {
         let mut state = self.lock();
         if state.closed {
             return Err(SbrlError::ServiceStopped {
                 reason: "the service is stopped or draining; admission is closed".into(),
             });
         }
-        if state.queue.len() >= self.max {
-            return Err(SbrlError::Overloaded { depth: state.queue.len(), limit: self.max });
+        if state.in_flight >= self.limit {
+            return Err(SbrlError::Overloaded { depth: state.in_flight, limit: self.limit });
         }
-        state.queue.push_back(request);
-        drop(state);
-        self.ready.notify_one();
-        Ok(())
+        state.in_flight += 1;
+        Ok(Permit { admission: self })
     }
 
-    /// Blocks for the next request; `None` once the queue is closed *and*
-    /// empty (drain finishes serving what was admitted).
-    fn pop_blocking(&self) -> Option<Request> {
-        let mut state = self.lock();
-        loop {
-            if let Some(request) = state.queue.pop_front() {
-                return Some(request);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.ready.wait(state).unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-
-    /// Non-blocking-ish pop used to fill a batch window.
-    fn pop_until(&self, deadline: Instant) -> Popped {
-        let mut state = self.lock();
-        loop {
-            if let Some(request) = state.queue.pop_front() {
-                return Popped::Request(request);
-            }
-            if state.closed {
-                return Popped::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Popped::TimedOut;
-            }
-            let (guard, _timed_out) = self
-                .ready
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            state = guard;
-        }
-    }
-
-    /// Closes admission; queued requests keep draining until empty. With a
-    /// drain deadline, the batcher fails (rather than serves) requests once
-    /// the budget is spent, bounding shutdown.
-    fn close(&self, drain_deadline: Option<Instant>) {
-        let mut state = self.lock();
-        state.closed = true;
-        state.drain_deadline = drain_deadline;
-        drop(state);
-        self.ready.notify_all();
-    }
-
-    /// Closes admission and takes every queued request (the batcher-death
-    /// sweep: the caller owes each one a typed outcome).
-    fn close_and_take(&self) -> Vec<Request> {
-        let mut state = self.lock();
-        state.closed = true;
-        let leftovers = state.queue.drain(..).collect();
-        drop(state);
-        self.ready.notify_all();
-        leftovers
-    }
-
-    fn depth(&self) -> usize {
-        self.lock().queue.len()
+    fn in_flight(&self) -> usize {
+        self.lock().in_flight
     }
 
     fn is_closed(&self) -> bool {
         self.lock().closed
     }
 
-    fn drain_deadline(&self) -> Option<Instant> {
-        self.lock().drain_deadline
+    /// Closes admission, then waits up to `budget` for the in-flight count
+    /// to reach zero. Returns the count at the moment of closing.
+    fn close_and_wait(&self, budget: Duration) -> usize {
+        let mut state = self.lock();
+        state.closed = true;
+        let in_flight = state.in_flight;
+        let started = Instant::now();
+        while state.in_flight > 0 {
+            let Some(remaining) = budget.checked_sub(started.elapsed()) else { break };
+            state = self
+                .idle
+                .wait_timeout(state, remaining)
+                .unwrap_or_else(|poisoned| poisoned.into_inner())
+                .0;
+        }
+        in_flight
     }
 }
 
@@ -348,20 +208,19 @@ impl AdmissionQueue {
 // The service
 // ---------------------------------------------------------------------------
 
-/// The threaded inference service: a registry of loaded models behind a
-/// bounded admission queue and a request-batching loop. See the module docs
-/// for the data flow and the degradation contract.
+/// The inference service: a registry of loaded models behind a counting
+/// admission limit. See the module docs for the data flow and the
+/// degradation contract.
 pub struct InferenceService {
-    registry: Arc<ModelRegistry>,
-    queue: Arc<AdmissionQueue>,
-    batcher: Mutex<Option<JoinHandle<()>>>,
+    registry: ModelRegistry,
+    admission: Admission,
     cfg: ServeConfig,
 }
 
 impl InferenceService {
     /// Boots the service over a loaded registry. Fails fast on an empty
-    /// registry or invalid batcher knobs — a serving process must never
-    /// come up unable to answer anything.
+    /// registry or invalid knobs — a serving process must never come up
+    /// unable to answer anything.
     pub fn start(registry: ModelRegistry, cfg: ServeConfig) -> Result<Self, SbrlError> {
         cfg.validate()?;
         if registry.is_empty() {
@@ -370,15 +229,7 @@ impl InferenceService {
                 message: "cannot serve an empty model registry".into(),
             });
         }
-        let registry = Arc::new(registry);
-        let queue = Arc::new(AdmissionQueue::new(cfg.queue_max));
-        let loop_registry = Arc::clone(&registry);
-        let loop_queue = Arc::clone(&queue);
-        // lint: allow(spawn) — the one long-lived batcher thread of the
-        // service (started once, joined on drain/Drop); the numeric work
-        // itself still runs on the persistent worker pool.
-        let batcher = std::thread::spawn(move || batch_loop(&loop_registry, &loop_queue, cfg));
-        Ok(Self { registry, queue, batcher: Mutex::new(Some(batcher)), cfg })
+        Ok(Self { registry, admission: Admission::new(cfg.queue_max), cfg })
     }
 
     /// The registry this service answers from.
@@ -391,38 +242,29 @@ impl InferenceService {
         &self.cfg
     }
 
-    /// Current admission-queue depth (a point-in-time backpressure signal).
+    /// Requests in flight right now (a point-in-time backpressure signal).
     pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
+        self.admission.in_flight()
     }
 
     /// The health/readiness snapshot served to orchestration probes.
     pub fn health(&self) -> HealthReport {
         HealthReport {
-            ready: !self.queue.is_closed(),
-            queue_depth: self.queue.depth(),
+            ready: !self.admission.is_closed(),
+            queue_depth: self.admission.in_flight(),
             queue_max: self.cfg.queue_max,
             models: self.registry.names(),
         }
     }
 
-    /// Enqueues a prediction request for the named model, validating the
-    /// covariate shape up front so a bad request fails in the caller, not
-    /// the batcher. Sheds load with [`SbrlError::Overloaded`] at
-    /// `queue_max` and refuses with [`SbrlError::ServiceStopped`] once
-    /// draining.
+    /// Predicts for the named model on the caller's thread. The covariate
+    /// shape is validated first; then the request is shed with
+    /// [`SbrlError::Overloaded`] at `queue_max` in flight, or refused with
+    /// [`SbrlError::ServiceStopped`] once draining. A failure of the
+    /// prediction itself is held by the returned [`PendingPrediction`].
     pub fn submit(&self, method: &str, x: Matrix) -> Result<PendingPrediction, SbrlError> {
-        let model_idx = self.registry.index_of(method).ok_or_else(|| {
-            SbrlError::Persist(PersistError::UnknownModel {
-                name: method.to_string(),
-                known: self.registry.names(),
-            })
-        })?;
-        let expected = self
-            .registry
-            .model_at(model_idx)
-            .map(|m| m.model().export_config().in_dim())
-            .unwrap_or(0);
+        let model = self.registry.require(method)?;
+        let expected = model.model().export_config().in_dim();
         if x.rows() == 0 || x.cols() != expected {
             return Err(SbrlError::InvalidConfig {
                 what: "serve.request",
@@ -434,214 +276,21 @@ impl InferenceService {
                 ),
             });
         }
-        let slot = Arc::new(Slot::default());
-        let submitted = Instant::now();
-        let request = Request {
-            model_idx,
-            x,
-            slot: Arc::clone(&slot),
-            submitted,
-            deadline: self.cfg.deadline.map(|d| submitted + d),
-        };
-        self.queue.push(request)?;
-        Ok(PendingPrediction { slot })
+        let _permit = self.admission.admit()?;
+        Ok(PendingPrediction { outcome: model.try_predict_batched(&x, 0) })
     }
 
-    /// Synchronous convenience: [`submit`](Self::submit) + wait, bounded by
-    /// the configured deadline when one is set.
+    /// Synchronous convenience: [`submit`](Self::submit) + [`wait`](PendingPrediction::wait).
     pub fn predict(&self, method: &str, x: Matrix) -> Result<EffectEstimate, SbrlError> {
-        let pending = self.submit(method, x)?;
-        match self.cfg.deadline {
-            Some(deadline) => pending.wait_deadline(deadline),
-            None => pending.wait(),
-        }
+        self.submit(method, x)?.wait()
     }
 
-    /// The worker count batched predictions run with (`0` = global knob).
-    pub fn workers(&self) -> usize {
-        self.cfg.workers
-    }
-
-    /// Graceful drain: closes admission, lets the batcher fulfil queued
-    /// requests until `drain_budget` is spent (the rest are failed with
-    /// [`SbrlError::ServiceStopped`]), then joins the batcher. Returns the
-    /// queue depth observed when the drain began. Idempotent.
+    /// Graceful drain: closes admission (later `submit`s get
+    /// [`SbrlError::ServiceStopped`]) and waits up to `drain_budget` for the
+    /// requests in flight to finish. Returns how many were in flight when
+    /// the drain began. Idempotent.
     pub fn drain(&self) -> usize {
-        let queued = self.queue.depth();
-        self.queue.close(Some(Instant::now() + self.cfg.drain_budget));
-        let handle = self.batcher.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-        queued
-    }
-}
-
-impl Drop for InferenceService {
-    fn drop(&mut self) {
-        self.drain();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The batcher
-// ---------------------------------------------------------------------------
-
-/// Unwind guard over the whole batcher: whatever ends the loop — a clean
-/// drain or a panic — every request still queued is owed a typed outcome.
-struct QueueSweeper<'a> {
-    queue: &'a AdmissionQueue,
-}
-
-impl Drop for QueueSweeper<'_> {
-    fn drop(&mut self) {
-        for request in self.queue.close_and_take() {
-            fulfil(
-                &request.slot,
-                Err(SbrlError::ServiceStopped {
-                    reason: "the batcher stopped with this request still queued".into(),
-                }),
-            );
-        }
-    }
-}
-
-/// Unwind guard over one dequeued batch: if the batcher panics between
-/// dequeue and fulfilment, the waiters of this batch still get a typed
-/// outcome (first write wins, so the normal path is unaffected).
-struct InFlight {
-    slots: Vec<Arc<Slot>>,
-}
-
-impl Drop for InFlight {
-    fn drop(&mut self) {
-        for slot in &self.slots {
-            fulfil(
-                slot,
-                Err(SbrlError::ServiceStopped {
-                    reason: "the batcher died while this request was in flight".into(),
-                }),
-            );
-        }
-    }
-}
-
-/// The batcher loop: block for one request, drain more until the window
-/// closes or the batch is full, shed expired deadlines, then dispatch
-/// grouped by model.
-fn batch_loop(registry: &ModelRegistry, queue: &AdmissionQueue, cfg: ServeConfig) {
-    let _sweeper = QueueSweeper { queue };
-    let mut batch_index: usize = 0;
-    while let Some(first) = queue.pop_blocking() {
-        let mut batch = vec![first];
-        let window_end = Instant::now() + cfg.batch_window;
-        while batch.len() < cfg.batch_max {
-            match queue.pop_until(window_end) {
-                Popped::Request(request) => batch.push(request),
-                Popped::TimedOut | Popped::Closed => break,
-            }
-        }
-        let _inflight = InFlight { slots: batch.iter().map(|r| Arc::clone(&r.slot)).collect() };
-        faults::batcher_panic(batch_index);
-        batch_index += 1;
-        // Shed before serving: a request whose deadline passed while queued
-        // gets TimedOut now (serving it late helps nobody), and once the
-        // drain budget is spent every remaining request is failed fast so
-        // shutdown stays bounded.
-        let now = Instant::now();
-        let drain_spent = queue.drain_deadline().is_some_and(|dl| now >= dl);
-        let mut live: Vec<Request> = Vec::with_capacity(batch.len());
-        for request in batch {
-            if drain_spent {
-                fulfil(
-                    &request.slot,
-                    Err(SbrlError::ServiceStopped {
-                        reason: "the drain budget was exhausted before this request was served"
-                            .into(),
-                    }),
-                );
-            } else if request.deadline.is_some_and(|dl| now >= dl) {
-                fulfil(
-                    &request.slot,
-                    Err(SbrlError::TimedOut { iteration: 0, elapsed: request.submitted.elapsed() }),
-                );
-            } else {
-                live.push(request);
-            }
-        }
-        // Group by model, preserving arrival order within each group. A Vec
-        // scan keeps dispatch order deterministic (and the registry is tiny).
-        let mut groups: Vec<(usize, Vec<Request>)> = Vec::new();
-        for request in live {
-            match groups.iter_mut().find(|(idx, _)| *idx == request.model_idx) {
-                Some((_, members)) => members.push(request),
-                None => groups.push((request.model_idx, vec![request])),
-            }
-        }
-        for (model_idx, members) in groups {
-            dispatch_group(registry, model_idx, members, cfg.workers);
-        }
-    }
-}
-
-/// Serves one model's share of a batch: stack the request rows, predict
-/// once, split the rows back out. On a batch-level failure, fall back to
-/// per-request prediction so each caller gets its own typed outcome.
-fn dispatch_group(
-    registry: &ModelRegistry,
-    model_idx: usize,
-    members: Vec<Request>,
-    workers: usize,
-) {
-    let Some(model) = registry.model_at(model_idx) else {
-        // Unreachable: submit validated the index. Fail every slot typed
-        // rather than dropping them (a dropped slot would hang its waiter).
-        for request in members {
-            fulfil(
-                &request.slot,
-                Err(SbrlError::InvalidConfig {
-                    what: "serve.batcher",
-                    message: format!("model index {model_idx} vanished from the registry"),
-                }),
-            );
-        }
-        return;
-    };
-    if let [single] = members.as_slice() {
-        let outcome = model.try_predict_batched(&single.x, workers);
-        fulfil(&single.slot, outcome);
-        return;
-    }
-    let mut stacked: Option<Matrix> = None;
-    for request in &members {
-        stacked = Some(match stacked {
-            Some(acc) => acc.vstack(&request.x),
-            None => request.x.clone(),
-        });
-    }
-    let Some(stacked) = stacked else { return };
-    match model.try_predict_batched(&stacked, workers) {
-        Ok(est) => {
-            let mut y0 = est.y0_hat.into_iter();
-            let mut y1 = est.y1_hat.into_iter();
-            for request in members {
-                let rows = request.x.rows();
-                let piece = EffectEstimate {
-                    y0_hat: y0.by_ref().take(rows).collect(),
-                    y1_hat: y1.by_ref().take(rows).collect(),
-                };
-                fulfil(&request.slot, Ok(piece));
-            }
-        }
-        Err(_) => {
-            // A panic inside the stacked batch names a shard, not a request.
-            // Re-run each request alone so the poisoned one gets its own
-            // typed WorkerPanic and its neighbours still get answers.
-            for request in members {
-                let outcome = model.try_predict_batched(&request.x, workers);
-                fulfil(&request.slot, outcome);
-            }
-        }
+        self.admission.close_and_wait(self.cfg.drain_budget)
     }
 }
 
@@ -712,16 +361,16 @@ impl SocketServer {
         &self.service
     }
 
-    /// Graceful drain: stop accepting, close admission, fulfil or
-    /// deadline-fail every queued slot within the drain budget, join every
-    /// handler and the batcher. Returns the queue depth when drain began.
+    /// Graceful drain: stop accepting, close admission, wait up to the drain
+    /// budget for in-flight requests, join every handler. Returns the number
+    /// of requests in flight when the drain began.
     pub fn shutdown(mut self) -> usize {
         self.stop_and_join()
     }
 
     fn stop_and_join(&mut self) -> usize {
         self.stop.store(true, Ordering::Release);
-        let queued = self.service.drain();
+        let in_flight = self.service.drain();
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
         }
@@ -729,7 +378,7 @@ impl SocketServer {
         for handle in handles {
             let _ = handle.join();
         }
-        queued
+        in_flight
     }
 }
 
@@ -798,7 +447,9 @@ fn handle_connection(mut stream: TcpStream, service: &InferenceService, stop: &A
             }
             Err(_) => return,
         }
-        // A frame is arriving: give the exchange a real I/O budget.
+        // A frame is arriving: its deadline runs from this first byte, and
+        // the exchange gets a real I/O budget.
+        let arrived = Instant::now();
         let budget_ok = stream
             .set_read_timeout(Some(HANDLER_IO))
             .and_then(|()| stream.set_write_timeout(Some(HANDLER_IO)))
@@ -807,7 +458,7 @@ fn handle_connection(mut stream: TcpStream, service: &InferenceService, stop: &A
             return;
         }
         let (reply, keep_alive) = match wire::read_message(&mut stream) {
-            Ok(Message::Predict { model, x }) => (serve_predict(service, &model, x), true),
+            Ok(Message::Predict { model, x }) => (serve_predict(service, &model, x, arrived), true),
             Ok(Message::Health) => (Message::HealthReport(service.health()), true),
             Ok(_) => (
                 Message::Failure(SbrlError::Wire(WireError::Malformed {
@@ -827,16 +478,13 @@ fn handle_connection(mut stream: TcpStream, service: &InferenceService, stop: &A
     }
 }
 
-/// Serves one decoded Predict frame through the admission queue, bounding
-/// the wait by the configured deadline.
-fn serve_predict(service: &InferenceService, model: &str, x: Matrix) -> Message {
-    let submitted = Instant::now();
-    let outcome = match service.submit(model, x) {
-        Err(e) => Err(e),
-        Ok(pending) => match service.config().deadline {
-            Some(deadline) => pending.wait_deadline(deadline.saturating_sub(submitted.elapsed())),
-            None => pending.wait(),
-        },
+/// Serves one decoded Predict frame, failing it with [`SbrlError::TimedOut`]
+/// unpredicted when its deadline, counted from `arrived`, has already passed.
+fn serve_predict(service: &InferenceService, model: &str, x: Matrix, arrived: Instant) -> Message {
+    let elapsed = arrived.elapsed();
+    let outcome = match service.config().deadline {
+        Some(deadline) if elapsed >= deadline => Err(SbrlError::TimedOut { iteration: 0, elapsed }),
+        _ => service.predict(model, x),
     };
     match outcome {
         Ok(est) => Message::Prediction { y0_hat: est.y0_hat, y1_hat: est.y1_hat },
@@ -928,7 +576,7 @@ pub fn summarize_latencies(mut samples_ns: Vec<u64>) -> Option<LatencySummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::fixture;
+    use crate::persist::{fixture, PersistError};
 
     fn service_registry() -> ModelRegistry {
         let mut registry = ModelRegistry::new();
@@ -940,14 +588,8 @@ mod tests {
         InferenceService::start(service_registry(), ServeConfig::default()).expect("start")
     }
 
-    fn dummy_request() -> Request {
-        Request {
-            model_idx: 0,
-            x: Matrix::zeros(1, 1),
-            slot: Arc::new(Slot::default()),
-            submitted: Instant::now(),
-            deadline: None,
-        }
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -958,7 +600,6 @@ mod tests {
         let probe = fixture::probe_matrix(dim);
         let direct = svc.registry().require(&name).expect("model").predict(&probe);
         let served = svc.predict(&name, probe).expect("served");
-        let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&direct.y0_hat), bits(&served.y0_hat));
         assert_eq!(bits(&direct.y1_hat), bits(&served.y1_hat));
     }
@@ -982,11 +623,6 @@ mod tests {
         assert!(matches!(err, Err(SbrlError::InvalidConfig { what: "serve.registry", .. })));
         let err = InferenceService::start(
             ModelRegistry::new(),
-            ServeConfig { batch_max: 0, ..ServeConfig::default() },
-        );
-        assert!(matches!(err, Err(SbrlError::InvalidConfig { what: "serve.batch_max", .. })));
-        let err = InferenceService::start(
-            ModelRegistry::new(),
             ServeConfig { queue_max: 0, ..ServeConfig::default() },
         );
         assert!(matches!(err, Err(SbrlError::InvalidConfig { what: "serve.queue_max", .. })));
@@ -994,46 +630,46 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_with_typed_overloaded() {
-        let queue = AdmissionQueue::new(2);
-        queue.push(dummy_request()).expect("first fits");
-        queue.push(dummy_request()).expect("second fits");
-        let err = queue.push(dummy_request()).unwrap_err();
+        let admission = Admission::new(2);
+        let first = admission.admit().expect("first fits");
+        let _second = admission.admit().expect("second fits");
+        let err = admission.admit().err().expect("third is shed");
         assert!(matches!(err, SbrlError::Overloaded { depth: 2, limit: 2 }));
-        queue.close(None);
-        let err = queue.push(dummy_request()).unwrap_err();
+        drop(first);
+        assert_eq!(admission.in_flight(), 1);
+        let _third = admission.admit().expect("a released permit frees its place");
+        assert_eq!(admission.close_and_wait(Duration::ZERO), 2);
+        let err = admission.admit().err().expect("closed");
         assert!(matches!(err, SbrlError::ServiceStopped { .. }));
     }
 
     #[test]
-    fn wait_deadline_times_out_on_an_unfulfilled_slot() {
-        let pending = PendingPrediction { slot: Arc::new(Slot::default()) };
-        let started = Instant::now();
-        let err = pending.wait_deadline(Duration::from_millis(20)).unwrap_err();
-        assert!(matches!(err, SbrlError::TimedOut { iteration: 0, .. }));
-        assert!(started.elapsed() >= Duration::from_millis(20));
-    }
-
-    #[test]
-    fn fulfilment_is_first_write_wins() {
-        let slot = Slot::default();
-        fulfil(&slot, Err(SbrlError::WorkerPanic { task: 1 }));
-        fulfil(&slot, Ok(EffectEstimate::default()));
-        let outcome = lock_state(&slot).take().expect("fulfilled");
-        assert!(matches!(outcome, Err(SbrlError::WorkerPanic { task: 1 })));
-    }
-
-    #[test]
-    fn batcher_death_sweep_fulfils_queued_slots() {
-        let queue = AdmissionQueue::new(8);
-        let request = dummy_request();
-        let slot = Arc::clone(&request.slot);
-        queue.push(request).expect("queued");
-        {
-            let _sweeper = QueueSweeper { queue: &queue };
-        }
-        let outcome = lock_state(&slot).take().expect("swept slot must be fulfilled");
-        assert!(matches!(outcome, Err(SbrlError::ServiceStopped { .. })));
-        assert!(queue.is_closed());
+    fn concurrent_predicts_are_bit_identical_or_overloaded() {
+        let svc = InferenceService::start(
+            service_registry(),
+            ServeConfig { queue_max: 2, ..ServeConfig::default() },
+        )
+        .expect("start");
+        let name = svc.registry().names().remove(0);
+        let probe = fixture::probe_matrix(fixture::dataset().0.dim());
+        let direct = svc.registry().require(&name).expect("model").predict(&probe);
+        std::thread::scope(|scope| {
+            for _ in 0..16 {
+                scope.spawn(|| {
+                    for _ in 0..8 {
+                        match svc.predict(&name, probe.clone()) {
+                            Ok(est) => {
+                                assert_eq!(bits(&est.y0_hat), bits(&direct.y0_hat));
+                                assert_eq!(bits(&est.y1_hat), bits(&direct.y1_hat));
+                            }
+                            Err(SbrlError::Overloaded { limit: 2, .. }) => {}
+                            Err(other) => panic!("unexpected outcome: {other:?}"),
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(svc.queue_depth(), 0);
     }
 
     #[test]
@@ -1042,17 +678,57 @@ mod tests {
         let name = svc.registry().names().remove(0);
         let dim = fixture::dataset().0.dim();
         let pending = svc.submit(&name, fixture::probe_matrix(dim)).expect("submitted");
-        svc.drain();
-        // The queued request was fulfilled (served or typed), never hung.
-        let outcome = pending.wait_deadline(Duration::from_secs(5));
-        match outcome {
-            Ok(_) | Err(SbrlError::ServiceStopped { .. }) => {}
-            other => panic!("drain left a bad outcome: {other:?}"),
-        }
+        assert_eq!(svc.drain(), 0);
+        // A request admitted before the drain keeps its answer.
+        pending.wait().expect("answered before the drain");
         let err = svc.submit(&name, fixture::probe_matrix(dim)).unwrap_err();
         assert!(matches!(err, SbrlError::ServiceStopped { .. }));
-        let health = svc.health();
-        assert!(!health.ready);
+        assert!(!svc.health().ready);
+    }
+
+    #[test]
+    fn drain_waits_for_in_flight_requests_within_its_budget() {
+        let admission = Admission::new(4);
+        let permit = admission.admit().expect("admitted");
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                drop(permit);
+            });
+            let started = Instant::now();
+            assert_eq!(admission.close_and_wait(Duration::from_secs(10)), 1);
+            assert!(started.elapsed() < Duration::from_secs(10), "woken by the release");
+        });
+        assert_eq!(admission.in_flight(), 0);
+        let stuck = Admission::new(1);
+        let permit = stuck.admit().expect("admitted");
+        let started = Instant::now();
+        assert_eq!(stuck.close_and_wait(Duration::from_millis(20)), 1);
+        assert!(started.elapsed() >= Duration::from_millis(20), "the budget bounds the wait");
+        drop(permit);
+    }
+
+    #[test]
+    fn a_request_past_its_deadline_when_decoded_times_out_unpredicted() {
+        let cfg =
+            ServeConfig { deadline: Some(Duration::from_millis(50)), ..ServeConfig::default() };
+        let server = SocketServer::bind(service_registry(), cfg, "127.0.0.1:0").expect("bind");
+        let name = server.service().registry().names().remove(0);
+        let probe = fixture::probe_matrix(fixture::dataset().0.dim());
+        let frame =
+            wire::encode_message(&Message::Predict { model: name, x: probe }).expect("encodable");
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let (first, rest) = frame.split_at(1);
+        stream.write_all(first).expect("first byte");
+        std::thread::sleep(Duration::from_millis(120));
+        stream.write_all(rest).expect("rest of the frame");
+        match wire::read_message(&mut stream) {
+            Ok(Message::Failure(SbrlError::TimedOut { elapsed, .. })) => {
+                assert!(elapsed >= Duration::from_millis(50));
+            }
+            other => panic!("expected a TimedOut failure frame, got {other:?}"),
+        }
+        server.shutdown();
     }
 
     #[test]

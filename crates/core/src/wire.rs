@@ -212,7 +212,7 @@ pub enum Message {
 pub struct HealthReport {
     /// True when the service is accepting and answering requests.
     pub ready: bool,
-    /// Requests currently queued for the batcher.
+    /// Requests currently in flight (admitted and not yet answered).
     pub queue_depth: usize,
     /// The admission limit (`queue_max`).
     pub queue_max: usize,

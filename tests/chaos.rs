@@ -1,5 +1,5 @@
 //! Chaos suite (behind `fault-inject`): with deterministic network and
-//! batcher faults armed, every client call must resolve — a bit-identical
+//! worker-panic faults armed, every client call must resolve — a bit-identical
 //! answer after transparent retries, or a typed error — within its deadline.
 //! Zero hangs, zero panics escaping to the client, zero partial responses
 //! mistaken for answers.
@@ -149,34 +149,28 @@ fn without_retries_every_net_fault_is_a_typed_error_within_deadline() {
     }
 }
 
-/// A batcher panic mid-service degrades every waiter to a typed
-/// `ServiceStopped` — the unwind guards fulfil in-flight and queued slots,
-/// so no client ever hangs on a dead batcher.
+/// A worker panic inside one served prediction reaches the client as a
+/// typed `WorkerPanic` failure frame, and the same server answers the next
+/// request on the same connection bit-identically.
 #[test]
-fn batcher_panic_degrades_to_typed_service_stopped() {
-    let _guard = inject(&plan("batcher-panic@0"));
+fn worker_panic_fails_one_request_typed_and_the_server_keeps_serving() {
+    let _guard = inject(&plan("panic-task@0"));
     let server = bind_server();
     let (name, dim) = first_model(&server);
+    let model = server.service().registry().require(&name).expect("model present");
     let cfg = ClientConfig {
         retries: 0,
         deadline: Some(Duration::from_secs(10)),
         ..ClientConfig::default()
     };
     let mut client = ServeClient::connect(server.local_addr(), cfg);
-    let err = client.predict(&name, &probe(2, dim, 5)).expect_err("batcher is dead");
-    match err {
-        SbrlError::ServiceStopped { reason } => {
-            assert!(!reason.is_empty(), "reason must explain the stop");
-        }
-        other => panic!("expected ServiceStopped, got: {other}"),
-    }
-    // Later requests get the same typed degradation, not a hang.
-    let err = client.predict(&name, &probe(2, dim, 6)).expect_err("still dead");
-    assert!(
-        matches!(err, SbrlError::ServiceStopped { .. } | SbrlError::Wire(_)),
-        "expected typed degradation, got: {err}"
-    );
-    // Shutdown of a server whose batcher already died stays clean.
+    let err = client.predict(&name, &probe(2, dim, 5)).expect_err("the poisoned request fails");
+    assert!(matches!(err, SbrlError::WorkerPanic { task: 0 }), "expected WorkerPanic, got: {err}");
+    let x = probe(2, dim, 6);
+    let est = client.predict(&name, &x).expect("the next request is answered");
+    let expected = model.predict(&x);
+    assert_eq!(bits(&est.y0_hat), bits(&expected.y0_hat));
+    assert_eq!(bits(&est.y1_hat), bits(&expected.y1_hat));
     server.shutdown();
 }
 
@@ -188,7 +182,9 @@ fn chaos_gauntlet_leaves_no_residue() {
     for spec in ["net-drop@0", "net-garbage@0", "net-trunc@0", "net-delay@0:20"] {
         masked_by_retry(spec);
     }
-    // No plan armed: a plain round trip still works.
+    // No plan armed: a plain round trip still works. The empty plan holds
+    // the suite lock, so this reply cannot consume a fault another test armed.
+    let _guard = inject(&FaultPlan::default());
     let server = bind_server();
     let (name, dim) = first_model(&server);
     let mut client = ServeClient::connect(server.local_addr(), chaos_client());

@@ -366,7 +366,7 @@ fn duplicate_method_names_fail_registry_startup() {
 // ---------------------------------------------------------------------------
 
 /// 8 client threads x 25 requests against one loaded model through the
-/// batching service: every response is bit-identical to a direct,
+/// inference service: every response is bit-identical to a direct,
 /// single-threaded `predict` on the same loaded artifact.
 #[test]
 fn many_threads_hammer_one_loaded_model_bit_identically() {

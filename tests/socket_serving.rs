@@ -126,12 +126,12 @@ fn unknown_model_over_the_socket_is_a_typed_error() {
 
 /// Concurrent clients hammering one server each get every answer
 /// bit-identical to the in-process baseline — no cross-talk between
-/// interleaved frames, batches, or connections.
+/// interleaved frames or connections.
 #[test]
 fn multi_client_hammer_stays_bit_identical() {
     let clients = 4;
     let per_client = 8;
-    let server = bind_server(ServeConfig { batch_max: 3, ..ServeConfig::default() });
+    let server = bind_server(ServeConfig::default());
     let names = server.service().registry().names();
     let dims: Vec<usize> = names.iter().map(|n| model_dim(&server, n)).collect();
 
