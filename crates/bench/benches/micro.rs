@@ -1,11 +1,17 @@
 //! Micro-benchmarks of the numerical hot paths behind every experiment:
 //! the matmul kernel, the differentiable weighted IPMs, the HSIC-RFF
-//! decorrelation loss and one full alternating training step — each also
-//! timed under the `NumericsMode::Fast` global knob (`*_fast` cases).
+//! decorrelation loss and the whole weight objective of one weight step —
+//! each also timed under the `NumericsMode::Fast` global knob (`*_fast`
+//! cases).
 
 mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use sbrl_core::{weight_objective, Framework, MethodSpec};
+use sbrl_data::{SyntheticConfig, SyntheticProcess};
+use sbrl_experiments::presets::{paper_syn_16_16_16_2, quick_variant};
+use sbrl_models::{Backbone, BackboneKind, BatchContext, LayerTaps};
+use sbrl_nn::Binding;
 use sbrl_stats::{
     decorrelation_loss_graph_scratch, ipm_weighted_graph, DecorrelationConfig, HsicScratch,
     IpmKind, Rff,
@@ -31,6 +37,25 @@ fn bench_micro(c: &mut Criterion) {
     let z = randn(&mut rng, 128, 48);
     let rff = Rff::sample(&mut rng, 5);
     let cfg = DecorrelationConfig { normalize: false, ..Default::default() };
+
+    // The weight objective at `fit_hap`'s shapes: a 128-row batch through
+    // the quick CFR+SBRL-HAP preset's frozen network, whose four taps
+    // (z_p, z_r and two z_o) each carry a decorrelation term.
+    let preset = quick_variant(paper_syn_16_16_16_2());
+    let sbrl = preset
+        .sbrl_config(MethodSpec { backbone: BackboneKind::Cfr, framework: Framework::SbrlHap });
+    let batch =
+        SyntheticProcess::new(SyntheticConfig::syn_16_16_16_2(), 1000).generate(2.5, 128, 0);
+    let ctx = BatchContext::new(&batch.t);
+    let hap_rff = Rff::sample(&mut rng, sbrl.rff_functions);
+    let tap_values: Vec<Matrix> = {
+        let mut model = preset.backbone_config(BackboneKind::Cfr, batch.dim()).build(&mut rng);
+        let mut g = Graph::new();
+        let x = g.constant_copied(&batch.x);
+        let mut frozen = Binding::new_frozen(model.store());
+        let taps = model.train_step().forward(&mut g, &mut frozen, x, &ctx).taps;
+        [taps.z_p, taps.z_r].iter().chain(&taps.z_o).map(|&id| g.value(id).clone()).collect()
+    };
 
     // Graph-space ops resolve the numerics knob globally, so each tier pins
     // it for its cases; the env value is restored below.
@@ -76,6 +101,41 @@ fn bench_micro(c: &mut Criterion) {
                     &mut scratch,
                 );
                 g.backward(loss);
+                black_box(g.grad(w).map(Matrix::norm_fro))
+            });
+        });
+
+        let mut g = Graph::new();
+        let mut scratch = HsicScratch::new();
+        group.bench_function(&format!("weight_objective_fwd_bwd{suffix}"), |bch| {
+            bch.iter(|| {
+                g.reset();
+                let z_p = g.constant_copied(&tap_values[0]);
+                let z_r = g.constant_copied(&tap_values[1]);
+                let mut z_o = g.take_id_buf();
+                for m in &tap_values[2..] {
+                    let id = g.constant_copied(m);
+                    z_o.push(id);
+                }
+                let taps = LayerTaps { z_o, z_r, z_p };
+                let w = g.param_copied(&ones);
+                let shifted = g.add_scalar(w, -1.0);
+                let sq = g.square(shifted);
+                let r_w = g.mean(sq);
+                let mut r = rng_from_seed(1);
+                let terms = weight_objective(
+                    &mut g,
+                    &sbrl,
+                    &taps,
+                    &ctx,
+                    w,
+                    r_w,
+                    &hap_rff,
+                    &mut r,
+                    &mut scratch,
+                );
+                g.give_id_buf(taps.z_o);
+                g.backward(terms.total);
                 black_box(g.grad(w).map(Matrix::norm_fro))
             });
         });

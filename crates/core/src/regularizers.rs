@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use sbrl_models::{BatchContext, LayerTaps};
-use sbrl_stats::{decorrelation_loss_graph_scratch, ipm_weighted_graph, HsicScratch, Rff};
+use sbrl_stats::{decorrelation_losses_graph, ipm_weighted_graph, HsicScratch, Rff};
 use sbrl_tensor::{Graph, TensorId};
 
 use crate::config::SbrlConfig;
@@ -32,10 +32,20 @@ pub struct WeightLossTerms {
 /// Builds `L_w` over a forward pass's layer taps.
 ///
 /// `w` must be the *trainable* batch-weight node
-/// ([`crate::weights::SampleWeights::bind_trainable`]); the representations
-/// should come from a frozen binding so gradients stop at the taps.
-/// `scratch` is the per-fit [`HsicScratch`] shared by every decorrelation
-/// term — reusing it across steps keeps the weight phase allocation-free.
+/// ([`crate::weights::SampleWeights::bind_trainable`]); the taps must come
+/// from a frozen binding (or be constants), so gradients stop at them.
+///
+/// The decorrelation terms (`z_p`, then `z_r`, then each `z_o`) go through
+/// [`decorrelation_losses_graph`]: each is built and differentiated on its
+/// own tape in `scratch`, concurrently on the worker pool, and spliced into
+/// `g` as one scalar node that replays its `w` gradient. Values and `w`'s
+/// gradient are bit-identical to building every term on `g`, for every
+/// [`Parallelism`](sbrl_tensor::Parallelism) setting. `scratch` is the
+/// per-fit [`HsicScratch`] holding those tapes; reusing it across steps
+/// keeps the weight phase allocation-free.
+///
+/// # Panics
+/// Panics if a tap of an enabled decorrelation term requires gradients.
 #[allow(clippy::too_many_arguments)]
 pub fn weight_objective(
     g: &mut Graph,
@@ -58,33 +68,30 @@ pub fn weight_objective(
     };
     total = g.add(total, balance);
 
-    let independence = if cfg.use_ir && cfg.gamma1 > 0.0 {
-        let d = decorrelation_loss_graph_scratch(g, taps.z_p, w, rff, &cfg.decor, rng, scratch);
-        g.scale(d, cfg.gamma1)
-    } else {
-        g.scalar_const(0.0)
-    };
+    let use_ir = cfg.use_ir && cfg.gamma1 > 0.0;
+    let use_z_o = cfg.use_hap && cfg.gamma3 > 0.0;
+    let terms = use_ir
+        .then_some((taps.z_p, cfg.gamma1))
+        .into_iter()
+        .chain((cfg.use_hap && cfg.gamma2 > 0.0).then_some((taps.z_r, cfg.gamma2)))
+        .chain(taps.z_o.iter().filter(|_| use_z_o).map(|&z| (z, cfg.gamma3)));
+    let mut decor = g.take_id_buf();
+    decorrelation_losses_graph(g, terms, w, rff, &cfg.decor, rng, scratch, &mut decor);
+
+    let independence = if use_ir { decor[0] } else { g.scalar_const(0.0) };
     total = g.add(total, independence);
 
     let hierarchy = if cfg.use_hap {
         let mut h = g.scalar_const(0.0);
-        if cfg.gamma2 > 0.0 {
-            let d = decorrelation_loss_graph_scratch(g, taps.z_r, w, rff, &cfg.decor, rng, scratch);
-            let s = g.scale(d, cfg.gamma2);
+        for &s in &decor[usize::from(use_ir)..] {
             h = g.add(h, s);
-        }
-        if cfg.gamma3 > 0.0 {
-            for &z in &taps.z_o {
-                let d = decorrelation_loss_graph_scratch(g, z, w, rff, &cfg.decor, rng, scratch);
-                let s = g.scale(d, cfg.gamma3);
-                h = g.add(h, s);
-            }
         }
         h
     } else {
         g.scalar_const(0.0)
     };
     total = g.add(total, hierarchy);
+    g.give_id_buf(decor);
 
     WeightLossTerms { balance, independence, hierarchy, anchor: r_w, total }
 }

@@ -24,7 +24,9 @@ use sbrl_tensor::kernels::{
     effective_workers, par_map_values, reduce_sum, NumericsMode, Parallelism,
 };
 use sbrl_tensor::rng::{permutation_into, sample_standard_normal, sample_uniform};
+use sbrl_tensor::workers::run_coarse_tasks;
 use sbrl_tensor::{Graph, Matrix, TensorId};
+use std::sync::{Mutex, PoisonError};
 
 use crate::kernels::{median_bandwidth, rbf_kernel_with};
 
@@ -399,22 +401,98 @@ impl Default for DecorrelationConfig {
 /// Per-fit scratch space for the SBRL decorrelation regularizer.
 ///
 /// The weight-phase loss is rebuilt every optimiser step; this scratch keeps
-/// the step-invariant pieces alive across steps — currently the
-/// column-subsample permutation buffer, refilled in place with the same RNG
-/// draws as `sample_without_replacement` — so a warmed-up step allocates
-/// nothing in this module. All tensor values flow through the graph's own
-/// buffer pool, so results are bit-identical with or without a reused
-/// scratch.
+/// the step-invariant pieces alive across steps, so a warmed-up step
+/// allocates nothing in this module:
+///
+/// * the column-subsample permutation buffer of
+///   [`decorrelation_loss_graph_scratch`], refilled in place with the same
+///   RNG draws as `sample_without_replacement`;
+/// * the Fourier coefficient list;
+/// * one tape per term of [`decorrelation_losses_graph`], reset each step
+///   rather than rebuilt, with that term's own permutation buffer.
+///
+/// All tensor values flow through pooled graph buffers, so results are
+/// bit-identical with or without a reused scratch.
 #[derive(Default)]
 pub struct HsicScratch {
     perm: Vec<usize>,
     coefs: Vec<(f64, f64)>,
+    terms: Vec<Mutex<TermTape>>,
 }
 
 impl HsicScratch {
     /// Creates an empty scratch.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Refills the `(omega, phi)` list from `rff`.
+    fn fill_coefs(&mut self, rff: &Rff) {
+        self.coefs.clear();
+        self.coefs.extend(rff.omegas.iter().copied().zip(rff.phis.iter().copied()));
+    }
+}
+
+/// Which columns of a tap a decorrelation term reads, decided (and, when
+/// subsampling, drawn) before the term is built.
+#[derive(Clone, Copy, Debug)]
+enum Columns {
+    /// Fewer than two rows or no columns: the term is the constant zero.
+    Zero,
+    /// Every column.
+    All,
+    /// The first `s` entries of the term's drawn permutation.
+    Sampled(usize),
+}
+
+/// Decides a term's columns for an `n x d_full` tap, drawing the subsample
+/// into `perm` when [`DecorrelationConfig::max_features`] caps the width.
+fn draw_columns(
+    n: usize,
+    d_full: usize,
+    cfg: &DecorrelationConfig,
+    rng: &mut StdRng,
+    perm: &mut Vec<usize>,
+) -> Columns {
+    if n < 2 || d_full < 1 {
+        return Columns::Zero;
+    }
+    match cfg.max_features {
+        Some(s) if d_full > s => {
+            permutation_into(rng, perm, d_full);
+            Columns::Sampled(s)
+        }
+        _ => Columns::All,
+    }
+}
+
+/// One term of [`decorrelation_losses_graph`]: its own tape, reused across
+/// steps, plus this step's plan and results.
+#[derive(Default)]
+struct TermTape {
+    tape: Graph,
+    perm: Vec<usize>,
+    /// `(tap, γ, columns)`, planned on the calling thread before dispatch.
+    plan: Option<(TensorId, f64, Columns)>,
+    /// `(γ · L_D, w leaf feeding div, w leaf feeding sum)` on `tape`.
+    built: Option<(TensorId, TensorId, TensorId)>,
+}
+
+impl TermTape {
+    /// Builds `γ · L_D(tap, w)` on this term's tape from the values in `src`
+    /// and back-propagates it with seed 1.0.
+    fn build(&mut self, src: &Graph, w: TensorId, coefs: &[(f64, f64)], cfg: &DecorrelationConfig) {
+        let Some((tap, gamma, cols)) = self.plan.take() else { return };
+        let t = &mut self.tape;
+        t.reset();
+        let z = t.constant_copied(src.value(tap));
+        // One leaf per use of `w`, so each receives exactly one delta.
+        let w_sum = t.param_copied(src.value(w));
+        let w_div = t.param_copied(src.value(w));
+        let loss = loss_term(t, z, w_sum, w_div, coefs, cfg, cols, &self.perm);
+        let out = t.scale(loss, gamma);
+        t.backward(out);
+        self.built = Some((out, w_div, w_sum));
     }
 }
 
@@ -441,8 +519,8 @@ pub fn decorrelation_loss_graph(
 }
 
 /// [`decorrelation_loss_graph`] with an explicit per-fit [`HsicScratch`] —
-/// the allocation-free variant the trainer's weight phase uses every step.
-/// Bit-identical to the scratch-free version for the same RNG state.
+/// the allocation-free variant for step loops. Bit-identical to the
+/// scratch-free version for the same RNG state.
 #[allow(clippy::too_many_arguments)]
 pub fn decorrelation_loss_graph_scratch(
     g: &mut Graph,
@@ -454,24 +532,105 @@ pub fn decorrelation_loss_graph_scratch(
     scratch: &mut HsicScratch,
 ) -> TensorId {
     let (n, d_full) = g.value(z).shape();
-    if n < 2 || d_full < 1 {
-        return g.scalar_const(0.0);
-    }
+    let cols = draw_columns(n, d_full, cfg, rng, &mut scratch.perm);
+    scratch.fill_coefs(rff);
+    loss_term(g, z, w, w, &scratch.coefs, cfg, cols, &scratch.perm)
+}
 
-    // Column subsample for wide layers (identical RNG draws to
-    // `sample_without_replacement`, buffer reused across steps).
-    let z = match cfg.max_features {
-        Some(s) if d_full > s => {
-            permutation_into(rng, &mut scratch.perm, d_full);
-            g.gather_cols(z, &scratch.perm[..s])
+/// Several weighted decorrelation terms `γ_i · L_D(z_i, w)` at once, the
+/// weight phase's HSIC work. Each term is built and back-propagated on its
+/// own tape in `scratch`, the terms running concurrently as coarse tasks of
+/// the worker pool (inline under [`Parallelism::Serial`] or inside another
+/// coarse task). Each is then spliced into `g` with [`Graph::replay`]; `out`
+/// (cleared first) receives the spliced `1 x 1` nodes in term order.
+///
+/// Values and `w`'s gradient are bit-identical to building each term on `g`
+/// with [`decorrelation_loss_graph_scratch`] and `g.scale(·, γ_i)`, in the
+/// same order, when the upstream gradient reaching each node is exactly 1.0,
+/// as it is when the nodes are summed into the loss with `Graph::add`:
+///
+/// * the column subsamples are drawn here, on the calling thread, in term
+///   order, so the RNG stream is the serial one;
+/// * each term tape binds `w` as two leaves, one for the `sum` and one for
+///   the `div_scalar_of` that normalise it, and the replay adds the `div`
+///   delta and then the `sum` delta into `w`: the order the one-tape sweep
+///   adds them. Adding their pre-summed total instead rounds differently;
+/// * the nodes are created in term order, so the reverse sweep replays the
+///   last term first, as it visits the terms on one tape.
+///
+/// # Panics
+/// Panics if a tap requires gradients: a term tape binds its tap as a
+/// constant, so a trainable tap would silently lose its gradient.
+#[allow(clippy::too_many_arguments)]
+pub fn decorrelation_losses_graph(
+    g: &mut Graph,
+    terms: impl IntoIterator<Item = (TensorId, f64)>,
+    w: TensorId,
+    rff: &Rff,
+    cfg: &DecorrelationConfig,
+    rng: &mut StdRng,
+    scratch: &mut HsicScratch,
+    out: &mut Vec<TensorId>,
+) {
+    let mut count = 0;
+    for (tap, gamma) in terms {
+        if g.requires_grad(tap) {
+            // lint: allow(panic) — documented precondition (`# Panics`): a
+            // trainable tap would otherwise lose its gradient silently.
+            panic!("decorrelation_losses_graph: tap {tap:?} requires gradients");
         }
-        _ => z,
+        if scratch.terms.len() == count {
+            scratch.terms.push(Mutex::default());
+        }
+        let term = scratch.terms[count].get_mut().unwrap_or_else(PoisonError::into_inner);
+        let (n, d_full) = g.value(tap).shape();
+        let cols = draw_columns(n, d_full, cfg, rng, &mut term.perm);
+        term.plan = Some((tap, gamma, cols));
+        count += 1;
+    }
+    scratch.fill_coefs(rff);
+
+    // `run_coarse_tasks` re-raises a task's panic, and every build resets
+    // its tape first, so a guard poisoned by an earlier panic is safe to
+    // reuse.
+    let (tapes, coefs, src) = (&scratch.terms[..count], &scratch.coefs[..], &*g);
+    run_coarse_tasks(count, Parallelism::global().workers(), &|k| {
+        tapes[k].lock().unwrap_or_else(PoisonError::into_inner).build(src, w, coefs, cfg);
+    });
+
+    out.clear();
+    for term in &mut scratch.terms[..count] {
+        let term = term.get_mut().unwrap_or_else(PoisonError::into_inner);
+        // Every planned term was built: `run_coarse_tasks` runs each task
+        // once or re-raises its panic.
+        let Some((loss, w_div, w_sum)) = term.built.take() else { continue };
+        out.push(g.replay(&term.tape, loss, &[(w_div, w), (w_sum, w)]));
+    }
+}
+
+/// Builds one `L_D` term (Eq. 10) on `g` from already-decided columns. `w`
+/// enters twice: `w_sum` is summed into the normaliser and `w_div` divided
+/// by it; pass the same node for both to build on a single tape.
+#[allow(clippy::too_many_arguments)]
+fn loss_term(
+    g: &mut Graph,
+    z: TensorId,
+    w_sum: TensorId,
+    w_div: TensorId,
+    coefs: &[(f64, f64)],
+    cfg: &DecorrelationConfig,
+    cols: Columns,
+    perm: &[usize],
+) -> TensorId {
+    let z = match cols {
+        Columns::Zero => return g.scalar_const(0.0),
+        Columns::All => z,
+        Columns::Sampled(s) => g.gather_cols(z, &perm[..s]),
     };
-    let d = g.value(z).cols();
+    let (n, d) = g.value(z).shape();
     if d < 2 && !cfg.include_diagonal {
         return g.scalar_const(0.0);
     }
-
     // Optional standardisation with batch statistics held constant. The
     // statistics are computed straight into pooled graph buffers with the
     // same accumulation order as `mean_axis0` / `std_axis0`.
@@ -520,14 +679,12 @@ pub fn decorrelation_loss_graph_scratch(
     // One fused tape node builds the whole matrix (bit-identical to the
     // historical per-function scale/add_scalar/cos/scale + concat chain).
     let sqrt2 = (2.0f64).sqrt();
-    scratch.coefs.clear();
-    scratch.coefs.extend(rff.omegas.iter().copied().zip(rff.phis.iter().copied()));
-    let f = g.rff_features(z, &scratch.coefs, sqrt2);
+    let f = g.rff_features(z, coefs, sqrt2);
 
     // Normalised weights and weighted covariance C = F^T diag(w_hat) F - m m^T.
-    let w_sum = g.sum(w);
-    let w_safe = g.add_scalar(w_sum, 1e-12);
-    let w_hat = g.div_scalar_of(w, w_safe);
+    let w_total = g.sum(w_sum);
+    let w_safe = g.add_scalar(w_total, 1e-12);
+    let w_hat = g.div_scalar_of(w_div, w_safe);
     let fw = g.mul_col(f, w_hat);
     let mean = g.sum_axis0(fw); // 1 x kd (weighted mean)
     let raw = g.matmul_tn(f, fw); // kd x kd, fused transpose
@@ -801,5 +958,28 @@ mod tests {
         // different column sets and hence yield different losses.
         let loss2 = decorrelation_loss_graph(&mut g, zc, w, &rff, &cfg, &mut rng);
         assert_ne!(g.scalar(loss), g.scalar(loss2), "subsampling should vary across draws");
+    }
+
+    #[test]
+    #[should_panic(expected = "requires gradients")]
+    fn multi_term_losses_reject_a_trainable_tap() {
+        let mut rng = rng_from_seed(12);
+        let rff = Rff::sample(&mut rng, 3);
+        let mut g = Graph::new();
+        let z = g.param(randn(&mut rng, 8, 3));
+        let w = g.param(Matrix::ones(8, 1));
+        let mut out = Vec::new();
+        let cfg = DecorrelationConfig::default();
+        let mut scratch = HsicScratch::new();
+        decorrelation_losses_graph(
+            &mut g,
+            [(z, 1.0)],
+            w,
+            &rff,
+            &cfg,
+            &mut rng,
+            &mut scratch,
+            &mut out,
+        );
     }
 }

@@ -29,8 +29,8 @@ pub mod kernels;
 
 pub use hsic::{
     decorrelation_loss_graph, decorrelation_loss_graph_scratch, decorrelation_loss_plain,
-    hsic_biased, hsic_biased_with, hsic_rff_pair, mean_offdiag_hsic, pairwise_hsic_matrix,
-    pairwise_hsic_matrix_with, DecorrelationConfig, HsicScratch, Rff,
+    decorrelation_losses_graph, hsic_biased, hsic_biased_with, hsic_rff_pair, mean_offdiag_hsic,
+    pairwise_hsic_matrix, pairwise_hsic_matrix_with, DecorrelationConfig, HsicScratch, Rff,
 };
 pub use ipm::{
     ipm_graph, ipm_plain, ipm_weighted_graph, ipm_weighted_plain, ipm_weighted_plain_with, IpmKind,

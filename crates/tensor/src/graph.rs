@@ -133,6 +133,10 @@ pub(crate) enum Op {
     MulScalarOf(TensorId, TensorId),
     /// Divide every element by the single value of a `1 x 1` node.
     DivScalarOf(TensorId, TensorId),
+    /// A `1 x 1` value computed on another tape. Backward adds that tape's
+    /// recorded gradients, times the upstream scalar, into their targets in
+    /// record order. The field indexes the graph's replay-list arena.
+    Replay(usize),
 }
 
 pub(crate) struct Node {
@@ -155,6 +159,10 @@ pub struct Graph {
     free_coef_lists: Vec<Vec<(f64, f64)>>,
     /// Recycled `Vec<TensorId>` scratch buffers (layer-tap lists etc.).
     free_id_bufs: Vec<Vec<TensorId>>,
+    /// `(target, gradient)` lists referenced by [`Op::Replay`] nodes; the
+    /// gradient buffers come from (and return to) the tape's pool.
+    replay_lists: Vec<Vec<(TensorId, Matrix)>>,
+    free_replay_lists: Vec<Vec<(TensorId, Matrix)>>,
 }
 
 impl Graph {
@@ -187,6 +195,12 @@ impl Graph {
         for mut list in self.coef_lists.drain(..) {
             list.clear();
             self.free_coef_lists.push(list);
+        }
+        for mut list in self.replay_lists.drain(..) {
+            for (_, delta) in list.drain(..) {
+                self.pool.give(delta);
+            }
+            self.free_replay_lists.push(list);
         }
     }
 
@@ -321,6 +335,11 @@ impl Graph {
     /// Gradient of a node, if it was reached by the last backward sweep.
     pub fn grad(&self, id: TensorId) -> Option<&Matrix> {
         self.nodes[id.0].grad.as_ref()
+    }
+
+    /// Whether gradients flow into (and through) a node.
+    pub fn requires_grad(&self, id: TensorId) -> bool {
+        self.requires(id)
     }
 
     #[inline]
@@ -789,6 +808,47 @@ impl Graph {
         let mut v = self.take_like(a);
         v.fill_map(&self.nodes[a.0].value, |x| x * inv);
         self.binary(a, s, v, Op::DivScalarOf(a, s))
+    }
+
+    /// Splices the `1 x 1` node `out` of tape `src`, after `src`'s backward
+    /// sweep, into this tape as a scalar with the same value. For each
+    /// `(leaf, target)` pair, in order, the gradient `src` holds for `leaf`
+    /// is copied into this tape's pool; the node's backward adds each copy,
+    /// times the upstream scalar, into `target` in the same order. An
+    /// upstream of exactly `1.0` adds the recorded bits unchanged, so a term
+    /// built and differentiated on its own tape reaches `target` exactly as
+    /// it would have on this one, provided each `leaf` received a single
+    /// delta on `src`. Leaves `src` did not reach are skipped.
+    ///
+    /// # Panics
+    /// Panics if `out` is not `1 x 1`, or if a leaf's gradient is not
+    /// shaped like its target.
+    #[track_caller]
+    pub fn replay(
+        &mut self,
+        src: &Graph,
+        out: TensorId,
+        grads: &[(TensorId, TensorId)],
+    ) -> TensorId {
+        let mut list = self.free_replay_lists.pop().unwrap_or_default();
+        let mut requires_grad = false;
+        for &(leaf, target) in grads {
+            let Some(delta) = src.grad(leaf) else { continue };
+            assert_eq!(
+                delta.shape(),
+                self.nodes[target.0].value.shape(),
+                "replay: gradient and target shapes differ"
+            );
+            let mut buf = self.pool.take(delta.rows(), delta.cols());
+            buf.copy_from(delta);
+            list.push((target, buf));
+            requires_grad |= self.requires(target);
+        }
+        self.replay_lists.push(list);
+        let op = Op::Replay(self.replay_lists.len() - 1);
+        let mut v = self.pool.take(1, 1);
+        v.as_mut_slice()[0] = src.scalar(out);
+        self.push(v, op, requires_grad)
     }
 
     // ----- composite helpers ------------------------------------------------------
@@ -1538,6 +1598,18 @@ impl Graph {
                     self.accumulate(s, d);
                 }
             }
+            Op::Replay(list) => {
+                let gv = g.item();
+                for k in 0..self.replay_lists[list].len() {
+                    let target = self.replay_lists[list][k].0;
+                    if self.requires(target) {
+                        let recorded = &self.replay_lists[list][k].1;
+                        let mut d = self.pool.take(recorded.rows(), recorded.cols());
+                        d.fill_map(recorded, |x| x * gv);
+                        self.accumulate(target, d);
+                    }
+                }
+            }
         }
     }
 }
@@ -1771,6 +1843,93 @@ mod tests {
         }
         g.reset();
         assert_eq!(g.pooled_buffers(), parked, "pool should reach a fixed point");
+    }
+
+    /// Builds `loss = 3 · sumsq(w_div / sum(w_sum))` on its own tape, with the
+    /// two uses of `w` on separate leaves, and differentiates it.
+    fn term_tape(w: &Matrix) -> (Graph, TensorId, TensorId, TensorId) {
+        let mut t = Graph::new();
+        let w_sum = t.param_copied(w);
+        let w_div = t.param_copied(w);
+        let s = t.sum(w_sum);
+        let q = t.div_scalar_of(w_div, s);
+        let sq = t.sumsq(q);
+        let out = t.scale(sq, 3.0);
+        t.backward(out);
+        (t, out, w_div, w_sum)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn replay_at_unit_upstream_reproduces_the_recorded_deltas() {
+        let wv = Matrix::from_vec(3, 1, vec![0.7, 1.3, 2.9]);
+        let (t, out, w_div, w_sum) = term_tape(&wv);
+        let mut expected = t.grad(w_div).unwrap().clone();
+        expected.add_assign(t.grad(w_sum).unwrap());
+
+        let mut g = Graph::new();
+        let w = g.param_copied(&wv);
+        let r = g.replay(&t, out, &[(w_div, w), (w_sum, w)]);
+        assert_eq!(g.scalar(r).to_bits(), t.scalar(out).to_bits());
+        g.backward(r);
+        assert_eq!(bits(g.grad(w).unwrap()), bits(&expected));
+    }
+
+    #[test]
+    fn replay_scales_the_deltas_by_the_upstream_gradient() {
+        let wv = Matrix::from_vec(2, 1, vec![0.5, 1.5]);
+        let (t, out, w_div, w_sum) = term_tape(&wv);
+        let mut g = Graph::new();
+        let w = g.param_copied(&wv);
+        let r = g.replay(&t, out, &[(w_div, w), (w_sum, w)]);
+        let loss = g.scale(r, -2.5);
+        g.backward(loss);
+        for i in 0..2 {
+            let want =
+                -2.5 * t.grad(w_div).unwrap()[(i, 0)] + -2.5 * t.grad(w_sum).unwrap()[(i, 0)];
+            assert_eq!(g.grad(w).unwrap()[(i, 0)].to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
+    fn replay_skips_targets_without_gradients() {
+        let wv = Matrix::from_vec(2, 1, vec![0.5, 1.5]);
+        let (t, out, w_div, w_sum) = term_tape(&wv);
+        let mut g = Graph::new();
+        let frozen = g.constant_copied(&wv);
+        let r = g.replay(&t, out, &[(w_div, frozen), (w_sum, frozen)]);
+        assert!(!g.requires_grad(r), "nothing trainable downstream of the replay");
+        let p = g.param(Matrix::scalar(1.0));
+        let loss = g.add(r, p);
+        g.backward(loss);
+        assert!(g.grad(frozen).is_none());
+        assert_eq!(g.grad(p).unwrap().item(), 1.0);
+    }
+
+    #[test]
+    fn reset_recycles_replay_buffers() {
+        let wv = Matrix::from_vec(4, 1, vec![0.5, 1.5, 1.0, 2.0]);
+        let (t, out, w_div, w_sum) = term_tape(&wv);
+        let mut g = Graph::new();
+        let step = |g: &mut Graph| {
+            g.reset();
+            let w = g.param_copied(&wv);
+            let r = g.replay(&t, out, &[(w_div, w), (w_sum, w)]);
+            g.backward(r);
+        };
+        for _ in 0..3 {
+            step(&mut g);
+        }
+        g.reset();
+        let parked = g.pooled_buffers();
+        for _ in 0..4 {
+            step(&mut g);
+        }
+        g.reset();
+        assert_eq!(g.pooled_buffers(), parked, "replay buffers must return to the pool");
     }
 
     #[test]

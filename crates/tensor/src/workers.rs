@@ -112,6 +112,14 @@ thread_local! {
     static IN_COARSE_TASK: Cell<bool> = const { Cell::new(false) };
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Pool threads spawned by calls made on this thread. Unit tests run
+    /// concurrently and share the pool, so spawn assertions read this
+    /// per-thread count rather than the process-wide one.
+    static SPAWNED_BY_THIS_THREAD: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Whether parallel calls on this thread must stay inline.
 fn inline_here(total: usize, workers: usize) -> bool {
     workers <= 1 || total == 1 || IN_COARSE_TASK.with(Cell::get)
@@ -153,6 +161,8 @@ fn ensure_threads(want: usize) {
             // unrecoverable resource exhaustion; no caller can do better.
             .expect("spawning a pool worker thread");
         THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        SPAWNED_BY_THIS_THREAD.with(|c| c.set(c.get() + 1));
         state.spawned += 1;
     }
 }
@@ -428,24 +438,33 @@ mod tests {
 
     #[test]
     fn serial_requests_never_touch_the_pool() {
-        let before = threads_spawned();
-        let counter = AtomicU32::new(0);
+        let caller = std::thread::current().id();
+        let before = SPAWNED_BY_THIS_THREAD.with(Cell::get);
+        let on_caller = AtomicU32::new(0);
         run_tasks(16, 1, &|_| {
-            counter.fetch_add(1, Ordering::Relaxed);
+            if std::thread::current().id() == caller {
+                on_caller.fetch_add(1, Ordering::Relaxed);
+            }
         });
-        assert_eq!(counter.load(Ordering::Relaxed), 16);
-        assert_eq!(threads_spawned(), before, "workers <= 1 must stay inline");
+        assert_eq!(on_caller.load(Ordering::Relaxed), 16, "workers <= 1 must stay inline");
+        assert_eq!(SPAWNED_BY_THIS_THREAD.with(Cell::get), before, "workers <= 1 must not spawn");
     }
 
     #[test]
     fn pool_threads_are_reused_across_calls() {
         // Warm the pool, then verify repeated parallel calls spawn nothing.
+        // Other tests grow the shared pool concurrently, so only spawns
+        // made by this thread's own calls are counted.
         run_tasks(8, 4, &|_| {});
-        let warmed = threads_spawned();
+        let warmed = SPAWNED_BY_THIS_THREAD.with(Cell::get);
         for _ in 0..50 {
             run_tasks(8, 4, &|_| {});
         }
-        assert_eq!(threads_spawned(), warmed, "steady-state calls must not spawn");
+        assert_eq!(
+            SPAWNED_BY_THIS_THREAD.with(Cell::get),
+            warmed,
+            "steady-state calls must not spawn"
+        );
     }
 
     #[test]

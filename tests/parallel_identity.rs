@@ -6,18 +6,33 @@
 //! `Parallelism::Serial` under the default `NumericsMode::BitExact` must
 //! reproduce the exact predictions recorded before the kernel layer existed
 //! (PR 2 behaviour).
+//!
+//! The weight objective, whose decorrelation terms run concurrently on
+//! tapes of their own, must reproduce the one-tape build's loss and
+//! weight-gradient bits at every worker count.
 
 use proptest::prelude::*;
-use sbrl_hap::core::{Estimator, SbrlConfig, TrainConfig};
+use rand::rngs::StdRng;
+use sbrl_hap::core::{weight_objective, Estimator, SbrlConfig, TrainConfig};
 use sbrl_hap::data::{SyntheticConfig, SyntheticProcess};
-use sbrl_hap::models::CfrConfig;
+use sbrl_hap::models::{BatchContext, CfrConfig, LayerTaps};
 use sbrl_hap::stats::{
-    ipm_weighted_plain_with, pairwise_hsic_matrix_with, pairwise_sq_dists_with, rbf_kernel_with,
-    IpmKind, Rff,
+    decorrelation_loss_graph_scratch, ipm_weighted_graph, ipm_weighted_plain_with,
+    pairwise_hsic_matrix_with, pairwise_sq_dists_with, rbf_kernel_with, DecorrelationConfig,
+    HsicScratch, IpmKind, Rff,
 };
 use sbrl_hap::tensor::kernels::{gemm, gemm_nt, gemm_tn, NumericsMode, Parallelism};
 use sbrl_hap::tensor::rng::{randn, rng_from_seed};
-use sbrl_hap::tensor::Matrix;
+use sbrl_hap::tensor::{Graph, Matrix, TensorId};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serialises the tests that set the global `Parallelism` / `NumericsMode`
+/// knobs with the tests whose results read them.
+static GLOBAL_KNOBS: Mutex<()> = Mutex::new(());
+
+fn knobs() -> MutexGuard<'static, ()> {
+    GLOBAL_KNOBS.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -36,6 +51,7 @@ proptest! {
         dims in (1usize..48, 1usize..48, 1usize..48, 2usize..12),
         seed in 0u64..1_000,
     ) {
+        let _knobs = knobs();
         let (m, k, n, threads) = dims;
         let a = random_matrix(seed, m, k);
         let b = random_matrix(seed ^ 0xabcd, k, n);
@@ -49,6 +65,7 @@ proptest! {
         dims in (1usize..40, 1usize..40, 1usize..40, 2usize..12),
         seed in 0u64..1_000,
     ) {
+        let _knobs = knobs();
         let (m, k, n, threads) = dims;
         let a = random_matrix(seed, m, k);
         let b_nt = random_matrix(seed ^ 1, n, k); // a * b_nt^T
@@ -165,6 +182,7 @@ fn serial_mode_reproduces_recorded_pr2_predictions() {
         patience: 40,
         ..TrainConfig::default()
     };
+    let _knobs = knobs();
     let fit = |par: Parallelism| {
         // Pin the default tier explicitly: the golden bits are a BitExact
         // contract and must hold even when the suite runs with
@@ -199,4 +217,152 @@ fn serial_mode_reproduces_recorded_pr2_predictions() {
         serial.y1_hat.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         parallel.y1_hat.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
     );
+}
+
+/// `weight_objective` rebuilt on one tape from its public parts, in the
+/// same order: every decorrelation term goes through
+/// `decorrelation_loss_graph_scratch` on `g` itself.
+#[allow(clippy::too_many_arguments)]
+fn weight_objective_one_tape(
+    g: &mut Graph,
+    cfg: &SbrlConfig,
+    taps: &LayerTaps,
+    ctx: &BatchContext,
+    w: TensorId,
+    r_w: TensorId,
+    rff: &Rff,
+    rng: &mut StdRng,
+    scratch: &mut HsicScratch,
+) -> TensorId {
+    let mut total = r_w;
+    let balance = if cfg.use_br && cfg.alpha > 0.0 {
+        let b = ipm_weighted_graph(g, cfg.ipm, taps.z_r, w, &ctx.treated_idx, &ctx.control_idx);
+        g.scale(b, cfg.alpha)
+    } else {
+        g.scalar_const(0.0)
+    };
+    total = g.add(total, balance);
+    let mut term = |g: &mut Graph, z: TensorId, gamma: f64| {
+        let d = decorrelation_loss_graph_scratch(g, z, w, rff, &cfg.decor, rng, scratch);
+        g.scale(d, gamma)
+    };
+    let independence = if cfg.use_ir && cfg.gamma1 > 0.0 {
+        term(g, taps.z_p, cfg.gamma1)
+    } else {
+        g.scalar_const(0.0)
+    };
+    total = g.add(total, independence);
+    let hierarchy = if cfg.use_hap {
+        let mut h = g.scalar_const(0.0);
+        if cfg.gamma2 > 0.0 {
+            let s = term(g, taps.z_r, cfg.gamma2);
+            h = g.add(h, s);
+        }
+        if cfg.gamma3 > 0.0 {
+            for &z in &taps.z_o {
+                let s = term(g, z, cfg.gamma3);
+                h = g.add(h, s);
+            }
+        }
+        h
+    } else {
+        g.scalar_const(0.0)
+    };
+    g.add(total, hierarchy)
+}
+
+/// Loss and `w`-gradient bits of two steps of the weight objective over
+/// constant taps of the given widths, the second step reusing the tape and
+/// scratch of the first.
+fn weight_objective_bits(cfg: &SbrlConfig, widths: [usize; 4], one_tape: bool) -> Vec<u64> {
+    const N: usize = 40;
+    let mut data_rng = rng_from_seed(17);
+    let tap_values: Vec<Matrix> = widths.iter().map(|&d| randn(&mut data_rng, N, d)).collect();
+    let raw = randn(&mut data_rng, N, 1);
+    let t: Vec<f64> = (0..N).map(|i| ((i * 7) % 3 == 0) as u8 as f64).collect();
+    let ctx = BatchContext::new(&t);
+    let rff = Rff::sample(&mut data_rng, cfg.rff_functions);
+    let mut rng = rng_from_seed(5);
+    let mut scratch = HsicScratch::new();
+    let mut g = Graph::new();
+    let mut bits = Vec::new();
+    for _ in 0..2 {
+        g.reset();
+        let taps = LayerTaps {
+            z_o: vec![g.constant_copied(&tap_values[2]), g.constant_copied(&tap_values[3])],
+            z_r: g.constant_copied(&tap_values[1]),
+            z_p: g.constant_copied(&tap_values[0]),
+        };
+        let raw_id = g.param_copied(&raw);
+        let w = g.softplus(raw_id);
+        let shifted = g.add_scalar(w, -1.0);
+        let sq = g.square(shifted);
+        let r_w = g.mean(sq);
+        let total = if one_tape {
+            weight_objective_one_tape(
+                &mut g,
+                cfg,
+                &taps,
+                &ctx,
+                w,
+                r_w,
+                &rff,
+                &mut rng,
+                &mut scratch,
+            )
+        } else {
+            weight_objective(&mut g, cfg, &taps, &ctx, w, r_w, &rff, &mut rng, &mut scratch).total
+        };
+        g.backward(total);
+        bits.push(g.scalar(total).to_bits());
+        bits.extend(
+            g.grad(raw_id)
+                .expect("weights receive a gradient")
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits()),
+        );
+    }
+    bits
+}
+
+/// The concurrent weight objective reproduces the one-tape build's loss
+/// and weight-gradient bits for every worker count and numerics tier.
+#[test]
+fn weight_objective_matches_the_one_tape_build() {
+    let _knobs = knobs();
+    let hap = SbrlConfig::sbrl_hap(0.5, 1.0, 0.3, 0.2);
+    let default_widths = [6, 8, 5, 4];
+    let decor = |f: fn(&mut DecorrelationConfig)| {
+        let mut cfg = hap;
+        f(&mut cfg.decor);
+        cfg
+    };
+    let cases: [(&str, SbrlConfig, [usize; 4]); 7] = [
+        ("IR only", SbrlConfig { use_br: false, ..SbrlConfig::sbrl(0.0, 1.0) }, default_widths),
+        ("SBRL-HAP", hap, default_widths),
+        ("include_diagonal", decor(|d| d.include_diagonal = true), default_widths),
+        ("standardize off", decor(|d| d.standardize = false), default_widths),
+        ("no max_features", decor(|d| d.max_features = None), [40, 36, 5, 4]),
+        ("taps wider than max_features", decor(|d| d.max_features = Some(3)), default_widths),
+        ("one-column tap", hap, [1, 8, 1, 4]),
+    ];
+    for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
+        mode.set_global();
+        for (name, cfg, widths) in &cases {
+            Parallelism::Serial.set_global();
+            let reference = weight_objective_bits(cfg, *widths, true);
+            for par in [Parallelism::Serial, Parallelism::Threads(2), Parallelism::Threads(4)] {
+                par.set_global();
+                let got = weight_objective_bits(cfg, *widths, false);
+                let first_diff = got.iter().zip(&reference).position(|(a, b)| a != b);
+                assert!(
+                    got == reference,
+                    "{name}: {par:?}, {mode:?}: bits differ from word {first_diff:?} on"
+                );
+            }
+        }
+    }
+    Parallelism::from_env().set_global();
+    NumericsMode::from_env().set_global();
 }
