@@ -2,7 +2,7 @@
 //! the matmul kernel, the differentiable weighted IPMs, the HSIC-RFF
 //! decorrelation loss and the whole weight objective of one weight step —
 //! each also timed under the `NumericsMode::Fast` global knob (`*_fast`
-//! cases).
+//! cases) — and the generation of one synthetic test environment.
 
 mod common;
 
@@ -44,8 +44,8 @@ fn bench_micro(c: &mut Criterion) {
     let preset = quick_variant(paper_syn_16_16_16_2());
     let sbrl = preset
         .sbrl_config(MethodSpec { backbone: BackboneKind::Cfr, framework: Framework::SbrlHap });
-    let batch =
-        SyntheticProcess::new(SyntheticConfig::syn_16_16_16_2(), 1000).generate(2.5, 128, 0);
+    let process = SyntheticProcess::new(SyntheticConfig::syn_16_16_16_2(), 1000);
+    let batch = process.generate(2.5, 128, 0);
     let ctx = BatchContext::new(&batch.t);
     let hap_rff = Rff::sample(&mut rng, sbrl.rff_functions);
     let tap_values: Vec<Matrix> = {
@@ -141,6 +141,11 @@ fn bench_micro(c: &mut Criterion) {
         });
     }
     NumericsMode::from_env().set_global();
+
+    // One `fit_hap` test environment: 2 400 rows from a 24 000-row pool.
+    group.bench_function("synthetic_generate", |bch| {
+        bch.iter(|| black_box(process.generate(-3.0, 2400, 0)));
+    });
     group.finish();
 }
 

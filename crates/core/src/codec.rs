@@ -12,17 +12,50 @@
 //! which each format maps into its own error type.
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xedb88320`) — the PNG/zlib
-/// checksum, hand-rolled bitwise so the formats stay dependency-free.
+/// checksum, hand-rolled slice-by-8 (eight table lookups per 8-byte word)
+/// so the formats stay dependency-free.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut crc = 0xffff_ffff_u32;
+    for word in words {
+        let v = u64::from_le_bytes(*word) ^ u64::from(crc);
+        crc = (0..8).fold(0, |acc, k| acc ^ crc_lookup(7 - k, v >> (8 * k)));
     }
-    !crc
+    !tail.iter().fold(crc, |crc, &b| (crc >> 8) ^ crc_lookup(0, u64::from(crc as u8 ^ b)))
+}
+
+/// `CRC_TABLES[k][b]` is byte `b` followed by `k` zero bytes through the
+/// bitwise CRC's shift rounds.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+/// `CRC_TABLES[k]` at the low byte of `v`.
+fn crc_lookup(k: usize, v: u64) -> u32 {
+    // `k < 8` and a byte below 256 always land inside the tables.
+    CRC_TABLES.get(k).and_then(|t| t.get((v & 0xff) as usize)).copied().unwrap_or(0)
+}
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut rest_tables: &mut [[u32; 256]] = &mut tables;
+    let mut rounds = 8;
+    while let Some((table, more_tables)) = rest_tables.split_first_mut() {
+        let mut rest: &mut [u32] = table;
+        let mut byte = 0u32;
+        while let Some((entry, tail)) = rest.split_first_mut() {
+            let mut crc = byte;
+            let mut round = 0;
+            while round < rounds {
+                crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+                round += 1;
+            }
+            *entry = crc;
+            rest = tail;
+            byte += 1;
+        }
+        rest_tables = more_tables;
+        rounds += 8;
+    }
+    tables
 }
 
 /// Width of a length prefix (element counts and string lengths).
@@ -227,6 +260,31 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bitwise CRC-32 the table replaced.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xffff_ffff;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc32_matches_the_bitwise_definition() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        let bytes: Vec<u8> =
+            (0..1024u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for len in (0..=64).chain([255, 256, 257, 1023, 1024]) {
+            assert_eq!(crc32(&bytes[..len]), crc32_bitwise(&bytes[..len]), "length {len}");
+        }
+        let every_byte: Vec<u8> = (0..=255).collect();
+        assert_eq!(crc32(&every_byte), crc32_bitwise(&every_byte));
+    }
 
     #[test]
     fn strings_and_counts_round_trip_at_both_prefix_widths() {

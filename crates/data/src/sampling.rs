@@ -59,8 +59,13 @@ pub fn weighted_sample_without_replacement(
             (key, i)
         })
         .collect();
-    keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut idx: Vec<usize> = keyed.into_iter().take(k).map(|(_, i)| i).collect();
+    // Ties in the key go to the lower index, as under a stable sort by key;
+    // with that tie-break a partial selection picks the same `k` records.
+    if k < n {
+        keyed.select_nth_unstable_by(k, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        keyed.truncate(k);
+    }
+    let mut idx: Vec<usize> = keyed.into_iter().map(|(_, i)| i).collect();
     idx.sort_unstable();
     idx
 }

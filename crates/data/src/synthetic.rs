@@ -25,6 +25,7 @@
 
 use rand::rngs::StdRng;
 use rand::RngCore;
+use sbrl_tensor::kernels::{par_for_row_chunks, Parallelism};
 use sbrl_tensor::rng::{rng_from_seed, sample_bernoulli, sample_standard_normal, sample_uniform};
 use sbrl_tensor::{stable_sigmoid, Matrix};
 
@@ -111,16 +112,17 @@ impl SyntheticProcess {
         let mut process =
             Self { config, theta_t, theta_y0, theta_y1, threshold0: 0.0, threshold1: 0.0 };
 
-        // Estimate the population means of z0 / z1 from an unbiased pool,
-        // folded one row at a time instead of materialising the pool.
-        let mut row = vec![0.0; config.dim()];
-        let mut sum0 = 0.0;
-        let mut sum1 = 0.0;
-        for _ in 0..config.threshold_pool {
-            fill_standard_normal(&mut rng, &mut row);
-            let (z0, z1) = process.outcome_latents(&row);
-            sum0 += z0;
-            sum1 += z1;
+        // Estimate the population means of z0 / z1 from an unbiased pool:
+        // the per-row latents are drawn in parallel row shards, then summed
+        // serially in row order so the sums keep their association.
+        let (latents, _) =
+            summarise_pool(&mut rng, config.threshold_pool, config.dim(), 2, |row, z| {
+                (z[0], z[1]) = process.outcome_latents(row);
+            });
+        let (mut sum0, mut sum1) = (0.0, 0.0);
+        for z in latents.chunks_exact(2) {
+            sum0 += z[0];
+            sum1 += z[1];
         }
         process.threshold0 = sum0 / config.threshold_pool as f64;
         process.threshold1 = sum1 / config.threshold_pool as f64;
@@ -130,6 +132,12 @@ impl SyntheticProcess {
     /// The benchmark configuration of this process.
     pub fn config(&self) -> &SyntheticConfig {
         &self.config
+    }
+
+    /// The fixed outcome thresholds `(mean(z0), mean(z1))`, estimated on
+    /// the unbiased reference pool.
+    pub fn thresholds(&self) -> (f64, f64) {
+        (self.threshold0, self.threshold1)
     }
 
     fn outcome_latents(&self, x: &[f64]) -> (f64, f64) {
@@ -156,67 +164,126 @@ impl SyntheticProcess {
     /// `rho in {±1.3, ±1.5, ±2.5, ±3}`).
     ///
     /// The unbiased pool of `n * pool_factor` rows is streamed, never
-    /// materialised: a first pass keeps only what treatment and selection
-    /// need per row, and the `n` selected rows are then redrawn from a
-    /// replay of the same random stream. The draws, and so the bits, are
-    /// those of drawing the whole pool up front.
+    /// materialised, in four steps:
+    /// 1. one serial pass steps the random stream past the pool, keeping a
+    ///    copy of the generator every [`CHECKPOINT_ROWS`] rows;
+    /// 2. parallel row shards, each started from the checkpoint at or
+    ///    before its first row, redraw the pool and keep only what
+    ///    treatment and selection need per row;
+    /// 3. the treatment draws and the biased selection consume the stream
+    ///    serially, in row order;
+    /// 4. parallel shards of the `n` selected rows redraw their covariates
+    ///    from the checkpoints.
+    ///
+    /// Every row is drawn from its own position in the one stream, so the
+    /// draws, and so the bits, are those of drawing the whole pool up
+    /// front, at any [`Parallelism`] setting.
     #[track_caller]
     pub fn generate(&self, rho: f64, n: usize, seed: u64) -> CausalDataset {
         assert!(rho.abs() > 1.0, "bias rate must satisfy |rho| > 1, got {rho}");
         let c = &self.config;
         let dim = c.dim();
         let mut rng = rng_from_seed(seed ^ 0x5b5b_0001);
-        let mut replay = rng.clone();
         let pool_n = n * c.pool_factor.max(1);
 
-        // Pass 1: the pool's covariates, one row at a time.
+        // Per pool row: y0, y1, the treatment term, then the unstable block.
         let v_cols = c.unstable_columns();
-        let mut row = vec![0.0; dim];
-        let mut y0 = Vec::with_capacity(pool_n);
-        let mut y1 = Vec::with_capacity(pool_n);
-        let mut t_terms = Vec::with_capacity(pool_n);
-        let mut unstable = Vec::with_capacity(pool_n * v_cols.len());
-        for _ in 0..pool_n {
-            fill_standard_normal(&mut rng, &mut row);
-            let (z0, z1) = self.outcome_latents(&row);
-            y0.push(if z0 - self.threshold0 > 0.0 { 1.0 } else { 0.0 });
-            y1.push(if z1 - self.threshold1 > 0.0 { 1.0 } else { 0.0 });
-            t_terms.push(self.treatment_term(&row));
-            unstable.extend_from_slice(&row[v_cols.clone()]);
+        let width = 3 + v_cols.len();
+        let (mut summary, checkpoints) = summarise_pool(&mut rng, pool_n, dim, width, |row, s| {
+            let (z0, z1) = self.outcome_latents(row);
+            s[0] = if z0 - self.threshold0 > 0.0 { 1.0 } else { 0.0 };
+            s[1] = if z1 - self.threshold1 > 0.0 { 1.0 } else { 0.0 };
+            s[2] = self.treatment_term(row);
+            s[3..].copy_from_slice(&row[v_cols.clone()]);
+        });
+        // Each row's treatment, drawn in row order, replaces its term.
+        for s in summary.chunks_exact_mut(width) {
+            let xi = sample_standard_normal(&mut rng);
+            let p = stable_sigmoid(s[2] + xi);
+            s[2] = if sample_bernoulli(&mut rng, p) { 1.0 } else { 0.0 };
         }
-        let t: Vec<f64> = t_terms
-            .into_iter()
-            .map(|term| {
-                let xi = sample_standard_normal(&mut rng);
-                let p = stable_sigmoid(term + xi);
-                if sample_bernoulli(&mut rng, p) {
-                    1.0
-                } else {
-                    0.0
-                }
-            })
-            .collect();
 
         // Biased environment selection on the unstable block.
-        let m_v = v_cols.len();
-        let log_w: Vec<f64> = (0..pool_n)
-            .map(|i| selection_log_weight(rho, y1[i] - y0[i], &unstable[i * m_v..(i + 1) * m_v]))
+        let log_w: Vec<f64> = summary
+            .chunks_exact(width)
+            .map(|s| selection_log_weight(rho, s[1] - s[0], &s[3..]))
             .collect();
         let idx = weighted_sample_without_replacement(&mut rng, &log_w, n);
 
-        // Pass 2: redraw the selected rows. Each standard normal consumes
-        // exactly two raw draws, so an unselected row skips `2 * dim`.
+        // Redraw the selected rows, each shard from the checkpoint at or
+        // before its first row, skipping the unselected rows between.
         let mut x = Matrix::zeros(n, dim);
-        let mut next_row = 0;
-        for (k, &i) in idx.iter().enumerate() {
-            for _ in 0..2 * dim * (i - next_row) {
-                replay.next_u64();
+        let workers = Parallelism::global().workers();
+        par_for_row_chunks(x.as_mut_slice(), n, dim, workers, |lo, hi, out| {
+            let mut next_row = idx[lo..hi].first().copied().unwrap_or(0);
+            let mut replay = rng_at_row(&checkpoints, next_row, dim);
+            for (&i, row) in idx[lo..hi].iter().zip(out.chunks_exact_mut(dim)) {
+                skip_rows(&mut replay, i - next_row, dim);
+                fill_standard_normal(&mut replay, row);
+                next_row = i + 1;
             }
-            fill_standard_normal(&mut replay, x.row_mut(k));
-            next_row = i + 1;
+        });
+        let pick = |col: usize| idx.iter().map(|&i| summary[i * width + col]).collect();
+        binary_dataset(x, pick(2), pick(0), pick(1))
+    }
+}
+
+/// Pool rows between two generator checkpoints. A shard of a pool starts
+/// from the checkpoint at or before its first row and steps forward to it,
+/// so it steps past fewer than this many rows.
+pub const CHECKPOINT_ROWS: usize = 1024;
+
+/// Draws a pool of `rows` standard-normal rows of width `dim` from `rng`
+/// and returns, in row order, `summarise(row, out)`'s `width` values for
+/// every row, with the generator checkpoints of the pool (see
+/// [`rng_at_row`]). Leaves `rng` just past the pool, as a serial draw
+/// would.
+///
+/// The pool is drawn in parallel row shards on [`Parallelism::global`]'s
+/// workers (inline when serial or inside a coarse task); each row is
+/// drawn from its own position in the stream, so the output is the same
+/// at any worker count.
+fn summarise_pool<F>(
+    rng: &mut StdRng,
+    rows: usize,
+    dim: usize,
+    width: usize,
+    summarise: F,
+) -> (Vec<f64>, Vec<StdRng>)
+where
+    F: Fn(&[f64], &mut [f64]) + Sync,
+{
+    let mut checkpoints = Vec::with_capacity(rows / CHECKPOINT_ROWS + 1);
+    for start in (0..=rows).step_by(CHECKPOINT_ROWS) {
+        checkpoints.push(rng.clone());
+        skip_rows(rng, CHECKPOINT_ROWS.min(rows - start), dim);
+    }
+    let mut out = vec![0.0; rows * width];
+    let workers = Parallelism::global().workers();
+    par_for_row_chunks(&mut out, rows, width, workers, |lo, _, shard| {
+        let mut shard_rng = rng_at_row(&checkpoints, lo, dim);
+        let mut row = vec![0.0; dim];
+        for summary in shard.chunks_exact_mut(width) {
+            fill_standard_normal(&mut shard_rng, &mut row);
+            summarise(&row, summary);
         }
-        let pick = |v: &[f64]| idx.iter().map(|&i| v[i]).collect::<Vec<f64>>();
-        binary_dataset(x, pick(&t), pick(&y0), pick(&y1))
+    });
+    (out, checkpoints)
+}
+
+/// The generator positioned at pool row `row` (at most the pool's length),
+/// from the pool's checkpoints.
+fn rng_at_row(checkpoints: &[StdRng], row: usize, dim: usize) -> StdRng {
+    let mut rng = checkpoints[row / CHECKPOINT_ROWS].clone();
+    skip_rows(&mut rng, row % CHECKPOINT_ROWS, dim);
+    rng
+}
+
+/// Steps `rng` past `rows` pool rows of width `dim`: each standard normal
+/// consumes exactly two raw draws.
+fn skip_rows(rng: &mut StdRng, rows: usize, dim: usize) {
+    for _ in 0..2 * dim * rows {
+        rng.next_u64();
     }
 }
 

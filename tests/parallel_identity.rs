@@ -10,10 +10,15 @@
 //! The weight objective, whose decorrelation terms run concurrently on
 //! tapes of their own, must reproduce the one-tape build's loss and
 //! weight-gradient bits at every worker count.
+//!
+//! The synthetic generator, which draws its pools in parallel row shards
+//! from generator checkpoints, must output the same bits at every worker
+//! count and inside a coarse task.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use sbrl_hap::core::{weight_objective, Estimator, SbrlConfig, TrainConfig};
+use sbrl_hap::data::synthetic::CHECKPOINT_ROWS;
 use sbrl_hap::data::{SyntheticConfig, SyntheticProcess};
 use sbrl_hap::models::{BatchContext, CfrConfig, LayerTaps};
 use sbrl_hap::stats::{
@@ -23,8 +28,9 @@ use sbrl_hap::stats::{
 };
 use sbrl_hap::tensor::kernels::{gemm, gemm_nt, gemm_tn, NumericsMode, Parallelism};
 use sbrl_hap::tensor::rng::{randn, rng_from_seed};
+use sbrl_hap::tensor::workers::run_coarse_tasks;
 use sbrl_hap::tensor::{Graph, Matrix, TensorId};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Serialises the tests that set the global `Parallelism` / `NumericsMode`
 /// knobs with the tests whose results read them.
@@ -365,4 +371,64 @@ fn weight_objective_matches_the_one_tape_build() {
     }
     Parallelism::from_env().set_global();
     NumericsMode::from_env().set_global();
+}
+
+/// The bits of a process's thresholds and of one environment's `x, t, yf,
+/// ycf, mu0, mu1`.
+fn synthetic_bits(config: SyntheticConfig, rho: f64, n: usize) -> Vec<u64> {
+    let process = SyntheticProcess::new(config, 5);
+    let (threshold0, threshold1) = process.thresholds();
+    let d = process.generate(rho, n, 9);
+    let mut out = vec![threshold0.to_bits(), threshold1.to_bits()];
+    for v in
+        [&d.t, &d.yf, d.ycf.as_ref().unwrap(), d.mu0.as_ref().unwrap(), d.mu1.as_ref().unwrap()]
+    {
+        out.extend(v.iter().map(|x| x.to_bits()));
+    }
+    out.extend(bits(&d.x));
+    out
+}
+
+/// Threshold and environment pools below, at and off a multiple of the
+/// checkpoint spacing, a one-row environment, `pool_factor = 1`, and both
+/// signs of the bias rate come out the same at every worker count and
+/// inside a coarse task, where every shard runs inline.
+#[test]
+fn synthetic_generation_is_thread_count_invariant() {
+    let _knobs = knobs();
+    let config = |pool_factor: usize, threshold_pool: usize| SyntheticConfig {
+        m_instrument: 3,
+        m_confounder: 3,
+        m_adjustment: 3,
+        m_unstable: 2,
+        pool_factor,
+        threshold_pool,
+    };
+    let c = CHECKPOINT_ROWS;
+    let cases = [
+        (config(5, c / 2), -3.0, c / 10),      // pools smaller than a chunk
+        (config(1, c), 2.5, c),                // pools of exactly one chunk
+        (config(3, 2 * c + 7), -1.3, c + 333), // off a multiple of the chunk
+        (config(7, 3 * c), 1.3, 1),            // a one-row environment
+        (config(1, c + 1), -2.5, 5 * c / 2),   // every pool row selected
+    ];
+    Parallelism::Serial.set_global();
+    let reference: Vec<Vec<u64>> =
+        cases.iter().map(|&(cfg, rho, n)| synthetic_bits(cfg, rho, n)).collect();
+    for par in [Parallelism::Threads(2), Parallelism::Threads(4)] {
+        par.set_global();
+        for (&(cfg, rho, n), expected) in cases.iter().zip(&reference) {
+            let got = synthetic_bits(cfg, rho, n);
+            assert!(&got == expected, "{par:?}, rho {rho}, n {n}: bits differ");
+        }
+        let coarse: Vec<OnceLock<Vec<u64>>> = cases.iter().map(|_| OnceLock::new()).collect();
+        run_coarse_tasks(cases.len(), par.workers(), &|i| {
+            let (cfg, rho, n) = cases[i];
+            coarse[i].get_or_init(|| synthetic_bits(cfg, rho, n));
+        });
+        for (got, expected) in coarse.iter().zip(&reference) {
+            assert!(got.get() == Some(expected), "{par:?} inside a coarse task: bits differ");
+        }
+    }
+    Parallelism::from_env().set_global();
 }

@@ -159,6 +159,36 @@ proptest! {
     }
 
     #[test]
+    fn partial_selection_matches_the_full_sort(
+        palette_idx in proptest::collection::vec(0usize..6, 1..300),
+        k_frac in 0.0f64..=1.0,
+        seed in 0u64..1_000,
+    ) {
+        use rand::RngExt;
+        use sbrl_hap::data::weighted_sample_without_replacement;
+        // Infinite and huge-magnitude log weights give many tied keys:
+        // `ln(-ln u)` is lost in rounding next to ±1e18.
+        const PALETTE: [f64; 6] = [0.0, -2.5, 1e18, -1e18, f64::INFINITY, f64::NEG_INFINITY];
+        let log_w: Vec<f64> = palette_idx.iter().map(|&i| PALETTE[i]).collect();
+        let k = (k_frac * log_w.len() as f64) as usize;
+        // The full stable sort by key that the partial selection replaced.
+        let mut rng = rng_from_seed(seed);
+        let mut keyed: Vec<(f64, usize)> = log_w
+            .iter()
+            .enumerate()
+            .map(|(i, &lw)| {
+                let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+                ((-u.ln()).ln() - lw, i)
+            })
+            .collect();
+        keyed.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut expected: Vec<usize> = keyed.into_iter().take(k).map(|(_, i)| i).collect();
+        expected.sort_unstable();
+        let got = weighted_sample_without_replacement(&mut rng_from_seed(seed), &log_w, k);
+        prop_assert_eq!(got, expected);
+    }
+
+    #[test]
     fn grid_method_names_round_trip(idx in 0usize..9) {
         // Covers all nine grid cells across cases: every table label parses
         // back to the spec that produced it, and Display agrees with name().
