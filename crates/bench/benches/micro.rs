@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the numerical hot paths behind every experiment:
-//! the matmul kernel, the differentiable weighted IPMs, the HSIC-RFF
+//! the matmul kernels, the differentiable weighted IPMs, the HSIC-RFF
 //! decorrelation loss and the whole weight objective of one weight step —
 //! each also timed under the `NumericsMode::Fast` global knob (`*_fast`
 //! cases) — and the generation of one synthetic test environment.
@@ -48,6 +48,10 @@ fn bench_micro(c: &mut Criterion) {
     let batch = process.generate(2.5, 128, 0);
     let ctx = BatchContext::new(&batch.t);
     let hap_rff = Rff::sample(&mut rng, sbrl.rff_functions);
+    // Drawn from their own stream so the other cases keep their inputs.
+    let mut nt_rng = rng_from_seed(1);
+    let grad = randn(&mut nt_rng, 128, 48);
+    let weight = randn(&mut nt_rng, 48, 48);
     let tap_values: Vec<Matrix> = {
         let mut model = preset.backbone_config(BackboneKind::Cfr, batch.dim()).build(&mut rng);
         let mut g = Graph::new();
@@ -64,6 +68,11 @@ fn bench_micro(c: &mut Criterion) {
 
         group.bench_function(&format!("matmul_128x64x64{suffix}"), |bch| {
             bch.iter(|| black_box(a.matmul(&b)));
+        });
+
+        // A quick-preset layer's input gradient, dX = g * W^T.
+        group.bench_function(&format!("matmul_nt_128x48x48{suffix}"), |bch| {
+            bch.iter(|| black_box(grad.matmul_nt(&weight)));
         });
 
         for (label, kind) in [

@@ -4,24 +4,25 @@
 //! The life of a served prediction (see `ARCHITECTURE.md`):
 //!
 //! ```text
-//! client ──TCP──▶ handler thread (one per connection)          worker pool
-//! ──────          ───────────────────────────────────          ───────────
+//! client ──TCP──▶ handler thread (one per connection)
+//! ──────          ───────────────────────────────────
 //! Predict frame   decode + validate, TimedOut past the deadline
 //!   (CRC-checked)  submit(name, x): take an admission permit
 //!                   (Overloaded at queue_max in flight,
 //!                    ServiceStopped once closed)
-//!                   try_predict_batched(x) ────────────────▶ row shards
+//!                   try_predict_batched(x, 1): inline, panic contained
 //! Prediction /      release the permit
 //!   Failure frame ◀── encode
 //! ```
 //!
 //! Each request is predicted on the thread that submitted it, with no
 //! queue or hand-off in between: requests are not batched, because the
-//! wait to fill a batch cost more than batching saved. The numeric work
-//! goes through the workspace's persistent worker pool via
-//! [`FittedModel::try_predict_batched`](crate::FittedModel::try_predict_batched),
-//! so serving adds **zero** per-request thread spawns beyond the
-//! per-connection handler. The socket hop moves `f64` bit patterns, so a
+//! wait to fill a batch cost more than batching saved, and they are not
+//! split into row shards, because the connection threads already are the
+//! parallelism. [`FittedModel::try_predict_batched`](crate::FittedModel::try_predict_batched)
+//! with one worker runs the request inline and still turns a panic into a
+//! typed error, so serving adds **zero** per-request thread spawns beyond
+//! the per-connection handler. The socket hop moves `f64` bit patterns, so a
 //! served answer is **bit-identical** to [`FittedModel::predict`](crate::FittedModel::predict).
 //!
 //! **The degradation contract.** Every submitted request terminates with a
@@ -33,8 +34,8 @@
 //! * a socket request already past its `SBRL_DEADLINE_MS` budget when its
 //!   frame is decoded (the budget runs from the frame's first byte) is
 //!   failed with [`SbrlError::TimedOut`] and not predicted;
-//! * a worker panic inside a prediction is contained by the pool and
-//!   answered with [`SbrlError::WorkerPanic`]; the service keeps serving;
+//! * a panic inside a prediction is contained and answered with
+//!   [`SbrlError::WorkerPanic`]; the service keeps serving;
 //! * graceful drain ([`InferenceService::drain`], [`SocketServer::shutdown`])
 //!   closes admission, waits up to `drain_budget` for in-flight requests to
 //!   finish, then joins all threads.
@@ -277,7 +278,7 @@ impl InferenceService {
             });
         }
         let _permit = self.admission.admit()?;
-        Ok(PendingPrediction { outcome: model.try_predict_batched(&x, 0) })
+        Ok(PendingPrediction { outcome: model.try_predict_batched(&x, 1) })
     }
 
     /// Synchronous convenience: [`submit`](Self::submit) + [`wait`](PendingPrediction::wait).

@@ -22,11 +22,16 @@
 //!   parallel path. In `BitExact` each output element is accumulated in the
 //!   same floating-point order regardless of blocking or thread count, so
 //!   results are bit-identical across all `Parallelism` settings.
+//! * [`gemm_nt`] (`A * B^T`, every layer's input gradient) runs on the same
+//!   blocked row kernel as the other two. Each row shard copies every
+//!   `KC x NC` block of `B^T` into a 32 KiB stack panel and accumulates over
+//!   it without the exact-zero skip of `gemm`/`gemm_tn`, so each element is
+//!   the dot product's own chain `0.0 + Σ_k a[i][k] * b[j][k]` in ascending
+//!   `k`, `0 * inf` stays NaN, and nothing is allocated.
 //! * [`shard_ranges`], [`par_for_row_chunks`], [`par_map_values`] — the
 //!   sharding primitives, reused by `sbrl-stats` for its pairwise loops and
-//!   by `sbrl-core` for batched inference. Since this PR they execute on the
-//!   persistent worker pool in [`crate::workers`] instead of spawning scoped
-//!   threads per call.
+//!   by `sbrl-core` for batched inference. They execute on the persistent
+//!   worker pool in [`crate::workers`].
 //!
 //! # Example
 //!
@@ -376,6 +381,16 @@ pub(crate) fn fma_available() -> bool {
     })
 }
 
+/// True when the running CPU supports AVX-512F (checked once, cached). The
+/// bit-exact GEMM row kernels prefer their AVX-512F clones over the AVX2
+/// ones: the same scalar operation sequence, in wider registers.
+#[cfg(target_arch = "x86_64")]
+fn avx512_available() -> bool {
+    use std::sync::OnceLock;
+    static AVX512: OnceLock<bool> = OnceLock::new();
+    *AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
+}
+
 /// One multiply-add step of an accumulation chain: `acc + a * b`, contracted
 /// to a single fused multiply-add when the kernel was instantiated for
 /// [`NumericsMode::Fast`] on FMA hardware. The `FMA = false` instantiation
@@ -389,7 +404,7 @@ fn madd<const FMA: bool>(acc: f64, a: f64, b: f64) -> f64 {
     }
 }
 
-/// One `out_row[j] += aik * b_row[j]` pass (skipped entirely by the callers
+/// One `out_row[j] += aik * b_row[j]` pass (skipped by the nn/tn callers
 /// when `aik == 0.0`, preserving the historical exact-zero semantics).
 #[inline(always)]
 // lint: no_alloc
@@ -463,37 +478,35 @@ fn axpy4x2<const FMA: bool>(
     }
 }
 
-/// One output row's `kb..k_hi` accumulation against the `b` panel columns
-/// `jb..j_hi` (ascending `k`, unrolled by four, exact-zero skip preserved).
-#[allow(clippy::too_many_arguments)]
+/// True when the multiply-add `acc + a * b` joins the chain: always for
+/// `SKIP_ZERO = false`, otherwise only for a non-zero `a` (the historical
+/// exact-zero skip of the nn/tn loops).
+#[inline(always)]
+fn live<const SKIP_ZERO: bool>(a: f64) -> bool {
+    !SKIP_ZERO || a != 0.0
+}
+
+/// One output row's `kb..k_hi` accumulation in ascending `k`, unrolled by
+/// four; `b_row(k)` is row `k` of the right-hand panel, restricted to the
+/// output row's columns.
 #[inline(always)]
 // lint: no_alloc
-fn accum_row<const FMA: bool>(
+fn accum_row<'p, const FMA: bool, const SKIP_ZERO: bool>(
     out_row: &mut [f64],
     a_at: impl Fn(usize) -> f64,
-    b: &[f64],
+    b_row: impl Fn(usize) -> &'p [f64],
     kb: usize,
     k_hi: usize,
-    jb: usize,
-    j_hi: usize,
-    n: usize,
 ) {
     let mut k = kb;
     while k + 4 <= k_hi {
         let av = [a_at(k), a_at(k + 1), a_at(k + 2), a_at(k + 3)];
-        if av.iter().all(|&v| v != 0.0) {
-            axpy4::<FMA>(
-                out_row,
-                av,
-                &b[k * n + jb..k * n + j_hi],
-                &b[(k + 1) * n + jb..(k + 1) * n + j_hi],
-                &b[(k + 2) * n + jb..(k + 2) * n + j_hi],
-                &b[(k + 3) * n + jb..(k + 3) * n + j_hi],
-            );
+        if av.iter().all(|&v| live::<SKIP_ZERO>(v)) {
+            axpy4::<FMA>(out_row, av, b_row(k), b_row(k + 1), b_row(k + 2), b_row(k + 3));
         } else {
             for (dk, &aik) in av.iter().enumerate() {
-                if aik != 0.0 {
-                    axpy::<FMA>(out_row, aik, &b[(k + dk) * n + jb..(k + dk) * n + j_hi]);
+                if live::<SKIP_ZERO>(aik) {
+                    axpy::<FMA>(out_row, aik, b_row(k + dk));
                 }
             }
         }
@@ -501,62 +514,43 @@ fn accum_row<const FMA: bool>(
     }
     for kk in k..k_hi {
         let aik = a_at(kk);
-        if aik != 0.0 {
-            axpy::<FMA>(out_row, aik, &b[kk * n + jb..kk * n + j_hi]);
+        if live::<SKIP_ZERO>(aik) {
+            axpy::<FMA>(out_row, aik, b_row(kk));
         }
     }
 }
 
 /// Two output rows' `kb..k_hi` accumulation with shared `b` loads; falls
-/// back to [`accum_row`] semantics per row whenever a zero `a` entry makes
-/// the fused pass inapplicable.
-#[allow(clippy::too_many_arguments)]
+/// back to [`accum_row`] semantics per row whenever a skipped zero `a` entry
+/// makes the fused pass inapplicable.
 #[inline(always)]
 // lint: no_alloc
-fn accum_row_pair<const FMA: bool>(
+fn accum_row_pair<'p, const FMA: bool, const SKIP_ZERO: bool>(
     row0: &mut [f64],
     row1: &mut [f64],
     a0_at: impl Fn(usize) -> f64,
     a1_at: impl Fn(usize) -> f64,
-    b: &[f64],
+    b_row: impl Fn(usize) -> &'p [f64],
     kb: usize,
     k_hi: usize,
-    jb: usize,
-    j_hi: usize,
-    n: usize,
 ) {
     let mut k = kb;
     while k + 4 <= k_hi {
         let av0 = [a0_at(k), a0_at(k + 1), a0_at(k + 2), a0_at(k + 3)];
         let av1 = [a1_at(k), a1_at(k + 1), a1_at(k + 2), a1_at(k + 3)];
-        let ok0 = av0.iter().all(|&v| v != 0.0);
-        let ok1 = av1.iter().all(|&v| v != 0.0);
+        let ok0 = av0.iter().all(|&v| live::<SKIP_ZERO>(v));
+        let ok1 = av1.iter().all(|&v| live::<SKIP_ZERO>(v));
+        let (b0, b1, b2, b3) = (b_row(k), b_row(k + 1), b_row(k + 2), b_row(k + 3));
         if ok0 && ok1 {
-            axpy4x2::<FMA>(
-                row0,
-                row1,
-                av0,
-                av1,
-                &b[k * n + jb..k * n + j_hi],
-                &b[(k + 1) * n + jb..(k + 1) * n + j_hi],
-                &b[(k + 2) * n + jb..(k + 2) * n + j_hi],
-                &b[(k + 3) * n + jb..(k + 3) * n + j_hi],
-            );
+            axpy4x2::<FMA>(row0, row1, av0, av1, b0, b1, b2, b3);
         } else {
             for (row, av, ok) in [(&mut *row0, av0, ok0), (&mut *row1, av1, ok1)] {
                 if ok {
-                    axpy4::<FMA>(
-                        row,
-                        av,
-                        &b[k * n + jb..k * n + j_hi],
-                        &b[(k + 1) * n + jb..(k + 1) * n + j_hi],
-                        &b[(k + 2) * n + jb..(k + 2) * n + j_hi],
-                        &b[(k + 3) * n + jb..(k + 3) * n + j_hi],
-                    );
+                    axpy4::<FMA>(row, av, b0, b1, b2, b3);
                 } else {
-                    for (dk, &aik) in av.iter().enumerate() {
-                        if aik != 0.0 {
-                            axpy::<FMA>(row, aik, &b[(k + dk) * n + jb..(k + dk) * n + j_hi]);
+                    for (&aik, b) in av.iter().zip([b0, b1, b2, b3]) {
+                        if live::<SKIP_ZERO>(aik) {
+                            axpy::<FMA>(row, aik, b);
                         }
                     }
                 }
@@ -567,10 +561,47 @@ fn accum_row_pair<const FMA: bool>(
     for kk in k..k_hi {
         for (row, a_at) in [(&mut *row0, &a0_at as &dyn Fn(usize) -> f64), (&mut *row1, &a1_at)] {
             let aik = a_at(kk);
-            if aik != 0.0 {
-                axpy::<FMA>(row, aik, &b[kk * n + jb..kk * n + j_hi]);
+            if live::<SKIP_ZERO>(aik) {
+                axpy::<FMA>(row, aik, b_row(kk));
             }
         }
+    }
+}
+
+/// Accumulates the `kb..k_hi` slab of `C += A * B` into columns `jb..j_hi`
+/// of output rows `r0..r1` (`out` holds exactly those rows, row stride `n`),
+/// two rows at a time so they share the `b` loads. `a_at(i, k)` reads
+/// `A[i][k]`; `b_row(k)` is row `k` of `B` restricted to `jb..j_hi`.
+#[inline(always)]
+// lint: no_alloc
+fn accum_block<'p, const FMA: bool, const SKIP_ZERO: bool>(
+    out: &mut [f64],
+    n: usize,
+    (r0, r1): (usize, usize),
+    (jb, j_hi): (usize, usize),
+    (kb, k_hi): (usize, usize),
+    a_at: impl Fn(usize, usize) -> f64,
+    b_row: impl Fn(usize) -> &'p [f64],
+) {
+    let mut i = r0;
+    while i + 2 <= r1 {
+        let (head, tail) = out.split_at_mut((i + 1 - r0) * n);
+        let row0 = &mut head[(i - r0) * n + jb..(i - r0) * n + j_hi];
+        let row1 = &mut tail[jb..j_hi];
+        accum_row_pair::<FMA, SKIP_ZERO>(
+            row0,
+            row1,
+            |k| a_at(i, k),
+            |k| a_at(i + 1, k),
+            &b_row,
+            kb,
+            k_hi,
+        );
+        i += 2;
+    }
+    if i < r1 {
+        let out_row = &mut out[(i - r0) * n + jb..(i - r0) * n + j_hi];
+        accum_row::<FMA, SKIP_ZERO>(out_row, |k| a_at(i, k), &b_row, kb, k_hi);
     }
 }
 
@@ -586,8 +617,7 @@ fn gemm_nn_rows_impl<const FMA: bool>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
-    r0: usize,
-    r1: usize,
+    (r0, r1): (usize, usize),
     k_dim: usize,
     n: usize,
 ) {
@@ -595,154 +625,173 @@ fn gemm_nn_rows_impl<const FMA: bool>(
         let k_hi = (kb + KC).min(k_dim);
         for jb in (0..n).step_by(NC) {
             let j_hi = (jb + NC).min(n);
-            let mut i = r0;
-            while i + 2 <= r1 {
-                let (head, tail) = out.split_at_mut((i + 1 - r0) * n);
-                let row0 = &mut head[(i - r0) * n + jb..(i - r0) * n + j_hi];
-                let row1 = &mut tail[jb..j_hi];
-                let a_row0 = &a[i * k_dim..(i + 1) * k_dim];
-                let a_row1 = &a[(i + 1) * k_dim..(i + 2) * k_dim];
-                accum_row_pair::<FMA>(
-                    row0,
-                    row1,
-                    |k| a_row0[k],
-                    |k| a_row1[k],
-                    b,
-                    kb,
-                    k_hi,
-                    jb,
-                    j_hi,
-                    n,
-                );
-                i += 2;
-            }
-            if i < r1 {
-                let a_row = &a[i * k_dim..(i + 1) * k_dim];
-                let out_row = &mut out[(i - r0) * n + jb..(i - r0) * n + j_hi];
-                accum_row::<FMA>(out_row, |k| a_row[k], b, kb, k_hi, jb, j_hi, n);
-            }
+            accum_block::<FMA, true>(
+                out,
+                n,
+                (r0, r1),
+                (jb, j_hi),
+                (kb, k_hi),
+                |i, k| a[i * k_dim + k],
+                |k| &b[k * n + jb..k * n + j_hi],
+            );
         }
     }
 }
 
-/// `C[i][j] = dot(a.row(i), b.row(j))` for output rows `r0..r1`.
-///
-/// Four output columns are computed per sweep with independent accumulator
-/// chains; each chain folds `0.0 + Σ_k a[i][k] * b[j][k]` in ascending `k`
-/// order exactly like the historical per-element iterator sum, so results
-/// are bit-identical while the four chains hide the floating-point add
-/// latency that used to serialise the kernel.
+/// Copies the `kb..k_hi` x `jb..j_hi` block of `B^T` into `panel`, row-major
+/// with row stride `j_hi - jb`; `B` is row-major with `k_dim` columns.
 #[inline(always)]
-fn gemm_nt_rows_impl<const FMA: bool>(
+// lint: no_alloc
+fn pack_bt_panel(
+    b: &[f64],
+    k_dim: usize,
+    (kb, k_hi): (usize, usize),
+    (jb, j_hi): (usize, usize),
+    panel: &mut [f64; KC * NC],
+) {
+    let width = j_hi - jb;
+    for (dj, b_row) in b[jb * k_dim..j_hi * k_dim].chunks_exact(k_dim).enumerate() {
+        for (dk, &v) in b_row[kb..k_hi].iter().enumerate() {
+            panel[dk * width + dj] = v;
+        }
+    }
+}
+
+/// Blocked `C += A * B^T` for output rows `r0..r1` (`out` zeroed by the
+/// caller). Each `KC x NC` block of `B^T` is packed into a stack panel, so
+/// the kernel allocates nothing, and runs through the same accumulation as
+/// [`gemm_nn_rows_impl`] **without** the exact-zero skip: every element is
+/// the dot product's own chain `0.0 + a[i][0]*b[j][0] + a[i][1]*b[j][1] + …`
+/// in ascending `k`, so `0 * inf` stays NaN.
+#[inline(always)]
+// lint: no_alloc
+fn gemm_nt_panel_rows<const FMA: bool>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
-    r0: usize,
-    r1: usize,
+    (r0, r1): (usize, usize),
     k_dim: usize,
     n: usize,
 ) {
-    for i in r0..r1 {
-        let a_row = &a[i * k_dim..(i + 1) * k_dim];
-        let out_row = &mut out[(i - r0) * n..(i - r0 + 1) * n];
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &b[j * k_dim..(j + 1) * k_dim];
-            let b1 = &b[(j + 1) * k_dim..(j + 2) * k_dim];
-            let b2 = &b[(j + 2) * k_dim..(j + 3) * k_dim];
-            let b3 = &b[(j + 3) * k_dim..(j + 4) * k_dim];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-            for ((((&x, &y0), &y1), &y2), &y3) in a_row.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
-                s0 = madd::<FMA>(s0, x, y0);
-                s1 = madd::<FMA>(s1, x, y1);
-                s2 = madd::<FMA>(s2, x, y2);
-                s3 = madd::<FMA>(s3, x, y3);
-            }
-            out_row[j] = s0;
-            out_row[j + 1] = s1;
-            out_row[j + 2] = s2;
-            out_row[j + 3] = s3;
-            j += 4;
-        }
-        for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
-            let b_row = &b[jj * k_dim..(jj + 1) * k_dim];
-            let mut s = 0.0f64;
-            for (&x, &y) in a_row.iter().zip(b_row) {
-                s = madd::<FMA>(s, x, y);
-            }
-            *o = s;
+    let mut panel = [0.0f64; KC * NC];
+    for kb in (0..k_dim).step_by(KC) {
+        let k_hi = (kb + KC).min(k_dim);
+        for jb in (0..n).step_by(NC) {
+            let j_hi = (jb + NC).min(n);
+            let width = j_hi - jb;
+            pack_bt_panel(b, k_dim, (kb, k_hi), (jb, j_hi), &mut panel);
+            let panel = &panel;
+            accum_block::<FMA, false>(
+                out,
+                n,
+                (r0, r1),
+                (jb, j_hi),
+                (kb, k_hi),
+                |i, k| a[i * k_dim + k],
+                |k| &panel[(k - kb) * width..(k - kb + 1) * width],
+            );
         }
     }
 }
 
-/// `C += A^T * B` for the output rows starting at `r0` (columns of `A`);
-/// the row count is implied by `out.len() / n`. Per-element accumulation
-/// runs over `k` (the shared row index) in ascending order with the same
-/// exact-zero skip as the historical loop — unrolled by four like
-/// [`gemm_nn_rows`] — so the result is bit-identical for every row sharding.
+/// Blocked `C += A^T * B` for output rows `r0..r1` (columns of `A`, which is
+/// `k_dim` rows deep). Per-element accumulation runs over `k` (the shared
+/// row index) in ascending order with the same exact-zero skip as the
+/// historical loop, so the result is bit-identical for every row sharding.
 #[inline(always)]
+// lint: no_alloc
 fn gemm_tn_rows_impl<const FMA: bool>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
-    r0: usize,
-    a_cols: usize,
+    (r0, r1): (usize, usize),
+    k_dim: usize,
     n: usize,
 ) {
-    let a_rows = a.len().checked_div(a_cols).unwrap_or(0);
-    let r1 = r0 + out.len().checked_div(n).unwrap_or(0);
-    for kb in (0..a_rows).step_by(KC) {
-        let k_hi = (kb + KC).min(a_rows);
+    let a_cols = a.len().checked_div(k_dim).unwrap_or(0);
+    for kb in (0..k_dim).step_by(KC) {
+        let k_hi = (kb + KC).min(k_dim);
         for jb in (0..n).step_by(NC) {
             let j_hi = (jb + NC).min(n);
-            let mut i = r0;
-            while i + 2 <= r1 {
-                let (head, tail) = out.split_at_mut((i + 1 - r0) * n);
-                let row0 = &mut head[(i - r0) * n + jb..(i - r0) * n + j_hi];
-                let row1 = &mut tail[jb..j_hi];
-                accum_row_pair::<FMA>(
-                    row0,
-                    row1,
-                    |k| a[k * a_cols + i],
-                    |k| a[k * a_cols + i + 1],
-                    b,
-                    kb,
-                    k_hi,
-                    jb,
-                    j_hi,
-                    n,
-                );
-                i += 2;
-            }
-            if i < r1 {
-                let out_row = &mut out[(i - r0) * n + jb..(i - r0) * n + j_hi];
-                accum_row::<FMA>(out_row, |k| a[k * a_cols + i], b, kb, k_hi, jb, j_hi, n);
-            }
+            accum_block::<FMA, true>(
+                out,
+                n,
+                (r0, r1),
+                (jb, j_hi),
+                (kb, k_hi),
+                |i, k| a[k * a_cols + i],
+                |k| &b[k * n + jb..k * n + j_hi],
+            );
         }
     }
 }
 
-/// AVX2-compiled clone of [`gemm_nn_rows_impl`] (same scalar ops, wider
-/// auto-vectorisation; see [`avx2_available`]).
+/// `C = A * B`. The three layout tags are a const generic of the row
+/// kernels, so one set of CPU-feature clones below serves all three products.
+const NN: u8 = 0;
+/// `C = A * B^T`.
+const NT: u8 = 1;
+/// `C = A^T * B`.
+const TN: u8 = 2;
+
+/// The row kernel of layout `L` (`NN`, `NT` or `TN`): output rows `r0..r1`
+/// of the product, `k_dim` its inner dimension and `n` its column count.
+#[inline(always)]
+// lint: no_alloc
+fn gemm_rows_impl<const L: u8, const FMA: bool>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    rows: (usize, usize),
+    k_dim: usize,
+    n: usize,
+) {
+    match L {
+        NN => gemm_nn_rows_impl::<FMA>(a, b, out, rows, k_dim, n),
+        NT => gemm_nt_panel_rows::<FMA>(a, b, out, rows, k_dim, n),
+        _ => gemm_tn_rows_impl::<FMA>(a, b, out, rows, k_dim, n),
+    }
+}
+
+/// AVX-512F-compiled clone of the bit-exact [`gemm_rows_impl`] (same scalar
+/// ops, wider auto-vectorisation; see [`avx512_available`]).
+///
+/// # Safety
+/// Caller must verify AVX-512F support first (see [`avx512_available`]);
+/// the body itself is ordinary safe Rust recompiled with wider vector types.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_rows_avx512<const L: u8>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    rows: (usize, usize),
+    k_dim: usize,
+    n: usize,
+) {
+    gemm_rows_impl::<L, false>(a, b, out, rows, k_dim, n);
+}
+
+/// AVX2-compiled clone of the bit-exact [`gemm_rows_impl`] (same scalar
+/// ops, wider auto-vectorisation; see [`avx2_available`]).
 ///
 /// # Safety
 /// Caller must verify AVX2 support first (see [`avx2_available`]); the body
 /// itself is ordinary safe Rust recompiled with wider vector types.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gemm_nn_rows_avx2(
+unsafe fn gemm_rows_avx2<const L: u8>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
-    r0: usize,
-    r1: usize,
+    rows: (usize, usize),
     k_dim: usize,
     n: usize,
 ) {
-    gemm_nn_rows_impl::<false>(a, b, out, r0, r1, k_dim, n);
+    gemm_rows_impl::<L, false>(a, b, out, rows, k_dim, n);
 }
 
-/// AVX2+FMA-compiled clone of [`gemm_nn_rows_impl`] with contracted
+/// AVX2+FMA-compiled clone of [`gemm_rows_impl`] with contracted
 /// multiply-adds — the [`NumericsMode::Fast`] kernel (see [`fma_available`]).
 ///
 /// # Safety
@@ -750,25 +799,25 @@ unsafe fn gemm_nn_rows_avx2(
 /// [`fma_available`]); the body itself is ordinary safe Rust.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_nn_rows_fma(
+unsafe fn gemm_rows_fma<const L: u8>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
-    r0: usize,
-    r1: usize,
+    rows: (usize, usize),
     k_dim: usize,
     n: usize,
 ) {
-    gemm_nn_rows_impl::<true>(a, b, out, r0, r1, k_dim, n);
+    gemm_rows_impl::<L, true>(a, b, out, rows, k_dim, n);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn gemm_nn_rows(
+/// Runs the layout-`L` row kernel on the widest clone the CPU supports: the
+/// FMA clone for [`NumericsMode::Fast`], otherwise AVX-512F, then AVX2, then
+/// the portable code. Every bit-exact clone runs the same operations.
+fn gemm_rows<const L: u8>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
-    r0: usize,
-    r1: usize,
+    rows: (usize, usize),
     k_dim: usize,
     n: usize,
     fast: bool,
@@ -777,141 +826,21 @@ fn gemm_nn_rows(
     {
         if fast && fma_available() {
             // SAFETY: AVX2+FMA presence just verified by `fma_available`.
-            return unsafe { gemm_nn_rows_fma(a, b, out, r0, r1, k_dim, n) };
+            return unsafe { gemm_rows_fma::<L>(a, b, out, rows, k_dim, n) };
+        }
+        if avx512_available() {
+            // SAFETY: AVX-512F presence just verified by `avx512_available`.
+            return unsafe { gemm_rows_avx512::<L>(a, b, out, rows, k_dim, n) };
         }
         if avx2_available() {
             // SAFETY: AVX2 presence just verified by `avx2_available`.
-            return unsafe { gemm_nn_rows_avx2(a, b, out, r0, r1, k_dim, n) };
+            return unsafe { gemm_rows_avx2::<L>(a, b, out, rows, k_dim, n) };
         }
     }
     // Non-x86 (or pre-AVX2) fallback: Fast keeps the exact chains — a scalar
     // `mul_add` without hardware FMA would be a slow libm call.
     let _ = fast;
-    gemm_nn_rows_impl::<false>(a, b, out, r0, r1, k_dim, n)
-}
-
-/// AVX2-compiled clone of [`gemm_nt_rows_impl`].
-///
-/// # Safety
-/// Caller must verify AVX2 support first (see [`avx2_available`]); the body
-/// itself is ordinary safe Rust recompiled with wider vector types.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_nt_rows_avx2(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    r0: usize,
-    r1: usize,
-    k_dim: usize,
-    n: usize,
-) {
-    gemm_nt_rows_impl::<false>(a, b, out, r0, r1, k_dim, n);
-}
-
-/// AVX2+FMA-compiled clone of [`gemm_nt_rows_impl`].
-///
-/// # Safety
-/// Caller must verify AVX2 **and** FMA3 support first (see
-/// [`fma_available`]); the body itself is ordinary safe Rust.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_nt_rows_fma(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    r0: usize,
-    r1: usize,
-    k_dim: usize,
-    n: usize,
-) {
-    gemm_nt_rows_impl::<true>(a, b, out, r0, r1, k_dim, n);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn gemm_nt_rows(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    r0: usize,
-    r1: usize,
-    k_dim: usize,
-    n: usize,
-    fast: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if fast && fma_available() {
-            // SAFETY: AVX2+FMA presence just verified by `fma_available`.
-            return unsafe { gemm_nt_rows_fma(a, b, out, r0, r1, k_dim, n) };
-        }
-        if avx2_available() {
-            // SAFETY: AVX2 presence just verified by `avx2_available`.
-            return unsafe { gemm_nt_rows_avx2(a, b, out, r0, r1, k_dim, n) };
-        }
-    }
-    let _ = fast;
-    gemm_nt_rows_impl::<false>(a, b, out, r0, r1, k_dim, n)
-}
-
-/// AVX2-compiled clone of [`gemm_tn_rows_impl`].
-///
-/// # Safety
-/// Caller must verify AVX2 support first (see [`avx2_available`]); the body
-/// itself is ordinary safe Rust recompiled with wider vector types.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_tn_rows_avx2(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    r0: usize,
-    a_cols: usize,
-    n: usize,
-) {
-    gemm_tn_rows_impl::<false>(a, b, out, r0, a_cols, n);
-}
-
-/// AVX2+FMA-compiled clone of [`gemm_tn_rows_impl`].
-///
-/// # Safety
-/// Caller must verify AVX2 **and** FMA3 support first (see
-/// [`fma_available`]); the body itself is ordinary safe Rust.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_tn_rows_fma(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    r0: usize,
-    a_cols: usize,
-    n: usize,
-) {
-    gemm_tn_rows_impl::<true>(a, b, out, r0, a_cols, n);
-}
-
-fn gemm_tn_rows(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    r0: usize,
-    a_cols: usize,
-    n: usize,
-    fast: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if fast && fma_available() {
-            // SAFETY: AVX2+FMA presence just verified by `fma_available`.
-            return unsafe { gemm_tn_rows_fma(a, b, out, r0, a_cols, n) };
-        }
-        if avx2_available() {
-            // SAFETY: AVX2 presence just verified by `avx2_available`.
-            return unsafe { gemm_tn_rows_avx2(a, b, out, r0, a_cols, n) };
-        }
-    }
-    let _ = fast;
-    gemm_tn_rows_impl::<false>(a, b, out, r0, a_cols, n)
+    gemm_rows_impl::<L, false>(a, b, out, rows, k_dim, n)
 }
 
 /// Matrix product `a * b` through the blocked kernel, sharding output rows
@@ -977,7 +906,7 @@ pub fn gemm_into_mode(
     let (a_s, b_s) = (a.as_slice(), b.as_slice());
     let fast = mode.is_fast();
     par_for_row_chunks(out.as_mut_slice(), m, n, workers, |r0, r1, chunk| {
-        gemm_nn_rows(a_s, b_s, chunk, r0, r1, k_dim, n, fast);
+        gemm_rows::<NN>(a_s, b_s, chunk, (r0, r1), k_dim, n, fast);
     });
 }
 
@@ -1003,8 +932,8 @@ pub fn gemm_nt_mode(a: &Matrix, b: &Matrix, par: Parallelism, mode: NumericsMode
 }
 
 /// [`gemm_nt`] writing into a caller-provided `a.rows() x b.rows()` buffer.
-/// Every output element is assigned (not accumulated), so prior contents are
-/// irrelevant; results are bit-identical to [`gemm_nt`].
+/// The buffer is fully overwritten (any prior contents are discarded);
+/// results are bit-identical to [`gemm_nt`].
 ///
 /// # Panics
 /// Panics if the column counts differ or the output shape is wrong.
@@ -1036,11 +965,12 @@ pub fn gemm_nt_into_mode(
     );
     let (m, k_dim, n) = (a.rows(), a.cols(), b.rows());
     assert_eq!(out.shape(), (m, n), "gemm_nt_into: output buffer has the wrong shape");
+    out.fill_with(0.0);
     let workers = gemm_workers(par, m * k_dim * n, m);
     let (a_s, b_s) = (a.as_slice(), b.as_slice());
     let fast = mode.is_fast();
     par_for_row_chunks(out.as_mut_slice(), m, n, workers, |r0, r1, chunk| {
-        gemm_nt_rows(a_s, b_s, chunk, r0, r1, k_dim, n, fast);
+        gemm_rows::<NT>(a_s, b_s, chunk, (r0, r1), k_dim, n, fast);
     });
 }
 
@@ -1103,8 +1033,8 @@ pub fn gemm_tn_into_mode(
     let workers = gemm_workers(par, a_rows * m * n, m);
     let (a_s, b_s) = (a.as_slice(), b.as_slice());
     let fast = mode.is_fast();
-    par_for_row_chunks(out.as_mut_slice(), m, n, workers, |r0, _r1, chunk| {
-        gemm_tn_rows(a_s, b_s, chunk, r0, m, n, fast);
+    par_for_row_chunks(out.as_mut_slice(), m, n, workers, |r0, r1, chunk| {
+        gemm_rows::<TN>(a_s, b_s, chunk, (r0, r1), a_rows, n, fast);
     });
 }
 
@@ -1389,6 +1319,64 @@ mod tests {
                 reference.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 "{par:?}"
             );
+        }
+    }
+
+    #[test]
+    fn gemm_nt_is_bit_identical_to_its_dot_product_definition() {
+        // Every element of A * B^T is the plain dot-product chain from +0.0
+        // in ascending k, with no exact-zero skip (0 * inf stays NaN); Fast
+        // fuses every step where the CPU has FMA. Rust leaves NaN payloads
+        // unspecified, so a NaN only has to meet a NaN.
+        fn bits(x: f64) -> u64 {
+            if x.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        let fma = fma_available();
+        #[cfg(not(target_arch = "x86_64"))]
+        let fma = false;
+        let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let mut rng = rng_from_seed(11);
+        // 41 rows (odd, so the row-pair loop leaves a single row) are enough
+        // work for the larger shapes to shard across 2 and 5 workers.
+        let m = 41;
+        for k in [1, 3, 32, 33, 70] {
+            for n in [1, 127, 128, 129] {
+                let mut a = randn(&mut rng, m, k);
+                let mut b = randn(&mut rng, n, k);
+                for v in a.as_mut_slice().iter_mut().step_by(5) {
+                    *v = 0.0;
+                }
+                // Sparse specials leave most chains finite, so both the
+                // finite and the non-finite paths are pinned.
+                for (idx, v) in b.as_mut_slice().iter_mut().enumerate().skip(3).step_by(37) {
+                    *v = specials[(idx / 37) % specials.len()];
+                }
+                for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
+                    let fused = mode.is_fast() && fma;
+                    let want: Vec<u64> = (0..m * n)
+                        .map(|e| {
+                            let (ai, bj) = (a.row(e / n), b.row(e % n));
+                            bits(ai.iter().zip(bj).fold(0.0, |s, (&x, &y)| {
+                                if fused {
+                                    x.mul_add(y, s)
+                                } else {
+                                    s + x * y
+                                }
+                            }))
+                        })
+                        .collect();
+                    for workers in [1, 2, 5] {
+                        let got = gemm_nt_mode(&a, &b, Parallelism::Threads(workers), mode);
+                        let got: Vec<u64> = got.as_slice().iter().map(|&v| bits(v)).collect();
+                        assert_eq!(got, want, "k={k} n={n} {mode} workers={workers}");
+                    }
+                }
+            }
         }
     }
 
