@@ -17,7 +17,8 @@
 //! batch makes the shape set deterministic, so the warm-up provably
 //! populates every buffer-pool class). The allocation section runs under
 //! `Parallelism::Serial` (worker threads would allocate their stacks); the
-//! thread-spawn section then warms the pool under `Parallelism::Threads(4)`
+//! thread-spawn section then warms the pool with one step under
+//! `Parallelism::Threads(4)`, whose decorrelation terms run as pool tasks,
 //! and asserts `sbrl_tensor::workers::threads_spawned()` stays flat.
 
 use sbrl_bench::alloc_probe;
@@ -26,7 +27,7 @@ use sbrl_data::{SyntheticConfig, SyntheticProcess};
 use sbrl_models::{select_by_treatment, Backbone, BatchContext, Cfr, CfrConfig};
 use sbrl_nn::{loss::l2_penalty, Adam, Binding, Optimizer, OutcomeLoss};
 use sbrl_stats::{HsicScratch, Rff};
-use sbrl_tensor::rng::{randn, rng_from_seed};
+use sbrl_tensor::rng::rng_from_seed;
 use sbrl_tensor::{Graph, Parallelism};
 
 const BATCH: usize = 64;
@@ -37,8 +38,8 @@ fn main() {
     // `--test` smoke mode (CI bench smoke) runs the probe once like any
     // other bench; the assertion is identical either way. The zero-alloc
     // contract is a BitExact-tier contract (docs/PERFORMANCE.md): Fast's
-    // sharded statistics gather per-worker partials into fresh vectors, so
-    // the probe pins the tier rather than inheriting `SBRL_NUMERICS`.
+    // statistics gather per-row partials into fresh vectors, so the probe
+    // pins the tier rather than inheriting `SBRL_NUMERICS`.
     Parallelism::Serial.set_global();
     sbrl_tensor::kernels::NumericsMode::BitExact.set_global();
 
@@ -145,15 +146,22 @@ fn main() {
 
     // ---- Thread-spawn probe --------------------------------------------
     // The persistent worker pool replaces PR 3's per-call `thread::scope`
-    // spawns. Warm it under the parallel knob, then assert that further
-    // training steps — plus a large sharded GEMM per step, well above the
-    // kernel layer's parallel gating — spawn zero new threads.
+    // spawns. Warm it with one step under the parallel knob (the weight
+    // phase runs its decorrelation terms as pool tasks), then assert that
+    // further training steps spawn zero new threads.
     Parallelism::Threads(4).set_global();
-    let big_a = randn(&mut rng, 256, 256);
-    let big_b = randn(&mut rng, 256, 256);
-    std::hint::black_box(big_a.matmul(&big_b)); // warms the pool
+    step(
+        &mut tape,
+        &mut model,
+        &mut weights,
+        &mut net_binding,
+        &mut frozen_binding,
+        &mut w_binding,
+        &mut scratch,
+        &mut rng,
+    );
     let warmed = sbrl_tensor::workers::threads_spawned();
-    assert!(warmed > 0, "the warm-up GEMM must have taken the pooled parallel path");
+    assert!(warmed > 0, "the warm-up step must have run its decorrelation terms on the pool");
 
     for _ in 0..MEASURED_STEPS {
         step(
@@ -166,7 +174,6 @@ fn main() {
             &mut scratch,
             &mut rng,
         );
-        std::hint::black_box(big_a.matmul(&big_b));
     }
     let spawned = sbrl_tensor::workers::threads_spawned() - warmed;
 

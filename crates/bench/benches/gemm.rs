@@ -1,28 +1,21 @@
 //! Blocked-GEMM kernel bench at `Syn_16_16_16_2` training shapes: the
 //! batch-by-width products of one forward pass plus the fused-transpose
-//! backward pair, each timed serially, under the parallel sharded path, and
-//! under the parallel path with `NumericsMode::Fast` (FMA microkernels).
+//! backward pair, each timed in the default `NumericsMode::BitExact` tier
+//! and in `NumericsMode::Fast` (FMA microkernels).
 //! Emits the baseline tracked in `results/BENCH_gemm.json`
 //! (see `docs/PERFORMANCE.md`).
 
 mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sbrl_tensor::kernels::{
-    available_cores, gemm_mode, gemm_nt_mode, gemm_tn_mode, NumericsMode, Parallelism,
-};
+use sbrl_tensor::kernels::{gemm_mode, gemm_nt_mode, gemm_tn_mode, NumericsMode};
 use sbrl_tensor::rng::{randn, rng_from_seed};
 use std::hint::black_box;
 
 fn bench_gemm(c: &mut Criterion) {
     let mut rng = rng_from_seed(0);
     let mut group = c.benchmark_group("gemm");
-    let parallel = Parallelism::Threads(available_cores());
-    let tiers = [
-        ("serial", Parallelism::Serial, NumericsMode::BitExact),
-        ("parallel", parallel, NumericsMode::BitExact),
-        ("fast", parallel, NumericsMode::Fast),
-    ];
+    let tiers = [("serial", NumericsMode::BitExact), ("fast", NumericsMode::Fast)];
 
     // Forward-pass shapes of a syn_16 (50-feature) batch at paper widths
     // (256 x 50 -> rep width 128 -> 128), plus a square stress shape.
@@ -33,9 +26,9 @@ fn bench_gemm(c: &mut Criterion) {
     ] {
         let a = randn(&mut rng, m, k);
         let b = randn(&mut rng, k, n);
-        for (tier, par, mode) in tiers {
+        for (tier, mode) in tiers {
             group.bench_function(&format!("{label}/{tier}"), |bch| {
-                bch.iter(|| black_box(gemm_mode(&a, &b, par, mode)));
+                bch.iter(|| black_box(gemm_mode(&a, &b, mode)));
             });
         }
     }
@@ -43,12 +36,12 @@ fn bench_gemm(c: &mut Criterion) {
     // The autodiff tape's MatMul backward pair: dA = g * B^T, dB = A^T * g.
     let x = randn(&mut rng, 256, 128);
     let g = randn(&mut rng, 256, 128);
-    for (tier, par, mode) in tiers {
+    for (tier, mode) in tiers {
         group.bench_function(&format!("bwd_nt_256x128x128/{tier}"), |bch| {
-            bch.iter(|| black_box(gemm_nt_mode(&g, &x, par, mode)));
+            bch.iter(|| black_box(gemm_nt_mode(&g, &x, mode)));
         });
         group.bench_function(&format!("bwd_tn_256x128x128/{tier}"), |bch| {
-            bch.iter(|| black_box(gemm_tn_mode(&x, &g, par, mode)));
+            bch.iter(|| black_box(gemm_tn_mode(&x, &g, mode)));
         });
     }
     group.finish();

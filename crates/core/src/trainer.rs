@@ -278,11 +278,7 @@ impl<B: Backbone> FittedModel<B> {
             workers
         };
         let workers = workers.clamp(1, n.max(1));
-        let chunk = n.div_ceil(workers);
-        let ranges: Vec<(usize, usize)> = (0..workers)
-            .map(|w| ((w * chunk).min(n), ((w + 1) * chunk).min(n)))
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
+        let ranges = sbrl_tensor::kernels::shard_ranges(n, workers);
         let shards: Vec<OnceLock<EffectEstimate>> =
             (0..ranges.len()).map(|_| OnceLock::new()).collect();
         sbrl_tensor::workers::run_tasks_catching(ranges.len(), workers, &|w| {

@@ -20,23 +20,13 @@
 //!   loss scale-free and affordable on wide layers.
 
 use rand::rngs::StdRng;
-use sbrl_tensor::kernels::{
-    effective_workers, par_map_values, reduce_sum, NumericsMode, Parallelism,
-};
+use sbrl_tensor::kernels::{reduce_sum, NumericsMode, Parallelism};
 use sbrl_tensor::rng::{permutation_into, sample_standard_normal, sample_uniform};
 use sbrl_tensor::workers::run_coarse_tasks;
 use sbrl_tensor::{Graph, Matrix, TensorId};
 use std::sync::{Mutex, PoisonError};
 
 use crate::kernels::{median_bandwidth, rbf_kernel_with};
-
-/// Minimum `column pairs x samples` units a worker must own before the
-/// pairwise HSIC matrix spawns it.
-const MIN_PAIR_SAMPLES_PER_WORKER: usize = 1 << 13;
-
-/// Minimum `n x n` trace terms a worker must own before the fast-mode
-/// biased-HSIC trace spawns it.
-const MIN_TRACE_TERMS_PER_WORKER: usize = 1 << 14;
 
 /// A bank of `k` random Fourier functions shared across features.
 #[derive(Clone, Debug)]
@@ -116,28 +106,25 @@ pub fn hsic_rff_pair(a: &[f64], b: &[f64], rff: &Rff, weights: Option<&[f64]>) -
 /// Symmetric `d x d` matrix of pairwise `HSIC_RFF` values between the columns
 /// of `z` — the quantity visualised in the paper's Fig. 5.
 ///
-/// Uses the process-global [`Parallelism`] and [`NumericsMode`] knobs; see
-/// [`pairwise_hsic_matrix_with`] for explicit settings.
+/// Uses the process-global [`NumericsMode`]; see
+/// [`pairwise_hsic_matrix_with`] for an explicit tier.
 pub fn pairwise_hsic_matrix(z: &Matrix, rff: &Rff, weights: Option<&[f64]>) -> Matrix {
-    pairwise_hsic_matrix_with(z, rff, weights, Parallelism::global(), NumericsMode::global())
+    pairwise_hsic_matrix_with(z, rff, weights, NumericsMode::global())
 }
 
-/// [`pairwise_hsic_matrix`] under explicit [`Parallelism`] and
-/// [`NumericsMode`] settings.
+/// [`pairwise_hsic_matrix`] under an explicit [`NumericsMode`].
 ///
 /// The Fourier feature map and its weighted column means are computed
 /// **once per column** (not once per pair, which used to re-extract every
 /// column into fresh vectors on each call) and shared read-only across the
-/// `d (d + 1) / 2` unordered pairs; each pair's statistic is then computed
-/// independently by exactly one worker from the same per-column values the
-/// pairwise evaluation would produce, so for a fixed mode the result is
-/// bit-identical for every worker count ([`NumericsMode::Fast`] swaps the
-/// per-pair covariance fold for a four-accumulator variant).
+/// `d (d + 1) / 2` unordered pairs; each pair's statistic is computed from
+/// the same per-column values the pairwise evaluation would produce
+/// ([`NumericsMode::Fast`] swaps the per-pair covariance fold for a
+/// four-accumulator variant).
 pub fn pairwise_hsic_matrix_with(
     z: &Matrix,
     rff: &Rff,
     weights: Option<&[f64]>,
-    par: Parallelism,
     mode: NumericsMode,
 ) -> Matrix {
     let d = z.cols();
@@ -167,18 +154,13 @@ pub fn pairwise_hsic_matrix_with(
         })
         .collect();
 
-    let pairs: Vec<(usize, usize)> = (0..d).flat_map(|a| (a..d).map(move |b| (a, b))).collect();
-    // Gate the shard count on pairs x samples (each pair is O(n) in the
-    // sample count for a fixed Fourier bank).
-    let workers = effective_workers(par, pairs.len() * n.max(1), MIN_PAIR_SAMPLES_PER_WORKER);
-    let vals = par_map_values(pairs.len(), workers, |p| {
-        let (a, b) = pairs[p];
-        cross_cov_frob2(&maps[a], &maps[b], &means[a], &means[b], &w, mode)
-    });
     let mut out = Matrix::zeros(d, d);
-    for (&(a, b), &v) in pairs.iter().zip(&vals) {
-        out[(a, b)] = v;
-        out[(b, a)] = v;
+    for a in 0..d {
+        for b in a..d {
+            let v = cross_cov_frob2(&maps[a], &maps[b], &means[a], &means[b], &w, mode);
+            out[(a, b)] = v;
+            out[(b, a)] = v;
+        }
     }
     out
 }
@@ -273,8 +255,7 @@ pub fn mean_offdiag_hsic(z: &Matrix, rff: &Rff, weights: Option<&[f64]>) -> f64 
 /// to an elementwise dot with the (symmetric) `K_b`, so the estimator costs
 /// O(n²) instead of the two O(n³) GEMMs that materialising
 /// `centering_matrix(n)` used to pay. Mathematically identical to the
-/// explicit product (up to floating-point summation order); the O(n²)
-/// kernel fills still parallelise under the global [`Parallelism`] knob.
+/// explicit product (up to floating-point summation order).
 ///
 /// # Example
 ///
@@ -293,22 +274,20 @@ pub fn mean_offdiag_hsic(z: &Matrix, rff: &Rff, weights: Option<&[f64]>) -> f64 
 /// ```
 #[track_caller]
 pub fn hsic_biased(a: &Matrix, b: &Matrix, sigma_a: f64, sigma_b: f64) -> f64 {
-    hsic_biased_with(a, b, sigma_a, sigma_b, Parallelism::global(), NumericsMode::global())
+    hsic_biased_with(a, b, sigma_a, sigma_b, NumericsMode::global())
 }
 
-/// [`hsic_biased`] under explicit [`Parallelism`] and [`NumericsMode`]
-/// settings. [`NumericsMode::BitExact`] keeps the historical serial
-/// row-mean and trace folds; [`NumericsMode::Fast`] shards the trace over
-/// rows and reduces with pairwise trees whose shape depends only on `n`, so
-/// each mode is deterministic for every worker count. (A non-positive
-/// bandwidth still resolves through the global-knob median heuristic.)
+/// [`hsic_biased`] under an explicit [`NumericsMode`].
+/// [`NumericsMode::BitExact`] keeps the historical serial row-mean and trace
+/// folds; [`NumericsMode::Fast`] sums per-row traces with pairwise trees
+/// whose shape depends only on `n`. (A non-positive bandwidth still resolves
+/// through the global-knob median heuristic.)
 #[track_caller]
 pub fn hsic_biased_with(
     a: &Matrix,
     b: &Matrix,
     sigma_a: f64,
     sigma_b: f64,
-    par: Parallelism,
     mode: NumericsMode,
 ) -> f64 {
     assert_eq!(a.rows(), b.rows(), "hsic_biased: sample counts differ");
@@ -318,8 +297,8 @@ pub fn hsic_biased_with(
     }
     let sa = if sigma_a > 0.0 { sigma_a } else { median_bandwidth(a) };
     let sb = if sigma_b > 0.0 { sigma_b } else { median_bandwidth(b) };
-    let ka = rbf_kernel_with(a, a, sa, par, mode);
-    let kb = rbf_kernel_with(b, b, sb, par, mode);
+    let ka = rbf_kernel_with(a, a, sa, mode);
+    let kb = rbf_kernel_with(b, b, sb, mode);
 
     // Implicit double-centring of K_a: with H = I - 11^T/n,
     //   (H K_a H)[i][j] = K_a[i][j] - r_i - r_j + m
@@ -331,10 +310,11 @@ pub fn hsic_biased_with(
     let grand_mean = reduce_sum(&row_means, mode) * inv_n;
     let denom = ((n - 1) * (n - 1)) as f64;
     if mode.is_fast() {
-        let workers = effective_workers(par, n * n, MIN_TRACE_TERMS_PER_WORKER);
-        let row_traces = par_map_values(n, workers, |i| {
-            centred_row_trace_fast(ka.row(i), kb.row(i), &row_means, row_means[i], grand_mean)
-        });
+        let row_traces: Vec<f64> = (0..n)
+            .map(|i| {
+                centred_row_trace_fast(ka.row(i), kb.row(i), &row_means, row_means[i], grand_mean)
+            })
+            .collect();
         return reduce_sum(&row_traces, mode) / denom;
     }
     let mut trace = 0.0;

@@ -11,16 +11,10 @@
 //! * [`IpmKind::Wasserstein`] — entropic Sinkhorn approximation,
 //!   differentiated through the fixed-point iterations.
 
-use sbrl_tensor::kernels::{
-    effective_workers, par_map_values, reduce_dot, reduce_sum, NumericsMode, Parallelism,
-};
+use sbrl_tensor::kernels::{reduce_dot, reduce_sum, NumericsMode};
 use sbrl_tensor::{Graph, Matrix, TensorId};
 
 use crate::kernels::{median_bandwidth, pairwise_sq_dists_with, rbf_kernel_with};
-
-/// Minimum number of pairwise terms a worker must own before the plain IPM
-/// reductions spawn it.
-const MIN_PAIR_TERMS_PER_WORKER: usize = 1 << 14;
 
 /// Which integral probability metric to use.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -218,8 +212,8 @@ fn sinkhorn_graph(
 /// Plain weighted IPM on matrices (no gradients). Weights are renormalised
 /// per group; pass `None` for unit weights.
 ///
-/// Uses the process-global [`Parallelism`] and [`NumericsMode`] knobs; see
-/// [`ipm_weighted_plain_with`] for explicit settings.
+/// Uses the process-global [`NumericsMode`]; see [`ipm_weighted_plain_with`]
+/// for an explicit tier.
 pub fn ipm_weighted_plain(
     kind: IpmKind,
     phi_t: &Matrix,
@@ -227,34 +221,22 @@ pub fn ipm_weighted_plain(
     w_t: Option<&[f64]>,
     w_c: Option<&[f64]>,
 ) -> f64 {
-    ipm_weighted_plain_with(
-        kind,
-        phi_t,
-        phi_c,
-        w_t,
-        w_c,
-        Parallelism::global(),
-        NumericsMode::global(),
-    )
+    ipm_weighted_plain_with(kind, phi_t, phi_c, w_t, w_c, NumericsMode::global())
 }
 
-/// [`ipm_weighted_plain`] under explicit [`Parallelism`] and
-/// [`NumericsMode`] settings.
+/// [`ipm_weighted_plain`] under an explicit [`NumericsMode`].
 ///
-/// The O(n²) pairwise terms (kernel matrices, quadratic forms, Sinkhorn
-/// fixed-point updates) are row-sharded; per-row reductions are computed by
-/// exactly one worker. In [`NumericsMode::BitExact`] the folds keep the
-/// historical serial order (bit-identical for every worker count); in
+/// In [`NumericsMode::BitExact`] the O(n²) folds (kernel matrices, quadratic
+/// forms, Sinkhorn fixed-point updates) keep the historical serial order; in
 /// [`NumericsMode::Fast`] they switch to multi-accumulator / pairwise-tree
-/// reductions whose shape depends only on operand lengths, so Fast is also
-/// deterministic at every worker count — just not bit-identical to BitExact.
+/// reductions whose shape depends only on operand lengths, so Fast is
+/// deterministic too — just not bit-identical to BitExact.
 pub fn ipm_weighted_plain_with(
     kind: IpmKind,
     phi_t: &Matrix,
     phi_c: &Matrix,
     w_t: Option<&[f64]>,
     w_c: Option<&[f64]>,
-    par: Parallelism,
     mode: NumericsMode,
 ) -> f64 {
     if phi_t.rows() == 0 || phi_c.rows() == 0 {
@@ -270,16 +252,16 @@ pub fn ipm_weighted_plain_with(
         }
         IpmKind::MmdRbf { sigma } => {
             let sigma = if sigma > 0.0 { sigma } else { median_bandwidth(&phi_t.vstack(phi_c)) };
-            let ktt = rbf_kernel_with(phi_t, phi_t, sigma, par, mode);
-            let kcc = rbf_kernel_with(phi_c, phi_c, sigma, par, mode);
-            let ktc = rbf_kernel_with(phi_t, phi_c, sigma, par, mode);
-            let tt = quad_plain(&wt, &ktt, &wt, par, mode);
-            let cc = quad_plain(&wc, &kcc, &wc, par, mode);
-            let tc = quad_plain(&wt, &ktc, &wc, par, mode);
+            let ktt = rbf_kernel_with(phi_t, phi_t, sigma, mode);
+            let kcc = rbf_kernel_with(phi_c, phi_c, sigma, mode);
+            let ktc = rbf_kernel_with(phi_t, phi_c, sigma, mode);
+            let tt = quad_plain(&wt, &ktt, &wt, mode);
+            let cc = quad_plain(&wc, &kcc, &wc, mode);
+            let tc = quad_plain(&wt, &ktc, &wc, mode);
             (tt + cc - 2.0 * tc).max(0.0)
         }
         IpmKind::Wasserstein { lambda, iterations } => {
-            sinkhorn_plain(phi_t, phi_c, &wt, &wc, lambda, iterations, par, mode)
+            sinkhorn_plain(phi_t, phi_c, &wt, &wc, lambda, iterations, mode)
         }
     }
 }
@@ -310,26 +292,24 @@ fn weighted_mean_rows(x: &Matrix, w: &[f64]) -> Vec<f64> {
     mean
 }
 
-/// `u^T K v`. The per-row inner products are sharded across workers
-/// (`reduce_dot` keeps the historical serial fold in BitExact and the
-/// multi-accumulator tree in Fast, both with the historical skip of exactly
-/// zero `u[i]`). The final fold over rows runs in serial row order in
-/// BitExact and as a pairwise tree in Fast, so the value is deterministic
-/// for every [`Parallelism`] in both modes.
-fn quad_plain(u: &[f64], k: &Matrix, v: &[f64], par: Parallelism, mode: NumericsMode) -> f64 {
-    let workers = effective_workers(par, u.len() * v.len(), MIN_PAIR_TERMS_PER_WORKER);
-    let row_terms = par_map_values(u.len(), workers, |i| {
-        if u[i] == 0.0 {
+/// `u^T K v`. Each row's inner product uses `reduce_dot` (the historical
+/// serial fold in BitExact, the multi-accumulator tree in Fast), both with
+/// the historical skip of exactly zero `u[i]`. The fold over rows runs in
+/// serial row order in BitExact and as a pairwise tree in Fast.
+fn quad_plain(u: &[f64], k: &Matrix, v: &[f64], mode: NumericsMode) -> f64 {
+    let row_term = |(i, &ui): (usize, &f64)| {
+        if ui == 0.0 {
             0.0
         } else {
-            u[i] * reduce_dot(k.row(i), v, mode)
+            ui * reduce_dot(k.row(i), v, mode)
         }
-    });
+    };
+    let row_terms = u.iter().enumerate().map(row_term);
     if mode.is_fast() {
-        return reduce_sum(&row_terms, mode);
+        return reduce_sum(&row_terms.collect::<Vec<_>>(), mode);
     }
     let mut acc = 0.0;
-    for (&ui, &term) in u.iter().zip(&row_terms) {
+    for (&ui, term) in u.iter().zip(row_terms) {
         if ui == 0.0 {
             continue;
         }
@@ -338,14 +318,10 @@ fn quad_plain(u: &[f64], k: &Matrix, v: &[f64], par: Parallelism, mode: Numerics
     acc
 }
 
-/// Entropic OT cost via Sinkhorn iterations. The `u` / `v` fixed-point
-/// updates are independent per entry (each is one row/column inner product
-/// followed by a division), so they shard across workers without changing
-/// any floating-point chain. BitExact keeps the historical serial folds
-/// (bit-identical across worker counts); Fast switches the inner products
-/// and the transport-cost reduction to multi-accumulator / pairwise trees
-/// whose shape depends only on operand lengths.
-#[allow(clippy::too_many_arguments)]
+/// Entropic OT cost via Sinkhorn iterations. BitExact keeps the historical
+/// serial folds; Fast switches the inner products and the transport-cost
+/// reduction to multi-accumulator / pairwise trees whose shape depends only
+/// on operand lengths.
 fn sinkhorn_plain(
     phi_t: &Matrix,
     phi_c: &Matrix,
@@ -353,33 +329,30 @@ fn sinkhorn_plain(
     b: &[f64],
     lambda: f64,
     iterations: usize,
-    par: Parallelism,
     mode: NumericsMode,
 ) -> f64 {
-    let m = pairwise_sq_dists_with(phi_t, phi_c, par, mode).map(|v| (v + 1e-10).sqrt());
+    let m = pairwise_sq_dists_with(phi_t, phi_c, mode).map(|v| (v + 1e-10).sqrt());
     let mean_cost = m.mean().max(1e-12);
     let k = m.map(|v| (-lambda * v / mean_cost).exp());
     let (nt, nc) = k.shape();
-    let workers = effective_workers(par, nt * nc, MIN_PAIR_TERMS_PER_WORKER);
     let mut u = vec![1.0; nt];
     let mut v = vec![1.0; nc];
     for _ in 0..iterations {
-        u = par_map_values(nt, workers, |i| {
-            let kv = reduce_dot(k.row(i), &v, mode);
-            a[i] / (kv + 1e-12)
-        });
-        v = par_map_values(nc, workers, |j| {
+        for (i, ui) in u.iter_mut().enumerate() {
+            *ui = a[i] / (reduce_dot(k.row(i), &v, mode) + 1e-12);
+        }
+        for (j, vj) in v.iter_mut().enumerate() {
             let ktu = if mode.is_fast() {
                 col_dot_fast(k.as_slice(), nc, j, &u)
             } else {
                 (0..nt).map(|i| k[(i, j)] * u[i]).sum()
             };
-            b[j] / (ktu + 1e-12)
-        });
+            *vj = b[j] / (ktu + 1e-12);
+        }
     }
     if mode.is_fast() {
-        let row_costs =
-            par_map_values(nt, workers, |i| u[i] * triple_dot_fast(k.row(i), &v, m.row(i)));
+        let row_costs: Vec<f64> =
+            (0..nt).map(|i| u[i] * triple_dot_fast(k.row(i), &v, m.row(i))).collect();
         return reduce_sum(&row_costs, mode);
     }
     let mut cost = 0.0;

@@ -1,43 +1,27 @@
 //! Kernel primitives: pairwise distances, RBF kernels and bandwidth
 //! heuristics (plain-matrix, non-differentiable versions).
 //!
-//! The O(n·m) fills are row-sharded across the workspace's
-//! [`Parallelism`] knob; every setting produces bit-identical matrices
-//! because each output row is computed independently by exactly one worker.
 //! Under [`NumericsMode::Fast`] the row squared-norms and the `A Bᵀ` cross
 //! term switch to the FMA/pairwise-tree reductions of `sbrl-tensor`, which
-//! stay deterministic for every thread count but are not bit-identical to
-//! the default [`NumericsMode::BitExact`] chains.
+//! are deterministic but not bit-identical to the default
+//! [`NumericsMode::BitExact`] chains.
 
-use sbrl_tensor::kernels::{
-    effective_workers, gemm_nt_mode, par_for_row_chunks, reduce_dot, NumericsMode, Parallelism,
-};
+use sbrl_tensor::kernels::{gemm_nt_mode, reduce_dot, NumericsMode};
 use sbrl_tensor::Matrix;
-
-/// Minimum number of output elements a worker must own before the pairwise
-/// fills spawn it.
-const MIN_ELEMS_PER_WORKER: usize = 1 << 14;
 
 /// Pairwise squared Euclidean distances between the rows of `a` (`n x d`)
 /// and the rows of `b` (`m x d`), returned as an `n x m` matrix.
 ///
-/// Uses the process-global [`Parallelism`] and [`NumericsMode`] knobs; see
-/// [`pairwise_sq_dists_with`] for explicit settings.
+/// Uses the process-global [`NumericsMode`]; see [`pairwise_sq_dists_with`]
+/// for an explicit tier.
 #[track_caller]
 pub fn pairwise_sq_dists(a: &Matrix, b: &Matrix) -> Matrix {
-    pairwise_sq_dists_with(a, b, Parallelism::global(), NumericsMode::global())
+    pairwise_sq_dists_with(a, b, NumericsMode::global())
 }
 
-/// [`pairwise_sq_dists`] under explicit [`Parallelism`] and [`NumericsMode`]
-/// settings. Output rows are sharded across workers; for a fixed mode the
-/// result is bit-identical for every worker count.
+/// [`pairwise_sq_dists`] under an explicit [`NumericsMode`].
 #[track_caller]
-pub fn pairwise_sq_dists_with(
-    a: &Matrix,
-    b: &Matrix,
-    par: Parallelism,
-    mode: NumericsMode,
-) -> Matrix {
+pub fn pairwise_sq_dists_with(a: &Matrix, b: &Matrix, mode: NumericsMode) -> Matrix {
     assert_eq!(a.cols(), b.cols(), "pairwise_sq_dists: feature dims differ");
     let (n, m) = (a.rows(), b.rows());
     if n == 0 || m == 0 {
@@ -47,49 +31,28 @@ pub fn pairwise_sq_dists_with(
     // swaps in the multi-accumulator tree.
     let a2: Vec<f64> = (0..a.rows()).map(|i| reduce_dot(a.row(i), a.row(i), mode)).collect();
     let b2: Vec<f64> = (0..b.rows()).map(|j| reduce_dot(b.row(j), b.row(j), mode)).collect();
-    let cross = gemm_nt_mode(a, b, par, mode);
-    let mut out = Matrix::zeros(n, m);
-    let workers = effective_workers(par, n * m, MIN_ELEMS_PER_WORKER);
-    let cross_s = cross.as_slice();
-    par_for_row_chunks(out.as_mut_slice(), n, m, workers, |r0, r1, chunk| {
-        for (k, row) in chunk.chunks_mut(m).enumerate() {
-            let i = r0 + k;
-            debug_assert!(i < r1);
-            let cross_row = &cross_s[i * m..(i + 1) * m];
-            for ((v, &c), &b2j) in row.iter_mut().zip(cross_row).zip(&b2) {
-                *v = (a2[i] + b2j - 2.0 * c).max(0.0);
-            }
+    let mut out = gemm_nt_mode(a, b, mode);
+    for (row, &a2i) in out.as_mut_slice().chunks_mut(m).zip(&a2) {
+        for (v, &b2j) in row.iter_mut().zip(&b2) {
+            *v = (a2i + b2j - 2.0 * *v).max(0.0);
         }
-    });
+    }
     out
 }
 
 /// RBF (Gaussian) kernel matrix `exp(-||a_i - b_j||^2 / (2 sigma^2))` under
-/// the process-global [`Parallelism`] and [`NumericsMode`] knobs.
+/// the process-global [`NumericsMode`].
 #[track_caller]
 pub fn rbf_kernel(a: &Matrix, b: &Matrix, sigma: f64) -> Matrix {
-    rbf_kernel_with(a, b, sigma, Parallelism::global(), NumericsMode::global())
+    rbf_kernel_with(a, b, sigma, NumericsMode::global())
 }
 
-/// [`rbf_kernel`] under explicit [`Parallelism`] and [`NumericsMode`]
-/// settings (bit-identical across worker counts for a fixed mode).
+/// [`rbf_kernel`] under an explicit [`NumericsMode`].
 #[track_caller]
-pub fn rbf_kernel_with(
-    a: &Matrix,
-    b: &Matrix,
-    sigma: f64,
-    par: Parallelism,
-    mode: NumericsMode,
-) -> Matrix {
-    let mut d = pairwise_sq_dists_with(a, b, par, mode);
+pub fn rbf_kernel_with(a: &Matrix, b: &Matrix, sigma: f64, mode: NumericsMode) -> Matrix {
+    let mut d = pairwise_sq_dists_with(a, b, mode);
     let denom = 2.0 * sigma * sigma;
-    let (n, m) = d.shape();
-    let workers = effective_workers(par, n * m, MIN_ELEMS_PER_WORKER);
-    par_for_row_chunks(d.as_mut_slice(), n, m, workers, |_, _, chunk| {
-        for v in chunk {
-            *v = (-*v / denom).exp();
-        }
-    });
+    d.map_inplace(|v| (-v / denom).exp());
     d
 }
 
@@ -182,7 +145,7 @@ mod tests {
 
     #[test]
     fn pairwise_kernels_accept_empty_inputs() {
-        // Regression: the sharded fill must not assume a non-zero row width.
+        // Regression: the fills must not assume a non-zero row width.
         let x = Matrix::ones(5, 3);
         let empty = Matrix::zeros(0, 3);
         assert_eq!(pairwise_sq_dists(&x, &empty).shape(), (5, 0));

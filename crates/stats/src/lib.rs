@@ -12,14 +12,14 @@
 //!   behind the paper's Fig. 5.
 //!
 //! The O(n²) pairwise loops (kernel matrices, HSIC pair sums, Sinkhorn
-//! updates) are sharded across the workspace-wide
-//! [`Parallelism`](sbrl_tensor::kernels::Parallelism) knob with
-//! bit-identical results for every thread count, and honour the
+//! updates) run on the calling thread and honour the
 //! [`NumericsMode`](sbrl_tensor::kernels::NumericsMode) tier: `BitExact`
 //! (default) keeps the historical serial folds, `Fast` swaps in
-//! multi-accumulator / pairwise-tree reductions that are deterministic for
-//! every worker count but not bit-identical to `BitExact`. The `*_with`
-//! variants accept explicit settings.
+//! multi-accumulator / pairwise-tree reductions that are deterministic but
+//! not bit-identical to `BitExact`. The `*_with` variants take an explicit
+//! tier. Parallelism lives one level up: the weight phase evaluates its
+//! decorrelation terms as concurrent pool tasks
+//! ([`decorrelation_losses_graph`]).
 
 #![warn(missing_docs)]
 

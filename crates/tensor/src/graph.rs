@@ -398,12 +398,7 @@ impl Graph {
     pub fn matmul(&mut self, a: TensorId, b: TensorId) -> TensorId {
         let (m, n) = (self.nodes[a.0].value.rows(), self.nodes[b.0].value.cols());
         let mut v = self.pool.take(m, n);
-        crate::kernels::gemm_into(
-            &self.nodes[a.0].value,
-            &self.nodes[b.0].value,
-            &mut v,
-            crate::kernels::Parallelism::global(),
-        );
+        crate::kernels::gemm_into(&self.nodes[a.0].value, &self.nodes[b.0].value, &mut v);
         self.binary(a, b, v, Op::MatMul(a, b))
     }
 
@@ -415,12 +410,7 @@ impl Graph {
     pub fn matmul_tn(&mut self, a: TensorId, b: TensorId) -> TensorId {
         let (m, n) = (self.nodes[a.0].value.cols(), self.nodes[b.0].value.cols());
         let mut v = self.pool.take(m, n);
-        crate::kernels::gemm_tn_into(
-            &self.nodes[a.0].value,
-            &self.nodes[b.0].value,
-            &mut v,
-            crate::kernels::Parallelism::global(),
-        );
+        crate::kernels::gemm_tn_into(&self.nodes[a.0].value, &self.nodes[b.0].value, &mut v);
         self.binary(a, b, v, Op::MatMulTn(a, b))
     }
 
@@ -523,7 +513,7 @@ impl Graph {
     // ----- elementwise unary ops --------------------------------------------------
 
     /// Pool-backed elementwise map over a node's value.
-    fn unary_map(&mut self, a: TensorId, op: Op, f: impl Fn(f64) -> f64 + Sync) -> TensorId {
+    fn unary_map(&mut self, a: TensorId, op: Op, f: impl Fn(f64) -> f64) -> TensorId {
         let mut v = self.take_like(a);
         v.fill_map(&self.nodes[a.0].value, f);
         self.unary(a, v, op)
@@ -1068,23 +1058,13 @@ impl Graph {
                 if self.requires(a) {
                     let (r, c) = self.nodes[a.0].value.shape();
                     let mut d = self.pool.take(r, c);
-                    crate::kernels::gemm_nt_into(
-                        g,
-                        &self.nodes[b.0].value,
-                        &mut d,
-                        crate::kernels::Parallelism::global(),
-                    );
+                    crate::kernels::gemm_nt_into(g, &self.nodes[b.0].value, &mut d);
                     self.accumulate(a, d);
                 }
                 if self.requires(b) {
                     let (r, c) = self.nodes[b.0].value.shape();
                     let mut d = self.pool.take(r, c);
-                    crate::kernels::gemm_tn_into(
-                        &self.nodes[a.0].value,
-                        g,
-                        &mut d,
-                        crate::kernels::Parallelism::global(),
-                    );
+                    crate::kernels::gemm_tn_into(&self.nodes[a.0].value, g, &mut d);
                     self.accumulate(b, d);
                 }
             }
@@ -1544,12 +1524,7 @@ impl Graph {
                     // node flips it back; fused here as (g * b^T)^T.
                     let (r, c) = self.nodes[a.0].value.shape();
                     let mut tmp = self.pool.take(c, r);
-                    crate::kernels::gemm_nt_into(
-                        g,
-                        &self.nodes[b.0].value,
-                        &mut tmp,
-                        crate::kernels::Parallelism::global(),
-                    );
+                    crate::kernels::gemm_nt_into(g, &self.nodes[b.0].value, &mut tmp);
                     let mut d = self.pool.take(r, c);
                     d.transpose_from(&tmp);
                     self.pool.give(tmp);
@@ -1560,12 +1535,7 @@ impl Graph {
                     // exact zeros exactly like `gemm_tn` over `a^T` did.
                     let (r, c) = self.nodes[b.0].value.shape();
                     let mut d = self.pool.take(r, c);
-                    crate::kernels::gemm_into(
-                        &self.nodes[a.0].value,
-                        g,
-                        &mut d,
-                        crate::kernels::Parallelism::global(),
-                    );
+                    crate::kernels::gemm_into(&self.nodes[a.0].value, g, &mut d);
                     self.accumulate(b, d);
                 }
             }

@@ -1,14 +1,16 @@
-//! Cache-blocked, optionally multi-threaded dense kernels — the single hot
-//! path every matrix product in the workspace funnels through.
+//! Cache-blocked dense kernels — the single hot path every matrix product in
+//! the workspace funnels through.
 //!
 //! Every SBRL-HAP training step bottoms out in dense GEMMs (layer forwards,
 //! the autodiff tape's `MatMul` backward pair) and O(n²) kernel statistics.
 //! This module owns that hot path:
 //!
 //! * [`Parallelism`] — the workspace-wide threading knob. One global value
-//!   (env-driven via `SBRL_THREADS`, default = available cores) governs every
-//!   kernel; [`Parallelism::Serial`] reproduces the historical
-//!   single-threaded output **bit for bit**.
+//!   (env-driven via `SBRL_THREADS`, default = available cores) sizes the
+//!   coarse parallel tasks: sweep replications, the weight phase's
+//!   decorrelation terms, synthetic-generation shards and
+//!   `predict_batched`'s row shards. The kernels themselves run on the
+//!   calling thread, so every setting produces the same bits.
 //! * [`NumericsMode`] — the workspace-wide floating-point contract knob
 //!   (env-driven via `SBRL_NUMERICS`, default [`NumericsMode::BitExact`]).
 //!   `BitExact` preserves every historical accumulation chain;
@@ -18,34 +20,33 @@
 //!   chains for throughput while staying within the documented relative-error
 //!   bounds (enforced by `tests/numerics_mode.rs`).
 //! * [`gemm`], [`gemm_nt`], [`gemm_tn`] — cache-blocked matrix products
-//!   (tiled over the inner dimension and output columns) with a row-sharded
-//!   parallel path. In `BitExact` each output element is accumulated in the
-//!   same floating-point order regardless of blocking or thread count, so
-//!   results are bit-identical across all `Parallelism` settings.
+//!   (tiled over the inner dimension and output columns). In `BitExact` each
+//!   output element is accumulated in the same floating-point order as the
+//!   historical unblocked loop, whatever the blocking.
 //! * [`gemm_nt`] (`A * B^T`, every layer's input gradient) runs on the same
-//!   blocked row kernel as the other two. Each row shard copies every
-//!   `KC x NC` block of `B^T` into a 32 KiB stack panel and accumulates over
-//!   it without the exact-zero skip of `gemm`/`gemm_tn`, so each element is
-//!   the dot product's own chain `0.0 + Σ_k a[i][k] * b[j][k]` in ascending
-//!   `k`, `0 * inf` stays NaN, and nothing is allocated.
-//! * [`shard_ranges`], [`par_for_row_chunks`], [`par_map_values`] — the
-//!   sharding primitives, reused by `sbrl-stats` for its pairwise loops and
-//!   by `sbrl-core` for batched inference. They execute on the persistent
-//!   worker pool in [`crate::workers`].
+//!   blocked row kernel as the other two. It copies every `KC x NC` block of
+//!   `B^T` into a 32 KiB stack panel and accumulates over it without the
+//!   exact-zero skip of `gemm`/`gemm_tn`, so each element is the dot
+//!   product's own chain `0.0 + Σ_k a[i][k] * b[j][k]` in ascending `k`,
+//!   `0 * inf` stays NaN, and nothing is allocated.
+//! * [`shard_ranges`], [`par_for_row_chunks`] — the sharding primitives of
+//!   the coarse tasks (synthetic generation in `sbrl-data`, batched
+//!   inference in `sbrl-core`). They execute on the persistent worker pool
+//!   in [`crate::workers`].
 //!
 //! # Example
 //!
 //! ```
-//! use sbrl_tensor::kernels::{gemm, Parallelism};
+//! use sbrl_tensor::kernels::{gemm_mode, NumericsMode};
 //! use sbrl_tensor::Matrix;
 //!
 //! let a = Matrix::from_fn(64, 32, |i, j| (i + j) as f64);
 //! let b = Matrix::from_fn(32, 48, |i, j| (i as f64 - j as f64) * 0.5);
-//! let serial = gemm(&a, &b, Parallelism::Serial);
-//! let parallel = gemm(&a, &b, Parallelism::Threads(4));
-//! // The parallel path shards output rows; accumulation order per element
-//! // is unchanged, so the results are bit-identical.
-//! assert_eq!(serial.as_slice(), parallel.as_slice());
+//! let c = gemm_mode(&a, &b, NumericsMode::BitExact);
+//! // BitExact accumulates each element from +0.0 in ascending `k`, like the
+//! // textbook triple loop, whatever the cache blocking.
+//! let want = (0..32).fold(0.0, |s, k| s + a[(5, k)] * b[(k, 7)]);
+//! assert_eq!(c[(5, 7)].to_bits(), want.to_bits());
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,32 +60,34 @@ use crate::matrix::Matrix;
 const KC: usize = 32;
 /// Output-column tile width for the blocked GEMM.
 const NC: usize = 128;
-/// Minimum number of multiply-adds a worker thread must have before the
-/// parallel path spawns it; below this the spawn overhead dominates.
-const MIN_MADDS_PER_WORKER: usize = 1 << 16;
 
-/// How many worker threads the numerical kernels may use.
+/// How many worker threads the coarse parallel tasks may use.
 ///
 /// The workspace has exactly one threading knob: a process-global
-/// `Parallelism` value read by every kernel (GEMM, the pairwise statistics in
-/// `sbrl-stats`, batched inference in `sbrl-core`). It resolves, in order:
+/// `Parallelism` value that sizes the coarse tasks on the persistent worker
+/// pool — the replications of a synthetic sweep, the weight phase's
+/// decorrelation terms, the row shards of synthetic generation and of
+/// `predict_batched` in `sbrl-core`. The GEMM, elementwise and statistics
+/// kernels take no `Parallelism`: they run on the calling thread. It
+/// resolves, in order:
 ///
 /// 1. an explicit [`Parallelism::set_global`] call;
 /// 2. the `SBRL_THREADS` environment variable (`1` = serial, `n` = that many
 ///    workers, `0`/unset/invalid = all available cores);
 /// 3. [`std::thread::available_parallelism`].
 ///
-/// Parallel execution only shards *independent* work (disjoint output rows,
-/// disjoint pair lists) and never reorders a floating-point reduction, so
-/// every setting produces bit-identical numbers; the knob trades wall-clock
-/// only. [`Parallelism::Serial`] additionally guarantees no worker thread is
-/// ever spawned.
+/// Parallel execution only splits *independent* work (whole replications,
+/// separate regularizer terms, disjoint output rows) and never reorders a
+/// floating-point reduction, so every setting produces bit-identical
+/// numbers; the knob trades wall-clock only. [`Parallelism::Serial`]
+/// additionally guarantees no worker thread is ever spawned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Parallelism {
-    /// Single-threaded: run every kernel on the calling thread.
+    /// Single-threaded: run every task on the calling thread.
     Serial,
-    /// Shard across up to this many scoped worker threads (values are
-    /// clamped to at least 1; `Threads(1)` behaves like `Serial`).
+    /// Run tasks on up to this many threads: the calling thread plus
+    /// persistent pool workers (values are clamped to at least 1;
+    /// `Threads(1)` behaves like `Serial`).
     Threads(usize),
 }
 
@@ -117,8 +120,8 @@ impl Parallelism {
         }
     }
 
-    /// Installs `self` as the process-global knob used by [`Matrix::matmul`]
-    /// and every other kernel that does not take an explicit `Parallelism`.
+    /// Installs `self` as the process-global knob read by every coarse
+    /// parallel task.
     pub fn set_global(self) {
         GLOBAL_WORKERS.store(self.workers() + 1, Ordering::Relaxed);
     }
@@ -255,16 +258,9 @@ pub fn shard_ranges(n: usize, workers: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Caps `par`'s worker count so each worker gets at least `min_units` of the
-/// `units` total work (always at least one worker).
-pub fn effective_workers(par: Parallelism, units: usize, min_units: usize) -> usize {
-    let by_work = units.checked_div(min_units).unwrap_or(units);
-    par.workers().min(by_work.max(1))
-}
-
 /// Sendable raw-pointer wrapper used to hand **disjoint** regions of one
-/// output buffer to pool tasks; every user below derives the regions from
-/// [`shard_ranges`], which guarantees disjointness.
+/// output buffer to pool tasks; [`par_for_row_chunks`] derives the regions
+/// from [`shard_ranges`], which guarantees disjointness.
 struct SendPtr<T>(*mut T);
 // SAFETY: the wrapper is only used to pass pointers into pool tasks that
 // write non-overlapping regions while the submitter keeps the underlying
@@ -313,43 +309,6 @@ where
             unsafe { std::slice::from_raw_parts_mut(base.get().add(lo * cols), (hi - lo) * cols) };
         f(lo, hi, chunk);
     });
-}
-
-/// Evaluates `f(i)` for every `i in 0..n`, sharded across up to `workers`
-/// threads of the persistent pool, and returns the results in index order.
-/// Each slot is computed exactly once, so the output is identical to a
-/// serial map.
-pub fn par_map_values<R, F>(n: usize, workers: usize, f: F) -> Vec<R>
-where
-    R: Send + Default + Clone,
-    F: Fn(usize) -> R + Sync,
-{
-    let workers = workers.clamp(1, n.max(1));
-    let mut out = vec![R::default(); n];
-    if workers <= 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
-        }
-        return out;
-    }
-    let ranges = shard_ranges(n, workers);
-    let base = SendPtr(out.as_mut_ptr());
-    crate::workers::run_tasks(ranges.len(), workers, &|t| {
-        let (lo, hi) = ranges[t];
-        for i in lo..hi {
-            // SAFETY: ranges are disjoint and every slot was initialised by
-            // `vec![R::default(); n]`, so this assignment (which drops the
-            // default in place) races with nothing.
-            unsafe { *base.get().add(i) = f(i) };
-        }
-    });
-    out
-}
-
-/// Worker count for a GEMM with `madds` multiply-adds under `par`, capped so
-/// each worker has enough work to amortise its spawn.
-fn gemm_workers(par: Parallelism, madds: usize, rows: usize) -> usize {
-    effective_workers(par, madds, MIN_MADDS_PER_WORKER).min(rows.max(1))
 }
 
 /// True when the running CPU supports AVX2 (checked once, cached).
@@ -569,24 +528,23 @@ fn accum_row_pair<'p, const FMA: bool, const SKIP_ZERO: bool>(
 }
 
 /// Accumulates the `kb..k_hi` slab of `C += A * B` into columns `jb..j_hi`
-/// of output rows `r0..r1` (`out` holds exactly those rows, row stride `n`),
-/// two rows at a time so they share the `b` loads. `a_at(i, k)` reads
+/// of the `m` output rows (`out` is row-major with row stride `n`), two rows
+/// at a time so they share the `b` loads. `a_at(i, k)` reads
 /// `A[i][k]`; `b_row(k)` is row `k` of `B` restricted to `jb..j_hi`.
 #[inline(always)]
 // lint: no_alloc
 fn accum_block<'p, const FMA: bool, const SKIP_ZERO: bool>(
     out: &mut [f64],
-    n: usize,
-    (r0, r1): (usize, usize),
+    (m, n): (usize, usize),
     (jb, j_hi): (usize, usize),
     (kb, k_hi): (usize, usize),
     a_at: impl Fn(usize, usize) -> f64,
     b_row: impl Fn(usize) -> &'p [f64],
 ) {
-    let mut i = r0;
-    while i + 2 <= r1 {
-        let (head, tail) = out.split_at_mut((i + 1 - r0) * n);
-        let row0 = &mut head[(i - r0) * n + jb..(i - r0) * n + j_hi];
+    let mut i = 0;
+    while i + 2 <= m {
+        let (head, tail) = out.split_at_mut((i + 1) * n);
+        let row0 = &mut head[i * n + jb..i * n + j_hi];
         let row1 = &mut tail[jb..j_hi];
         accum_row_pair::<FMA, SKIP_ZERO>(
             row0,
@@ -599,27 +557,25 @@ fn accum_block<'p, const FMA: bool, const SKIP_ZERO: bool>(
         );
         i += 2;
     }
-    if i < r1 {
-        let out_row = &mut out[(i - r0) * n + jb..(i - r0) * n + j_hi];
+    if i < m {
+        let out_row = &mut out[i * n + jb..i * n + j_hi];
         accum_row::<FMA, SKIP_ZERO>(out_row, |k| a_at(i, k), &b_row, kb, k_hi);
     }
 }
 
-/// Blocked `C += A * B` for output rows `r0..r1`; `out` is the chunk holding
-/// exactly those rows. Accumulates each output element in ascending-`k`
-/// order (matching the historical `i-k-j` loop bit for bit, including its
-/// skip of exact-zero `a[i][k]` entries); the `k` dimension is unrolled by
-/// four when the participating `a` entries are all non-zero, which changes
-/// memory traffic but not a single floating-point operation.
+/// Blocked `C += A * B` into the `m x n` output `out`. Accumulates each
+/// output element in ascending-`k` order (matching the historical `i-k-j`
+/// loop bit for bit, including its skip of exact-zero `a[i][k]` entries);
+/// the `k` dimension is unrolled by four when the participating `a` entries
+/// are all non-zero, which changes memory traffic but not a single
+/// floating-point operation.
 #[inline(always)]
 // lint: no_alloc
 fn gemm_nn_rows_impl<const FMA: bool>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
-    (r0, r1): (usize, usize),
-    k_dim: usize,
-    n: usize,
+    (m, k_dim, n): (usize, usize, usize),
 ) {
     for kb in (0..k_dim).step_by(KC) {
         let k_hi = (kb + KC).min(k_dim);
@@ -627,8 +583,7 @@ fn gemm_nn_rows_impl<const FMA: bool>(
             let j_hi = (jb + NC).min(n);
             accum_block::<FMA, true>(
                 out,
-                n,
-                (r0, r1),
+                (m, n),
                 (jb, j_hi),
                 (kb, k_hi),
                 |i, k| a[i * k_dim + k],
@@ -657,7 +612,7 @@ fn pack_bt_panel(
     }
 }
 
-/// Blocked `C += A * B^T` for output rows `r0..r1` (`out` zeroed by the
+/// Blocked `C += A * B^T` into the `m x n` output `out` (zeroed by the
 /// caller). Each `KC x NC` block of `B^T` is packed into a stack panel, so
 /// the kernel allocates nothing, and runs through the same accumulation as
 /// [`gemm_nn_rows_impl`] **without** the exact-zero skip: every element is
@@ -669,9 +624,7 @@ fn gemm_nt_panel_rows<const FMA: bool>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
-    (r0, r1): (usize, usize),
-    k_dim: usize,
-    n: usize,
+    (m, k_dim, n): (usize, usize, usize),
 ) {
     let mut panel = [0.0f64; KC * NC];
     for kb in (0..k_dim).step_by(KC) {
@@ -683,8 +636,7 @@ fn gemm_nt_panel_rows<const FMA: bool>(
             let panel = &panel;
             accum_block::<FMA, false>(
                 out,
-                n,
-                (r0, r1),
+                (m, n),
                 (jb, j_hi),
                 (kb, k_hi),
                 |i, k| a[i * k_dim + k],
@@ -694,32 +646,28 @@ fn gemm_nt_panel_rows<const FMA: bool>(
     }
 }
 
-/// Blocked `C += A^T * B` for output rows `r0..r1` (columns of `A`, which is
-/// `k_dim` rows deep). Per-element accumulation runs over `k` (the shared
-/// row index) in ascending order with the same exact-zero skip as the
-/// historical loop, so the result is bit-identical for every row sharding.
+/// Blocked `C += A^T * B` into the `m x n` output `out` (`m` columns of `A`,
+/// which is `k_dim` rows deep). Per-element accumulation runs over `k` (the
+/// shared row index) in ascending order with the same exact-zero skip as the
+/// historical loop.
 #[inline(always)]
 // lint: no_alloc
 fn gemm_tn_rows_impl<const FMA: bool>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
-    (r0, r1): (usize, usize),
-    k_dim: usize,
-    n: usize,
+    (m, k_dim, n): (usize, usize, usize),
 ) {
-    let a_cols = a.len().checked_div(k_dim).unwrap_or(0);
     for kb in (0..k_dim).step_by(KC) {
         let k_hi = (kb + KC).min(k_dim);
         for jb in (0..n).step_by(NC) {
             let j_hi = (jb + NC).min(n);
             accum_block::<FMA, true>(
                 out,
-                n,
-                (r0, r1),
+                (m, n),
                 (jb, j_hi),
                 (kb, k_hi),
-                |i, k| a[k * a_cols + i],
+                |i, k| a[k * m + i],
                 |k| &b[k * n + jb..k * n + j_hi],
             );
         }
@@ -734,22 +682,20 @@ const NT: u8 = 1;
 /// `C = A^T * B`.
 const TN: u8 = 2;
 
-/// The row kernel of layout `L` (`NN`, `NT` or `TN`): output rows `r0..r1`
-/// of the product, `k_dim` its inner dimension and `n` its column count.
+/// The kernel of layout `L` (`NN`, `NT` or `TN`) for an `m x n` product
+/// with inner dimension `k_dim`.
 #[inline(always)]
 // lint: no_alloc
 fn gemm_rows_impl<const L: u8, const FMA: bool>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
-    rows: (usize, usize),
-    k_dim: usize,
-    n: usize,
+    dims: (usize, usize, usize),
 ) {
     match L {
-        NN => gemm_nn_rows_impl::<FMA>(a, b, out, rows, k_dim, n),
-        NT => gemm_nt_panel_rows::<FMA>(a, b, out, rows, k_dim, n),
-        _ => gemm_tn_rows_impl::<FMA>(a, b, out, rows, k_dim, n),
+        NN => gemm_nn_rows_impl::<FMA>(a, b, out, dims),
+        NT => gemm_nt_panel_rows::<FMA>(a, b, out, dims),
+        _ => gemm_tn_rows_impl::<FMA>(a, b, out, dims),
     }
 }
 
@@ -765,11 +711,9 @@ unsafe fn gemm_rows_avx512<const L: u8>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
-    rows: (usize, usize),
-    k_dim: usize,
-    n: usize,
+    dims: (usize, usize, usize),
 ) {
-    gemm_rows_impl::<L, false>(a, b, out, rows, k_dim, n);
+    gemm_rows_impl::<L, false>(a, b, out, dims);
 }
 
 /// AVX2-compiled clone of the bit-exact [`gemm_rows_impl`] (same scalar
@@ -784,11 +728,9 @@ unsafe fn gemm_rows_avx2<const L: u8>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
-    rows: (usize, usize),
-    k_dim: usize,
-    n: usize,
+    dims: (usize, usize, usize),
 ) {
-    gemm_rows_impl::<L, false>(a, b, out, rows, k_dim, n);
+    gemm_rows_impl::<L, false>(a, b, out, dims);
 }
 
 /// AVX2+FMA-compiled clone of [`gemm_rows_impl`] with contracted
@@ -803,11 +745,9 @@ unsafe fn gemm_rows_fma<const L: u8>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
-    rows: (usize, usize),
-    k_dim: usize,
-    n: usize,
+    dims: (usize, usize, usize),
 ) {
-    gemm_rows_impl::<L, true>(a, b, out, rows, k_dim, n);
+    gemm_rows_impl::<L, true>(a, b, out, dims);
 }
 
 /// Runs the layout-`L` row kernel on the widest clone the CPU supports: the
@@ -817,41 +757,38 @@ fn gemm_rows<const L: u8>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
-    rows: (usize, usize),
-    k_dim: usize,
-    n: usize,
+    dims: (usize, usize, usize),
     fast: bool,
 ) {
     #[cfg(target_arch = "x86_64")]
     {
         if fast && fma_available() {
             // SAFETY: AVX2+FMA presence just verified by `fma_available`.
-            return unsafe { gemm_rows_fma::<L>(a, b, out, rows, k_dim, n) };
+            return unsafe { gemm_rows_fma::<L>(a, b, out, dims) };
         }
         if avx512_available() {
             // SAFETY: AVX-512F presence just verified by `avx512_available`.
-            return unsafe { gemm_rows_avx512::<L>(a, b, out, rows, k_dim, n) };
+            return unsafe { gemm_rows_avx512::<L>(a, b, out, dims) };
         }
         if avx2_available() {
             // SAFETY: AVX2 presence just verified by `avx2_available`.
-            return unsafe { gemm_rows_avx2::<L>(a, b, out, rows, k_dim, n) };
+            return unsafe { gemm_rows_avx2::<L>(a, b, out, dims) };
         }
     }
     // Non-x86 (or pre-AVX2) fallback: Fast keeps the exact chains — a scalar
     // `mul_add` without hardware FMA would be a slow libm call.
     let _ = fast;
-    gemm_rows_impl::<L, false>(a, b, out, rows, k_dim, n)
+    gemm_rows_impl::<L, false>(a, b, out, dims)
 }
 
-/// Matrix product `a * b` through the blocked kernel, sharding output rows
-/// across up to `par` worker threads under the process-global
-/// [`NumericsMode`]. Bit-identical for every `par` within a mode.
+/// Matrix product `a * b` through the blocked kernel under the
+/// process-global [`NumericsMode`].
 ///
 /// # Panics
 /// Panics if the inner dimensions differ.
 #[track_caller]
-pub fn gemm(a: &Matrix, b: &Matrix, par: Parallelism) -> Matrix {
-    gemm_mode(a, b, par, NumericsMode::global())
+pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
+    gemm_mode(a, b, NumericsMode::global())
 }
 
 /// [`gemm`] under an explicit [`NumericsMode`] (race-free alternative to
@@ -860,9 +797,9 @@ pub fn gemm(a: &Matrix, b: &Matrix, par: Parallelism) -> Matrix {
 /// # Panics
 /// Panics if the inner dimensions differ.
 #[track_caller]
-pub fn gemm_mode(a: &Matrix, b: &Matrix, par: Parallelism, mode: NumericsMode) -> Matrix {
+pub fn gemm_mode(a: &Matrix, b: &Matrix, mode: NumericsMode) -> Matrix {
     let mut out = Matrix::zeros(a.rows(), b.cols());
-    gemm_into_mode(a, b, &mut out, par, mode);
+    gemm_into_mode(a, b, &mut out, mode);
     out
 }
 
@@ -874,8 +811,8 @@ pub fn gemm_mode(a: &Matrix, b: &Matrix, par: Parallelism, mode: NumericsMode) -
 /// # Panics
 /// Panics if the inner dimensions differ or the output shape is wrong.
 #[track_caller]
-pub fn gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix, par: Parallelism) {
-    gemm_into_mode(a, b, out, par, NumericsMode::global());
+pub fn gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    gemm_into_mode(a, b, out, NumericsMode::global());
 }
 
 /// [`gemm_into`] under an explicit [`NumericsMode`].
@@ -883,13 +820,7 @@ pub fn gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix, par: Parallelism) {
 /// # Panics
 /// Panics if the inner dimensions differ or the output shape is wrong.
 #[track_caller]
-pub fn gemm_into_mode(
-    a: &Matrix,
-    b: &Matrix,
-    out: &mut Matrix,
-    par: Parallelism,
-    mode: NumericsMode,
-) {
+pub fn gemm_into_mode(a: &Matrix, b: &Matrix, out: &mut Matrix, mode: NumericsMode) {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -902,22 +833,17 @@ pub fn gemm_into_mode(
     let (m, k_dim, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(out.shape(), (m, n), "gemm_into: output buffer has the wrong shape");
     out.fill_with(0.0);
-    let workers = gemm_workers(par, m * k_dim * n, m);
-    let (a_s, b_s) = (a.as_slice(), b.as_slice());
-    let fast = mode.is_fast();
-    par_for_row_chunks(out.as_mut_slice(), m, n, workers, |r0, r1, chunk| {
-        gemm_rows::<NN>(a_s, b_s, chunk, (r0, r1), k_dim, n, fast);
-    });
+    let (a, b) = (a.as_slice(), b.as_slice());
+    gemm_rows::<NN>(a, b, out.as_mut_slice(), (m, k_dim, n), mode.is_fast());
 }
 
-/// Matrix product `a * b^T` without materialising the transpose, sharding
-/// output rows across up to `par` worker threads.
+/// Matrix product `a * b^T` without materialising the transpose.
 ///
 /// # Panics
 /// Panics if the column counts differ.
 #[track_caller]
-pub fn gemm_nt(a: &Matrix, b: &Matrix, par: Parallelism) -> Matrix {
-    gemm_nt_mode(a, b, par, NumericsMode::global())
+pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Matrix {
+    gemm_nt_mode(a, b, NumericsMode::global())
 }
 
 /// [`gemm_nt`] under an explicit [`NumericsMode`].
@@ -925,9 +851,9 @@ pub fn gemm_nt(a: &Matrix, b: &Matrix, par: Parallelism) -> Matrix {
 /// # Panics
 /// Panics if the column counts differ.
 #[track_caller]
-pub fn gemm_nt_mode(a: &Matrix, b: &Matrix, par: Parallelism, mode: NumericsMode) -> Matrix {
+pub fn gemm_nt_mode(a: &Matrix, b: &Matrix, mode: NumericsMode) -> Matrix {
     let mut out = Matrix::zeros(a.rows(), b.rows());
-    gemm_nt_into_mode(a, b, &mut out, par, mode);
+    gemm_nt_into_mode(a, b, &mut out, mode);
     out
 }
 
@@ -938,8 +864,8 @@ pub fn gemm_nt_mode(a: &Matrix, b: &Matrix, par: Parallelism, mode: NumericsMode
 /// # Panics
 /// Panics if the column counts differ or the output shape is wrong.
 #[track_caller]
-pub fn gemm_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix, par: Parallelism) {
-    gemm_nt_into_mode(a, b, out, par, NumericsMode::global());
+pub fn gemm_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    gemm_nt_into_mode(a, b, out, NumericsMode::global());
 }
 
 /// [`gemm_nt_into`] under an explicit [`NumericsMode`].
@@ -947,13 +873,7 @@ pub fn gemm_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix, par: Parallelism) 
 /// # Panics
 /// Panics if the column counts differ or the output shape is wrong.
 #[track_caller]
-pub fn gemm_nt_into_mode(
-    a: &Matrix,
-    b: &Matrix,
-    out: &mut Matrix,
-    par: Parallelism,
-    mode: NumericsMode,
-) {
+pub fn gemm_nt_into_mode(a: &Matrix, b: &Matrix, out: &mut Matrix, mode: NumericsMode) {
     assert_eq!(
         a.cols(),
         b.cols(),
@@ -966,22 +886,17 @@ pub fn gemm_nt_into_mode(
     let (m, k_dim, n) = (a.rows(), a.cols(), b.rows());
     assert_eq!(out.shape(), (m, n), "gemm_nt_into: output buffer has the wrong shape");
     out.fill_with(0.0);
-    let workers = gemm_workers(par, m * k_dim * n, m);
-    let (a_s, b_s) = (a.as_slice(), b.as_slice());
-    let fast = mode.is_fast();
-    par_for_row_chunks(out.as_mut_slice(), m, n, workers, |r0, r1, chunk| {
-        gemm_rows::<NT>(a_s, b_s, chunk, (r0, r1), k_dim, n, fast);
-    });
+    let (a, b) = (a.as_slice(), b.as_slice());
+    gemm_rows::<NT>(a, b, out.as_mut_slice(), (m, k_dim, n), mode.is_fast());
 }
 
-/// Matrix product `a^T * b` without materialising the transpose, sharding
-/// output rows (columns of `a`) across up to `par` worker threads.
+/// Matrix product `a^T * b` without materialising the transpose.
 ///
 /// # Panics
 /// Panics if the row counts differ.
 #[track_caller]
-pub fn gemm_tn(a: &Matrix, b: &Matrix, par: Parallelism) -> Matrix {
-    gemm_tn_mode(a, b, par, NumericsMode::global())
+pub fn gemm_tn(a: &Matrix, b: &Matrix) -> Matrix {
+    gemm_tn_mode(a, b, NumericsMode::global())
 }
 
 /// [`gemm_tn`] under an explicit [`NumericsMode`].
@@ -989,9 +904,9 @@ pub fn gemm_tn(a: &Matrix, b: &Matrix, par: Parallelism) -> Matrix {
 /// # Panics
 /// Panics if the row counts differ.
 #[track_caller]
-pub fn gemm_tn_mode(a: &Matrix, b: &Matrix, par: Parallelism, mode: NumericsMode) -> Matrix {
+pub fn gemm_tn_mode(a: &Matrix, b: &Matrix, mode: NumericsMode) -> Matrix {
     let mut out = Matrix::zeros(a.cols(), b.cols());
-    gemm_tn_into_mode(a, b, &mut out, par, mode);
+    gemm_tn_into_mode(a, b, &mut out, mode);
     out
 }
 
@@ -1002,8 +917,8 @@ pub fn gemm_tn_mode(a: &Matrix, b: &Matrix, par: Parallelism, mode: NumericsMode
 /// # Panics
 /// Panics if the row counts differ or the output shape is wrong.
 #[track_caller]
-pub fn gemm_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix, par: Parallelism) {
-    gemm_tn_into_mode(a, b, out, par, NumericsMode::global());
+pub fn gemm_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    gemm_tn_into_mode(a, b, out, NumericsMode::global());
 }
 
 /// [`gemm_tn_into`] under an explicit [`NumericsMode`].
@@ -1011,13 +926,7 @@ pub fn gemm_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix, par: Parallelism) 
 /// # Panics
 /// Panics if the row counts differ or the output shape is wrong.
 #[track_caller]
-pub fn gemm_tn_into_mode(
-    a: &Matrix,
-    b: &Matrix,
-    out: &mut Matrix,
-    par: Parallelism,
-    mode: NumericsMode,
-) {
+pub fn gemm_tn_into_mode(a: &Matrix, b: &Matrix, out: &mut Matrix, mode: NumericsMode) {
     assert_eq!(
         a.rows(),
         b.rows(),
@@ -1027,15 +936,11 @@ pub fn gemm_tn_into_mode(
         b.rows(),
         b.cols()
     );
-    let (a_rows, m, n) = (a.rows(), a.cols(), b.cols());
+    let (k_dim, m, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(out.shape(), (m, n), "gemm_tn_into: output buffer has the wrong shape");
     out.fill_with(0.0);
-    let workers = gemm_workers(par, a_rows * m * n, m);
-    let (a_s, b_s) = (a.as_slice(), b.as_slice());
-    let fast = mode.is_fast();
-    par_for_row_chunks(out.as_mut_slice(), m, n, workers, |r0, r1, chunk| {
-        gemm_rows::<TN>(a_s, b_s, chunk, (r0, r1), a_rows, n, fast);
-    });
+    let (a, b) = (a.as_slice(), b.as_slice());
+    gemm_rows::<TN>(a, b, out.as_mut_slice(), (m, k_dim, n), mode.is_fast());
 }
 
 /// Base block width of the pairwise reductions: blocks of this many elements
@@ -1268,36 +1173,9 @@ mod tests {
         for (m, k, n) in [(1, 1, 1), (3, 5, 7), (40, 33, 29), (130, 257, 65), (256, 64, 129)] {
             let a = randn(&mut rng, m, k);
             let b = randn(&mut rng, k, n);
-            let blocked = gemm_mode(&a, &b, Parallelism::Serial, NumericsMode::BitExact);
+            let blocked = gemm_mode(&a, &b, NumericsMode::BitExact);
             let reference = reference_matmul(&a, &b);
             assert_eq!(blocked.as_slice(), reference.as_slice(), "shape {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn parallel_gemm_is_bit_identical_to_serial() {
-        let mut rng = rng_from_seed(1);
-        let a = randn(&mut rng, 97, 61);
-        let b = randn(&mut rng, 61, 83);
-        let serial = gemm(&a, &b, Parallelism::Serial);
-        for workers in [2, 3, 4, 7, 97, 500] {
-            let par = gemm(&a, &b, Parallelism::Threads(workers));
-            assert_eq!(par.as_slice(), serial.as_slice(), "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn parallel_fused_transpose_products_are_bit_identical_to_serial() {
-        let mut rng = rng_from_seed(2);
-        let a = randn(&mut rng, 90, 45);
-        let b = randn(&mut rng, 70, 45);
-        let c = randn(&mut rng, 90, 31);
-        let nt_serial = gemm_nt(&a, &b, Parallelism::Serial);
-        let tn_serial = gemm_tn(&a, &c, Parallelism::Serial);
-        for workers in [2, 5, 16] {
-            let par = Parallelism::Threads(workers);
-            assert_eq!(gemm_nt(&a, &b, par).as_slice(), nt_serial.as_slice());
-            assert_eq!(gemm_tn(&a, &c, par).as_slice(), tn_serial.as_slice());
         }
     }
 
@@ -1312,13 +1190,35 @@ mod tests {
         b[(1, 0)] = f64::INFINITY;
         b[(2, 2)] = f64::NEG_INFINITY;
         let reference = reference_matmul(&a, &b);
-        for par in [Parallelism::Serial, Parallelism::Threads(3)] {
-            let got = gemm(&a, &b, par);
-            assert_eq!(
-                got.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                reference.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{par:?}"
-            );
+        assert_eq!(
+            gemm(&a, &b).as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            reference.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        );
+    }
+
+    #[test]
+    fn zero_dimension_products_have_their_shape_and_positive_zeros() {
+        // An empty inner dimension leaves every element at the chain's
+        // starting +0.0; an empty outer dimension yields an empty matrix.
+        for (m, k, n) in [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 0, 1)] {
+            let a = Matrix::full(m, k, -1.5);
+            let b = Matrix::full(k, n, 2.0);
+            let (a_t, b_t) = (a.transpose(), b.transpose());
+            for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
+                for (name, got) in [
+                    ("nn", gemm_mode(&a, &b, mode)),
+                    ("nt", gemm_nt_mode(&a, &b_t, mode)),
+                    ("tn", gemm_tn_mode(&a_t, &b, mode)),
+                ] {
+                    assert_eq!(got.shape(), (m, n), "{name} {m}x{k}x{n} {mode}");
+                    if k == 0 {
+                        assert!(
+                            got.as_slice().iter().all(|v| v.to_bits() == 0.0f64.to_bits()),
+                            "{name} {m}x{k}x{n} {mode}: not +0.0"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -1341,8 +1241,7 @@ mod tests {
         let fma = false;
         let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
         let mut rng = rng_from_seed(11);
-        // 41 rows (odd, so the row-pair loop leaves a single row) are enough
-        // work for the larger shapes to shard across 2 and 5 workers.
+        // 41 rows: odd, so the row-pair loop leaves a single row.
         let m = 41;
         for k in [1, 3, 32, 33, 70] {
             for n in [1, 127, 128, 129] {
@@ -1370,11 +1269,9 @@ mod tests {
                             }))
                         })
                         .collect();
-                    for workers in [1, 2, 5] {
-                        let got = gemm_nt_mode(&a, &b, Parallelism::Threads(workers), mode);
-                        let got: Vec<u64> = got.as_slice().iter().map(|&v| bits(v)).collect();
-                        assert_eq!(got, want, "k={k} n={n} {mode} workers={workers}");
-                    }
+                    let got = gemm_nt_mode(&a, &b, mode);
+                    let got: Vec<u64> = got.as_slice().iter().map(|&v| bits(v)).collect();
+                    assert_eq!(got, want, "k={k} n={n} {mode}");
                 }
             }
         }
@@ -1395,14 +1292,6 @@ mod tests {
                 }
                 assert!(covered.iter().all(|&c| c), "n={n} w={w} left gaps");
             }
-        }
-    }
-
-    #[test]
-    fn par_map_values_matches_serial_map() {
-        let serial: Vec<usize> = (0..57).map(|i| i * i).collect();
-        for workers in [1, 2, 3, 8, 57, 100] {
-            assert_eq!(par_map_values(57, workers, |i| i * i), serial, "workers = {workers}");
         }
     }
 
@@ -1433,10 +1322,6 @@ mod tests {
         assert_eq!(Parallelism::Threads(0).workers(), 1);
         assert_eq!(Parallelism::Threads(6).workers(), 6);
         assert!(Parallelism::auto().workers() >= 1);
-        // effective_workers never exceeds the work available.
-        assert_eq!(effective_workers(Parallelism::Threads(8), 10, 100), 1);
-        assert_eq!(effective_workers(Parallelism::Threads(8), 1000, 100), 8);
-        assert_eq!(effective_workers(Parallelism::Serial, 1_000_000, 1), 1);
     }
 
     #[test]
@@ -1470,8 +1355,8 @@ mod tests {
         for (m, k, n) in [(3, 5, 7), (40, 33, 29), (64, 128, 48)] {
             let a = randn(&mut rng, m, k);
             let b = randn(&mut rng, k, n);
-            let exact = gemm_mode(&a, &b, Parallelism::Serial, NumericsMode::BitExact);
-            let fast = gemm_mode(&a, &b, Parallelism::Threads(4), NumericsMode::Fast);
+            let exact = gemm_mode(&a, &b, NumericsMode::BitExact);
+            let fast = gemm_mode(&a, &b, NumericsMode::Fast);
             for (x, y) in exact.as_slice().iter().zip(fast.as_slice()) {
                 let scale = k as f64 * x.abs().max(1.0);
                 assert!(
@@ -1479,25 +1364,6 @@ mod tests {
                     "{m}x{k}x{n}: {x} vs {y} exceeds tolerance"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn fast_gemm_is_deterministic_across_worker_counts() {
-        // Fast relaxes *which* chains are used, not their dependence on
-        // sharding: row ownership still fixes every chain, so any worker
-        // count reproduces the same bits.
-        let mut rng = rng_from_seed(8);
-        let a = randn(&mut rng, 61, 47);
-        let b = randn(&mut rng, 47, 53);
-        let one = gemm_mode(&a, &b, Parallelism::Serial, NumericsMode::Fast);
-        for workers in [2, 3, 8, 61] {
-            let par = gemm_mode(&a, &b, Parallelism::Threads(workers), NumericsMode::Fast);
-            assert_eq!(
-                one.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                par.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "workers = {workers}"
-            );
         }
     }
 

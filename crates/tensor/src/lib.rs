@@ -14,11 +14,11 @@
 //!
 //! Modules:
 //! * [`matrix`] — the dense matrix type and BLAS-free operations.
-//! * [`kernels`] — the cache-blocked, optionally multi-threaded GEMM layer
-//!   and the workspace-wide [`kernels::Parallelism`] /
-//!   [`kernels::NumericsMode`] knobs every matrix product funnels through.
+//! * [`kernels`] — the cache-blocked GEMM layer every matrix product
+//!   funnels through, its [`kernels::NumericsMode`] tier, and the
+//!   workspace-wide [`kernels::Parallelism`] knob of the coarse tasks.
 //! * [`workers`] — the persistent worker pool (lazily spawned threads, a
-//!   chunked work queue) that executes every parallel kernel without
+//!   chunked work queue) that executes every coarse parallel task without
 //!   per-call thread spawns.
 //! * [`graph`] — the autodiff tape (`Graph`, `TensorId`, ~40 primitive ops),
 //!   reusable across optimisation steps via [`Graph::reset`].

@@ -238,41 +238,41 @@ impl Matrix {
     /// Dispatches to an AVX2-compiled copy when the CPU supports it — the
     /// scalar operations are unchanged (no FMA contraction, no
     /// reassociation), so results are bit-identical; only the register width
-    /// differs. Buffers large enough to amortise the hand-off are sharded
-    /// across the persistent worker pool (elementwise work, so sharding is
-    /// bit-identical too); training-sized matrices stay on the calling
-    /// thread.
+    /// differs.
     #[track_caller]
-    pub fn fill_map(&mut self, src: &Self, f: impl Fn(f64) -> f64 + Sync) {
+    // lint: no_alloc
+    pub fn fill_map(&mut self, src: &Self, f: impl Fn(f64) -> f64) {
         self.assert_same_shape(src, "fill_map");
-        let workers = par_fill_workers(self.data.len());
-        if workers > 1 {
-            let len = self.data.len();
-            let src = &src.data;
-            crate::kernels::par_for_row_chunks(&mut self.data, len, 1, workers, |lo, hi, out| {
-                fill_map_slice(out, &src[lo..hi], &f);
-            });
-            return;
+        #[cfg(target_arch = "x86_64")]
+        {
+            if crate::kernels::avx2_available() {
+                // SAFETY: feature presence verified at runtime; the body is
+                // ordinary safe Rust.
+                return unsafe { fill_map_avx2(&mut self.data, &src.data, f) };
+            }
         }
-        fill_map_slice(&mut self.data, &src.data, &f);
+        for (o, &v) in self.data.iter_mut().zip(&src.data) {
+            *o = f(v);
+        }
     }
 
     /// Overwrites `self` with `f` combined elementwise over two same-shape
-    /// sources (AVX2-dispatched and pool-sharded like [`Matrix::fill_map`]).
+    /// sources (AVX2-dispatched like [`Matrix::fill_map`]).
     #[track_caller]
-    pub fn fill_zip(&mut self, a: &Self, b: &Self, f: impl Fn(f64, f64) -> f64 + Sync) {
+    // lint: no_alloc
+    pub fn fill_zip(&mut self, a: &Self, b: &Self, f: impl Fn(f64, f64) -> f64) {
         self.assert_same_shape(a, "fill_zip");
         a.assert_same_shape(b, "fill_zip");
-        let workers = par_fill_workers(self.data.len());
-        if workers > 1 {
-            let len = self.data.len();
-            let (a, b) = (&a.data, &b.data);
-            crate::kernels::par_for_row_chunks(&mut self.data, len, 1, workers, |lo, hi, out| {
-                fill_zip_slice(out, &a[lo..hi], &b[lo..hi], &f);
-            });
-            return;
+        #[cfg(target_arch = "x86_64")]
+        {
+            if crate::kernels::avx2_available() {
+                // SAFETY: feature presence verified at runtime.
+                return unsafe { fill_zip_avx2(&mut self.data, &a.data, &b.data, f) };
+            }
         }
-        fill_zip_slice(&mut self.data, &a.data, &b.data, &f);
+        for ((o, &x), &y) in self.data.iter_mut().zip(&a.data).zip(&b.data) {
+            *o = f(x, y);
+        }
     }
 
     /// Writes the transpose of `src` into `self` (which must be
@@ -351,21 +351,22 @@ impl Matrix {
         self.zip_map(other, |a, b| a / b)
     }
 
-    /// Adds `other` into `self` in place (AVX2-dispatched and pool-sharded
-    /// like [`Matrix::fill_map`]).
+    /// Adds `other` into `self` in place (AVX2-dispatched like
+    /// [`Matrix::fill_map`]).
     #[track_caller]
+    // lint: no_alloc
     pub fn add_assign(&mut self, other: &Self) {
         self.assert_same_shape(other, "add_assign");
-        let workers = par_fill_workers(self.data.len());
-        if workers > 1 {
-            let len = self.data.len();
-            let src = &other.data;
-            crate::kernels::par_for_row_chunks(&mut self.data, len, 1, workers, |lo, hi, out| {
-                add_assign_slice(out, &src[lo..hi]);
-            });
-            return;
+        #[cfg(target_arch = "x86_64")]
+        {
+            if crate::kernels::avx2_available() {
+                // SAFETY: feature presence verified at runtime.
+                return unsafe { add_assign_avx2(&mut self.data, &other.data) };
+            }
         }
-        add_assign_slice(&mut self.data, &other.data);
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a += b;
+        }
     }
 
     /// Adds `scale * other` into `self` in place (`axpy`).
@@ -389,32 +390,27 @@ impl Matrix {
 
     /// Matrix product `self * other`.
     ///
-    /// Delegates to the cache-blocked, optionally multi-threaded
-    /// [`kernels::gemm`](crate::kernels::gemm) under the process-global
-    /// [`Parallelism`](crate::kernels::Parallelism) knob. Results are
-    /// bit-identical for every thread count (serial mode reproduces the
-    /// historical `i-k-j` loop exactly).
+    /// Delegates to the cache-blocked [`kernels::gemm`](crate::kernels::gemm)
+    /// under the process-global
+    /// [`NumericsMode`](crate::kernels::NumericsMode); `BitExact` reproduces
+    /// the historical `i-k-j` loop exactly.
     #[track_caller]
     pub fn matmul(&self, other: &Self) -> Self {
-        crate::kernels::gemm(self, other, crate::kernels::Parallelism::global())
+        crate::kernels::gemm(self, other)
     }
 
-    /// Matrix product `self * other^T` without materialising the transpose.
-    ///
-    /// Routed through [`kernels::gemm_nt`](crate::kernels::gemm_nt) under the
-    /// global [`Parallelism`](crate::kernels::Parallelism) knob.
+    /// Matrix product `self * other^T` without materialising the transpose,
+    /// through [`kernels::gemm_nt`](crate::kernels::gemm_nt).
     #[track_caller]
     pub fn matmul_nt(&self, other: &Self) -> Self {
-        crate::kernels::gemm_nt(self, other, crate::kernels::Parallelism::global())
+        crate::kernels::gemm_nt(self, other)
     }
 
-    /// Matrix product `self^T * other` without materialising the transpose.
-    ///
-    /// Routed through [`kernels::gemm_tn`](crate::kernels::gemm_tn) under the
-    /// global [`Parallelism`](crate::kernels::Parallelism) knob.
+    /// Matrix product `self^T * other` without materialising the transpose,
+    /// through [`kernels::gemm_tn`](crate::kernels::gemm_tn).
     #[track_caller]
     pub fn matmul_tn(&self, other: &Self) -> Self {
-        crate::kernels::gemm_tn(self, other, crate::kernels::Parallelism::global())
+        crate::kernels::gemm_tn(self, other)
     }
 
     /// Transpose.
@@ -612,70 +608,6 @@ impl Matrix {
 unsafe fn fill_map_avx2(out: &mut [f64], src: &[f64], f: impl Fn(f64) -> f64) {
     for (o, &v) in out.iter_mut().zip(src) {
         *o = f(v);
-    }
-}
-
-/// Minimum elements a pool worker must receive before an elementwise fill is
-/// sharded; smaller buffers (every training-sized matrix) stay inline, which
-/// also keeps the serial alloc-probe path pool-free.
-const MIN_FILL_ELEMS_PER_WORKER: usize = 1 << 16;
-
-/// Worker count for an elementwise pass over `len` elements under the global
-/// [`Parallelism`](crate::kernels::Parallelism) knob.
-fn par_fill_workers(len: usize) -> usize {
-    if len < 2 * MIN_FILL_ELEMS_PER_WORKER {
-        return 1;
-    }
-    crate::kernels::effective_workers(
-        crate::kernels::Parallelism::global(),
-        len,
-        MIN_FILL_ELEMS_PER_WORKER,
-    )
-}
-
-/// Scalar/AVX2-dispatched body of [`Matrix::fill_map`] over raw slices.
-// lint: no_alloc
-fn fill_map_slice(out: &mut [f64], src: &[f64], f: &impl Fn(f64) -> f64) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::kernels::avx2_available() {
-            // SAFETY: feature presence verified at runtime; the body is
-            // ordinary safe Rust.
-            return unsafe { fill_map_avx2(out, src, f) };
-        }
-    }
-    for (o, &v) in out.iter_mut().zip(src) {
-        *o = f(v);
-    }
-}
-
-/// Scalar/AVX2-dispatched body of [`Matrix::fill_zip`] over raw slices.
-// lint: no_alloc
-fn fill_zip_slice(out: &mut [f64], a: &[f64], b: &[f64], f: &impl Fn(f64, f64) -> f64) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::kernels::avx2_available() {
-            // SAFETY: feature presence verified at runtime.
-            return unsafe { fill_zip_avx2(out, a, b, f) };
-        }
-    }
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = f(x, y);
-    }
-}
-
-/// Scalar/AVX2-dispatched body of [`Matrix::add_assign`] over raw slices.
-// lint: no_alloc
-fn add_assign_slice(out: &mut [f64], src: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if crate::kernels::avx2_available() {
-            // SAFETY: feature presence verified at runtime.
-            return unsafe { add_assign_avx2(out, src) };
-        }
-    }
-    for (o, &v) in out.iter_mut().zip(src) {
-        *o += v;
     }
 }
 

@@ -1,11 +1,14 @@
-//! Persistent worker pool backing every parallel kernel in the workspace.
+//! Persistent worker pool behind every parallel region in the workspace.
 //!
-//! PR 3's kernel layer parallelised with `std::thread::scope`, paying one
-//! thread spawn + join per worker *per call*. A single SBRL-HAP fit issues
-//! thousands of GEMMs, so at realistic thread counts the spawn overhead was
-//! a measurable fraction of the parallel path (and the reason small products
-//! were gated to stay inline). This module replaces those per-call spawns
-//! with one process-wide pool of **lazily spawned, persistent** worker
+//! The regions are coarse tasks sized by the
+//! [`Parallelism`](crate::kernels::Parallelism) knob: the replications of a
+//! synthetic sweep and the weight phase's decorrelation terms (both through
+//! [`run_coarse_tasks`]), the row shards of synthetic generation
+//! ([`par_for_row_chunks`](crate::kernels::par_for_row_chunks)) and of
+//! `predict_batched` (through [`run_tasks_catching`]). The GEMM,
+//! elementwise and statistics kernels never submit work here; they run on
+//! their caller's thread. Instead of a `std::thread::scope` spawn + join per
+//! worker per call, the pool keeps **lazily spawned, persistent** worker
 //! threads fed by a chunked work queue:
 //!
 //! * Threads are spawned on first demand, never torn down, and counted by
@@ -21,12 +24,12 @@
 //!   identical to a serial left-to-right pass — the pool never changes a
 //!   floating-point chain in either [`NumericsMode`](crate::kernels::NumericsMode).
 //! * A claim loop never blocks on another job: if every pool thread is busy
-//!   (including the nested-parallelism case of a kernel invoked from inside
-//!   a pool worker), the submitter simply runs all of its own chunks inline.
-//!   Deadlock is impossible by construction.
+//!   (including the nested-parallelism case of a parallel region entered
+//!   from inside a pool worker), the submitter simply runs all of its own
+//!   chunks inline. Deadlock is impossible by construction.
 //!
 //! Panics inside task bodies are contained per chunk either way: the
-//! kernel-facing [`run_tasks`] re-raises them on the submitting thread,
+//! training-facing [`run_tasks`] re-raises them on the submitting thread,
 //! while the serving-facing [`run_tasks_catching`] converts them into the
 //! typed [`TaskPanicked`] error so a poisoned request cannot take down a
 //! server loop. With the `fault-inject` cargo feature the `fault` module
@@ -283,7 +286,7 @@ pub fn run_tasks(total: usize, workers: usize, f: &(dyn Fn(usize) + Sync)) {
         return;
     }
     if inline_here(total, workers) {
-        // Hot kernel path: no unwind machinery between the caller and `f`.
+        // Inline path: no unwind machinery between the caller and `f`.
         for i in 0..total {
             f(i);
         }
@@ -300,11 +303,11 @@ pub fn run_tasks(total: usize, workers: usize, f: &(dyn Fn(usize) + Sync)) {
 /// long stretch, such as whole replications of a sweep. Every parallel
 /// call made inside a task runs inline on the task's thread: its siblings
 /// occupy the other workers, so a nested job would find no thread to help
-/// it and would only take the shared queue lock on every kernel call,
+/// it and would only take the shared queue lock on every nested call,
 /// where one task can stall behind a sibling whose CPU was preempted while
 /// holding it. The tasks thereby run independently of each other.
 /// `workers <= 1` (or `total <= 1`) is plain [`run_tasks`]: the tasks run
-/// one after another and their kernels keep the pool.
+/// one after another and their nested parallel calls keep the pool.
 ///
 /// # Panics
 /// As [`run_tasks`].
@@ -371,7 +374,7 @@ pub fn run_tasks_catching(
 ///
 /// Faults are armed by *chunk index*, fire **one-shot** (the first matching
 /// task disarms the fault as it fires), and are observed only by
-/// [`run_tasks_catching`] — the kernel hot path through [`run_tasks`] is
+/// [`run_tasks_catching`] — the training path through [`run_tasks`] is
 /// never instrumented. Arming by chunk index (rather than arrival order)
 /// is what makes injection deterministic: each chunk index runs exactly
 /// once regardless of which pool thread claims it.

@@ -7,10 +7,9 @@
 //!
 //! 1. every Fast statistic stays within a documented relative-error bound of
 //!    its BitExact value (`FAST_*_TOL` constants below, quoted in
-//!    `docs/PERFORMANCE.md`), across random shapes and worker counts;
+//!    `docs/PERFORMANCE.md`), across random shapes;
 //! 2. Fast is *deterministic*: its reduction trees depend only on operand
-//!    shapes, so results are bit-identical run-to-run and across worker
-//!    counts (stronger than the fixed-`SBRL_THREADS` requirement);
+//!    shapes, so results are bit-identical run-to-run;
 //! 3. an end-to-end fit under the global Fast knob trains to predictions
 //!    that agree with the BitExact fit within tolerance, and is itself
 //!    bit-reproducible run-to-run.
@@ -89,33 +88,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Fast GEMM (all three transpose layouts) stays within the documented
-    /// per-element bound of BitExact, at every worker count, and its bits do
-    /// not depend on the worker count.
+    /// per-element bound of BitExact, and its bits are reproducible.
     #[test]
     fn fast_gemm_matches_bitexact_within_bounds(
-        dims in (1usize..48, 1usize..48, 1usize..48, 1usize..9),
+        dims in (1usize..48, 1usize..48, 1usize..48),
         seed in 0u64..1_000,
     ) {
-        let (m, k, n, threads) = dims;
-        let par = Parallelism::Threads(threads);
+        let (m, k, n) = dims;
         let tol = FAST_GEMM_TOL_PER_K * k as f64;
 
         let a = random_matrix(seed, m, k);
         let b = random_matrix(seed ^ 0x5eed, k, n);
-        let exact = gemm_mode(&a, &b, Parallelism::Serial, NumericsMode::BitExact);
-        let fast = gemm_mode(&a, &b, par, NumericsMode::Fast);
+        let exact = gemm_mode(&a, &b, NumericsMode::BitExact);
+        let fast = gemm_mode(&a, &b, NumericsMode::Fast);
         assert_matrix_close(&exact, &fast, tol, "gemm_nn");
-        let fast_serial = gemm_mode(&a, &b, Parallelism::Serial, NumericsMode::Fast);
-        prop_assert_eq!(bits(&fast), bits(&fast_serial));
+        prop_assert_eq!(bits(&fast), bits(&gemm_mode(&a, &b, NumericsMode::Fast)));
 
         let b_nt = random_matrix(seed ^ 1, n, k); // a * b_nt^T
-        let exact = gemm_nt_mode(&a, &b_nt, Parallelism::Serial, NumericsMode::BitExact);
-        let fast = gemm_nt_mode(&a, &b_nt, par, NumericsMode::Fast);
+        let exact = gemm_nt_mode(&a, &b_nt, NumericsMode::BitExact);
+        let fast = gemm_nt_mode(&a, &b_nt, NumericsMode::Fast);
         assert_matrix_close(&exact, &fast, tol, "gemm_nt");
 
         let b_tn = random_matrix(seed ^ 2, m, n); // a^T * b_tn
-        let exact = gemm_tn_mode(&a, &b_tn, Parallelism::Serial, NumericsMode::BitExact);
-        let fast = gemm_tn_mode(&a, &b_tn, par, NumericsMode::Fast);
+        let exact = gemm_tn_mode(&a, &b_tn, NumericsMode::BitExact);
+        let fast = gemm_tn_mode(&a, &b_tn, NumericsMode::Fast);
         // gemm_tn chains over m (the shared row count), not k.
         assert_matrix_close(&fast, &exact, FAST_GEMM_TOL_PER_K * m as f64, "gemm_tn");
     }
@@ -145,46 +141,41 @@ proptest! {
     }
 
     /// Fast `hsic_biased` and the pairwise HSIC-RFF matrix stay within the
-    /// documented bound of BitExact across shapes and worker counts.
+    /// documented bound of BitExact across shapes.
     #[test]
     fn fast_hsic_statistics_stay_within_tolerance(
-        dims in (2usize..64, 1usize..4, 1usize..9),
+        dims in (2usize..64, 1usize..4),
         seed in 0u64..1_000,
     ) {
-        let (n, d, threads) = dims;
-        let par = Parallelism::Threads(threads);
+        let (n, d) = dims;
         let a = random_matrix(seed, n, d);
         let b = random_matrix(seed ^ 7, n, d);
         // Positive bandwidths: the median heuristic resolves through the
         // *global* knobs and this test must not depend on them.
-        let exact = hsic_biased_with(&a, &b, 1.0, 0.8, Parallelism::Serial, NumericsMode::BitExact);
-        let fast = hsic_biased_with(&a, &b, 1.0, 0.8, par, NumericsMode::Fast);
+        let exact = hsic_biased_with(&a, &b, 1.0, 0.8, NumericsMode::BitExact);
+        let fast = hsic_biased_with(&a, &b, 1.0, 0.8, NumericsMode::Fast);
         assert_scalar_close(exact, fast, FAST_HSIC_TOL, "hsic_biased");
-        let fast_serial =
-            hsic_biased_with(&a, &b, 1.0, 0.8, Parallelism::Serial, NumericsMode::Fast);
-        prop_assert_eq!(fast.to_bits(), fast_serial.to_bits());
+        let again = hsic_biased_with(&a, &b, 1.0, 0.8, NumericsMode::Fast);
+        prop_assert_eq!(fast.to_bits(), again.to_bits());
 
         let mut rng = rng_from_seed(seed ^ 99);
         let rff = Rff::sample(&mut rng, 5);
         let weights: Vec<f64> = (0..n).map(|i| 0.5 + (i % 5) as f64 * 0.3).collect();
         for w in [None, Some(weights.as_slice())] {
-            let exact =
-                pairwise_hsic_matrix_with(&a, &rff, w, Parallelism::Serial, NumericsMode::BitExact);
-            let fast = pairwise_hsic_matrix_with(&a, &rff, w, par, NumericsMode::Fast);
+            let exact = pairwise_hsic_matrix_with(&a, &rff, w, NumericsMode::BitExact);
+            let fast = pairwise_hsic_matrix_with(&a, &rff, w, NumericsMode::Fast);
             assert_matrix_close(&exact, &fast, FAST_HSIC_TOL, "pairwise_hsic_matrix");
         }
     }
 
     /// Fast plain IPMs (linear MMD, RBF MMD², Sinkhorn-Wasserstein) stay
-    /// within the documented bound of BitExact across shapes, weightings and
-    /// worker counts.
+    /// within the documented bound of BitExact across shapes and weightings.
     #[test]
     fn fast_plain_ipms_stay_within_tolerance(
-        dims in (2usize..48, 2usize..48, 1usize..5, 1usize..9),
+        dims in (2usize..48, 2usize..48, 1usize..5),
         seed in 0u64..1_000,
     ) {
-        let (nt, nc, d, threads) = dims;
-        let par = Parallelism::Threads(threads);
+        let (nt, nc, d) = dims;
         let phi_t = random_matrix(seed, nt, d);
         let phi_c = random_matrix(seed ^ 11, nc, d);
         let w_t: Vec<f64> = (0..nt).map(|i| 0.25 + (i % 4) as f64 * 0.5).collect();
@@ -193,18 +184,10 @@ proptest! {
             IpmKind::MmdRbf { sigma: 1.0 },
             IpmKind::Wasserstein { lambda: 10.0, iterations: 5 },
         ] {
-            let exact = ipm_weighted_plain_with(
-                kind, &phi_t, &phi_c, Some(&w_t), None, Parallelism::Serial,
-                NumericsMode::BitExact,
-            );
-            let fast = ipm_weighted_plain_with(
-                kind, &phi_t, &phi_c, Some(&w_t), None, par, NumericsMode::Fast,
-            );
+            let ipm = |mode| ipm_weighted_plain_with(kind, &phi_t, &phi_c, Some(&w_t), None, mode);
+            let (exact, fast) = (ipm(NumericsMode::BitExact), ipm(NumericsMode::Fast));
             assert_scalar_close(exact, fast, FAST_IPM_TOL, &format!("{kind:?}"));
-            let fast_serial = ipm_weighted_plain_with(
-                kind, &phi_t, &phi_c, Some(&w_t), None, Parallelism::Serial, NumericsMode::Fast,
-            );
-            prop_assert_eq!(fast.to_bits(), fast_serial.to_bits());
+            prop_assert_eq!(fast.to_bits(), ipm(NumericsMode::Fast).to_bits());
         }
     }
 }

@@ -1,11 +1,12 @@
-//! Bit-identity guarantees of the parallel kernel layer: for random shapes,
-//! data, and worker counts, every sharded kernel (blocked GEMM, pairwise
-//! distances, HSIC matrices, plain IPMs) must reproduce its serial output
-//! bit for bit — in **both** numerics tiers, since the reduction trees of
-//! `NumericsMode::Fast` depend only on operand shapes — and
-//! `Parallelism::Serial` under the default `NumericsMode::BitExact` must
-//! reproduce the exact predictions recorded before the kernel layer existed
-//! (PR 2 behaviour).
+//! Bit-identity guarantees of the parallel layer. The kernels (blocked
+//! GEMM, pairwise distances, HSIC matrices, plain IPMs) run on their
+//! caller's thread; for random shapes and data, several copies running
+//! concurrently as coarse tasks on the worker pool, the way sweep
+//! replications and decorrelation terms call them, must reproduce the
+//! calling thread's output bit for bit in **both** numerics tiers. A whole
+//! fit under `Parallelism::Serial` and the default `NumericsMode::BitExact`
+//! must reproduce the exact predictions recorded before the kernel layer
+//! existed, and `Parallelism::Threads(4)` the same bits.
 //!
 //! The weight objective, whose decorrelation terms run concurrently on
 //! tapes of their own, must reproduce the one-tape build's loss and
@@ -26,7 +27,7 @@ use sbrl_hap::stats::{
     pairwise_hsic_matrix_with, pairwise_sq_dists_with, rbf_kernel_with, DecorrelationConfig,
     HsicScratch, IpmKind, Rff,
 };
-use sbrl_hap::tensor::kernels::{gemm, gemm_nt, gemm_tn, NumericsMode, Parallelism};
+use sbrl_hap::tensor::kernels::{gemm_mode, gemm_nt_mode, gemm_tn_mode, NumericsMode, Parallelism};
 use sbrl_hap::tensor::rng::{randn, rng_from_seed};
 use sbrl_hap::tensor::workers::run_coarse_tasks;
 use sbrl_hap::tensor::{Graph, Matrix, TensorId};
@@ -49,6 +50,19 @@ fn random_matrix(seed: u64, rows: usize, cols: usize) -> Matrix {
     randn(&mut rng, rows, cols)
 }
 
+/// Whether `threads` copies of `f`, run concurrently as coarse tasks on the
+/// worker pool, all give the bits `f` gives on the calling thread.
+fn same_bits_on_pool(threads: usize, f: impl Fn() -> Vec<u64> + Sync) -> bool {
+    let serial = f();
+    let on_pool: Vec<OnceLock<Vec<u64>>> = (0..threads).map(|_| OnceLock::new()).collect();
+    run_coarse_tasks(threads, threads, &|i| {
+        on_pool[i].get_or_init(&f);
+    });
+    on_pool.iter().all(|got| got.get() == Some(&serial))
+}
+
+const MODES: [NumericsMode; 2] = [NumericsMode::BitExact, NumericsMode::Fast];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -57,13 +71,12 @@ proptest! {
         dims in (1usize..48, 1usize..48, 1usize..48, 2usize..12),
         seed in 0u64..1_000,
     ) {
-        let _knobs = knobs();
         let (m, k, n, threads) = dims;
         let a = random_matrix(seed, m, k);
         let b = random_matrix(seed ^ 0xabcd, k, n);
-        let serial = gemm(&a, &b, Parallelism::Serial);
-        let parallel = gemm(&a, &b, Parallelism::Threads(threads));
-        prop_assert_eq!(bits(&serial), bits(&parallel));
+        for mode in MODES {
+            prop_assert!(same_bits_on_pool(threads, || bits(&gemm_mode(&a, &b, mode))));
+        }
     }
 
     #[test]
@@ -71,20 +84,14 @@ proptest! {
         dims in (1usize..40, 1usize..40, 1usize..40, 2usize..12),
         seed in 0u64..1_000,
     ) {
-        let _knobs = knobs();
         let (m, k, n, threads) = dims;
         let a = random_matrix(seed, m, k);
         let b_nt = random_matrix(seed ^ 1, n, k); // a * b_nt^T
         let b_tn = random_matrix(seed ^ 2, m, n); // a^T * b_tn
-        let par = Parallelism::Threads(threads);
-        prop_assert_eq!(
-            bits(&gemm_nt(&a, &b_nt, Parallelism::Serial)),
-            bits(&gemm_nt(&a, &b_nt, par))
-        );
-        prop_assert_eq!(
-            bits(&gemm_tn(&a, &b_tn, Parallelism::Serial)),
-            bits(&gemm_tn(&a, &b_tn, par))
-        );
+        for mode in MODES {
+            prop_assert!(same_bits_on_pool(threads, || bits(&gemm_nt_mode(&a, &b_nt, mode))));
+            prop_assert!(same_bits_on_pool(threads, || bits(&gemm_tn_mode(&a, &b_tn, mode))));
+        }
     }
 
     #[test]
@@ -95,16 +102,11 @@ proptest! {
         let (n, m, d, threads) = dims;
         let a = random_matrix(seed, n, d);
         let b = random_matrix(seed ^ 7, m, d);
-        let par = Parallelism::Threads(threads);
-        for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
-            prop_assert_eq!(
-                bits(&pairwise_sq_dists_with(&a, &b, Parallelism::Serial, mode)),
-                bits(&pairwise_sq_dists_with(&a, &b, par, mode))
-            );
-            prop_assert_eq!(
-                bits(&rbf_kernel_with(&a, &b, 1.0, Parallelism::Serial, mode)),
-                bits(&rbf_kernel_with(&a, &b, 1.0, par, mode))
-            );
+        for mode in MODES {
+            let dists = || bits(&pairwise_sq_dists_with(&a, &b, mode));
+            prop_assert!(same_bits_on_pool(threads, dists));
+            let rbf = || bits(&rbf_kernel_with(&a, &b, 1.0, mode));
+            prop_assert!(same_bits_on_pool(threads, rbf));
         }
     }
 
@@ -118,12 +120,10 @@ proptest! {
         let mut rng = rng_from_seed(seed ^ 99);
         let rff = Rff::sample(&mut rng, 5);
         let weights: Vec<f64> = (0..n).map(|i| 0.5 + (i % 7) as f64 * 0.25).collect();
-        for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
+        for mode in MODES {
             for w in [None, Some(weights.as_slice())] {
-                let serial = pairwise_hsic_matrix_with(&z, &rff, w, Parallelism::Serial, mode);
-                let parallel =
-                    pairwise_hsic_matrix_with(&z, &rff, w, Parallelism::Threads(threads), mode);
-                prop_assert_eq!(bits(&serial), bits(&parallel));
+                let hsic = || bits(&pairwise_hsic_matrix_with(&z, &rff, w, mode));
+                prop_assert!(same_bits_on_pool(threads, hsic));
             }
         }
     }
@@ -133,35 +133,32 @@ proptest! {
         dims in (1usize..48, 1usize..48, 1usize..5, 2usize..12),
         seed in 0u64..1_000,
     ) {
+        // The median-heuristic bandwidth reads the global numerics tier.
+        let _knobs = knobs();
         let (nt, nc, d, threads) = dims;
         let phi_t = random_matrix(seed, nt, d);
         let phi_c = random_matrix(seed ^ 3, nc, d);
-        let par = Parallelism::Threads(threads);
-        for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
+        for mode in MODES {
             for kind in [
                 IpmKind::MmdLin,
                 IpmKind::MmdRbf { sigma: 1.0 },
                 IpmKind::MmdRbf { sigma: -1.0 }, // median heuristic path
                 IpmKind::Wasserstein { lambda: 10.0, iterations: 5 },
             ] {
-                let serial = ipm_weighted_plain_with(
-                    kind, &phi_t, &phi_c, None, None, Parallelism::Serial, mode,
-                );
-                let parallel =
-                    ipm_weighted_plain_with(kind, &phi_t, &phi_c, None, None, par, mode);
-                prop_assert!(
-                    serial.to_bits() == parallel.to_bits(),
-                    "{kind:?} ({mode}): {serial} vs {parallel}"
-                );
+                let ipm = || {
+                    vec![ipm_weighted_plain_with(kind, &phi_t, &phi_c, None, None, mode).to_bits()]
+                };
+                prop_assert!(same_bits_on_pool(threads, ipm), "{kind:?} ({mode})");
             }
         }
     }
 }
 
 /// `Parallelism::Serial` must reproduce, bit for bit, the predictions this
-/// exact fit produced *before* the blocked kernel layer existed (recorded
-/// from the PR 2 tree); and the parallel path must match serial on the same
-/// fit. Guards the "serial mode reproduces historical output" contract.
+/// exact fit produced *before* the blocked kernel layer existed; and
+/// `Parallelism::Threads(4)`, whose weight phase runs its decorrelation
+/// terms on the pool, must match serial on the same fit. Guards the
+/// "serial mode reproduces historical output" contract.
 #[test]
 fn serial_mode_reproduces_recorded_pr2_predictions() {
     // (row index, y0_hat bits, y1_hat bits) recorded from the PR 2 tree with
@@ -211,7 +208,7 @@ fn serial_mode_reproduces_recorded_pr2_predictions() {
         assert_eq!(serial.y1_hat[i].to_bits(), y1_bits, "y1[{i}] drifted from PR 2");
     }
 
-    // The parallel path trains to bit-identical predictions.
+    // The parallel fit trains to bit-identical predictions.
     let parallel = fit(Parallelism::Threads(4));
     Parallelism::from_env().set_global();
     NumericsMode::from_env().set_global();
