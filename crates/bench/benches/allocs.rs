@@ -99,7 +99,7 @@ fn main() {
             weights.reset_binding(w_binding);
             let g = &mut *tape;
             let x = g.constant_selected_rows(&data.x, &batch);
-            let pass = model.train_step().forward(g, frozen_binding, x, &ctx);
+            let pass = model.train_step().forward_without_reg(g, frozen_binding, x, &ctx);
             let w = weights.bind_trainable(g, w_binding, &batch);
             let r_w = weights.r_w(g, w);
             let terms = weight_objective(g, &sbrl, &pass.taps, &ctx, w, r_w, &rff, rng, scratch);

@@ -2,7 +2,8 @@
 //! the matmul kernels, the differentiable weighted IPMs, the HSIC-RFF
 //! decorrelation loss and the whole weight objective of one weight step —
 //! each also timed under the `NumericsMode::Fast` global knob (`*_fast`
-//! cases) — and the generation of one synthetic test environment.
+//! cases) — the weight phase's frozen CFR forward and the generation of one
+//! synthetic test environment.
 
 mod common;
 
@@ -149,6 +150,24 @@ fn bench_micro(c: &mut Criterion) {
             });
         });
     }
+
+    // The weight phase's frozen forward at `fit_hap`'s shapes: the quick
+    // CFR preset on the 128-row batch, in training mode (batch-norm
+    // statistics update) with no backbone regularizer.
+    NumericsMode::BitExact.set_global();
+    let mut model = preset.backbone_config(BackboneKind::Cfr, batch.dim()).build(&mut rng);
+    let mut frozen = Binding::new_frozen(model.store());
+    let mut g = Graph::new();
+    group.bench_function("cfr_frozen_forward", |bch| {
+        bch.iter(|| {
+            g.reset();
+            frozen.reset(model.store());
+            let x = g.constant_copied(&batch.x);
+            let pass = model.train_step().forward_without_reg(&mut g, &mut frozen, x, &ctx);
+            g.give_id_buf(pass.taps.z_o);
+            black_box(g.value(pass.y1_raw)[(0, 0)])
+        });
+    });
     NumericsMode::from_env().set_global();
 
     // One `fit_hap` test environment: 2 400 rows from a 24 000-row pool.

@@ -510,10 +510,8 @@ fn make_fixtures(root: &Path) -> Result<(), SbrlError> {
 
     // The expected prediction bits, computed under the pinned BitExact tier
     // (the golden tests pin the same tier before comparing).
-    NumericsMode::BitExact.set_global();
     let probe = fixture::probe_matrix(golden.model().export_config().in_dim());
-    let est = golden.predict(&probe);
-    NumericsMode::from_env().set_global();
+    let est = NumericsMode::BitExact.scoped(|| golden.predict(&probe));
     let mut bits = String::new();
     bits.push_str("# Bit-exact predictions of tests/fixtures/golden_v2.sbrl on\n");
     bits.push_str("# persist::fixture::probe_matrix, NumericsMode::BitExact.\n");

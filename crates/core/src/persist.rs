@@ -1043,16 +1043,13 @@ pub mod fixture {
         TrainConfig { iterations: 40, eval_every: 10, seed, ..TrainConfig::smoke() }
     }
 
-    /// Runs `fit` with the numerics tier pinned to `BitExact` (the golden
-    /// fixtures must not depend on the ambient `SBRL_NUMERICS` leg), then
-    /// restores the environment-selected tier.
+    /// Runs `fit` with the numerics tier pinned to `BitExact` for this fit
+    /// only (the golden fixtures must not depend on the ambient
+    /// `SBRL_NUMERICS` leg); other threads keep the process-global tier.
     fn fit_bitexact(
         fit: impl FnOnce() -> Result<FittedModel<Box<dyn Backbone>>, SbrlError>,
     ) -> Result<FittedModel<Box<dyn Backbone>>, SbrlError> {
-        NumericsMode::BitExact.set_global();
-        let out = fit();
-        NumericsMode::from_env().set_global();
-        out
+        NumericsMode::BitExact.scoped(fit)
     }
 
     /// The golden model: `CFR+SBRL-HAP` on the fixture dataset, bit-exact.

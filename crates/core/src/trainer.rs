@@ -574,7 +574,7 @@ pub(crate) fn fit_backbone<B: Backbone>(
             weights.reset_binding(&mut w_binding);
             let g = &mut tape;
             let x = g.constant_selected_rows(&x_train, batch);
-            let pass = model.train_step().forward(g, &mut frozen_binding, x, &ctx);
+            let pass = model.train_step().forward_without_reg(g, &mut frozen_binding, x, &ctx);
             let w = weights.bind_trainable(g, &mut w_binding, batch);
             let r_w = weights.r_w(g, w);
             let terms =

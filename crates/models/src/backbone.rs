@@ -119,14 +119,16 @@ pub trait Backbone: Send + Sync {
     ) -> ForwardPass;
 
     /// Training-mode forward pass. Implementors put batch-statistic updates
-    /// and regularisation terms here; callers should reach it through
-    /// [`Backbone::train_step`] so the mutable path stays explicit.
+    /// here, and the backbone's regularisation terms when `with_reg` is set
+    /// (otherwise `reg_loss` is the zero scalar); callers should reach it
+    /// through [`Backbone::train_step`] so the mutable path stays explicit.
     fn forward_train(
         &mut self,
         g: &mut Graph,
         binding: &mut Binding,
         x: TensorId,
         ctx: &BatchContext,
+        with_reg: bool,
     ) -> ForwardPass;
 
     /// The parameter store holding all trainable parameters.
@@ -231,7 +233,8 @@ pub struct TrainStep<'a, B: Backbone + ?Sized> {
 }
 
 impl<B: Backbone + ?Sized> TrainStep<'_, B> {
-    /// Training-mode forward pass through the wrapped backbone.
+    /// Training-mode forward pass through the wrapped backbone, with its
+    /// regularisation terms in `reg_loss`.
     pub fn forward(
         &mut self,
         g: &mut Graph,
@@ -239,7 +242,22 @@ impl<B: Backbone + ?Sized> TrainStep<'_, B> {
         x: TensorId,
         ctx: &BatchContext,
     ) -> ForwardPass {
-        self.model.forward_train(g, binding, x, ctx)
+        self.model.forward_train(g, binding, x, ctx, true)
+    }
+
+    /// Training-mode forward pass that builds no backbone regularizer:
+    /// batch-norm running statistics update exactly as in
+    /// [`TrainStep::forward`], and `reg_loss` is the zero scalar. The weight
+    /// phase (Eq. 11) reads only the outputs and layer taps, so it takes
+    /// this path and skips, e.g., CFR's Sinkhorn IPM.
+    pub fn forward_without_reg(
+        &mut self,
+        g: &mut Graph,
+        binding: &mut Binding,
+        x: TensorId,
+        ctx: &BatchContext,
+    ) -> ForwardPass {
+        self.model.forward_train(g, binding, x, ctx, false)
     }
 
     /// Shared view of the wrapped backbone.
@@ -269,8 +287,9 @@ impl Backbone for Box<dyn Backbone> {
         binding: &mut Binding,
         x: TensorId,
         ctx: &BatchContext,
+        with_reg: bool,
     ) -> ForwardPass {
-        self.as_mut().forward_train(g, binding, x, ctx)
+        self.as_mut().forward_train(g, binding, x, ctx, with_reg)
     }
 
     fn store(&self) -> &ParamStore {

@@ -74,9 +74,10 @@ impl Backbone for Cfr {
         binding: &mut Binding,
         x: TensorId,
         ctx: &BatchContext,
+        with_reg: bool,
     ) -> ForwardPass {
         let (mut pass, phi) = self.tarnet.forward_with_rep_train(g, binding, x, ctx);
-        if self.alpha > 0.0 {
+        if with_reg && self.alpha > 0.0 {
             let ipm = ipm_graph(g, self.ipm, phi, &ctx.treated_idx, &ctx.control_idx);
             let scaled = g.scale(ipm, self.alpha);
             pass.reg_loss = g.add(pass.reg_loss, scaled);

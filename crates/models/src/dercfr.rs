@@ -152,8 +152,7 @@ impl DerCfr {
         let w_a = binding.bind(&self.store, g, self.rep_a.layers()[0].weight());
         let mut acc = g.scalar_const(0.0);
         for (a, b) in [(w_i, w_c), (w_i, w_a), (w_c, w_a)] {
-            let at = g.transpose(a);
-            let gram = g.matmul(at, b);
+            let gram = g.matmul_tn(a, b);
             let sq = g.square(gram);
             let m = g.mean(sq);
             acc = g.add(acc, m);
@@ -265,12 +264,13 @@ impl Backbone for DerCfr {
         binding: &mut Binding,
         x: TensorId,
         ctx: &BatchContext,
+        with_reg: bool,
     ) -> ForwardPass {
         let x = match &mut self.input_bn {
             Some(bn) => bn.forward_train(&self.store, binding, g, x),
             None => x,
         };
-        self.body(g, binding, x, ctx, true)
+        self.body(g, binding, x, ctx, with_reg)
     }
 
     fn store(&self) -> &ParamStore {

@@ -226,6 +226,7 @@ impl Backbone for Tarnet {
         binding: &mut Binding,
         x: TensorId,
         ctx: &BatchContext,
+        _with_reg: bool,
     ) -> ForwardPass {
         self.forward_with_rep_train(g, binding, x, ctx).0
     }

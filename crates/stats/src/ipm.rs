@@ -152,8 +152,7 @@ fn rbf_kernel_graph(g: &mut Graph, a: TensorId, b: TensorId, sigma: f64) -> Tens
 /// `u^T K v` for column vectors `u`, `v` -> `1 x 1`.
 fn quadratic_form(g: &mut Graph, u: TensorId, k: TensorId, v: TensorId) -> TensorId {
     let kv = g.matmul(k, v);
-    let ut = g.transpose(u);
-    g.matmul(ut, kv)
+    g.matmul_tn(u, kv)
 }
 
 /// Entropic-regularised OT cost, differentiated through the Sinkhorn loop.
@@ -192,8 +191,7 @@ fn sinkhorn_graph(
         let kv = g.matmul(k, v);
         let kv_safe = g.add_scalar(kv, eps);
         u = g.div(a, kv_safe);
-        let kt = g.transpose(k);
-        let ktu = g.matmul(kt, u);
+        let ktu = g.matmul_tn(k, u);
         let ktu_safe = g.add_scalar(ktu, eps);
         v = g.div(b, ktu_safe);
     }

@@ -12,8 +12,9 @@
 //!   `predict_batched`'s row shards. The kernels themselves run on the
 //!   calling thread, so every setting produces the same bits.
 //! * [`NumericsMode`] — the workspace-wide floating-point contract knob
-//!   (env-driven via `SBRL_NUMERICS`, default [`NumericsMode::BitExact`]).
-//!   `BitExact` preserves every historical accumulation chain;
+//!   (env-driven via `SBRL_NUMERICS`, default [`NumericsMode::BitExact`];
+//!   [`NumericsMode::scoped`] pins a tier for one thread and the pool tasks
+//!   it submits). `BitExact` preserves every historical accumulation chain;
 //!   [`NumericsMode::Fast`] opts into FMA contraction in the row microkernels
 //!   and deterministic pairwise-tree reductions ([`reduce_sum`],
 //!   [`reduce_dot`]), trading bit-reproducibility against the historical
@@ -29,6 +30,14 @@
 //!   exact-zero skip of `gemm`/`gemm_tn`, so each element is the dot
 //!   product's own chain `0.0 + Σ_k a[i][k] * b[j][k]` in ascending `k`,
 //!   `0 * inf` stays NaN, and nothing is allocated.
+//! * Products with a single output column (`n = 1`: the Sinkhorn
+//!   matrix–vector products, their backward, the output layers) take a
+//!   separate kernel in every layout. Each output element is one dependent
+//!   add chain, so the row kernels, which widen over output columns, ran
+//!   these at one chain's latency per term; the `n = 1` kernel runs eight
+//!   rows' chains side by side instead. Every element keeps its own chain
+//!   `0.0 + Σ_k a·b` in ascending `k`, nn/tn keep the exact-zero skip on
+//!   `a` and nt has none, so both tiers' bits are unchanged.
 //! * [`shard_ranges`], [`par_for_row_chunks`] — the sharding primitives of
 //!   the coarse tasks (synthetic generation in `sbrl-data`, batched
 //!   inference in `sbrl-core`). They execute on the persistent worker pool
@@ -49,6 +58,7 @@
 //! assert_eq!(c[(5, 7)].to_bits(), want.to_bits());
 //! ```
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::matrix::Matrix;
@@ -158,10 +168,12 @@ pub fn available_cores() -> usize {
 /// The workspace's second process-global knob, next to [`Parallelism`]. It
 /// resolves, in order:
 ///
-/// 1. an explicit [`NumericsMode::set_global`] call;
-/// 2. the `SBRL_NUMERICS` environment variable (`fast`, case-insensitive,
+/// 1. a tier pinned on the calling thread by [`NumericsMode::scoped`] (pool
+///    tasks inherit their submitter's pin);
+/// 2. an explicit [`NumericsMode::set_global`] call;
+/// 3. the `SBRL_NUMERICS` environment variable (`fast`, case-insensitive,
 ///    selects [`NumericsMode::Fast`]; anything else is `BitExact`);
-/// 3. the default, [`NumericsMode::BitExact`].
+/// 4. the default, [`NumericsMode::BitExact`].
 ///
 /// `BitExact` is the historical contract: no FMA contraction, no reduction
 /// reordering, output bit-identical to the pre-kernel-layer code at every
@@ -185,6 +197,32 @@ pub enum NumericsMode {
 
 /// Global numerics knob storage: 0 = unresolved, 1 = bit-exact, 2 = fast.
 static GLOBAL_NUMERICS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The tier pinned on this thread by [`NumericsMode::scoped`], coded as
+    /// in [`GLOBAL_NUMERICS`] (0 = none).
+    static SCOPED_NUMERICS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The tier code pinned on the calling thread (0 = none). The worker pool
+/// hands it to the tasks a pinned thread submits.
+pub(crate) fn scoped_numerics() -> usize {
+    SCOPED_NUMERICS.with(Cell::get)
+}
+
+/// Runs `f` with the calling thread's pinned tier code set to `code`,
+/// restoring the previous code afterwards, also when `f` panics.
+pub(crate) fn with_scoped_numerics<R>(code: usize, f: impl FnOnce() -> R) -> R {
+    /// Restores the previous code on drop.
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SCOPED_NUMERICS.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(SCOPED_NUMERICS.with(|c| c.replace(code)));
+    f()
+}
 
 impl NumericsMode {
     /// Resolves the knob from the `SBRL_NUMERICS` environment variable:
@@ -211,21 +249,42 @@ impl NumericsMode {
         }
     }
 
+    /// The knob's storage code (1 = bit-exact, 2 = fast).
+    fn code(self) -> usize {
+        match self {
+            NumericsMode::BitExact => 1,
+            NumericsMode::Fast => 2,
+        }
+    }
+
     /// Installs `self` as the process-global knob used by every kernel that
     /// does not take an explicit `NumericsMode`.
     pub fn set_global(self) {
-        let stored = match self {
-            NumericsMode::BitExact => 1,
-            NumericsMode::Fast => 2,
-        };
-        GLOBAL_NUMERICS.store(stored, Ordering::Relaxed);
+        GLOBAL_NUMERICS.store(self.code(), Ordering::Relaxed);
     }
 
-    /// The process-global knob. The first read resolves
+    /// Runs `f` with `self` pinned as the tier of the calling thread and of
+    /// every pool task it submits (replications, decorrelation terms, row
+    /// shards), whatever the process-global knob says; other threads keep
+    /// reading the global. The previous pin is restored when `f` returns or
+    /// panics. A fit that must not depend on `SBRL_NUMERICS` (the golden
+    /// fixtures) runs inside such a scope instead of flipping the global
+    /// under its neighbours.
+    pub fn scoped<R>(self, f: impl FnOnce() -> R) -> R {
+        with_scoped_numerics(self.code(), f)
+    }
+
+    /// The tier in force on the calling thread: the one pinned by an
+    /// enclosing [`NumericsMode::scoped`], otherwise the process-global
+    /// knob. The first read of the global resolves
     /// [`NumericsMode::from_env`] and caches it; later
     /// [`NumericsMode::set_global`] calls override it.
     pub fn global() -> Self {
-        match GLOBAL_NUMERICS.load(Ordering::Relaxed) {
+        let code = match scoped_numerics() {
+            0 => GLOBAL_NUMERICS.load(Ordering::Relaxed),
+            pinned => pinned,
+        };
+        match code {
             1 => NumericsMode::BitExact,
             2 => NumericsMode::Fast,
             _ => {
@@ -682,6 +741,75 @@ const NT: u8 = 1;
 /// `C = A^T * B`.
 const TN: u8 = 2;
 
+/// Output rows whose accumulation chains the n = 1 kernel runs side by side.
+const MV_ROWS: usize = 8;
+
+/// One `k` step of [`MV_ROWS`] interleaved chains: `acc[r] += a_k[r] * bk`.
+/// With `SKIP_ZERO` a zero `a_k[r]` leaves `acc[r]` untouched (the select
+/// keeps the old accumulator), exactly like the row kernels' skipped term.
+#[inline(always)]
+// lint: no_alloc
+fn matvec_step<const FMA: bool, const SKIP_ZERO: bool>(
+    acc: &mut [f64; MV_ROWS],
+    a_k: [f64; MV_ROWS],
+    bk: f64,
+) {
+    for (o, ark) in acc.iter_mut().zip(a_k) {
+        let step = madd::<FMA>(*o, ark, bk);
+        *o = if live::<SKIP_ZERO>(ark) { step } else { *o };
+    }
+}
+
+/// `C += A * b` (nn, nt) or `C += A^T * b` (tn) for a single output column:
+/// the `m` output elements are `m` independent chains over `k`, run
+/// [`MV_ROWS`] at a time so their additions overlap instead of waiting on
+/// one another. Each element's chain is the row kernels' own — ascending
+/// `k`, the exact-zero skip on `a` for nn/tn and none for nt — so every
+/// tier's bits are unchanged. A short last block repeats row `m - 1` in its
+/// spare lanes and discards them.
+#[inline(always)]
+// lint: no_alloc
+fn matvec_rows<const L: u8, const FMA: bool>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    (m, k_dim, _): (usize, usize, usize),
+) {
+    let b = &b[..k_dim];
+    for i0 in (0..m).step_by(MV_ROWS) {
+        let full = i0 + MV_ROWS <= m;
+        let rows: [usize; MV_ROWS] = std::array::from_fn(|r| (i0 + r).min(m - 1));
+        let mut acc: [f64; MV_ROWS] = std::array::from_fn(|r| out[rows[r]]);
+        match L {
+            TN if full => {
+                for (col, &bk) in a.chunks_exact(m).zip(b) {
+                    let a_k = &col[i0..i0 + MV_ROWS];
+                    matvec_step::<FMA, true>(&mut acc, std::array::from_fn(|r| a_k[r]), bk);
+                }
+            }
+            TN => {
+                for (col, &bk) in a.chunks_exact(m).zip(b) {
+                    matvec_step::<FMA, true>(&mut acc, std::array::from_fn(|r| col[rows[r]]), bk);
+                }
+            }
+            _ => {
+                let a_rows: [&[f64]; MV_ROWS] =
+                    std::array::from_fn(|r| &a[rows[r] * k_dim..(rows[r] + 1) * k_dim]);
+                for (k, &bk) in b.iter().enumerate() {
+                    let a_k = std::array::from_fn(|r| a_rows[r][k]);
+                    if L == NN {
+                        matvec_step::<FMA, true>(&mut acc, a_k, bk);
+                    } else {
+                        matvec_step::<FMA, false>(&mut acc, a_k, bk);
+                    }
+                }
+            }
+        }
+        let live_rows = (m - i0).min(MV_ROWS);
+        out[i0..i0 + live_rows].copy_from_slice(&acc[..live_rows]);
+    }
+}
+
 /// The kernel of layout `L` (`NN`, `NT` or `TN`) for an `m x n` product
 /// with inner dimension `k_dim`.
 #[inline(always)]
@@ -692,6 +820,9 @@ fn gemm_rows_impl<const L: u8, const FMA: bool>(
     out: &mut [f64],
     dims: (usize, usize, usize),
 ) {
+    if dims.2 == 1 {
+        return matvec_rows::<L, FMA>(a, b, out, dims);
+    }
     match L {
         NN => gemm_nn_rows_impl::<FMA>(a, b, out, dims),
         NT => gemm_nt_panel_rows::<FMA>(a, b, out, dims),
@@ -1272,6 +1403,67 @@ mod tests {
                     let got = gemm_nt_mode(&a, &b, mode);
                     let got: Vec<u64> = got.as_slice().iter().map(|&v| bits(v)).collect();
                     assert_eq!(got, want, "k={k} n={n} {mode}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matvec_is_bit_identical_to_its_chain_definition() {
+        // A single output column runs on the interleaved n = 1 kernel. Each
+        // element must still be its own chain from +0.0 in ascending k:
+        // nn/tn skip an exactly-zero `a` (0 * inf never joins the chain), nt
+        // adds every term (0 * inf is NaN); Fast fuses every step where the
+        // CPU has FMA. NaN payloads are unspecified, so NaNs compare as a
+        // class.
+        fn bits(x: f64) -> u64 {
+            if x.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        let fma = fma_available();
+        #[cfg(not(target_arch = "x86_64"))]
+        let fma = false;
+        let specials = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let mut rng = rng_from_seed(19);
+        for m in [1, 7, 8, 9, 17, 64, 129] {
+            for k in [1, 3, 64, 70] {
+                let mut a = randn(&mut rng, m, k);
+                let mut b = randn(&mut rng, k, 1);
+                for v in a.as_mut_slice().iter_mut().step_by(3) {
+                    *v = 0.0;
+                }
+                // Every third entry of `a` is zero and every fifth of `b` is
+                // special, so the specials meet skipped zeros and live terms.
+                for (idx, v) in b.as_mut_slice().iter_mut().enumerate().step_by(5) {
+                    *v = specials[(idx / 5) % specials.len()];
+                }
+                let (a_t, b_t) = (a.transpose(), b.transpose());
+                for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
+                    let fused = mode.is_fast() && fma;
+                    let chain = |i: usize, skip_zero: bool| {
+                        a.row(i).iter().zip(b.as_slice()).fold(0.0, |s, (&x, &y)| {
+                            if skip_zero && x == 0.0 {
+                                s
+                            } else if fused {
+                                x.mul_add(y, s)
+                            } else {
+                                s + x * y
+                            }
+                        })
+                    };
+                    for (name, got, skip_zero) in [
+                        ("nn", gemm_mode(&a, &b, mode), true),
+                        ("nt", gemm_nt_mode(&a, &b_t, mode), false),
+                        ("tn", gemm_tn_mode(&a_t, &b, mode), true),
+                    ] {
+                        let want: Vec<u64> = (0..m).map(|i| bits(chain(i, skip_zero))).collect();
+                        let got: Vec<u64> = got.as_slice().iter().map(|&v| bits(v)).collect();
+                        assert_eq!(got, want, "{name} m={m} k={k} {mode}");
+                    }
                 }
             }
         }

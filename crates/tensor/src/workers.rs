@@ -23,6 +23,9 @@
 //!   writes disjoint output and is computed exactly once, so results are
 //!   identical to a serial left-to-right pass — the pool never changes a
 //!   floating-point chain in either [`NumericsMode`](crate::kernels::NumericsMode).
+//! * A numerics tier pinned on the submitting thread by
+//!   [`NumericsMode::scoped`](crate::kernels::NumericsMode::scoped) is
+//!   pinned on whichever thread runs each of its tasks, for that task only.
 //! * A claim loop never blocks on another job: if every pool thread is busy
 //!   (including the nested-parallelism case of a parallel region entered
 //!   from inside a pool worker), the submitter simply runs all of its own
@@ -225,6 +228,11 @@ fn run_parallel(
     f: &(dyn Fn(usize) + Sync),
 ) -> Result<(), TaskPanicked> {
     ensure_threads(workers.saturating_sub(1));
+
+    // Every task runs under the submitting thread's pinned tier (or none).
+    let tier = crate::kernels::scoped_numerics();
+    let pinned = |i: usize| crate::kernels::with_scoped_numerics(tier, || f(i));
+    let f: &(dyn Fn(usize) + Sync) = &pinned;
 
     // Erase the borrow lifetime: sound because this function does not return
     // until `done == total` (see the latch below).

@@ -206,6 +206,38 @@ fn numerics_mode_global_round_trip() {
     NumericsMode::from_env().set_global();
 }
 
+/// A scoped tier pins the calling thread and the pool tasks it submits,
+/// and nothing else: inside `NumericsMode::BitExact.scoped`, two coarse
+/// tasks that must run at the same time (one of them on a pool worker) see
+/// BitExact, while a thread outside the scope sees the global Fast.
+#[test]
+fn scoped_tier_pins_its_tasks_but_not_other_threads() {
+    use sbrl_hap::tensor::workers::run_coarse_tasks;
+    use std::sync::Barrier;
+    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|p| p.into_inner());
+    NumericsMode::Fast.set_global();
+    let caller = std::thread::current().id();
+    let both_running = Barrier::new(2);
+    let seen = Mutex::new(Vec::new());
+    let outside = NumericsMode::BitExact.scoped(|| {
+        run_coarse_tasks(2, 2, &|_| {
+            both_running.wait();
+            let on = std::thread::current().id();
+            seen.lock().unwrap().push((on, NumericsMode::global()));
+        });
+        std::thread::scope(|s| s.spawn(NumericsMode::global).join().unwrap())
+    });
+    let after = NumericsMode::global();
+    NumericsMode::from_env().set_global();
+
+    let seen = seen.into_inner().unwrap();
+    assert_eq!(seen.len(), 2);
+    assert!(seen.iter().any(|&(on, _)| on != caller), "no task ran on a pool worker");
+    assert!(seen.iter().all(|&(_, mode)| mode == NumericsMode::BitExact), "{seen:?}");
+    assert_eq!(outside, NumericsMode::Fast, "the scope leaked to another thread");
+    assert_eq!(after, NumericsMode::Fast, "the scope outlived its closure");
+}
+
 fn short_fit(mode: NumericsMode, par: Parallelism) -> (Vec<f64>, Vec<f64>) {
     let process = SyntheticProcess::new(SyntheticConfig::syn_8_8_8_2(), 21);
     let train_data = process.generate(2.5, 200, 0);
