@@ -28,7 +28,7 @@ use sbrl_models::{select_by_treatment, Backbone, BatchContext, Cfr, CfrConfig};
 use sbrl_nn::{loss::l2_penalty, Adam, Binding, Optimizer, OutcomeLoss};
 use sbrl_stats::{HsicScratch, Rff};
 use sbrl_tensor::rng::rng_from_seed;
-use sbrl_tensor::{Graph, Parallelism};
+use sbrl_tensor::{Graph, NumericsMode, Parallelism};
 
 const BATCH: usize = 64;
 const WARMUP_STEPS: usize = 10;
@@ -40,8 +40,12 @@ fn main() {
     // contract is a BitExact-tier contract (docs/PERFORMANCE.md): Fast's
     // statistics gather per-row partials into fresh vectors, so the probe
     // pins the tier rather than inheriting `SBRL_NUMERICS`.
+    NumericsMode::BitExact.scoped(probe);
+}
+
+/// The allocation probe, then the thread-spawn probe.
+fn probe() {
     Parallelism::Serial.set_global();
-    sbrl_tensor::kernels::NumericsMode::BitExact.set_global();
 
     let process = SyntheticProcess::new(SyntheticConfig::syn_8_8_8_2(), 7);
     let data = process.generate(2.5, 256, 0);

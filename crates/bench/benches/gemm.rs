@@ -1,14 +1,15 @@
 //! Blocked-GEMM kernel bench at `Syn_16_16_16_2` training shapes: the
 //! batch-by-width products of one forward pass plus the fused-transpose
 //! backward pair, each timed in the default `NumericsMode::BitExact` tier
-//! and in `NumericsMode::Fast` (FMA microkernels).
+//! and in `NumericsMode::Fast` (FMA microkernels), each case's tier pinned
+//! with `NumericsMode::scoped`.
 //! Emits the baseline tracked in `results/BENCH_gemm.json`
 //! (see `docs/PERFORMANCE.md`).
 
 mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sbrl_tensor::kernels::{gemm_mode, gemm_nt_mode, gemm_tn_mode, NumericsMode};
+use sbrl_tensor::kernels::NumericsMode;
 use sbrl_tensor::rng::{randn, rng_from_seed};
 use std::hint::black_box;
 
@@ -28,7 +29,7 @@ fn bench_gemm(c: &mut Criterion) {
         let b = randn(&mut rng, k, n);
         for (tier, mode) in tiers {
             group.bench_function(&format!("{label}/{tier}"), |bch| {
-                bch.iter(|| black_box(gemm_mode(&a, &b, mode)));
+                mode.scoped(|| bch.iter(|| black_box(a.matmul(&b))));
             });
         }
     }
@@ -38,10 +39,10 @@ fn bench_gemm(c: &mut Criterion) {
     let g = randn(&mut rng, 256, 128);
     for (tier, mode) in tiers {
         group.bench_function(&format!("bwd_nt_256x128x128/{tier}"), |bch| {
-            bch.iter(|| black_box(gemm_nt_mode(&g, &x, mode)));
+            mode.scoped(|| bch.iter(|| black_box(g.matmul_nt(&x))));
         });
         group.bench_function(&format!("bwd_tn_256x128x128/{tier}"), |bch| {
-            bch.iter(|| black_box(gemm_tn_mode(&x, &g, mode)));
+            mode.scoped(|| bch.iter(|| black_box(x.matmul_tn(&g))));
         });
     }
     group.finish();

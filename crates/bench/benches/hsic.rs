@@ -3,13 +3,13 @@
 //! two O(n³) centring GEMMs) and the pairwise HSIC-RFF matrix (O(d² n) with
 //! per-column feature maps computed once), in the default
 //! `NumericsMode::BitExact` tier and in `NumericsMode::Fast` (FMA + tree
-//! reductions). Emits the baseline tracked in `results/BENCH_hsic.json`
+//! reductions), each case's tier pinned with `NumericsMode::scoped`. Emits the baseline tracked in `results/BENCH_hsic.json`
 //! (see `docs/PERFORMANCE.md`).
 
 mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sbrl_stats::{hsic_biased_with, pairwise_hsic_matrix_with, Rff};
+use sbrl_stats::{hsic_biased, pairwise_hsic_matrix, Rff};
 use sbrl_tensor::kernels::NumericsMode;
 use sbrl_tensor::rng::{randn, rng_from_seed};
 use std::hint::black_box;
@@ -23,7 +23,7 @@ fn bench_hsic(c: &mut Criterion) {
     let y = randn(&mut rng, 256, 8);
     for (label, mode) in tiers {
         group.bench_function(&format!("biased_256x8/{label}"), |bch| {
-            bch.iter(|| black_box(hsic_biased_with(&x, &y, 1.0, 1.0, mode)));
+            mode.scoped(|| bch.iter(|| black_box(hsic_biased(&x, &y, 1.0, 1.0))));
         });
     }
 
@@ -32,7 +32,7 @@ fn bench_hsic(c: &mut Criterion) {
     let rff = Rff::sample(&mut rng, 5);
     for (label, mode) in tiers {
         group.bench_function(&format!("pairwise_256x16/{label}"), |bch| {
-            bch.iter(|| black_box(pairwise_hsic_matrix_with(&z, &rff, None, mode)));
+            mode.scoped(|| bch.iter(|| black_box(pairwise_hsic_matrix(&z, &rff, None))));
         });
     }
     group.finish();

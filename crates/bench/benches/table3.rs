@@ -13,8 +13,9 @@ fn bench_table3(c: &mut Criterion) {
     let mut group = c.benchmark_group("table3");
 
     let twins_preset = bench_variant(paper_twins());
-    let twins = TwinsSimulator::new(TwinsConfig { n: 800, ..Default::default() }, 7);
-    let split = twins.partition(0);
+    let twins = TwinsSimulator::try_new(TwinsConfig { n: 800, ..Default::default() }, 7)
+        .expect("valid config");
+    let split = twins.try_partition(0).expect("simulated data carries the oracle");
     let twins_budget = common::budget(&twins_preset);
     group.bench_function("twins_round_cfr_sbrl_hap", |b| {
         b.iter(|| {
@@ -31,8 +32,8 @@ fn bench_table3(c: &mut Criterion) {
     });
 
     let ihdp_preset = bench_variant(paper_ihdp());
-    let ihdp = IhdpSimulator::new(IhdpConfig::default(), 11);
-    let isplit = ihdp.replicate(0);
+    let ihdp = IhdpSimulator::try_new(IhdpConfig::default(), 11).expect("valid config");
+    let isplit = ihdp.try_replicate(0).expect("simulated data carries the oracle");
     let ihdp_budget = common::budget(&ihdp_preset);
     group.bench_function("ihdp_rep_cfr_sbrl_hap", |b| {
         b.iter(|| {

@@ -14,8 +14,8 @@ use std::hint::black_box;
 
 fn bench_table6(c: &mut Criterion) {
     let preset = bench_variant(paper_ihdp());
-    let sim = IhdpSimulator::new(IhdpConfig::default(), 3);
-    let split = sim.replicate(0);
+    let sim = IhdpSimulator::try_new(IhdpConfig::default(), 3).expect("valid config");
+    let split = sim.try_replicate(0).expect("simulated data carries the oracle");
     let budget = common::budget(&preset);
     let mut group = c.benchmark_group("table6");
     for (label, framework) in [

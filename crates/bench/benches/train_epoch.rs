@@ -1,8 +1,8 @@
 //! End-to-end training bench: one bench-scale CFR+SBRL-HAP fit on
 //! `Syn_16_16_16_2` (the full alternating loop — backbone GEMMs, weighted
 //! IPM, HSIC-RFF decorrelation), under the serial, parallel, and
-//! parallel + `NumericsMode::Fast` global knobs. Emits the baseline tracked
-//! in `results/BENCH_train_epoch.json`.
+//! parallel + `NumericsMode::Fast` settings. Emits the baseline tracked in
+//! `results/BENCH_train_epoch.json`.
 
 mod common;
 
@@ -19,8 +19,8 @@ fn bench_train_epoch(c: &mut Criterion) {
     let spec = common::hap_method();
     let parallel = Parallelism::Threads(available_cores());
     let mut group = c.benchmark_group("train_epoch");
-    // The fit resolves both knobs globally, so each case pins them for its
-    // duration and the pair is restored from the environment afterwards.
+    // Each case sets the global worker count for its duration (restored
+    // from the environment afterwards) and pins its tier with `scoped`.
     for (label, par, mode) in [
         ("serial", Parallelism::Serial, NumericsMode::BitExact),
         ("parallel", parallel, NumericsMode::BitExact),
@@ -28,16 +28,16 @@ fn bench_train_epoch(c: &mut Criterion) {
     ] {
         group.bench_function(&format!("syn16_sbrl_hap/{label}"), |bch| {
             par.set_global();
-            mode.set_global();
-            bch.iter(|| {
-                let fitted = fit_method(spec, &preset, &data.train, &data.val, &budget)
-                    .expect("bench training");
-                black_box(fitted.evaluate(&data.test_id).expect("oracle").pehe)
+            mode.scoped(|| {
+                bch.iter(|| {
+                    let fitted = fit_method(spec, &preset, &data.train, &data.val, &budget)
+                        .expect("bench training");
+                    black_box(fitted.evaluate(&data.test_id).expect("oracle").pehe)
+                })
             });
         });
     }
     Parallelism::from_env().set_global();
-    NumericsMode::from_env().set_global();
     group.finish();
 }
 

@@ -1045,7 +1045,7 @@ pub mod fixture {
 
     /// Runs `fit` with the numerics tier pinned to `BitExact` for this fit
     /// only (the golden fixtures must not depend on the ambient
-    /// `SBRL_NUMERICS` leg); other threads keep the process-global tier.
+    /// `SBRL_NUMERICS` leg); other threads keep the `SBRL_NUMERICS` tier.
     fn fit_bitexact(
         fit: impl FnOnce() -> Result<FittedModel<Box<dyn Backbone>>, SbrlError>,
     ) -> Result<FittedModel<Box<dyn Backbone>>, SbrlError> {

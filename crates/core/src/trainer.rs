@@ -357,8 +357,8 @@ impl<B: Backbone> FittedModel<B> {
         self.loss_kind
     }
 
-    /// The [`NumericsMode`] tier the global knob held while this model was
-    /// fitted (provenance: `BitExact` fits reproduce the golden regressions
+    /// The [`NumericsMode`] tier in force on the fitting thread while this
+    /// model was fitted (provenance: `BitExact` fits reproduce the golden regressions
     /// bit for bit, `Fast` fits are tolerance-equivalent).
     pub fn numerics(&self) -> NumericsMode {
         self.numerics

@@ -90,20 +90,8 @@ pub struct IhdpSimulator {
 }
 
 impl IhdpSimulator {
-    /// Generates covariates and the confounded treatment assignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed configuration; use [`Self::try_new`] to get the
-    /// typed [`DataError`] instead.
-    pub fn new(config: IhdpConfig, seed: u64) -> Self {
-        // lint: allow(panic) — documented (`# Panics`); `try_new` is the
-        // typed route.
-        Self::try_new(config, seed).unwrap_or_else(|e| panic!("invalid IhdpConfig: {e}"))
-    }
-
-    /// Fallible variant of [`Self::new`]: rejects malformed configurations
-    /// with [`DataError::InvalidSpec`] instead of panicking.
+    /// Generates covariates and the confounded treatment assignment;
+    /// rejects malformed configurations with [`DataError::InvalidSpec`].
     pub fn try_new(config: IhdpConfig, seed: u64) -> Result<Self, DataError> {
         if config.n_treated == 0 || config.n_treated >= config.n {
             return Err(DataError::InvalidSpec {
@@ -232,20 +220,9 @@ impl IhdpSimulator {
     }
 
     /// One replication: simulate outcomes (fresh response-surface draw) and
-    /// partition into the biased test fold plus train/validation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replication lacks oracle outcomes (cannot happen for
-    /// simulated data); use [`Self::try_replicate`] for the typed error.
-    pub fn replicate(&self, rep_seed: u64) -> DataSplit {
-        // lint: allow(panic) — documented (`# Panics`); simulated data always
-        // carries the oracle, and `try_replicate` is the typed route.
-        self.try_replicate(rep_seed).expect("simulator carries oracle outcomes")
-    }
-
-    /// Fallible variant of [`Self::replicate`]: reports a missing
-    /// counterfactual oracle as [`DataError::MissingOracle`].
+    /// partition into the biased test fold plus train/validation. A missing
+    /// counterfactual oracle (which simulated data always carries) is a
+    /// [`DataError::MissingOracle`].
     pub fn try_replicate(&self, rep_seed: u64) -> Result<DataSplit, DataError> {
         let full = self.simulate_outcomes(rep_seed);
         self.try_partition(&full, rep_seed)
@@ -328,20 +305,8 @@ impl IhdpSimulator {
     }
 
     /// Partitions a replication: biased 10% test fold over the standardised
-    /// continuous covariates, remaining 70/30 train/validation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `full` lacks oracle outcomes; use [`Self::try_partition`]
-    /// for the typed error.
-    pub fn partition(&self, full: &CausalDataset, rep_seed: u64) -> DataSplit {
-        // lint: allow(panic) — documented (`# Panics`); `try_partition` is the
-        // typed route.
-        self.try_partition(full, rep_seed).expect("simulator carries oracle outcomes")
-    }
-
-    /// Fallible variant of [`Self::partition`]: reports a missing
-    /// counterfactual oracle as [`DataError::MissingOracle`].
+    /// continuous covariates, remaining 70/30 train/validation. `full`
+    /// without oracle outcomes is a [`DataError::MissingOracle`].
     pub fn try_partition(
         &self,
         full: &CausalDataset,
@@ -395,7 +360,7 @@ mod tests {
     use super::*;
 
     fn sim() -> IhdpSimulator {
-        IhdpSimulator::new(IhdpConfig::default(), 0)
+        IhdpSimulator::try_new(IhdpConfig::default(), 0).expect("valid config")
     }
 
     #[test]
@@ -468,10 +433,11 @@ mod tests {
 
     #[test]
     fn linear_surface_has_constant_effect() {
-        let s = IhdpSimulator::new(
+        let s = IhdpSimulator::try_new(
             IhdpConfig { surface: ResponseSurface::Linear, ..Default::default() },
             1,
-        );
+        )
+        .expect("valid config");
         let d = s.simulate_outcomes(3);
         let ite = d.true_ite().unwrap();
         assert!(ite.iter().all(|&e| (e - 4.0).abs() < 1e-9));
@@ -490,7 +456,7 @@ mod tests {
     #[test]
     fn partition_sizes_follow_the_protocol() {
         let s = sim();
-        let split = s.replicate(11);
+        let split = s.try_replicate(11).expect("simulated data carries the oracle");
         assert_eq!(split.test.n(), 75); // 10% of 747
         assert_eq!(split.train.n() + split.val.n(), 672);
         split.train.validate().unwrap();

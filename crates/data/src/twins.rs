@@ -68,21 +68,9 @@ pub struct TwinsSimulator {
 }
 
 impl TwinsSimulator {
-    /// Generates the full record table from `seed`.
-    ///
-    /// # Panics
-    /// On a structurally invalid [`TwinsConfig`]; sweeps that must degrade
-    /// gracefully use [`TwinsSimulator::try_new`].
-    pub fn new(config: TwinsConfig, seed: u64) -> Self {
-        // lint: allow(panic) — documented (`# Panics`); `try_new` is the
-        // typed route.
-        Self::try_new(config, seed).unwrap_or_else(|e| panic!("invalid TwinsConfig: {e}"))
-    }
-
-    /// [`TwinsSimulator::new`] with typed spec validation: a malformed
-    /// config (zero cohort, out-of-range fractions, a bias rate the
-    /// selection mechanism cannot represent) is a [`DataError::InvalidSpec`]
-    /// instead of a panic.
+    /// Generates the full record table from `seed`. A malformed config
+    /// (zero cohort, out-of-range fractions, a bias rate the selection
+    /// mechanism cannot represent) is a [`DataError::InvalidSpec`].
     pub fn try_new(config: TwinsConfig, seed: u64) -> Result<Self, DataError> {
         if config.n < 2 {
             return Err(DataError::InvalidSpec {
@@ -238,21 +226,9 @@ impl TwinsSimulator {
     }
 
     /// One partitioning round: biased 20% test fold (`rho` tilt on `X_V`),
-    /// remaining 70/30 train/validation.
-    ///
-    /// # Panics
-    /// Never for a simulator built by [`TwinsSimulator::new`] /
-    /// [`TwinsSimulator::try_new`] (its table always carries the oracle);
-    /// kept infallible for the many test/bench call sites. Fallible callers
-    /// use [`TwinsSimulator::try_partition`].
-    pub fn partition(&self, round: u64) -> DataSplit {
-        // lint: allow(panic) — documented (`# Panics`): infallible for any
-        // simulator-built table; `try_partition` is the typed route.
-        self.try_partition(round).expect("simulator carries oracle outcomes")
-    }
-
-    /// [`TwinsSimulator::partition`] with typed failure when the record
-    /// table lacks the counterfactual oracle the biased sampler needs.
+    /// remaining 70/30 train/validation. A record table without the
+    /// counterfactual oracle the biased sampler needs (a simulator-built
+    /// table always carries it) is a [`DataError::MissingOracle`].
     pub fn try_partition(&self, round: u64) -> Result<DataSplit, DataError> {
         let mut rng = rng_from_seed(round ^ 0x7717_5041);
         let n = self.full.n();
@@ -290,7 +266,8 @@ mod tests {
     use super::*;
 
     fn small() -> TwinsSimulator {
-        TwinsSimulator::new(TwinsConfig { n: 800, ..Default::default() }, 1)
+        TwinsSimulator::try_new(TwinsConfig { n: 800, ..Default::default() }, 1)
+            .expect("valid config")
     }
 
     #[test]
@@ -325,7 +302,8 @@ mod tests {
 
     #[test]
     fn heavier_twin_has_survival_advantage() {
-        let sim = TwinsSimulator::new(TwinsConfig { n: 4000, ..Default::default() }, 3);
+        let sim = TwinsSimulator::try_new(TwinsConfig { n: 4000, ..Default::default() }, 3)
+            .expect("valid config");
         let d = sim.full();
         let m0: f64 = d.mu0.as_ref().unwrap().iter().sum::<f64>() / d.n() as f64;
         let m1: f64 = d.mu1.as_ref().unwrap().iter().sum::<f64>() / d.n() as f64;
@@ -336,7 +314,7 @@ mod tests {
     #[test]
     fn partition_sizes_follow_the_protocol() {
         let sim = small();
-        let split = sim.partition(0);
+        let split = sim.try_partition(0).expect("simulated data carries the oracle");
         assert_eq!(split.test.n(), 160); // 20% of 800
         let rest = 800 - 160;
         assert_eq!(split.val.n(), (rest as f64 * 0.3).round() as usize);
@@ -349,9 +327,9 @@ mod tests {
     #[test]
     fn rounds_differ_but_are_reproducible() {
         let sim = small();
-        let a = sim.partition(0);
-        let b = sim.partition(0);
-        let c = sim.partition(1);
+        let a = sim.try_partition(0).expect("simulated data carries the oracle");
+        let b = sim.try_partition(0).expect("simulated data carries the oracle");
+        let c = sim.try_partition(1).expect("simulated data carries the oracle");
         assert_eq!(a.test.yf, b.test.yf);
         assert!(a.test.x.approx_eq(&b.test.x, 0.0));
         assert_ne!(a.test.yf, c.test.yf);
@@ -378,8 +356,9 @@ mod tests {
     fn test_fold_is_distribution_shifted() {
         // Under rho = -2.5 the test fold tilts the unstable features against
         // the treatment effect, so the X_V marginal differs from train.
-        let sim = TwinsSimulator::new(TwinsConfig { n: 4000, ..Default::default() }, 5);
-        let split = sim.partition(0);
+        let sim = TwinsSimulator::try_new(TwinsConfig { n: 4000, ..Default::default() }, 5)
+            .expect("valid config");
+        let split = sim.try_partition(0).expect("simulated data carries the oracle");
         let col = TwinsSimulator::unstable_columns().start;
         let mean_of =
             |d: &CausalDataset| (0..d.n()).map(|i| d.x[(i, col)]).sum::<f64>() / d.n() as f64;

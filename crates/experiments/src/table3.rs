@@ -3,13 +3,15 @@
 //! replications), reporting PEHE and `ε_ATE` on the train / validation /
 //! (OOD) test folds for the 9-method grid.
 
-use sbrl_data::{DataSplit, IhdpConfig, IhdpSimulator, TwinsConfig, TwinsSimulator};
+use sbrl_data::{DataError, DataSplit, IhdpConfig, IhdpSimulator, TwinsConfig, TwinsSimulator};
 use sbrl_metrics::Evaluation;
 
 use crate::methods::MethodSpec;
 use crate::presets::{bench_variant, paper_ihdp, paper_twins, quick_variant};
 use crate::report::{fmt_mean_std, render_table, results_dir, write_tsv};
-use crate::runner::{fit_method_retrying, render_failures, render_retries, DEFAULT_FIT_RETRIES};
+use crate::runner::{
+    fit_method_retrying, record_failure, render_failures, render_retries, DEFAULT_FIT_RETRIES,
+};
 use crate::scale::Scale;
 
 /// Per-method, per-fold evaluations across replications.
@@ -134,6 +136,34 @@ fn blocks(results: &[RealWorldResults]) -> (Vec<String>, Vec<Vec<String>>) {
     (header, rows)
 }
 
+/// Fits every method on every replication and renders one block of the
+/// table. A [`DataError`] from the simulator leaves the block without
+/// replications and is reported the way a failed fit is.
+fn run_block(
+    name: &str,
+    title: &str,
+    splits: Result<Vec<DataSplit>, DataError>,
+    preset: &crate::methods::ExperimentPreset,
+    scale: Scale,
+    methods: &[MethodSpec],
+) -> String {
+    let mut data_failures = Vec::new();
+    let splits = splits.unwrap_or_else(|e| {
+        let msg = format!("{title} data FAILED: {e}");
+        record_failure(&format!("table3:{name}"), msg, &mut data_failures);
+        Vec::new()
+    });
+    let results = run_splits(name, &splits, preset, scale, methods);
+    let (header, rows) = blocks(&results);
+    let mut out =
+        render_table(&format!("Table III ({title}) — scale {}", scale.name()), &header, &rows);
+    write_tsv(results_dir().join(format!("table3_{name}.tsv")), &header, &rows).ok();
+    out.push_str(&render_retries(results.iter().flat_map(|r| &r.retries)));
+    let failures = data_failures.iter().chain(results.iter().flat_map(|r| &r.failures));
+    out.push_str(&render_failures(failures));
+    out
+}
+
 /// Runs the Twins block of Table III.
 pub fn run_twins(scale: Scale, methods: &[MethodSpec]) -> String {
     let preset = match scale {
@@ -142,17 +172,10 @@ pub fn run_twins(scale: Scale, methods: &[MethodSpec]) -> String {
         Scale::Bench => bench_variant(paper_twins()),
     };
     let (rounds, _) = scale.realworld_replications();
-    let sim =
-        TwinsSimulator::new(TwinsConfig { n: scale.twins_records(), ..Default::default() }, 7);
-    let splits: Vec<DataSplit> = (0..rounds).map(|r| sim.partition(r as u64)).collect();
-    let results = run_splits("twins", &splits, &preset, scale, methods);
-    let (header, rows) = blocks(&results);
-    let mut out =
-        render_table(&format!("Table III (Twins) — scale {}", scale.name()), &header, &rows);
-    write_tsv(results_dir().join("table3_twins.tsv"), &header, &rows).ok();
-    out.push_str(&render_retries(results.iter().flat_map(|r| &r.retries)));
-    out.push_str(&render_failures(results.iter().flat_map(|r| &r.failures)));
-    out
+    let config = TwinsConfig { n: scale.twins_records(), ..Default::default() };
+    let splits = TwinsSimulator::try_new(config, 7)
+        .and_then(|sim| (0..rounds).map(|r| sim.try_partition(r as u64)).collect());
+    run_block("twins", "Twins", splits, &preset, scale, methods)
 }
 
 /// Runs the IHDP block of Table III.
@@ -163,16 +186,9 @@ pub fn run_ihdp(scale: Scale, methods: &[MethodSpec]) -> String {
         Scale::Bench => bench_variant(paper_ihdp()),
     };
     let (_, reps) = scale.realworld_replications();
-    let sim = IhdpSimulator::new(IhdpConfig::default(), 11);
-    let splits: Vec<DataSplit> = (0..reps).map(|r| sim.replicate(r as u64)).collect();
-    let results = run_splits("ihdp", &splits, &preset, scale, methods);
-    let (header, rows) = blocks(&results);
-    let mut out =
-        render_table(&format!("Table III (IHDP) — scale {}", scale.name()), &header, &rows);
-    write_tsv(results_dir().join("table3_ihdp.tsv"), &header, &rows).ok();
-    out.push_str(&render_retries(results.iter().flat_map(|r| &r.retries)));
-    out.push_str(&render_failures(results.iter().flat_map(|r| &r.failures)));
-    out
+    let splits = IhdpSimulator::try_new(IhdpConfig::default(), 11)
+        .and_then(|sim| (0..reps).map(|r| sim.try_replicate(r as u64)).collect());
+    run_block("ihdp", "IHDP", splits, &preset, scale, methods)
 }
 
 /// Runs both blocks for the full grid.

@@ -22,7 +22,8 @@ pub struct Timing {
 }
 
 /// Measures a single training execution per method on one IHDP replication;
-/// failed fits are skipped and described in the second element, fits
+/// failed fits (and a replication the simulator cannot build) are skipped
+/// and described in the second element, fits
 /// recovered by reseeded retries in the third, so the report can record
 /// both.
 pub fn analyse(scale: Scale) -> (Vec<Timing>, Vec<String>, Vec<String>) {
@@ -31,10 +32,18 @@ pub fn analyse(scale: Scale) -> (Vec<Timing>, Vec<String>, Vec<String>) {
         Scale::Quick => quick_variant(paper_ihdp()),
         Scale::Bench => bench_variant(paper_ihdp()),
     };
-    let sim = IhdpSimulator::new(IhdpConfig::default(), 3);
-    let split = sim.replicate(0);
     let mut failures = Vec::new();
     let mut retries = Vec::new();
+    let split = match IhdpSimulator::try_new(IhdpConfig::default(), 3)
+        .and_then(|sim| sim.try_replicate(0))
+    {
+        Ok(split) => split,
+        Err(e) => {
+            let msg = format!("IHDP data FAILED: {e}");
+            crate::runner::record_failure("table6", msg, &mut failures);
+            return (Vec::new(), failures, retries);
+        }
+    };
     let timings = MethodSpec::grid()
         .into_iter()
         .filter_map(|spec| {

@@ -163,7 +163,9 @@ impl DerCfr {
 
 impl DerCfr {
     /// Mode-independent network body after the (optional) input batch norm;
-    /// `with_reg` attaches the decomposition losses (training only).
+    /// `with_reg` attaches the decomposition losses (training only). The
+    /// treatment head only feeds the `β·BCE` term, so it is built only with
+    /// that term.
     fn body(
         &self,
         g: &mut Graph,
@@ -177,9 +179,9 @@ impl DerCfr {
         let out_a = self.rep_a.forward(&self.store, binding, g, x);
         let (rep_i, rep_c, rep_a) = (out_i.output, out_c.output, out_a.output);
 
-        let ic = g.concat_cols(rep_i, rep_c);
+        let ic = (with_reg && self.cfg.beta > 0.0).then(|| g.concat_cols(rep_i, rep_c));
         let ca = g.concat_cols(rep_c, rep_a);
-        let t_logit = self.treat_head.forward(&self.store, binding, g, ic);
+        let t_logit = ic.map(|ic| self.treat_head.forward(&self.store, binding, g, ic));
         let h0 = self.head0.forward(&self.store, binding, g, ca);
         let h1 = self.head1.forward(&self.store, binding, g, ca);
 
@@ -197,7 +199,7 @@ impl DerCfr {
                 let s = g.scale(bal_c, c.gamma);
                 reg = g.add(reg, s);
             }
-            if c.beta > 0.0 {
+            if let Some(t_logit) = &t_logit {
                 let t_target = g.constant_col(&ctx.t);
                 let t_loss = sbrl_nn::loss::bce_with_logits(g, t_logit.output, t_target);
                 let s = g.scale(t_loss, c.beta);
@@ -231,7 +233,7 @@ impl DerCfr {
             rep_c
         };
         let (y0_raw, y1_raw) = (h0.output, h1.output);
-        for out in [out_i, out_c, out_a, t_logit, h0, h1] {
+        for out in [out_i, out_c, out_a].into_iter().chain(t_logit).chain([h0, h1]) {
             g.give_id_buf(out.taps);
         }
 
@@ -339,6 +341,36 @@ mod tests {
         let ctx = BatchContext::new(&[1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
         let pass = model.forward(&mut g, &mut binding, x, &ctx);
         assert_eq!(g.scalar(pass.reg_loss), 0.0);
+    }
+
+    #[test]
+    fn treatment_head_is_built_only_for_the_bce_term() {
+        let mut rng = rng_from_seed(5);
+        let treat_head: Vec<ParamHandle> = {
+            let model = DerCfr::new(DerCfrConfig::small(4), &mut rng);
+            model.treat_head.layers().iter().flat_map(|l| [l.weight(), l.bias()]).collect()
+        };
+        let x = randn(&mut rng, 6, 4);
+        let ctx = BatchContext::new(&[1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
+        // Whether a forward in the given mode binds any treatment-head
+        // parameter: `None` = inference, `Some(with_reg)` = training.
+        let binds_head = |beta: f64, mode: Option<bool>| {
+            let cfg = DerCfrConfig { beta, ..DerCfrConfig::small(4) };
+            let mut model = DerCfr::new(cfg, &mut rng_from_seed(6));
+            let mut g = Graph::new();
+            let mut binding = Binding::new(model.store());
+            let xc = g.constant(x.clone());
+            let _pass = match mode {
+                None => model.forward(&mut g, &mut binding, xc, &ctx),
+                Some(with_reg) => model.forward_train(&mut g, &mut binding, xc, &ctx, with_reg),
+            };
+            let binds = binding.bound().any(|(h, _)| treat_head.contains(&h));
+            binds
+        };
+        assert!(!binds_head(1.0, None), "inference built the treatment head");
+        assert!(!binds_head(1.0, Some(false)), "the weight phase built the treatment head");
+        assert!(!binds_head(0.0, Some(true)), "β = 0 built the treatment head");
+        assert!(binds_head(1.0, Some(true)), "the β·BCE term needs the treatment head");
     }
 
     #[test]

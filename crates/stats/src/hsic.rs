@@ -26,7 +26,7 @@ use sbrl_tensor::workers::run_coarse_tasks;
 use sbrl_tensor::{Graph, Matrix, TensorId};
 use std::sync::{Mutex, PoisonError};
 
-use crate::kernels::{median_bandwidth, rbf_kernel_with};
+use crate::kernels::{median_bandwidth_in, rbf_kernel_in};
 
 /// A bank of `k` random Fourier functions shared across features.
 #[derive(Clone, Debug)]
@@ -104,15 +104,8 @@ pub fn hsic_rff_pair(a: &[f64], b: &[f64], rff: &Rff, weights: Option<&[f64]>) -
 }
 
 /// Symmetric `d x d` matrix of pairwise `HSIC_RFF` values between the columns
-/// of `z` — the quantity visualised in the paper's Fig. 5.
-///
-/// Uses the process-global [`NumericsMode`]; see
-/// [`pairwise_hsic_matrix_with`] for an explicit tier.
-pub fn pairwise_hsic_matrix(z: &Matrix, rff: &Rff, weights: Option<&[f64]>) -> Matrix {
-    pairwise_hsic_matrix_with(z, rff, weights, NumericsMode::global())
-}
-
-/// [`pairwise_hsic_matrix`] under an explicit [`NumericsMode`].
+/// of `z` — the quantity visualised in the paper's Fig. 5 — under the calling
+/// thread's [`NumericsMode`].
 ///
 /// The Fourier feature map and its weighted column means are computed
 /// **once per column** (not once per pair, which used to re-extract every
@@ -121,12 +114,8 @@ pub fn pairwise_hsic_matrix(z: &Matrix, rff: &Rff, weights: Option<&[f64]>) -> M
 /// the same per-column values the pairwise evaluation would produce
 /// ([`NumericsMode::Fast`] swaps the per-pair covariance fold for a
 /// four-accumulator variant).
-pub fn pairwise_hsic_matrix_with(
-    z: &Matrix,
-    rff: &Rff,
-    weights: Option<&[f64]>,
-    mode: NumericsMode,
-) -> Matrix {
+pub fn pairwise_hsic_matrix(z: &Matrix, rff: &Rff, weights: Option<&[f64]>) -> Matrix {
+    let mode = NumericsMode::global();
     let d = z.cols();
     let n = z.rows();
     if d == 0 {
@@ -257,6 +246,11 @@ pub fn mean_offdiag_hsic(z: &Matrix, rff: &Rff, weights: Option<&[f64]>) -> f64 
 /// `centering_matrix(n)` used to pay. Mathematically identical to the
 /// explicit product (up to floating-point summation order).
 ///
+/// Runs in the calling thread's [`NumericsMode`], read once (the
+/// median-heuristic bandwidths included): [`NumericsMode::BitExact`] keeps
+/// the historical serial row-mean and trace folds; [`NumericsMode::Fast`]
+/// sums per-row traces with pairwise trees whose shape depends only on `n`.
+///
 /// # Example
 ///
 /// ```
@@ -274,31 +268,16 @@ pub fn mean_offdiag_hsic(z: &Matrix, rff: &Rff, weights: Option<&[f64]>) -> f64 
 /// ```
 #[track_caller]
 pub fn hsic_biased(a: &Matrix, b: &Matrix, sigma_a: f64, sigma_b: f64) -> f64 {
-    hsic_biased_with(a, b, sigma_a, sigma_b, NumericsMode::global())
-}
-
-/// [`hsic_biased`] under an explicit [`NumericsMode`].
-/// [`NumericsMode::BitExact`] keeps the historical serial row-mean and trace
-/// folds; [`NumericsMode::Fast`] sums per-row traces with pairwise trees
-/// whose shape depends only on `n`. (A non-positive bandwidth still resolves
-/// through the global-knob median heuristic.)
-#[track_caller]
-pub fn hsic_biased_with(
-    a: &Matrix,
-    b: &Matrix,
-    sigma_a: f64,
-    sigma_b: f64,
-    mode: NumericsMode,
-) -> f64 {
     assert_eq!(a.rows(), b.rows(), "hsic_biased: sample counts differ");
     let n = a.rows();
     if n < 2 {
         return 0.0;
     }
-    let sa = if sigma_a > 0.0 { sigma_a } else { median_bandwidth(a) };
-    let sb = if sigma_b > 0.0 { sigma_b } else { median_bandwidth(b) };
-    let ka = rbf_kernel_with(a, a, sa, mode);
-    let kb = rbf_kernel_with(b, b, sb, mode);
+    let mode = NumericsMode::global();
+    let sa = if sigma_a > 0.0 { sigma_a } else { median_bandwidth_in(a, mode) };
+    let sb = if sigma_b > 0.0 { sigma_b } else { median_bandwidth_in(b, mode) };
+    let ka = rbf_kernel_in(a, a, sa, mode);
+    let kb = rbf_kernel_in(b, b, sb, mode);
 
     // Implicit double-centring of K_a: with H = I - 11^T/n,
     //   (H K_a H)[i][j] = K_a[i][j] - r_i - r_j + m
@@ -482,25 +461,9 @@ impl TermTape {
 /// `w` is an `n x 1` column of positive sample weights (renormalised
 /// internally, Eq. 9); gradients flow into both `z` and `w`. `rng` drives the
 /// per-call column subsample when [`DecorrelationConfig::max_features`] caps
-/// the width.
-///
-/// Allocates a fresh [`HsicScratch`] per call; step loops should hold one
-/// scratch per fit and use [`decorrelation_loss_graph_scratch`] instead.
-pub fn decorrelation_loss_graph(
-    g: &mut Graph,
-    z: TensorId,
-    w: TensorId,
-    rff: &Rff,
-    cfg: &DecorrelationConfig,
-    rng: &mut StdRng,
-) -> TensorId {
-    let mut scratch = HsicScratch::new();
-    decorrelation_loss_graph_scratch(g, z, w, rff, cfg, rng, &mut scratch)
-}
-
-/// [`decorrelation_loss_graph`] with an explicit per-fit [`HsicScratch`] —
-/// the allocation-free variant for step loops. Bit-identical to the
-/// scratch-free version for the same RNG state.
+/// the width. `scratch` holds the subsample permutation and the Fourier
+/// coefficients; step loops keep one per fit, so a warm step allocates
+/// nothing (a one-off call passes `&mut HsicScratch::new()`).
 #[allow(clippy::too_many_arguments)]
 pub fn decorrelation_loss_graph_scratch(
     g: &mut Graph,
@@ -692,7 +655,7 @@ fn loss_term(
 }
 
 /// Plain (non-differentiable) value of the decorrelation loss with unit
-/// semantics matching [`decorrelation_loss_graph`] minus subsampling —
+/// semantics matching [`decorrelation_loss_graph_scratch`] minus subsampling —
 /// useful for evaluation and tests.
 pub fn decorrelation_loss_plain(
     z: &Matrix,
@@ -847,8 +810,9 @@ mod tests {
             max_features: None,
             normalize: true,
         };
-        let mut rng2 = rng_from_seed(0);
-        let loss = decorrelation_loss_graph(&mut g, zc, w, &rff, &cfg, &mut rng2);
+        let (mut rng2, mut scratch) = (rng_from_seed(0), HsicScratch::new());
+        let loss =
+            decorrelation_loss_graph_scratch(&mut g, zc, w, &rff, &cfg, &mut rng2, &mut scratch);
         assert!((g.scalar(loss) - plain).abs() < 1e-9, "graph {} vs plain {plain}", g.scalar(loss));
     }
 
@@ -867,8 +831,9 @@ mod tests {
             max_features: None,
             normalize: false,
         };
-        let mut rng2 = rng_from_seed(0);
-        let loss = decorrelation_loss_graph(&mut g, zc, w, &rff, &cfg, &mut rng2);
+        let (mut rng2, mut scratch) = (rng_from_seed(0), HsicScratch::new());
+        let loss =
+            decorrelation_loss_graph_scratch(&mut g, zc, w, &rff, &cfg, &mut rng2, &mut scratch);
         assert!((g.scalar(loss) - plain).abs() < 1e-9, "graph {} vs plain {plain}", g.scalar(loss));
     }
 
@@ -887,8 +852,8 @@ mod tests {
         check_gradient(
             &move |g, z| {
                 let w = g.constant(Matrix::ones(12, 1));
-                let mut r = rng_from_seed(1);
-                decorrelation_loss_graph(g, z, w, &rff, &cfg, &mut r)
+                let (mut r, mut scratch) = (rng_from_seed(1), HsicScratch::new());
+                decorrelation_loss_graph_scratch(g, z, w, &rff, &cfg, &mut r, &mut scratch)
             },
             &z0,
             1e-5,
@@ -913,8 +878,8 @@ mod tests {
         check_gradient(
             &move |g, w| {
                 let zc = g.constant(z.clone());
-                let mut r = rng_from_seed(1);
-                decorrelation_loss_graph(g, zc, w, &rff, &cfg, &mut r)
+                let (mut r, mut scratch) = (rng_from_seed(1), HsicScratch::new());
+                decorrelation_loss_graph_scratch(g, zc, w, &rff, &cfg, &mut r, &mut scratch)
             },
             &w0,
             1e-5,
@@ -932,11 +897,14 @@ mod tests {
         let zc = g.constant(z);
         let w = g.constant(Matrix::ones(30, 1));
         let cfg = DecorrelationConfig { max_features: Some(4), ..Default::default() };
-        let loss = decorrelation_loss_graph(&mut g, zc, w, &rff, &cfg, &mut rng);
+        let mut scratch = HsicScratch::new();
+        let loss =
+            decorrelation_loss_graph_scratch(&mut g, zc, w, &rff, &cfg, &mut rng, &mut scratch);
         assert!(g.scalar(loss).is_finite());
         // With 4-of-20 columns, two different subsample draws should look at
         // different column sets and hence yield different losses.
-        let loss2 = decorrelation_loss_graph(&mut g, zc, w, &rff, &cfg, &mut rng);
+        let loss2 =
+            decorrelation_loss_graph_scratch(&mut g, zc, w, &rff, &cfg, &mut rng, &mut scratch);
         assert_ne!(g.scalar(loss), g.scalar(loss2), "subsampling should vary across draws");
     }
 

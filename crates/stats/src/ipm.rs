@@ -14,7 +14,7 @@
 use sbrl_tensor::kernels::{reduce_dot, reduce_sum, NumericsMode};
 use sbrl_tensor::{Graph, Matrix, TensorId};
 
-use crate::kernels::{median_bandwidth, pairwise_sq_dists_with, rbf_kernel_with};
+use crate::kernels::{median_bandwidth, median_bandwidth_in, pairwise_sq_dists_in, rbf_kernel_in};
 
 /// Which integral probability metric to use.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -210,8 +210,13 @@ fn sinkhorn_graph(
 /// Plain weighted IPM on matrices (no gradients). Weights are renormalised
 /// per group; pass `None` for unit weights.
 ///
-/// Uses the process-global [`NumericsMode`]; see [`ipm_weighted_plain_with`]
-/// for an explicit tier.
+/// Runs in the calling thread's [`NumericsMode`], read once (the
+/// median-heuristic bandwidth included). In [`NumericsMode::BitExact`] the
+/// O(n²) folds (kernel matrices, quadratic forms, Sinkhorn fixed-point
+/// updates) keep the historical serial order; in [`NumericsMode::Fast`] they
+/// switch to multi-accumulator / pairwise-tree reductions whose shape depends
+/// only on operand lengths, so Fast is deterministic too — just not
+/// bit-identical to BitExact.
 pub fn ipm_weighted_plain(
     kind: IpmKind,
     phi_t: &Matrix,
@@ -219,27 +224,10 @@ pub fn ipm_weighted_plain(
     w_t: Option<&[f64]>,
     w_c: Option<&[f64]>,
 ) -> f64 {
-    ipm_weighted_plain_with(kind, phi_t, phi_c, w_t, w_c, NumericsMode::global())
-}
-
-/// [`ipm_weighted_plain`] under an explicit [`NumericsMode`].
-///
-/// In [`NumericsMode::BitExact`] the O(n²) folds (kernel matrices, quadratic
-/// forms, Sinkhorn fixed-point updates) keep the historical serial order; in
-/// [`NumericsMode::Fast`] they switch to multi-accumulator / pairwise-tree
-/// reductions whose shape depends only on operand lengths, so Fast is
-/// deterministic too — just not bit-identical to BitExact.
-pub fn ipm_weighted_plain_with(
-    kind: IpmKind,
-    phi_t: &Matrix,
-    phi_c: &Matrix,
-    w_t: Option<&[f64]>,
-    w_c: Option<&[f64]>,
-    mode: NumericsMode,
-) -> f64 {
     if phi_t.rows() == 0 || phi_c.rows() == 0 {
         return 0.0;
     }
+    let mode = NumericsMode::global();
     let wt = normalize_plain(w_t, phi_t.rows());
     let wc = normalize_plain(w_c, phi_c.rows());
     match kind {
@@ -249,10 +237,11 @@ pub fn ipm_weighted_plain_with(
             mt.iter().zip(&mc).map(|(a, b)| (a - b) * (a - b)).sum()
         }
         IpmKind::MmdRbf { sigma } => {
-            let sigma = if sigma > 0.0 { sigma } else { median_bandwidth(&phi_t.vstack(phi_c)) };
-            let ktt = rbf_kernel_with(phi_t, phi_t, sigma, mode);
-            let kcc = rbf_kernel_with(phi_c, phi_c, sigma, mode);
-            let ktc = rbf_kernel_with(phi_t, phi_c, sigma, mode);
+            let sigma =
+                if sigma > 0.0 { sigma } else { median_bandwidth_in(&phi_t.vstack(phi_c), mode) };
+            let ktt = rbf_kernel_in(phi_t, phi_t, sigma, mode);
+            let kcc = rbf_kernel_in(phi_c, phi_c, sigma, mode);
+            let ktc = rbf_kernel_in(phi_t, phi_c, sigma, mode);
             let tt = quad_plain(&wt, &ktt, &wt, mode);
             let cc = quad_plain(&wc, &kcc, &wc, mode);
             let tc = quad_plain(&wt, &ktc, &wc, mode);
@@ -329,7 +318,7 @@ fn sinkhorn_plain(
     iterations: usize,
     mode: NumericsMode,
 ) -> f64 {
-    let m = pairwise_sq_dists_with(phi_t, phi_c, mode).map(|v| (v + 1e-10).sqrt());
+    let m = pairwise_sq_dists_in(phi_t, phi_c, mode).map(|v| (v + 1e-10).sqrt());
     let mean_cost = m.mean().max(1e-12);
     let k = m.map(|v| (-lambda * v / mean_cost).exp());
     let (nt, nc) = k.shape();

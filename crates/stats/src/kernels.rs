@@ -6,22 +6,20 @@
 //! are deterministic but not bit-identical to the default
 //! [`NumericsMode::BitExact`] chains.
 
-use sbrl_tensor::kernels::{gemm_nt_mode, reduce_dot, NumericsMode};
+use sbrl_tensor::kernels::{reduce_dot, NumericsMode};
 use sbrl_tensor::Matrix;
 
 /// Pairwise squared Euclidean distances between the rows of `a` (`n x d`)
-/// and the rows of `b` (`m x d`), returned as an `n x m` matrix.
-///
-/// Uses the process-global [`NumericsMode`]; see [`pairwise_sq_dists_with`]
-/// for an explicit tier.
+/// and the rows of `b` (`m x d`), returned as an `n x m` matrix, under the
+/// calling thread's [`NumericsMode`].
 #[track_caller]
 pub fn pairwise_sq_dists(a: &Matrix, b: &Matrix) -> Matrix {
-    pairwise_sq_dists_with(a, b, NumericsMode::global())
+    pairwise_sq_dists_in(a, b, NumericsMode::global())
 }
 
-/// [`pairwise_sq_dists`] under an explicit [`NumericsMode`].
+/// [`pairwise_sq_dists`] in the tier its caller read.
 #[track_caller]
-pub fn pairwise_sq_dists_with(a: &Matrix, b: &Matrix, mode: NumericsMode) -> Matrix {
+pub(crate) fn pairwise_sq_dists_in(a: &Matrix, b: &Matrix, mode: NumericsMode) -> Matrix {
     assert_eq!(a.cols(), b.cols(), "pairwise_sq_dists: feature dims differ");
     let (n, m) = (a.rows(), b.rows());
     if n == 0 || m == 0 {
@@ -31,7 +29,7 @@ pub fn pairwise_sq_dists_with(a: &Matrix, b: &Matrix, mode: NumericsMode) -> Mat
     // swaps in the multi-accumulator tree.
     let a2: Vec<f64> = (0..a.rows()).map(|i| reduce_dot(a.row(i), a.row(i), mode)).collect();
     let b2: Vec<f64> = (0..b.rows()).map(|j| reduce_dot(b.row(j), b.row(j), mode)).collect();
-    let mut out = gemm_nt_mode(a, b, mode);
+    let mut out = a.matmul_nt(b);
     for (row, &a2i) in out.as_mut_slice().chunks_mut(m).zip(&a2) {
         for (v, &b2j) in row.iter_mut().zip(&b2) {
             *v = (a2i + b2j - 2.0 * *v).max(0.0);
@@ -41,16 +39,16 @@ pub fn pairwise_sq_dists_with(a: &Matrix, b: &Matrix, mode: NumericsMode) -> Mat
 }
 
 /// RBF (Gaussian) kernel matrix `exp(-||a_i - b_j||^2 / (2 sigma^2))` under
-/// the process-global [`NumericsMode`].
+/// the calling thread's [`NumericsMode`].
 #[track_caller]
 pub fn rbf_kernel(a: &Matrix, b: &Matrix, sigma: f64) -> Matrix {
-    rbf_kernel_with(a, b, sigma, NumericsMode::global())
+    rbf_kernel_in(a, b, sigma, NumericsMode::global())
 }
 
-/// [`rbf_kernel`] under an explicit [`NumericsMode`].
+/// [`rbf_kernel`] in the tier its caller read.
 #[track_caller]
-pub fn rbf_kernel_with(a: &Matrix, b: &Matrix, sigma: f64, mode: NumericsMode) -> Matrix {
-    let mut d = pairwise_sq_dists_with(a, b, mode);
+pub(crate) fn rbf_kernel_in(a: &Matrix, b: &Matrix, sigma: f64, mode: NumericsMode) -> Matrix {
+    let mut d = pairwise_sq_dists_in(a, b, mode);
     let denom = 2.0 * sigma * sigma;
     d.map_inplace(|v| (-v / denom).exp());
     d
@@ -60,11 +58,17 @@ pub fn rbf_kernel_with(a: &Matrix, b: &Matrix, sigma: f64, mode: NumericsMode) -
 /// squared distance between rows of `x`. Returns 1.0 for degenerate inputs
 /// (fewer than two rows or all-identical rows).
 pub fn median_bandwidth(x: &Matrix) -> f64 {
+    median_bandwidth_in(x, NumericsMode::global())
+}
+
+/// [`median_bandwidth`] in the tier its caller read, so a statistic with a
+/// non-positive bandwidth picks it in the tier it computes in.
+pub(crate) fn median_bandwidth_in(x: &Matrix, mode: NumericsMode) -> f64 {
     let n = x.rows();
     if n < 2 {
         return 1.0;
     }
-    let d = pairwise_sq_dists(x, x);
+    let d = pairwise_sq_dists_in(x, x, mode);
     let mut offdiag = Vec::with_capacity(n * (n - 1) / 2);
     for i in 0..n {
         for j in (i + 1)..n {

@@ -16,8 +16,10 @@
 //! [`NumericsMode`](sbrl_tensor::kernels::NumericsMode) tier: `BitExact`
 //! (default) keeps the historical serial folds, `Fast` swaps in
 //! multi-accumulator / pairwise-tree reductions that are deterministic but
-//! not bit-identical to `BitExact`. The `*_with` variants take an explicit
-//! tier. Parallelism lives one level up: the weight phase evaluates its
+//! not bit-identical to `BitExact`. Each public entry point reads the tier of
+//! its calling thread once; choose one with
+//! [`NumericsMode::scoped`](sbrl_tensor::kernels::NumericsMode::scoped).
+//! Parallelism lives one level up: the weight phase evaluates its
 //! decorrelation terms as concurrent pool tasks
 //! ([`decorrelation_losses_graph`]).
 
@@ -28,14 +30,9 @@ pub mod ipm;
 pub mod kernels;
 
 pub use hsic::{
-    decorrelation_loss_graph, decorrelation_loss_graph_scratch, decorrelation_loss_plain,
-    decorrelation_losses_graph, hsic_biased, hsic_biased_with, hsic_rff_pair, mean_offdiag_hsic,
-    pairwise_hsic_matrix, pairwise_hsic_matrix_with, DecorrelationConfig, HsicScratch, Rff,
+    decorrelation_loss_graph_scratch, decorrelation_loss_plain, decorrelation_losses_graph,
+    hsic_biased, hsic_rff_pair, mean_offdiag_hsic, pairwise_hsic_matrix, DecorrelationConfig,
+    HsicScratch, Rff,
 };
-pub use ipm::{
-    ipm_graph, ipm_plain, ipm_weighted_graph, ipm_weighted_plain, ipm_weighted_plain_with, IpmKind,
-};
-pub use kernels::{
-    centering_matrix, median_bandwidth, pairwise_sq_dists, pairwise_sq_dists_with, rbf_kernel,
-    rbf_kernel_with,
-};
+pub use ipm::{ipm_graph, ipm_plain, ipm_weighted_graph, ipm_weighted_plain, IpmKind};
+pub use kernels::{centering_matrix, median_bandwidth, pairwise_sq_dists, rbf_kernel};

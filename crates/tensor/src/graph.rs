@@ -1531,8 +1531,9 @@ impl Graph {
                     self.accumulate(a, d);
                 }
                 if self.requires(b) {
-                    // d_b = a * g; `gemm` over `a` accumulates and skips
-                    // exact zeros exactly like `gemm_tn` over `a^T` did.
+                    // d_b = a * g; `gemm_into` over `a` accumulates and
+                    // skips exact zeros exactly like `gemm_tn_into` over
+                    // `a^T` did.
                     let (r, c) = self.nodes[b.0].value.shape();
                     let mut d = self.pool.take(r, c);
                     crate::kernels::gemm_into(&self.nodes[a.0].value, g, &mut d);

@@ -13,23 +13,27 @@
 //!   calling thread, so every setting produces the same bits.
 //! * [`NumericsMode`] — the workspace-wide floating-point contract knob
 //!   (env-driven via `SBRL_NUMERICS`, default [`NumericsMode::BitExact`];
-//!   [`NumericsMode::scoped`] pins a tier for one thread and the pool tasks
-//!   it submits). `BitExact` preserves every historical accumulation chain;
+//!   [`NumericsMode::scoped`], the only programmatic override, pins a tier
+//!   for one thread and the pool tasks it submits). Every kernel entry
+//!   point reads the tier once. `BitExact` preserves every historical
+//!   accumulation chain;
 //!   [`NumericsMode::Fast`] opts into FMA contraction in the row microkernels
 //!   and deterministic pairwise-tree reductions ([`reduce_sum`],
 //!   [`reduce_dot`]), trading bit-reproducibility against the historical
 //!   chains for throughput while staying within the documented relative-error
 //!   bounds (enforced by `tests/numerics_mode.rs`).
-//! * [`gemm`], [`gemm_nt`], [`gemm_tn`] — cache-blocked matrix products
-//!   (tiled over the inner dimension and output columns). In `BitExact` each
-//!   output element is accumulated in the same floating-point order as the
-//!   historical unblocked loop, whatever the blocking.
-//! * [`gemm_nt`] (`A * B^T`, every layer's input gradient) runs on the same
-//!   blocked row kernel as the other two. It copies every `KC x NC` block of
-//!   `B^T` into a 32 KiB stack panel and accumulates over it without the
-//!   exact-zero skip of `gemm`/`gemm_tn`, so each element is the dot
-//!   product's own chain `0.0 + Σ_k a[i][k] * b[j][k]` in ascending `k`,
-//!   `0 * inf` stays NaN, and nothing is allocated.
+//! * [`gemm_into`], [`gemm_nt_into`], [`gemm_tn_into`] — cache-blocked
+//!   matrix products into a caller-provided buffer (tiled over the inner
+//!   dimension and output columns); `Matrix::matmul{,_nt,_tn}` allocate the
+//!   buffer and call them. In `BitExact` each output element is accumulated
+//!   in the same floating-point order as the historical unblocked loop,
+//!   whatever the blocking.
+//! * [`gemm_nt_into`] (`A * B^T`, every layer's input gradient) runs on the
+//!   same blocked row kernel as the other two. It copies every `KC x NC`
+//!   block of `B^T` into a 32 KiB stack panel and accumulates over it
+//!   without the exact-zero skip of the nn/tn products, so each element is
+//!   the dot product's own chain `0.0 + Σ_k a[i][k] * b[j][k]` in ascending
+//!   `k`, `0 * inf` stays NaN, and nothing is allocated.
 //! * Products with a single output column (`n = 1`: the Sinkhorn
 //!   matrix–vector products, their backward, the output layers) take a
 //!   separate kernel in every layout. Each output element is one dependent
@@ -46,12 +50,12 @@
 //! # Example
 //!
 //! ```
-//! use sbrl_tensor::kernels::{gemm_mode, NumericsMode};
+//! use sbrl_tensor::kernels::NumericsMode;
 //! use sbrl_tensor::Matrix;
 //!
 //! let a = Matrix::from_fn(64, 32, |i, j| (i + j) as f64);
 //! let b = Matrix::from_fn(32, 48, |i, j| (i as f64 - j as f64) * 0.5);
-//! let c = gemm_mode(&a, &b, NumericsMode::BitExact);
+//! let c = NumericsMode::BitExact.scoped(|| a.matmul(&b));
 //! // BitExact accumulates each element from +0.0 in ascending `k`, like the
 //! // textbook triple loop, whatever the cache blocking.
 //! let want = (0..32).fold(0.0, |s, k| s + a[(5, k)] * b[(k, 7)]);
@@ -60,6 +64,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::matrix::Matrix;
 
@@ -165,15 +170,16 @@ pub fn available_cores() -> usize {
 
 /// Floating-point contract of the numerical kernels.
 ///
-/// The workspace's second process-global knob, next to [`Parallelism`]. It
-/// resolves, in order:
+/// The workspace's second knob, next to [`Parallelism`]. It resolves, in
+/// order:
 ///
 /// 1. a tier pinned on the calling thread by [`NumericsMode::scoped`] (pool
-///    tasks inherit their submitter's pin);
-/// 2. an explicit [`NumericsMode::set_global`] call;
-/// 3. the `SBRL_NUMERICS` environment variable (`fast`, case-insensitive,
-///    selects [`NumericsMode::Fast`]; anything else is `BitExact`);
-/// 4. the default, [`NumericsMode::BitExact`].
+///    tasks inherit their submitter's pin) — the only programmatic way to
+///    choose a tier;
+/// 2. the `SBRL_NUMERICS` environment variable, read once on the first
+///    [`NumericsMode::global`] call (`fast`, case-insensitive, selects
+///    [`NumericsMode::Fast`]; anything else is `BitExact`);
+/// 3. the default, [`NumericsMode::BitExact`].
 ///
 /// `BitExact` is the historical contract: no FMA contraction, no reduction
 /// reordering, output bit-identical to the pre-kernel-layer code at every
@@ -195,12 +201,12 @@ pub enum NumericsMode {
     Fast,
 }
 
-/// Global numerics knob storage: 0 = unresolved, 1 = bit-exact, 2 = fast.
-static GLOBAL_NUMERICS: AtomicUsize = AtomicUsize::new(0);
+/// The process-wide tier, resolved from `SBRL_NUMERICS` on first use.
+static ENV_NUMERICS: OnceLock<NumericsMode> = OnceLock::new();
 
 thread_local! {
-    /// The tier pinned on this thread by [`NumericsMode::scoped`], coded as
-    /// in [`GLOBAL_NUMERICS`] (0 = none).
+    /// The tier pinned on this thread by [`NumericsMode::scoped`], as its
+    /// storage code (0 = none, 1 = bit-exact, 2 = fast).
     static SCOPED_NUMERICS: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -228,7 +234,7 @@ impl NumericsMode {
     /// Resolves the knob from the `SBRL_NUMERICS` environment variable:
     /// `fast` (case-insensitive) = [`NumericsMode::Fast`], anything
     /// else/unset = [`NumericsMode::BitExact`].
-    pub fn from_env() -> Self {
+    fn from_env() -> Self {
         match std::env::var("SBRL_NUMERICS") {
             Ok(v) if v.trim().eq_ignore_ascii_case("fast") => NumericsMode::Fast,
             _ => NumericsMode::BitExact,
@@ -257,43 +263,24 @@ impl NumericsMode {
         }
     }
 
-    /// Installs `self` as the process-global knob used by every kernel that
-    /// does not take an explicit `NumericsMode`.
-    pub fn set_global(self) {
-        GLOBAL_NUMERICS.store(self.code(), Ordering::Relaxed);
-    }
-
     /// Runs `f` with `self` pinned as the tier of the calling thread and of
     /// every pool task it submits (replications, decorrelation terms, row
-    /// shards), whatever the process-global knob says; other threads keep
-    /// reading the global. The previous pin is restored when `f` returns or
-    /// panics. A fit that must not depend on `SBRL_NUMERICS` (the golden
-    /// fixtures) runs inside such a scope instead of flipping the global
-    /// under its neighbours.
+    /// shards), whatever `SBRL_NUMERICS` says; other threads are unaffected.
+    /// The previous pin is restored when `f` returns or panics. A fit that
+    /// must not depend on `SBRL_NUMERICS` (the golden fixtures), a
+    /// differential test or a bench case runs its work inside such a scope.
     pub fn scoped<R>(self, f: impl FnOnce() -> R) -> R {
         with_scoped_numerics(self.code(), f)
     }
 
     /// The tier in force on the calling thread: the one pinned by an
-    /// enclosing [`NumericsMode::scoped`], otherwise the process-global
-    /// knob. The first read of the global resolves
-    /// [`NumericsMode::from_env`] and caches it; later
-    /// [`NumericsMode::set_global`] calls override it.
+    /// enclosing [`NumericsMode::scoped`], otherwise the process-wide tier,
+    /// which the first call resolves from `SBRL_NUMERICS` and caches.
     pub fn global() -> Self {
-        let code = match scoped_numerics() {
-            0 => GLOBAL_NUMERICS.load(Ordering::Relaxed),
-            pinned => pinned,
-        };
-        match code {
+        match scoped_numerics() {
             1 => NumericsMode::BitExact,
             2 => NumericsMode::Fast,
-            _ => {
-                let resolved = NumericsMode::from_env();
-                // A concurrent initialiser may race us; both compute the
-                // same env-derived value, so a plain store is fine.
-                resolved.set_global();
-                resolved
-            }
+            _ => *ENV_NUMERICS.get_or_init(NumericsMode::from_env),
         }
     }
 }
@@ -912,46 +899,15 @@ fn gemm_rows<const L: u8>(
     gemm_rows_impl::<L, false>(a, b, out, dims)
 }
 
-/// Matrix product `a * b` through the blocked kernel under the
-/// process-global [`NumericsMode`].
-///
-/// # Panics
-/// Panics if the inner dimensions differ.
-#[track_caller]
-pub fn gemm(a: &Matrix, b: &Matrix) -> Matrix {
-    gemm_mode(a, b, NumericsMode::global())
-}
-
-/// [`gemm`] under an explicit [`NumericsMode`] (race-free alternative to
-/// mutating the global knob — used by the differential tests).
-///
-/// # Panics
-/// Panics if the inner dimensions differ.
-#[track_caller]
-pub fn gemm_mode(a: &Matrix, b: &Matrix, mode: NumericsMode) -> Matrix {
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    gemm_into_mode(a, b, &mut out, mode);
-    out
-}
-
-/// [`gemm`] writing into a caller-provided `a.rows() x b.cols()` buffer —
-/// the allocation-free variant backing the pooled autodiff tape. The buffer
-/// is fully overwritten (any prior contents are discarded); the accumulation
-/// order is identical to [`gemm`], so results are bit-identical.
+/// Matrix product `a * b` into a caller-provided `a.rows() x b.cols()`
+/// buffer, under the calling thread's [`NumericsMode`] — the entry point
+/// behind `Matrix::matmul` and the pooled autodiff tape. The buffer is fully
+/// overwritten (any prior contents are discarded).
 ///
 /// # Panics
 /// Panics if the inner dimensions differ or the output shape is wrong.
 #[track_caller]
 pub fn gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    gemm_into_mode(a, b, out, NumericsMode::global());
-}
-
-/// [`gemm_into`] under an explicit [`NumericsMode`].
-///
-/// # Panics
-/// Panics if the inner dimensions differ or the output shape is wrong.
-#[track_caller]
-pub fn gemm_into_mode(a: &Matrix, b: &Matrix, out: &mut Matrix, mode: NumericsMode) {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -965,46 +921,17 @@ pub fn gemm_into_mode(a: &Matrix, b: &Matrix, out: &mut Matrix, mode: NumericsMo
     assert_eq!(out.shape(), (m, n), "gemm_into: output buffer has the wrong shape");
     out.fill_with(0.0);
     let (a, b) = (a.as_slice(), b.as_slice());
-    gemm_rows::<NN>(a, b, out.as_mut_slice(), (m, k_dim, n), mode.is_fast());
+    gemm_rows::<NN>(a, b, out.as_mut_slice(), (m, k_dim, n), NumericsMode::global().is_fast());
 }
 
-/// Matrix product `a * b^T` without materialising the transpose.
-///
-/// # Panics
-/// Panics if the column counts differ.
-#[track_caller]
-pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Matrix {
-    gemm_nt_mode(a, b, NumericsMode::global())
-}
-
-/// [`gemm_nt`] under an explicit [`NumericsMode`].
-///
-/// # Panics
-/// Panics if the column counts differ.
-#[track_caller]
-pub fn gemm_nt_mode(a: &Matrix, b: &Matrix, mode: NumericsMode) -> Matrix {
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    gemm_nt_into_mode(a, b, &mut out, mode);
-    out
-}
-
-/// [`gemm_nt`] writing into a caller-provided `a.rows() x b.rows()` buffer.
-/// The buffer is fully overwritten (any prior contents are discarded);
-/// results are bit-identical to [`gemm_nt`].
+/// Matrix product `a * b^T` into a caller-provided `a.rows() x b.rows()`
+/// buffer, without materialising the transpose; the buffer is fully
+/// overwritten.
 ///
 /// # Panics
 /// Panics if the column counts differ or the output shape is wrong.
 #[track_caller]
 pub fn gemm_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    gemm_nt_into_mode(a, b, out, NumericsMode::global());
-}
-
-/// [`gemm_nt_into`] under an explicit [`NumericsMode`].
-///
-/// # Panics
-/// Panics if the column counts differ or the output shape is wrong.
-#[track_caller]
-pub fn gemm_nt_into_mode(a: &Matrix, b: &Matrix, out: &mut Matrix, mode: NumericsMode) {
     assert_eq!(
         a.cols(),
         b.cols(),
@@ -1018,46 +945,17 @@ pub fn gemm_nt_into_mode(a: &Matrix, b: &Matrix, out: &mut Matrix, mode: Numeric
     assert_eq!(out.shape(), (m, n), "gemm_nt_into: output buffer has the wrong shape");
     out.fill_with(0.0);
     let (a, b) = (a.as_slice(), b.as_slice());
-    gemm_rows::<NT>(a, b, out.as_mut_slice(), (m, k_dim, n), mode.is_fast());
+    gemm_rows::<NT>(a, b, out.as_mut_slice(), (m, k_dim, n), NumericsMode::global().is_fast());
 }
 
-/// Matrix product `a^T * b` without materialising the transpose.
-///
-/// # Panics
-/// Panics if the row counts differ.
-#[track_caller]
-pub fn gemm_tn(a: &Matrix, b: &Matrix) -> Matrix {
-    gemm_tn_mode(a, b, NumericsMode::global())
-}
-
-/// [`gemm_tn`] under an explicit [`NumericsMode`].
-///
-/// # Panics
-/// Panics if the row counts differ.
-#[track_caller]
-pub fn gemm_tn_mode(a: &Matrix, b: &Matrix, mode: NumericsMode) -> Matrix {
-    let mut out = Matrix::zeros(a.cols(), b.cols());
-    gemm_tn_into_mode(a, b, &mut out, mode);
-    out
-}
-
-/// [`gemm_tn`] writing into a caller-provided `a.cols() x b.cols()` buffer.
-/// The buffer is fully overwritten; accumulation order is identical to
-/// [`gemm_tn`], so results are bit-identical.
+/// Matrix product `a^T * b` into a caller-provided `a.cols() x b.cols()`
+/// buffer, without materialising the transpose; the buffer is fully
+/// overwritten.
 ///
 /// # Panics
 /// Panics if the row counts differ or the output shape is wrong.
 #[track_caller]
 pub fn gemm_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    gemm_tn_into_mode(a, b, out, NumericsMode::global());
-}
-
-/// [`gemm_tn_into`] under an explicit [`NumericsMode`].
-///
-/// # Panics
-/// Panics if the row counts differ or the output shape is wrong.
-#[track_caller]
-pub fn gemm_tn_into_mode(a: &Matrix, b: &Matrix, out: &mut Matrix, mode: NumericsMode) {
     assert_eq!(
         a.rows(),
         b.rows(),
@@ -1071,7 +969,7 @@ pub fn gemm_tn_into_mode(a: &Matrix, b: &Matrix, out: &mut Matrix, mode: Numeric
     assert_eq!(out.shape(), (m, n), "gemm_tn_into: output buffer has the wrong shape");
     out.fill_with(0.0);
     let (a, b) = (a.as_slice(), b.as_slice());
-    gemm_rows::<TN>(a, b, out.as_mut_slice(), (m, k_dim, n), mode.is_fast());
+    gemm_rows::<TN>(a, b, out.as_mut_slice(), (m, k_dim, n), NumericsMode::global().is_fast());
 }
 
 /// Base block width of the pairwise reductions: blocks of this many elements
@@ -1297,14 +1195,13 @@ mod tests {
 
     #[test]
     fn blocked_serial_gemm_is_bit_identical_to_reference() {
-        // Pins the BitExact contract explicitly (the plain `gemm` wrapper
-        // reads the global knob, which a `SBRL_NUMERICS=fast` test run sets
-        // to the Fast tier).
+        // Pins the BitExact contract explicitly (outside a scope the product
+        // reads `SBRL_NUMERICS`, which a Fast test run sets).
         let mut rng = rng_from_seed(0);
         for (m, k, n) in [(1, 1, 1), (3, 5, 7), (40, 33, 29), (130, 257, 65), (256, 64, 129)] {
             let a = randn(&mut rng, m, k);
             let b = randn(&mut rng, k, n);
-            let blocked = gemm_mode(&a, &b, NumericsMode::BitExact);
+            let blocked = NumericsMode::BitExact.scoped(|| a.matmul(&b));
             let reference = reference_matmul(&a, &b);
             assert_eq!(blocked.as_slice(), reference.as_slice(), "shape {m}x{k}x{n}");
         }
@@ -1322,7 +1219,7 @@ mod tests {
         b[(2, 2)] = f64::NEG_INFINITY;
         let reference = reference_matmul(&a, &b);
         assert_eq!(
-            gemm(&a, &b).as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            a.matmul(&b).as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             reference.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         );
     }
@@ -1337,9 +1234,9 @@ mod tests {
             let (a_t, b_t) = (a.transpose(), b.transpose());
             for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
                 for (name, got) in [
-                    ("nn", gemm_mode(&a, &b, mode)),
-                    ("nt", gemm_nt_mode(&a, &b_t, mode)),
-                    ("tn", gemm_tn_mode(&a_t, &b, mode)),
+                    ("nn", mode.scoped(|| a.matmul(&b))),
+                    ("nt", mode.scoped(|| a.matmul_nt(&b_t))),
+                    ("tn", mode.scoped(|| a_t.matmul_tn(&b))),
                 ] {
                     assert_eq!(got.shape(), (m, n), "{name} {m}x{k}x{n} {mode}");
                     if k == 0 {
@@ -1400,7 +1297,7 @@ mod tests {
                             }))
                         })
                         .collect();
-                    let got = gemm_nt_mode(&a, &b, mode);
+                    let got = mode.scoped(|| a.matmul_nt(&b));
                     let got: Vec<u64> = got.as_slice().iter().map(|&v| bits(v)).collect();
                     assert_eq!(got, want, "k={k} n={n} {mode}");
                 }
@@ -1456,9 +1353,9 @@ mod tests {
                         })
                     };
                     for (name, got, skip_zero) in [
-                        ("nn", gemm_mode(&a, &b, mode), true),
-                        ("nt", gemm_nt_mode(&a, &b_t, mode), false),
-                        ("tn", gemm_tn_mode(&a_t, &b, mode), true),
+                        ("nn", mode.scoped(|| a.matmul(&b)), true),
+                        ("nt", mode.scoped(|| a.matmul_nt(&b_t)), false),
+                        ("tn", mode.scoped(|| a_t.matmul_tn(&b)), true),
                     ] {
                         let want: Vec<u64> = (0..m).map(|i| bits(chain(i, skip_zero))).collect();
                         let got: Vec<u64> = got.as_slice().iter().map(|&v| bits(v)).collect();
@@ -1530,9 +1427,8 @@ mod tests {
 
     #[test]
     fn numerics_mode_semantics() {
-        // Pure semantics only: the global knob's set/get round trip lives in
-        // tests/numerics_mode.rs behind a lock, because flipping the global
-        // to Fast here would race the bit-identity tests in this binary.
+        // Pure semantics only: the scoped tier's reach (pool tasks, other
+        // threads) is pinned in tests/numerics_mode.rs.
         assert_eq!(NumericsMode::default(), NumericsMode::BitExact);
         assert!(!NumericsMode::BitExact.is_fast());
         assert!(NumericsMode::Fast.is_fast());
@@ -1547,8 +1443,8 @@ mod tests {
         for (m, k, n) in [(3, 5, 7), (40, 33, 29), (64, 128, 48)] {
             let a = randn(&mut rng, m, k);
             let b = randn(&mut rng, k, n);
-            let exact = gemm_mode(&a, &b, NumericsMode::BitExact);
-            let fast = gemm_mode(&a, &b, NumericsMode::Fast);
+            let exact = NumericsMode::BitExact.scoped(|| a.matmul(&b));
+            let fast = NumericsMode::Fast.scoped(|| a.matmul(&b));
             for (x, y) in exact.as_slice().iter().zip(fast.as_slice()) {
                 let scale = k as f64 * x.abs().max(1.0);
                 assert!(

@@ -390,27 +390,36 @@ impl Matrix {
 
     /// Matrix product `self * other`.
     ///
-    /// Delegates to the cache-blocked [`kernels::gemm`](crate::kernels::gemm)
-    /// under the process-global
-    /// [`NumericsMode`](crate::kernels::NumericsMode); `BitExact` reproduces
-    /// the historical `i-k-j` loop exactly.
+    /// Allocates the result and fills it through the cache-blocked
+    /// [`kernels::gemm_into`](crate::kernels::gemm_into) under the calling
+    /// thread's [`NumericsMode`](crate::kernels::NumericsMode) (choose one
+    /// with [`NumericsMode::scoped`](crate::kernels::NumericsMode::scoped));
+    /// `BitExact` reproduces the historical `i-k-j` loop exactly.
     #[track_caller]
     pub fn matmul(&self, other: &Self) -> Self {
-        crate::kernels::gemm(self, other)
+        let mut out = Self::zeros(self.rows, other.cols);
+        crate::kernels::gemm_into(self, other, &mut out);
+        out
     }
 
     /// Matrix product `self * other^T` without materialising the transpose,
-    /// through [`kernels::gemm_nt`](crate::kernels::gemm_nt).
+    /// through [`kernels::gemm_nt_into`](crate::kernels::gemm_nt_into) under
+    /// the calling thread's tier.
     #[track_caller]
     pub fn matmul_nt(&self, other: &Self) -> Self {
-        crate::kernels::gemm_nt(self, other)
+        let mut out = Self::zeros(self.rows, other.rows);
+        crate::kernels::gemm_nt_into(self, other, &mut out);
+        out
     }
 
     /// Matrix product `self^T * other` without materialising the transpose,
-    /// through [`kernels::gemm_tn`](crate::kernels::gemm_tn).
+    /// through [`kernels::gemm_tn_into`](crate::kernels::gemm_tn_into) under
+    /// the calling thread's tier.
     #[track_caller]
     pub fn matmul_tn(&self, other: &Self) -> Self {
-        crate::kernels::gemm_tn(self, other)
+        let mut out = Self::zeros(self.cols, other.cols);
+        crate::kernels::gemm_tn_into(self, other, &mut out);
+        out
     }
 
     /// Transpose.

@@ -9,15 +9,15 @@
 //! Run with: `cargo run --release --example twins_study`
 
 use sbrl_hap::core::{Estimator, SbrlConfig, TrainConfig};
-use sbrl_hap::data::{TwinsConfig, TwinsSimulator};
+use sbrl_hap::data::{DataError, TwinsConfig, TwinsSimulator};
 use sbrl_hap::metrics::mean_std;
 use sbrl_hap::models::{DerCfrConfig, TarnetConfig};
 use sbrl_hap::stats::IpmKind;
 
 const ROUNDS: u64 = 3;
 
-fn main() {
-    let sim = TwinsSimulator::new(TwinsConfig { n: 2500, ..Default::default() }, 17);
+fn main() -> Result<(), DataError> {
+    let sim = TwinsSimulator::try_new(TwinsConfig { n: 2500, ..Default::default() }, 17)?;
     let full = sim.full();
     println!(
         "Twins-like cohort: {} same-sex twin pairs, {} covariates, {:.1}% mortality (lighter twin)",
@@ -45,7 +45,7 @@ fn main() {
     ];
 
     for round in 0..ROUNDS {
-        let split = sim.partition(round);
+        let split = sim.try_partition(round)?;
         for (idx, sbrl) in [SbrlConfig::vanilla(), SbrlConfig::sbrl_hap(0.01, 1.0, 1.0, 0.01)]
             .into_iter()
             .enumerate()
@@ -82,4 +82,5 @@ fn main() {
          so it is a (mildly) out-of-distribution population — the paper notes\n\
          Twins' shift level is low because many covariates are near-duplicates."
     );
+    Ok(())
 }

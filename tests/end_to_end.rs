@@ -176,8 +176,9 @@ fn all_nine_grid_methods_run_on_one_replication() {
 fn twins_and_ihdp_pipelines_run_end_to_end() {
     use sbrl_hap::data::{IhdpConfig, IhdpSimulator, TwinsConfig, TwinsSimulator};
 
-    let twins = TwinsSimulator::new(TwinsConfig { n: 500, ..Default::default() }, 3);
-    let split = twins.partition(0);
+    let twins = TwinsSimulator::try_new(TwinsConfig { n: 500, ..Default::default() }, 3)
+        .expect("valid config");
+    let split = twins.try_partition(0).expect("simulated data carries the oracle");
     let fitted = Estimator::builder()
         .backbone_kind(BackboneKind::Tarnet)
         .train(smoke_budget())
@@ -186,8 +187,8 @@ fn twins_and_ihdp_pipelines_run_end_to_end() {
         .expect("twins training");
     assert!(fitted.evaluate(&split.test).expect("oracle").pehe.is_finite());
 
-    let ihdp = IhdpSimulator::new(IhdpConfig::default(), 4);
-    let split = ihdp.replicate(0);
+    let ihdp = IhdpSimulator::try_new(IhdpConfig::default(), 4).expect("valid config");
+    let split = ihdp.try_replicate(0).expect("simulated data carries the oracle");
     let fitted = Estimator::builder()
         .backbone_kind(BackboneKind::Tarnet)
         .train(smoke_budget())

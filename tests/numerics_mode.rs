@@ -10,32 +10,33 @@
 //!    `docs/PERFORMANCE.md`), across random shapes;
 //! 2. Fast is *deterministic*: its reduction trees depend only on operand
 //!    shapes, so results are bit-identical run-to-run;
-//! 3. an end-to-end fit under the global Fast knob trains to predictions
-//!    that agree with the BitExact fit within tolerance, and is itself
-//!    bit-reproducible run-to-run.
+//! 3. an end-to-end fit under the Fast tier trains to predictions that
+//!    agree with the BitExact fit within tolerance, and is itself
+//!    bit-reproducible run-to-run;
+//! 4. a tier pinned with `NumericsMode::scoped` holds on its thread and the
+//!    pool tasks it submits, and on nothing else, so concurrent tests in one
+//!    process can each run in their own tier without a lock.
 //!
-//! Tests that mutate the process-global knobs serialise on [`GLOBAL_KNOBS`]
-//! (tests in one binary share the process); the differential proptests use
-//! the explicit `*_mode` / `*_with` APIs and never touch the globals.
+//! Every test chooses its tier with `NumericsMode::scoped`, the only
+//! programmatic way to choose one; none of them depends on
+//! `SBRL_NUMERICS`.
 
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 use proptest::prelude::*;
 use sbrl_hap::core::{Estimator, SbrlConfig, TrainConfig};
 use sbrl_hap::data::{SyntheticConfig, SyntheticProcess};
 use sbrl_hap::models::CfrConfig;
 use sbrl_hap::stats::{
-    hsic_biased_with, ipm_weighted_plain_with, pairwise_hsic_matrix_with, IpmKind, Rff,
+    hsic_biased, ipm_plain, ipm_weighted_plain, pairwise_hsic_matrix, IpmKind, Rff,
 };
-use sbrl_hap::tensor::kernels::{
-    gemm_mode, gemm_nt_mode, gemm_tn_mode, reduce_dot, reduce_sum, NumericsMode, Parallelism,
-};
+use sbrl_hap::tensor::kernels::{reduce_dot, reduce_sum, NumericsMode, Parallelism};
 use sbrl_hap::tensor::rng::{randn, rng_from_seed};
+use sbrl_hap::tensor::workers::run_coarse_tasks;
 use sbrl_hap::tensor::Matrix;
 
-/// Serialises every test that sets the process-global `Parallelism` /
-/// `NumericsMode` knobs.
-static GLOBAL_KNOBS: Mutex<()> = Mutex::new(());
+const EXACT: NumericsMode = NumericsMode::BitExact;
+const FAST: NumericsMode = NumericsMode::Fast;
 
 /// Per-element GEMM bound: `|fast - exact| <= tol_per_k * k * (1 + |exact|)`
 /// for an inner dimension `k` (each output element is one length-`k` chain).
@@ -99,19 +100,19 @@ proptest! {
 
         let a = random_matrix(seed, m, k);
         let b = random_matrix(seed ^ 0x5eed, k, n);
-        let exact = gemm_mode(&a, &b, NumericsMode::BitExact);
-        let fast = gemm_mode(&a, &b, NumericsMode::Fast);
+        let nn = || a.matmul(&b);
+        let (exact, fast) = (EXACT.scoped(nn), FAST.scoped(nn));
         assert_matrix_close(&exact, &fast, tol, "gemm_nn");
-        prop_assert_eq!(bits(&fast), bits(&gemm_mode(&a, &b, NumericsMode::Fast)));
+        prop_assert_eq!(bits(&fast), bits(&FAST.scoped(nn)));
 
         let b_nt = random_matrix(seed ^ 1, n, k); // a * b_nt^T
-        let exact = gemm_nt_mode(&a, &b_nt, NumericsMode::BitExact);
-        let fast = gemm_nt_mode(&a, &b_nt, NumericsMode::Fast);
+        let nt = || a.matmul_nt(&b_nt);
+        let (exact, fast) = (EXACT.scoped(nt), FAST.scoped(nt));
         assert_matrix_close(&exact, &fast, tol, "gemm_nt");
 
         let b_tn = random_matrix(seed ^ 2, m, n); // a^T * b_tn
-        let exact = gemm_tn_mode(&a, &b_tn, NumericsMode::BitExact);
-        let fast = gemm_tn_mode(&a, &b_tn, NumericsMode::Fast);
+        let tn = || a.matmul_tn(&b_tn);
+        let (exact, fast) = (EXACT.scoped(tn), FAST.scoped(tn));
         // gemm_tn chains over m (the shared row count), not k.
         assert_matrix_close(&fast, &exact, FAST_GEMM_TOL_PER_K * m as f64, "gemm_tn");
     }
@@ -125,19 +126,19 @@ proptest! {
         let (xs, ys) = (&xs.as_slice()[..len], &ys.as_slice()[..len]);
         let tol = 1e-15 * (len.max(1) as f64);
         assert_scalar_close(
-            reduce_sum(xs, NumericsMode::BitExact),
-            reduce_sum(xs, NumericsMode::Fast),
+            reduce_sum(xs, EXACT),
+            reduce_sum(xs, FAST),
             tol,
             "reduce_sum",
         );
         assert_scalar_close(
-            reduce_dot(xs, ys, NumericsMode::BitExact),
-            reduce_dot(xs, ys, NumericsMode::Fast),
+            reduce_dot(xs, ys, EXACT),
+            reduce_dot(xs, ys, FAST),
             tol,
             "reduce_dot",
         );
-        let again = reduce_dot(xs, ys, NumericsMode::Fast);
-        prop_assert_eq!(reduce_dot(xs, ys, NumericsMode::Fast).to_bits(), again.to_bits());
+        let again = reduce_dot(xs, ys, FAST);
+        prop_assert_eq!(reduce_dot(xs, ys, FAST).to_bits(), again.to_bits());
     }
 
     /// Fast `hsic_biased` and the pairwise HSIC-RFF matrix stay within the
@@ -150,20 +151,17 @@ proptest! {
         let (n, d) = dims;
         let a = random_matrix(seed, n, d);
         let b = random_matrix(seed ^ 7, n, d);
-        // Positive bandwidths: the median heuristic resolves through the
-        // *global* knobs and this test must not depend on them.
-        let exact = hsic_biased_with(&a, &b, 1.0, 0.8, NumericsMode::BitExact);
-        let fast = hsic_biased_with(&a, &b, 1.0, 0.8, NumericsMode::Fast);
+        let biased = || hsic_biased(&a, &b, 1.0, 0.8);
+        let (exact, fast) = (EXACT.scoped(biased), FAST.scoped(biased));
         assert_scalar_close(exact, fast, FAST_HSIC_TOL, "hsic_biased");
-        let again = hsic_biased_with(&a, &b, 1.0, 0.8, NumericsMode::Fast);
-        prop_assert_eq!(fast.to_bits(), again.to_bits());
+        prop_assert_eq!(fast.to_bits(), FAST.scoped(biased).to_bits());
 
         let mut rng = rng_from_seed(seed ^ 99);
         let rff = Rff::sample(&mut rng, 5);
         let weights: Vec<f64> = (0..n).map(|i| 0.5 + (i % 5) as f64 * 0.3).collect();
         for w in [None, Some(weights.as_slice())] {
-            let exact = pairwise_hsic_matrix_with(&a, &rff, w, NumericsMode::BitExact);
-            let fast = pairwise_hsic_matrix_with(&a, &rff, w, NumericsMode::Fast);
+            let pairwise = || pairwise_hsic_matrix(&a, &rff, w);
+            let (exact, fast) = (EXACT.scoped(pairwise), FAST.scoped(pairwise));
             assert_matrix_close(&exact, &fast, FAST_HSIC_TOL, "pairwise_hsic_matrix");
         }
     }
@@ -184,58 +182,71 @@ proptest! {
             IpmKind::MmdRbf { sigma: 1.0 },
             IpmKind::Wasserstein { lambda: 10.0, iterations: 5 },
         ] {
-            let ipm = |mode| ipm_weighted_plain_with(kind, &phi_t, &phi_c, Some(&w_t), None, mode);
-            let (exact, fast) = (ipm(NumericsMode::BitExact), ipm(NumericsMode::Fast));
+            let ipm = || ipm_weighted_plain(kind, &phi_t, &phi_c, Some(&w_t), None);
+            let (exact, fast) = (EXACT.scoped(ipm), FAST.scoped(ipm));
             assert_scalar_close(exact, fast, FAST_IPM_TOL, &format!("{kind:?}"));
-            prop_assert_eq!(fast.to_bits(), ipm(NumericsMode::Fast).to_bits());
+            prop_assert_eq!(fast.to_bits(), FAST.scoped(ipm).to_bits());
         }
     }
 }
 
-/// `SBRL_NUMERICS` / `set_global` round trip — the global-knob semantics the
-/// tensor crate's unit tests cannot exercise without racing its bit-identity
-/// tests in the same process.
-#[test]
-fn numerics_mode_global_round_trip() {
-    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|p| p.into_inner());
-    NumericsMode::Fast.set_global();
-    assert_eq!(NumericsMode::global(), NumericsMode::Fast);
-    assert!(NumericsMode::global().is_fast());
-    NumericsMode::BitExact.set_global();
-    assert_eq!(NumericsMode::global(), NumericsMode::BitExact);
-    NumericsMode::from_env().set_global();
+/// The work whose bits a tier must pin: a GEMM and an RBF MMD² whose
+/// bandwidth comes from the median heuristic.
+fn tier_work(a: &Matrix, b: &Matrix, phi_t: &Matrix, phi_c: &Matrix) -> Vec<u64> {
+    let mut out = bits(&a.matmul(b));
+    out.push(ipm_plain(IpmKind::MmdRbf { sigma: -1.0 }, phi_t, phi_c).to_bits());
+    out
 }
 
 /// A scoped tier pins the calling thread and the pool tasks it submits,
-/// and nothing else: inside `NumericsMode::BitExact.scoped`, two coarse
-/// tasks that must run at the same time (one of them on a pool worker) see
-/// BitExact, while a thread outside the scope sees the global Fast.
+/// and nothing else. Two threads run the same work at the same time, one
+/// under `Fast.scoped` and one under `BitExact.scoped`, both inline and on
+/// two coarse tasks that must run at once (so one runs on a pool worker).
+/// Each must reproduce its own tier's reference bits, while a thread spawned
+/// inside either scope, and the test thread afterwards, read the ambient
+/// tier.
 #[test]
 fn scoped_tier_pins_its_tasks_but_not_other_threads() {
-    use sbrl_hap::tensor::workers::run_coarse_tasks;
-    use std::sync::Barrier;
-    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|p| p.into_inner());
-    NumericsMode::Fast.set_global();
-    let caller = std::thread::current().id();
-    let both_running = Barrier::new(2);
-    let seen = Mutex::new(Vec::new());
-    let outside = NumericsMode::BitExact.scoped(|| {
-        run_coarse_tasks(2, 2, &|_| {
-            both_running.wait();
-            let on = std::thread::current().id();
-            seen.lock().unwrap().push((on, NumericsMode::global()));
-        });
-        std::thread::scope(|s| s.spawn(NumericsMode::global).join().unwrap())
-    });
-    let after = NumericsMode::global();
-    NumericsMode::from_env().set_global();
+    let (a, b) = (random_matrix(1, 33, 70), random_matrix(2, 70, 17));
+    let (phi_t, phi_c) = (random_matrix(3, 40, 6), random_matrix(4, 50, 6));
+    let work = || tier_work(&a, &b, &phi_t, &phi_c);
+    let (exact, fast) = (EXACT.scoped(work), FAST.scoped(work));
+    assert!(exact != fast, "the tiers must differ on this work for a leak to show");
+    let ambient = NumericsMode::global();
 
-    let seen = seen.into_inner().unwrap();
-    assert_eq!(seen.len(), 2);
-    assert!(seen.iter().any(|&(on, _)| on != caller), "no task ran on a pool worker");
-    assert!(seen.iter().all(|&(_, mode)| mode == NumericsMode::BitExact), "{seen:?}");
-    assert_eq!(outside, NumericsMode::Fast, "the scope leaked to another thread");
-    assert_eq!(after, NumericsMode::Fast, "the scope outlived its closure");
+    let start = Barrier::new(2);
+    let run = |mode: NumericsMode| {
+        mode.scoped(|| {
+            start.wait();
+            let caller = std::thread::current().id();
+            let both_running = Barrier::new(2);
+            let on_pool = Mutex::new(Vec::new());
+            run_coarse_tasks(2, 2, &|_| {
+                both_running.wait();
+                let got = work();
+                on_pool.lock().unwrap().push((std::thread::current().id() != caller, got));
+            });
+            let inline = work();
+            let outside = std::thread::scope(|s| s.spawn(NumericsMode::global).join().unwrap());
+            (inline, on_pool.into_inner().unwrap(), outside)
+        })
+    };
+    let (fast_run, exact_run) = std::thread::scope(|s| {
+        let fast_run = s.spawn(|| run(FAST));
+        let exact_run = s.spawn(|| run(EXACT));
+        (fast_run.join().unwrap(), exact_run.join().unwrap())
+    });
+
+    for (mode, want, (inline, on_pool, outside)) in
+        [(FAST, &fast, fast_run), (EXACT, &exact, exact_run)]
+    {
+        assert!(&inline == want, "{mode}: the inline work left its tier");
+        assert_eq!(on_pool.len(), 2);
+        assert!(on_pool.iter().any(|(worker, _)| *worker), "{mode}: no task ran on a pool worker");
+        assert!(on_pool.iter().all(|(_, got)| got == want), "{mode}: a pool task left its tier");
+        assert_eq!(outside, ambient, "{mode}: the scope leaked to another thread");
+    }
+    assert_eq!(NumericsMode::global(), ambient, "a scope outlived its closure");
 }
 
 fn short_fit(mode: NumericsMode, par: Parallelism) -> (Vec<f64>, Vec<f64>) {
@@ -250,31 +261,30 @@ fn short_fit(mode: NumericsMode, par: Parallelism) -> (Vec<f64>, Vec<f64>) {
         patience: 30,
         ..TrainConfig::default()
     };
-    mode.set_global();
     par.set_global();
-    let fitted = Estimator::builder()
-        .backbone(CfrConfig::small(train_data.dim()))
-        .sbrl(SbrlConfig::sbrl_hap(1.0, 1.0, 0.1, 0.01))
-        .train(cfg)
-        .seed(11)
-        .fit(&train_data, &val_data)
-        .expect("training succeeds");
-    assert_eq!(fitted.numerics(), mode, "FittedModel must record its numerics tier");
-    let est = fitted.predict(&test_data.x);
+    let est = mode.scoped(|| {
+        let fitted = Estimator::builder()
+            .backbone(CfrConfig::small(train_data.dim()))
+            .sbrl(SbrlConfig::sbrl_hap(1.0, 1.0, 0.1, 0.01))
+            .train(cfg)
+            .seed(11)
+            .fit(&train_data, &val_data)
+            .expect("training succeeds");
+        assert_eq!(fitted.numerics(), mode, "FittedModel must record its numerics tier");
+        fitted.predict(&test_data.x)
+    });
     Parallelism::from_env().set_global();
-    NumericsMode::from_env().set_global();
     (est.y0_hat, est.y1_hat)
 }
 
-/// An end-to-end fit under the global Fast knob predicts within tolerance of
+/// An end-to-end fit under the Fast tier predicts within tolerance of
 /// the BitExact fit of the same seed and data, and the Fast fit itself is
 /// bit-identical run-to-run at a fixed worker count (determinism).
 #[test]
 fn fast_fit_agrees_with_bitexact_and_is_reproducible() {
-    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|p| p.into_inner());
     let par = Parallelism::Threads(4);
-    let (e_y0, e_y1) = short_fit(NumericsMode::BitExact, par);
-    let (f_y0, f_y1) = short_fit(NumericsMode::Fast, par);
+    let (e_y0, e_y1) = short_fit(EXACT, par);
+    let (f_y0, f_y1) = short_fit(FAST, par);
     let max_diff = e_y0
         .iter()
         .chain(&e_y1)
@@ -286,7 +296,7 @@ fn fast_fit_agrees_with_bitexact_and_is_reproducible() {
         "fast fit diverged from bitexact: max |Δprediction| = {max_diff}"
     );
 
-    let (g_y0, g_y1) = short_fit(NumericsMode::Fast, par);
+    let (g_y0, g_y1) = short_fit(FAST, par);
     let same_bits = f_y0.iter().zip(&g_y0).all(|(a, b)| a.to_bits() == b.to_bits())
         && f_y1.iter().zip(&g_y1).all(|(a, b)| a.to_bits() == b.to_bits());
     assert!(same_bits, "fast fit must be bit-identical run-to-run at a fixed worker count");

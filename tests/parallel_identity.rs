@@ -23,18 +23,18 @@ use sbrl_hap::data::synthetic::CHECKPOINT_ROWS;
 use sbrl_hap::data::{SyntheticConfig, SyntheticProcess};
 use sbrl_hap::models::{BatchContext, CfrConfig, LayerTaps};
 use sbrl_hap::stats::{
-    decorrelation_loss_graph_scratch, ipm_weighted_graph, ipm_weighted_plain_with,
-    pairwise_hsic_matrix_with, pairwise_sq_dists_with, rbf_kernel_with, DecorrelationConfig,
-    HsicScratch, IpmKind, Rff,
+    decorrelation_loss_graph_scratch, ipm_plain, ipm_weighted_graph, pairwise_hsic_matrix,
+    pairwise_sq_dists, rbf_kernel, DecorrelationConfig, HsicScratch, IpmKind, Rff,
 };
-use sbrl_hap::tensor::kernels::{gemm_mode, gemm_nt_mode, gemm_tn_mode, NumericsMode, Parallelism};
+use sbrl_hap::tensor::kernels::{NumericsMode, Parallelism};
 use sbrl_hap::tensor::rng::{randn, rng_from_seed};
 use sbrl_hap::tensor::workers::run_coarse_tasks;
 use sbrl_hap::tensor::{Graph, Matrix, TensorId};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Serialises the tests that set the global `Parallelism` / `NumericsMode`
-/// knobs with the tests whose results read them.
+/// Serialises the tests that set the global `Parallelism` knob, so each
+/// sees the worker counts it compares. Every test chooses its numerics tier
+/// with `NumericsMode::scoped`, which needs no lock.
 static GLOBAL_KNOBS: Mutex<()> = Mutex::new(());
 
 fn knobs() -> MutexGuard<'static, ()> {
@@ -51,14 +51,17 @@ fn random_matrix(seed: u64, rows: usize, cols: usize) -> Matrix {
 }
 
 /// Whether `threads` copies of `f`, run concurrently as coarse tasks on the
-/// worker pool, all give the bits `f` gives on the calling thread.
-fn same_bits_on_pool(threads: usize, f: impl Fn() -> Vec<u64> + Sync) -> bool {
-    let serial = f();
-    let on_pool: Vec<OnceLock<Vec<u64>>> = (0..threads).map(|_| OnceLock::new()).collect();
-    run_coarse_tasks(threads, threads, &|i| {
-        on_pool[i].get_or_init(&f);
-    });
-    on_pool.iter().all(|got| got.get() == Some(&serial))
+/// worker pool, all give the bits `f` gives on the calling thread, with
+/// `mode` pinned on the calling thread (and so on its tasks).
+fn same_bits_on_pool(mode: NumericsMode, threads: usize, f: impl Fn() -> Vec<u64> + Sync) -> bool {
+    mode.scoped(|| {
+        let serial = f();
+        let on_pool: Vec<OnceLock<Vec<u64>>> = (0..threads).map(|_| OnceLock::new()).collect();
+        run_coarse_tasks(threads, threads, &|i| {
+            on_pool[i].get_or_init(&f);
+        });
+        on_pool.iter().all(|got| got.get() == Some(&serial))
+    })
 }
 
 const MODES: [NumericsMode; 2] = [NumericsMode::BitExact, NumericsMode::Fast];
@@ -75,7 +78,7 @@ proptest! {
         let a = random_matrix(seed, m, k);
         let b = random_matrix(seed ^ 0xabcd, k, n);
         for mode in MODES {
-            prop_assert!(same_bits_on_pool(threads, || bits(&gemm_mode(&a, &b, mode))));
+            prop_assert!(same_bits_on_pool(mode, threads, || bits(&a.matmul(&b))));
         }
     }
 
@@ -89,8 +92,8 @@ proptest! {
         let b_nt = random_matrix(seed ^ 1, n, k); // a * b_nt^T
         let b_tn = random_matrix(seed ^ 2, m, n); // a^T * b_tn
         for mode in MODES {
-            prop_assert!(same_bits_on_pool(threads, || bits(&gemm_nt_mode(&a, &b_nt, mode))));
-            prop_assert!(same_bits_on_pool(threads, || bits(&gemm_tn_mode(&a, &b_tn, mode))));
+            prop_assert!(same_bits_on_pool(mode, threads, || bits(&a.matmul_nt(&b_nt))));
+            prop_assert!(same_bits_on_pool(mode, threads, || bits(&a.matmul_tn(&b_tn))));
         }
     }
 
@@ -103,10 +106,10 @@ proptest! {
         let a = random_matrix(seed, n, d);
         let b = random_matrix(seed ^ 7, m, d);
         for mode in MODES {
-            let dists = || bits(&pairwise_sq_dists_with(&a, &b, mode));
-            prop_assert!(same_bits_on_pool(threads, dists));
-            let rbf = || bits(&rbf_kernel_with(&a, &b, 1.0, mode));
-            prop_assert!(same_bits_on_pool(threads, rbf));
+            let dists = || bits(&pairwise_sq_dists(&a, &b));
+            prop_assert!(same_bits_on_pool(mode, threads, dists));
+            let rbf = || bits(&rbf_kernel(&a, &b, 1.0));
+            prop_assert!(same_bits_on_pool(mode, threads, rbf));
         }
     }
 
@@ -122,8 +125,8 @@ proptest! {
         let weights: Vec<f64> = (0..n).map(|i| 0.5 + (i % 7) as f64 * 0.25).collect();
         for mode in MODES {
             for w in [None, Some(weights.as_slice())] {
-                let hsic = || bits(&pairwise_hsic_matrix_with(&z, &rff, w, mode));
-                prop_assert!(same_bits_on_pool(threads, hsic));
+                let hsic = || bits(&pairwise_hsic_matrix(&z, &rff, w));
+                prop_assert!(same_bits_on_pool(mode, threads, hsic));
             }
         }
     }
@@ -133,8 +136,6 @@ proptest! {
         dims in (1usize..48, 1usize..48, 1usize..5, 2usize..12),
         seed in 0u64..1_000,
     ) {
-        // The median-heuristic bandwidth reads the global numerics tier.
-        let _knobs = knobs();
         let (nt, nc, d, threads) = dims;
         let phi_t = random_matrix(seed, nt, d);
         let phi_c = random_matrix(seed ^ 3, nc, d);
@@ -145,10 +146,8 @@ proptest! {
                 IpmKind::MmdRbf { sigma: -1.0 }, // median heuristic path
                 IpmKind::Wasserstein { lambda: 10.0, iterations: 5 },
             ] {
-                let ipm = || {
-                    vec![ipm_weighted_plain_with(kind, &phi_t, &phi_c, None, None, mode).to_bits()]
-                };
-                prop_assert!(same_bits_on_pool(threads, ipm), "{kind:?} ({mode})");
+                let ipm = || vec![ipm_plain(kind, &phi_t, &phi_c).to_bits()];
+                prop_assert!(same_bits_on_pool(mode, threads, ipm), "{kind:?} ({mode})");
             }
         }
     }
@@ -187,19 +186,20 @@ fn serial_mode_reproduces_recorded_pr2_predictions() {
     };
     let _knobs = knobs();
     let fit = |par: Parallelism| {
+        par.set_global();
         // Pin the default tier explicitly: the golden bits are a BitExact
         // contract and must hold even when the suite runs with
         // SBRL_NUMERICS=fast in the environment.
-        NumericsMode::BitExact.set_global();
-        par.set_global();
-        let fitted = Estimator::builder()
-            .backbone(CfrConfig::small(train_data.dim()))
-            .sbrl(SbrlConfig::sbrl_hap(1.0, 1.0, 0.1, 0.01))
-            .train(cfg)
-            .seed(11)
-            .fit(&train_data, &val_data)
-            .expect("training succeeds");
-        fitted.predict(&test_data.x)
+        NumericsMode::BitExact.scoped(|| {
+            let fitted = Estimator::builder()
+                .backbone(CfrConfig::small(train_data.dim()))
+                .sbrl(SbrlConfig::sbrl_hap(1.0, 1.0, 0.1, 0.01))
+                .train(cfg)
+                .seed(11)
+                .fit(&train_data, &val_data)
+                .expect("training succeeds");
+            fitted.predict(&test_data.x)
+        })
     };
 
     let serial = fit(Parallelism::Serial);
@@ -211,7 +211,6 @@ fn serial_mode_reproduces_recorded_pr2_predictions() {
     // The parallel fit trains to bit-identical predictions.
     let parallel = fit(Parallelism::Threads(4));
     Parallelism::from_env().set_global();
-    NumericsMode::from_env().set_global();
     assert_eq!(
         serial.y0_hat.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         parallel.y0_hat.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -350,24 +349,24 @@ fn weight_objective_matches_the_one_tape_build() {
         ("taps wider than max_features", decor(|d| d.max_features = Some(3)), default_widths),
         ("one-column tap", hap, [1, 8, 1, 4]),
     ];
-    for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
-        mode.set_global();
-        for (name, cfg, widths) in &cases {
-            Parallelism::Serial.set_global();
-            let reference = weight_objective_bits(cfg, *widths, true);
-            for par in [Parallelism::Serial, Parallelism::Threads(2), Parallelism::Threads(4)] {
-                par.set_global();
-                let got = weight_objective_bits(cfg, *widths, false);
-                let first_diff = got.iter().zip(&reference).position(|(a, b)| a != b);
-                assert!(
-                    got == reference,
-                    "{name}: {par:?}, {mode:?}: bits differ from word {first_diff:?} on"
-                );
+    for mode in MODES {
+        mode.scoped(|| {
+            for (name, cfg, widths) in &cases {
+                Parallelism::Serial.set_global();
+                let reference = weight_objective_bits(cfg, *widths, true);
+                for par in [Parallelism::Serial, Parallelism::Threads(2), Parallelism::Threads(4)] {
+                    par.set_global();
+                    let got = weight_objective_bits(cfg, *widths, false);
+                    let first_diff = got.iter().zip(&reference).position(|(a, b)| a != b);
+                    assert!(
+                        got == reference,
+                        "{name}: {par:?}, {mode:?}: bits differ from word {first_diff:?} on"
+                    );
+                }
             }
-        }
+        });
     }
     Parallelism::from_env().set_global();
-    NumericsMode::from_env().set_global();
 }
 
 /// The bits of a process's thresholds and of one environment's `x, t, yf,

@@ -7,13 +7,12 @@
 //! from the recipe in `sbrl_core::persist::fixture`; regenerating them is a
 //! deliberate, reviewed act (it re-pins the golden prediction bits).
 //!
-//! Tests that pin the process-global `NumericsMode`, or that compare two
-//! predictions and therefore need the mode stable in between, serialise on
-//! [`GLOBAL_KNOBS`] — tests in one binary share the process.
+//! Tests that pin the `BitExact` tier do so with `NumericsMode::scoped`,
+//! which holds on the test's own thread only, so no test here needs a lock:
+//! the tier a test reads cannot change under it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use proptest::prelude::*;
 use sbrl_hap::core::persist::{crc32, fixture, FORMAT_VERSION, MIN_SUPPORTED_VERSION};
@@ -22,10 +21,6 @@ use sbrl_hap::core::{
 };
 use sbrl_hap::models::Backbone;
 use sbrl_hap::tensor::kernels::NumericsMode;
-
-/// Serialises every test that sets or depends on the process-global
-/// numerics mode.
-static GLOBAL_KNOBS: Mutex<()> = Mutex::new(());
 
 fn fixture_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -79,7 +74,6 @@ fn assert_bit_identical(
 /// so both `SBRL_NUMERICS` CI legs exercise their own tier here.
 #[test]
 fn round_trip_is_bit_identical_in_the_ambient_numerics_mode() {
-    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|p| p.into_inner());
     let fitted = fixture::train_golden().expect("fixture fit succeeds");
     let dir = scratch_dir("round_trip");
     let path = dir.join("model.sbrl");
@@ -100,7 +94,6 @@ fn round_trip_is_bit_identical_in_the_ambient_numerics_mode() {
 /// with its `RecoveryEvent`s — survives the on-disk round trip intact.
 #[test]
 fn fit_and_recovery_reports_survive_the_on_disk_round_trip() {
-    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|p| p.into_inner());
     let fitted = fixture::train_second().expect("fixture fit succeeds");
     let dir = scratch_dir("reports");
     let path = dir.join("model.sbrl");
@@ -135,15 +128,13 @@ fn committed_probe_bits() -> (Vec<u64>, Vec<u64>) {
 /// breaks this, and fixing it requires deliberately regenerating fixtures.
 #[test]
 fn golden_v2_fixture_predicts_the_committed_bits() {
-    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|p| p.into_inner());
     let loaded = FittedModel::load(&fixture_path("golden_v2.sbrl")).expect("golden v2 loads");
     let (y0_expected, y1_expected) = committed_probe_bits();
     assert_eq!(y0_expected.len(), fixture::PROBE_ROWS);
     assert_eq!(y1_expected.len(), fixture::PROBE_ROWS);
 
-    NumericsMode::BitExact.set_global();
-    let est = loaded.predict(&fixture::probe_matrix(loaded.model().export_config().in_dim()));
-    NumericsMode::from_env().set_global();
+    let probe = fixture::probe_matrix(loaded.model().export_config().in_dim());
+    let est = NumericsMode::BitExact.scoped(|| loaded.predict(&probe));
 
     let y0: Vec<u64> = est.y0_hat.iter().map(|v| v.to_bits()).collect();
     let y1: Vec<u64> = est.y1_hat.iter().map(|v| v.to_bits()).collect();
@@ -176,16 +167,12 @@ fn committed_fixtures_re_encode_byte_for_byte() {
 /// predicts the same bits as its v2 sibling (same weights).
 #[test]
 fn golden_v1_fixture_loads_with_defaulted_fit_report_and_identical_bits() {
-    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|p| p.into_inner());
     let v1 = FittedModel::load(&fixture_path("golden_v1.sbrl")).expect("golden v1 loads");
     let v2 = FittedModel::load(&fixture_path("golden_v2.sbrl")).expect("golden v2 loads");
     assert_eq!(v1.fit_report(), &FitReport::default());
 
-    NumericsMode::BitExact.set_global();
     let probe = fixture::probe_matrix(v1.model().export_config().in_dim());
-    let est1 = v1.predict(&probe);
-    let est2 = v2.predict(&probe);
-    NumericsMode::from_env().set_global();
+    let (est1, est2) = NumericsMode::BitExact.scoped(|| (v1.predict(&probe), v2.predict(&probe)));
     assert_bit_identical(&est1, &est2, "v1 vs v2 golden");
 }
 
@@ -370,7 +357,6 @@ fn duplicate_method_names_fail_registry_startup() {
 /// single-threaded `predict` on the same loaded artifact.
 #[test]
 fn many_threads_hammer_one_loaded_model_bit_identically() {
-    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|p| p.into_inner());
     let registry = ModelRegistry::load_dir(&fixture_path("registry")).expect("fixture registry");
     let name = "CFR+SBRL-HAP";
     let direct = registry.require(name).expect("golden model present");

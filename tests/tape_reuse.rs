@@ -6,10 +6,7 @@
 
 use proptest::prelude::*;
 use sbrl_hap::nn::{Activation, Adam, Binding, Init, Mlp, Optimizer, ParamStore};
-use sbrl_hap::stats::{
-    decorrelation_loss_graph, decorrelation_loss_graph_scratch, DecorrelationConfig, HsicScratch,
-    Rff,
-};
+use sbrl_hap::stats::{decorrelation_loss_graph_scratch, DecorrelationConfig, HsicScratch, Rff};
 use sbrl_hap::tensor::rng::{randn, rng_from_seed};
 use sbrl_hap::tensor::{Graph, Matrix};
 
@@ -123,13 +120,11 @@ proptest! {
                 let w_init = randn(&mut data_rng, n, 1).map(|v| 1.0 + 0.2 * v.tanh());
                 let zc = g.constant_copied(&z);
                 let w = g.param_copied(&w_init);
-                let loss = if use_scratch {
-                    decorrelation_loss_graph_scratch(
-                        &mut g, zc, w, &rff, &cfg_decor, &mut sub_rng, &mut scratch,
-                    )
-                } else {
-                    decorrelation_loss_graph(&mut g, zc, w, &rff, &cfg_decor, &mut sub_rng)
-                };
+                let mut fresh = HsicScratch::new();
+                let scratch = if use_scratch { &mut scratch } else { &mut fresh };
+                let loss = decorrelation_loss_graph_scratch(
+                    &mut g, zc, w, &rff, &cfg_decor, &mut sub_rng, scratch,
+                );
                 g.backward(loss);
                 let grad = g.grad(w).map(bits).unwrap_or_default();
                 out.push((g.scalar(loss).to_bits(), grad));
