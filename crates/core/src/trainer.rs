@@ -425,8 +425,9 @@ fn factual_loss(
 /// Trains `model` on `train`, early-stopping on `val`, with the SBRL /
 /// SBRL-HAP weight objective given by `sbrl`.
 ///
-/// Prefer [`crate::Estimator::builder`]; this free function survives only to
-/// back the builder and the deprecated [`train`] shim.
+/// The training loop behind [`crate::Estimator::fit`], which builds the
+/// backbone from its configuration and seed first; callers outside this
+/// crate go through [`crate::Estimator::builder`].
 pub(crate) fn fit_backbone<B: Backbone>(
     mut model: B,
     train: &CausalDataset,

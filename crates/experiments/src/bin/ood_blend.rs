@@ -7,17 +7,13 @@
 
 use sbrl_core::{BlendedEstimator, OodDetector, OodDetectorConfig};
 use sbrl_data::{SyntheticConfig, SyntheticProcess, PAPER_BIAS_RATES};
-use sbrl_experiments::presets::{bench_variant, paper_syn_8_8_8_2, quick_variant};
+use sbrl_experiments::presets::paper_syn_8_8_8_2;
 use sbrl_experiments::{fit_method, MethodSpec, Scale};
 use sbrl_metrics::evaluate;
 
 fn main() {
     let scale = Scale::from_args_or_exit();
-    let preset = match scale {
-        Scale::Paper => paper_syn_8_8_8_2(),
-        Scale::Quick => quick_variant(paper_syn_8_8_8_2()),
-        Scale::Bench => bench_variant(paper_syn_8_8_8_2()),
-    };
+    let preset = scale.preset(paper_syn_8_8_8_2());
     let (n_train, n_val, n_test) = scale.synthetic_samples();
     let process = SyntheticProcess::new(SyntheticConfig::syn_8_8_8_2(), 31);
     let train_data = process.generate(2.5, n_train, 0);

@@ -10,20 +10,14 @@ use sbrl_data::SyntheticConfig;
 use sbrl_metrics::{env_aggregate, Evaluation};
 
 use crate::methods::MethodSpec;
-use crate::presets::{bench_variant, paper_syn_16_16_16_2, quick_variant};
+use crate::presets::paper_syn_16_16_16_2;
 use crate::report::{fmt_mean_std, fmt_num, render_table, results_dir, write_tsv};
-use crate::runner::{
-    render_failures, render_retries, run_synthetic_sweep, MethodEnvResults, SyntheticExperiment,
-};
+use crate::runner::{run_synthetic_sweep, FitNotes, MethodEnvResults, SyntheticExperiment};
 use crate::scale::Scale;
 
 /// Builds the Fig. 3/4 experiment for a scale.
 pub fn experiment(scale: Scale) -> SyntheticExperiment {
-    let preset = match scale {
-        Scale::Paper => paper_syn_16_16_16_2(),
-        Scale::Quick => quick_variant(paper_syn_16_16_16_2()),
-        Scale::Bench => bench_variant(paper_syn_16_16_16_2()),
-    };
+    let preset = scale.preset(paper_syn_16_16_16_2());
     SyntheticExperiment::paper_sweep(SyntheticConfig::syn_16_16_16_2(), preset, scale)
 }
 
@@ -40,13 +34,8 @@ pub fn series_block(
     let mut rows = Vec::new();
     for r in results {
         let mut row = vec![r.method.clone()];
-        let mut env_means = Vec::with_capacity(rhos.len());
-        for env in 0..rhos.len() {
-            let vals = r.metric(env, metric);
-            let mean = vals.iter().sum::<f64>() / vals.len().max(1) as f64;
-            env_means.push(mean);
-            row.push(fmt_mean_std(&vals));
-        }
+        row.extend((0..rhos.len()).map(|env| fmt_mean_std(&r.metric(env, metric))));
+        let env_means: Vec<f64> = (0..rhos.len()).map(|env| r.mean(env, metric)).collect();
         let agg = env_aggregate(&env_means);
         row.push(fmt_num(agg.mean));
         row.push(fmt_num(agg.std));
@@ -71,12 +60,8 @@ pub fn degradation_block(
     let mut rows = Vec::new();
     if let (Some(id_train), Some(id_far)) = (idx_of(2.5), idx_of(-3.0)) {
         for r in results {
-            let m = |env: usize| {
-                let v = r.metric(env, |e| e.pehe);
-                v.iter().sum::<f64>() / v.len().max(1) as f64
-            };
-            let base = m(id_train);
-            let far = m(id_far);
+            let base = r.mean(id_train, |e| e.pehe);
+            let far = r.mean(id_far, |e| e.pehe);
             rows.push(vec![
                 r.method.clone(),
                 fmt_num(base),
@@ -126,8 +111,7 @@ pub fn render(exp: &SyntheticExperiment, results: &[MethodEnvResults], scale: Sc
         &r4c,
     ));
     write_tsv(results_dir().join("fig4_counterfactual_f1.tsv"), &h4c, &r4c).ok();
-    out.push_str(&render_retries(results.iter().flat_map(|r| &r.retries)));
-    out.push_str(&render_failures(results.iter().flat_map(|r| &r.failures)));
+    out.push_str(&FitNotes::of_sweep(results).render());
     out
 }
 

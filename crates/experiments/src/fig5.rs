@@ -14,9 +14,9 @@ use sbrl_tensor::rng::{rng_from_seed, sample_without_replacement};
 use sbrl_tensor::Matrix;
 
 use crate::methods::{BackboneKind, MethodSpec};
-use crate::presets::{bench_variant, paper_syn_16_16_16_2, quick_variant};
+use crate::presets::paper_syn_16_16_16_2;
 use crate::report::{fmt_num, render_table, results_dir, write_tsv};
-use crate::runner::{fit_method_retrying, DEFAULT_FIT_RETRIES};
+use crate::runner::{fit_method, fit_noted, FitNotes};
 use crate::scale::Scale;
 
 /// Result for one method: average off-diagonal HSIC and the matrix itself.
@@ -32,15 +32,10 @@ pub struct DecorrelationResult {
 /// Number of representation dimensions sampled by the paper.
 pub const SAMPLED_DIMS: usize = 25;
 
-/// Runs the Fig. 5 analysis; failed fits are skipped and described in the
-/// second element, fits recovered by reseeded retries in the third, so the
-/// report can record both.
-pub fn analyse(scale: Scale) -> (Vec<DecorrelationResult>, Vec<String>, Vec<String>) {
-    let preset = match scale {
-        Scale::Paper => paper_syn_16_16_16_2(),
-        Scale::Quick => quick_variant(paper_syn_16_16_16_2()),
-        Scale::Bench => bench_variant(paper_syn_16_16_16_2()),
-    };
+/// Runs the Fig. 5 analysis; failed fits are skipped, and the notes record
+/// them and the fits recovered by reseeded retries.
+pub fn analyse(scale: Scale) -> (Vec<DecorrelationResult>, FitNotes) {
+    let preset = scale.preset(paper_syn_16_16_16_2());
     let (n_train, n_val, n_test) = scale.synthetic_samples();
     let process = SyntheticProcess::new(SyntheticConfig::syn_16_16_16_2(), 5);
     let train_data = process.generate(2.5, n_train, 0);
@@ -50,36 +45,19 @@ pub fn analyse(scale: Scale) -> (Vec<DecorrelationResult>, Vec<String>, Vec<Stri
     let mut rng = rng_from_seed(55);
     let rff = Rff::sample(&mut rng, Rff::DEFAULT_NUM_FUNCTIONS);
 
-    let mut failures = Vec::new();
-    let mut retries = Vec::new();
+    let mut notes = FitNotes::default();
     let results = Framework::ALL
         .into_iter()
         .filter_map(|framework| {
             let spec = MethodSpec { backbone: BackboneKind::Cfr, framework };
             let train_cfg = scale.train_config(preset.lr, preset.l2, 7);
-            let fitted = match fit_method_retrying(
-                spec,
-                &preset,
-                &train_data,
-                &val_data,
-                &train_cfg,
-                DEFAULT_FIT_RETRIES,
-            ) {
-                Ok((fitted, 0)) => fitted,
-                Ok((fitted, attempts)) => {
-                    let msg = format!(
-                        "method {} recovered after {attempts} reseeded retries",
-                        spec.name()
-                    );
-                    crate::runner::record_retry("fig5", msg, &mut retries);
-                    fitted
-                }
-                Err(e) => {
-                    let msg = format!("method {} FAILED: {e}", spec.name());
-                    crate::runner::record_failure("fig5", msg, &mut failures);
-                    return None;
-                }
-            };
+            let label = format!("method {}", spec.name());
+            let fitted = notes.keep(
+                "fig5",
+                fit_noted(&label, &train_cfg, |cfg| {
+                    fit_method(spec, &preset, &train_data, &val_data, cfg)
+                }),
+            )?;
             let rep = fitted.representation(&probe.x);
             // Sample 25 dimensions (or all, when the rep is narrower) and
             // standardise them so HSIC magnitudes are comparable.
@@ -94,7 +72,7 @@ pub fn analyse(scale: Scale) -> (Vec<DecorrelationResult>, Vec<String>, Vec<Stri
             Some(DecorrelationResult { method: spec.name(), mean_hsic, matrix })
         })
         .collect();
-    (results, failures, retries)
+    (results, notes)
 }
 
 /// Coarse text heat map of a pairwise matrix (darker = more dependent).
@@ -114,7 +92,7 @@ pub fn text_heatmap(m: &Matrix) -> String {
 
 /// Runs Fig. 5 and renders the report.
 pub fn run(scale: Scale) -> String {
-    let (results, failures, retries) = analyse(scale);
+    let (results, notes) = analyse(scale);
     let header = vec!["Method".to_string(), "avg HSIC_RFF".to_string()];
     let rows: Vec<Vec<String>> =
         results.iter().map(|r| vec![r.method.clone(), fmt_num(r.mean_hsic)]).collect();
@@ -124,8 +102,7 @@ pub fn run(scale: Scale) -> String {
         &rows,
     );
     write_tsv(results_dir().join("fig5_hsic.tsv"), &header, &rows).ok();
-    out.push_str(&crate::runner::render_retries(&retries));
-    out.push_str(&crate::runner::render_failures(&failures));
+    out.push_str(&notes.render());
     for r in &results {
         out.push_str(&format!(
             "\n{} heat map ({}x{}):\n",
@@ -160,9 +137,9 @@ mod tests {
     #[test]
     #[ignore = "trains three models; run with --ignored"]
     fn bench_scale_ordering_smoke() {
-        let (results, failures, _retries) = analyse(Scale::Bench);
+        let (results, notes) = analyse(Scale::Bench);
         assert_eq!(results.len(), 3);
-        assert!(failures.is_empty());
+        assert!(notes.failures.is_empty());
         assert!(results.iter().all(|r| r.mean_hsic.is_finite()));
     }
 }

@@ -10,9 +10,9 @@ use sbrl_core::Framework;
 use sbrl_data::{SyntheticConfig, SyntheticProcess};
 
 use crate::methods::{BackboneKind, MethodSpec};
-use crate::presets::{bench_variant, paper_syn_16_16_16_2, quick_variant};
+use crate::presets::paper_syn_16_16_16_2;
 use crate::report::{fmt_num, render_table, results_dir, write_tsv};
-use crate::runner::{fit_method_retrying, DEFAULT_FIT_RETRIES};
+use crate::runner::{fit_method, fit_noted, FitNotes};
 use crate::scale::Scale;
 
 /// The sweep values of Fig. 6.
@@ -48,15 +48,10 @@ pub fn sweep_grid(optimum: (f64, f64, f64)) -> Vec<(usize, f64, (f64, f64, f64))
     grid
 }
 
-/// Runs the sweep and returns the points; failed sweep points are skipped
-/// and described in the second element, points recovered by reseeded
-/// retries in the third, so the report can record both.
-pub fn analyse(scale: Scale) -> (Vec<SweepPoint>, Vec<String>, Vec<String>) {
-    let base_preset = match scale {
-        Scale::Paper => paper_syn_16_16_16_2(),
-        Scale::Quick => quick_variant(paper_syn_16_16_16_2()),
-        Scale::Bench => bench_variant(paper_syn_16_16_16_2()),
-    };
+/// Runs the sweep and returns the points; failed sweep points are skipped,
+/// and the notes record them and the points recovered by reseeded retries.
+pub fn analyse(scale: Scale) -> (Vec<SweepPoint>, FitNotes) {
+    let base_preset = scale.preset(paper_syn_16_16_16_2());
     let (n_train, n_val, n_test) = scale.synthetic_samples();
     let process = SyntheticProcess::new(SyntheticConfig::syn_16_16_16_2(), 9);
     let train_data = process.generate(2.5, n_train, 0);
@@ -65,35 +60,19 @@ pub fn analyse(scale: Scale) -> (Vec<SweepPoint>, Vec<String>, Vec<String>) {
     let test_ood = process.generate(-3.0, n_test, 3);
     let spec = MethodSpec { backbone: BackboneKind::Cfr, framework: Framework::SbrlHap };
 
-    let mut failures = Vec::new();
-    let mut retries = Vec::new();
+    let mut notes = FitNotes::default();
     let points = sweep_grid(base_preset.gammas)
         .into_iter()
         .filter_map(|(idx, value, gammas)| {
             let preset = crate::methods::ExperimentPreset { gammas, ..base_preset };
             let train_cfg = scale.train_config(preset.lr, preset.l2, (idx * 17) as u64);
-            let fitted = match fit_method_retrying(
-                spec,
-                &preset,
-                &train_data,
-                &val_data,
-                &train_cfg,
-                DEFAULT_FIT_RETRIES,
-            ) {
-                Ok((fitted, 0)) => fitted,
-                Ok((fitted, attempts)) => {
-                    let msg = format!(
-                        "sweep point gamma{idx} = {value} recovered after {attempts} reseeded retries"
-                    );
-                    crate::runner::record_retry("fig6", msg, &mut retries);
-                    fitted
-                }
-                Err(e) => {
-                    let msg = format!("sweep point gamma{idx} = {value} FAILED: {e}");
-                    crate::runner::record_failure("fig6", msg, &mut failures);
-                    return None;
-                }
-            };
+            let label = format!("sweep point gamma{idx} = {value}");
+            let fitted = notes.keep(
+                "fig6",
+                fit_noted(&label, &train_cfg, |cfg| {
+                    fit_method(spec, &preset, &train_data, &val_data, cfg)
+                }),
+            )?;
             // lint: allow(panic) — simulator splits always carry the oracle;
             // a miss is a generator bug that must stop the sweep loudly.
             let id = fitted.evaluate(&test_id).expect("oracle");
@@ -111,12 +90,12 @@ pub fn analyse(scale: Scale) -> (Vec<SweepPoint>, Vec<String>, Vec<String>) {
             })
         })
         .collect();
-    (points, failures, retries)
+    (points, notes)
 }
 
 /// Runs Fig. 6 and renders the report.
 pub fn run(scale: Scale) -> String {
-    let (points, failures, retries) = analyse(scale);
+    let (points, notes) = analyse(scale);
     let header = vec![
         "Coefficient".to_string(),
         "Value".into(),
@@ -140,8 +119,7 @@ pub fn run(scale: Scale) -> String {
         &rows,
     );
     write_tsv(results_dir().join("fig6_gamma_sensitivity.tsv"), &header, &rows).ok();
-    out.push_str(&crate::runner::render_retries(&retries));
-    out.push_str(&crate::runner::render_failures(&failures));
+    out.push_str(&notes.render());
     out
 }
 

@@ -32,7 +32,7 @@ pub mod table6;
 
 pub use methods::{BackboneConfig, BackboneKind, ExperimentPreset, MethodSpec};
 pub use runner::{
-    fit_method, fit_method_retrying, render_failures, render_retries, retry_seed, retrying,
-    run_synthetic_sweep, MethodEnvResults, SyntheticExperiment, DEFAULT_FIT_RETRIES,
+    fit_method, fit_noted, retry_seed, retrying, run_synthetic_sweep, FitNotes, MethodEnvResults,
+    Noted, SyntheticExperiment, DEFAULT_FIT_RETRIES,
 };
 pub use scale::{ParseScaleError, Scale};

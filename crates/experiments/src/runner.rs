@@ -62,20 +62,93 @@ pub fn retrying<T>(
     }
 }
 
-/// [`fit_method`] wrapped in [`retrying`]: the sweep runners' upgrade from
-/// skip-on-first-failure to bounded retry-with-reseed.
-pub fn fit_method_retrying(
-    spec: MethodSpec,
-    preset: &ExperimentPreset,
-    train_data: &CausalDataset,
-    val_data: &CausalDataset,
+/// A fit's outcome with its note: the model and, when it needed reseeding,
+/// the retry note; or the failure note.
+pub type Noted<T> = Result<(T, Option<String>), String>;
+
+/// Fits through [`retrying`] with [`DEFAULT_FIT_RETRIES`], starting from
+/// `train_cfg.seed`: `fit` gets `train_cfg` with each attempt's seed. The
+/// notes name the fit by `label`. The single fit path of every runner.
+pub fn fit_noted<T>(
+    label: &str,
     train_cfg: &TrainConfig,
-    max_retries: usize,
-) -> Result<(FittedModel<Box<dyn Backbone>>, usize), SbrlError> {
-    retrying(train_cfg.seed, max_retries, |seed| {
-        let cfg = TrainConfig { seed, ..*train_cfg };
-        fit_method(spec, preset, train_data, val_data, &cfg)
-    })
+    mut fit: impl FnMut(&TrainConfig) -> Result<T, SbrlError>,
+) -> Noted<T> {
+    match retrying(train_cfg.seed, DEFAULT_FIT_RETRIES, |seed| {
+        fit(&TrainConfig { seed, ..*train_cfg })
+    }) {
+        Ok((fitted, 0)) => Ok((fitted, None)),
+        Ok((fitted, k)) => {
+            Ok((fitted, Some(format!("{label} recovered after {k} reseeded retries"))))
+        }
+        Err(e) => Err(format!("{label} FAILED: {e}")),
+    }
+}
+
+/// The retry and failure notes of one report, rendered after its tables.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct FitNotes {
+    /// Fits that only succeeded after one or more reseeded retries.
+    pub retries: Vec<String>,
+    /// Fits (or data) that failed and were skipped.
+    pub failures: Vec<String>,
+}
+
+impl FitNotes {
+    /// The notes of a sweep, method by method.
+    pub fn of_sweep(results: &[MethodEnvResults]) -> Self {
+        Self {
+            retries: results.iter().flat_map(|r| r.retries.iter().cloned()).collect(),
+            failures: results.iter().flat_map(|r| r.failures.iter().cloned()).collect(),
+        }
+    }
+
+    /// Logs a failure note to stderr under the runner's `tag` and keeps it.
+    pub fn fail(&mut self, tag: &str, note: String) {
+        eprintln!("[{tag}] {note}");
+        self.failures.push(note);
+    }
+
+    /// Keeps `fit`'s note, logged to stderr under the runner's `tag`, and
+    /// returns the model unless the fit failed.
+    pub fn keep<T>(&mut self, tag: &str, fit: Noted<T>) -> Option<T> {
+        match fit {
+            Ok((fitted, retry)) => {
+                if let Some(note) = retry {
+                    eprintln!("[{tag}] {note}");
+                    self.retries.push(note);
+                }
+                Some(fitted)
+            }
+            Err(note) => {
+                self.fail(tag, note);
+                None
+            }
+        }
+    }
+
+    /// Moves `other`'s notes after these.
+    pub fn append(&mut self, other: &mut FitNotes) {
+        self.retries.append(&mut other.retries);
+        self.failures.append(&mut other.failures);
+    }
+
+    /// The RETRIED block, then the SKIPPED block; each only when it has
+    /// notes, so a clean run renders nothing.
+    pub fn render(&self) -> String {
+        let block = |title: &str, tag: &str, notes: &[String]| {
+            let mut out = String::new();
+            if !notes.is_empty() {
+                out.push_str(title);
+                for note in notes {
+                    out.push_str(&format!("{tag} {note}\n"));
+                }
+            }
+            out
+        };
+        block("\nRetried fits (recovered after reseeding):\n", "RETRIED", &self.retries)
+            + &block("\nFailed replications (skipped):\n", "SKIPPED", &self.failures)
+    }
 }
 
 /// Fits one method specification on a train/val split through the fluent
@@ -144,6 +217,13 @@ impl MethodEnvResults {
     /// Extracts one metric across replications for an environment.
     pub fn metric(&self, env: usize, f: impl Fn(&Evaluation) -> f64) -> Vec<f64> {
         self.per_env[env].iter().map(f).collect()
+    }
+
+    /// The mean of one metric over replications for an environment (0 when
+    /// every replication failed).
+    pub fn mean(&self, env: usize, f: impl Fn(&Evaluation) -> f64) -> f64 {
+        let vals = self.metric(env, f);
+        vals.iter().sum::<f64>() / vals.len().max(1) as f64
     }
 }
 
@@ -266,34 +346,16 @@ fn run_replication(
     let train_data = process.generate(exp.train_rho, n_train, 10 * rep as u64);
     let val_data = process.generate(exp.train_rho, n_val, 10 * rep as u64 + 1);
 
-    let fits: Vec<Result<_, String>> = methods
+    let fits: Vec<Noted<_>> = methods
         .iter()
         .enumerate()
         .map(|(mi, spec)| {
+            let label = format!("rep {}/{} method {}", rep + 1, reps, spec.name());
             let train_cfg =
                 exp.scale.train_config(exp.preset.lr, exp.preset.l2, (rep * 97 + mi) as u64);
-            match fit_method_retrying(
-                *spec,
-                &exp.preset,
-                &train_data,
-                &val_data,
-                &train_cfg,
-                DEFAULT_FIT_RETRIES,
-            ) {
-                Ok((fitted, 0)) => Ok((fitted, None)),
-                Ok((fitted, attempts)) => {
-                    let msg = format!(
-                        "rep {}/{} method {} recovered after {attempts} reseeded retries",
-                        rep + 1,
-                        reps,
-                        spec.name()
-                    );
-                    Ok((fitted, Some(msg)))
-                }
-                Err(e) => {
-                    Err(format!("rep {}/{} method {} FAILED: {e}", rep + 1, reps, spec.name()))
-                }
-            }
+            fit_noted(&label, &train_cfg, |cfg| {
+                fit_method(*spec, &exp.preset, &train_data, &val_data, cfg)
+            })
         })
         .collect();
     // The folds are dead once every method is fitted; freeing them before
@@ -321,51 +383,6 @@ fn run_replication(
             Err(msg) => RepOutcome::Failed(msg),
         })
         .collect()
-}
-
-/// Records one skipped fit: logs it to stderr under the runner's tag and
-/// appends it to the runner's failure list (later rendered by
-/// [`render_failures`]). The single code path for skip-and-report handling
-/// in the eprintln-driven runners.
-pub fn record_failure(tag: &str, message: String, failures: &mut Vec<String>) {
-    eprintln!("[{tag}] {message}");
-    failures.push(message);
-}
-
-/// Renders failed-replication messages as a report block (empty string when
-/// every fit succeeded). The single formatting point for every runner's
-/// skipped-replication output.
-pub fn render_failures<'a>(failures: impl IntoIterator<Item = &'a String>) -> String {
-    let mut out = String::new();
-    for failure in failures {
-        out.push_str(&format!("SKIPPED {failure}\n"));
-    }
-    if !out.is_empty() {
-        out.insert_str(0, "\nFailed replications (skipped):\n");
-    }
-    out
-}
-
-/// Records one retried-then-recovered fit: logs it to stderr under the
-/// runner's tag and appends it to the runner's retry list (later rendered by
-/// [`render_retries`]).
-pub fn record_retry(tag: &str, message: String, retries: &mut Vec<String>) {
-    eprintln!("[{tag}] {message}");
-    retries.push(message);
-}
-
-/// Renders retried-fit messages as a report block (empty string when every
-/// fit succeeded first try). The single formatting point for every runner's
-/// retry provenance output.
-pub fn render_retries<'a>(retries: impl IntoIterator<Item = &'a String>) -> String {
-    let mut out = String::new();
-    for retry in retries {
-        out.push_str(&format!("RETRIED {retry}\n"));
-    }
-    if !out.is_empty() {
-        out.insert_str(0, "\nRetried fits (recovered after reseeding):\n");
-    }
-    out
 }
 
 #[cfg(test)]
@@ -529,12 +546,58 @@ mod tests {
     }
 
     #[test]
-    fn render_retries_formats_a_block_only_when_nonempty() {
-        assert_eq!(render_retries(&[]), "");
-        let notes = vec!["rep 1 method CFR recovered after 1 reseeded retries".to_string()];
-        let block = render_retries(&notes);
-        assert!(block.starts_with("\nRetried fits"));
-        assert!(block.contains("RETRIED rep 1 method CFR"));
+    fn fit_noted_notes_retries_and_failures_and_renders_them_in_order() {
+        let cfg = TrainConfig { seed: 7, ..TrainConfig::smoke() };
+        let mut notes = FitNotes::default();
+        assert_eq!(notes.render(), "", "a clean run renders no block");
+
+        let mut seeds = Vec::new();
+        let ok = fit_noted("first", &cfg, |c| {
+            seeds.push(c.seed);
+            Ok(c.seed)
+        });
+        assert_eq!(ok, Ok((7, None)));
+        assert_eq!(notes.keep("test", ok), Some(7));
+
+        let transient = fit_noted("second", &cfg, |c| {
+            seeds.push(c.seed);
+            if c.seed == 7 {
+                Err(SbrlError::NonFiniteLoss {
+                    iteration: 1,
+                    term: sbrl_core::NonFiniteTerm::FactualLoss,
+                })
+            } else {
+                Ok(c.seed)
+            }
+        });
+        let reseeded = retry_seed(7, 1);
+        let retry_note = "second recovered after 1 reseeded retries".to_string();
+        assert_eq!(transient, Ok((reseeded, Some(retry_note.clone()))));
+        assert_eq!(notes.keep("test", transient), Some(reseeded));
+        assert_eq!(seeds, [7, 7, reseeded]);
+        assert_eq!(
+            notes.render(),
+            format!("\nRetried fits (recovered after reseeding):\nRETRIED {retry_note}\n")
+        );
+
+        let error = SbrlError::InvalidConfig { what: "train.lr", message: "bad".into() };
+        let failure_note = format!("third FAILED: {error}");
+        let mut calls = 0;
+        let failed = fit_noted("third", &cfg, |_| -> Result<u64, SbrlError> {
+            calls += 1;
+            Err(SbrlError::InvalidConfig { what: "train.lr", message: "bad".into() })
+        });
+        assert_eq!(calls, 1, "a deterministic error is not retried");
+        assert_eq!(failed, Err(failure_note.clone()));
+        assert_eq!(notes.keep("test", failed), None);
+
+        assert_eq!(
+            notes.render(),
+            format!(
+                "\nRetried fits (recovered after reseeding):\nRETRIED {retry_note}\n\
+                 \nFailed replications (skipped):\nSKIPPED {failure_note}\n"
+            )
+        );
     }
 
     #[test]

@@ -6,6 +6,9 @@ use std::str::FromStr;
 
 use sbrl_core::TrainConfig;
 
+use crate::methods::ExperimentPreset;
+use crate::presets::{bench_variant, quick_variant};
+
 /// Typed error for an unrecognised `--scale` value, listing the valid
 /// scales so experiment binaries can fail with an actionable message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -143,6 +146,16 @@ impl Scale {
                 patience: 20,
                 ..base
             },
+        }
+    }
+
+    /// The `paper` preset at this scale: verbatim at `Paper`, shrunk by
+    /// [`quick_variant`] or [`bench_variant`] otherwise.
+    pub fn preset(self, paper: ExperimentPreset) -> ExperimentPreset {
+        match self {
+            Scale::Bench => bench_variant(paper),
+            Scale::Quick => quick_variant(paper),
+            Scale::Paper => paper,
         }
     }
 

@@ -8,20 +8,14 @@ use sbrl_data::SyntheticConfig;
 use sbrl_metrics::Evaluation;
 
 use crate::methods::MethodSpec;
-use crate::presets::{bench_variant, paper_syn_8_8_8_2, quick_variant};
+use crate::presets::paper_syn_8_8_8_2;
 use crate::report::{fmt_mean_std, render_table, results_dir, write_tsv};
-use crate::runner::{
-    render_failures, render_retries, run_synthetic_sweep, MethodEnvResults, SyntheticExperiment,
-};
+use crate::runner::{run_synthetic_sweep, FitNotes, MethodEnvResults, SyntheticExperiment};
 use crate::scale::Scale;
 
 /// Builds the experiment description for a scale.
 pub fn experiment(scale: Scale) -> SyntheticExperiment {
-    let preset = match scale {
-        Scale::Paper => paper_syn_8_8_8_2(),
-        Scale::Quick => quick_variant(paper_syn_8_8_8_2()),
-        Scale::Bench => bench_variant(paper_syn_8_8_8_2()),
-    };
+    let preset = scale.preset(paper_syn_8_8_8_2());
     SyntheticExperiment::paper_sweep(SyntheticConfig::syn_8_8_8_2(), preset, scale)
 }
 
@@ -32,21 +26,17 @@ pub fn improvement_row(
     env_count: usize,
     metric: impl Fn(&Evaluation) -> f64 + Copy,
 ) -> Vec<String> {
-    let mean_of = |r: &MethodEnvResults, env: usize| {
-        let vals = r.metric(env, metric);
-        vals.iter().sum::<f64>() / vals.len().max(1) as f64
-    };
     let mut row = vec!["Improvement".to_string()];
     for env in 0..env_count {
         let best_vanilla = results
             .iter()
             .filter(|r| !r.method.contains("+SBRL"))
-            .map(|r| mean_of(r, env))
+            .map(|r| r.mean(env, metric))
             .fold(f64::INFINITY, f64::min);
         let best_ours = results
             .iter()
             .filter(|r| r.method.ends_with("+SBRL-HAP"))
-            .map(|r| mean_of(r, env))
+            .map(|r| r.mean(env, metric))
             .fold(f64::INFINITY, f64::min);
         let pct = 100.0 * (best_vanilla - best_ours) / best_vanilla.max(1e-12);
         row.push(format!("{pct:+.1}%"));
@@ -56,7 +46,6 @@ pub fn improvement_row(
 
 /// Renders the metric block (PEHE or `ε_ATE`) of the table.
 pub fn metric_block(
-    title: &str,
     rhos: &[f64],
     results: &[MethodEnvResults],
     metric: impl Fn(&Evaluation) -> f64 + Copy,
@@ -72,7 +61,6 @@ pub fn metric_block(
         rows.push(row);
     }
     rows.push(improvement_row(results, rhos.len(), metric));
-    let _ = title;
     (header, rows)
 }
 
@@ -83,7 +71,7 @@ pub fn run(scale: Scale) -> String {
     let results = run_synthetic_sweep(&exp, &methods, |msg| eprintln!("[table1] {msg}"));
 
     let mut out = String::new();
-    let (header, rows) = metric_block("PEHE", &exp.test_rhos, &results, |e| e.pehe);
+    let (header, rows) = metric_block(&exp.test_rhos, &results, |e| e.pehe);
     out.push_str(&render_table(
         &format!("Table I (PEHE) — Syn_8_8_8_2, scale {}", scale.name()),
         &header,
@@ -91,15 +79,14 @@ pub fn run(scale: Scale) -> String {
     ));
     write_tsv(results_dir().join("table1_pehe.tsv"), &header, &rows).ok();
 
-    let (header_a, rows_a) = metric_block("eATE", &exp.test_rhos, &results, |e| e.ate_bias);
+    let (header_a, rows_a) = metric_block(&exp.test_rhos, &results, |e| e.ate_bias);
     out.push_str(&render_table(
         &format!("Table I (eATE) — Syn_8_8_8_2, scale {}", scale.name()),
         &header_a,
         &rows_a,
     ));
     write_tsv(results_dir().join("table1_ate.tsv"), &header_a, &rows_a).ok();
-    out.push_str(&render_retries(results.iter().flat_map(|r| &r.retries)));
-    out.push_str(&render_failures(results.iter().flat_map(|r| &r.failures)));
+    out.push_str(&FitNotes::of_sweep(&results).render());
     out
 }
 
@@ -142,7 +129,7 @@ mod tests {
 
     #[test]
     fn metric_block_shapes() {
-        let (header, rows) = metric_block("PEHE", &[2.5, -3.0], &fake_results(), |e| e.pehe);
+        let (header, rows) = metric_block(&[2.5, -3.0], &fake_results(), |e| e.pehe);
         assert_eq!(header.len(), 3);
         assert_eq!(rows.len(), 4); // 3 methods + improvement
         assert!(rows[0][1].contains('±'));

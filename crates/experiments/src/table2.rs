@@ -7,8 +7,9 @@ use sbrl_core::{Estimator, SbrlConfig};
 use sbrl_data::{SyntheticConfig, SyntheticProcess};
 
 use crate::methods::{BackboneKind, ExperimentPreset};
-use crate::presets::{bench_variant, paper_syn_16_16_16_2, quick_variant};
+use crate::presets::paper_syn_16_16_16_2;
 use crate::report::{fmt_mean_std, render_table, results_dir, write_tsv};
+use crate::runner::{fit_noted, FitNotes};
 use crate::scale::Scale;
 
 /// One ablation row: which sub-modules stay on.
@@ -59,18 +60,13 @@ impl AblationRow {
 
 /// Runs Table II and renders the report.
 pub fn run(scale: Scale) -> String {
-    let preset = match scale {
-        Scale::Paper => paper_syn_16_16_16_2(),
-        Scale::Quick => quick_variant(paper_syn_16_16_16_2()),
-        Scale::Bench => bench_variant(paper_syn_16_16_16_2()),
-    };
+    let preset = scale.preset(paper_syn_16_16_16_2());
     let (n_train, n_val, n_test) = scale.synthetic_samples();
     let reps = scale.replications();
 
     let mut per_row: Vec<(String, Vec<f64>, Vec<f64>)> =
         AblationRow::ALL.iter().map(|r| (r.label(), Vec::new(), Vec::new())).collect();
-    let mut failures: Vec<String> = Vec::new();
-    let mut retries: Vec<String> = Vec::new();
+    let mut notes = FitNotes::default();
 
     for rep in 0..reps {
         let process = SyntheticProcess::new(SyntheticConfig::syn_16_16_16_2(), 2000 + rep as u64);
@@ -82,34 +78,15 @@ pub fn run(scale: Scale) -> String {
         for (k, row) in AblationRow::ALL.iter().enumerate() {
             let cfg = row.config(&preset);
             let train_cfg = scale.train_config(preset.lr, preset.l2, (rep * 31 + k) as u64);
-            let fitted = crate::runner::retrying(
-                train_cfg.seed,
-                crate::runner::DEFAULT_FIT_RETRIES,
-                |seed| {
-                    Estimator::builder()
-                        .backbone(preset.backbone_config(BackboneKind::Cfr, train_data.dim()))
-                        .sbrl(cfg)
-                        .train(sbrl_core::TrainConfig { seed, ..train_cfg })
-                        .fit(&train_data, &val_data)
-                },
-            );
-            let fitted = match fitted {
-                Ok((fitted, 0)) => fitted,
-                Ok((fitted, attempts)) => {
-                    let msg = format!(
-                        "rep {} row {} recovered after {attempts} reseeded retries",
-                        rep + 1,
-                        per_row[k].0
-                    );
-                    crate::runner::record_retry("table2", msg, &mut retries);
-                    fitted
-                }
-                Err(e) => {
-                    let msg = format!("rep {} row {} FAILED: {e}", rep + 1, per_row[k].0);
-                    crate::runner::record_failure("table2", msg, &mut failures);
-                    continue;
-                }
-            };
+            let label = format!("rep {} row {}", rep + 1, per_row[k].0);
+            let fit = fit_noted(&label, &train_cfg, |train_cfg| {
+                Estimator::builder()
+                    .backbone(preset.backbone_config(BackboneKind::Cfr, train_data.dim()))
+                    .sbrl(cfg)
+                    .train(*train_cfg)
+                    .fit(&train_data, &val_data)
+            });
+            let Some(fitted) = notes.keep("table2", fit) else { continue };
             // lint: allow(panic) — simulator splits always carry the oracle.
             per_row[k].1.push(fitted.evaluate(&test_id).expect("oracle").pehe);
             // lint: allow(panic) — as above.
@@ -129,8 +106,7 @@ pub fn run(scale: Scale) -> String {
         &rows,
     );
     write_tsv(results_dir().join("table2_ablation.tsv"), &header, &rows).ok();
-    out.push_str(&crate::runner::render_retries(&retries));
-    out.push_str(&crate::runner::render_failures(&failures));
+    out.push_str(&notes.render());
     out
 }
 

@@ -7,11 +7,9 @@ use sbrl_data::{DataError, DataSplit, IhdpConfig, IhdpSimulator, TwinsConfig, Tw
 use sbrl_metrics::Evaluation;
 
 use crate::methods::MethodSpec;
-use crate::presets::{bench_variant, paper_ihdp, paper_twins, quick_variant};
+use crate::presets::{paper_ihdp, paper_twins};
 use crate::report::{fmt_mean_std, render_table, results_dir, write_tsv};
-use crate::runner::{
-    fit_method_retrying, record_failure, render_failures, render_retries, DEFAULT_FIT_RETRIES,
-};
+use crate::runner::{fit_method, fit_noted, FitNotes};
 use crate::scale::Scale;
 
 /// Per-method, per-fold evaluations across replications.
@@ -24,10 +22,9 @@ pub struct RealWorldResults {
     pub val: Vec<Evaluation>,
     /// Evaluations on the (distribution-shifted) test fold.
     pub test: Vec<Evaluation>,
-    /// Failed replications, skipped rather than fatal.
-    pub failures: Vec<String>,
-    /// Replications that only succeeded after one or more reseeded retries.
-    pub retries: Vec<String>,
+    /// Failed replications (skipped rather than fatal) and replications
+    /// that only succeeded after one or more reseeded retries.
+    pub notes: FitNotes,
 }
 
 fn run_splits(
@@ -44,63 +41,25 @@ fn run_splits(
             train: Vec::new(),
             val: Vec::new(),
             test: Vec::new(),
-            failures: Vec::new(),
-            retries: Vec::new(),
+            notes: FitNotes::default(),
         })
         .collect();
+    let tag = format!("table3:{name}");
     for (rep, split) in splits.iter().enumerate() {
         for (mi, spec) in methods.iter().enumerate() {
             let train_cfg = scale.train_config(preset.lr, preset.l2, (rep * 131 + mi) as u64);
-            let fitted = match fit_method_retrying(
-                *spec,
-                preset,
-                &split.train,
-                &split.val,
-                &train_cfg,
-                DEFAULT_FIT_RETRIES,
-            ) {
-                Ok((fitted, 0)) => fitted,
-                Ok((fitted, attempts)) => {
-                    let msg = format!(
-                        "rep {}/{} method {} recovered after {attempts} reseeded retries",
-                        rep + 1,
-                        splits.len(),
-                        spec.name()
-                    );
-                    crate::runner::record_retry(
-                        &format!("table3:{name}"),
-                        msg,
-                        &mut results[mi].retries,
-                    );
-                    fitted
-                }
-                Err(e) => {
-                    let msg = format!(
-                        "rep {}/{} method {} FAILED: {e}",
-                        rep + 1,
-                        splits.len(),
-                        spec.name()
-                    );
-                    crate::runner::record_failure(
-                        &format!("table3:{name}"),
-                        msg,
-                        &mut results[mi].failures,
-                    );
-                    continue;
-                }
-            };
+            let label = format!("rep {}/{} method {}", rep + 1, splits.len(), spec.name());
+            let fit = fit_noted(&label, &train_cfg, |cfg| {
+                fit_method(*spec, preset, &split.train, &split.val, cfg)
+            });
+            let Some(fitted) = results[mi].notes.keep(&tag, fit) else { continue };
             // lint: allow(panic) — simulator splits always carry the oracle.
             results[mi].train.push(fitted.evaluate(&split.train).expect("oracle"));
             // lint: allow(panic) — as above.
             results[mi].val.push(fitted.evaluate(&split.val).expect("oracle"));
             // lint: allow(panic) — as above.
             results[mi].test.push(fitted.evaluate(&split.test).expect("oracle"));
-            eprintln!(
-                "[table3:{name}] rep {}/{} method {} done",
-                rep + 1,
-                splits.len(),
-                spec.name()
-            );
+            eprintln!("[{tag}] {label} done");
         }
     }
     results
@@ -147,30 +106,26 @@ fn run_block(
     scale: Scale,
     methods: &[MethodSpec],
 ) -> String {
-    let mut data_failures = Vec::new();
+    let mut notes = FitNotes::default();
     let splits = splits.unwrap_or_else(|e| {
-        let msg = format!("{title} data FAILED: {e}");
-        record_failure(&format!("table3:{name}"), msg, &mut data_failures);
+        notes.fail(&format!("table3:{name}"), format!("{title} data FAILED: {e}"));
         Vec::new()
     });
-    let results = run_splits(name, &splits, preset, scale, methods);
+    let mut results = run_splits(name, &splits, preset, scale, methods);
     let (header, rows) = blocks(&results);
     let mut out =
         render_table(&format!("Table III ({title}) — scale {}", scale.name()), &header, &rows);
     write_tsv(results_dir().join(format!("table3_{name}.tsv")), &header, &rows).ok();
-    out.push_str(&render_retries(results.iter().flat_map(|r| &r.retries)));
-    let failures = data_failures.iter().chain(results.iter().flat_map(|r| &r.failures));
-    out.push_str(&render_failures(failures));
+    for r in &mut results {
+        notes.append(&mut r.notes);
+    }
+    out.push_str(&notes.render());
     out
 }
 
 /// Runs the Twins block of Table III.
 pub fn run_twins(scale: Scale, methods: &[MethodSpec]) -> String {
-    let preset = match scale {
-        Scale::Paper => paper_twins(),
-        Scale::Quick => quick_variant(paper_twins()),
-        Scale::Bench => bench_variant(paper_twins()),
-    };
+    let preset = scale.preset(paper_twins());
     let (rounds, _) = scale.realworld_replications();
     let config = TwinsConfig { n: scale.twins_records(), ..Default::default() };
     let splits = TwinsSimulator::try_new(config, 7)
@@ -180,11 +135,7 @@ pub fn run_twins(scale: Scale, methods: &[MethodSpec]) -> String {
 
 /// Runs the IHDP block of Table III.
 pub fn run_ihdp(scale: Scale, methods: &[MethodSpec]) -> String {
-    let preset = match scale {
-        Scale::Paper => paper_ihdp(),
-        Scale::Quick => quick_variant(paper_ihdp()),
-        Scale::Bench => bench_variant(paper_ihdp()),
-    };
+    let preset = scale.preset(paper_ihdp());
     let (_, reps) = scale.realworld_replications();
     let splits = IhdpSimulator::try_new(IhdpConfig::default(), 11)
         .and_then(|sim| (0..reps).map(|r| sim.try_replicate(r as u64)).collect());
@@ -211,8 +162,7 @@ mod tests {
             train: vec![eval],
             val: vec![eval],
             test: vec![eval],
-            failures: Vec::new(),
-            retries: Vec::new(),
+            notes: FitNotes::default(),
         }];
         let (header, rows) = blocks(&results);
         assert_eq!(header.len(), 7);

@@ -7,9 +7,9 @@
 use sbrl_data::{IhdpConfig, IhdpSimulator};
 
 use crate::methods::MethodSpec;
-use crate::presets::{bench_variant, paper_ihdp, quick_variant};
+use crate::presets::paper_ihdp;
 use crate::report::{render_table, results_dir, write_tsv};
-use crate::runner::{fit_method_retrying, DEFAULT_FIT_RETRIES};
+use crate::runner::{fit_method, fit_noted, FitNotes};
 use crate::scale::Scale;
 
 /// One timing measurement.
@@ -22,66 +22,42 @@ pub struct Timing {
 }
 
 /// Measures a single training execution per method on one IHDP replication;
-/// failed fits (and a replication the simulator cannot build) are skipped
-/// and described in the second element, fits
-/// recovered by reseeded retries in the third, so the report can record
-/// both.
-pub fn analyse(scale: Scale) -> (Vec<Timing>, Vec<String>, Vec<String>) {
-    let preset = match scale {
-        Scale::Paper => paper_ihdp(),
-        Scale::Quick => quick_variant(paper_ihdp()),
-        Scale::Bench => bench_variant(paper_ihdp()),
-    };
-    let mut failures = Vec::new();
-    let mut retries = Vec::new();
+/// failed fits (and a replication the simulator cannot build) are skipped,
+/// and the notes record them and the fits recovered by reseeded retries.
+pub fn analyse(scale: Scale) -> (Vec<Timing>, FitNotes) {
+    let preset = scale.preset(paper_ihdp());
+    let mut notes = FitNotes::default();
     let split = match IhdpSimulator::try_new(IhdpConfig::default(), 3)
         .and_then(|sim| sim.try_replicate(0))
     {
         Ok(split) => split,
         Err(e) => {
-            let msg = format!("IHDP data FAILED: {e}");
-            crate::runner::record_failure("table6", msg, &mut failures);
-            return (Vec::new(), failures, retries);
+            notes.fail("table6", format!("IHDP data FAILED: {e}"));
+            return (Vec::new(), notes);
         }
     };
     let timings = MethodSpec::grid()
         .into_iter()
         .filter_map(|spec| {
             let train_cfg = scale.train_config(preset.lr, preset.l2, 1);
-            let fitted = match fit_method_retrying(
-                spec,
-                &preset,
-                &split.train,
-                &split.val,
-                &train_cfg,
-                DEFAULT_FIT_RETRIES,
-            ) {
-                Ok((fitted, 0)) => fitted,
-                Ok((fitted, attempts)) => {
-                    let msg = format!(
-                        "method {} recovered after {attempts} reseeded retries",
-                        spec.name()
-                    );
-                    crate::runner::record_retry("table6", msg, &mut retries);
-                    fitted
-                }
-                Err(e) => {
-                    let msg = format!("method {} FAILED: {e}", spec.name());
-                    crate::runner::record_failure("table6", msg, &mut failures);
-                    return None;
-                }
-            };
+            let label = format!("method {}", spec.name());
+            let fitted = notes.keep(
+                "table6",
+                fit_noted(&label, &train_cfg, |cfg| {
+                    fit_method(spec, &preset, &split.train, &split.val, cfg)
+                }),
+            )?;
             let seconds = fitted.report().train_seconds;
             eprintln!("[table6] {} trained in {seconds:.2}s", spec.name());
             Some(Timing { method: spec.name(), seconds })
         })
         .collect();
-    (timings, failures, retries)
+    (timings, notes)
 }
 
 /// Runs Table VI and renders the report, including per-backbone ratios.
 pub fn run(scale: Scale) -> String {
-    let (timings, failures, retries) = analyse(scale);
+    let (timings, notes) = analyse(scale);
     let base_of = |name: &str| {
         timings.iter().find(|t| t.method == name).map(|t| t.seconds).unwrap_or(f64::NAN)
     };
@@ -101,8 +77,7 @@ pub fn run(scale: Scale) -> String {
         &rows,
     );
     write_tsv(results_dir().join("table6_time.tsv"), &header, &rows).ok();
-    out.push_str(&crate::runner::render_retries(&retries));
-    out.push_str(&crate::runner::render_failures(&failures));
+    out.push_str(&notes.render());
     out
 }
 
@@ -113,9 +88,9 @@ mod tests {
     #[test]
     #[ignore = "trains nine models; run with --ignored"]
     fn bench_scale_cost_ordering() {
-        let (t, failures, _retries) = analyse(Scale::Bench);
+        let (t, notes) = analyse(Scale::Bench);
         assert_eq!(t.len(), 9);
-        assert!(failures.is_empty());
+        assert!(notes.failures.is_empty());
         let sec = |name: &str| t.iter().find(|x| x.method == name).unwrap().seconds;
         // The weight phase must make +SBRL strictly more expensive than
         // vanilla, and HAP more expensive than SBRL.
