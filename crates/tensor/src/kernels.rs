@@ -387,8 +387,8 @@ pub(crate) fn fma_available() -> bool {
 }
 
 /// True when the running CPU supports AVX-512F (checked once, cached). The
-/// bit-exact GEMM row kernels prefer their AVX-512F clones over the AVX2
-/// ones: the same scalar operation sequence, in wider registers.
+/// GEMM row kernels of both tiers prefer their AVX-512F clones over the
+/// AVX2 ones: the same scalar operation sequence, in wider registers.
 #[cfg(target_arch = "x86_64")]
 fn avx512_available() -> bool {
     use std::sync::OnceLock;
@@ -868,9 +868,29 @@ unsafe fn gemm_rows_fma<const L: u8>(
     gemm_rows_impl::<L, true>(a, b, out, dims);
 }
 
-/// Runs the layout-`L` row kernel on the widest clone the CPU supports: the
-/// FMA clone for [`NumericsMode::Fast`], otherwise AVX-512F, then AVX2, then
-/// the portable code. Every bit-exact clone runs the same operations.
+/// AVX-512F+FMA-compiled clone of [`gemm_rows_impl`] with contracted
+/// multiply-adds: the [`NumericsMode::Fast`] kernel on AVX-512 CPUs. Each
+/// element keeps its `mul_add` chain, so its bits match [`gemm_rows_fma`].
+///
+/// # Safety
+/// Caller must verify AVX-512F **and** FMA3 support first (see
+/// [`avx512_available`] and [`fma_available`]); the body itself is ordinary
+/// safe Rust.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+unsafe fn gemm_rows_avx512_fma<const L: u8>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    dims: (usize, usize, usize),
+) {
+    gemm_rows_impl::<L, true>(a, b, out, dims);
+}
+
+/// Runs the layout-`L` row kernel on the widest clone the CPU supports:
+/// for [`NumericsMode::Fast`] the FMA clones (AVX-512F, then AVX2),
+/// otherwise AVX-512F, then AVX2, then the portable code. Every clone of a
+/// tier runs the same operations.
 fn gemm_rows<const L: u8>(
     a: &[f64],
     b: &[f64],
@@ -881,6 +901,11 @@ fn gemm_rows<const L: u8>(
     #[cfg(target_arch = "x86_64")]
     {
         if fast && fma_available() {
+            if avx512_available() {
+                // SAFETY: AVX-512F and FMA presence just verified by
+                // `avx512_available` and `fma_available`.
+                return unsafe { gemm_rows_avx512_fma::<L>(a, b, out, dims) };
+            }
             // SAFETY: AVX2+FMA presence just verified by `fma_available`.
             return unsafe { gemm_rows_fma::<L>(a, b, out, dims) };
         }
@@ -1175,8 +1200,12 @@ mod tests {
     use crate::rng::{randn, rng_from_seed};
 
     fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        // The historical unblocked i-k-j loop, kept verbatim as the
-        // bit-identity oracle.
+        reference_matmul_with(a, b, false)
+    }
+
+    /// The historical unblocked i-k-j loop, the bit-identity oracle;
+    /// `fused` contracts each step to a `mul_add`.
+    fn reference_matmul_with(a: &Matrix, b: &Matrix, fused: bool) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
         let oc = b.cols();
         for i in 0..a.rows() {
@@ -1186,7 +1215,11 @@ mod tests {
                     continue;
                 }
                 for j in 0..oc {
-                    out[(i, j)] += aik * b[(k, j)];
+                    out[(i, j)] = if fused {
+                        aik.mul_add(b[(k, j)], out[(i, j)])
+                    } else {
+                        out[(i, j)] + aik * b[(k, j)]
+                    };
                 }
             }
         }
@@ -1197,6 +1230,12 @@ mod tests {
     fn blocked_serial_gemm_is_bit_identical_to_reference() {
         // Pins the BitExact contract explicitly (outside a scope the product
         // reads `SBRL_NUMERICS`, which a Fast test run sets).
+        // The Fast leg pins nn and tn against the same loop with every step
+        // fused where the CPU has FMA.
+        #[cfg(target_arch = "x86_64")]
+        let fma = fma_available();
+        #[cfg(not(target_arch = "x86_64"))]
+        let fma = false;
         let mut rng = rng_from_seed(0);
         for (m, k, n) in [(1, 1, 1), (3, 5, 7), (40, 33, 29), (130, 257, 65), (256, 64, 129)] {
             let a = randn(&mut rng, m, k);
@@ -1204,6 +1243,15 @@ mod tests {
             let blocked = NumericsMode::BitExact.scoped(|| a.matmul(&b));
             let reference = reference_matmul(&a, &b);
             assert_eq!(blocked.as_slice(), reference.as_slice(), "shape {m}x{k}x{n}");
+
+            let fused = reference_matmul_with(&a, &b, fma);
+            let a_t = a.transpose();
+            for (name, got) in [
+                ("nn", NumericsMode::Fast.scoped(|| a.matmul(&b))),
+                ("tn", NumericsMode::Fast.scoped(|| a_t.matmul_tn(&b))),
+            ] {
+                assert_eq!(got.as_slice(), fused.as_slice(), "fast {name} {m}x{k}x{n}");
+            }
         }
     }
 
