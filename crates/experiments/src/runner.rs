@@ -332,6 +332,16 @@ fn run_synthetic_sweep_on(
     results
 }
 
+/// The fit seed of `spec` in replication `rep`: common random numbers. A
+/// backbone and its +SBRL and +SBRL-HAP variants share one seed, so they
+/// start from the same weights and the same first batch, and a difference
+/// between them carries no init noise of its own. The backbone's index is
+/// its position in [`crate::BackboneKind::ALL`], which lists the kinds in
+/// declaration order.
+fn method_seed(rep: usize, spec: MethodSpec) -> u64 {
+    (rep * 97 + spec.backbone as usize) as u64
+}
+
 /// One replication: draws its mechanism and train/val pair, fits every
 /// method, then generates the test environments one at a time and scores
 /// every fitted model on each, so at most one environment is alive.
@@ -348,11 +358,10 @@ fn run_replication(
 
     let fits: Vec<Noted<_>> = methods
         .iter()
-        .enumerate()
-        .map(|(mi, spec)| {
+        .map(|spec| {
             let label = format!("rep {}/{} method {}", rep + 1, reps, spec.name());
             let train_cfg =
-                exp.scale.train_config(exp.preset.lr, exp.preset.l2, (rep * 97 + mi) as u64);
+                exp.scale.train_config(exp.preset.lr, exp.preset.l2, method_seed(rep, *spec));
             fit_noted(&label, &train_cfg, |cfg| {
                 fit_method(*spec, &exp.preset, &train_data, &val_data, cfg)
             })
@@ -484,6 +493,28 @@ mod tests {
             for workers in [2, 3] {
                 assert_eq!(run(exp, workers), serial, "workers = {workers}");
             }
+        }
+    }
+
+    #[test]
+    fn methods_of_one_backbone_share_their_seed() {
+        for (i, kind) in BackboneKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "ALL lists the kinds in declaration order");
+        }
+        for rep in 0..3 {
+            let seeds: Vec<Vec<u64>> = BackboneKind::ALL
+                .into_iter()
+                .map(|backbone| {
+                    Framework::ALL
+                        .into_iter()
+                        .map(|framework| method_seed(rep, MethodSpec { backbone, framework }))
+                        .collect()
+                })
+                .collect();
+            // Vanilla TARNet keeps the seed it had as method 0 of the grid.
+            assert_eq!(seeds[0], [rep as u64 * 97; 3]);
+            assert_eq!(seeds[1], [rep as u64 * 97 + 1; 3]);
+            assert_eq!(seeds[2], [rep as u64 * 97 + 2; 3]);
         }
     }
 
