@@ -86,7 +86,7 @@ pub fn fit_noted<T>(
 }
 
 /// The retry and failure notes of one report, rendered after its tables.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Debug, Default)]
 pub struct FitNotes {
     /// Fits that only succeeded after one or more reseeded retries.
     pub retries: Vec<String>,
