@@ -28,7 +28,8 @@ use sbrl_hap::core::{Estimator, SbrlConfig, TrainConfig};
 use sbrl_hap::data::{SyntheticConfig, SyntheticProcess};
 use sbrl_hap::models::CfrConfig;
 use sbrl_hap::stats::{
-    hsic_biased, ipm_plain, ipm_weighted_plain, pairwise_hsic_matrix, IpmKind, Rff,
+    hsic_biased, ipm_plain, ipm_weighted_plain, median_bandwidth, pairwise_hsic_matrix,
+    pairwise_sq_dists, IpmKind, Rff,
 };
 use sbrl_hap::tensor::kernels::{reduce_dot, reduce_sum, NumericsMode, Parallelism};
 use sbrl_hap::tensor::rng::{randn, rng_from_seed};
@@ -187,6 +188,55 @@ proptest! {
             assert_scalar_close(exact, fast, FAST_IPM_TOL, &format!("{kind:?}"));
             prop_assert_eq!(fast.to_bits(), FAST.scoped(ipm).to_bits());
         }
+    }
+}
+
+/// FNV-1a over the bit patterns of `values`, so one recorded constant pins a
+/// whole matrix bit for bit.
+fn digest(values: &[f64]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The plain statistics reproduce their recorded BitExact bits on fixed
+/// seeded inputs: the kernel fills, the median heuristic, the HSIC folds and
+/// every plain IPM, with a zero weight on each side to reach the quadratic
+/// forms' zero-weight skip. A change to any BitExact accumulation order
+/// fails here; the constants change only with a deliberate re-recording.
+#[test]
+fn bitexact_statistics_reproduce_recorded_bits() {
+    let (a, b) = (random_matrix(41, 70, 3), random_matrix(42, 70, 2));
+    let (phi_t, phi_c) = (random_matrix(43, 37, 4), random_matrix(44, 29, 4));
+    let z = random_matrix(45, 70, 6);
+    let rff = Rff::sample(&mut rng_from_seed(46), Rff::DEFAULT_NUM_FUNCTIONS);
+    let ramp = |n: usize| -> Vec<f64> { (0..n).map(|i| (i % 7) as f64 * 0.25).collect() };
+    let (w_t, w_c, w_z) = (ramp(37), ramp(29), ramp(70));
+    let ipm = |kind| ipm_weighted_plain(kind, &phi_t, &phi_c, Some(&w_t), Some(&w_c)).to_bits();
+
+    let got = EXACT.scoped(|| {
+        [
+            ("hsic_biased", hsic_biased(&a, &b, -1.0, -1.0).to_bits()),
+            ("median_bandwidth", median_bandwidth(&a).to_bits()),
+            ("pairwise_hsic_matrix", digest(pairwise_hsic_matrix(&z, &rff, Some(&w_z)).as_slice())),
+            ("pairwise_sq_dists", digest(pairwise_sq_dists(&phi_t, &phi_c).as_slice())),
+            ("MmdLin", ipm(IpmKind::MmdLin)),
+            ("MmdRbf", ipm(IpmKind::MmdRbf { sigma: -1.0 })),
+            ("Wasserstein", ipm(IpmKind::Wasserstein { lambda: 10.0, iterations: 10 })),
+        ]
+    });
+    let recorded: [u64; 7] = [
+        0x3f73_e94d_b8f4_51d7,
+        0x3ff9_2e55_a3b3_3ec8,
+        0x7cb8_8f29_576b_7e92,
+        0x026b_851d_b672_ea8e,
+        0x3fbf_98a9_cb8e_fb63,
+        0x3f93_a9db_c965_03a0,
+        0x3ff7_4001_9299_1309,
+    ];
+    for ((what, bits), want) in got.into_iter().zip(recorded) {
+        assert_eq!(bits, want, "{what}: got {bits:#018x}, recorded {want:#018x}");
     }
 }
 
