@@ -20,13 +20,13 @@
 //!   loss scale-free and affordable on wide layers.
 
 use rand::rngs::StdRng;
-use sbrl_tensor::kernels::{reduce_sum, NumericsMode, Parallelism};
+use sbrl_tensor::kernels::Parallelism;
 use sbrl_tensor::rng::{permutation_into, sample_standard_normal, sample_uniform};
 use sbrl_tensor::workers::run_coarse_tasks;
 use sbrl_tensor::{Graph, Matrix, TensorId};
 use std::sync::{Mutex, PoisonError};
 
-use crate::kernels::{median_bandwidth_in, rbf_kernel_in};
+use crate::kernels::{median_bandwidth, rbf_kernel};
 
 /// A bank of `k` random Fourier functions shared across features.
 #[derive(Clone, Debug)]
@@ -100,22 +100,19 @@ pub fn hsic_rff_pair(a: &[f64], b: &[f64], rff: &Rff, weights: Option<&[f64]>) -
             mean_v[i] += w[r] * v[(r, i)];
         }
     }
-    cross_cov_frob2(&u, &v, &mean_u, &mean_v, &w, NumericsMode::global())
+    cross_cov_frob2(&u, &v, &mean_u, &mean_v, &w)
 }
 
 /// Symmetric `d x d` matrix of pairwise `HSIC_RFF` values between the columns
-/// of `z` — the quantity visualised in the paper's Fig. 5 — under the calling
-/// thread's [`NumericsMode`].
+/// of `z` — the quantity visualised in the paper's Fig. 5. It runs no GEMM,
+/// so its bits are the same in both numerics tiers.
 ///
 /// The Fourier feature map and its weighted column means are computed
 /// **once per column** (not once per pair, which used to re-extract every
 /// column into fresh vectors on each call) and shared read-only across the
 /// `d (d + 1) / 2` unordered pairs; each pair's statistic is computed from
-/// the same per-column values the pairwise evaluation would produce
-/// ([`NumericsMode::Fast`] swaps the per-pair covariance fold for a
-/// four-accumulator variant).
+/// the same per-column values the pairwise evaluation would produce.
 pub fn pairwise_hsic_matrix(z: &Matrix, rff: &Rff, weights: Option<&[f64]>) -> Matrix {
-    let mode = NumericsMode::global();
     let d = z.cols();
     let n = z.rows();
     if d == 0 {
@@ -146,7 +143,7 @@ pub fn pairwise_hsic_matrix(z: &Matrix, rff: &Rff, weights: Option<&[f64]>) -> M
     let mut out = Matrix::zeros(d, d);
     for a in 0..d {
         for b in a..d {
-            let v = cross_cov_frob2(&maps[a], &maps[b], &means[a], &means[b], &w, mode);
+            let v = cross_cov_frob2(&maps[a], &maps[b], &means[a], &means[b], &w);
             out[(a, b)] = v;
             out[(b, a)] = v;
         }
@@ -156,31 +153,11 @@ pub fn pairwise_hsic_matrix(z: &Matrix, rff: &Rff, weights: Option<&[f64]>) -> M
 
 /// `|| Cov_w(u, v) ||_F^2` from precomputed feature maps and weighted means
 /// — the shared kernel of [`hsic_rff_pair`] and [`pairwise_hsic_matrix`]
-/// (identical accumulation order in both). [`NumericsMode::BitExact`] keeps
-/// the historical serial fold per covariance entry;
-/// [`NumericsMode::Fast`] uses four independent accumulators, a reduction
-/// shape that depends only on the sample count.
-fn cross_cov_frob2(
-    u: &Matrix,
-    v: &Matrix,
-    mean_u: &[f64],
-    mean_v: &[f64],
-    w: &[f64],
-    mode: NumericsMode,
-) -> f64 {
+/// (identical accumulation order in both): one serial fold per covariance
+/// entry.
+fn cross_cov_frob2(u: &Matrix, v: &Matrix, mean_u: &[f64], mean_v: &[f64], w: &[f64]) -> f64 {
     let n = u.rows();
     let k = u.cols();
-    if mode.is_fast() {
-        let (us, vs) = (u.as_slice(), v.as_slice());
-        let mut frob2 = 0.0;
-        for (i, &mu) in mean_u.iter().enumerate() {
-            for (j, &mv) in mean_v.iter().enumerate() {
-                let cov = weighted_col_prod_fast(us, vs, w, k, i, j) - mu * mv;
-                frob2 += cov * cov;
-            }
-        }
-        return frob2;
-    }
     let mut frob2 = 0.0;
     for i in 0..k {
         for j in 0..k {
@@ -193,27 +170,6 @@ fn cross_cov_frob2(
         }
     }
     frob2
-}
-
-/// Fast-mode weighted column product `Σ_r w[r] · u[r][i] · v[r][j]` over
-/// row-major `n x k` feature maps, with four independent accumulators.
-#[inline]
-fn weighted_col_prod_fast(us: &[f64], vs: &[f64], w: &[f64], k: usize, i: usize, j: usize) -> f64 {
-    let n = w.len();
-    let mut acc = [0.0f64; 4];
-    let mut r = 0;
-    while r + 4 <= n {
-        acc[0] += w[r] * us[r * k + i] * vs[r * k + j];
-        acc[1] += w[r + 1] * us[(r + 1) * k + i] * vs[(r + 1) * k + j];
-        acc[2] += w[r + 2] * us[(r + 2) * k + i] * vs[(r + 2) * k + j];
-        acc[3] += w[r + 3] * us[(r + 3) * k + i] * vs[(r + 3) * k + j];
-        r += 4;
-    }
-    while r < n {
-        acc[0] += w[r] * us[r * k + i] * vs[r * k + j];
-        r += 1;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
 /// Mean of the off-diagonal entries of [`pairwise_hsic_matrix`] — the
@@ -242,14 +198,13 @@ pub fn mean_offdiag_hsic(z: &Matrix, rff: &Rff, weights: Option<&[f64]>) -> f64 
 /// centring by `H = I - 11^T/n` is applied **implicitly**: `K_a` is
 /// double-centred through its row/column/grand means and the trace collapses
 /// to an elementwise dot with the (symmetric) `K_b`, so the estimator costs
-/// O(n²) instead of the two O(n³) GEMMs that materialising
-/// `centering_matrix(n)` used to pay. Mathematically identical to the
-/// explicit product (up to floating-point summation order).
+/// O(n²) instead of the two O(n³) GEMMs that materialising `H` used to
+/// pay. Mathematically identical to the explicit product (up to
+/// floating-point summation order).
 ///
-/// Runs in the calling thread's [`NumericsMode`], read once (the
-/// median-heuristic bandwidths included): [`NumericsMode::BitExact`] keeps
-/// the historical serial row-mean and trace folds; [`NumericsMode::Fast`]
-/// sums per-row traces with pairwise trees whose shape depends only on `n`.
+/// The row-mean and trace folds are serial in both numerics tiers; only the
+/// kernel fills' `A Bᵀ` GEMMs (the median-heuristic bandwidths' included)
+/// follow the calling thread's tier.
 ///
 /// # Example
 ///
@@ -273,11 +228,10 @@ pub fn hsic_biased(a: &Matrix, b: &Matrix, sigma_a: f64, sigma_b: f64) -> f64 {
     if n < 2 {
         return 0.0;
     }
-    let mode = NumericsMode::global();
-    let sa = if sigma_a > 0.0 { sigma_a } else { median_bandwidth_in(a, mode) };
-    let sb = if sigma_b > 0.0 { sigma_b } else { median_bandwidth_in(b, mode) };
-    let ka = rbf_kernel_in(a, a, sa, mode);
-    let kb = rbf_kernel_in(b, b, sb, mode);
+    let sa = if sigma_a > 0.0 { sigma_a } else { median_bandwidth(a) };
+    let sb = if sigma_b > 0.0 { sigma_b } else { median_bandwidth(b) };
+    let ka = rbf_kernel(a, a, sa);
+    let kb = rbf_kernel(b, b, sb);
 
     // Implicit double-centring of K_a: with H = I - 11^T/n,
     //   (H K_a H)[i][j] = K_a[i][j] - r_i - r_j + m
@@ -285,17 +239,9 @@ pub fn hsic_biased(a: &Matrix, b: &Matrix, sigma_a: f64, sigma_b: f64) -> f64 {
     // and m is the grand mean. By trace cyclicity and K_b's symmetry,
     //   tr(K_a H K_b H) = Σ_ij (H K_a H)[i][j] · K_b[i][j].
     let inv_n = 1.0 / n as f64;
-    let row_means: Vec<f64> = (0..n).map(|i| reduce_sum(ka.row(i), mode) * inv_n).collect();
-    let grand_mean = reduce_sum(&row_means, mode) * inv_n;
+    let row_means: Vec<f64> = (0..n).map(|i| ka.row(i).iter().sum::<f64>() * inv_n).collect();
+    let grand_mean = row_means.iter().sum::<f64>() * inv_n;
     let denom = ((n - 1) * (n - 1)) as f64;
-    if mode.is_fast() {
-        let row_traces: Vec<f64> = (0..n)
-            .map(|i| {
-                centred_row_trace_fast(ka.row(i), kb.row(i), &row_means, row_means[i], grand_mean)
-            })
-            .collect();
-        return reduce_sum(&row_traces, mode) / denom;
-    }
     let mut trace = 0.0;
     for i in 0..n {
         let r_i = row_means[i];
@@ -304,35 +250,6 @@ pub fn hsic_biased(a: &Matrix, b: &Matrix, sigma_a: f64, sigma_b: f64) -> f64 {
         }
     }
     trace / denom
-}
-
-/// Fast-mode row contribution `Σ_j (ka[j] - r_i - r[j] + m) · kb[j]` of the
-/// implicitly-centred HSIC trace, with four independent accumulators.
-#[inline]
-// lint: no_alloc
-fn centred_row_trace_fast(
-    ka: &[f64],
-    kb: &[f64],
-    row_means: &[f64],
-    r_i: f64,
-    grand_mean: f64,
-) -> f64 {
-    let n = ka.len();
-    let off = grand_mean - r_i;
-    let mut acc = [0.0f64; 4];
-    let mut j = 0;
-    while j + 4 <= n {
-        acc[0] += (ka[j] - row_means[j] + off) * kb[j];
-        acc[1] += (ka[j + 1] - row_means[j + 1] + off) * kb[j + 1];
-        acc[2] += (ka[j + 2] - row_means[j + 2] + off) * kb[j + 2];
-        acc[3] += (ka[j + 3] - row_means[j + 3] + off) * kb[j + 3];
-        j += 4;
-    }
-    while j < n {
-        acc[0] += (ka[j] - row_means[j] + off) * kb[j];
-        j += 1;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
 /// Options for the differentiable decorrelation loss `L_D` (Eq. 10).

@@ -11,10 +11,9 @@
 //! * [`IpmKind::Wasserstein`] — entropic Sinkhorn approximation,
 //!   differentiated through the fixed-point iterations.
 
-use sbrl_tensor::kernels::{reduce_dot, reduce_sum, NumericsMode};
 use sbrl_tensor::{Graph, Matrix, TensorId};
 
-use crate::kernels::{median_bandwidth, median_bandwidth_in, pairwise_sq_dists_in, rbf_kernel_in};
+use crate::kernels::{median_bandwidth, pairwise_sq_dists, rbf_kernel};
 
 /// Which integral probability metric to use.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -210,13 +209,11 @@ fn sinkhorn_graph(
 /// Plain weighted IPM on matrices (no gradients). Weights are renormalised
 /// per group; pass `None` for unit weights.
 ///
-/// Runs in the calling thread's [`NumericsMode`], read once (the
-/// median-heuristic bandwidth included). In [`NumericsMode::BitExact`] the
-/// O(n²) folds (kernel matrices, quadratic forms, Sinkhorn fixed-point
-/// updates) keep the historical serial order; in [`NumericsMode::Fast`] they
-/// switch to multi-accumulator / pairwise-tree reductions whose shape depends
-/// only on operand lengths, so Fast is deterministic too — just not
-/// bit-identical to BitExact.
+/// The O(n²) folds (quadratic forms, Sinkhorn fixed-point updates) keep the
+/// historical serial order in both numerics tiers. Only the `A Bᵀ` GEMMs of
+/// the kernel and cost matrices (the median-heuristic bandwidth's included)
+/// follow the calling thread's tier, so linear MMD is bit-identical across
+/// tiers.
 pub fn ipm_weighted_plain(
     kind: IpmKind,
     phi_t: &Matrix,
@@ -227,7 +224,6 @@ pub fn ipm_weighted_plain(
     if phi_t.rows() == 0 || phi_c.rows() == 0 {
         return 0.0;
     }
-    let mode = NumericsMode::global();
     let wt = normalize_plain(w_t, phi_t.rows());
     let wc = normalize_plain(w_c, phi_c.rows());
     match kind {
@@ -237,18 +233,17 @@ pub fn ipm_weighted_plain(
             mt.iter().zip(&mc).map(|(a, b)| (a - b) * (a - b)).sum()
         }
         IpmKind::MmdRbf { sigma } => {
-            let sigma =
-                if sigma > 0.0 { sigma } else { median_bandwidth_in(&phi_t.vstack(phi_c), mode) };
-            let ktt = rbf_kernel_in(phi_t, phi_t, sigma, mode);
-            let kcc = rbf_kernel_in(phi_c, phi_c, sigma, mode);
-            let ktc = rbf_kernel_in(phi_t, phi_c, sigma, mode);
-            let tt = quad_plain(&wt, &ktt, &wt, mode);
-            let cc = quad_plain(&wc, &kcc, &wc, mode);
-            let tc = quad_plain(&wt, &ktc, &wc, mode);
+            let sigma = if sigma > 0.0 { sigma } else { median_bandwidth(&phi_t.vstack(phi_c)) };
+            let ktt = rbf_kernel(phi_t, phi_t, sigma);
+            let kcc = rbf_kernel(phi_c, phi_c, sigma);
+            let ktc = rbf_kernel(phi_t, phi_c, sigma);
+            let tt = quad_plain(&wt, &ktt, &wt);
+            let cc = quad_plain(&wc, &kcc, &wc);
+            let tc = quad_plain(&wt, &ktc, &wc);
             (tt + cc - 2.0 * tc).max(0.0)
         }
         IpmKind::Wasserstein { lambda, iterations } => {
-            sinkhorn_plain(phi_t, phi_c, &wt, &wc, lambda, iterations, mode)
+            sinkhorn_plain(phi_t, phi_c, &wt, &wc, lambda, iterations)
         }
     }
 }
@@ -279,36 +274,20 @@ fn weighted_mean_rows(x: &Matrix, w: &[f64]) -> Vec<f64> {
     mean
 }
 
-/// `u^T K v`. Each row's inner product uses `reduce_dot` (the historical
-/// serial fold in BitExact, the multi-accumulator tree in Fast), both with
-/// the historical skip of exactly zero `u[i]`. The fold over rows runs in
-/// serial row order in BitExact and as a pairwise tree in Fast.
-fn quad_plain(u: &[f64], k: &Matrix, v: &[f64], mode: NumericsMode) -> f64 {
-    let row_term = |(i, &ui): (usize, &f64)| {
-        if ui == 0.0 {
-            0.0
-        } else {
-            ui * reduce_dot(k.row(i), v, mode)
-        }
-    };
-    let row_terms = u.iter().enumerate().map(row_term);
-    if mode.is_fast() {
-        return reduce_sum(&row_terms.collect::<Vec<_>>(), mode);
-    }
+/// `u^T K v`: per row a serial dot product, summed in row order, skipping
+/// rows whose `u[i]` is exactly zero.
+fn quad_plain(u: &[f64], k: &Matrix, v: &[f64]) -> f64 {
     let mut acc = 0.0;
-    for (&ui, term) in u.iter().zip(row_terms) {
+    for (i, &ui) in u.iter().enumerate() {
         if ui == 0.0 {
             continue;
         }
-        acc += term;
+        acc += ui * k.row(i).iter().zip(v).map(|(&x, &y)| x * y).sum::<f64>();
     }
     acc
 }
 
-/// Entropic OT cost via Sinkhorn iterations. BitExact keeps the historical
-/// serial folds; Fast switches the inner products and the transport-cost
-/// reduction to multi-accumulator / pairwise trees whose shape depends only
-/// on operand lengths.
+/// Entropic OT cost via Sinkhorn iterations, with serial folds throughout.
 fn sinkhorn_plain(
     phi_t: &Matrix,
     phi_c: &Matrix,
@@ -316,9 +295,8 @@ fn sinkhorn_plain(
     b: &[f64],
     lambda: f64,
     iterations: usize,
-    mode: NumericsMode,
 ) -> f64 {
-    let m = pairwise_sq_dists_in(phi_t, phi_c, mode).map(|v| (v + 1e-10).sqrt());
+    let m = pairwise_sq_dists(phi_t, phi_c).map(|v| (v + 1e-10).sqrt());
     let mean_cost = m.mean().max(1e-12);
     let k = m.map(|v| (-lambda * v / mean_cost).exp());
     let (nt, nc) = k.shape();
@@ -326,21 +304,13 @@ fn sinkhorn_plain(
     let mut v = vec![1.0; nc];
     for _ in 0..iterations {
         for (i, ui) in u.iter_mut().enumerate() {
-            *ui = a[i] / (reduce_dot(k.row(i), &v, mode) + 1e-12);
+            let kv: f64 = k.row(i).iter().zip(&v).map(|(&x, &y)| x * y).sum();
+            *ui = a[i] / (kv + 1e-12);
         }
         for (j, vj) in v.iter_mut().enumerate() {
-            let ktu = if mode.is_fast() {
-                col_dot_fast(k.as_slice(), nc, j, &u)
-            } else {
-                (0..nt).map(|i| k[(i, j)] * u[i]).sum()
-            };
+            let ktu: f64 = (0..nt).map(|i| k[(i, j)] * u[i]).sum();
             *vj = b[j] / (ktu + 1e-12);
         }
-    }
-    if mode.is_fast() {
-        let row_costs: Vec<f64> =
-            (0..nt).map(|i| u[i] * triple_dot_fast(k.row(i), &v, m.row(i))).collect();
-        return reduce_sum(&row_costs, mode);
     }
     let mut cost = 0.0;
     for i in 0..nt {
@@ -349,48 +319,6 @@ fn sinkhorn_plain(
         }
     }
     cost
-}
-
-/// Fast-mode column inner product `Σ_i k[i·stride + col] · u[i]` with four
-/// independent accumulators; the reduction shape depends only on `u.len()`.
-#[inline]
-fn col_dot_fast(ks: &[f64], stride: usize, col: usize, u: &[f64]) -> f64 {
-    let n = u.len();
-    let mut acc = [0.0f64; 4];
-    let mut i = 0;
-    while i + 4 <= n {
-        acc[0] += ks[i * stride + col] * u[i];
-        acc[1] += ks[(i + 1) * stride + col] * u[i + 1];
-        acc[2] += ks[(i + 2) * stride + col] * u[i + 2];
-        acc[3] += ks[(i + 3) * stride + col] * u[i + 3];
-        i += 4;
-    }
-    while i < n {
-        acc[0] += ks[i * stride + col] * u[i];
-        i += 1;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
-}
-
-/// Fast-mode elementwise triple product `Σ_j k[j] · v[j] · m[j]` with four
-/// independent accumulators; the reduction shape depends only on the length.
-#[inline]
-fn triple_dot_fast(k: &[f64], v: &[f64], m: &[f64]) -> f64 {
-    let n = k.len().min(v.len()).min(m.len());
-    let mut acc = [0.0f64; 4];
-    let mut j = 0;
-    while j + 4 <= n {
-        acc[0] += k[j] * v[j] * m[j];
-        acc[1] += k[j + 1] * v[j + 1] * m[j + 1];
-        acc[2] += k[j + 2] * v[j + 2] * m[j + 2];
-        acc[3] += k[j + 3] * v[j + 3] * m[j + 3];
-        j += 4;
-    }
-    while j < n {
-        acc[0] += k[j] * v[j] * m[j];
-        j += 1;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
 #[cfg(test)]

@@ -1,34 +1,26 @@
 //! Kernel primitives: pairwise distances, RBF kernels and bandwidth
 //! heuristics (plain-matrix, non-differentiable versions).
 //!
-//! Under [`NumericsMode::Fast`] the row squared-norms and the `A Bᵀ` cross
-//! term switch to the FMA/pairwise-tree reductions of `sbrl-tensor`, which
-//! are deterministic but not bit-identical to the default
-//! [`NumericsMode::BitExact`] chains.
+//! The `A Bᵀ` cross term of the squared distances is a GEMM, so under
+//! [`NumericsMode::Fast`](sbrl_tensor::kernels::NumericsMode::Fast) it
+//! carries the GEMM's FMA contraction; the row squared-norms are the same
+//! serial folds in both tiers.
 
-use sbrl_tensor::kernels::{reduce_dot, NumericsMode};
 use sbrl_tensor::Matrix;
 
 /// Pairwise squared Euclidean distances between the rows of `a` (`n x d`)
-/// and the rows of `b` (`m x d`), returned as an `n x m` matrix, under the
-/// calling thread's [`NumericsMode`].
+/// and the rows of `b` (`m x d`), returned as an `n x m` matrix.
 #[track_caller]
 pub fn pairwise_sq_dists(a: &Matrix, b: &Matrix) -> Matrix {
-    pairwise_sq_dists_in(a, b, NumericsMode::global())
-}
-
-/// [`pairwise_sq_dists`] in the tier its caller read.
-#[track_caller]
-pub(crate) fn pairwise_sq_dists_in(a: &Matrix, b: &Matrix, mode: NumericsMode) -> Matrix {
     assert_eq!(a.cols(), b.cols(), "pairwise_sq_dists: feature dims differ");
     let (n, m) = (a.rows(), b.rows());
     if n == 0 || m == 0 {
         return Matrix::zeros(n, m);
     }
-    // `reduce_dot` in BitExact is the historical serial `Σ x·x` fold; Fast
-    // swaps in the multi-accumulator tree.
-    let a2: Vec<f64> = (0..a.rows()).map(|i| reduce_dot(a.row(i), a.row(i), mode)).collect();
-    let b2: Vec<f64> = (0..b.rows()).map(|j| reduce_dot(b.row(j), b.row(j), mode)).collect();
+    let sq_norms = |x: &Matrix| -> Vec<f64> {
+        (0..x.rows()).map(|i| x.row(i).iter().map(|&v| v * v).sum()).collect()
+    };
+    let (a2, b2) = (sq_norms(a), sq_norms(b));
     let mut out = a.matmul_nt(b);
     for (row, &a2i) in out.as_mut_slice().chunks_mut(m).zip(&a2) {
         for (v, &b2j) in row.iter_mut().zip(&b2) {
@@ -38,17 +30,10 @@ pub(crate) fn pairwise_sq_dists_in(a: &Matrix, b: &Matrix, mode: NumericsMode) -
     out
 }
 
-/// RBF (Gaussian) kernel matrix `exp(-||a_i - b_j||^2 / (2 sigma^2))` under
-/// the calling thread's [`NumericsMode`].
+/// RBF (Gaussian) kernel matrix `exp(-||a_i - b_j||^2 / (2 sigma^2))`.
 #[track_caller]
 pub fn rbf_kernel(a: &Matrix, b: &Matrix, sigma: f64) -> Matrix {
-    rbf_kernel_in(a, b, sigma, NumericsMode::global())
-}
-
-/// [`rbf_kernel`] in the tier its caller read.
-#[track_caller]
-pub(crate) fn rbf_kernel_in(a: &Matrix, b: &Matrix, sigma: f64, mode: NumericsMode) -> Matrix {
-    let mut d = pairwise_sq_dists_in(a, b, mode);
+    let mut d = pairwise_sq_dists(a, b);
     let denom = 2.0 * sigma * sigma;
     d.map_inplace(|v| (-v / denom).exp());
     d
@@ -58,17 +43,11 @@ pub(crate) fn rbf_kernel_in(a: &Matrix, b: &Matrix, sigma: f64, mode: NumericsMo
 /// squared distance between rows of `x`. Returns 1.0 for degenerate inputs
 /// (fewer than two rows or all-identical rows).
 pub fn median_bandwidth(x: &Matrix) -> f64 {
-    median_bandwidth_in(x, NumericsMode::global())
-}
-
-/// [`median_bandwidth`] in the tier its caller read, so a statistic with a
-/// non-positive bandwidth picks it in the tier it computes in.
-pub(crate) fn median_bandwidth_in(x: &Matrix, mode: NumericsMode) -> f64 {
     let n = x.rows();
     if n < 2 {
         return 1.0;
     }
-    let d = pairwise_sq_dists_in(x, x, mode);
+    let d = pairwise_sq_dists(x, x);
     let mut offdiag = Vec::with_capacity(n * (n - 1) / 2);
     for i in 0..n {
         for j in (i + 1)..n {
@@ -82,12 +61,6 @@ pub(crate) fn median_bandwidth_in(x: &Matrix, mode: NumericsMode) -> f64 {
     } else {
         (median / 2.0).sqrt()
     }
-}
-
-/// Centering matrix `H = I - 11^T / n` used by the HSIC estimator.
-pub fn centering_matrix(n: usize) -> Matrix {
-    let inv = 1.0 / n as f64;
-    Matrix::from_fn(n, n, |i, j| if i == j { 1.0 - inv } else { -inv })
 }
 
 #[cfg(test)]
@@ -157,13 +130,5 @@ mod tests {
         assert_eq!(pairwise_sq_dists(&empty, &empty).shape(), (0, 0));
         assert_eq!(rbf_kernel(&x, &empty, 1.0).shape(), (5, 0));
         assert_eq!(rbf_kernel(&empty, &x, 1.0).shape(), (0, 5));
-    }
-
-    #[test]
-    fn centering_matrix_removes_means() {
-        let h = centering_matrix(4);
-        let x = Matrix::from_vec(4, 1, vec![1.0, 2.0, 3.0, 10.0]);
-        let centred = h.matmul(&x);
-        assert!(centred.sum().abs() < 1e-12);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Statistical machinery of the SBRL-HAP reproduction:
 //!
-//! * [`kernels`] — pairwise distances, RBF kernels, median-heuristic
-//!   bandwidths, centering matrices;
+//! * [`kernels`] — pairwise distances, RBF kernels and median-heuristic
+//!   bandwidths;
 //! * [`ipm`] — integral probability metrics between treated and control
 //!   groups (linear MMD, RBF MMD², Sinkhorn-Wasserstein), weighted and
 //!   unweighted, in plain and differentiable graph forms (Eq. 3–4);
@@ -12,12 +12,12 @@
 //!   behind the paper's Fig. 5.
 //!
 //! The O(n²) pairwise loops (kernel matrices, HSIC pair sums, Sinkhorn
-//! updates) run on the calling thread and honour the
-//! [`NumericsMode`](sbrl_tensor::kernels::NumericsMode) tier: `BitExact`
-//! (default) keeps the historical serial folds, `Fast` swaps in
-//! multi-accumulator / pairwise-tree reductions that are deterministic but
-//! not bit-identical to `BitExact`. Each public entry point reads the tier of
-//! its calling thread once; choose one with
+//! updates) run on the calling thread as serial folds, the same in both
+//! [`NumericsMode`](sbrl_tensor::kernels::NumericsMode) tiers. This crate
+//! never reads the tier: a statistic that multiplies matrices (the kernel
+//! fills' `A Bᵀ`, the graph forms' products) follows its calling thread's
+//! tier through the GEMM, which under `Fast` contracts each element's
+//! multiply-add chain into FMAs. Choose a tier with
 //! [`NumericsMode::scoped`](sbrl_tensor::kernels::NumericsMode::scoped).
 //! Parallelism lives one level up: the weight phase evaluates its
 //! decorrelation terms as concurrent pool tasks
@@ -35,4 +35,4 @@ pub use hsic::{
     HsicScratch, Rff,
 };
 pub use ipm::{ipm_graph, ipm_plain, ipm_weighted_graph, ipm_weighted_plain, IpmKind};
-pub use kernels::{centering_matrix, median_bandwidth, pairwise_sq_dists, rbf_kernel};
+pub use kernels::{median_bandwidth, pairwise_sq_dists, rbf_kernel};

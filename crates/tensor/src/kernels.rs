@@ -16,12 +16,11 @@
 //!   [`NumericsMode::scoped`], the only programmatic override, pins a tier
 //!   for one thread and the pool tasks it submits). Every kernel entry
 //!   point reads the tier once. `BitExact` preserves every historical
-//!   accumulation chain;
-//!   [`NumericsMode::Fast`] opts into FMA contraction in the row microkernels
-//!   and deterministic pairwise-tree reductions ([`reduce_sum`],
-//!   [`reduce_dot`]), trading bit-reproducibility against the historical
-//!   chains for throughput while staying within the documented relative-error
-//!   bounds (enforced by `tests/numerics_mode.rs`).
+//!   accumulation chain; [`NumericsMode::Fast`] means one thing, FMA
+//!   contraction in the GEMM row kernels, trading bit-reproducibility
+//!   against the historical chains for throughput while staying within the
+//!   documented relative-error bounds (enforced by `tests/numerics_mode.rs`).
+//!   Of the numerical code, only the GEMM dispatch reads the tier.
 //! * [`gemm_into`], [`gemm_nt_into`], [`gemm_tn_into`] — cache-blocked
 //!   matrix products into a caller-provided buffer (tiled over the inner
 //!   dimension and output columns); `Matrix::matmul{,_nt,_tn}` allocate the
@@ -183,21 +182,21 @@ pub fn available_cores() -> usize {
 ///
 /// `BitExact` is the historical contract: no FMA contraction, no reduction
 /// reordering, output bit-identical to the pre-kernel-layer code at every
-/// `Parallelism` setting. `Fast` relaxes exactly two things — the row
-/// microkernels may contract `mul + add` into hardware FMA (where the CPU
-/// has it), and long reductions use a fixed pairwise tree with four-wide
-/// accumulator blocks — in exchange for measurably higher throughput. Fast
-/// results stay within the relative-error bounds documented in
-/// `docs/PERFORMANCE.md` ("Numerics tiers") and are **deterministic on a
-/// given machine**: the reduction tree depends only on operand length, never
-/// on the thread count or scheduling, so a fixed `SBRL_THREADS` (indeed any
-/// thread count) reproduces Fast output bit for bit run-to-run.
+/// `Parallelism` setting. `Fast` relaxes exactly one thing: the GEMM row
+/// kernels contract each `mul + add` into a hardware FMA (where the CPU has
+/// it), in exchange for higher throughput. Every other fold, the plain
+/// statistics' included, is the same in both tiers. Fast results stay
+/// within the relative-error bounds documented in `docs/PERFORMANCE.md`
+/// ("Numerics tiers") and are **deterministic on a given machine**: each
+/// output element is a fixed `mul_add` chain in ascending `k`, whatever the
+/// thread count or scheduling, so any `SBRL_THREADS` reproduces Fast output
+/// bit for bit run-to-run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum NumericsMode {
     /// Historical bit-exact arithmetic: every accumulation chain unchanged.
     #[default]
     BitExact,
-    /// FMA microkernels + deterministic pairwise-tree reductions.
+    /// FMA contraction in the GEMM row kernels.
     Fast,
 }
 
@@ -997,203 +996,6 @@ pub fn gemm_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     gemm_rows::<TN>(a, b, out.as_mut_slice(), (m, k_dim, n), NumericsMode::global().is_fast());
 }
 
-/// Base block width of the pairwise reductions: blocks of this many elements
-/// are folded with four independent accumulators, then merged by a binary
-/// counter whose tree shape depends only on the operand length.
-const REDUCE_BLOCK: usize = 64;
-
-/// Folds up to [`REDUCE_BLOCK`] values with four independent accumulator
-/// chains (deterministic for a fixed length).
-#[inline(always)]
-// lint: no_alloc
-fn sum_block(xs: &[f64]) -> f64 {
-    let mut acc = [0.0f64; 4];
-    let mut chunks = xs.chunks_exact(4);
-    for q in &mut chunks {
-        acc[0] += q[0];
-        acc[1] += q[1];
-        acc[2] += q[2];
-        acc[3] += q[3];
-    }
-    for &v in chunks.remainder() {
-        acc[0] += v;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
-}
-
-/// Iterative pairwise ("binary counter") summation: `partial[l]` holds the
-/// sum of `2^l` consecutive base blocks, merged purely by block index. The
-/// reduction tree is a function of `xs.len()` alone — never of thread count
-/// or scheduling — which is what makes [`NumericsMode::Fast`] deterministic.
-/// Rounding error grows O(log n) instead of the serial fold's O(n).
-#[inline(always)]
-// lint: no_alloc
-fn pairwise_sum_impl(xs: &[f64]) -> f64 {
-    // 64 levels cover any in-memory length (2^64 base blocks).
-    let mut partial = [0.0f64; 64];
-    let mut blocks = 0usize;
-    for chunk in xs.chunks(REDUCE_BLOCK) {
-        let mut s = sum_block(chunk);
-        let mut level = 0;
-        let mut m = blocks;
-        while m & 1 == 1 {
-            s += partial[level];
-            m >>= 1;
-            level += 1;
-        }
-        partial[level] = s;
-        blocks += 1;
-    }
-    let mut total = 0.0;
-    let mut level = 0;
-    while blocks > 0 {
-        if blocks & 1 == 1 {
-            total += partial[level];
-        }
-        blocks >>= 1;
-        level += 1;
-    }
-    total
-}
-
-/// AVX2-compiled clone of [`pairwise_sum_impl`].
-///
-/// # Safety
-/// Caller must verify AVX2 support first (see [`avx2_available`]); the body
-/// itself is ordinary safe Rust recompiled with wider vector types.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn pairwise_sum_avx2(xs: &[f64]) -> f64 {
-    pairwise_sum_impl(xs)
-}
-
-/// [`sum_block`] for a dot product, with optional FMA contraction.
-#[inline(always)]
-// lint: no_alloc
-fn dot_block<const FMA: bool>(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = [0.0f64; 4];
-    let mut i = 0;
-    while i + 4 <= n {
-        acc[0] = madd::<FMA>(acc[0], a[i], b[i]);
-        acc[1] = madd::<FMA>(acc[1], a[i + 1], b[i + 1]);
-        acc[2] = madd::<FMA>(acc[2], a[i + 2], b[i + 2]);
-        acc[3] = madd::<FMA>(acc[3], a[i + 3], b[i + 3]);
-        i += 4;
-    }
-    while i < n {
-        acc[0] = madd::<FMA>(acc[0], a[i], b[i]);
-        i += 1;
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
-}
-
-/// [`pairwise_sum_impl`] for a dot product (same binary-counter tree).
-#[inline(always)]
-// lint: no_alloc
-fn pairwise_dot_impl<const FMA: bool>(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    let mut partial = [0.0f64; 64];
-    let mut blocks = 0usize;
-    let mut lo = 0;
-    while lo < n {
-        let hi = (lo + REDUCE_BLOCK).min(n);
-        let mut s = dot_block::<FMA>(&a[lo..hi], &b[lo..hi]);
-        let mut level = 0;
-        let mut m = blocks;
-        while m & 1 == 1 {
-            s += partial[level];
-            m >>= 1;
-            level += 1;
-        }
-        partial[level] = s;
-        blocks += 1;
-        lo = hi;
-    }
-    let mut total = 0.0;
-    let mut level = 0;
-    while blocks > 0 {
-        if blocks & 1 == 1 {
-            total += partial[level];
-        }
-        blocks >>= 1;
-        level += 1;
-    }
-    total
-}
-
-/// AVX2+FMA-compiled clone of [`pairwise_dot_impl`].
-///
-/// # Safety
-/// Caller must verify AVX2 **and** FMA3 support first (see
-/// [`fma_available`]); the body itself is ordinary safe Rust.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn pairwise_dot_fma(a: &[f64], b: &[f64]) -> f64 {
-    pairwise_dot_impl::<true>(a, b)
-}
-
-/// AVX2-compiled clone of [`pairwise_dot_impl`] without contraction (Fast
-/// tier on AVX2 CPUs that lack FMA).
-///
-/// # Safety
-/// Caller must verify AVX2 support first (see [`avx2_available`]); the body
-/// itself is ordinary safe Rust recompiled with wider vector types.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn pairwise_dot_avx2(a: &[f64], b: &[f64]) -> f64 {
-    pairwise_dot_impl::<false>(a, b)
-}
-
-/// Sums `xs` under `mode`.
-///
-/// [`NumericsMode::BitExact`] is the exact serial left-to-right fold
-/// (`xs.iter().sum()`, unchanged from the historical code);
-/// [`NumericsMode::Fast`] uses the deterministic blocked pairwise tree —
-/// different rounding (usually *more* accurate), identical bits for
-/// identical input on every thread count.
-// lint: no_alloc
-pub fn reduce_sum(xs: &[f64], mode: NumericsMode) -> f64 {
-    match mode {
-        NumericsMode::BitExact => xs.iter().sum(),
-        NumericsMode::Fast => {
-            #[cfg(target_arch = "x86_64")]
-            if avx2_available() {
-                // SAFETY: feature verified at runtime; body is safe Rust.
-                return unsafe { pairwise_sum_avx2(xs) };
-            }
-            pairwise_sum_impl(xs)
-        }
-    }
-}
-
-/// Dot product `Σ a[i] * b[i]` (over the shorter length) under `mode`.
-///
-/// [`NumericsMode::BitExact`] is the exact serial fold of the historical
-/// `zip-map-sum`; [`NumericsMode::Fast`] uses the deterministic pairwise
-/// tree with FMA contraction where the CPU supports it.
-// lint: no_alloc
-pub fn reduce_dot(a: &[f64], b: &[f64], mode: NumericsMode) -> f64 {
-    match mode {
-        NumericsMode::BitExact => a.iter().zip(b).map(|(&x, &y)| x * y).sum(),
-        NumericsMode::Fast => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if fma_available() {
-                    // SAFETY: AVX2+FMA presence just verified.
-                    return unsafe { pairwise_dot_fma(a, b) };
-                }
-                if avx2_available() {
-                    // SAFETY: AVX2 presence just verified.
-                    return unsafe { pairwise_dot_avx2(a, b) };
-                }
-            }
-            pairwise_dot_impl::<false>(a, b)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1501,46 +1303,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn fast_reductions_are_accurate_and_length_deterministic() {
-        let mut rng = rng_from_seed(9);
-        for n in [0usize, 1, 3, 4, 63, 64, 65, 257, 4096, 5000] {
-            let xs: Vec<f64> = (0..n).map(|_| randn(&mut rng, 1, 1)[(0, 0)]).collect();
-            let ys: Vec<f64> = (0..n).map(|_| randn(&mut rng, 1, 1)[(0, 0)]).collect();
-            let exact_sum = reduce_sum(&xs, NumericsMode::BitExact);
-            let fast_sum = reduce_sum(&xs, NumericsMode::Fast);
-            let sum_scale = xs.iter().map(|v| v.abs()).sum::<f64>().max(1.0);
-            assert!(
-                (exact_sum - fast_sum).abs() <= 1e-13 * sum_scale,
-                "sum n={n}: {exact_sum} vs {fast_sum}"
-            );
-            let exact_dot = reduce_dot(&xs, &ys, NumericsMode::BitExact);
-            let fast_dot = reduce_dot(&xs, &ys, NumericsMode::Fast);
-            let dot_scale = xs.iter().zip(&ys).map(|(x, y)| (x * y).abs()).sum::<f64>().max(1.0);
-            assert!(
-                (exact_dot - fast_dot).abs() <= 1e-13 * dot_scale,
-                "dot n={n}: {exact_dot} vs {fast_dot}"
-            );
-            // Determinism: re-evaluation yields identical bits.
-            assert_eq!(fast_sum.to_bits(), reduce_sum(&xs, NumericsMode::Fast).to_bits());
-            assert_eq!(fast_dot.to_bits(), reduce_dot(&xs, &ys, NumericsMode::Fast).to_bits());
-        }
-    }
-
-    #[test]
-    fn fast_pairwise_sum_beats_serial_fold_on_hostile_input() {
-        // The classic pairwise-summation accuracy case: many tiny values
-        // after one large one. The serial fold loses the tiny increments to
-        // rounding; the tree keeps them.
-        let mut xs = vec![1e-16f64; 1 << 16];
-        xs.insert(0, 1.0);
-        let exact_err = (reduce_sum(&xs, NumericsMode::BitExact) - (1.0 + 65536e-16)).abs();
-        let fast_err = (reduce_sum(&xs, NumericsMode::Fast) - (1.0 + 65536e-16)).abs();
-        assert!(
-            fast_err <= exact_err,
-            "tree sum should not be less accurate: {fast_err} vs {exact_err}"
-        );
     }
 }
