@@ -17,14 +17,14 @@ use std::time::{Duration, Instant};
 
 use sbrl_data::{CausalDataset, OutcomeKind, Scaler};
 use sbrl_metrics::{evaluate, EffectEstimate, Evaluation};
-use sbrl_models::{select_by_treatment, Backbone, BatchContext};
+use sbrl_models::{select_by_treatment, Backbone, BatchContext, LayerTaps};
 use sbrl_nn::{
     loss::l2_penalty, Adam, BatchIter, Binding, EarlyStopping, LrSchedule, Optimizer, OutcomeLoss,
 };
 use sbrl_stats::{HsicScratch, Rff};
 use sbrl_tensor::kernels::NumericsMode;
 use sbrl_tensor::rng::rng_from_seed;
-use sbrl_tensor::{Graph, Matrix};
+use sbrl_tensor::{Graph, Matrix, TensorId};
 
 use crate::config::SbrlConfig;
 use crate::error::{NonFiniteTerm, SbrlError};
@@ -308,20 +308,19 @@ impl<B: Backbone> FittedModel<B> {
     /// The balanced representation `Z_r` for given covariates (used by the
     /// Fig. 5 decorrelation analysis).
     pub fn representation(&self, x: &Matrix) -> Matrix {
-        let x = prep(&self.scaler, x);
-        let mut g = Graph::new();
-        let mut binding = Binding::new_frozen(self.model.store());
-        let xc = g.constant(x);
-        let n = g.value(xc).rows();
-        let ctx = BatchContext::new(&vec![0.0; n]);
-        let pass = self.model.forward(&mut g, &mut binding, xc, &ctx);
-        g.value(pass.taps.z_r).clone()
+        self.frozen_tap(x, |taps| taps.z_r)
     }
 
     /// The last hidden layer `Z_p` for given covariates (the layer the
     /// Independence Regularizer decorrelates). Computed with a zero
     /// treatment column, i.e. the control head's path.
     pub fn last_layer(&self, x: &Matrix) -> Matrix {
+        self.frozen_tap(x, |taps| taps.z_p)
+    }
+
+    /// Runs the frozen forward on raw covariates with a zero treatment
+    /// column and returns the value of the tap `pick` selects.
+    fn frozen_tap(&self, x: &Matrix, pick: fn(&LayerTaps) -> TensorId) -> Matrix {
         let x = prep(&self.scaler, x);
         let mut g = Graph::new();
         let mut binding = Binding::new_frozen(self.model.store());
@@ -329,17 +328,12 @@ impl<B: Backbone> FittedModel<B> {
         let n = g.value(xc).rows();
         let ctx = BatchContext::new(&vec![0.0; n]);
         let pass = self.model.forward(&mut g, &mut binding, xc, &ctx);
-        g.value(pass.taps.z_p).clone()
+        g.value(pick(&pass.taps)).clone()
     }
 
     /// The underlying backbone.
     pub fn model(&self) -> &B {
         &self.model
-    }
-
-    /// Mutable access to the backbone.
-    pub fn model_mut(&mut self) -> &mut B {
-        &mut self.model
     }
 
     /// The training report.
@@ -609,7 +603,7 @@ pub(crate) fn fit_backbone<B: Backbone>(
             opt = Adam::new(model.store(), lr_now)
                 .with_schedule(schedule)
                 .with_clip_norm(Some(clip_now));
-            weights.reset_optimizer(cfg.weight_lr, LrSchedule::Constant);
+            weights.reset_optimizer(cfg.weight_lr);
             rng = rng_from_seed(
                 cfg.seed ^ 0x5b71_7a11 ^ RECOVERY_SEED_SALT.wrapping_mul(retry as u64),
             );
@@ -637,7 +631,7 @@ pub(crate) fn fit_backbone<B: Backbone>(
                     *bw = weights.snapshot();
                 }
             }
-            if stopper.update(iter, vl) {
+            if stopper.update(vl) {
                 break;
             }
         }

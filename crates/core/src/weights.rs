@@ -6,7 +6,7 @@
 //! `softplus^{-1}(1)`, which keeps the positivity constraint out of the
 //! optimiser.
 
-use sbrl_nn::{Adam, Binding, LrSchedule, Optimizer, ParamHandle, ParamStore};
+use sbrl_nn::{Adam, Binding, Optimizer, ParamHandle, ParamStore};
 use sbrl_tensor::{stable_softplus, Graph, Matrix, TensorId};
 
 /// `softplus^{-1}(1) = ln(e - 1)` — the raw value at which `w = 1`.
@@ -33,13 +33,6 @@ impl SampleWeights {
         Self { store, raw, opt, n }
     }
 
-    /// Creates `n` weights with a scheduled optimiser.
-    pub fn with_schedule(n: usize, lr: f64, schedule: LrSchedule) -> Self {
-        let mut sw = Self::new(n, lr);
-        sw.opt = Adam::new(&sw.store, lr).with_schedule(schedule);
-        sw
-    }
-
     /// Number of weights (training-set size).
     pub fn len(&self) -> usize {
         self.n
@@ -53,12 +46,6 @@ impl SampleWeights {
     /// Current weight values `softplus(raw)` (plain).
     pub fn values(&self) -> Vec<f64> {
         self.store.get(self.raw).as_slice().iter().map(|&r| stable_softplus(r)).collect()
-    }
-
-    /// Current weights for a batch of training indices.
-    pub fn batch_values(&self, batch: &[usize]) -> Vec<f64> {
-        let raw = self.store.get(self.raw);
-        batch.iter().map(|&i| stable_softplus(raw[(i, 0)])).collect()
     }
 
     /// Binds the batch weights into a graph as a *trainable* function of the
@@ -122,8 +109,8 @@ impl SampleWeights {
 
     /// Replaces the optimiser with a fresh one (recovery resumes with clean
     /// Adam moments — stale moment estimates are often what diverged).
-    pub fn reset_optimizer(&mut self, lr: f64, schedule: LrSchedule) {
-        self.opt = Adam::new(&self.store, lr).with_schedule(schedule);
+    pub fn reset_optimizer(&mut self, lr: f64) {
+        self.opt = Adam::new(&self.store, lr);
     }
 
     /// Summary statistics of the current weights (min, mean, max).
@@ -208,8 +195,7 @@ mod tests {
         let wb = w.bind_trainable(&mut g, &mut binding, &[4, 0, 2]);
         assert_eq!(g.value(wb).shape(), (3, 1));
         let full = w.values();
-        let batch = w.batch_values(&[4, 0, 2]);
-        assert_eq!(batch, vec![full[4], full[0], full[2]]);
+        assert_eq!(g.value(wb).as_slice(), &[full[4], full[0], full[2]]);
     }
 
     #[test]

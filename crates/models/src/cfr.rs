@@ -46,11 +46,6 @@ impl Cfr {
     pub fn alpha(&self) -> f64 {
         self.alpha
     }
-
-    /// The IPM kind.
-    pub fn ipm_kind(&self) -> IpmKind {
-        self.ipm
-    }
 }
 
 impl Backbone for Cfr {

@@ -44,20 +44,6 @@ impl TarnetConfig {
             rep_normalization: false,
         }
     }
-
-    /// The paper's synthetic-data configuration (`{d_r, d_y} = {3, 3}`,
-    /// `{h_r, h_y} = {128, 64}`, Table IV).
-    pub fn paper_synthetic(in_dim: usize) -> Self {
-        Self {
-            in_dim,
-            rep_layers: 3,
-            rep_width: 128,
-            head_layers: 3,
-            head_width: 64,
-            batch_norm: true,
-            rep_normalization: false,
-        }
-    }
 }
 
 /// The TARNet backbone.

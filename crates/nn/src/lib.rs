@@ -19,6 +19,6 @@ pub mod train;
 pub use init::Init;
 pub use layers::{l2_normalize_rows, Activation, BatchNorm, Linear, Mlp, MlpOutput};
 pub use loss::OutcomeLoss;
-pub use optim::{Adam, LrSchedule, Optimizer, Sgd};
+pub use optim::{Adam, LrSchedule, Optimizer};
 pub use params::{Binding, ParamHandle, ParamStore};
 pub use train::{BatchIter, EarlyStopping};

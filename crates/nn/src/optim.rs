@@ -1,7 +1,7 @@
 //! Optimisers and learning-rate schedules.
 //!
 //! The paper trains all methods with Adam and an exponentially decaying
-//! learning rate (Sec. V-C); plain SGD is included as a test fixture.
+//! learning rate (Sec. V-C).
 
 use sbrl_tensor::{Graph, Matrix};
 
@@ -89,11 +89,6 @@ impl Adam {
         self.clip_norm = clip;
         self
     }
-
-    /// Current effective learning rate.
-    pub fn current_lr(&self) -> f64 {
-        self.lr * self.schedule.factor(self.t)
-    }
 }
 
 impl Optimizer for Adam {
@@ -152,42 +147,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// Plain stochastic gradient descent (test fixture / ablation).
-pub struct Sgd {
-    lr: f64,
-    schedule: LrSchedule,
-    t: usize,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser.
-    pub fn new(lr: f64) -> Self {
-        Self { lr, schedule: LrSchedule::Constant, t: 0 }
-    }
-
-    /// Sets the LR schedule (builder style).
-    pub fn with_schedule(mut self, schedule: LrSchedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, store: &mut ParamStore, g: &Graph, binding: &Binding) {
-        self.t += 1;
-        let lr_t = self.lr * self.schedule.factor(self.t);
-        for (h, id) in binding.bound() {
-            if let Some(grad) = g.grad(id) {
-                store.get_mut(h).add_scaled_assign(-lr_t, grad);
-            }
-        }
-    }
-
-    fn steps_taken(&self) -> usize {
-        self.t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,15 +177,6 @@ mod tests {
         let err = run_quadratic(&mut opt, &mut store, 500);
         assert!(err < 1e-3, "Adam should converge, err = {err}");
         assert_eq!(opt.steps_taken(), 500);
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut store = ParamStore::new();
-        store.register("w", Matrix::zeros(1, 2));
-        let mut opt = Sgd::new(0.1);
-        let err = run_quadratic(&mut opt, &mut store, 200);
-        assert!(err < 1e-3, "SGD should converge, err = {err}");
     }
 
     #[test]

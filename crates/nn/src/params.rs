@@ -111,11 +111,6 @@ impl Binding {
         Self { ids: vec![None; store.len()], frozen: true }
     }
 
-    /// True when this binding inserts parameters as constants.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Clears the memoised node ids so the binding can serve another step on
     /// a reused [`Graph`] without reallocating (the id table's capacity is
     /// retained).
@@ -139,11 +134,6 @@ impl Binding {
         };
         self.ids[h.0] = Some(id);
         id
-    }
-
-    /// Graph node of a parameter if it was bound this step.
-    pub fn id_of(&self, h: ParamHandle) -> Option<TensorId> {
-        self.ids[h.0]
     }
 
     /// Iterates over `(handle, tensor_id)` for all parameters bound this step.
@@ -179,8 +169,7 @@ mod tests {
         let id2 = binding.bind(&store, &mut g, w);
         assert_eq!(id1, id2);
         assert_eq!(g.num_nodes(), 1);
-        assert_eq!(binding.id_of(w), Some(id1));
-        assert_eq!(binding.bound().count(), 1);
+        assert_eq!(binding.bound().collect::<Vec<_>>(), vec![(w, id1)]);
     }
 
     #[test]

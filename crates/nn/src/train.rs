@@ -48,51 +48,36 @@ impl BatchIter {
     }
 }
 
-/// Early stopping on a minimised validation metric, tracking the best step.
+/// Early stopping on a minimised validation metric. It only decides when to
+/// stop; the caller keeps its own record of the best iterate.
 pub struct EarlyStopping {
     patience: usize,
-    min_delta: f64,
     best: f64,
-    best_step: usize,
     since_best: usize,
 }
 
 impl EarlyStopping {
+    /// Smallest decrease below the best value that counts as an improvement.
+    const MIN_DELTA: f64 = 1e-9;
+
     /// Creates a monitor that stops after `patience` non-improving checks.
     pub fn new(patience: usize) -> Self {
-        Self { patience, min_delta: 1e-9, best: f64::INFINITY, best_step: 0, since_best: 0 }
+        Self { patience, best: f64::INFINITY, since_best: 0 }
     }
 
-    /// Requires improvements to exceed `min_delta` to count.
-    pub fn with_min_delta(mut self, min_delta: f64) -> Self {
-        self.min_delta = min_delta;
-        self
-    }
-
-    /// Records a validation value at `step`; returns `true` when the budget
-    /// of non-improving checks is exhausted and training should stop.
-    pub fn update(&mut self, step: usize, value: f64) -> bool {
+    /// Records a validation value; returns `true` when the budget of
+    /// non-improving checks is exhausted and training should stop.
+    pub fn update(&mut self, value: f64) -> bool {
         if value.is_nan() {
             // NaN never improves; count it against patience.
             self.since_best += 1;
-        } else if value < self.best - self.min_delta {
+        } else if value < self.best - Self::MIN_DELTA {
             self.best = value;
-            self.best_step = step;
             self.since_best = 0;
         } else {
             self.since_best += 1;
         }
         self.since_best > self.patience
-    }
-
-    /// Best value observed so far.
-    pub fn best(&self) -> f64 {
-        self.best
-    }
-
-    /// Step at which the best value was observed.
-    pub fn best_step(&self) -> usize {
-        self.best_step
     }
 }
 
@@ -137,21 +122,31 @@ mod tests {
     #[test]
     fn early_stopping_tracks_best_and_stops() {
         let mut es = EarlyStopping::new(2);
-        assert!(!es.update(0, 1.0));
-        assert!(!es.update(1, 0.5)); // improvement
-        assert!(!es.update(2, 0.6));
-        assert!(!es.update(3, 0.7));
-        assert!(es.update(4, 0.8)); // third miss > patience 2
-        assert_eq!(es.best(), 0.5);
-        assert_eq!(es.best_step(), 1);
+        assert!(!es.update(1.0));
+        assert!(!es.update(0.5)); // improvement
+        assert!(!es.update(0.6));
+        assert!(!es.update(0.5)); // ties the best: a miss
+        assert!(es.update(0.8)); // third miss > patience 2
     }
 
     #[test]
     fn nan_counts_against_patience() {
         let mut es = EarlyStopping::new(1);
-        assert!(!es.update(0, 1.0));
-        assert!(!es.update(1, f64::NAN));
-        assert!(es.update(2, f64::NAN));
-        assert_eq!(es.best(), 1.0);
+        assert!(!es.update(1.0));
+        assert!(!es.update(f64::NAN));
+        assert!(es.update(f64::NAN));
+    }
+
+    #[test]
+    fn improvements_within_min_delta_do_not_reset_patience() {
+        let mut es = EarlyStopping::new(1);
+        assert!(!es.update(1.0));
+        assert!(!es.update(1.0 - 1e-10)); // below the best by less than 1e-9
+        assert!(es.update(1.0 - 2e-10));
+        let mut es = EarlyStopping::new(1);
+        assert!(!es.update(1.0));
+        assert!(!es.update(0.9));
+        assert!(!es.update(0.8)); // real improvements keep resetting the count
+        assert!(!es.update(0.8 - 1e-6));
     }
 }

@@ -3,11 +3,14 @@
 //!
 //! A [`Graph`] is a tape of nodes; every builder method evaluates its result
 //! eagerly and records the operation so that [`Graph::backward`] can sweep the
-//! tape in reverse and accumulate gradients. The op set is intentionally the
-//! minimal closure needed to express the SBRL-HAP losses: dense layers,
-//! activations, weighted integral probability metrics (including a
-//! differentiable Sinkhorn loop) and the weighted HSIC-RFF decorrelation
-//! penalty.
+//! tape in reverse and accumulate gradients. The op set is the closure the
+//! SBRL-HAP losses are built from: dense layers with their activations and
+//! batch normalisation, the weighted factual losses, the weighted integral
+//! probability metrics (including a differentiable Sinkhorn loop), the
+//! weighted HSIC-RFF decorrelation penalty and the weight anchor `R_w`.
+//! [`Graph::cos`] and [`Graph::cos_affine`] are the one exception: no loss
+//! builds them, but they are the unfused reference that
+//! [`Graph::rff_features`] is held to bit for bit.
 //!
 //! The tape is **reusable**: [`Graph::reset`] clears the recorded nodes but
 //! parks every value/gradient buffer in an internal shape-keyed
@@ -43,7 +46,12 @@ use crate::pool::BufferPool;
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct TensorId(pub(crate) usize);
 
-/// The primitive operations the tape understands.
+/// The primitive operations the tape understands (39 variants). The
+/// training losses and the layers they train record every variant except
+/// [`Op::Cos`] and [`Op::CosAffine`], which are the reference
+/// [`Op::RffFeatures`] is tested against. The composite builders
+/// ([`Graph::sub_row`], [`Graph::div_row`], [`Graph::div_col`],
+/// [`Graph::sq_dist`]) record existing ops and add none.
 ///
 /// Gather ops reference index lists interned in the graph's arena (see
 /// [`Graph::intern_indices`]) so that recording them is allocation-free on a
@@ -60,8 +68,6 @@ pub(crate) enum Op {
     Transpose(TensorId),
     /// `(n x m) + (1 x m)` row broadcast.
     AddRow(TensorId, TensorId),
-    /// `(n x m) + (n x 1)` column broadcast.
-    AddCol(TensorId, TensorId),
     /// `(n x m) * (1 x m)` row broadcast.
     MulRow(TensorId, TensorId),
     /// `(n x m) * (n x 1)` column broadcast.
@@ -70,22 +76,17 @@ pub(crate) enum Op {
     ColPlusRow(TensorId, TensorId),
     Neg(TensorId),
     Exp(TensorId),
-    Ln(TensorId),
     Sqrt(TensorId),
     Cos(TensorId),
-    Sin(TensorId),
     Tanh(TensorId),
     Sigmoid(TensorId),
     Softplus(TensorId),
     Relu(TensorId),
     Elu(TensorId, f64),
     Square(TensorId),
-    Abs(TensorId),
-    Powf(TensorId, f64),
     Recip(TensorId),
     Scale(TensorId, f64),
     AddScalar(TensorId),
-    Clamp(TensorId, f64, f64),
     /// Sum of all elements -> `1 x 1`.
     Sum(TensorId),
     /// Mean of all elements -> `1 x 1`.
@@ -96,15 +97,12 @@ pub(crate) enum Op {
     MeanAxis0(TensorId),
     /// Row sums -> `n x 1`.
     SumAxis1(TensorId),
-    /// Row means -> `n x 1`.
-    MeanAxis1(TensorId),
     /// Row gather (indices may repeat); backward scatter-adds. The second
     /// field indexes the graph's interned index-list arena.
     GatherRows(TensorId, usize),
     /// Column gather (indices may repeat); backward scatter-adds.
     GatherCols(TensorId, usize),
     ConcatCols(TensorId, TensorId),
-    SliceCols(TensorId, usize, usize),
     /// `post_scale * cos(omega * x + phi)` — the fused random-Fourier
     /// feature map step (bit-identical to the `scale`/`add_scalar`/`cos`/
     /// `scale` chain it replaces, at a quarter of the tape traffic).
@@ -129,8 +127,6 @@ pub(crate) enum Op {
     /// `a^T * b` without materialising the transpose (fused `transpose` +
     /// `matmul`; same accumulation order and exact-zero skip).
     MatMulTn(TensorId, TensorId),
-    /// Multiply every element by the single value of a `1 x 1` node.
-    MulScalarOf(TensorId, TensorId),
     /// Divide every element by the single value of a `1 x 1` node.
     DivScalarOf(TensorId, TensorId),
     /// A `1 x 1` value computed on another tape. Backward adds that tape's
@@ -441,23 +437,6 @@ impl Graph {
         self.binary(a, row, v, Op::AddRow(a, row))
     }
 
-    /// Adds an `n x 1` column vector to every column of an `n x m` matrix.
-    #[track_caller]
-    pub fn add_col(&mut self, a: TensorId, col: TensorId) -> TensorId {
-        let (ar, ac) = self.nodes[a.0].value.shape();
-        let (cr, cc) = self.nodes[col.0].value.shape();
-        assert!(cc == 1 && cr == ar, "add_col: {ar}x{ac} + {cr}x{cc}");
-        let mut v = self.take_like(a);
-        let av = &self.nodes[a.0].value;
-        let cv = self.nodes[col.0].value.as_slice();
-        for (i, &c) in cv.iter().enumerate() {
-            for (x, &s) in v.row_mut(i).iter_mut().zip(av.row(i)) {
-                *x = s + c;
-            }
-        }
-        self.binary(a, col, v, Op::AddCol(a, col))
-    }
-
     /// Multiplies every row of an `n x m` matrix by a `1 x m` row vector.
     #[track_caller]
     pub fn mul_row(&mut self, a: TensorId, row: TensorId) -> TensorId {
@@ -529,11 +508,6 @@ impl Graph {
         self.unary_map(a, Op::Exp(a), f64::exp)
     }
 
-    /// Elementwise natural logarithm.
-    pub fn ln(&mut self, a: TensorId) -> TensorId {
-        self.unary_map(a, Op::Ln(a), f64::ln)
-    }
-
     /// Elementwise square root.
     pub fn sqrt(&mut self, a: TensorId) -> TensorId {
         self.unary_map(a, Op::Sqrt(a), f64::sqrt)
@@ -542,11 +516,6 @@ impl Graph {
     /// Elementwise cosine.
     pub fn cos(&mut self, a: TensorId) -> TensorId {
         self.unary_map(a, Op::Cos(a), f64::cos)
-    }
-
-    /// Elementwise sine.
-    pub fn sin(&mut self, a: TensorId) -> TensorId {
-        self.unary_map(a, Op::Sin(a), f64::sin)
     }
 
     /// Elementwise hyperbolic tangent.
@@ -579,16 +548,6 @@ impl Graph {
         self.unary_map(a, Op::Square(a), |x| x * x)
     }
 
-    /// Elementwise absolute value.
-    pub fn abs(&mut self, a: TensorId) -> TensorId {
-        self.unary_map(a, Op::Abs(a), f64::abs)
-    }
-
-    /// Elementwise power with a constant exponent.
-    pub fn powf(&mut self, a: TensorId, p: f64) -> TensorId {
-        self.unary_map(a, Op::Powf(a, p), |x| x.powf(p))
-    }
-
     /// Elementwise reciprocal.
     pub fn recip(&mut self, a: TensorId) -> TensorId {
         self.unary_map(a, Op::Recip(a), f64::recip)
@@ -602,11 +561,6 @@ impl Graph {
     /// Adds the constant `s` to every element.
     pub fn add_scalar(&mut self, a: TensorId, s: f64) -> TensorId {
         self.unary_map(a, Op::AddScalar(a), |x| x + s)
-    }
-
-    /// Clamps every element into `[lo, hi]`; gradient is zero outside.
-    pub fn clamp(&mut self, a: TensorId, lo: f64, hi: f64) -> TensorId {
-        self.unary_map(a, Op::Clamp(a, lo, hi), |x| x.clamp(lo, hi))
     }
 
     /// Fused affine-cosine `post_scale * cos(omega * x + phi)` — one tape
@@ -706,19 +660,6 @@ impl Graph {
         self.unary(a, v, Op::SumAxis1(a))
     }
 
-    /// Row means (`n x 1`).
-    pub fn mean_axis1(&mut self, a: TensorId) -> TensorId {
-        let c = self.nodes[a.0].value.cols();
-        let mut v = self.fill_row_sums(a);
-        if c > 0 {
-            let inv = 1.0 / c as f64;
-            for x in v.as_mut_slice() {
-                *x *= inv;
-            }
-        }
-        self.unary(a, v, Op::MeanAxis1(a))
-    }
-
     // ----- structural ops -------------------------------------------------------
 
     /// Gathers the listed rows (indices may repeat).
@@ -766,28 +707,6 @@ impl Graph {
             row[ac..].copy_from_slice(bv.row(i));
         }
         self.binary(a, b, v, Op::ConcatCols(a, b))
-    }
-
-    /// Column slice `[start, end)`.
-    #[track_caller]
-    pub fn slice_cols(&mut self, a: TensorId, start: usize, end: usize) -> TensorId {
-        let (rows, cols) = self.nodes[a.0].value.shape();
-        assert!(start <= end && end <= cols, "slice_cols: bad range {start}..{end}");
-        let mut v = self.pool.take(rows, end - start);
-        let av = &self.nodes[a.0].value;
-        for i in 0..rows {
-            v.row_mut(i).copy_from_slice(&av.row(i)[start..end]);
-        }
-        self.unary(a, v, Op::SliceCols(a, start, end))
-    }
-
-    /// Multiplies every element of `a` by the value of the `1 x 1` node `s`.
-    #[track_caller]
-    pub fn mul_scalar_of(&mut self, a: TensorId, s: TensorId) -> TensorId {
-        let sv = self.nodes[s.0].value.item();
-        let mut v = self.take_like(a);
-        v.fill_map(&self.nodes[a.0].value, |x| x * sv);
-        self.binary(a, s, v, Op::MulScalarOf(a, s))
     }
 
     /// Divides every element of `a` by the value of the `1 x 1` node `s`.
@@ -1086,17 +1005,6 @@ impl Graph {
                     self.accumulate(row, d);
                 }
             }
-            Op::AddCol(a, col) => {
-                if self.requires(a) {
-                    let mut d = self.take_like_grad(g);
-                    d.copy_from(g);
-                    self.accumulate(a, d);
-                }
-                if self.requires(col) {
-                    let d = row_sums_of(&mut self.pool, g);
-                    self.accumulate(col, d);
-                }
-            }
             Op::MulRow(a, row) => {
                 if self.requires(a) {
                     let mut d = self.take_like_grad(g);
@@ -1168,13 +1076,6 @@ impl Graph {
                     self.accumulate(a, d);
                 }
             }
-            Op::Ln(a) => {
-                if self.requires(a) {
-                    let mut d = self.take_like_grad(g);
-                    d.fill_zip(g, &self.nodes[a.0].value, |gv, x| gv / x);
-                    self.accumulate(a, d);
-                }
-            }
             Op::Sqrt(a) => {
                 if self.requires(a) {
                     let mut d = self.take_like_grad(g);
@@ -1186,13 +1087,6 @@ impl Graph {
                 if self.requires(a) {
                     let mut d = self.take_like_grad(g);
                     d.fill_zip(g, &self.nodes[a.0].value, |gv, x| -gv * x.sin());
-                    self.accumulate(a, d);
-                }
-            }
-            Op::Sin(a) => {
-                if self.requires(a) {
-                    let mut d = self.take_like_grad(g);
-                    d.fill_zip(g, &self.nodes[a.0].value, |gv, x| gv * x.cos());
                     self.accumulate(a, d);
                 }
             }
@@ -1244,20 +1138,6 @@ impl Graph {
                     self.accumulate(a, d);
                 }
             }
-            Op::Abs(a) => {
-                if self.requires(a) {
-                    let mut d = self.take_like_grad(g);
-                    d.fill_zip(g, &self.nodes[a.0].value, |gv, x| gv * sign(x));
-                    self.accumulate(a, d);
-                }
-            }
-            Op::Powf(a, p) => {
-                if self.requires(a) {
-                    let mut d = self.take_like_grad(g);
-                    d.fill_zip(g, &self.nodes[a.0].value, |gv, x| gv * p * x.powf(p - 1.0));
-                    self.accumulate(a, d);
-                }
-            }
             Op::Recip(a) => {
                 if self.requires(a) {
                     let mut d = self.take_like_grad(g);
@@ -1276,23 +1156,6 @@ impl Graph {
                 if self.requires(a) {
                     let mut d = self.take_like_grad(g);
                     d.copy_from(g);
-                    self.accumulate(a, d);
-                }
-            }
-            Op::Clamp(a, lo, hi) => {
-                if self.requires(a) {
-                    let mut d = self.take_like_grad(g);
-                    d.fill_zip(
-                        g,
-                        &self.nodes[a.0].value,
-                        |gv, x| {
-                            if x > lo && x < hi {
-                                gv
-                            } else {
-                                0.0
-                            }
-                        },
-                    );
                     self.accumulate(a, d);
                 }
             }
@@ -1349,18 +1212,6 @@ impl Graph {
                     self.accumulate(a, d);
                 }
             }
-            Op::MeanAxis1(a) => {
-                if self.requires(a) {
-                    let (r, c) = self.nodes[a.0].value.shape();
-                    let mut d = self.pool.take(r, c);
-                    let gv = g.as_slice();
-                    let inv = 1.0 / c as f64;
-                    for (row, &x) in gv.iter().enumerate().take(r) {
-                        d.row_mut(row).fill(x * inv);
-                    }
-                    self.accumulate(a, d);
-                }
-            }
             Op::GatherRows(a, list) => {
                 if self.requires(a) {
                     let (r, c) = self.nodes[a.0].value.shape();
@@ -1395,16 +1246,6 @@ impl Graph {
                 if self.requires(b) {
                     let d = slice_cols_of(&mut self.pool, g, ac, total);
                     self.accumulate(b, d);
-                }
-            }
-            Op::SliceCols(a, start, end) => {
-                if self.requires(a) {
-                    let (r, c) = self.nodes[a.0].value.shape();
-                    let mut d = self.pool.take_zeroed(r, c);
-                    for row in 0..r {
-                        d.row_mut(row)[start..end].copy_from_slice(g.row(row));
-                    }
-                    self.accumulate(a, d);
                 }
             }
             Op::CosAffine(a, omega, phi, post_scale) => {
@@ -1540,20 +1381,6 @@ impl Graph {
                     self.accumulate(b, d);
                 }
             }
-            Op::MulScalarOf(a, s) => {
-                let sv = self.nodes[s.0].value.item();
-                if self.requires(a) {
-                    let mut d = self.take_like_grad(g);
-                    d.fill_map(g, |x| x * sv);
-                    self.accumulate(a, d);
-                }
-                if self.requires(s) {
-                    let ds = g.dot(&self.nodes[a.0].value);
-                    let mut d = self.pool.take(1, 1);
-                    d.as_mut_slice()[0] = ds;
-                    self.accumulate(s, d);
-                }
-            }
             Op::DivScalarOf(a, s) => {
                 let sv = self.nodes[s.0].value.item();
                 if self.requires(a) {
@@ -1614,16 +1441,6 @@ fn slice_cols_of(pool: &mut BufferPool, g: &Matrix, start: usize, end: usize) ->
         d.row_mut(row).copy_from_slice(&g.row(row)[start..end]);
     }
     d
-}
-
-fn sign(x: f64) -> f64 {
-    if x > 0.0 {
-        1.0
-    } else if x < 0.0 {
-        -1.0
-    } else {
-        0.0
-    }
 }
 
 #[cfg(test)]
@@ -1720,7 +1537,7 @@ mod tests {
         let a = g.param(Matrix::ones(2, 2));
         let b = g.param(Matrix::ones(2, 3));
         let cat = g.concat_cols(a, b);
-        let sl = g.slice_cols(cat, 1, 4); // one col of a, two cols of b
+        let sl = g.gather_cols(cat, &[1, 2, 3]); // one col of a, two cols of b
         let loss = g.sum(sl);
         g.backward(loss);
         assert!(g
@@ -1738,17 +1555,14 @@ mod tests {
         let mut g = Graph::new();
         let a = g.param(Matrix::from_vec(1, 2, vec![2.0, 4.0]));
         let s = g.param(Matrix::scalar(2.0));
-        let m = g.mul_scalar_of(a, s);
-        assert_eq!(g.value(m).as_slice(), &[4.0, 8.0]);
         let d = g.div_scalar_of(a, s);
         assert_eq!(g.value(d).as_slice(), &[1.0, 2.0]);
-        let both = g.add(m, d);
-        let loss = g.sum(both);
+        let loss = g.sum(d);
         g.backward(loss);
-        // d(sum(2a + a/2))/da = 2.5 per element
-        assert!(g.grad(a).unwrap().approx_eq(&Matrix::full(1, 2, 2.5), 1e-12));
-        // d/ds (s*(2+4) + (2+4)/s) at s=2 => 6 - 6/4 = 4.5
-        assert!((g.grad(s).unwrap().item() - 4.5).abs() < 1e-12);
+        // d(sum(a/2))/da = 0.5 per element
+        assert!(g.grad(a).unwrap().approx_eq(&Matrix::full(1, 2, 0.5), 1e-12));
+        // d/ds ((2+4)/s) at s=2 => -6/4 = -1.5
+        assert!((g.grad(s).unwrap().item() + 1.5).abs() < 1e-12);
     }
 
     /// Runs one representative mixed-op step on `g` and returns the loss and
@@ -1760,7 +1574,7 @@ mod tests {
         let t = g.tanh(y);
         let gathered = g.gather_rows(t, &[0, 2, 2, 3]);
         let cat = g.concat_cols(t, y);
-        let sl = g.slice_cols(cat, 1, 3);
+        let sl = g.gather_cols(cat, &[1, 2]);
         let s1 = g.sumsq(gathered);
         let s2 = g.sumsq(sl);
         let loss = g.add(s1, s2);

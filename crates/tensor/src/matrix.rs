@@ -98,29 +98,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Creates a matrix from a slice of rows.
-    ///
-    /// # Panics
-    /// Panics if the rows have inconsistent lengths.
-    #[track_caller]
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        if rows.is_empty() {
-            return Self::zeros(0, 0);
-        }
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(r.len(), cols, "from_rows: row {i} has length {} != {cols}", r.len());
-            data.extend_from_slice(r);
-        }
-        Self { rows: rows.len(), cols, data }
-    }
-
-    /// Creates an `n x 1` column vector from a slice.
-    pub fn col_vec(values: &[f64]) -> Self {
-        Self { rows: values.len(), cols: 1, data: values.to_vec() }
-    }
-
     /// Creates a `1 x n` row vector from a slice.
     pub fn row_vec(values: &[f64]) -> Self {
         Self { rows: 1, cols: values.len(), data: values.to_vec() }
@@ -199,16 +176,6 @@ impl Matrix {
     pub fn col(&self, j: usize) -> Vec<f64> {
         assert!(j < self.cols, "col index {j} out of bounds for {} cols", self.cols);
         (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
-    /// Overwrites column `j` with `values`.
-    #[track_caller]
-    pub fn set_col(&mut self, j: usize, values: &[f64]) {
-        assert!(j < self.cols, "col index {j} out of bounds for {} cols", self.cols);
-        assert_eq!(values.len(), self.rows, "set_col: length mismatch");
-        for (i, &v) in values.iter().enumerate() {
-            self[(i, j)] = v;
-        }
     }
 
     /// The single value of a `1 x 1` matrix.
@@ -366,15 +333,6 @@ impl Matrix {
         }
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
-        }
-    }
-
-    /// Adds `scale * other` into `self` in place (`axpy`).
-    #[track_caller]
-    pub fn add_scaled_assign(&mut self, scale: f64, other: &Self) {
-        self.assert_same_shape(other, "add_scaled_assign");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
         }
     }
 
@@ -759,14 +717,6 @@ mod tests {
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0]);
         assert_eq!(a.add_scalar(1.0).as_slice(), &[2.0, 3.0, 4.0]);
         assert_eq!(a.dot(&b), 32.0);
-    }
-
-    #[test]
-    fn add_scaled_assign_is_axpy() {
-        let mut a = Matrix::ones(2, 2);
-        let b = Matrix::full(2, 2, 3.0);
-        a.add_scaled_assign(0.5, &b);
-        assert!(a.approx_eq(&Matrix::full(2, 2, 2.5), 1e-12));
     }
 
     #[test]
