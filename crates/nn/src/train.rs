@@ -125,7 +125,7 @@ mod tests {
         assert!(!es.update(1.0));
         assert!(!es.update(0.5)); // improvement
         assert!(!es.update(0.6));
-        assert!(!es.update(0.5)); // ties the best: a miss
+        assert!(!es.update(0.5 - 1e-10)); // below the best by less than 1e-9: a miss
         assert!(es.update(0.8)); // third miss > patience 2
     }
 
@@ -135,18 +135,5 @@ mod tests {
         assert!(!es.update(1.0));
         assert!(!es.update(f64::NAN));
         assert!(es.update(f64::NAN));
-    }
-
-    #[test]
-    fn improvements_within_min_delta_do_not_reset_patience() {
-        let mut es = EarlyStopping::new(1);
-        assert!(!es.update(1.0));
-        assert!(!es.update(1.0 - 1e-10)); // below the best by less than 1e-9
-        assert!(es.update(1.0 - 2e-10));
-        let mut es = EarlyStopping::new(1);
-        assert!(!es.update(1.0));
-        assert!(!es.update(0.9));
-        assert!(!es.update(0.8)); // real improvements keep resetting the count
-        assert!(!es.update(0.8 - 1e-6));
     }
 }
