@@ -1,8 +1,9 @@
 //! Blocked-GEMM kernel bench at `Syn_16_16_16_2` training shapes: the
-//! batch-by-width products of one forward pass plus the fused-transpose
-//! backward pair, each timed in the default `NumericsMode::BitExact` tier
-//! and in `NumericsMode::Fast` (FMA microkernels), each case's tier pinned
-//! with `NumericsMode::scoped`.
+//! batch-by-width products of one forward pass, the fused-transpose
+//! backward pair and the weight phase's HSIC-RFF covariance pair, each
+//! timed in the default `NumericsMode::BitExact` tier and in
+//! `NumericsMode::Fast` (FMA microkernels), each case's tier pinned with
+//! `NumericsMode::scoped`.
 //! Emits the baseline tracked in `results/BENCH_gemm.json`
 //! (see `docs/PERFORMANCE.md`).
 
@@ -43,6 +44,21 @@ fn bench_gemm(c: &mut Criterion) {
         });
         group.bench_function(&format!("bwd_tn_256x128x128/{tier}"), |bch| {
             mode.scoped(|| bch.iter(|| black_box(x.matmul_tn(&g))));
+        });
+    }
+
+    // The weight phase's HSIC-RFF covariance `F^T (F o w)` over a 128-row
+    // batch at a 160-wide tap, and its backward `F G`: the largest GEMMs of
+    // a CFR+SBRL-HAP step.
+    let f = randn(&mut rng, 128, 160);
+    let fw = randn(&mut rng, 128, 160);
+    let gc = randn(&mut rng, 160, 160);
+    for (tier, mode) in tiers {
+        group.bench_function(&format!("hsic_cov_tn_160x128x160/{tier}"), |bch| {
+            mode.scoped(|| bch.iter(|| black_box(f.matmul_tn(&fw))));
+        });
+        group.bench_function(&format!("hsic_bwd_nn_128x160x160/{tier}"), |bch| {
+            mode.scoped(|| bch.iter(|| black_box(f.matmul(&gc))));
         });
     }
     group.finish();

@@ -3,7 +3,7 @@
 //! two O(n³) centring GEMMs) and the pairwise HSIC-RFF matrix (O(d² n) with
 //! per-column feature maps computed once), in the default
 //! `NumericsMode::BitExact` tier and in `NumericsMode::Fast` (FMA contraction
-//! in the GEMM row kernels, which only the biased estimator's kernel fills
+//! in the GEMM kernels, which only the biased estimator's kernel fills
 //! run), each case's tier pinned with `NumericsMode::scoped`. Emits the
 //! baseline tracked in `results/BENCH_hsic.json` (see `docs/PERFORMANCE.md`).
 

@@ -17,7 +17,7 @@
 //!   for one thread and the pool tasks it submits). Every kernel entry
 //!   point reads the tier once. `BitExact` preserves every historical
 //!   accumulation chain; [`NumericsMode::Fast`] means one thing, FMA
-//!   contraction in the GEMM row kernels, trading bit-reproducibility
+//!   contraction in the GEMM kernels, trading bit-reproducibility
 //!   against the historical chains for throughput while staying within the
 //!   documented relative-error bounds (enforced by `tests/numerics_mode.rs`).
 //!   Of the numerical code, only the GEMM dispatch reads the tier.
@@ -26,25 +26,43 @@
 //!   dimension and output columns); `Matrix::matmul{,_nt,_tn}` allocate the
 //!   buffer and call them. In `BitExact` each output element is accumulated
 //!   in the same floating-point order as the historical unblocked loop,
-//!   whatever the blocking.
-//! * [`gemm_nt_into`] (`A * B^T`, every layer's input gradient) runs on the
-//!   same blocked row kernel as the other two. It copies every `KC x NC`
-//!   block of `B^T` into a 32 KiB stack panel and accumulates over it
-//!   without the exact-zero skip of the nn/tn products, so each element is
-//!   the dot product's own chain `0.0 + Σ_k a[i][k] * b[j][k]` in ascending
-//!   `k`, `0 * inf` stays NaN, and nothing is allocated.
-//! * Products with a single output column (`n = 1`: the Sinkhorn
-//!   matrix–vector products, their backward, the output layers) take a
-//!   separate kernel in every layout. Each output element is one dependent
-//!   add chain, so the row kernels, which widen over output columns, ran
-//!   these at one chain's latency per term; the `n = 1` kernel runs eight
-//!   rows' chains side by side instead. Every element keeps its own chain
-//!   `0.0 + Σ_k a·b` in ascending `k`, nn/tn keep the exact-zero skip on
-//!   `a` and nt has none, so both tiers' bits are unchanged.
+//!   whatever the blocking or the instruction set.
 //! * [`shard_ranges`], [`par_for_row_chunks`] — the sharding primitives of
 //!   the coarse tasks (synthetic generation in `sbrl-data`, batched
 //!   inference in `sbrl-core`). They execute on the persistent worker pool
 //!   in [`crate::workers`].
+//!
+//! # GEMM dispatch
+//!
+//! Each product runs on the widest clone the CPU supports, detected once at
+//! run time, so binaries stay portable to baseline x86-64:
+//!
+//! | CPU | `n >= 2`, all layouts | `n = 1`, nn/nt | `n = 1`, tn |
+//! |---|---|---|---|
+//! | AVX-512F | register-tiled micro-kernel | 8 x 8 transposed blocks | interleaved rows |
+//! | AVX2 (FMA clone for `Fast`) | row kernel | interleaved rows | interleaved rows |
+//! | other | portable row kernel | interleaved rows | interleaved rows |
+//!
+//! * The **micro-kernel** holds a tile of 4 output rows by up to 32 columns
+//!   in zmm registers for one `KC`-deep slab of the inner dimension, reading
+//!   `B` (or `B^T`) from a 32 KiB stack panel packed as 32-column strips.
+//! * The **row kernel** sweeps whole output rows, two at a time and four `k`
+//!   steps per sweep; the AVX2 and portable clones compile the same code.
+//! * The **`n = 1` kernels** have no output columns to widen over, so they
+//!   run eight rows' chains side by side: the AVX-512 nn/nt one transposes
+//!   8 x 8 blocks of `A` in registers so each `k` step is one column vector;
+//!   the others read the eight rows' entries one by one.
+//!
+//! Every kernel keeps every element's own chain: it starts at `+0.0` and
+//! takes `acc + a * b` (`mul_add` in the `Fast` tier on FMA hardware) in
+//! ascending `k`. nn/tn skip an exact-zero `a`, so `0 * inf` never joins a
+//! chain; nt has no skip, so it stays NaN. A tile or a row pair only changes
+//! which chains advance side by side and where an accumulator is kept
+//! between steps (a register, or `out` between slabs; storing an `f64` is
+//! exact). The AVX-512 skip is a lane mask rather than a branch, which keeps
+//! the accumulator where the scalar loop skips the add. So the clones of a
+//! tier agree bit for bit, and nothing above the three entry points can tell
+//! which one ran.
 //!
 //! # Example
 //!
@@ -182,7 +200,7 @@ pub fn available_cores() -> usize {
 ///
 /// `BitExact` is the historical contract: no FMA contraction, no reduction
 /// reordering, output bit-identical to the pre-kernel-layer code at every
-/// `Parallelism` setting. `Fast` relaxes exactly one thing: the GEMM row
+/// `Parallelism` setting. `Fast` relaxes exactly one thing: the GEMM
 /// kernels contract each `mul + add` into a hardware FMA (where the CPU has
 /// it), in exchange for higher throughput. Every other fold, the plain
 /// statistics' included, is the same in both tiers. Fast results stay
@@ -196,7 +214,7 @@ pub enum NumericsMode {
     /// Historical bit-exact arithmetic: every accumulation chain unchanged.
     #[default]
     BitExact,
-    /// FMA contraction in the GEMM row kernels.
+    /// FMA contraction in the GEMM kernels.
     Fast,
 }
 
@@ -386,8 +404,9 @@ pub(crate) fn fma_available() -> bool {
 }
 
 /// True when the running CPU supports AVX-512F (checked once, cached). The
-/// GEMM row kernels of both tiers prefer their AVX-512F clones over the
-/// AVX2 ones: the same scalar operation sequence, in wider registers.
+/// GEMM products of both tiers then run on the register-tiled micro-kernel
+/// in [`avx512`] instead of the AVX2 row kernels: the same chains, in zmm
+/// registers.
 #[cfg(target_arch = "x86_64")]
 fn avx512_available() -> bool {
     use std::sync::OnceLock;
@@ -816,23 +835,6 @@ fn gemm_rows_impl<const L: u8, const FMA: bool>(
     }
 }
 
-/// AVX-512F-compiled clone of the bit-exact [`gemm_rows_impl`] (same scalar
-/// ops, wider auto-vectorisation; see [`avx512_available`]).
-///
-/// # Safety
-/// Caller must verify AVX-512F support first (see [`avx512_available`]);
-/// the body itself is ordinary safe Rust recompiled with wider vector types.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn gemm_rows_avx512<const L: u8>(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    dims: (usize, usize, usize),
-) {
-    gemm_rows_impl::<L, false>(a, b, out, dims);
-}
-
 /// AVX2-compiled clone of the bit-exact [`gemm_rows_impl`] (same scalar
 /// ops, wider auto-vectorisation; see [`avx2_available`]).
 ///
@@ -867,30 +869,26 @@ unsafe fn gemm_rows_fma<const L: u8>(
     gemm_rows_impl::<L, true>(a, b, out, dims);
 }
 
-/// AVX-512F+FMA-compiled clone of [`gemm_rows_impl`] with contracted
-/// multiply-adds: the [`NumericsMode::Fast`] kernel on AVX-512 CPUs. Each
-/// element keeps its `mul_add` chain, so its bits match [`gemm_rows_fma`].
-///
-/// # Safety
-/// Caller must verify AVX-512F **and** FMA3 support first (see
-/// [`avx512_available`] and [`fma_available`]); the body itself is ordinary
-/// safe Rust.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,fma")]
-unsafe fn gemm_rows_avx512_fma<const L: u8>(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    dims: (usize, usize, usize),
-) {
-    gemm_rows_impl::<L, true>(a, b, out, dims);
+/// The instruction-set clones of the GEMM kernels, narrowest first.
+// Only the tests cap the dispatch below the widest clone, so outside them
+// some variants are never built.
+#[cfg_attr(not(test), allow(dead_code))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Isa {
+    /// [`gemm_rows_impl`] as compiled for the baseline target.
+    Portable,
+    /// The AVX2 (bit-exact) and AVX2+FMA (Fast) row-kernel clones.
+    Avx2,
+    /// The register-tiled micro-kernel of the `avx512` module.
+    Avx512,
 }
 
-/// Runs the layout-`L` row kernel on the widest clone the CPU supports:
-/// for [`NumericsMode::Fast`] the FMA clones (AVX-512F, then AVX2),
-/// otherwise AVX-512F, then AVX2, then the portable code. Every clone of a
-/// tier runs the same operations.
+/// Runs the layout-`L` product on the widest clone, no wider than
+/// `widest`, that the CPU supports: the AVX-512F tile kernel, then the AVX2
+/// row kernel (its FMA clone for [`NumericsMode::Fast`]), then the portable
+/// row kernel. Every clone of a tier computes the same chains.
 fn gemm_rows<const L: u8>(
+    widest: Isa,
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -899,28 +897,403 @@ fn gemm_rows<const L: u8>(
 ) {
     #[cfg(target_arch = "x86_64")]
     {
-        if fast && fma_available() {
-            if avx512_available() {
-                // SAFETY: AVX-512F and FMA presence just verified by
-                // `avx512_available` and `fma_available`.
-                return unsafe { gemm_rows_avx512_fma::<L>(a, b, out, dims) };
-            }
+        let fma = fast && fma_available();
+        if widest >= Isa::Avx512 && avx512_available() {
+            // SAFETY: AVX-512F presence just verified by `avx512_available`.
+            return unsafe {
+                if fma {
+                    avx512::gemm::<L, true>(a, b, out, dims)
+                } else {
+                    avx512::gemm::<L, false>(a, b, out, dims)
+                }
+            };
+        }
+        if widest >= Isa::Avx2 && fma {
             // SAFETY: AVX2+FMA presence just verified by `fma_available`.
             return unsafe { gemm_rows_fma::<L>(a, b, out, dims) };
         }
-        if avx512_available() {
-            // SAFETY: AVX-512F presence just verified by `avx512_available`.
-            return unsafe { gemm_rows_avx512::<L>(a, b, out, dims) };
-        }
-        if avx2_available() {
+        if widest >= Isa::Avx2 && avx2_available() {
             // SAFETY: AVX2 presence just verified by `avx2_available`.
             return unsafe { gemm_rows_avx2::<L>(a, b, out, dims) };
         }
     }
     // Non-x86 (or pre-AVX2) fallback: Fast keeps the exact chains — a scalar
     // `mul_add` without hardware FMA would be a slow libm call.
-    let _ = fast;
+    let _ = (widest, fast);
     gemm_rows_impl::<L, false>(a, b, out, dims)
+}
+
+/// The AVX-512F register-tiled GEMM micro-kernel: every product with
+/// `n >= 2` in all three layouts, and the nn/nt products with `n = 1`.
+///
+/// A tile is [`MR`](avx512::MR) output rows by up to
+/// [`NR`](avx512::NR) columns, held in `MR x NR / 8` zmm accumulators for
+/// one `KC`-deep slab of the inner dimension. Each slab of `B` (or `B^T`) is
+/// first packed into a stack panel as `NR`-column strips, so the tile reads
+/// `B` contiguously whatever the row stride of the operand (a product with a
+/// single row tile reads `B` in place instead). An element's
+/// accumulator is loaded from `out` at the start of a slab and stored back at
+/// its end, and in between takes the slab's terms one `k` at a time in
+/// ascending order. That is exactly the row kernels' chain: `+0.0`, then
+/// `acc + a * b` (`mul_add` in the Fast tier) per `k`, with the exact-zero
+/// `a` skipped for nn/tn. The skip is a lane mask, not a branch: ReLU
+/// activations make a zero `a` too frequent and too irregular to predict.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{matvec_rows, KC, NC, NT, TN};
+    use std::arch::x86_64::*;
+
+    /// Output rows of one register tile.
+    pub(super) const MR: usize = 4;
+    /// Output columns of one register tile: four zmm accumulators per row.
+    pub(super) const NR: usize = 32;
+
+    /// The mask of the low `w` lanes of a zmm register (`1 <= w <= 8`).
+    fn low_lanes(w: usize) -> __mmask8 {
+        (0xFFu16 >> (8 - w)) as __mmask8
+    }
+
+    /// The lanes of `a` that join the chain: all of them without the
+    /// exact-zero skip, otherwise those where `a != 0.0` as Rust evaluates
+    /// it (true for NaN, false for `-0.0`).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn live<const SKIP_ZERO: bool>(a: __m512d) -> __mmask8 {
+        if SKIP_ZERO {
+            _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(a, _mm512_setzero_pd())
+        } else {
+            0xFF
+        }
+    }
+
+    /// One chain step on the `live` lanes: `acc + a * b`, contracted to one
+    /// fused multiply-add for `FMA = true`; other lanes keep `acc`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn madd<const FMA: bool>(acc: __m512d, a: __m512d, b: __m512d, live: __mmask8) -> __m512d {
+        if FMA {
+            _mm512_mask3_fmadd_pd(a, b, acc, live)
+        } else {
+            _mm512_mask_add_pd(acc, live, acc, _mm512_mul_pd(a, b))
+        }
+    }
+
+    /// Packs the `kb..k_hi` x `jb..j_hi` block of the row-major `B` (row
+    /// stride `n`) into `panel` as `NR`-column strips: strip `s` starts at
+    /// `s * KC * NR` and holds row `dk` at `dk * NR`. A narrow last strip's
+    /// spare lanes are left as they are: the tile's loads mask them off.
+    // lint: no_alloc
+    fn pack_b(
+        b: &[f64],
+        n: usize,
+        (kb, k_hi): (usize, usize),
+        (jb, j_hi): (usize, usize),
+        panel: &mut [f64; KC * NC],
+    ) {
+        for (dk, k) in (kb..k_hi).enumerate() {
+            for (s, src) in b[k * n + jb..k * n + j_hi].chunks(NR).enumerate() {
+                panel[s * KC * NR + dk * NR..][..src.len()].copy_from_slice(src);
+            }
+        }
+    }
+
+    /// [`pack_b`] for `B^T`, where `B` is row-major with `k_dim` columns:
+    /// the panel holds `B^T[k][j] = b[j * k_dim + k]` in the same strips.
+    // lint: no_alloc
+    fn pack_bt(
+        b: &[f64],
+        k_dim: usize,
+        (kb, k_hi): (usize, usize),
+        (jb, j_hi): (usize, usize),
+        panel: &mut [f64; KC * NC],
+    ) {
+        for (dj, b_row) in b[jb * k_dim..j_hi * k_dim].chunks_exact(k_dim).enumerate() {
+            let strip = &mut panel[(dj / NR) * KC * NR + dj % NR..];
+            for (dk, &v) in b_row[kb..k_hi].iter().enumerate() {
+                strip[dk * NR] = v;
+            }
+        }
+    }
+
+    /// Where one register tile reads and writes.
+    struct Tile {
+        /// Row `r`'s `A[i][k]` at step 0 of the slab; step `dk` is at
+        /// `a[r] + dk * a_step`.
+        a: [*const f64; MR],
+        /// The distance between consecutive `k` of one `A` row.
+        a_step: usize,
+        /// The strip's `B[k][j]` at step 0 and its first column; step `dk`
+        /// starts at `b + dk * ldb`.
+        b: *const f64,
+        /// The row stride of the strip.
+        ldb: usize,
+        /// The slab's depth.
+        kc: usize,
+        /// The tile's first output element.
+        c: *mut f64,
+        /// The row stride of the output.
+        ldc: usize,
+        /// The tile's output rows; a short tile's spare rows repeat its last
+        /// row and are discarded.
+        rows: usize,
+        /// The live lanes of the tile's last zmm column.
+        tail: __mmask8,
+    }
+
+    /// Accumulates one slab into an `R x 8·NV` register tile: load the
+    /// tile from `out`, take the `kc` steps in ascending `k`, store the
+    /// first `rows` rows back. The last zmm column reads and writes the
+    /// `tail` lanes only.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F. For `dk < kc`, `r < R` and `v < NV`,
+    /// `t.a[r] + dk * t.a_step` must be readable, and so must `t.b + dk *
+    /// t.ldb + 8 v` for eight lanes (the tail lanes when `v = NV - 1`). Output
+    /// rows `r < t.rows` at `t.c + r * t.ldc` must be writable for the same
+    /// lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    // lint: no_alloc
+    unsafe fn tile<const R: usize, const NV: usize, const FMA: bool, const SKIP_ZERO: bool>(
+        t: &Tile,
+    ) {
+        let mask = |v: usize| if v + 1 == NV { t.tail } else { 0xFF };
+        let mut acc = [[_mm512_setzero_pd(); NV]; R];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let c = t.c.wrapping_add(r.min(t.rows - 1) * t.ldc);
+            for (v, acc_rv) in acc_r.iter_mut().enumerate() {
+                // SAFETY: row `min(r, rows - 1)` is a live output row (contract
+                // above).
+                *acc_rv = unsafe { _mm512_maskz_loadu_pd(mask(v), c.add(8 * v)) };
+            }
+        }
+        for dk in 0..t.kc {
+            let mut bv = [_mm512_setzero_pd(); NV];
+            for (v, bvv) in bv.iter_mut().enumerate() {
+                // SAFETY: step `dk < kc` of the strip (contract above).
+                *bvv = unsafe { _mm512_maskz_loadu_pd(mask(v), t.b.add(dk * t.ldb + 8 * v)) };
+            }
+            for (acc_r, &a_row) in acc.iter_mut().zip(&t.a) {
+                // SAFETY: step `dk < kc` of a tile row of `A` (contract above).
+                let av = _mm512_set1_pd(unsafe { *a_row.add(dk * t.a_step) });
+                let live = live::<SKIP_ZERO>(av);
+                for (acc_rv, &bvv) in acc_r.iter_mut().zip(&bv) {
+                    *acc_rv = madd::<FMA>(*acc_rv, av, bvv, live);
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate().take(t.rows) {
+            for (v, &acc_rv) in acc_r.iter().enumerate() {
+                // SAFETY: `r < rows` is a live output row (contract above).
+                unsafe { _mm512_mask_storeu_pd(t.c.add(r * t.ldc + 8 * v), mask(v), acc_rv) };
+            }
+        }
+    }
+
+    /// A clone of [`tile`].
+    ///
+    /// # Safety
+    /// As for [`tile`].
+    type TileFn = unsafe fn(&Tile);
+
+    /// The [`tile`] clone for `R` rows and `nv` zmm columns.
+    fn tile_nv<const R: usize, const FMA: bool, const SKIP_ZERO: bool>(nv: usize) -> TileFn {
+        match nv {
+            1 => tile::<R, 1, FMA, SKIP_ZERO>,
+            2 => tile::<R, 2, FMA, SKIP_ZERO>,
+            3 => tile::<R, 3, FMA, SKIP_ZERO>,
+            _ => tile::<R, 4, FMA, SKIP_ZERO>,
+        }
+    }
+
+    /// The [`tile`] clone for a tile of `rows` output rows (one, or up to
+    /// [`MR`]), with or without the exact-zero skip, and `nv` zmm columns.
+    fn tile_fn<const FMA: bool>(rows: usize, skip_zero: bool, nv: usize) -> TileFn {
+        match (rows == 1, skip_zero) {
+            (true, true) => tile_nv::<1, FMA, true>(nv),
+            (true, false) => tile_nv::<1, FMA, false>(nv),
+            (false, true) => tile_nv::<MR, FMA, true>(nv),
+            (false, false) => tile_nv::<MR, FMA, false>(nv),
+        }
+    }
+
+    /// Blocked `C += A * B` (nn), `A * B^T` (nt) or `A^T * B` (tn) into the
+    /// `m x n` output `out`, for `n >= 2`; nn/tn skip an exact-zero `a`.
+    /// `B^T` is always packed; `B` only when more than one row tile reads
+    /// it, since a single tile gains nothing from the copy.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    // lint: no_alloc
+    unsafe fn gemm_tiled<const L: u8, const FMA: bool>(
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+        (m, k_dim, n): (usize, usize, usize),
+    ) {
+        let (a, b, out) = (&a[..m * k_dim], &b[..k_dim * n], &mut out[..m * n]);
+        let mut panel = [0.0f64; KC * NC];
+        let packed = L == NT || m > MR;
+        // `A[i][k]` sits at `i * a_row + k * a_step`.
+        let (a_row, a_step) = if L == TN { (1, m) } else { (k_dim, 1) };
+        for kb in (0..k_dim).step_by(KC) {
+            let k_hi = (kb + KC).min(k_dim);
+            for jb in (0..n).step_by(NC) {
+                let j_hi = (jb + NC).min(n);
+                // Strip `s` of the block starts at `b_at + s * strip_step`.
+                let (b_at, ldb, strip_step) = if !packed {
+                    (b[kb * n + jb..].as_ptr(), n, NR)
+                } else {
+                    if L == NT {
+                        pack_bt(b, k_dim, (kb, k_hi), (jb, j_hi), &mut panel);
+                    } else {
+                        pack_b(b, n, (kb, k_hi), (jb, j_hi), &mut panel);
+                    }
+                    (panel.as_ptr(), NR, KC * NR)
+                };
+                for i0 in (0..m).step_by(MR) {
+                    let rows = (m - i0).min(MR);
+                    let a_rows = std::array::from_fn(|r| {
+                        a[(i0 + r).min(m - 1) * a_row + kb * a_step..].as_ptr()
+                    });
+                    for (s, j0) in (jb..j_hi).step_by(NR).enumerate() {
+                        let w = (j_hi - j0).min(NR);
+                        let nv = w.div_ceil(8);
+                        let t = Tile {
+                            a: a_rows,
+                            a_step,
+                            b: b_at.wrapping_add(s * strip_step),
+                            ldb,
+                            kc: k_hi - kb,
+                            c: out[i0 * n + j0..].as_mut_ptr(),
+                            ldc: n,
+                            rows,
+                            tail: low_lanes(w - 8 * (nv - 1)),
+                        };
+                        let tile = tile_fn::<FMA>(rows, L != NT, nv);
+                        // SAFETY: AVX-512F is the caller's contract. Rows
+                        // `i < m` of `A` hold the slab's `k_hi - kb` steps
+                        // at stride `a_step`. The strip holds them for the
+                        // `w` live columns, at stride `ldb`: `B` itself
+                        // (rows `kb..k_hi`, columns `j0..j0 + w`) or the
+                        // panel strip `pack_b`/`pack_bt` filled. Output
+                        // rows `i0..i0 + rows` hold columns `j0..j0 + w`.
+                        unsafe { tile(&t) };
+                    }
+                }
+            }
+        }
+    }
+
+    /// Transposes the 8 x 8 block held in eight row registers into its
+    /// eight column registers.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose8(r: [__m512d; 8]) -> [__m512d; 8] {
+        // Pairs: t[2q] = (r[2q][c], r[2q+1][c]) for even c, t[2q+1] for odd c.
+        let t = [
+            _mm512_unpacklo_pd(r[0], r[1]),
+            _mm512_unpackhi_pd(r[0], r[1]),
+            _mm512_unpacklo_pd(r[2], r[3]),
+            _mm512_unpackhi_pd(r[2], r[3]),
+            _mm512_unpacklo_pd(r[4], r[5]),
+            _mm512_unpackhi_pd(r[4], r[5]),
+            _mm512_unpacklo_pd(r[6], r[7]),
+            _mm512_unpackhi_pd(r[6], r[7]),
+        ];
+        // Quads: columns (0, 4), (2, 6), (1, 5), (3, 7) of rows 0–3, then 4–7.
+        let u = [
+            _mm512_shuffle_f64x2::<0x88>(t[0], t[2]),
+            _mm512_shuffle_f64x2::<0xDD>(t[0], t[2]),
+            _mm512_shuffle_f64x2::<0x88>(t[1], t[3]),
+            _mm512_shuffle_f64x2::<0xDD>(t[1], t[3]),
+            _mm512_shuffle_f64x2::<0x88>(t[4], t[6]),
+            _mm512_shuffle_f64x2::<0xDD>(t[4], t[6]),
+            _mm512_shuffle_f64x2::<0x88>(t[5], t[7]),
+            _mm512_shuffle_f64x2::<0xDD>(t[5], t[7]),
+        ];
+        [
+            _mm512_shuffle_f64x2::<0x88>(u[0], u[4]),
+            _mm512_shuffle_f64x2::<0x88>(u[2], u[6]),
+            _mm512_shuffle_f64x2::<0x88>(u[1], u[5]),
+            _mm512_shuffle_f64x2::<0x88>(u[3], u[7]),
+            _mm512_shuffle_f64x2::<0xDD>(u[0], u[4]),
+            _mm512_shuffle_f64x2::<0xDD>(u[2], u[6]),
+            _mm512_shuffle_f64x2::<0xDD>(u[1], u[5]),
+            _mm512_shuffle_f64x2::<0xDD>(u[3], u[7]),
+        ]
+    }
+
+    /// `C += A * b` (nn, with the exact-zero skip) or `C += A * B^T` (nt,
+    /// without) for a single output column. Eight rows' chains share one
+    /// zmm accumulator; each 8 x 8 block of `A` is loaded as eight row
+    /// vectors and transposed in registers, so step `k` is one column
+    /// vector instead of eight strided reads. Every lane keeps its row's
+    /// chain in ascending `k`. A short last block repeats row `m - 1` in its
+    /// spare lanes and discards them.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    // lint: no_alloc
+    unsafe fn matvec<const FMA: bool, const SKIP_ZERO: bool>(
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+        (m, k_dim, _): (usize, usize, usize),
+    ) {
+        let (a, b, out) = (&a[..m * k_dim], &b[..k_dim], &mut out[..m]);
+        for i0 in (0..m).step_by(8) {
+            let live_rows = low_lanes((m - i0).min(8));
+            let a_rows: [*const f64; 8] =
+                std::array::from_fn(|r| a[(i0 + r).min(m - 1) * k_dim..].as_ptr());
+            // SAFETY: the `live_rows` lanes are outputs `i0..min(i0 + 8, m)`.
+            let mut acc = unsafe { _mm512_maskz_loadu_pd(live_rows, out[i0..].as_ptr()) };
+            for k0 in (0..k_dim).step_by(8) {
+                let kt = (k_dim - k0).min(8);
+                let mut r = [_mm512_setzero_pd(); 8];
+                for (rv, &a_row) in r.iter_mut().zip(&a_rows) {
+                    // SAFETY: the `kt` lanes are `A[i][k0..k0 + kt]` of a
+                    // row `i < m`.
+                    *rv = unsafe { _mm512_maskz_loadu_pd(low_lanes(kt), a_row.add(k0)) };
+                }
+                let cols = transpose8(r);
+                let step = |acc, col, bk: f64| {
+                    madd::<FMA>(acc, col, _mm512_set1_pd(bk), live::<SKIP_ZERO>(col))
+                };
+                for (&col, &bk) in cols.iter().zip(&b[k0..k0 + kt]) {
+                    acc = step(acc, col, bk);
+                }
+            }
+            // SAFETY: as for the load above.
+            unsafe { _mm512_mask_storeu_pd(out[i0..].as_mut_ptr(), live_rows, acc) };
+        }
+    }
+
+    /// The AVX-512F kernel of layout `L` (`NN`, `NT` or `TN`) for an `m x n`
+    /// product with inner dimension `k_dim`; `out` holds the chains' start.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    // lint: no_alloc
+    pub(super) unsafe fn gemm<const L: u8, const FMA: bool>(
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+        dims: (usize, usize, usize),
+    ) {
+        // SAFETY: AVX-512F is the caller's contract.
+        unsafe {
+            match (L, dims.2) {
+                (TN, 1) => matvec_rows::<TN, FMA>(a, b, out, dims),
+                (NT, 1) => matvec::<FMA, false>(a, b, out, dims),
+                (_, 1) => matvec::<FMA, true>(a, b, out, dims),
+                _ => gemm_tiled::<L, FMA>(a, b, out, dims),
+            }
+        }
+    }
 }
 
 /// Matrix product `a * b` into a caller-provided `a.rows() x b.cols()`
@@ -945,7 +1318,8 @@ pub fn gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(out.shape(), (m, n), "gemm_into: output buffer has the wrong shape");
     out.fill_with(0.0);
     let (a, b) = (a.as_slice(), b.as_slice());
-    gemm_rows::<NN>(a, b, out.as_mut_slice(), (m, k_dim, n), NumericsMode::global().is_fast());
+    let fast = NumericsMode::global().is_fast();
+    gemm_rows::<NN>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n), fast);
 }
 
 /// Matrix product `a * b^T` into a caller-provided `a.rows() x b.rows()`
@@ -969,7 +1343,8 @@ pub fn gemm_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(out.shape(), (m, n), "gemm_nt_into: output buffer has the wrong shape");
     out.fill_with(0.0);
     let (a, b) = (a.as_slice(), b.as_slice());
-    gemm_rows::<NT>(a, b, out.as_mut_slice(), (m, k_dim, n), NumericsMode::global().is_fast());
+    let fast = NumericsMode::global().is_fast();
+    gemm_rows::<NT>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n), fast);
 }
 
 /// Matrix product `a^T * b` into a caller-provided `a.cols() x b.cols()`
@@ -993,7 +1368,8 @@ pub fn gemm_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(out.shape(), (m, n), "gemm_tn_into: output buffer has the wrong shape");
     out.fill_with(0.0);
     let (a, b) = (a.as_slice(), b.as_slice());
-    gemm_rows::<TN>(a, b, out.as_mut_slice(), (m, k_dim, n), NumericsMode::global().is_fast());
+    let fast = NumericsMode::global().is_fast();
+    gemm_rows::<TN>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n), fast);
 }
 
 #[cfg(test)]
@@ -1028,16 +1404,128 @@ mod tests {
         out
     }
 
+    /// The dot-product chain of every element of `A * B^T` (`b` holds `B`'s
+    /// rows): `+0.0`, then each term in ascending `k` with no exact-zero
+    /// skip; `fused` contracts each step to a `mul_add`.
+    fn reference_nt(a: &Matrix, b: &Matrix, fused: bool) -> Matrix {
+        Matrix::from_fn(a.rows(), b.rows(), |i, j| {
+            a.row(i).iter().zip(b.row(j)).fold(
+                0.0,
+                |s, (&x, &y)| {
+                    if fused {
+                        x.mul_add(y, s)
+                    } else {
+                        s + x * y
+                    }
+                },
+            )
+        })
+    }
+
+    /// The bits of every element, with each NaN mapped to one pattern: Rust
+    /// leaves NaN payloads unspecified, so a NaN only has to meet a NaN.
+    fn class_bits(m: &Matrix) -> Vec<u64> {
+        let bits = |x: f64| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() };
+        m.as_slice().iter().map(|&x| bits(x)).collect()
+    }
+
+    /// True when the CPU has FMA, so that Fast fuses on the SIMD clones.
+    fn fma() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return fma_available();
+        #[cfg(not(target_arch = "x86_64"))]
+        false
+    }
+
+    /// The GEMM clones this CPU runs, widest first. The dispatcher only ever
+    /// takes the widest, so a per-clone test keeps the narrower fallbacks
+    /// covered; clones the CPU lacks are named on stdout.
+    fn clones() -> Vec<Isa> {
+        #[cfg(target_arch = "x86_64")]
+        let supported = |isa| match isa {
+            Isa::Avx512 => avx512_available(),
+            Isa::Avx2 => avx2_available(),
+            Isa::Portable => true,
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let supported = |isa| isa == Isa::Portable;
+        let all = [Isa::Avx512, Isa::Avx2, Isa::Portable];
+        for isa in all.into_iter().filter(|&isa| !supported(isa)) {
+            println!("skipped the {isa:?} GEMM clone: this CPU lacks it");
+        }
+        all.into_iter().filter(|&isa| supported(isa)).collect()
+    }
+
+    /// True when clone `isa` fuses the steps of tier `mode`.
+    fn fuses(isa: Isa, mode: NumericsMode) -> bool {
+        mode.is_fast() && fma() && isa >= Isa::Avx2
+    }
+
+    /// The layout-`L` product on clone `isa` (no wider), with its operands
+    /// as that layout stores them: `A * B`, `A * B^T` or `A^T * B`.
+    fn product_on<const L: u8>(isa: Isa, a: &Matrix, b: &Matrix, mode: NumericsMode) -> Matrix {
+        let dims = match L {
+            NN => (a.rows(), a.cols(), b.cols()),
+            NT => (a.rows(), a.cols(), b.rows()),
+            _ => (a.cols(), a.rows(), b.cols()),
+        };
+        let mut out = Matrix::zeros(dims.0, dims.2);
+        gemm_rows::<L>(isa, a.as_slice(), b.as_slice(), out.as_mut_slice(), dims, mode.is_fast());
+        out
+    }
+
+    #[test]
+    fn every_clone_keeps_the_chains_at_tile_edges() {
+        // The shapes straddle every edge of the AVX-512 tile: 4-row tiles
+        // and a 1-row tile (m), 8-lane columns with masked tails, 32-column
+        // strips and the 128-column panel (n), the 32-deep slab and an empty
+        // inner dimension (k). `a` holds +0.0 and -0.0 and `b` sparse
+        // infinities and NaNs, so the nn/tn exact-zero skip decides whether
+        // `0 * inf` joins a chain; nt has no skip.
+        let specials = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let clones = clones();
+        let mut rng = rng_from_seed(23);
+        for m in [1, 3, 4, 5, 41] {
+            for n in [2, 7, 8, 9, 31, 32, 33, 127, 128, 129] {
+                for k in [0, 1, 31, 32, 33, 129] {
+                    let mut a = randn(&mut rng, m, k);
+                    let mut b = randn(&mut rng, k, n);
+                    for (idx, v) in a.as_mut_slice().iter_mut().enumerate() {
+                        if idx % 5 == 0 {
+                            *v = 0.0;
+                        } else if idx % 7 == 0 {
+                            *v = -0.0;
+                        }
+                    }
+                    for (idx, v) in b.as_mut_slice().iter_mut().enumerate().skip(3).step_by(37) {
+                        *v = specials[(idx / 37) % specials.len()];
+                    }
+                    let (a_t, b_t) = (a.transpose(), b.transpose());
+                    let want = [false, true].map(|f| class_bits(&reference_matmul_with(&a, &b, f)));
+                    let want_nt = [false, true].map(|f| class_bits(&reference_nt(&a, &b_t, f)));
+                    for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
+                        for &isa in &clones {
+                            let f = usize::from(fuses(isa, mode));
+                            let case = format!("{m}x{k}x{n} {mode} {isa:?}");
+                            let nn = product_on::<NN>(isa, &a, &b, mode);
+                            assert_eq!(class_bits(&nn), want[f], "nn {case}");
+                            let tn = product_on::<TN>(isa, &a_t, &b, mode);
+                            assert_eq!(class_bits(&tn), want[f], "tn {case}");
+                            let nt = product_on::<NT>(isa, &a, &b_t, mode);
+                            assert_eq!(class_bits(&nt), want_nt[f], "nt {case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn blocked_serial_gemm_is_bit_identical_to_reference() {
         // Pins the BitExact contract explicitly (outside a scope the product
         // reads `SBRL_NUMERICS`, which a Fast test run sets).
         // The Fast leg pins nn and tn against the same loop with every step
         // fused where the CPU has FMA.
-        #[cfg(target_arch = "x86_64")]
-        let fma = fma_available();
-        #[cfg(not(target_arch = "x86_64"))]
-        let fma = false;
         let mut rng = rng_from_seed(0);
         for (m, k, n) in [(1, 1, 1), (3, 5, 7), (40, 33, 29), (130, 257, 65), (256, 64, 129)] {
             let a = randn(&mut rng, m, k);
@@ -1046,7 +1534,7 @@ mod tests {
             let reference = reference_matmul(&a, &b);
             assert_eq!(blocked.as_slice(), reference.as_slice(), "shape {m}x{k}x{n}");
 
-            let fused = reference_matmul_with(&a, &b, fma);
+            let fused = reference_matmul_with(&a, &b, fma());
             let a_t = a.transpose();
             for (name, got) in [
                 ("nn", NumericsMode::Fast.scoped(|| a.matmul(&b))),
@@ -1104,19 +1592,7 @@ mod tests {
     fn gemm_nt_is_bit_identical_to_its_dot_product_definition() {
         // Every element of A * B^T is the plain dot-product chain from +0.0
         // in ascending k, with no exact-zero skip (0 * inf stays NaN); Fast
-        // fuses every step where the CPU has FMA. Rust leaves NaN payloads
-        // unspecified, so a NaN only has to meet a NaN.
-        fn bits(x: f64) -> u64 {
-            if x.is_nan() {
-                f64::NAN.to_bits()
-            } else {
-                x.to_bits()
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        let fma = fma_available();
-        #[cfg(not(target_arch = "x86_64"))]
-        let fma = false;
+        // fuses every step where the CPU has FMA.
         let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
         let mut rng = rng_from_seed(11);
         // 41 rows: odd, so the row-pair loop leaves a single row.
@@ -1134,21 +1610,8 @@ mod tests {
                     *v = specials[(idx / 37) % specials.len()];
                 }
                 for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
-                    let fused = mode.is_fast() && fma;
-                    let want: Vec<u64> = (0..m * n)
-                        .map(|e| {
-                            let (ai, bj) = (a.row(e / n), b.row(e % n));
-                            bits(ai.iter().zip(bj).fold(0.0, |s, (&x, &y)| {
-                                if fused {
-                                    x.mul_add(y, s)
-                                } else {
-                                    s + x * y
-                                }
-                            }))
-                        })
-                        .collect();
-                    let got = mode.scoped(|| a.matmul_nt(&b));
-                    let got: Vec<u64> = got.as_slice().iter().map(|&v| bits(v)).collect();
+                    let want = class_bits(&reference_nt(&a, &b, mode.is_fast() && fma()));
+                    let got = class_bits(&mode.scoped(|| a.matmul_nt(&b)));
                     assert_eq!(got, want, "k={k} n={n} {mode}");
                 }
             }
@@ -1157,24 +1620,14 @@ mod tests {
 
     #[test]
     fn matvec_is_bit_identical_to_its_chain_definition() {
-        // A single output column runs on the interleaved n = 1 kernel. Each
-        // element must still be its own chain from +0.0 in ascending k:
-        // nn/tn skip an exactly-zero `a` (0 * inf never joins the chain), nt
-        // adds every term (0 * inf is NaN); Fast fuses every step where the
-        // CPU has FMA. NaN payloads are unspecified, so NaNs compare as a
-        // class.
-        fn bits(x: f64) -> u64 {
-            if x.is_nan() {
-                f64::NAN.to_bits()
-            } else {
-                x.to_bits()
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        let fma = fma_available();
-        #[cfg(not(target_arch = "x86_64"))]
-        let fma = false;
+        // A single output column runs on the interleaved n = 1 kernels (the
+        // AVX-512 nn/nt one transposes 8 x 8 blocks of `a`). Each element
+        // must still be its own chain from +0.0 in ascending k: nn/tn skip
+        // an exactly-zero `a` (0 * inf never joins the chain), nt adds every
+        // term (0 * inf is NaN); Fast fuses every step on the SIMD clones of
+        // a CPU with FMA.
         let specials = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let clones = clones();
         let mut rng = rng_from_seed(19);
         for m in [1, 7, 8, 9, 17, 64, 129] {
             for k in [1, 3, 64, 70] {
@@ -1190,26 +1643,31 @@ mod tests {
                 }
                 let (a_t, b_t) = (a.transpose(), b.transpose());
                 for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
-                    let fused = mode.is_fast() && fma;
-                    let chain = |i: usize, skip_zero: bool| {
-                        a.row(i).iter().zip(b.as_slice()).fold(0.0, |s, (&x, &y)| {
-                            if skip_zero && x == 0.0 {
-                                s
-                            } else if fused {
-                                x.mul_add(y, s)
-                            } else {
-                                s + x * y
-                            }
-                        })
-                    };
-                    for (name, got, skip_zero) in [
-                        ("nn", mode.scoped(|| a.matmul(&b)), true),
-                        ("nt", mode.scoped(|| a.matmul_nt(&b_t)), false),
-                        ("tn", mode.scoped(|| a_t.matmul_tn(&b)), true),
-                    ] {
-                        let want: Vec<u64> = (0..m).map(|i| bits(chain(i, skip_zero))).collect();
-                        let got: Vec<u64> = got.as_slice().iter().map(|&v| bits(v)).collect();
-                        assert_eq!(got, want, "{name} m={m} k={k} {mode}");
+                    for &isa in &clones {
+                        let fused = fuses(isa, mode);
+                        let chain = |i: usize, skip_zero: bool| {
+                            a.row(i).iter().zip(b.as_slice()).fold(0.0, |s, (&x, &y)| {
+                                if skip_zero && x == 0.0 {
+                                    s
+                                } else if fused {
+                                    x.mul_add(y, s)
+                                } else {
+                                    s + x * y
+                                }
+                            })
+                        };
+                        for (name, got, skip_zero) in [
+                            ("nn", product_on::<NN>(isa, &a, &b, mode), true),
+                            ("nt", product_on::<NT>(isa, &a, &b_t, mode), false),
+                            ("tn", product_on::<TN>(isa, &a_t, &b, mode), true),
+                        ] {
+                            let want = Matrix::from_fn(m, 1, |i, _| chain(i, skip_zero));
+                            assert_eq!(
+                                class_bits(&got),
+                                class_bits(&want),
+                                "{name} m={m} k={k} {mode} {isa:?}"
+                            );
+                        }
                     }
                 }
             }
