@@ -1,17 +1,18 @@
 //! Blocked-GEMM kernel bench at `Syn_16_16_16_2` training shapes: the
 //! batch-by-width products of one forward pass, the fused-transpose
-//! backward pair and the weight phase's HSIC-RFF covariance pair, each
-//! timed in the default `NumericsMode::BitExact` tier and in
-//! `NumericsMode::Fast` (FMA microkernels), each case's tier pinned with
-//! `NumericsMode::scoped`.
+//! backward pair, the weight phase's HSIC-RFF covariance pair and its
+//! `k = 1` mean outer product, each timed in the default
+//! `NumericsMode::BitExact` tier and in `NumericsMode::Fast` (FMA
+//! microkernels), each case's tier pinned with `NumericsMode::scoped`.
 //! Emits the baseline tracked in `results/BENCH_gemm.json`
 //! (see `docs/PERFORMANCE.md`).
 
 mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sbrl_tensor::kernels::NumericsMode;
+use sbrl_tensor::kernels::{gemm_into, NumericsMode};
 use sbrl_tensor::rng::{randn, rng_from_seed};
+use sbrl_tensor::Matrix;
 use std::hint::black_box;
 
 fn bench_gemm(c: &mut Criterion) {
@@ -59,6 +60,18 @@ fn bench_gemm(c: &mut Criterion) {
         });
         group.bench_function(&format!("hsic_bwd_nn_128x160x160/{tier}"), |bch| {
             mode.scoped(|| bch.iter(|| black_box(f.matmul(&gc))));
+        });
+    }
+
+    // The HSIC-RFF covariance's mean outer product `m^T m`, `k = 1`
+    // (hundreds of calls per CFR+SBRL-HAP fit), into a reused buffer as the
+    // tape runs it: its cost is writing the output.
+    let u = randn(&mut rng, 160, 1);
+    let v = randn(&mut rng, 1, 160);
+    let mut uv = Matrix::zeros(160, 160);
+    for (tier, mode) in tiers {
+        group.bench_function(&format!("outer_160x1x160/{tier}"), |bch| {
+            mode.scoped(|| bch.iter(|| gemm_into(&u, &v, black_box(&mut uv))));
         });
     }
     group.finish();

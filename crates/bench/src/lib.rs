@@ -100,6 +100,25 @@ pub fn parse_bench_medians(json: &str) -> Vec<(String, u128)> {
     out
 }
 
+/// Each case's median across several runs' `(name, median_ns)` lists, in
+/// the first run's order. A case missing from any run is left out, so a
+/// merged case is one every run covered. Of an even count the lower middle
+/// is taken.
+pub fn median_across_runs(runs: &[Vec<(String, u128)>]) -> Vec<(String, u128)> {
+    let Some((first, rest)) = runs.split_first() else { return Vec::new() };
+    first
+        .iter()
+        .filter_map(|(name, ns)| {
+            let mut all = vec![*ns];
+            for run in rest {
+                all.push(run.iter().find(|(n, _)| n == name)?.1);
+            }
+            all.sort_unstable();
+            Some((name.clone(), all[(all.len() - 1) / 2]))
+        })
+        .collect()
+}
+
 fn extract_str_field(line: &str, key: &str) -> Option<String> {
     let pat = format!("\"{key}\":");
     let at = line.find(&pat)? + pat.len();
@@ -142,6 +161,23 @@ mod tests {
                 ("micro/hsic_decorrelation_fwd_bwd".to_string(), 3_603_886),
             ]
         );
+    }
+
+    #[test]
+    fn merges_runs_by_each_cases_median() {
+        let run = |cases: &[(&str, u128)]| -> Vec<(String, u128)> {
+            cases.iter().map(|&(n, ns)| (n.to_string(), ns)).collect()
+        };
+        let runs = [
+            run(&[("a", 10), ("b", 500), ("only_first", 1)]),
+            run(&[("b", 20), ("a", 30)]),
+            run(&[("a", 20), ("b", 40)]),
+        ];
+        // One outlier run no longer decides a case.
+        assert_eq!(median_across_runs(&runs), run(&[("a", 20), ("b", 40)]));
+        assert_eq!(median_across_runs(&runs[..2]), run(&[("a", 10), ("b", 20)]));
+        assert_eq!(median_across_runs(&runs[..1]), runs[0]);
+        assert!(median_across_runs(&[]).is_empty());
     }
 
     #[test]

@@ -236,15 +236,19 @@ impl MethodEnvResults {
 /// `progress` and recorded in [`MethodEnvResults::failures`] instead of
 /// aborting the whole sweep.
 ///
-/// Replications run concurrently, one per worker of the global
-/// [`Parallelism`] knob (`SBRL_THREADS=1` runs them one after another on
-/// the calling thread). Results and `progress` lines are merged in
-/// replication order, so neither depends on the worker count; a
-/// replication's lines are reported once it and every earlier replication
-/// have finished. The kernels of concurrent replications run on their own
-/// replication's thread, so replications never wait on each other. Builds
-/// with fault injection compiled in always run serially, so an armed fault
-/// hits the same fit on every run.
+/// Each replication is one fit task (its data and every method's fit) and
+/// one scoring task per test environment (that environment's test set and
+/// every fitted method's evaluation). The tasks share the workers of the
+/// global [`Parallelism`] knob, every fit ahead of every scoring task, so
+/// the last replication's fit overlaps the scoring of the earlier ones;
+/// `SBRL_THREADS=1` runs them one after another on the calling thread. A
+/// single-replication sweep fits on the calling thread, where the fits'
+/// kernels keep the pool, and runs only its scoring as tasks. Results and
+/// `progress` lines are merged in replication order, so neither depends on
+/// the worker count; a replication's lines are reported once its fit and
+/// every earlier replication's fit have finished. Builds with fault
+/// injection compiled in always run serially, so an armed fault hits the
+/// same fit on every run.
 pub fn run_synthetic_sweep(
     exp: &SyntheticExperiment,
     methods: &[MethodSpec],
@@ -255,54 +259,46 @@ pub fn run_synthetic_sweep(
     run_synthetic_sweep_on(exp, methods, workers, progress)
 }
 
-/// One method's outcome in one replication.
-enum RepOutcome {
-    /// The fit succeeded: its evaluation on every test environment, the
-    /// retry note when it needed reseeding, and its training time.
-    Fitted { evals: Vec<Evaluation>, retry: Option<String>, train_seconds: f64 },
-    /// The fit failed; the failure note.
-    Failed(String),
-}
+/// A replication's fits: its mechanism, which draws the test environments,
+/// and every method's noted fit.
+type FittedReplication = (SyntheticProcess, Vec<Noted<FittedModel<Box<dyn Backbone>>>>);
 
-/// [`run_synthetic_sweep`] on `workers` workers: each replication is one
-/// worker-pool task writing its own slot.
+/// [`run_synthetic_sweep`] on `workers` workers.
 fn run_synthetic_sweep_on(
     exp: &SyntheticExperiment,
     methods: &[MethodSpec],
     workers: usize,
-    progress: impl FnMut(&str) + Send,
+    mut progress: impl FnMut(&str) + Send,
 ) -> Vec<MethodEnvResults> {
     let reps = exp.scale.replications();
-    let slots: Vec<OnceLock<Vec<RepOutcome>>> = (0..reps).map(|_| OnceLock::new()).collect();
-    // The next replication to report, and the sink it is reported to.
-    let reporter = Mutex::new((0, progress));
-    run_coarse_tasks(reps, workers.min(reps), &|rep| {
-        let _ = slots[rep].set(run_replication(exp, methods, rep));
-        let mut guard = reporter.lock().unwrap_or_else(PoisonError::into_inner);
-        let (next, progress) = &mut *guard;
-        while let Some(outcomes) = slots.get(*next).and_then(OnceLock::get) {
-            for (mi, outcome) in outcomes.iter().enumerate() {
-                match outcome {
-                    RepOutcome::Failed(msg) => progress(msg),
-                    RepOutcome::Fitted { retry, train_seconds, .. } => {
+    let sweep = fit_then_score(
+        reps,
+        exp.test_rhos.len(),
+        workers,
+        |rep| fit_replication(exp, methods, rep),
+        |rep, (_, fits): &FittedReplication| {
+            for (mi, fit) in fits.iter().enumerate() {
+                match fit {
+                    Err(msg) => progress(msg),
+                    Ok((fitted, retry)) => {
                         if let Some(msg) = retry {
                             progress(msg);
                         }
                         progress(&format!(
                             "rep {}/{} method {}/{} ({}) done in {:.1}s",
-                            *next + 1,
+                            rep + 1,
                             reps,
                             mi + 1,
                             methods.len(),
                             methods[mi].name(),
-                            train_seconds
+                            fitted.report().train_seconds
                         ));
                     }
                 }
             }
-            *next += 1;
-        }
-    });
+        },
+        |rep, k, fitted: &FittedReplication| score_environment(exp, fitted, rep, k),
+    );
 
     let mut results: Vec<MethodEnvResults> = methods
         .iter()
@@ -313,23 +309,101 @@ fn run_synthetic_sweep_on(
             retries: Vec::new(),
         })
         .collect();
-    for slot in slots {
-        // lint: allow(panic) — infallible: `run_coarse_tasks` returned, so every
-        // replication task ran to completion and set its slot.
-        let outcomes = slot.into_inner().expect("a completed task set its slot");
-        for (result, outcome) in results.iter_mut().zip(outcomes) {
-            match outcome {
-                RepOutcome::Fitted { evals, retry, .. } => {
-                    for (env, eval) in result.per_env.iter_mut().zip(evals) {
-                        env.push(eval);
-                    }
-                    result.retries.extend(retry);
-                }
-                RepOutcome::Failed(msg) => result.failures.push(msg),
+    for ((_, fits), scores) in sweep {
+        let mut scores: Vec<_> = scores.into_iter().map(Vec::into_iter).collect();
+        for (result, fit) in results.iter_mut().zip(fits) {
+            for (env, evals) in result.per_env.iter_mut().zip(&mut scores) {
+                env.extend(evals.next().flatten());
+            }
+            match fit {
+                Ok((_, retry)) => result.retries.extend(retry),
+                Err(msg) => result.failures.push(msg),
             }
         }
     }
     results
+}
+
+/// The schedule of a sweep of `reps` replications with `envs` test
+/// environments each, on `workers` workers: `fit(rep)` once per
+/// replication, then `score(rep, k, &fitted)` for every environment `k`,
+/// returned per replication as `(fitted, scores in k order)`.
+/// `report(rep, &fitted)` runs once per replication, in replication order,
+/// as soon as that fit and every earlier one have finished.
+///
+/// Every fit and scoring task is one coarse task of a single
+/// [`run_coarse_tasks`] call, the fits first. A scoring task waits for its
+/// replication's fit, which is then already running or done, because every
+/// fit index is claimed before any scoring index. A fit that unwinds still
+/// publishes its slot, empty, so its scoring tasks skip instead of waiting
+/// forever, and `run_coarse_tasks` re-raises the panic. A single
+/// replication fits on the calling thread before the scoring tasks start,
+/// so the parallel kernels inside its fit keep the pool.
+fn fit_then_score<F: Send + Sync, S: Send + Sync>(
+    reps: usize,
+    envs: usize,
+    workers: usize,
+    fit: impl Fn(usize) -> F + Sync,
+    report: impl FnMut(usize, &F) + Send,
+    score: impl Fn(usize, usize, &F) -> S + Sync,
+) -> Vec<(F, Vec<S>)> {
+    /// Publishes an empty fit when dropped before the fit was published.
+    struct Publish<'a, F>(&'a OnceLock<Option<F>>);
+    impl<F> Drop for Publish<'_, F> {
+        fn drop(&mut self) {
+            let _ = self.0.set(None);
+        }
+    }
+
+    let fits: Vec<OnceLock<Option<F>>> = (0..reps).map(|_| OnceLock::new()).collect();
+    let scores: Vec<OnceLock<S>> = (0..reps * envs).map(|_| OnceLock::new()).collect();
+    // The next replication to report, and the sink it is reported to.
+    let reporter = Mutex::new((0, report));
+    let fit_task = |rep: usize| {
+        let slot = Publish(&fits[rep]);
+        let _ = slot.0.set(Some(fit(rep)));
+        let mut guard = reporter.lock().unwrap_or_else(PoisonError::into_inner);
+        let (next, report) = &mut *guard;
+        while let Some(fitted) = fits.get(*next).and_then(OnceLock::get) {
+            if let Some(fitted) = fitted {
+                report(*next, fitted);
+            }
+            *next += 1;
+        }
+    };
+    let score_task = |i: usize| {
+        let rep = i / envs;
+        if let Some(fitted) = fits[rep].wait() {
+            let _ = scores[i].set(score(rep, i % envs, fitted));
+        }
+    };
+
+    let fit_tasks = if reps == 1 {
+        fit_task(0);
+        0
+    } else {
+        reps
+    };
+    let total = fit_tasks + reps * envs;
+    run_coarse_tasks(total, workers.min(total), &|i| {
+        if i < fit_tasks {
+            fit_task(i);
+        } else {
+            score_task(i - fit_tasks);
+        }
+    });
+
+    let mut scores = scores.into_iter().map(OnceLock::into_inner);
+    fits.into_iter()
+        .map(|slot| {
+            // lint: allow(panic) — infallible: `run_coarse_tasks` returned, so
+            // every fit and scoring task ran to completion and set its slot.
+            let fitted = slot.into_inner().flatten().expect("a completed fit set its slot");
+            let scores = scores.by_ref().take(envs).collect::<Option<Vec<S>>>();
+            // lint: allow(panic) — infallible, as above.
+            (fitted, scores.expect("a completed scoring task set its slot"))
+        })
+        .collect()
 }
 
 /// The fit seed of `spec` in replication `rep`: common random numbers. A
@@ -342,21 +416,20 @@ fn method_seed(rep: usize, spec: MethodSpec) -> u64 {
     (rep * 97 + spec.backbone as usize) as u64
 }
 
-/// One replication: draws its mechanism and train/val pair, fits every
-/// method, then generates the test environments one at a time and scores
-/// every fitted model on each, so at most one environment is alive.
-fn run_replication(
+/// Replication `rep`'s fit task: draws its mechanism and train/val pair
+/// and fits every method. The folds die on return, before any of the
+/// replication's test environments is drawn.
+fn fit_replication(
     exp: &SyntheticExperiment,
     methods: &[MethodSpec],
     rep: usize,
-) -> Vec<RepOutcome> {
-    let (n_train, n_val, n_test) = exp.scale.synthetic_samples();
+) -> FittedReplication {
+    let (n_train, n_val, _) = exp.scale.synthetic_samples();
     let reps = exp.scale.replications();
     let process = SyntheticProcess::new(exp.data_cfg, 1000 + rep as u64);
     let train_data = process.generate(exp.train_rho, n_train, 10 * rep as u64);
     let val_data = process.generate(exp.train_rho, n_val, 10 * rep as u64 + 1);
-
-    let fits: Vec<Noted<_>> = methods
+    let fits = methods
         .iter()
         .map(|spec| {
             let label = format!("rep {}/{} method {}", rep + 1, reps, spec.name());
@@ -367,29 +440,26 @@ fn run_replication(
             })
         })
         .collect();
-    // The folds are dead once every method is fitted; freeing them before
-    // the test environments are drawn keeps concurrent replications small.
-    drop((train_data, val_data));
+    (process, fits)
+}
 
-    let mut evals: Vec<Vec<Evaluation>> =
-        methods.iter().map(|_| Vec::with_capacity(exp.test_rhos.len())).collect();
-    for (k, &rho) in exp.test_rhos.iter().enumerate() {
-        let test = process.generate(rho, n_test, 10 * rep as u64 + 2 + k as u64);
-        for (fit, evals) in fits.iter().zip(&mut evals) {
-            if let Ok((fitted, _)) = fit {
-                // lint: allow(panic) — synthetic environments always carry the
-                // oracle; a miss is a generator bug, not a recoverable state.
-                evals.push(fitted.evaluate(&test).expect("synthetic data carries the oracle"));
-            }
-        }
-    }
-    fits.into_iter()
-        .zip(evals)
-        .map(|(fit, evals)| match fit {
-            Ok((fitted, retry)) => {
-                RepOutcome::Fitted { evals, retry, train_seconds: fitted.report().train_seconds }
-            }
-            Err(msg) => RepOutcome::Failed(msg),
+/// Replication `rep`'s scoring task for test environment `k`: draws the
+/// environment's test set, so at most one is alive per worker, and
+/// evaluates every fitted method on it (`None` for a failed fit).
+fn score_environment(
+    exp: &SyntheticExperiment,
+    (process, fits): &FittedReplication,
+    rep: usize,
+    k: usize,
+) -> Vec<Option<Evaluation>> {
+    let (_, _, n_test) = exp.scale.synthetic_samples();
+    let test = process.generate(exp.test_rhos[k], n_test, 10 * rep as u64 + 2 + k as u64);
+    fits.iter()
+        .map(|fit| {
+            let (fitted, _) = fit.as_ref().ok()?;
+            // lint: allow(panic) — synthetic environments always carry the
+            // oracle; a miss is a generator bug, not a recoverable state.
+            Some(fitted.evaluate(&test).expect("synthetic data carries the oracle"))
         })
         .collect()
 }
@@ -400,6 +470,8 @@ mod tests {
     use crate::methods::BackboneKind;
     use crate::presets::{bench_variant, paper_syn_8_8_8_2};
     use sbrl_core::Framework;
+    use std::sync::Condvar;
+    use std::time::Duration;
 
     fn tiny_exp() -> SyntheticExperiment {
         SyntheticExperiment {
@@ -455,45 +527,170 @@ mod tests {
     #[test]
     fn sweep_output_does_not_depend_on_the_worker_count() {
         let mut exp = tiny_exp();
-        // Three replications, on a one-layer network that keeps nine
-        // quick-scale fits cheap in debug.
+        // Three replications, on a one-layer network and CFR's linear MMD,
+        // which keep the quick-scale fits cheap in debug.
         exp.scale = Scale::Quick;
         (exp.preset.rep_layers, exp.preset.head_layers) = (1, 1);
         (exp.preset.rep_width, exp.preset.head_width) = (8, 4);
+        exp.preset.ipm = sbrl_stats::IpmKind::MmdLin;
         let mut broken = exp.clone();
         broken.preset.lr = f64::NAN; // every fit fails: exercises `failures`
-        let methods =
-            vec![MethodSpec { backbone: BackboneKind::Tarnet, framework: Framework::Vanilla }];
+        let methods = vec![
+            MethodSpec { backbone: BackboneKind::Tarnet, framework: Framework::Vanilla },
+            MethodSpec { backbone: BackboneKind::Cfr, framework: Framework::Vanilla },
+        ];
         let run = |exp: &SyntheticExperiment, workers| {
             let mut lines = Vec::new();
             let results = run_synthetic_sweep_on(exp, &methods, workers, |m: &str| {
                 // Fit wall-clock varies run to run; the line order must not.
                 lines.push(m.split(" done in ").next().unwrap_or(m).to_string());
             });
-            let r = &results[0];
-            let bits: Vec<Vec<[u64; 4]>> = r
-                .per_env
+            let per_method: Vec<_> = results
                 .iter()
-                .map(|env| {
-                    env.iter()
-                        .map(|e| {
-                            [e.pehe, e.ate_bias, e.factual_score, e.counterfactual_score]
-                                .map(f64::to_bits)
+                .map(|r| {
+                    let bits: Vec<Vec<[u64; 4]>> = r
+                        .per_env
+                        .iter()
+                        .map(|env| {
+                            env.iter()
+                                .map(|e| {
+                                    [e.pehe, e.ate_bias, e.factual_score, e.counterfactual_score]
+                                        .map(f64::to_bits)
+                                })
+                                .collect()
                         })
-                        .collect()
+                        .collect();
+                    (bits, r.failures.clone(), r.retries.clone())
                 })
                 .collect();
-            (bits, r.failures.clone(), r.retries.clone(), lines)
+            (per_method, lines)
         };
         for (exp, failed) in [(&exp, 0), (&broken, 3)] {
             let serial = run(exp, 1);
-            assert!(serial.0.iter().all(|env| env.len() == 3 - failed));
-            assert_eq!(serial.1.len(), failed);
-            assert_eq!(serial.3.len(), 3, "one progress line per replication");
-            for workers in [2, 3] {
+            for (bits, failures, _) in &serial.0 {
+                assert!(bits.iter().all(|env| env.len() == 3 - failed));
+                assert_eq!(failures.len(), failed);
+            }
+            assert_eq!(serial.1.len(), 6, "one progress line per replication and method");
+            // More workers than replications leaves some only scoring.
+            for workers in [2, 3, 5, 8] {
                 assert_eq!(run(exp, workers), serial, "workers = {workers}");
             }
         }
+    }
+
+    /// Runs `f` on its own thread and returns whether it panicked, failing
+    /// the test if it has not returned within a minute.
+    fn panics_within_a_minute(f: impl FnOnce() + Send + 'static) -> bool {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+            let _ = tx.send(panicked);
+        });
+        let panicked = rx.recv_timeout(Duration::from_secs(60)).expect("the sweep hung");
+        thread.join().expect("the sweep's thread returned");
+        panicked
+    }
+
+    /// A flag one task raises and another waits on. The wait gives up
+    /// after ten seconds, in case no second thread ever runs the raiser.
+    #[derive(Default)]
+    struct Latch(Mutex<bool>, Condvar);
+
+    impl Latch {
+        fn raise(&self) {
+            *self.0.lock().unwrap_or_else(PoisonError::into_inner) = true;
+            self.1.notify_all();
+        }
+
+        fn wait(&self) {
+            let raised = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+            drop(self.1.wait_timeout_while(raised, Duration::from_secs(10), |r| !*r));
+        }
+    }
+
+    #[test]
+    fn a_panicking_fit_task_fails_the_sweep_instead_of_hanging() {
+        let panicked = panics_within_a_minute(|| {
+            // Replication 1's fit unwinds only once scoring has begun, so
+            // the other worker is past the fits and claiming scoring tasks,
+            // replication 1's among them.
+            let scoring = Latch::default();
+            fit_then_score(
+                3,
+                4,
+                2,
+                |rep| {
+                    if rep == 1 {
+                        scoring.wait();
+                        panic!("fit {rep} unwinds");
+                    }
+                    rep
+                },
+                |_, _| {},
+                |rep, k, &fitted| {
+                    scoring.raise();
+                    (rep, k, fitted)
+                },
+            );
+        });
+        assert!(panicked, "the fit's panic reaches the caller");
+    }
+
+    #[test]
+    fn the_schedule_scores_every_environment_and_reports_in_replication_order() {
+        for workers in [1, 2, 3, 8] {
+            // With a second worker, replication 1's fit finishes first.
+            let fit1_done = Latch::default();
+            let mut reported = Vec::new();
+            let sweep = fit_then_score(
+                3,
+                4,
+                workers,
+                |rep| {
+                    match rep {
+                        0 if workers > 1 => fit1_done.wait(),
+                        1 => fit1_done.raise(),
+                        _ => {}
+                    }
+                    10 * rep
+                },
+                |rep, &fitted| reported.push((rep, fitted)),
+                |rep, k, &fitted| (rep, k, fitted),
+            );
+            assert_eq!(reported, [(0, 0), (1, 10), (2, 20)], "workers = {workers}");
+            for (rep, (fitted, scores)) in sweep.into_iter().enumerate() {
+                assert_eq!(fitted, 10 * rep);
+                assert_eq!(scores, (0..4).map(|k| (rep, k, fitted)).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn a_single_replication_fits_off_the_coarse_task_path() {
+        // Inside a coarse task every parallel call runs inline and never
+        // reaches the pool; a single replication's fit must instead keep
+        // the pool for its kernels. A parallel call asking for one worker
+        // more than the pool has grows the pool only off that path.
+        let caller = std::thread::current().id();
+        let reps = Scale::Bench.replications();
+        assert_eq!(reps, 1);
+        let sweep = fit_then_score(
+            reps,
+            3,
+            2,
+            |_| {
+                let want = sbrl_tensor::workers::pool_size() + 2;
+                sbrl_tensor::workers::run_tasks(2, want, &|_| {});
+                (std::thread::current().id(), sbrl_tensor::workers::pool_size() + 1 >= want)
+            },
+            |_, _| {},
+            |_, _, _| (),
+        );
+        let ((fit_thread, reached_the_pool), scores) = &sweep[0];
+        assert_eq!(*fit_thread, caller, "the fit runs on the calling thread");
+        assert!(reached_the_pool, "the fit's parallel calls reach the pool");
+        assert_eq!(scores.len(), 3);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * [`Parallelism`] — the workspace-wide threading knob. One global value
 //!   (env-driven via `SBRL_THREADS`, default = available cores) sizes the
-//!   coarse parallel tasks: sweep replications, the weight phase's
-//!   decorrelation terms, synthetic-generation shards and
+//!   coarse parallel tasks: a sweep's fits and environment scoring, the
+//!   weight phase's decorrelation terms, synthetic-generation shards and
 //!   `predict_batched`'s row shards. The kernels themselves run on the
 //!   calling thread, so every setting produces the same bits.
 //! * [`NumericsMode`] — the workspace-wide floating-point contract knob
@@ -53,16 +53,17 @@
 //!   8 x 8 blocks of `A` in registers so each `k` step is one column vector;
 //!   the others read the eight rows' entries one by one.
 //!
-//! Every kernel keeps every element's own chain: it starts at `+0.0` and
-//! takes `acc + a * b` (`mul_add` in the `Fast` tier on FMA hardware) in
-//! ascending `k`. nn/tn skip an exact-zero `a`, so `0 * inf` never joins a
-//! chain; nt has no skip, so it stays NaN. A tile or a row pair only changes
-//! which chains advance side by side and where an accumulator is kept
-//! between steps (a register, or `out` between slabs; storing an `f64` is
-//! exact). The AVX-512 skip is a lane mask rather than a branch, which keeps
-//! the accumulator where the scalar loop skips the add. So the clones of a
-//! tier agree bit for bit, and nothing above the three entry points can tell
-//! which one ran.
+//! Every kernel keeps every element's own chain: it starts at `+0.0` and takes
+//! `acc + a * b` (`mul_add` in the `Fast` tier on FMA hardware) in ascending
+//! `k`. nn/tn skip an exact-zero `a`, so `0 * inf` never joins a chain; nt has
+//! no skip, so it stays NaN. A tile or a row pair only changes which chains
+//! advance side by side and where an accumulator is kept between steps (a
+//! register, or `out` between slabs; storing an `f64` is exact). The AVX-512
+//! kernels start their chains in registers, so only the row kernels and an
+//! empty inner dimension clear `out` first. The AVX-512 skip is a lane mask
+//! rather than a branch, which keeps the accumulator where the scalar loop
+//! skips the add. So the clones of a tier agree bit for bit, and nothing above
+//! the three entry points can tell which one ran.
 //!
 //! # Example
 //!
@@ -95,22 +96,22 @@ const NC: usize = 128;
 
 /// How many worker threads the coarse parallel tasks may use.
 ///
-/// The workspace has exactly one threading knob: a process-global
-/// `Parallelism` value that sizes the coarse tasks on the persistent worker
-/// pool — the replications of a synthetic sweep, the weight phase's
+/// The workspace has exactly one threading knob: a process-global `Parallelism`
+/// value that sizes the coarse tasks on the persistent worker pool — the fits
+/// and environment scoring of a synthetic sweep, the weight phase's
 /// decorrelation terms, the row shards of synthetic generation and of
 /// `predict_batched` in `sbrl-core`. The GEMM, elementwise and statistics
-/// kernels take no `Parallelism`: they run on the calling thread. It
-/// resolves, in order:
+/// kernels take no `Parallelism`: they run on the calling thread. It resolves,
+/// in order:
 ///
 /// 1. an explicit [`Parallelism::set_global`] call;
 /// 2. the `SBRL_THREADS` environment variable (`1` = serial, `n` = that many
 ///    workers, `0`/unset/invalid = all available cores);
 /// 3. [`std::thread::available_parallelism`].
 ///
-/// Parallel execution only splits *independent* work (whole replications,
-/// separate regularizer terms, disjoint output rows) and never reorders a
-/// floating-point reduction, so every setting produces bit-identical
+/// Parallel execution only splits *independent* work (separate fits and test
+/// environments, separate regularizer terms, disjoint output rows) and never
+/// reorders a floating-point reduction, so every setting produces bit-identical
 /// numbers; the knob trades wall-clock only. [`Parallelism::Serial`]
 /// additionally guarantees no worker thread is ever spawned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -281,10 +282,10 @@ impl NumericsMode {
     }
 
     /// Runs `f` with `self` pinned as the tier of the calling thread and of
-    /// every pool task it submits (replications, decorrelation terms, row
-    /// shards), whatever `SBRL_NUMERICS` says; other threads are unaffected.
-    /// The previous pin is restored when `f` returns or panics. A fit that
-    /// must not depend on `SBRL_NUMERICS` (the golden fixtures), a
+    /// every pool task it submits (a sweep's fits and scoring, decorrelation
+    /// terms, row shards), whatever `SBRL_NUMERICS` says; other threads are
+    /// unaffected. The previous pin is restored when `f` returns or panics. A
+    /// fit that must not depend on `SBRL_NUMERICS` (the golden fixtures), a
     /// differential test or a bench case runs its work inside such a scope.
     pub fn scoped<R>(self, f: impl FnOnce() -> R) -> R {
         with_scoped_numerics(self.code(), f)
@@ -765,7 +766,7 @@ fn matvec_step<const FMA: bool, const SKIP_ZERO: bool>(
     }
 }
 
-/// `C += A * b` (nn, nt) or `C += A^T * b` (tn) for a single output column:
+/// `C = A * b` (nn, nt) or `C = A^T * b` (tn) for a single output column:
 /// the `m` output elements are `m` independent chains over `k`, run
 /// [`MV_ROWS`] at a time so their additions overlap instead of waiting on
 /// one another. Each element's chain is the row kernels' own — ascending
@@ -784,7 +785,7 @@ fn matvec_rows<const L: u8, const FMA: bool>(
     for i0 in (0..m).step_by(MV_ROWS) {
         let full = i0 + MV_ROWS <= m;
         let rows: [usize; MV_ROWS] = std::array::from_fn(|r| (i0 + r).min(m - 1));
-        let mut acc: [f64; MV_ROWS] = std::array::from_fn(|r| out[rows[r]]);
+        let mut acc = [0.0; MV_ROWS];
         match L {
             TN if full => {
                 for (col, &bk) in a.chunks_exact(m).zip(b) {
@@ -816,7 +817,7 @@ fn matvec_rows<const L: u8, const FMA: bool>(
 }
 
 /// The kernel of layout `L` (`NN`, `NT` or `TN`) for an `m x n` product
-/// with inner dimension `k_dim`.
+/// with inner dimension `k_dim`, overwriting `out`.
 #[inline(always)]
 // lint: no_alloc
 fn gemm_rows_impl<const L: u8, const FMA: bool>(
@@ -828,6 +829,8 @@ fn gemm_rows_impl<const L: u8, const FMA: bool>(
     if dims.2 == 1 {
         return matvec_rows::<L, FMA>(a, b, out, dims);
     }
+    // The row kernels accumulate into `out`.
+    out.fill(0.0);
     match L {
         NN => gemm_nn_rows_impl::<FMA>(a, b, out, dims),
         NT => gemm_nt_panel_rows::<FMA>(a, b, out, dims),
@@ -886,7 +889,8 @@ enum Isa {
 /// Runs the layout-`L` product on the widest clone, no wider than
 /// `widest`, that the CPU supports: the AVX-512F tile kernel, then the AVX2
 /// row kernel (its FMA clone for [`NumericsMode::Fast`]), then the portable
-/// row kernel. Every clone of a tier computes the same chains.
+/// row kernel. Every clone of a tier computes the same chains and
+/// overwrites `out`.
 fn gemm_rows<const L: u8>(
     widest: Isa,
     a: &[f64],
@@ -926,18 +930,18 @@ fn gemm_rows<const L: u8>(
 /// The AVX-512F register-tiled GEMM micro-kernel: every product with
 /// `n >= 2` in all three layouts, and the nn/nt products with `n = 1`.
 ///
-/// A tile is [`MR`](avx512::MR) output rows by up to
-/// [`NR`](avx512::NR) columns, held in `MR x NR / 8` zmm accumulators for
-/// one `KC`-deep slab of the inner dimension. Each slab of `B` (or `B^T`) is
-/// first packed into a stack panel as `NR`-column strips, so the tile reads
-/// `B` contiguously whatever the row stride of the operand (a product with a
-/// single row tile reads `B` in place instead). An element's
-/// accumulator is loaded from `out` at the start of a slab and stored back at
-/// its end, and in between takes the slab's terms one `k` at a time in
-/// ascending order. That is exactly the row kernels' chain: `+0.0`, then
-/// `acc + a * b` (`mul_add` in the Fast tier) per `k`, with the exact-zero
-/// `a` skipped for nn/tn. The skip is a lane mask, not a branch: ReLU
-/// activations make a zero `a` too frequent and too irregular to predict.
+/// A tile is [`MR`](avx512::MR) output rows by up to [`NR`](avx512::NR)
+/// columns, held in `MR x NR / 8` zmm accumulators for one `KC`-deep slab of
+/// the inner dimension. Each slab of `B` (or `B^T`) is first packed into a
+/// stack panel as `NR`-column strips, so the tile reads `B` contiguously
+/// whatever the row stride of the operand (a product with a single row tile
+/// reads `B` in place instead). An element's accumulator starts at `+0.0` in
+/// the first slab, is loaded from `out` at the start of a later one and is
+/// stored back at the slab's end, and in between takes the slab's terms one `k`
+/// at a time in ascending order. That is exactly the row kernels' chain:
+/// `+0.0`, then `acc + a * b` (`mul_add` in the Fast tier) per `k`, with the
+/// exact-zero `a` skipped for nn/tn. The skip is a lane mask, not a branch:
+/// ReLU activations make a zero `a` too frequent and too irregular to predict.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::{matvec_rows, KC, NC, NT, TN};
@@ -1029,6 +1033,9 @@ mod avx512 {
         ldb: usize,
         /// The slab's depth.
         kc: usize,
+        /// Whether the slab is the first: its chains start at `+0.0`
+        /// instead of at `out`.
+        first: bool,
         /// The tile's first output element.
         c: *mut f64,
         /// The row stride of the output.
@@ -1040,17 +1047,17 @@ mod avx512 {
         tail: __mmask8,
     }
 
-    /// Accumulates one slab into an `R x 8·NV` register tile: load the
-    /// tile from `out`, take the `kc` steps in ascending `k`, store the
-    /// first `rows` rows back. The last zmm column reads and writes the
-    /// `tail` lanes only.
+    /// Accumulates one slab into an `R x 8·NV` register tile: start the tile at
+    /// `+0.0` (the first slab) or load it from `out`, take the `kc` steps in
+    /// ascending `k`, store the first `rows` rows back. The last zmm column
+    /// reads and writes the `tail` lanes only.
     ///
     /// # Safety
     /// The CPU must support AVX-512F. For `dk < kc`, `r < R` and `v < NV`,
     /// `t.a[r] + dk * t.a_step` must be readable, and so must `t.b + dk *
     /// t.ldb + 8 v` for eight lanes (the tail lanes when `v = NV - 1`). Output
     /// rows `r < t.rows` at `t.c + r * t.ldc` must be writable for the same
-    /// lanes.
+    /// lanes, and readable unless `t.first`.
     #[inline]
     #[target_feature(enable = "avx512f")]
     // lint: no_alloc
@@ -1059,7 +1066,7 @@ mod avx512 {
     ) {
         let mask = |v: usize| if v + 1 == NV { t.tail } else { 0xFF };
         let mut acc = [[_mm512_setzero_pd(); NV]; R];
-        for (r, acc_r) in acc.iter_mut().enumerate() {
+        for (r, acc_r) in acc.iter_mut().enumerate().filter(|_| !t.first) {
             let c = t.c.wrapping_add(r.min(t.rows - 1) * t.ldc);
             for (v, acc_rv) in acc_r.iter_mut().enumerate() {
                 // SAFETY: row `min(r, rows - 1)` is a live output row (contract
@@ -1117,8 +1124,9 @@ mod avx512 {
         }
     }
 
-    /// Blocked `C += A * B` (nn), `A * B^T` (nt) or `A^T * B` (tn) into the
+    /// Blocked `C = A * B` (nn), `A * B^T` (nt) or `A^T * B` (tn) into the
     /// `m x n` output `out`, for `n >= 2`; nn/tn skip an exact-zero `a`.
+    /// An empty inner dimension runs no slab and clears `out`.
     /// `B^T` is always packed; `B` only when more than one row tile reads
     /// it, since a single tile gains nothing from the copy.
     ///
@@ -1133,6 +1141,9 @@ mod avx512 {
         (m, k_dim, n): (usize, usize, usize),
     ) {
         let (a, b, out) = (&a[..m * k_dim], &b[..k_dim * n], &mut out[..m * n]);
+        if k_dim == 0 {
+            return out.fill(0.0);
+        }
         let mut panel = [0.0f64; KC * NC];
         let packed = L == NT || m > MR;
         // `A[i][k]` sits at `i * a_row + k * a_step`.
@@ -1166,6 +1177,7 @@ mod avx512 {
                             b: b_at.wrapping_add(s * strip_step),
                             ldb,
                             kc: k_hi - kb,
+                            first: kb == 0,
                             c: out[i0 * n + j0..].as_mut_ptr(),
                             ldc: n,
                             rows,
@@ -1178,7 +1190,8 @@ mod avx512 {
                         // `w` live columns, at stride `ldb`: `B` itself
                         // (rows `kb..k_hi`, columns `j0..j0 + w`) or the
                         // panel strip `pack_b`/`pack_bt` filled. Output
-                        // rows `i0..i0 + rows` hold columns `j0..j0 + w`.
+                        // rows `i0..i0 + rows` hold columns `j0..j0 + w`,
+                        // which the earlier slabs stored.
                         unsafe { tile(&t) };
                     }
                 }
@@ -1225,7 +1238,7 @@ mod avx512 {
         ]
     }
 
-    /// `C += A * b` (nn, with the exact-zero skip) or `C += A * B^T` (nt,
+    /// `C = A * b` (nn, with the exact-zero skip) or `C = A * B^T` (nt,
     /// without) for a single output column. Eight rows' chains share one
     /// zmm accumulator; each 8 x 8 block of `A` is loaded as eight row
     /// vectors and transposed in registers, so step `k` is one column
@@ -1248,8 +1261,7 @@ mod avx512 {
             let live_rows = low_lanes((m - i0).min(8));
             let a_rows: [*const f64; 8] =
                 std::array::from_fn(|r| a[(i0 + r).min(m - 1) * k_dim..].as_ptr());
-            // SAFETY: the `live_rows` lanes are outputs `i0..min(i0 + 8, m)`.
-            let mut acc = unsafe { _mm512_maskz_loadu_pd(live_rows, out[i0..].as_ptr()) };
+            let mut acc = _mm512_setzero_pd();
             for k0 in (0..k_dim).step_by(8) {
                 let kt = (k_dim - k0).min(8);
                 let mut r = [_mm512_setzero_pd(); 8];
@@ -1266,13 +1278,13 @@ mod avx512 {
                     acc = step(acc, col, bk);
                 }
             }
-            // SAFETY: as for the load above.
+            // SAFETY: the `live_rows` lanes are outputs `i0..min(i0 + 8, m)`.
             unsafe { _mm512_mask_storeu_pd(out[i0..].as_mut_ptr(), live_rows, acc) };
         }
     }
 
     /// The AVX-512F kernel of layout `L` (`NN`, `NT` or `TN`) for an `m x n`
-    /// product with inner dimension `k_dim`; `out` holds the chains' start.
+    /// product with inner dimension `k_dim`, overwriting `out`.
     ///
     /// # Safety
     /// The CPU must support AVX-512F.
@@ -1316,7 +1328,6 @@ pub fn gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     );
     let (m, k_dim, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(out.shape(), (m, n), "gemm_into: output buffer has the wrong shape");
-    out.fill_with(0.0);
     let (a, b) = (a.as_slice(), b.as_slice());
     let fast = NumericsMode::global().is_fast();
     gemm_rows::<NN>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n), fast);
@@ -1341,7 +1352,6 @@ pub fn gemm_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     );
     let (m, k_dim, n) = (a.rows(), a.cols(), b.rows());
     assert_eq!(out.shape(), (m, n), "gemm_nt_into: output buffer has the wrong shape");
-    out.fill_with(0.0);
     let (a, b) = (a.as_slice(), b.as_slice());
     let fast = NumericsMode::global().is_fast();
     gemm_rows::<NT>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n), fast);
@@ -1366,7 +1376,6 @@ pub fn gemm_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     );
     let (k_dim, m, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(out.shape(), (m, n), "gemm_tn_into: output buffer has the wrong shape");
-    out.fill_with(0.0);
     let (a, b) = (a.as_slice(), b.as_slice());
     let fast = NumericsMode::global().is_fast();
     gemm_rows::<TN>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n), fast);
@@ -1469,7 +1478,8 @@ mod tests {
             NT => (a.rows(), a.cols(), b.rows()),
             _ => (a.cols(), a.rows(), b.cols()),
         };
-        let mut out = Matrix::zeros(dims.0, dims.2);
+        // The kernels overwrite `out`: a stale NaN must not leak into a chain.
+        let mut out = Matrix::full(dims.0, dims.2, f64::NAN);
         gemm_rows::<L>(isa, a.as_slice(), b.as_slice(), out.as_mut_slice(), dims, mode.is_fast());
         out
     }

@@ -1,9 +1,9 @@
 //! Persistent worker pool behind every parallel region in the workspace.
 //!
 //! The regions are coarse tasks sized by the
-//! [`Parallelism`](crate::kernels::Parallelism) knob: the replications of a
-//! synthetic sweep and the weight phase's decorrelation terms (both through
-//! [`run_coarse_tasks`]), the row shards of synthetic generation
+//! [`Parallelism`](crate::kernels::Parallelism) knob: the fits and the
+//! per-environment scoring of a synthetic sweep's replications and the
+//! weight phase's decorrelation terms (both through [`run_coarse_tasks`]), the row shards of synthetic generation
 //! ([`par_for_row_chunks`](crate::kernels::par_for_row_chunks)) and of
 //! `predict_batched` (through [`run_tasks_catching`]). The GEMM,
 //! elementwise and statistics kernels never submit work here; they run on
@@ -308,7 +308,7 @@ pub fn run_tasks(total: usize, workers: usize, f: &(dyn Fn(usize) + Sync)) {
 }
 
 /// [`run_tasks`] for coarse tasks that each keep their thread busy for a
-/// long stretch, such as whole replications of a sweep. Every parallel
+/// long stretch, such as a sweep replication's fits. Every parallel
 /// call made inside a task runs inline on the task's thread: its siblings
 /// occupy the other workers, so a nested job would find no thread to help
 /// it and would only take the shared queue lock on every nested call,
