@@ -1,16 +1,17 @@
 //! Blocked-GEMM kernel bench at `Syn_16_16_16_2` training shapes: the
 //! batch-by-width products of one forward pass, the fused-transpose
 //! backward pair, the weight phase's HSIC-RFF covariance pair and its
-//! `k = 1` mean outer product, each timed in the default
-//! `NumericsMode::BitExact` tier and in `NumericsMode::Fast` (FMA
-//! microkernels), each case's tier pinned with `NumericsMode::scoped`.
+//! `k = 1` mean outer product, and a head's `n = 1` weight gradient, each
+//! timed in the default `NumericsMode::BitExact` tier and in
+//! `NumericsMode::Fast` (FMA contraction), each case's tier pinned with
+//! `NumericsMode::scoped`.
 //! Emits the baseline tracked in `results/BENCH_gemm.json`
 //! (see `docs/PERFORMANCE.md`).
 
 mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sbrl_tensor::kernels::{gemm_into, NumericsMode};
+use sbrl_tensor::kernels::{gemm_into, gemm_tn_into, NumericsMode};
 use sbrl_tensor::rng::{randn, rng_from_seed};
 use sbrl_tensor::Matrix;
 use std::hint::black_box;
@@ -72,6 +73,18 @@ fn bench_gemm(c: &mut Criterion) {
     for (tier, mode) in tiers {
         group.bench_function(&format!("outer_160x1x160/{tier}"), |bch| {
             mode.scoped(|| bch.iter(|| gemm_into(&u, &v, black_box(&mut uv))));
+        });
+    }
+
+    // A quick-preset head's last-layer weight gradient `hᵀ g`: a 24-wide
+    // hidden layer over a 128-row batch into one output column, the tn
+    // product of the `n = 1` kernel, into a reused buffer as the tape runs it.
+    let h = randn(&mut rng, 128, 24);
+    let gh = randn(&mut rng, 128, 1);
+    let mut dw = Matrix::zeros(24, 1);
+    for (tier, mode) in tiers {
+        group.bench_function(&format!("head_bwd_tn_24x128x1/{tier}"), |bch| {
+            mode.scoped(|| bch.iter(|| gemm_tn_into(&h, &gh, black_box(&mut dw))));
         });
     }
     group.finish();

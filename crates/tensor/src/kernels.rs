@@ -35,35 +35,37 @@
 //! # GEMM dispatch
 //!
 //! Each product runs on the widest clone the CPU supports, detected once at
-//! run time, so binaries stay portable to baseline x86-64:
+//! run time, so binaries stay portable to baseline x86-64. The clones are one
+//! kernel, written once over a vector of `f64` lanes, and differ only in
+//! that vector:
 //!
-//! | CPU | `n >= 2`, all layouts | `n = 1`, nn/nt | `n = 1`, tn |
+//! | CPU | lanes | register tile | clones |
 //! |---|---|---|---|
-//! | AVX-512F | register-tiled micro-kernel | 8 x 8 transposed blocks | interleaved rows |
-//! | AVX2 (FMA clone for `Fast`) | row kernel | interleaved rows | interleaved rows |
-//! | other | portable row kernel | interleaved rows | interleaved rows |
+//! | AVX-512F | `__m512d` (8) | 4 x 32 | one per tier |
+//! | AVX2 | `__m256d` (4) | 4 x 8 | `avx2`; `avx2,fma` for `Fast` |
+//! | other | `[f64; 4]` (4) | 1 x 16 | one; `Fast` keeps the exact chains |
 //!
-//! * The **micro-kernel** holds a tile of 4 output rows by up to 32 columns
-//!   in zmm registers for one `KC`-deep slab of the inner dimension, reading
-//!   `B` (or `B^T`) from a 32 KiB stack panel packed as 32-column strips.
-//! * The **row kernel** sweeps whole output rows, two at a time and four `k`
-//!   steps per sweep; the AVX2 and portable clones compile the same code.
-//! * The **`n = 1` kernels** have no output columns to widen over, so they
-//!   run eight rows' chains side by side: the AVX-512 nn/nt one transposes
-//!   8 x 8 blocks of `A` in registers so each `k` step is one column vector;
-//!   the others read the eight rows' entries one by one.
+//! * The **register tile** holds its output rows by `NR` columns in registers
+//!   for one `KC`-deep slab of the inner dimension, reading `B` (or `B^T`)
+//!   from a 32 KiB stack panel packed as `NR`-column strips. The panel is
+//!   never cleared: a packing writes each strip row it packs whole.
+//! * The **`n = 1` kernel** has no output columns to widen over, so it runs
+//!   two vectors of rows' chains side by side: nn/nt transpose square blocks
+//!   of `A` in registers so each `k` step is one column vector; tn loads row
+//!   `k` of the stored `A^T` as it is.
 //!
 //! Every kernel keeps every element's own chain: it starts at `+0.0` and takes
 //! `acc + a * b` (`mul_add` in the `Fast` tier on FMA hardware) in ascending
 //! `k`. nn/tn skip an exact-zero `a`, so `0 * inf` never joins a chain; nt has
-//! no skip, so it stays NaN. A tile or a row pair only changes which chains
-//! advance side by side and where an accumulator is kept between steps (a
-//! register, or `out` between slabs; storing an `f64` is exact). The AVX-512
-//! kernels start their chains in registers, so only the row kernels and an
-//! empty inner dimension clear `out` first. The AVX-512 skip is a lane mask
-//! rather than a branch, which keeps the accumulator where the scalar loop
-//! skips the add. So the clones of a tier agree bit for bit, and nothing above
-//! the three entry points can tell which one ran.
+//! no skip, so it stays NaN. A tile only changes which chains advance side by
+//! side and where an accumulator is kept between steps (a register, or `out`
+//! between slabs; storing an `f64` is exact), so only an empty inner
+//! dimension clears `out`. The skip is a lane mask (a compare and a blend on
+//! AVX2 and in the portable lanes) rather than a branch, which keeps the
+//! accumulator where the scalar loop skips the add; a tiled product whose `A`
+//! holds no zero runs without it, since it would keep no accumulator. So the
+//! clones of a tier agree bit for bit, and nothing above the three entry
+//! points can tell which one ran.
 //!
 //! # Example
 //!
@@ -81,6 +83,7 @@
 //! ```
 
 use std::cell::Cell;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -375,13 +378,9 @@ where
     });
 }
 
-/// True when the running CPU supports AVX2 (checked once, cached).
-///
-/// The AVX2 kernel variants below contain the *same scalar operation
-/// sequence* as the portable ones — Rust never fuses `mul + add` into FMA or
-/// reassociates floating-point reductions — so the wider registers change
-/// throughput only and every result stays bit-identical. This is a runtime
-/// dispatch: binaries remain portable to baseline x86-64.
+/// True when the running CPU supports AVX2 (checked once, cached): the GEMM
+/// then runs its `__m256d` clone where AVX-512F is missing. A runtime
+/// dispatch, so binaries stay portable to baseline x86-64.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn avx2_available() -> bool {
     use std::sync::OnceLock;
@@ -390,11 +389,10 @@ pub(crate) fn avx2_available() -> bool {
 }
 
 /// True when the running CPU supports AVX2 **and** FMA3 (checked once,
-/// cached). [`NumericsMode::Fast`] only takes the FMA kernel variants on
-/// such CPUs; elsewhere `Fast` falls back to the bit-exact microkernels
-/// (a scalar `f64::mul_add` without hardware FMA would be a slow `libm`
-/// call, not an optimisation), which trivially satisfies the Fast error
-/// bounds.
+/// cached). [`NumericsMode::Fast`] only fuses on such CPUs; elsewhere `Fast`
+/// runs the `BitExact` chains of the portable clone (a scalar `f64::mul_add`
+/// without hardware FMA would be a slow `libm` call, not an optimisation),
+/// which trivially satisfies the Fast error bounds.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn fma_available() -> bool {
     use std::sync::OnceLock;
@@ -405,9 +403,7 @@ pub(crate) fn fma_available() -> bool {
 }
 
 /// True when the running CPU supports AVX-512F (checked once, cached). The
-/// GEMM products of both tiers then run on the register-tiled micro-kernel
-/// in [`avx512`] instead of the AVX2 row kernels: the same chains, in zmm
-/// registers.
+/// GEMM products of both tiers then run on the `__m512d` clone.
 #[cfg(target_arch = "x86_64")]
 fn avx512_available() -> bool {
     use std::sync::OnceLock;
@@ -415,786 +411,599 @@ fn avx512_available() -> bool {
     *AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
 }
 
-/// One multiply-add step of an accumulation chain: `acc + a * b`, contracted
-/// to a single fused multiply-add when the kernel was instantiated for
-/// [`NumericsMode::Fast`] on FMA hardware. The `FMA = false` instantiation
-/// is exactly the historical two-operation sequence.
-#[inline(always)]
-fn madd<const FMA: bool>(acc: f64, a: f64, b: f64) -> f64 {
-    if FMA {
-        a.mul_add(b, acc)
-    } else {
-        acc + a * b
-    }
-}
-
-/// One `out_row[j] += aik * b_row[j]` pass (skipped by the nn/tn callers
-/// when `aik == 0.0`, preserving the historical exact-zero semantics).
-#[inline(always)]
-// lint: no_alloc
-fn axpy<const FMA: bool>(out_row: &mut [f64], aik: f64, b_row: &[f64]) {
-    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-        *o = madd::<FMA>(*o, aik, bv);
-    }
-}
-
-/// Four consecutive-`k` accumulation passes fused into one sweep over the
-/// output row. With `FMA = false` each element performs `(((o + a0*b0) +
-/// a1*b1) + a2*b2) + a3*b3` — exactly the operation sequence of four
-/// separate [`axpy`] passes in ascending `k` order — while the output row is
-/// loaded and stored once instead of four times (the kernels' main
-/// throughput lever). `FMA = true` contracts each step into a fused
-/// multiply-add, same chain order.
-#[inline(always)]
-fn axpy4<const FMA: bool>(
-    out_row: &mut [f64],
-    av: [f64; 4],
-    b0: &[f64],
-    b1: &[f64],
-    b2: &[f64],
-    b3: &[f64],
-) {
-    let len = out_row.len();
-    let (b0, b1, b2, b3) = (&b0[..len], &b1[..len], &b2[..len], &b3[..len]);
-    for j in 0..len {
-        let mut acc = out_row[j];
-        acc = madd::<FMA>(acc, av[0], b0[j]);
-        acc = madd::<FMA>(acc, av[1], b1[j]);
-        acc = madd::<FMA>(acc, av[2], b2[j]);
-        acc = madd::<FMA>(acc, av[3], b3[j]);
-        out_row[j] = acc;
-    }
-}
-
-/// [`axpy4`] over **two** output rows sharing the same four `b` rows. Each
-/// row's per-element operation sequence is exactly [`axpy4`]'s; sharing the
-/// `b` loads halves the kernel's dominant memory traffic (the kernels are
-/// load/store-bound without FMA, which bit-identity rules out).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn axpy4x2<const FMA: bool>(
-    row0: &mut [f64],
-    row1: &mut [f64],
-    av0: [f64; 4],
-    av1: [f64; 4],
-    b0: &[f64],
-    b1: &[f64],
-    b2: &[f64],
-    b3: &[f64],
-) {
-    let len = row0.len();
-    let (b0, b1, b2, b3) = (&b0[..len], &b1[..len], &b2[..len], &b3[..len]);
-    let row1 = &mut row1[..len];
-    for j in 0..len {
-        let (v0, v1, v2, v3) = (b0[j], b1[j], b2[j], b3[j]);
-        let mut a0 = row0[j];
-        a0 = madd::<FMA>(a0, av0[0], v0);
-        a0 = madd::<FMA>(a0, av0[1], v1);
-        a0 = madd::<FMA>(a0, av0[2], v2);
-        a0 = madd::<FMA>(a0, av0[3], v3);
-        row0[j] = a0;
-        let mut a1 = row1[j];
-        a1 = madd::<FMA>(a1, av1[0], v0);
-        a1 = madd::<FMA>(a1, av1[1], v1);
-        a1 = madd::<FMA>(a1, av1[2], v2);
-        a1 = madd::<FMA>(a1, av1[3], v3);
-        row1[j] = a1;
-    }
-}
-
-/// True when the multiply-add `acc + a * b` joins the chain: always for
-/// `SKIP_ZERO = false`, otherwise only for a non-zero `a` (the historical
-/// exact-zero skip of the nn/tn loops).
-#[inline(always)]
-fn live<const SKIP_ZERO: bool>(a: f64) -> bool {
-    !SKIP_ZERO || a != 0.0
-}
-
-/// One output row's `kb..k_hi` accumulation in ascending `k`, unrolled by
-/// four; `b_row(k)` is row `k` of the right-hand panel, restricted to the
-/// output row's columns.
-#[inline(always)]
-// lint: no_alloc
-fn accum_row<'p, const FMA: bool, const SKIP_ZERO: bool>(
-    out_row: &mut [f64],
-    a_at: impl Fn(usize) -> f64,
-    b_row: impl Fn(usize) -> &'p [f64],
-    kb: usize,
-    k_hi: usize,
-) {
-    let mut k = kb;
-    while k + 4 <= k_hi {
-        let av = [a_at(k), a_at(k + 1), a_at(k + 2), a_at(k + 3)];
-        if av.iter().all(|&v| live::<SKIP_ZERO>(v)) {
-            axpy4::<FMA>(out_row, av, b_row(k), b_row(k + 1), b_row(k + 2), b_row(k + 3));
-        } else {
-            for (dk, &aik) in av.iter().enumerate() {
-                if live::<SKIP_ZERO>(aik) {
-                    axpy::<FMA>(out_row, aik, b_row(k + dk));
-                }
-            }
-        }
-        k += 4;
-    }
-    for kk in k..k_hi {
-        let aik = a_at(kk);
-        if live::<SKIP_ZERO>(aik) {
-            axpy::<FMA>(out_row, aik, b_row(kk));
-        }
-    }
-}
-
-/// Two output rows' `kb..k_hi` accumulation with shared `b` loads; falls
-/// back to [`accum_row`] semantics per row whenever a skipped zero `a` entry
-/// makes the fused pass inapplicable.
-#[inline(always)]
-// lint: no_alloc
-fn accum_row_pair<'p, const FMA: bool, const SKIP_ZERO: bool>(
-    row0: &mut [f64],
-    row1: &mut [f64],
-    a0_at: impl Fn(usize) -> f64,
-    a1_at: impl Fn(usize) -> f64,
-    b_row: impl Fn(usize) -> &'p [f64],
-    kb: usize,
-    k_hi: usize,
-) {
-    let mut k = kb;
-    while k + 4 <= k_hi {
-        let av0 = [a0_at(k), a0_at(k + 1), a0_at(k + 2), a0_at(k + 3)];
-        let av1 = [a1_at(k), a1_at(k + 1), a1_at(k + 2), a1_at(k + 3)];
-        let ok0 = av0.iter().all(|&v| live::<SKIP_ZERO>(v));
-        let ok1 = av1.iter().all(|&v| live::<SKIP_ZERO>(v));
-        let (b0, b1, b2, b3) = (b_row(k), b_row(k + 1), b_row(k + 2), b_row(k + 3));
-        if ok0 && ok1 {
-            axpy4x2::<FMA>(row0, row1, av0, av1, b0, b1, b2, b3);
-        } else {
-            for (row, av, ok) in [(&mut *row0, av0, ok0), (&mut *row1, av1, ok1)] {
-                if ok {
-                    axpy4::<FMA>(row, av, b0, b1, b2, b3);
-                } else {
-                    for (&aik, b) in av.iter().zip([b0, b1, b2, b3]) {
-                        if live::<SKIP_ZERO>(aik) {
-                            axpy::<FMA>(row, aik, b);
-                        }
-                    }
-                }
-            }
-        }
-        k += 4;
-    }
-    for kk in k..k_hi {
-        for (row, a_at) in [(&mut *row0, &a0_at as &dyn Fn(usize) -> f64), (&mut *row1, &a1_at)] {
-            let aik = a_at(kk);
-            if live::<SKIP_ZERO>(aik) {
-                axpy::<FMA>(row, aik, b_row(kk));
-            }
-        }
-    }
-}
-
-/// Accumulates the `kb..k_hi` slab of `C += A * B` into columns `jb..j_hi`
-/// of the `m` output rows (`out` is row-major with row stride `n`), two rows
-/// at a time so they share the `b` loads. `a_at(i, k)` reads
-/// `A[i][k]`; `b_row(k)` is row `k` of `B` restricted to `jb..j_hi`.
-#[inline(always)]
-// lint: no_alloc
-fn accum_block<'p, const FMA: bool, const SKIP_ZERO: bool>(
-    out: &mut [f64],
-    (m, n): (usize, usize),
-    (jb, j_hi): (usize, usize),
-    (kb, k_hi): (usize, usize),
-    a_at: impl Fn(usize, usize) -> f64,
-    b_row: impl Fn(usize) -> &'p [f64],
-) {
-    let mut i = 0;
-    while i + 2 <= m {
-        let (head, tail) = out.split_at_mut((i + 1) * n);
-        let row0 = &mut head[i * n + jb..i * n + j_hi];
-        let row1 = &mut tail[jb..j_hi];
-        accum_row_pair::<FMA, SKIP_ZERO>(
-            row0,
-            row1,
-            |k| a_at(i, k),
-            |k| a_at(i + 1, k),
-            &b_row,
-            kb,
-            k_hi,
-        );
-        i += 2;
-    }
-    if i < m {
-        let out_row = &mut out[i * n + jb..i * n + j_hi];
-        accum_row::<FMA, SKIP_ZERO>(out_row, |k| a_at(i, k), &b_row, kb, k_hi);
-    }
-}
-
-/// Blocked `C += A * B` into the `m x n` output `out`. Accumulates each
-/// output element in ascending-`k` order (matching the historical `i-k-j`
-/// loop bit for bit, including its skip of exact-zero `a[i][k]` entries);
-/// the `k` dimension is unrolled by four when the participating `a` entries
-/// are all non-zero, which changes memory traffic but not a single
-/// floating-point operation.
-#[inline(always)]
-// lint: no_alloc
-fn gemm_nn_rows_impl<const FMA: bool>(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    (m, k_dim, n): (usize, usize, usize),
-) {
-    for kb in (0..k_dim).step_by(KC) {
-        let k_hi = (kb + KC).min(k_dim);
-        for jb in (0..n).step_by(NC) {
-            let j_hi = (jb + NC).min(n);
-            accum_block::<FMA, true>(
-                out,
-                (m, n),
-                (jb, j_hi),
-                (kb, k_hi),
-                |i, k| a[i * k_dim + k],
-                |k| &b[k * n + jb..k * n + j_hi],
-            );
-        }
-    }
-}
-
-/// Copies the `kb..k_hi` x `jb..j_hi` block of `B^T` into `panel`, row-major
-/// with row stride `j_hi - jb`; `B` is row-major with `k_dim` columns.
-#[inline(always)]
-// lint: no_alloc
-fn pack_bt_panel(
-    b: &[f64],
-    k_dim: usize,
-    (kb, k_hi): (usize, usize),
-    (jb, j_hi): (usize, usize),
-    panel: &mut [f64; KC * NC],
-) {
-    let width = j_hi - jb;
-    for (dj, b_row) in b[jb * k_dim..j_hi * k_dim].chunks_exact(k_dim).enumerate() {
-        for (dk, &v) in b_row[kb..k_hi].iter().enumerate() {
-            panel[dk * width + dj] = v;
-        }
-    }
-}
-
-/// Blocked `C += A * B^T` into the `m x n` output `out` (zeroed by the
-/// caller). Each `KC x NC` block of `B^T` is packed into a stack panel, so
-/// the kernel allocates nothing, and runs through the same accumulation as
-/// [`gemm_nn_rows_impl`] **without** the exact-zero skip: every element is
-/// the dot product's own chain `0.0 + a[i][0]*b[j][0] + a[i][1]*b[j][1] + …`
-/// in ascending `k`, so `0 * inf` stays NaN.
-#[inline(always)]
-// lint: no_alloc
-fn gemm_nt_panel_rows<const FMA: bool>(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    (m, k_dim, n): (usize, usize, usize),
-) {
-    let mut panel = [0.0f64; KC * NC];
-    for kb in (0..k_dim).step_by(KC) {
-        let k_hi = (kb + KC).min(k_dim);
-        for jb in (0..n).step_by(NC) {
-            let j_hi = (jb + NC).min(n);
-            let width = j_hi - jb;
-            pack_bt_panel(b, k_dim, (kb, k_hi), (jb, j_hi), &mut panel);
-            let panel = &panel;
-            accum_block::<FMA, false>(
-                out,
-                (m, n),
-                (jb, j_hi),
-                (kb, k_hi),
-                |i, k| a[i * k_dim + k],
-                |k| &panel[(k - kb) * width..(k - kb + 1) * width],
-            );
-        }
-    }
-}
-
-/// Blocked `C += A^T * B` into the `m x n` output `out` (`m` columns of `A`,
-/// which is `k_dim` rows deep). Per-element accumulation runs over `k` (the
-/// shared row index) in ascending order with the same exact-zero skip as the
-/// historical loop.
-#[inline(always)]
-// lint: no_alloc
-fn gemm_tn_rows_impl<const FMA: bool>(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    (m, k_dim, n): (usize, usize, usize),
-) {
-    for kb in (0..k_dim).step_by(KC) {
-        let k_hi = (kb + KC).min(k_dim);
-        for jb in (0..n).step_by(NC) {
-            let j_hi = (jb + NC).min(n);
-            accum_block::<FMA, true>(
-                out,
-                (m, n),
-                (jb, j_hi),
-                (kb, k_hi),
-                |i, k| a[k * m + i],
-                |k| &b[k * n + jb..k * n + j_hi],
-            );
-        }
-    }
-}
-
-/// `C = A * B`. The three layout tags are a const generic of the row
-/// kernels, so one set of CPU-feature clones below serves all three products.
+/// `C = A * B`. The three layout tags are a const generic of the kernels,
+/// so one set of CPU-feature clones below serves all three products.
 const NN: u8 = 0;
 /// `C = A * B^T`.
 const NT: u8 = 1;
 /// `C = A^T * B`.
 const TN: u8 = 2;
 
-/// Output rows whose accumulation chains the n = 1 kernel runs side by side.
-const MV_ROWS: usize = 8;
+/// Output rows of one register tile on the SIMD clones.
+const MR: usize = 4;
 
-/// One `k` step of [`MV_ROWS`] interleaved chains: `acc[r] += a_k[r] * bk`.
-/// With `SKIP_ZERO` a zero `a_k[r]` leaves `acc[r]` untouched (the select
-/// keeps the old accumulator), exactly like the row kernels' skipped term.
-#[inline(always)]
-// lint: no_alloc
-fn matvec_step<const FMA: bool, const SKIP_ZERO: bool>(
-    acc: &mut [f64; MV_ROWS],
-    a_k: [f64; MV_ROWS],
-    bk: f64,
-) {
-    for (o, ark) in acc.iter_mut().zip(a_k) {
-        let step = madd::<FMA>(*o, ark, bk);
-        *o = if live::<SKIP_ZERO>(ark) { step } else { *o };
-    }
-}
-
-/// `C = A * b` (nn, nt) or `C = A^T * b` (tn) for a single output column:
-/// the `m` output elements are `m` independent chains over `k`, run
-/// [`MV_ROWS`] at a time so their additions overlap instead of waiting on
-/// one another. Each element's chain is the row kernels' own — ascending
-/// `k`, the exact-zero skip on `a` for nn/tn and none for nt — so every
-/// tier's bits are unchanged. A short last block repeats row `m - 1` in its
-/// spare lanes and discards them.
-#[inline(always)]
-// lint: no_alloc
-fn matvec_rows<const L: u8, const FMA: bool>(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    (m, k_dim, _): (usize, usize, usize),
-) {
-    let b = &b[..k_dim];
-    for i0 in (0..m).step_by(MV_ROWS) {
-        let full = i0 + MV_ROWS <= m;
-        let rows: [usize; MV_ROWS] = std::array::from_fn(|r| (i0 + r).min(m - 1));
-        let mut acc = [0.0; MV_ROWS];
-        match L {
-            TN if full => {
-                for (col, &bk) in a.chunks_exact(m).zip(b) {
-                    let a_k = &col[i0..i0 + MV_ROWS];
-                    matvec_step::<FMA, true>(&mut acc, std::array::from_fn(|r| a_k[r]), bk);
-                }
-            }
-            TN => {
-                for (col, &bk) in a.chunks_exact(m).zip(b) {
-                    matvec_step::<FMA, true>(&mut acc, std::array::from_fn(|r| col[rows[r]]), bk);
-                }
-            }
-            _ => {
-                let a_rows: [&[f64]; MV_ROWS] =
-                    std::array::from_fn(|r| &a[rows[r] * k_dim..(rows[r] + 1) * k_dim]);
-                for (k, &bk) in b.iter().enumerate() {
-                    let a_k = std::array::from_fn(|r| a_rows[r][k]);
-                    if L == NN {
-                        matvec_step::<FMA, true>(&mut acc, a_k, bk);
-                    } else {
-                        matvec_step::<FMA, false>(&mut acc, a_k, bk);
-                    }
-                }
-            }
-        }
-        let live_rows = (m - i0).min(MV_ROWS);
-        out[i0..i0 + live_rows].copy_from_slice(&acc[..live_rows]);
-    }
-}
-
-/// The kernel of layout `L` (`NN`, `NT` or `TN`) for an `m x n` product
-/// with inner dimension `k_dim`, overwriting `out`.
-#[inline(always)]
-// lint: no_alloc
-fn gemm_rows_impl<const L: u8, const FMA: bool>(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    dims: (usize, usize, usize),
-) {
-    if dims.2 == 1 {
-        return matvec_rows::<L, FMA>(a, b, out, dims);
-    }
-    // The row kernels accumulate into `out`.
-    out.fill(0.0);
-    match L {
-        NN => gemm_nn_rows_impl::<FMA>(a, b, out, dims),
-        NT => gemm_nt_panel_rows::<FMA>(a, b, out, dims),
-        _ => gemm_tn_rows_impl::<FMA>(a, b, out, dims),
-    }
-}
-
-/// AVX2-compiled clone of the bit-exact [`gemm_rows_impl`] (same scalar
-/// ops, wider auto-vectorisation; see [`avx2_available`]).
+/// A vector of `f64` lanes: the one thing the GEMM clones differ in. The
+/// register tile, its packing and the `n = 1` kernel are written once over
+/// it, and each implementation supplies its width and a handful of lane
+/// operations.
 ///
 /// # Safety
-/// Caller must verify AVX2 support first (see [`avx2_available`]); the body
-/// itself is ordinary safe Rust recompiled with wider vector types.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gemm_rows_avx2<const L: u8>(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    dims: (usize, usize, usize),
-) {
-    gemm_rows_impl::<L, false>(a, b, out, dims);
+/// An implementation's `load`, `store` and `load_t` must access no lane
+/// past the low `w` ones: a short tile column or `n = 1` block ends where
+/// its operand or `out` ends. Every method may use the instructions of its
+/// type's target features (FMA too for `madd::<true, _>`), so callers must
+/// be compiled with those features and run on a CPU that has them.
+unsafe trait Lanes: Copy {
+    /// Lanes per vector.
+    const W: usize;
+    /// Rows of a register tile: [`MR`], or 1 where broadcasting `a` costs
+    /// more than a load, so that a wide row amortises it.
+    const ROWS: usize;
+    /// Vectors per tile row: a tile is `ROWS` rows by `NV * W` columns, and
+    /// `NV * W` divides [`NC`].
+    const NV: usize;
+    /// `W` vectors: a `W x W` block, transposed.
+    type Block: IntoIterator<Item = Self>;
+    /// Every lane `x`. Safety: the trait's.
+    unsafe fn splat(x: f64) -> Self;
+    /// The low `w <= W` lanes of `p[..w]`; the other lanes read `+0.0`.
+    /// Safety: the trait's, and `p[..w]` must be readable.
+    unsafe fn load(p: *const f64, w: usize) -> Self;
+    /// Writes the low `w <= W` lanes of `v` to `p[..w]`. Safety: the
+    /// trait's, and `p[..w]` must be writable.
+    unsafe fn store(p: *mut f64, w: usize, v: Self);
+    /// One chain step, `acc + a * b` (one fused multiply-add for `FMA`), on
+    /// the lanes that join the chain: all of them, or for `SKIP` those where
+    /// `a != 0.0` as Rust evaluates it (true for NaN, false for `-0.0`). The
+    /// other lanes keep `acc`. Safety: the trait's.
+    unsafe fn madd<const FMA: bool, const SKIP: bool>(acc: Self, a: Self, b: Self) -> Self;
+    /// The low `w` lanes of the `W` rows at `a + r * lda`, transposed:
+    /// vector `c` holds lane `c` of every row. Rows from `rows` on repeat row
+    /// `rows - 1`. Safety: the trait's, and the low `w` lanes of rows
+    /// `0..rows` must be readable.
+    unsafe fn load_t(a: *const f64, lda: usize, rows: usize, w: usize) -> Self::Block;
 }
 
-/// AVX2+FMA-compiled clone of [`gemm_rows_impl`] with contracted
-/// multiply-adds — the [`NumericsMode::Fast`] kernel (see [`fma_available`]).
+/// The portable clone: four lanes in plain arrays, which the compiler
+/// vectorises for the baseline target. Its tiles are 1 x 16: baseline
+/// x86-64 has no broadcast load, and a 4 x 4 tile paid two instructions
+/// per row and `k` to broadcast `a` for four columns.
+// SAFETY: `load` reads, and `store` writes, only the low `w` lanes, and
+// `load_t` reads through `load`.
+unsafe impl Lanes for [f64; 4] {
+    const W: usize = 4;
+    const ROWS: usize = 1;
+    const NV: usize = 4;
+    type Block = [[f64; 4]; 4];
+
+    // SAFETY: as the trait method states.
+    #[inline(always)]
+    unsafe fn splat(x: f64) -> Self {
+        [x; 4]
+    }
+
+    // SAFETY: as the trait method states.
+    #[inline(always)]
+    unsafe fn load(p: *const f64, w: usize) -> Self {
+        // Pair by pair, so that the compiler keeps lanes (0, 1) and (2, 3)
+        // in one register each.
+        let mut v = [[0.0; 2]; 2];
+        for (h, pair) in v.iter_mut().enumerate() {
+            // SAFETY: the low `w` lanes are readable (caller's contract).
+            unsafe {
+                match w.saturating_sub(2 * h) {
+                    0 => {}
+                    1 => pair[0] = *p.add(2 * h),
+                    _ => *pair = p.add(2 * h).cast::<[f64; 2]>().read(),
+                }
+            }
+        }
+        [v[0][0], v[0][1], v[1][0], v[1][1]]
+    }
+
+    // SAFETY: as the trait method states.
+    #[inline(always)]
+    unsafe fn store(p: *mut f64, w: usize, v: Self) {
+        for (h, pair) in [[v[0], v[1]], [v[2], v[3]]].into_iter().enumerate() {
+            // SAFETY: the low `w` lanes are writable (caller's contract).
+            unsafe {
+                match w.saturating_sub(2 * h) {
+                    0 => {}
+                    1 => *p.add(2 * h) = pair[0],
+                    _ => p.add(2 * h).cast::<[f64; 2]>().write(pair),
+                }
+            }
+        }
+    }
+
+    // SAFETY: as the trait method states.
+    #[inline(always)]
+    unsafe fn madd<const FMA: bool, const SKIP: bool>(acc: Self, a: Self, b: Self) -> Self {
+        let mut out = acc;
+        for (l, o) in out.iter_mut().enumerate() {
+            let step = if FMA { a[l].mul_add(b[l], acc[l]) } else { acc[l] + a[l] * b[l] };
+            // A select rather than a branch, like the SIMD lanes' mask.
+            *o = if SKIP && a[l] == 0.0 { acc[l] } else { step };
+        }
+        out
+    }
+
+    // SAFETY: as the trait method states.
+    #[inline(always)]
+    unsafe fn load_t(a: *const f64, lda: usize, rows: usize, w: usize) -> Self::Block {
+        let mut r = [[0.0; 4]; 4];
+        for (i, row) in r.iter_mut().enumerate() {
+            // SAFETY: row `min(i, rows - 1)` is one of the readable rows
+            // (caller's contract).
+            *row = unsafe { Self::load(a.add(i.min(rows - 1) * lda), w) };
+        }
+        let mut cols = [[0.0; 4]; 4];
+        for (c, col) in cols.iter_mut().enumerate() {
+            for (x, row) in col.iter_mut().zip(&r) {
+                *x = row[c];
+            }
+        }
+        cols
+    }
+}
+
+/// Where one register tile reads and writes.
+struct Tile {
+    /// Row 0's `A[i][k]` at step 0 of the slab; row `r` starts `r * a_row`
+    /// further on, and step `dk` is `dk * a_step` further on.
+    a: *const f64,
+    /// The distance between consecutive rows of `A`.
+    a_row: usize,
+    /// The distance between consecutive `k` of one `A` row.
+    a_step: usize,
+    /// The strip's `B[k][j]` at step 0 and its first column; step `dk`
+    /// starts at `b + dk * ldb`.
+    b: *const f64,
+    /// The row stride of the strip.
+    ldb: usize,
+    /// The slab's depth.
+    kc: usize,
+    /// Whether the slab is the first: its chains start at `+0.0` instead of
+    /// at `out`.
+    first: bool,
+    /// The tile's first output element.
+    c: *mut f64,
+    /// The row stride of the output.
+    ldc: usize,
+    /// The tile's output rows; a short tile's spare rows repeat its last row
+    /// and are discarded.
+    rows: usize,
+    /// The live lanes of the tile's last vector column in `out`.
+    tail: usize,
+}
+
+/// Accumulates one slab into an `R x NV·W` register tile: start the tile at
+/// `+0.0` (the first slab) or load it from `out`, take the `kc` steps in
+/// ascending `k`, store the first `rows` rows back. The tile's last vector
+/// column reads and writes the low `tail` lanes of `out` only; its spare
+/// lanes' chains are discarded. With `SKIP` an exact-zero `a` leaves its
+/// row's accumulators as they are.
 ///
 /// # Safety
-/// Caller must verify AVX2 **and** FMA3 support first (see
-/// [`fma_available`]); the body itself is ordinary safe Rust.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn gemm_rows_fma<const L: u8>(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    dims: (usize, usize, usize),
+/// As for the methods of `V`. For `dk < kc`, `r < rows` and `v < NV`,
+/// `t.a + r * t.a_row + dk * t.a_step` must be readable, and so must the `W`
+/// lanes of `t.b + dk * t.ldb + W v`. Output row `r < t.rows` at
+/// `t.c + r * t.ldc` must be writable for the low `W` lanes of each vector
+/// column (`tail` for `v = NV - 1`), and readable unless `t.first`.
+#[inline(always)]
+// lint: no_alloc
+unsafe fn tile<V: Lanes, const R: usize, const NV: usize, const FMA: bool, const SKIP: bool>(
+    t: &Tile,
 ) {
-    gemm_rows_impl::<L, true>(a, b, out, dims);
-}
-
-/// The instruction-set clones of the GEMM kernels, narrowest first.
-// Only the tests cap the dispatch below the widest clone, so outside them
-// some variants are never built.
-#[cfg_attr(not(test), allow(dead_code))]
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Isa {
-    /// [`gemm_rows_impl`] as compiled for the baseline target.
-    Portable,
-    /// The AVX2 (bit-exact) and AVX2+FMA (Fast) row-kernel clones.
-    Avx2,
-    /// The register-tiled micro-kernel of the `avx512` module.
-    Avx512,
-}
-
-/// Runs the layout-`L` product on the widest clone, no wider than
-/// `widest`, that the CPU supports: the AVX-512F tile kernel, then the AVX2
-/// row kernel (its FMA clone for [`NumericsMode::Fast`]), then the portable
-/// row kernel. Every clone of a tier computes the same chains and
-/// overwrites `out`.
-fn gemm_rows<const L: u8>(
-    widest: Isa,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    dims: (usize, usize, usize),
-    fast: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let fma = fast && fma_available();
-        if widest >= Isa::Avx512 && avx512_available() {
-            // SAFETY: AVX-512F presence just verified by `avx512_available`.
-            return unsafe {
-                if fma {
-                    avx512::gemm::<L, true>(a, b, out, dims)
-                } else {
-                    avx512::gemm::<L, false>(a, b, out, dims)
-                }
-            };
-        }
-        if widest >= Isa::Avx2 && fma {
-            // SAFETY: AVX2+FMA presence just verified by `fma_available`.
-            return unsafe { gemm_rows_fma::<L>(a, b, out, dims) };
-        }
-        if widest >= Isa::Avx2 && avx2_available() {
-            // SAFETY: AVX2 presence just verified by `avx2_available`.
-            return unsafe { gemm_rows_avx2::<L>(a, b, out, dims) };
-        }
-    }
-    // Non-x86 (or pre-AVX2) fallback: Fast keeps the exact chains — a scalar
-    // `mul_add` without hardware FMA would be a slow libm call.
-    let _ = (widest, fast);
-    gemm_rows_impl::<L, false>(a, b, out, dims)
-}
-
-/// The AVX-512F register-tiled GEMM micro-kernel: every product with
-/// `n >= 2` in all three layouts, and the nn/nt products with `n = 1`.
-///
-/// A tile is [`MR`](avx512::MR) output rows by up to [`NR`](avx512::NR)
-/// columns, held in `MR x NR / 8` zmm accumulators for one `KC`-deep slab of
-/// the inner dimension. Each slab of `B` (or `B^T`) is first packed into a
-/// stack panel as `NR`-column strips, so the tile reads `B` contiguously
-/// whatever the row stride of the operand (a product with a single row tile
-/// reads `B` in place instead). An element's accumulator starts at `+0.0` in
-/// the first slab, is loaded from `out` at the start of a later one and is
-/// stored back at the slab's end, and in between takes the slab's terms one `k`
-/// at a time in ascending order. That is exactly the row kernels' chain:
-/// `+0.0`, then `acc + a * b` (`mul_add` in the Fast tier) per `k`, with the
-/// exact-zero `a` skipped for nn/tn. The skip is a lane mask, not a branch:
-/// ReLU activations make a zero `a` too frequent and too irregular to predict.
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use super::{matvec_rows, KC, NC, NT, TN};
-    use std::arch::x86_64::*;
-
-    /// Output rows of one register tile.
-    pub(super) const MR: usize = 4;
-    /// Output columns of one register tile: four zmm accumulators per row.
-    pub(super) const NR: usize = 32;
-
-    /// The mask of the low `w` lanes of a zmm register (`1 <= w <= 8`).
-    fn low_lanes(w: usize) -> __mmask8 {
-        (0xFFu16 >> (8 - w)) as __mmask8
-    }
-
-    /// The lanes of `a` that join the chain: all of them without the
-    /// exact-zero skip, otherwise those where `a != 0.0` as Rust evaluates
-    /// it (true for NaN, false for `-0.0`).
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn live<const SKIP_ZERO: bool>(a: __m512d) -> __mmask8 {
-        if SKIP_ZERO {
-            _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(a, _mm512_setzero_pd())
-        } else {
-            0xFF
-        }
-    }
-
-    /// One chain step on the `live` lanes: `acc + a * b`, contracted to one
-    /// fused multiply-add for `FMA = true`; other lanes keep `acc`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    fn madd<const FMA: bool>(acc: __m512d, a: __m512d, b: __m512d, live: __mmask8) -> __m512d {
-        if FMA {
-            _mm512_mask3_fmadd_pd(a, b, acc, live)
-        } else {
-            _mm512_mask_add_pd(acc, live, acc, _mm512_mul_pd(a, b))
-        }
-    }
-
-    /// Packs the `kb..k_hi` x `jb..j_hi` block of the row-major `B` (row
-    /// stride `n`) into `panel` as `NR`-column strips: strip `s` starts at
-    /// `s * KC * NR` and holds row `dk` at `dk * NR`. A narrow last strip's
-    /// spare lanes are left as they are: the tile's loads mask them off.
-    // lint: no_alloc
-    fn pack_b(
-        b: &[f64],
-        n: usize,
-        (kb, k_hi): (usize, usize),
-        (jb, j_hi): (usize, usize),
-        panel: &mut [f64; KC * NC],
-    ) {
-        for (dk, k) in (kb..k_hi).enumerate() {
-            for (s, src) in b[k * n + jb..k * n + j_hi].chunks(NR).enumerate() {
-                panel[s * KC * NR + dk * NR..][..src.len()].copy_from_slice(src);
-            }
-        }
-    }
-
-    /// [`pack_b`] for `B^T`, where `B` is row-major with `k_dim` columns:
-    /// the panel holds `B^T[k][j] = b[j * k_dim + k]` in the same strips.
-    // lint: no_alloc
-    fn pack_bt(
-        b: &[f64],
-        k_dim: usize,
-        (kb, k_hi): (usize, usize),
-        (jb, j_hi): (usize, usize),
-        panel: &mut [f64; KC * NC],
-    ) {
-        for (dj, b_row) in b[jb * k_dim..j_hi * k_dim].chunks_exact(k_dim).enumerate() {
-            let strip = &mut panel[(dj / NR) * KC * NR + dj % NR..];
-            for (dk, &v) in b_row[kb..k_hi].iter().enumerate() {
-                strip[dk * NR] = v;
-            }
-        }
-    }
-
-    /// Where one register tile reads and writes.
-    struct Tile {
-        /// Row `r`'s `A[i][k]` at step 0 of the slab; step `dk` is at
-        /// `a[r] + dk * a_step`.
-        a: [*const f64; MR],
-        /// The distance between consecutive `k` of one `A` row.
-        a_step: usize,
-        /// The strip's `B[k][j]` at step 0 and its first column; step `dk`
-        /// starts at `b + dk * ldb`.
-        b: *const f64,
-        /// The row stride of the strip.
-        ldb: usize,
-        /// The slab's depth.
-        kc: usize,
-        /// Whether the slab is the first: its chains start at `+0.0`
-        /// instead of at `out`.
-        first: bool,
-        /// The tile's first output element.
-        c: *mut f64,
-        /// The row stride of the output.
-        ldc: usize,
-        /// The tile's output rows; a short tile's spare rows repeat its last
-        /// row and are discarded.
-        rows: usize,
-        /// The live lanes of the tile's last zmm column.
-        tail: __mmask8,
-    }
-
-    /// Accumulates one slab into an `R x 8·NV` register tile: start the tile at
-    /// `+0.0` (the first slab) or load it from `out`, take the `kc` steps in
-    /// ascending `k`, store the first `rows` rows back. The last zmm column
-    /// reads and writes the `tail` lanes only.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F. For `dk < kc`, `r < R` and `v < NV`,
-    /// `t.a[r] + dk * t.a_step` must be readable, and so must `t.b + dk *
-    /// t.ldb + 8 v` for eight lanes (the tail lanes when `v = NV - 1`). Output
-    /// rows `r < t.rows` at `t.c + r * t.ldc` must be writable for the same
-    /// lanes, and readable unless `t.first`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    // lint: no_alloc
-    unsafe fn tile<const R: usize, const NV: usize, const FMA: bool, const SKIP_ZERO: bool>(
-        t: &Tile,
-    ) {
-        let mask = |v: usize| if v + 1 == NV { t.tail } else { 0xFF };
-        let mut acc = [[_mm512_setzero_pd(); NV]; R];
+    let lanes = |v: usize| if v + 1 == NV { t.tail } else { V::W };
+    // SAFETY: every pointer stays on a row `min(r, rows - 1) < rows` and a
+    // step `dk < kc`, and `out` is read and written in the lanes of
+    // `lanes(v)`: the contract above.
+    unsafe {
+        let a: [*const f64; R] = std::array::from_fn(|r| t.a.add(r.min(t.rows - 1) * t.a_row));
+        let mut acc = [[V::splat(0.0); NV]; R];
         for (r, acc_r) in acc.iter_mut().enumerate().filter(|_| !t.first) {
-            let c = t.c.wrapping_add(r.min(t.rows - 1) * t.ldc);
+            let c = t.c.add(r.min(t.rows - 1) * t.ldc);
             for (v, acc_rv) in acc_r.iter_mut().enumerate() {
-                // SAFETY: row `min(r, rows - 1)` is a live output row (contract
-                // above).
-                *acc_rv = unsafe { _mm512_maskz_loadu_pd(mask(v), c.add(8 * v)) };
+                *acc_rv = V::load(c.add(V::W * v), lanes(v));
             }
         }
         for dk in 0..t.kc {
-            let mut bv = [_mm512_setzero_pd(); NV];
+            let mut bv = [V::splat(0.0); NV];
             for (v, bvv) in bv.iter_mut().enumerate() {
-                // SAFETY: step `dk < kc` of the strip (contract above).
-                *bvv = unsafe { _mm512_maskz_loadu_pd(mask(v), t.b.add(dk * t.ldb + 8 * v)) };
+                *bvv = V::load(t.b.add(dk * t.ldb + V::W * v), V::W);
             }
-            for (acc_r, &a_row) in acc.iter_mut().zip(&t.a) {
-                // SAFETY: step `dk < kc` of a tile row of `A` (contract above).
-                let av = _mm512_set1_pd(unsafe { *a_row.add(dk * t.a_step) });
-                let live = live::<SKIP_ZERO>(av);
+            for (acc_r, &a_r) in acc.iter_mut().zip(&a) {
+                let av = V::splat(*a_r.add(dk * t.a_step));
                 for (acc_rv, &bvv) in acc_r.iter_mut().zip(&bv) {
-                    *acc_rv = madd::<FMA>(*acc_rv, av, bvv, live);
+                    *acc_rv = V::madd::<FMA, SKIP>(*acc_rv, av, bvv);
                 }
             }
         }
         for (r, acc_r) in acc.iter().enumerate().take(t.rows) {
             for (v, &acc_rv) in acc_r.iter().enumerate() {
-                // SAFETY: `r < rows` is a live output row (contract above).
-                unsafe { _mm512_mask_storeu_pd(t.c.add(r * t.ldc + 8 * v), mask(v), acc_rv) };
+                V::store(t.c.add(r * t.ldc + V::W * v), lanes(v), acc_rv);
             }
         }
     }
+}
 
-    /// A clone of [`tile`].
-    ///
-    /// # Safety
-    /// As for [`tile`].
-    type TileFn = unsafe fn(&Tile);
-
-    /// The [`tile`] clone for `R` rows and `nv` zmm columns.
-    fn tile_nv<const R: usize, const FMA: bool, const SKIP_ZERO: bool>(nv: usize) -> TileFn {
-        match nv {
-            1 => tile::<R, 1, FMA, SKIP_ZERO>,
-            2 => tile::<R, 2, FMA, SKIP_ZERO>,
-            3 => tile::<R, 3, FMA, SKIP_ZERO>,
-            _ => tile::<R, 4, FMA, SKIP_ZERO>,
+/// Runs the [`tile`] of `t.rows` rows (one, or up to `V::ROWS`), with or
+/// without the exact-zero skip, and `nv` vector columns.
+///
+/// # Safety
+/// As for [`tile`], with `1 <= nv <= V::NV`.
+#[inline(always)]
+// lint: no_alloc
+unsafe fn run_tile<V: Lanes, const FMA: bool>(t: &Tile, skip_zero: bool, nv: usize) {
+    // SAFETY: the contract above.
+    unsafe {
+        match (t.rows == 1 || V::ROWS == 1, skip_zero) {
+            (true, true) => tile_nv::<V, 1, FMA, true>(t, nv),
+            (true, false) => tile_nv::<V, 1, FMA, false>(t, nv),
+            (false, true) => tile_nv::<V, MR, FMA, true>(t, nv),
+            (false, false) => tile_nv::<V, MR, FMA, false>(t, nv),
         }
     }
+}
 
-    /// The [`tile`] clone for a tile of `rows` output rows (one, or up to
-    /// [`MR`]), with or without the exact-zero skip, and `nv` zmm columns.
-    fn tile_fn<const FMA: bool>(rows: usize, skip_zero: bool, nv: usize) -> TileFn {
-        match (rows == 1, skip_zero) {
-            (true, true) => tile_nv::<1, FMA, true>(nv),
-            (true, false) => tile_nv::<1, FMA, false>(nv),
-            (false, true) => tile_nv::<MR, FMA, true>(nv),
-            (false, false) => tile_nv::<MR, FMA, false>(nv),
+/// Runs the [`tile`] of `R` rows and `nv` vector columns.
+///
+/// # Safety
+/// As for [`tile`], with `1 <= nv <= V::NV`.
+#[inline(always)]
+// lint: no_alloc
+unsafe fn tile_nv<V: Lanes, const R: usize, const FMA: bool, const SKIP: bool>(
+    t: &Tile,
+    nv: usize,
+) {
+    // SAFETY: the contract above; the clamp only tells the compiler which
+    // widths `V` can take.
+    unsafe {
+        match nv.clamp(1, V::NV) {
+            1 => tile::<V, R, 1, FMA, SKIP>(t),
+            2 => tile::<V, R, 2, FMA, SKIP>(t),
+            3 => tile::<V, R, 3, FMA, SKIP>(t),
+            _ => tile::<V, R, 4, FMA, SKIP>(t),
         }
     }
+}
 
-    /// Blocked `C = A * B` (nn), `A * B^T` (nt) or `A^T * B` (tn) into the
-    /// `m x n` output `out`, for `n >= 2`; nn/tn skip an exact-zero `a`.
-    /// An empty inner dimension runs no slab and clears `out`.
-    /// `B^T` is always packed; `B` only when more than one row tile reads
-    /// it, since a single tile gains nothing from the copy.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    // lint: no_alloc
-    unsafe fn gemm_tiled<const L: u8, const FMA: bool>(
-        a: &[f64],
-        b: &[f64],
-        out: &mut [f64],
-        (m, k_dim, n): (usize, usize, usize),
-    ) {
-        let (a, b, out) = (&a[..m * k_dim], &b[..k_dim * n], &mut out[..m * n]);
-        if k_dim == 0 {
-            return out.fill(0.0);
+/// Packs the `kb..k_hi` x `jb..j_hi` block of the row-major `B` (row stride
+/// `n`) into `panel` as `nr`-column strips: strip `s` starts at
+/// `s * KC * nr` and holds row `dk` at `dk * nr`. Each strip row is written
+/// whole, a narrow last strip's spare lanes with `+0.0`, so the tile's
+/// loads read written lanes only; the rest of the panel stays unwritten.
+#[inline(always)]
+// lint: no_alloc
+fn pack_b(
+    b: &[f64],
+    n: usize,
+    nr: usize,
+    (kb, k_hi): (usize, usize),
+    (jb, j_hi): (usize, usize),
+    panel: &mut [MaybeUninit<f64>; KC * NC],
+) {
+    for (dk, k) in (kb..k_hi).enumerate() {
+        for (s, src) in b[k * n + jb..k * n + j_hi].chunks(nr).enumerate() {
+            let dst = &mut panel[s * KC * nr + dk * nr..][..nr];
+            for (d, v) in dst.iter_mut().zip(src.iter().copied().chain(std::iter::repeat(0.0))) {
+                d.write(v);
+            }
         }
-        let mut panel = [0.0f64; KC * NC];
-        let packed = L == NT || m > MR;
-        // `A[i][k]` sits at `i * a_row + k * a_step`.
-        let (a_row, a_step) = if L == TN { (1, m) } else { (k_dim, 1) };
-        for kb in (0..k_dim).step_by(KC) {
-            let k_hi = (kb + KC).min(k_dim);
-            for jb in (0..n).step_by(NC) {
-                let j_hi = (jb + NC).min(n);
-                // Strip `s` of the block starts at `b_at + s * strip_step`.
-                let (b_at, ldb, strip_step) = if !packed {
-                    (b[kb * n + jb..].as_ptr(), n, NR)
+    }
+}
+
+/// [`pack_b`] for `B^T`, where `B` is row-major with `k_dim` columns: the
+/// panel holds `B^T[k][j] = b[j * k_dim + k]` in the same strips.
+#[inline(always)]
+// lint: no_alloc
+fn pack_bt(
+    b: &[f64],
+    k_dim: usize,
+    nr: usize,
+    (kb, k_hi): (usize, usize),
+    (jb, j_hi): (usize, usize),
+    panel: &mut [MaybeUninit<f64>; KC * NC],
+) {
+    let width = j_hi - jb;
+    for dj in 0..width.next_multiple_of(nr) {
+        let strip = &mut panel[(dj / nr) * KC * nr + dj % nr..];
+        for (dk, k) in (kb..k_hi).enumerate() {
+            strip[dk * nr].write(if dj < width { b[(jb + dj) * k_dim + k] } else { 0.0 });
+        }
+    }
+}
+
+/// Blocked `C = A * B` (nn), `A * B^T` (nt) or `A^T * B` (tn) into the
+/// `m x n` output `out`; nn/tn skip an exact-zero `a`, and only a product
+/// whose `A` holds a zero runs the skip, since it leaves every other chain
+/// as it is. An empty inner dimension runs no slab and clears `out`. `B^T`
+/// is always packed; `B` when more than one row tile reads it, or when a
+/// narrow last strip would read past its rows.
+///
+/// # Safety
+/// As for the methods of `V`; the slices hold the operands and output of an
+/// `m x k_dim x n` product.
+#[inline(always)]
+// lint: no_alloc
+unsafe fn gemm_tiled<V: Lanes, const L: u8, const FMA: bool>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    (m, k_dim, n): (usize, usize, usize),
+) {
+    if k_dim == 0 {
+        return out.fill(0.0);
+    }
+    let nr = V::NV * V::W;
+    // Never initialised as a whole: a packing writes the strip rows of its
+    // slab, the only lanes the tiles then read.
+    let mut panel = [MaybeUninit::<f64>::uninit(); KC * NC];
+    let packed = L == NT || m > V::ROWS || n % nr != 0;
+    let skip_zero = L != NT && a.contains(&0.0);
+    // `A[i][k]` sits at `i * a_row + k * a_step`.
+    let (a_row, a_step) = if L == TN { (1, m) } else { (k_dim, 1) };
+    for kb in (0..k_dim).step_by(KC) {
+        let k_hi = (kb + KC).min(k_dim);
+        for jb in (0..n).step_by(NC) {
+            let j_hi = (jb + NC).min(n);
+            // Strip `s` of the block starts at `b_at + s * strip_step`.
+            let (b_at, ldb, strip_step) = if !packed {
+                (b[kb * n + jb..].as_ptr(), n, nr)
+            } else {
+                if L == NT {
+                    pack_bt(b, k_dim, nr, (kb, k_hi), (jb, j_hi), &mut panel);
                 } else {
-                    if L == NT {
-                        pack_bt(b, k_dim, (kb, k_hi), (jb, j_hi), &mut panel);
-                    } else {
-                        pack_b(b, n, (kb, k_hi), (jb, j_hi), &mut panel);
-                    }
-                    (panel.as_ptr(), NR, KC * NR)
-                };
-                for i0 in (0..m).step_by(MR) {
-                    let rows = (m - i0).min(MR);
-                    let a_rows = std::array::from_fn(|r| {
-                        a[(i0 + r).min(m - 1) * a_row + kb * a_step..].as_ptr()
-                    });
-                    for (s, j0) in (jb..j_hi).step_by(NR).enumerate() {
-                        let w = (j_hi - j0).min(NR);
-                        let nv = w.div_ceil(8);
-                        let t = Tile {
-                            a: a_rows,
-                            a_step,
-                            b: b_at.wrapping_add(s * strip_step),
-                            ldb,
-                            kc: k_hi - kb,
-                            first: kb == 0,
-                            c: out[i0 * n + j0..].as_mut_ptr(),
-                            ldc: n,
-                            rows,
-                            tail: low_lanes(w - 8 * (nv - 1)),
-                        };
-                        let tile = tile_fn::<FMA>(rows, L != NT, nv);
-                        // SAFETY: AVX-512F is the caller's contract. Rows
-                        // `i < m` of `A` hold the slab's `k_hi - kb` steps
-                        // at stride `a_step`. The strip holds them for the
-                        // `w` live columns, at stride `ldb`: `B` itself
-                        // (rows `kb..k_hi`, columns `j0..j0 + w`) or the
-                        // panel strip `pack_b`/`pack_bt` filled. Output
-                        // rows `i0..i0 + rows` hold columns `j0..j0 + w`,
-                        // which the earlier slabs stored.
-                        unsafe { tile(&t) };
-                    }
+                    pack_b(b, n, nr, (kb, k_hi), (jb, j_hi), &mut panel);
                 }
+                (panel.as_ptr().cast::<f64>(), nr, KC * nr)
+            };
+            for i0 in (0..m).step_by(V::ROWS) {
+                let rows = (m - i0).min(V::ROWS);
+                for (s, j0) in (jb..j_hi).step_by(nr).enumerate() {
+                    let w = (j_hi - j0).min(nr);
+                    let nv = w.div_ceil(V::W);
+                    let t = Tile {
+                        a: a[i0 * a_row + kb * a_step..].as_ptr(),
+                        a_row,
+                        a_step,
+                        b: b_at.wrapping_add(s * strip_step),
+                        ldb,
+                        kc: k_hi - kb,
+                        first: kb == 0,
+                        c: out[i0 * n + j0..].as_mut_ptr(),
+                        ldc: n,
+                        rows,
+                        tail: w - V::W * (nv - 1),
+                    };
+                    // SAFETY: `V`'s features are the caller's contract. Rows
+                    // `i0..i0 + rows` of `A` hold the slab's `kc` steps at
+                    // stride `a_step`. The strip holds them for `nv * W`
+                    // columns at stride `ldb`: `B` itself (rows `kb..k_hi`,
+                    // columns `j0..j0 + nr`, all in `B` when unpacked) or the
+                    // panel strip rows that `pack_b`/`pack_bt` just wrote
+                    // whole, so the tile reads no unwritten panel lane.
+                    // Output rows `i0..i0 + rows` hold columns `j0..j0 + w`,
+                    // which the earlier slabs stored.
+                    unsafe { run_tile::<V, FMA>(&t, skip_zero, nv) };
+                }
+            }
+        }
+    }
+}
+
+/// `C = A * b` (nn), `A * B^T` (nt) or `A^T * b` (tn) for a single output
+/// column, with the exact-zero skip for `SKIP`. The `m` outputs are
+/// independent chains over `k`, run `2 W` at a time (see [`matvec_block`]);
+/// the full blocks pass their lane counts as constants.
+///
+/// # Safety
+/// As for the methods of `V`; the slices hold the operands and output of an
+/// `m x k_dim x 1` product.
+#[inline(always)]
+// lint: no_alloc
+unsafe fn matvec<V: Lanes, const L: u8, const FMA: bool, const SKIP: bool>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    (m, k_dim): (usize, usize),
+) {
+    let full = m - m % (2 * V::W);
+    // SAFETY: the contract above; each block's rows lie in `0..m`.
+    unsafe {
+        for i0 in (0..full).step_by(2 * V::W) {
+            matvec_block::<V, L, FMA, SKIP>(a, b, out, (m, k_dim), i0, [V::W; 2]);
+        }
+        if full < m {
+            let rows = [(m - full).min(V::W), (m - full).saturating_sub(V::W)];
+            matvec_block::<V, L, FMA, SKIP>(a, b, out, (m, k_dim), full, rows);
+        }
+    }
+}
+
+/// The `rows[0] + rows[1]` outputs from `i0` on (`1 <= rows[0]`,
+/// `rows[1] <= W`, `rows[1] = 0` unless `rows[0] = W`) as two halves of `W`
+/// lanes, each half one accumulator, so that two chains' additions overlap.
+/// nn/nt load each `W x W` block of `A` as `W` row vectors and transpose it,
+/// so step `k` is one column vector; tn loads row `k` of the stored `A^T`
+/// directly. Every lane keeps its row's chain in ascending `k`. A short half
+/// leaves its spare lanes at zero (tn) or repeats a live row in them
+/// (nn/nt), and discards them; an empty second half writes nothing.
+///
+/// # Safety
+/// As for [`matvec`], with rows `i0..i0 + rows[0] + rows[1]` in `0..m`.
+#[inline(always)]
+// lint: no_alloc
+unsafe fn matvec_block<V: Lanes, const L: u8, const FMA: bool, const SKIP: bool>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    (m, k_dim): (usize, usize),
+    i0: usize,
+    rows: [usize; 2],
+) {
+    // Each half's first row; an empty second half reads the first half's.
+    let first = [i0, if rows[1] > 0 { i0 + V::W } else { i0 }];
+    // SAFETY: `V`'s features are the caller's contract. Each load reads the
+    // low `rows[h]` lanes of `A^T[k][first[h]..m]` (tn), or the low `kt`
+    // lanes of `A[i][k0..k_dim]` for rows `first[h] <= i < m` (nn/nt); each
+    // store writes the low `rows[h]` lanes of `out[first[h]..m]`.
+    unsafe {
+        let mut acc = [V::splat(0.0); 2];
+        if L == TN {
+            for (a_k, &bk) in a.chunks_exact(m).zip(b) {
+                for (h, acc_h) in acc.iter_mut().enumerate() {
+                    let col = V::load(a_k[first[h]..].as_ptr(), rows[h]);
+                    *acc_h = V::madd::<FMA, SKIP>(*acc_h, col, V::splat(bk));
+                }
+            }
+        } else {
+            // Whole `W x W` blocks pass `W` as a constant.
+            let k_full = k_dim - k_dim % V::W;
+            let a_at = |k0: usize| first.map(|i| a[i * k_dim + k0..].as_ptr());
+            for k0 in (0..k_full).step_by(V::W) {
+                matvec_cols::<V, FMA, SKIP>(a_at(k0), k_dim, rows, &b[k0..k0 + V::W], &mut acc);
+            }
+            if k_full < k_dim {
+                matvec_cols::<V, FMA, SKIP>(a_at(k_full), k_dim, rows, &b[k_full..], &mut acc);
+            }
+        }
+        for (h, &acc_h) in acc.iter().enumerate() {
+            V::store(out[first[h]..].as_mut_ptr(), rows[h], acc_h);
+        }
+    }
+}
+
+/// The nn/nt steps `k0..k0 + bk.len()` (at most `W`) of [`matvec_block`]'s
+/// two halves, whose rows start at `a[0]` and `a[1]`: one transposed block
+/// per half, then one chain step per column.
+///
+/// # Safety
+/// As for the methods of `V`; the low `bk.len()` lanes of the `rows[h]`
+/// rows (at least one) from `a[h]`, `lda` apart, must be readable.
+#[inline(always)]
+// lint: no_alloc
+unsafe fn matvec_cols<V: Lanes, const FMA: bool, const SKIP: bool>(
+    a: [*const f64; 2],
+    lda: usize,
+    rows: [usize; 2],
+    bk: &[f64],
+    acc: &mut [V; 2],
+) {
+    // SAFETY: the contract above.
+    unsafe {
+        let c0 = V::load_t(a[0], lda, rows[0], bk.len());
+        let c1 = V::load_t(a[1], lda, rows[1].max(1), bk.len());
+        for ((c0, c1), &bk) in c0.into_iter().zip(c1).zip(bk) {
+            let bk = V::splat(bk);
+            acc[0] = V::madd::<FMA, SKIP>(acc[0], c0, bk);
+            acc[1] = V::madd::<FMA, SKIP>(acc[1], c1, bk);
+        }
+    }
+}
+
+/// The GEMM over lanes `V` for layout `L` (`NN`, `NT` or `TN`): the `n = 1`
+/// kernel for a single output column, the register tile otherwise. It
+/// overwrites `out`.
+///
+/// # Safety
+/// As for the methods of `V`: inlined into a function compiled with `V`'s
+/// target features, running on a CPU that has them.
+#[inline(always)]
+// lint: no_alloc
+unsafe fn gemm_lanes<V: Lanes, const L: u8, const FMA: bool>(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    (m, k_dim, n): (usize, usize, usize),
+) {
+    let (a, b, out) = (&a[..m * k_dim], &b[..k_dim * n], &mut out[..m * n]);
+    // SAFETY: `V`'s features are the caller's contract, and the slices have
+    // the product's shapes.
+    unsafe {
+        match (n, L) {
+            (1, NT) => matvec::<V, L, FMA, false>(a, b, out, (m, k_dim)),
+            (1, _) => matvec::<V, L, FMA, true>(a, b, out, (m, k_dim)),
+            _ => gemm_tiled::<V, L, FMA>(a, b, out, (m, k_dim, n)),
+        }
+    }
+}
+
+/// The x86-64 lanes and the clones compiled for them.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{gemm_lanes, Lanes};
+    use std::arch::x86_64::*;
+
+    /// The mask of the low `w <= 8` lanes of a zmm register.
+    fn low_lanes(w: usize) -> __mmask8 {
+        (0xFFu16 >> (8 - w)) as __mmask8
+    }
+
+    /// Four vectors per tile row: the 4 x 32 tile's sixteen accumulators and
+    /// its four `B` vectors leave room in the 32 zmm registers. The
+    /// exact-zero skip is a lane mask rather than a branch: ReLU activations
+    /// make a zero `a` too frequent and too irregular to predict.
+    // SAFETY: `load`, `store` and `load_t` are masked to the low `w` lanes,
+    // and masked lanes are not accessed.
+    unsafe impl Lanes for __m512d {
+        const W: usize = 8;
+        const ROWS: usize = super::MR;
+        const NV: usize = 4;
+        type Block = [__m512d; 8];
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn splat(x: f64) -> Self {
+            // SAFETY: AVX-512F is the caller's contract.
+            unsafe { _mm512_set1_pd(x) }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn load(p: *const f64, w: usize) -> Self {
+            // SAFETY: AVX-512F and the low `w` lanes are the caller's
+            // contract.
+            unsafe { _mm512_maskz_loadu_pd(low_lanes(w), p) }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn store(p: *mut f64, w: usize, v: Self) {
+            // SAFETY: as for `load`.
+            unsafe { _mm512_mask_storeu_pd(p, low_lanes(w), v) }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn madd<const FMA: bool, const SKIP: bool>(acc: Self, a: Self, b: Self) -> Self {
+            // SAFETY: AVX-512F is the caller's contract.
+            unsafe {
+                let live = if SKIP {
+                    _mm512_cmp_pd_mask::<_CMP_NEQ_UQ>(a, _mm512_setzero_pd())
+                } else {
+                    0xFF
+                };
+                if FMA {
+                    _mm512_mask3_fmadd_pd(a, b, acc, live)
+                } else {
+                    _mm512_mask_add_pd(acc, live, acc, _mm512_mul_pd(a, b))
+                }
+            }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn load_t(a: *const f64, lda: usize, rows: usize, w: usize) -> Self::Block {
+            // SAFETY: AVX-512F, and the low `w` lanes of row
+            // `min(r, rows - 1)`, are the caller's contract.
+            unsafe {
+                let mut r = [_mm512_setzero_pd(); 8];
+                for (i, row) in r.iter_mut().enumerate() {
+                    *row = Self::load(a.add(i.min(rows - 1) * lda), w);
+                }
+                transpose8(r)
             }
         }
     }
@@ -1238,74 +1047,216 @@ mod avx512 {
         ]
     }
 
-    /// `C = A * b` (nn, with the exact-zero skip) or `C = A * B^T` (nt,
-    /// without) for a single output column. Eight rows' chains share one
-    /// zmm accumulator; each 8 x 8 block of `A` is loaded as eight row
-    /// vectors and transposed in registers, so step `k` is one column
-    /// vector instead of eight strided reads. Every lane keeps its row's
-    /// chain in ascending `k`. A short last block repeats row `m - 1` in its
-    /// spare lanes and discards them.
+    /// The mask of the low `w <= 4` lanes of a ymm register.
     ///
     /// # Safety
-    /// The CPU must support AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    // lint: no_alloc
-    unsafe fn matvec<const FMA: bool, const SKIP_ZERO: bool>(
-        a: &[f64],
-        b: &[f64],
-        out: &mut [f64],
-        (m, k_dim, _): (usize, usize, usize),
-    ) {
-        let (a, b, out) = (&a[..m * k_dim], &b[..k_dim], &mut out[..m]);
-        for i0 in (0..m).step_by(8) {
-            let live_rows = low_lanes((m - i0).min(8));
-            let a_rows: [*const f64; 8] =
-                std::array::from_fn(|r| a[(i0 + r).min(m - 1) * k_dim..].as_ptr());
-            let mut acc = _mm512_setzero_pd();
-            for k0 in (0..k_dim).step_by(8) {
-                let kt = (k_dim - k0).min(8);
-                let mut r = [_mm512_setzero_pd(); 8];
-                for (rv, &a_row) in r.iter_mut().zip(&a_rows) {
-                    // SAFETY: the `kt` lanes are `A[i][k0..k0 + kt]` of a
-                    // row `i < m`.
-                    *rv = unsafe { _mm512_maskz_loadu_pd(low_lanes(kt), a_row.add(k0)) };
-                }
-                let cols = transpose8(r);
-                let step = |acc, col, bk: f64| {
-                    madd::<FMA>(acc, col, _mm512_set1_pd(bk), live::<SKIP_ZERO>(col))
-                };
-                for (&col, &bk) in cols.iter().zip(&b[k0..k0 + kt]) {
-                    acc = step(acc, col, bk);
+    /// The CPU must support AVX2.
+    #[inline(always)]
+    unsafe fn low_lanes_256(w: usize) -> __m256i {
+        // SAFETY: AVX2 is the caller's contract.
+        unsafe { _mm256_cmpgt_epi64(_mm256_set1_epi64x(w as i64), _mm256_setr_epi64x(0, 1, 2, 3)) }
+    }
+
+    /// Two vectors per tile row: the 4 x 8 tile's eight accumulators, its
+    /// two `B` vectors, the broadcast `a`, the skip's mask, the zero it is
+    /// compared with and one product fit in the sixteen ymm registers. The
+    /// skip is a compare and a blend, which keeps the accumulator where the
+    /// scalar loop skips the add.
+    // SAFETY: `load`, `store` and `load_t` are plain loads and stores of all
+    // four lanes, or masked to the low `w` lanes, and masked lanes are not
+    // accessed.
+    unsafe impl Lanes for __m256d {
+        const W: usize = 4;
+        const ROWS: usize = super::MR;
+        const NV: usize = 2;
+        type Block = [__m256d; 4];
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn splat(x: f64) -> Self {
+            // SAFETY: AVX is the caller's contract.
+            unsafe { _mm256_set1_pd(x) }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn load(p: *const f64, w: usize) -> Self {
+            // SAFETY: AVX2 and the low `w` lanes are the caller's contract.
+            unsafe {
+                if w == 4 {
+                    _mm256_loadu_pd(p)
+                } else {
+                    _mm256_maskload_pd(p, low_lanes_256(w))
                 }
             }
-            // SAFETY: the `live_rows` lanes are outputs `i0..min(i0 + 8, m)`.
-            unsafe { _mm512_mask_storeu_pd(out[i0..].as_mut_ptr(), live_rows, acc) };
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn store(p: *mut f64, w: usize, v: Self) {
+            // SAFETY: as for `load`.
+            unsafe {
+                if w == 4 {
+                    _mm256_storeu_pd(p, v)
+                } else {
+                    _mm256_maskstore_pd(p, low_lanes_256(w), v)
+                }
+            }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn madd<const FMA: bool, const SKIP: bool>(acc: Self, a: Self, b: Self) -> Self {
+            // SAFETY: AVX, and FMA for `FMA = true`, are the caller's
+            // contract.
+            unsafe {
+                let step = if FMA {
+                    _mm256_fmadd_pd(a, b, acc)
+                } else {
+                    _mm256_add_pd(acc, _mm256_mul_pd(a, b))
+                };
+                if !SKIP {
+                    return step;
+                }
+                _mm256_blendv_pd(acc, step, _mm256_cmp_pd::<_CMP_NEQ_UQ>(a, _mm256_setzero_pd()))
+            }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn load_t(a: *const f64, lda: usize, rows: usize, w: usize) -> Self::Block {
+            // SAFETY: AVX, and the low `w` lanes of row `min(r, rows - 1)`,
+            // are the caller's contract.
+            unsafe {
+                let mut r = [_mm256_setzero_pd(); 4];
+                for (i, row) in r.iter_mut().enumerate() {
+                    *row = Self::load(a.add(i.min(rows - 1) * lda), w);
+                }
+                // t[0] = (r0[0], r1[0], r0[2], r1[2]), t[1] the odd lanes; t[2..]
+                // the same for rows 2 and 3.
+                let t = [
+                    _mm256_unpacklo_pd(r[0], r[1]),
+                    _mm256_unpackhi_pd(r[0], r[1]),
+                    _mm256_unpacklo_pd(r[2], r[3]),
+                    _mm256_unpackhi_pd(r[2], r[3]),
+                ];
+                [
+                    _mm256_permute2f128_pd::<0x20>(t[0], t[2]),
+                    _mm256_permute2f128_pd::<0x20>(t[1], t[3]),
+                    _mm256_permute2f128_pd::<0x31>(t[0], t[2]),
+                    _mm256_permute2f128_pd::<0x31>(t[1], t[3]),
+                ]
+            }
         }
     }
 
-    /// The AVX-512F kernel of layout `L` (`NN`, `NT` or `TN`) for an `m x n`
-    /// product with inner dimension `k_dim`, overwriting `out`.
+    /// The AVX-512F clone of the layout-`L` GEMM.
     ///
     /// # Safety
     /// The CPU must support AVX-512F.
     #[target_feature(enable = "avx512f")]
     // lint: no_alloc
-    pub(super) unsafe fn gemm<const L: u8, const FMA: bool>(
+    pub(super) unsafe fn gemm_avx512<const L: u8, const FMA: bool>(
         a: &[f64],
         b: &[f64],
         out: &mut [f64],
         dims: (usize, usize, usize),
     ) {
-        // SAFETY: AVX-512F is the caller's contract.
-        unsafe {
-            match (L, dims.2) {
-                (TN, 1) => matvec_rows::<TN, FMA>(a, b, out, dims),
-                (NT, 1) => matvec::<FMA, false>(a, b, out, dims),
-                (_, 1) => matvec::<FMA, true>(a, b, out, dims),
-                _ => gemm_tiled::<L, FMA>(a, b, out, dims),
-            }
+        // SAFETY: this clone is compiled with AVX-512F, which the caller
+        // verified.
+        unsafe { gemm_lanes::<__m512d, L, FMA>(a, b, out, dims) }
+    }
+
+    /// The AVX2 clone of the layout-`L` GEMM: the `BitExact` chains.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    // lint: no_alloc
+    pub(super) unsafe fn gemm_avx2<const L: u8>(
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+        dims: (usize, usize, usize),
+    ) {
+        // SAFETY: this clone is compiled with AVX2, which the caller
+        // verified.
+        unsafe { gemm_lanes::<__m256d, L, false>(a, b, out, dims) }
+    }
+
+    /// The AVX2+FMA clone of the layout-`L` GEMM: the
+    /// [`NumericsMode::Fast`](super::NumericsMode::Fast) chains.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA3.
+    #[target_feature(enable = "avx2,fma")]
+    // lint: no_alloc
+    pub(super) unsafe fn gemm_fma<const L: u8>(
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+        dims: (usize, usize, usize),
+    ) {
+        // SAFETY: this clone is compiled with AVX2 and FMA, which the caller
+        // verified.
+        unsafe { gemm_lanes::<__m256d, L, true>(a, b, out, dims) }
+    }
+}
+
+/// The instruction-set clones of the GEMM, narrowest first.
+// Only the tests cap the dispatch below the widest clone, so outside them
+// some variants are never built.
+#[cfg_attr(not(test), allow(dead_code))]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Isa {
+    /// Over `[f64; 4]`, compiled for the baseline target.
+    Portable,
+    /// Over `__m256d`: an AVX2 clone, and an AVX2+FMA one for
+    /// [`NumericsMode::Fast`].
+    Avx2,
+    /// Over `__m512d`, with AVX-512F.
+    Avx512,
+}
+
+/// Runs the layout-`L` product on the widest clone, no wider than
+/// `widest`, that the CPU supports: AVX-512F, then AVX2 (its FMA clone for
+/// [`NumericsMode::Fast`]), then the portable one. Every clone of a tier
+/// computes the same chains and overwrites `out`.
+fn gemm<const L: u8>(
+    widest: Isa,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    dims: (usize, usize, usize),
+    fast: bool,
+) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let fma = fast && fma_available();
+        if widest >= Isa::Avx512 && avx512_available() {
+            // SAFETY: AVX-512F presence just verified by `avx512_available`.
+            return unsafe {
+                if fma {
+                    x86::gemm_avx512::<L, true>(a, b, out, dims)
+                } else {
+                    x86::gemm_avx512::<L, false>(a, b, out, dims)
+                }
+            };
+        }
+        if widest >= Isa::Avx2 && fma {
+            // SAFETY: AVX2+FMA presence just verified by `fma_available`.
+            return unsafe { x86::gemm_fma::<L>(a, b, out, dims) };
+        }
+        if widest >= Isa::Avx2 && avx2_available() {
+            // SAFETY: AVX2 presence just verified by `avx2_available`.
+            return unsafe { x86::gemm_avx2::<L>(a, b, out, dims) };
         }
     }
+    // Non-x86 (or pre-AVX2) fallback: Fast keeps the exact chains — a scalar
+    // `mul_add` without hardware FMA would be a slow libm call.
+    let _ = (widest, fast);
+    // SAFETY: the portable lanes use no target feature.
+    unsafe { gemm_lanes::<[f64; 4], L, false>(a, b, out, dims) }
 }
 
 /// Matrix product `a * b` into a caller-provided `a.rows() x b.cols()`
@@ -1330,7 +1281,7 @@ pub fn gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(out.shape(), (m, n), "gemm_into: output buffer has the wrong shape");
     let (a, b) = (a.as_slice(), b.as_slice());
     let fast = NumericsMode::global().is_fast();
-    gemm_rows::<NN>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n), fast);
+    gemm::<NN>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n), fast);
 }
 
 /// Matrix product `a * b^T` into a caller-provided `a.rows() x b.rows()`
@@ -1354,7 +1305,7 @@ pub fn gemm_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(out.shape(), (m, n), "gemm_nt_into: output buffer has the wrong shape");
     let (a, b) = (a.as_slice(), b.as_slice());
     let fast = NumericsMode::global().is_fast();
-    gemm_rows::<NT>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n), fast);
+    gemm::<NT>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n), fast);
 }
 
 /// Matrix product `a^T * b` into a caller-provided `a.cols() x b.cols()`
@@ -1378,7 +1329,7 @@ pub fn gemm_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(out.shape(), (m, n), "gemm_tn_into: output buffer has the wrong shape");
     let (a, b) = (a.as_slice(), b.as_slice());
     let fast = NumericsMode::global().is_fast();
-    gemm_rows::<TN>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n), fast);
+    gemm::<TN>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n), fast);
 }
 
 #[cfg(test)]
@@ -1480,23 +1431,23 @@ mod tests {
         };
         // The kernels overwrite `out`: a stale NaN must not leak into a chain.
         let mut out = Matrix::full(dims.0, dims.2, f64::NAN);
-        gemm_rows::<L>(isa, a.as_slice(), b.as_slice(), out.as_mut_slice(), dims, mode.is_fast());
+        gemm::<L>(isa, a.as_slice(), b.as_slice(), out.as_mut_slice(), dims, mode.is_fast());
         out
     }
 
     #[test]
     fn every_clone_keeps_the_chains_at_tile_edges() {
-        // The shapes straddle every edge of the AVX-512 tile: 4-row tiles
-        // and a 1-row tile (m), 8-lane columns with masked tails, 32-column
-        // strips and the 128-column panel (n), the 32-deep slab and an empty
-        // inner dimension (k). `a` holds +0.0 and -0.0 and `b` sparse
-        // infinities and NaNs, so the nn/tn exact-zero skip decides whether
-        // `0 * inf` joins a chain; nt has no skip.
+        // The shapes straddle every edge of each clone's tile: 4-row tiles
+        // and 1-row tiles (m); 4- and 8-lane columns with masked tails, the
+        // 8-, 16- and 32-column strips and the 128-column panel (n); the
+        // 32-deep slab and an empty inner dimension (k). `a` holds +0.0 and
+        // -0.0 and `b` sparse infinities and NaNs, so the nn/tn exact-zero
+        // skip decides whether `0 * inf` joins a chain; nt has no skip.
         let specials = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
         let clones = clones();
         let mut rng = rng_from_seed(23);
         for m in [1, 3, 4, 5, 41] {
-            for n in [2, 7, 8, 9, 31, 32, 33, 127, 128, 129] {
+            for n in [2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 127, 128, 129] {
                 for k in [0, 1, 31, 32, 33, 129] {
                     let mut a = randn(&mut rng, m, k);
                     let mut b = randn(&mut rng, k, n);
@@ -1576,7 +1527,7 @@ mod tests {
     fn zero_dimension_products_have_their_shape_and_positive_zeros() {
         // An empty inner dimension leaves every element at the chain's
         // starting +0.0; an empty outer dimension yields an empty matrix.
-        for (m, k, n) in [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 0, 1)] {
+        for (m, k, n) in [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0), (1, 0, 1), (0, 3, 1)] {
             let a = Matrix::full(m, k, -1.5);
             let b = Matrix::full(k, n, 2.0);
             let (a_t, b_t) = (a.transpose(), b.transpose());
@@ -1605,7 +1556,7 @@ mod tests {
         // fuses every step where the CPU has FMA.
         let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
         let mut rng = rng_from_seed(11);
-        // 41 rows: odd, so the row-pair loop leaves a single row.
+        // 41 rows: the 4-row tiles leave a 1-row tile.
         let m = 41;
         for k in [1, 3, 32, 33, 70] {
             for n in [1, 127, 128, 129] {
@@ -1630,16 +1581,15 @@ mod tests {
 
     #[test]
     fn matvec_is_bit_identical_to_its_chain_definition() {
-        // A single output column runs on the interleaved n = 1 kernels (the
-        // AVX-512 nn/nt one transposes 8 x 8 blocks of `a`). Each element
-        // must still be its own chain from +0.0 in ascending k: nn/tn skip
-        // an exactly-zero `a` (0 * inf never joins the chain), nt adds every
-        // term (0 * inf is NaN); Fast fuses every step on the SIMD clones of
-        // a CPU with FMA.
+        // A single output column runs on the interleaved n = 1 kernel (nn/nt
+        // transpose square blocks of `a`). Each element must still be its
+        // own chain from +0.0 in ascending k: nn/tn skip an exactly-zero `a`
+        // (0 * inf never joins the chain), nt adds every term (0 * inf is
+        // NaN); Fast fuses every step on the SIMD clones of a CPU with FMA.
         let specials = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
         let clones = clones();
         let mut rng = rng_from_seed(19);
-        for m in [1, 7, 8, 9, 17, 64, 129] {
+        for m in [1, 3, 4, 5, 7, 8, 9, 17, 64, 129] {
             for k in [1, 3, 64, 70] {
                 let mut a = randn(&mut rng, m, k);
                 let mut b = randn(&mut rng, k, 1);

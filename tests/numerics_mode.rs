@@ -1,6 +1,6 @@
 //! Differential-testing suite for the opt-in `NumericsMode::Fast` tier.
 //!
-//! `Fast` contracts the GEMM row kernels' multiply-add chains into FMAs. A
+//! `Fast` contracts the GEMM tile's multiply-add chains into FMAs. A
 //! result that runs through a GEMM is **not** bit-identical to `BitExact`,
 //! so its contract is different and is pinned here:
 //!
