@@ -28,23 +28,16 @@ use sbrl_models::{select_by_treatment, Backbone, BatchContext, Cfr, CfrConfig};
 use sbrl_nn::{loss::l2_penalty, Adam, Binding, Optimizer, OutcomeLoss};
 use sbrl_stats::{HsicScratch, Rff};
 use sbrl_tensor::rng::rng_from_seed;
-use sbrl_tensor::{Graph, NumericsMode, Parallelism};
+use sbrl_tensor::{Graph, Parallelism};
 
 const BATCH: usize = 64;
 const WARMUP_STEPS: usize = 10;
 const MEASURED_STEPS: usize = 25;
 
+/// The allocation probe, then the thread-spawn probe. `--test` smoke mode
+/// (CI bench smoke) runs it once like any other bench; the assertion is
+/// identical either way.
 fn main() {
-    // `--test` smoke mode (CI bench smoke) runs the probe once like any
-    // other bench; the assertion is identical either way. The zero-alloc
-    // contract is a BitExact-tier contract (docs/PERFORMANCE.md): Fast's
-    // statistics gather per-row partials into fresh vectors, so the probe
-    // pins the tier rather than inheriting `SBRL_NUMERICS`.
-    NumericsMode::BitExact.scoped(probe);
-}
-
-/// The allocation probe, then the thread-spawn probe.
-fn probe() {
     Parallelism::Serial.set_global();
 
     let process = SyntheticProcess::new(SyntheticConfig::syn_8_8_8_2(), 7);

@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the numerical hot paths behind every experiment:
 //! the matmul kernels, the differentiable weighted IPMs, the HSIC-RFF
-//! decorrelation loss and the whole weight objective of one weight step —
-//! each also timed in the `NumericsMode::Fast` tier (`*_fast` cases) — the weight phase's frozen CFR forward and the generation of one
+//! decorrelation loss and the whole weight objective of one weight step,
+//! the weight phase's frozen CFR forward and the generation of one
 //! synthetic test environment.
 
 mod common;
@@ -16,7 +16,6 @@ use sbrl_stats::{
     decorrelation_loss_graph_scratch, ipm_weighted_graph, DecorrelationConfig, HsicScratch,
     IpmKind, Rff,
 };
-use sbrl_tensor::kernels::NumericsMode;
 use sbrl_tensor::rng::{randn, rng_from_seed};
 use sbrl_tensor::{Graph, Matrix};
 use std::hint::black_box;
@@ -61,94 +60,81 @@ fn bench_micro(c: &mut Criterion) {
         [taps.z_p, taps.z_r].iter().chain(&taps.z_o).map(|&id| g.value(id).clone()).collect()
     };
 
-    // Graph-space ops read the calling thread's tier, so each tier's cases
-    // run inside its scope.
-    for (suffix, mode) in [("", NumericsMode::BitExact), ("_fast", NumericsMode::Fast)] {
-        mode.scoped(|| {
-            group.bench_function(&format!("matmul_128x64x64{suffix}"), |bch| {
-                bch.iter(|| black_box(a.matmul(&b)));
-            });
+    group.bench_function("matmul_128x64x64", |bch| {
+        bch.iter(|| black_box(a.matmul(&b)));
+    });
 
-            // A quick-preset layer's input gradient, dX = g * W^T.
-            group.bench_function(&format!("matmul_nt_128x48x48{suffix}"), |bch| {
-                bch.iter(|| black_box(grad.matmul_nt(&weight)));
-            });
+    // A quick-preset layer's input gradient, dX = g * W^T.
+    group.bench_function("matmul_nt_128x48x48", |bch| {
+        bch.iter(|| black_box(grad.matmul_nt(&weight)));
+    });
 
-            for (label, kind) in [
-                ("ipm_mmd_lin_fwd_bwd", IpmKind::MmdLin),
-                ("ipm_wasserstein_fwd_bwd", IpmKind::Wasserstein { lambda: 10.0, iterations: 5 }),
-            ] {
-                let mut g = Graph::new();
-                group.bench_function(&format!("{label}{suffix}"), |bch| {
-                    bch.iter(|| {
-                        g.reset();
-                        let p = g.constant_copied(&phi);
-                        let w = g.param_copied(&ones);
-                        let loss = ipm_weighted_graph(&mut g, kind, p, w, &treated, &control);
-                        g.backward(loss);
-                        black_box(g.grad(w).map(Matrix::norm_fro))
-                    });
-                });
-            }
-
-            let mut g = Graph::new();
-            let mut scratch = HsicScratch::new();
-            group.bench_function(&format!("hsic_decorrelation_fwd_bwd{suffix}"), |bch| {
-                bch.iter(|| {
-                    g.reset();
-                    let zc = g.constant_copied(&z);
-                    let w = g.param_copied(&ones);
-                    let mut r = rng_from_seed(1);
-                    let loss = decorrelation_loss_graph_scratch(
-                        &mut g,
-                        zc,
-                        w,
-                        &rff,
-                        &cfg,
-                        &mut r,
-                        &mut scratch,
-                    );
-                    g.backward(loss);
-                    black_box(g.grad(w).map(Matrix::norm_fro))
-                });
-            });
-
-            let mut g = Graph::new();
-            let mut scratch = HsicScratch::new();
-            group.bench_function(&format!("weight_objective_fwd_bwd{suffix}"), |bch| {
-                bch.iter(|| {
-                    g.reset();
-                    let z_p = g.constant_copied(&tap_values[0]);
-                    let z_r = g.constant_copied(&tap_values[1]);
-                    let mut z_o = g.take_id_buf();
-                    for m in &tap_values[2..] {
-                        let id = g.constant_copied(m);
-                        z_o.push(id);
-                    }
-                    let taps = LayerTaps { z_o, z_r, z_p };
-                    let w = g.param_copied(&ones);
-                    let shifted = g.add_scalar(w, -1.0);
-                    let sq = g.square(shifted);
-                    let r_w = g.mean(sq);
-                    let mut r = rng_from_seed(1);
-                    let terms = weight_objective(
-                        &mut g,
-                        &sbrl,
-                        &taps,
-                        &ctx,
-                        w,
-                        r_w,
-                        &hap_rff,
-                        &mut r,
-                        &mut scratch,
-                    );
-                    g.give_id_buf(taps.z_o);
-                    g.backward(terms.total);
-                    black_box(g.grad(w).map(Matrix::norm_fro))
-                });
+    for (label, kind) in [
+        ("ipm_mmd_lin_fwd_bwd", IpmKind::MmdLin),
+        ("ipm_wasserstein_fwd_bwd", IpmKind::Wasserstein { lambda: 10.0, iterations: 5 }),
+    ] {
+        let mut g = Graph::new();
+        group.bench_function(label, |bch| {
+            bch.iter(|| {
+                g.reset();
+                let p = g.constant_copied(&phi);
+                let w = g.param_copied(&ones);
+                let loss = ipm_weighted_graph(&mut g, kind, p, w, &treated, &control);
+                g.backward(loss);
+                black_box(g.grad(w).map(Matrix::norm_fro))
             });
         });
     }
+
+    let mut g = Graph::new();
+    let mut scratch = HsicScratch::new();
+    group.bench_function("hsic_decorrelation_fwd_bwd", |bch| {
+        bch.iter(|| {
+            g.reset();
+            let zc = g.constant_copied(&z);
+            let w = g.param_copied(&ones);
+            let mut r = rng_from_seed(1);
+            let loss =
+                decorrelation_loss_graph_scratch(&mut g, zc, w, &rff, &cfg, &mut r, &mut scratch);
+            g.backward(loss);
+            black_box(g.grad(w).map(Matrix::norm_fro))
+        });
+    });
+
+    let mut g = Graph::new();
+    let mut scratch = HsicScratch::new();
+    group.bench_function("weight_objective_fwd_bwd", |bch| {
+        bch.iter(|| {
+            g.reset();
+            let z_p = g.constant_copied(&tap_values[0]);
+            let z_r = g.constant_copied(&tap_values[1]);
+            let mut z_o = g.take_id_buf();
+            for m in &tap_values[2..] {
+                let id = g.constant_copied(m);
+                z_o.push(id);
+            }
+            let taps = LayerTaps { z_o, z_r, z_p };
+            let w = g.param_copied(&ones);
+            let shifted = g.add_scalar(w, -1.0);
+            let sq = g.square(shifted);
+            let r_w = g.mean(sq);
+            let mut r = rng_from_seed(1);
+            let terms = weight_objective(
+                &mut g,
+                &sbrl,
+                &taps,
+                &ctx,
+                w,
+                r_w,
+                &hap_rff,
+                &mut r,
+                &mut scratch,
+            );
+            g.give_id_buf(taps.z_o);
+            g.backward(terms.total);
+            black_box(g.grad(w).map(Matrix::norm_fro))
+        });
+    });
 
     // The weight phase's frozen forward at `fit_hap`'s shapes: the quick
     // CFR preset on the 128-row batch, in training mode (batch-norm
@@ -157,15 +143,13 @@ fn bench_micro(c: &mut Criterion) {
     let mut frozen = Binding::new_frozen(model.store());
     let mut g = Graph::new();
     group.bench_function("cfr_frozen_forward", |bch| {
-        NumericsMode::BitExact.scoped(|| {
-            bch.iter(|| {
-                g.reset();
-                frozen.reset(model.store());
-                let x = g.constant_copied(&batch.x);
-                let pass = model.train_step().forward_without_reg(&mut g, &mut frozen, x, &ctx);
-                g.give_id_buf(pass.taps.z_o);
-                black_box(g.value(pass.y1_raw)[(0, 0)])
-            })
+        bch.iter(|| {
+            g.reset();
+            frozen.reset(model.store());
+            let x = g.constant_copied(&batch.x);
+            let pass = model.train_step().forward_without_reg(&mut g, &mut frozen, x, &ctx);
+            g.give_id_buf(pass.taps.z_o);
+            black_box(g.value(pass.y1_raw)[(0, 0)])
         });
     });
 

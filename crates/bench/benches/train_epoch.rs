@@ -1,7 +1,7 @@
 //! End-to-end training bench: one bench-scale CFR+SBRL-HAP fit on
 //! `Syn_16_16_16_2` (the full alternating loop — backbone GEMMs, weighted
-//! IPM, HSIC-RFF decorrelation), under the serial, parallel, and
-//! parallel + `NumericsMode::Fast` settings. Emits the baseline tracked in
+//! IPM, HSIC-RFF decorrelation), under the serial and parallel settings.
+//! Emits the baseline tracked in
 //! `results/BENCH_train_epoch.json`.
 
 mod common;
@@ -9,7 +9,7 @@ mod common;
 use criterion::{criterion_group, criterion_main, Criterion};
 use sbrl_data::SyntheticConfig;
 use sbrl_experiments::fit_method;
-use sbrl_tensor::kernels::{available_cores, NumericsMode, Parallelism};
+use sbrl_tensor::kernels::{available_cores, Parallelism};
 use std::hint::black_box;
 
 fn bench_train_epoch(c: &mut Criterion) {
@@ -20,20 +20,14 @@ fn bench_train_epoch(c: &mut Criterion) {
     let parallel = Parallelism::Threads(available_cores());
     let mut group = c.benchmark_group("train_epoch");
     // Each case sets the global worker count for its duration (restored
-    // from the environment afterwards) and pins its tier with `scoped`.
-    for (label, par, mode) in [
-        ("serial", Parallelism::Serial, NumericsMode::BitExact),
-        ("parallel", parallel, NumericsMode::BitExact),
-        ("fast", parallel, NumericsMode::Fast),
-    ] {
+    // from the environment afterwards).
+    for (label, par) in [("serial", Parallelism::Serial), ("parallel", parallel)] {
         group.bench_function(&format!("syn16_sbrl_hap/{label}"), |bch| {
             par.set_global();
-            mode.scoped(|| {
-                bch.iter(|| {
-                    let fitted = fit_method(spec, &preset, &data.train, &data.val, &budget)
-                        .expect("bench training");
-                    black_box(fitted.evaluate(&data.test_id).expect("oracle").pehe)
-                })
+            bch.iter(|| {
+                let fitted = fit_method(spec, &preset, &data.train, &data.val, &budget)
+                    .expect("bench training");
+                black_box(fitted.evaluate(&data.test_id).expect("oracle").pehe)
             });
         });
     }

@@ -1,8 +1,8 @@
 //! # sbrl-bench
 //!
-//! Criterion benches: hot-path kernel benches (`gemm`, `hsic` — each
-//! timed in the BitExact and Fast numerics tiers — and `train_epoch`,
-//! timed serial vs parallel under the workspace `Parallelism` knob),
+//! Criterion benches: hot-path kernel benches (`gemm`, `hsic`, and
+//! `train_epoch`, timed serial vs parallel under the workspace
+//! `Parallelism` knob),
 //! micro-benchmarks of the autodiff paths (`micro`),
 //! an allocation-count probe (`allocs`, behind the `alloc-probe` feature),
 //! and one bench per paper table/figure driving the `sbrl-experiments`

@@ -37,7 +37,6 @@ use sbrl_core::serve::{summarize_latencies, InferenceService, ServeConfig, Socke
 use sbrl_core::wire::{ClientConfig, ServeClient};
 use sbrl_core::{FittedModel, SbrlError};
 use sbrl_models::Backbone;
-use sbrl_tensor::kernels::NumericsMode;
 use sbrl_tensor::Matrix;
 
 fn main() -> ExitCode {
@@ -91,10 +90,9 @@ fn check(dir: &Path) -> Result<(), SbrlError> {
     for name in &names {
         let model = registry.require(name)?;
         println!(
-            "  {name}: seed {}, {} parameters, numerics {:?}",
+            "  {name}: seed {}, {} parameters",
             model.seed(),
-            model.model().store().num_scalars(),
-            model.numerics()
+            model.model().store().num_scalars()
         );
     }
     let service = InferenceService::start(registry, ServeConfig::default())?;
@@ -508,10 +506,9 @@ fn make_fixtures(root: &Path) -> Result<(), SbrlError> {
     write(&registry_dir.join("cfr-sbrl-hap.sbrl"), &golden.to_sbrl_bytes())?;
     write(&registry_dir.join("tarnet.sbrl"), &second.to_sbrl_bytes())?;
 
-    // The expected prediction bits, computed under the pinned BitExact tier
-    // (the golden tests pin the same tier before comparing).
+    // The expected prediction bits the golden tests compare against.
     let probe = fixture::probe_matrix(golden.model().export_config().in_dim());
-    let est = NumericsMode::BitExact.scoped(|| golden.predict(&probe));
+    let est = golden.predict(&probe);
     let mut bits = String::new();
     bits.push_str("# Bit-exact predictions of tests/fixtures/golden_v2.sbrl on\n");
     bits.push_str("# persist::fixture::probe_matrix, NumericsMode::BitExact.\n");

@@ -14,7 +14,7 @@
 //!
 //! | section | contents |
 //! |---------|----------|
-//! | `META`  | backbone kind, framework, numerics tier, loss kind, seed |
+//! | `META`  | backbone kind, framework, numerics byte, loss kind, seed |
 //! | `BCFG`  | the full [`BackboneConfig`] (architecture + penalty knobs) |
 //! | `PARM`  | every parameter: name, shape, row-major `f64` data |
 //! | `XTRA`  | non-parameter state (batch-norm running statistics) |
@@ -52,7 +52,6 @@ use sbrl_data::Scaler;
 use sbrl_models::{Backbone, BackboneConfig, BackboneKind, CfrConfig, DerCfrConfig, TarnetConfig};
 use sbrl_nn::OutcomeLoss;
 use sbrl_stats::IpmKind;
-use sbrl_tensor::kernels::NumericsMode;
 use sbrl_tensor::rng::rng_from_seed;
 
 pub use crate::codec::crc32;
@@ -260,17 +259,16 @@ fn framework_from_byte(b: u8) -> Result<Framework, PersistError> {
     }
 }
 
-fn numerics_byte(m: NumericsMode) -> u8 {
-    match m {
-        NumericsMode::BitExact => 0,
-        NumericsMode::Fast => 1,
-    }
-}
+/// The `META` numerics byte the writer stores: `0`, bit-exact arithmetic,
+/// the only one there is.
+const NUMERICS_BYTE: u8 = 0;
 
-fn numerics_from_byte(b: u8) -> Result<NumericsMode, PersistError> {
+/// Checks a `META` numerics byte. `1` is what a retired FMA tier wrote; such
+/// a model's parameters are plain `f64`s, so it loads and predicts under the
+/// one arithmetic like any other.
+fn check_numerics_byte(b: u8) -> Result<(), PersistError> {
     match b {
-        0 => Ok(NumericsMode::BitExact),
-        1 => Ok(NumericsMode::Fast),
+        0 | 1 => Ok(()),
         _ => Err(malformed(format!("unknown numerics mode byte {b}"))),
     }
 }
@@ -387,7 +385,7 @@ fn encode<B: Backbone>(m: &FittedModel<B>, version: u32) -> Vec<u8> {
     let mut meta = Vec::new();
     put_u8(&mut meta, kind_byte(config.kind()));
     put_u8(&mut meta, framework_byte(m.framework()));
-    put_u8(&mut meta, numerics_byte(m.numerics()));
+    put_u8(&mut meta, NUMERICS_BYTE);
     put_u8(&mut meta, loss_byte(m.loss_kind()));
     put_u64(&mut meta, m.seed());
 
@@ -615,7 +613,7 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
     let mut meta = open_section(&mut body, b"META", "META")?;
     let meta_kind = kind_from_byte(meta.u8()?)?;
     let framework = framework_from_byte(meta.u8()?)?;
-    let numerics = numerics_from_byte(meta.u8()?)?;
+    check_numerics_byte(meta.u8()?)?;
     let loss_kind = loss_from_byte(meta.u8()?)?;
     let seed = meta.u64()?;
     meta.finish()?;
@@ -807,7 +805,6 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
         y_transform: (y_shift, y_scale),
         weights,
         report,
-        numerics,
         fit_report,
         framework,
         seed,
@@ -998,7 +995,6 @@ impl fmt::Debug for ModelRegistry {
 pub mod fixture {
     use sbrl_data::{CausalDataset, SyntheticConfig, SyntheticProcess};
     use sbrl_models::{Backbone, CfrConfig, TarnetConfig};
-    use sbrl_tensor::kernels::NumericsMode;
     use sbrl_tensor::Matrix;
 
     use crate::config::{Framework, SbrlConfig};
@@ -1043,39 +1039,26 @@ pub mod fixture {
         TrainConfig { iterations: 40, eval_every: 10, seed, ..TrainConfig::smoke() }
     }
 
-    /// Runs `fit` with the numerics tier pinned to `BitExact` for this fit
-    /// only (the golden fixtures must not depend on the ambient
-    /// `SBRL_NUMERICS` leg); other threads keep the `SBRL_NUMERICS` tier.
-    fn fit_bitexact(
-        fit: impl FnOnce() -> Result<FittedModel<Box<dyn Backbone>>, SbrlError>,
-    ) -> Result<FittedModel<Box<dyn Backbone>>, SbrlError> {
-        NumericsMode::BitExact.scoped(fit)
-    }
-
     /// The golden model: `CFR+SBRL-HAP` on the fixture dataset, bit-exact.
     pub fn train_golden() -> Result<FittedModel<Box<dyn Backbone>>, SbrlError> {
         let (train, val) = dataset();
-        fit_bitexact(|| {
-            Estimator::builder()
-                .backbone(CfrConfig { arch: arch(train.dim()), ..CfrConfig::small(train.dim()) })
-                .framework(Framework::SbrlHap)
-                .sbrl(SbrlConfig::sbrl_hap(1.0, 1.0, 0.1, 0.01))
-                .train(budget(11))
-                .fit(&train, &val)
-        })
+        Estimator::builder()
+            .backbone(CfrConfig { arch: arch(train.dim()), ..CfrConfig::small(train.dim()) })
+            .framework(Framework::SbrlHap)
+            .sbrl(SbrlConfig::sbrl_hap(1.0, 1.0, 0.1, 0.01))
+            .train(budget(11))
+            .fit(&train, &val)
     }
 
     /// The registry's second model: a vanilla `TARNet` on the same data, so
     /// the fixture registry holds two *distinct* method names.
     pub fn train_second() -> Result<FittedModel<Box<dyn Backbone>>, SbrlError> {
         let (train, val) = dataset();
-        fit_bitexact(|| {
-            Estimator::builder()
-                .backbone(arch(train.dim()))
-                .framework(Framework::Vanilla)
-                .train(budget(13))
-                .fit(&train, &val)
-        })
+        Estimator::builder()
+            .backbone(arch(train.dim()))
+            .framework(Framework::Vanilla)
+            .train(budget(13))
+            .fit(&train, &val)
     }
 
     /// The deterministic probe matrix the golden prediction bits are pinned
@@ -1112,9 +1095,7 @@ mod tests {
         for fw in Framework::ALL {
             assert_eq!(framework_from_byte(framework_byte(fw)).unwrap(), fw);
         }
-        for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
-            assert_eq!(numerics_from_byte(numerics_byte(mode)).unwrap(), mode);
-        }
+        assert!(check_numerics_byte(NUMERICS_BYTE).is_ok());
         for loss in [OutcomeLoss::Mse, OutcomeLoss::BceWithLogits] {
             assert_eq!(loss_from_byte(loss_byte(loss)).unwrap(), loss);
         }
@@ -1128,7 +1109,7 @@ mod tests {
         }
         assert!(kind_from_byte(9).is_err());
         assert!(framework_from_byte(9).is_err());
-        assert!(numerics_from_byte(9).is_err());
+        assert!(check_numerics_byte(9).is_err());
         assert!(loss_from_byte(9).is_err());
         assert!(term_from_byte(9).is_err());
     }
@@ -1192,7 +1173,6 @@ mod tests {
         let loaded = FittedModel::from_sbrl_bytes(&bytes).expect("round trip");
         assert_eq!(loaded.seed(), fitted.seed());
         assert_eq!(loaded.framework(), fitted.framework());
-        assert_eq!(loaded.numerics(), fitted.numerics());
         assert_eq!(loaded.loss_kind(), fitted.loss_kind());
         assert_eq!(loaded.weights(), fitted.weights());
         assert_eq!(loaded.fit_report(), fitted.fit_report());

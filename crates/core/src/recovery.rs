@@ -95,9 +95,8 @@ impl std::fmt::Display for RecoveryEvent {
 }
 
 /// Fault-tolerance provenance of a fit, carried on
-/// [`FittedModel`](crate::FittedModel) alongside
-/// [`numerics()`](crate::FittedModel::numerics): the policy the fit ran
-/// under and every recovery it performed.
+/// [`FittedModel`](crate::FittedModel): the policy the fit ran under and
+/// every recovery it performed.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FitReport {
     /// Recovery events in the order they occurred (empty for a clean fit).

@@ -22,7 +22,6 @@ use sbrl_nn::{
     loss::l2_penalty, Adam, BatchIter, Binding, EarlyStopping, LrSchedule, Optimizer, OutcomeLoss,
 };
 use sbrl_stats::{HsicScratch, Rff};
-use sbrl_tensor::kernels::NumericsMode;
 use sbrl_tensor::rng::rng_from_seed;
 use sbrl_tensor::{Graph, Matrix, TensorId};
 
@@ -194,9 +193,6 @@ pub struct FittedModel<B: Backbone> {
     pub(crate) y_transform: (f64, f64),
     pub(crate) weights: Vec<f64>,
     pub(crate) report: TrainReport,
-    /// Numerics tier the fit ran under — provenance, since `BitExact` and
-    /// `Fast` fits of the same seed are not bit-identical.
-    pub(crate) numerics: NumericsMode,
     /// Fault-tolerance provenance: the recovery policy the fit ran under
     /// and every rollback it performed.
     pub(crate) fit_report: FitReport,
@@ -212,7 +208,6 @@ impl<B: Backbone> std::fmt::Debug for FittedModel<B> {
         f.debug_struct("FittedModel")
             .field("model", &self.model.name())
             .field("loss_kind", &self.loss_kind)
-            .field("numerics", &self.numerics)
             .field("report", &self.report)
             .field("fit_report", &self.fit_report)
             .finish_non_exhaustive()
@@ -349,13 +344,6 @@ impl<B: Backbone> FittedModel<B> {
     /// The outcome-loss kind used at training time.
     pub fn loss_kind(&self) -> OutcomeLoss {
         self.loss_kind
-    }
-
-    /// The [`NumericsMode`] tier in force on the fitting thread while this
-    /// model was fitted (provenance: `BitExact` fits reproduce the golden regressions
-    /// bit for bit, `Fast` fits are tolerance-equivalent).
-    pub fn numerics(&self) -> NumericsMode {
-        self.numerics
     }
 
     /// Fault-tolerance provenance of the fit: the [`RecoveryPolicy`] it ran
@@ -653,7 +641,6 @@ pub(crate) fn fit_backbone<B: Backbone>(
         y_transform,
         weights: weights.values(),
         report,
-        numerics: NumericsMode::global(),
         fit_report: FitReport { recoveries, policy: cfg.recovery, time_budget: cfg.time_budget },
         framework: sbrl.framework(),
         seed: cfg.seed,

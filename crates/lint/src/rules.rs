@@ -7,7 +7,7 @@
 //! |-------------------|---------------|----------------------------------------------|
 //! | `hash_collection` | determinism   | numeric crates, non-test code                |
 //! | `spawn`           | determinism   | everywhere except `workers.rs`, non-test     |
-//! | `fma`             | determinism   | everywhere except `kernels.rs`, non-test     |
+//! | `fma`             | determinism   | everywhere, non-test                         |
 //! | `time`            | determinism   | kernel files (`kernels.rs`, `matrix.rs`)     |
 //! | `unsafe`          | unsafe hygiene| every `unsafe` token, tests included         |
 //! | `panic`           | panic-freedom | library (non-bin, non-test) code             |
@@ -132,8 +132,7 @@ fn annotation_rule(ctx: &FileContext, lexed: &LexedFile, out: &mut Vec<Diagnosti
 /// contraction, and wall-clock reads in kernel code.
 fn determinism_rules(ctx: &FileContext, lexed: &LexedFile, out: &mut Vec<Diagnostic>) {
     let in_workers = ctx.file_name() == "workers.rs";
-    let in_kernels = ctx.file_name() == "kernels.rs";
-    let kernel_file = in_kernels || ctx.file_name() == "matrix.rs";
+    let kernel_file = ctx.file_name() == "kernels.rs" || ctx.file_name() == "matrix.rs";
     for line_no in 1..=lexed.len() {
         if ctx.is_test_line(line_no) {
             continue;
@@ -170,8 +169,8 @@ fn determinism_rules(ctx: &FileContext, lexed: &LexedFile, out: &mut Vec<Diagnos
                     .to_string(),
             );
         }
-        if !in_kernels
-            && (has_token(&code, "mul_add") || has_token(&code, "fmadd"))
+        // `fmadd` as a substring also catches the `_mm*_fmadd_pd` intrinsics.
+        if (has_token(&code, "mul_add") || code.contains("fmadd"))
             && !allowed(lexed, line_no, "fma")
         {
             diag(
@@ -179,9 +178,9 @@ fn determinism_rules(ctx: &FileContext, lexed: &LexedFile, out: &mut Vec<Diagnos
                 ctx,
                 line_no,
                 "fma",
-                "FMA contraction outside the `const FMA: bool`-gated kernel clones in \
-                 kernels.rs: fused multiply-add changes rounding and is only sound \
-                 behind the NumericsMode::Fast gate"
+                "FMA contraction: a fused multiply-add rounds once where the \
+                 bit-exact chains round the product and the sum apart, so it \
+                 changes the bits. Write `acc + a * b`"
                     .to_string(),
             );
         }

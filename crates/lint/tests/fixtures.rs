@@ -63,7 +63,16 @@ fn thread_scope_flagged_and_allow_suppresses() {
 fn fma_flagged_outside_kernels() {
     let src = "pub fn f(a: f64, b: f64, c: f64) -> f64 {\n    a.mul_add(b, c)\n}\n";
     assert_eq!(findings("crates/stats/src/x.rs", src), vec![(2, "fma")]);
-    assert!(findings("crates/tensor/src/kernels.rs", src).is_empty());
+}
+
+#[test]
+fn fma_flagged_in_kernels_too() {
+    // One arithmetic: the GEMM kernels may not fuse either, by `mul_add` or
+    // by an FMA intrinsic.
+    let src = "pub fn f(a: f64, b: f64, c: f64) -> f64 {\n    a.mul_add(b, c)\n}\n";
+    assert_eq!(findings("crates/tensor/src/kernels.rs", src), vec![(2, "fma")]);
+    let src = "pub fn g(a: V, b: V, c: V) -> V {\n    _mm256_fmadd_pd(a, b, c)\n}\n";
+    assert_eq!(findings("crates/tensor/src/kernels.rs", src), vec![(2, "fma")]);
 }
 
 #[test]

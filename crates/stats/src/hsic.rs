@@ -104,8 +104,7 @@ pub fn hsic_rff_pair(a: &[f64], b: &[f64], rff: &Rff, weights: Option<&[f64]>) -
 }
 
 /// Symmetric `d x d` matrix of pairwise `HSIC_RFF` values between the columns
-/// of `z` — the quantity visualised in the paper's Fig. 5. It runs no GEMM,
-/// so its bits are the same in both numerics tiers.
+/// of `z` — the quantity visualised in the paper's Fig. 5. It runs no GEMM.
 ///
 /// The Fourier feature map and its weighted column means are computed
 /// **once per column** (not once per pair, which used to re-extract every
@@ -202,9 +201,8 @@ pub fn mean_offdiag_hsic(z: &Matrix, rff: &Rff, weights: Option<&[f64]>) -> f64 
 /// pay. Mathematically identical to the explicit product (up to
 /// floating-point summation order).
 ///
-/// The row-mean and trace folds are serial in both numerics tiers; only the
-/// kernel fills' `A Bᵀ` GEMMs (the median-heuristic bandwidths' included)
-/// follow the calling thread's tier.
+/// The row-mean and trace folds are serial; the kernel fills' `A Bᵀ` (the
+/// median-heuristic bandwidths' included) are GEMMs.
 ///
 /// # Example
 ///

@@ -210,10 +210,8 @@ fn sinkhorn_graph(
 /// per group; pass `None` for unit weights.
 ///
 /// The O(n²) folds (quadratic forms, Sinkhorn fixed-point updates) keep the
-/// historical serial order in both numerics tiers. Only the `A Bᵀ` GEMMs of
-/// the kernel and cost matrices (the median-heuristic bandwidth's included)
-/// follow the calling thread's tier, so linear MMD is bit-identical across
-/// tiers.
+/// historical serial order; the kernel and cost matrices' `A Bᵀ` (the
+/// median-heuristic bandwidth's included) are GEMMs.
 pub fn ipm_weighted_plain(
     kind: IpmKind,
     phi_t: &Matrix,

@@ -1,10 +1,8 @@
 //! Kernel primitives: pairwise distances, RBF kernels and bandwidth
 //! heuristics (plain-matrix, non-differentiable versions).
 //!
-//! The `A Bᵀ` cross term of the squared distances is a GEMM, so under
-//! [`NumericsMode::Fast`](sbrl_tensor::kernels::NumericsMode::Fast) it
-//! carries the GEMM's FMA contraction; the row squared-norms are the same
-//! serial folds in both tiers.
+//! The `A Bᵀ` cross term of the squared distances is a GEMM; the row
+//! squared-norms are serial folds.
 
 use sbrl_tensor::Matrix;
 

@@ -12,14 +12,12 @@
 //!   behind the paper's Fig. 5.
 //!
 //! The O(n²) pairwise loops (kernel matrices, HSIC pair sums, Sinkhorn
-//! updates) run on the calling thread as serial folds, the same in both
-//! [`NumericsMode`](sbrl_tensor::kernels::NumericsMode) tiers. This crate
-//! never reads the tier: a statistic that multiplies matrices (the kernel
-//! fills' `A Bᵀ`, the graph forms' products) follows its calling thread's
-//! tier through the GEMM, which under `Fast` contracts each element's
-//! multiply-add chain into FMAs. Choose a tier with
-//! [`NumericsMode::scoped`](sbrl_tensor::kernels::NumericsMode::scoped).
-//! Parallelism lives one level up: the weight phase evaluates its
+//! updates) run on the calling thread as serial folds in their historical
+//! order, and a statistic that multiplies matrices (the kernel fills'
+//! `A Bᵀ`, the graph forms' products) does so through the GEMM, which keeps
+//! each element's chain. So every statistic is bit-exact
+//! ([`NumericsMode`](sbrl_tensor::kernels::NumericsMode)): the same bits
+//! on every CPU and at every thread count. Parallelism lives one level up: the weight phase evaluates its
 //! decorrelation terms as concurrent pool tasks
 //! ([`decorrelation_losses_graph`]).
 

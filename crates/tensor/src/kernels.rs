@@ -11,22 +11,15 @@
 //!   weight phase's decorrelation terms, synthetic-generation shards and
 //!   `predict_batched`'s row shards. The kernels themselves run on the
 //!   calling thread, so every setting produces the same bits.
-//! * [`NumericsMode`] — the workspace-wide floating-point contract knob
-//!   (env-driven via `SBRL_NUMERICS`, default [`NumericsMode::BitExact`];
-//!   [`NumericsMode::scoped`], the only programmatic override, pins a tier
-//!   for one thread and the pool tasks it submits). Every kernel entry
-//!   point reads the tier once. `BitExact` preserves every historical
-//!   accumulation chain; [`NumericsMode::Fast`] means one thing, FMA
-//!   contraction in the GEMM kernels, trading bit-reproducibility
-//!   against the historical chains for throughput while staying within the
-//!   documented relative-error bounds (enforced by `tests/numerics_mode.rs`).
-//!   Of the numerical code, only the GEMM dispatch reads the tier.
+//! * [`NumericsMode`] — the one floating-point contract, bit-exactness:
+//!   every kernel keeps every historical accumulation chain. Nothing
+//!   chooses it; the type only names it for the benchmark's banner.
 //! * [`gemm_into`], [`gemm_nt_into`], [`gemm_tn_into`] — cache-blocked
 //!   matrix products into a caller-provided buffer (tiled over the inner
 //!   dimension and output columns); `Matrix::matmul{,_nt,_tn}` allocate the
-//!   buffer and call them. In `BitExact` each output element is accumulated
-//!   in the same floating-point order as the historical unblocked loop,
-//!   whatever the blocking or the instruction set.
+//!   buffer and call them. Each output element is accumulated in the same
+//!   floating-point order as the historical unblocked loop, whatever the
+//!   blocking or the instruction set.
 //! * [`shard_ranges`], [`par_for_row_chunks`] — the sharding primitives of
 //!   the coarse tasks (synthetic generation in `sbrl-data`, batched
 //!   inference in `sbrl-core`). They execute on the persistent worker pool
@@ -39,11 +32,11 @@
 //! kernel, written once over a vector of `f64` lanes, and differ only in
 //! that vector:
 //!
-//! | CPU | lanes | register tile | clones |
+//! | CPU | lanes | register tile | compiled with |
 //! |---|---|---|---|
-//! | AVX-512F | `__m512d` (8) | 4 x 32 | one per tier |
-//! | AVX2 | `__m256d` (4) | 4 x 8 | `avx2`; `avx2,fma` for `Fast` |
-//! | other | `[f64; 4]` (4) | 1 x 16 | one; `Fast` keeps the exact chains |
+//! | AVX-512F | `__m512d` (8) | 4 x 32 | `avx512f` |
+//! | AVX2 | `__m256d` (4) | 4 x 8 | `avx2` |
+//! | other | `[f64; 4]` (4) | 1 x 16 | the baseline target |
 //!
 //! * The **register tile** holds its output rows by `NR` columns in registers
 //!   for one `KC`-deep slab of the inner dimension, reading `B` (or `B^T`)
@@ -55,34 +48,32 @@
 //!   `k` of the stored `A^T` as it is.
 //!
 //! Every kernel keeps every element's own chain: it starts at `+0.0` and takes
-//! `acc + a * b` (`mul_add` in the `Fast` tier on FMA hardware) in ascending
-//! `k`. nn/tn skip an exact-zero `a`, so `0 * inf` never joins a chain; nt has
-//! no skip, so it stays NaN. A tile only changes which chains advance side by
-//! side and where an accumulator is kept between steps (a register, or `out`
-//! between slabs; storing an `f64` is exact), so only an empty inner
-//! dimension clears `out`. The skip is a lane mask (a compare and a blend on
-//! AVX2 and in the portable lanes) rather than a branch, which keeps the
-//! accumulator where the scalar loop skips the add; a tiled product whose `A`
-//! holds no zero runs without it, since it would keep no accumulator. So the
-//! clones of a tier agree bit for bit, and nothing above the three entry
-//! points can tell which one ran.
+//! `acc + a * b`, a rounded product then a rounded sum (never a fused
+//! multiply-add), in ascending `k`. nn/tn skip an exact-zero `a`, so
+//! `0 * inf` never joins a chain; nt has no skip, so it stays NaN. A tile
+//! only changes which chains advance side by side and where an accumulator
+//! is kept between steps (a register, or `out` between slabs; storing an
+//! `f64` is exact), so only an empty inner dimension clears `out`. The skip
+//! is a lane mask (a compare and a blend on AVX2 and in the portable lanes)
+//! rather than a branch, which keeps the accumulator where the scalar loop
+//! skips the add; a tiled product whose `A` holds no zero runs without it,
+//! since it would keep no accumulator. So the clones agree bit for bit, and
+//! nothing above the three entry points can tell which one ran.
 //!
 //! # Example
 //!
 //! ```
-//! use sbrl_tensor::kernels::NumericsMode;
 //! use sbrl_tensor::Matrix;
 //!
 //! let a = Matrix::from_fn(64, 32, |i, j| (i + j) as f64);
 //! let b = Matrix::from_fn(32, 48, |i, j| (i as f64 - j as f64) * 0.5);
-//! let c = NumericsMode::BitExact.scoped(|| a.matmul(&b));
-//! // BitExact accumulates each element from +0.0 in ascending `k`, like the
-//! // textbook triple loop, whatever the cache blocking.
+//! let c = a.matmul(&b);
+//! // Each element accumulates from +0.0 in ascending `k`, like the textbook
+//! // triple loop, whatever the cache blocking.
 //! let want = (0..32).fold(0.0, |s, k| s + a[(5, k)] * b[(k, 7)]);
 //! assert_eq!(c[(5, 7)].to_bits(), want.to_bits());
 //! ```
 
-use std::cell::Cell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -189,126 +180,32 @@ pub fn available_cores() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Floating-point contract of the numerical kernels.
+/// Floating-point contract of the numerical kernels: bit-exactness, the
+/// only arithmetic there is.
 ///
-/// The workspace's second knob, next to [`Parallelism`]. It resolves, in
-/// order:
-///
-/// 1. a tier pinned on the calling thread by [`NumericsMode::scoped`] (pool
-///    tasks inherit their submitter's pin) — the only programmatic way to
-///    choose a tier;
-/// 2. the `SBRL_NUMERICS` environment variable, read once on the first
-///    [`NumericsMode::global`] call (`fast`, case-insensitive, selects
-///    [`NumericsMode::Fast`]; anything else is `BitExact`);
-/// 3. the default, [`NumericsMode::BitExact`].
-///
-/// `BitExact` is the historical contract: no FMA contraction, no reduction
-/// reordering, output bit-identical to the pre-kernel-layer code at every
-/// `Parallelism` setting. `Fast` relaxes exactly one thing: the GEMM
-/// kernels contract each `mul + add` into a hardware FMA (where the CPU has
-/// it), in exchange for higher throughput. Every other fold, the plain
-/// statistics' included, is the same in both tiers. Fast results stay
-/// within the relative-error bounds documented in `docs/PERFORMANCE.md`
-/// ("Numerics tiers") and are **deterministic on a given machine**: each
-/// output element is a fixed `mul_add` chain in ascending `k`, whatever the
-/// thread count or scheduling, so any `SBRL_THREADS` reproduces Fast output
-/// bit for bit run-to-run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Every kernel keeps every historical accumulation chain (no FMA
+/// contraction, no reduction reordering), so output is bit-identical to the
+/// pre-kernel-layer code at every [`Parallelism`] setting and on every
+/// instruction set. Nothing chooses it: the type has one value, and keeps
+/// [`NumericsMode::global`] and [`NumericsMode::as_str`] only so that the
+/// benchmark's banner can name the arithmetic it measured.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NumericsMode {
     /// Historical bit-exact arithmetic: every accumulation chain unchanged.
-    #[default]
     BitExact,
-    /// FMA contraction in the GEMM kernels.
-    Fast,
-}
-
-/// The process-wide tier, resolved from `SBRL_NUMERICS` on first use.
-static ENV_NUMERICS: OnceLock<NumericsMode> = OnceLock::new();
-
-thread_local! {
-    /// The tier pinned on this thread by [`NumericsMode::scoped`], as its
-    /// storage code (0 = none, 1 = bit-exact, 2 = fast).
-    static SCOPED_NUMERICS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// The tier code pinned on the calling thread (0 = none). The worker pool
-/// hands it to the tasks a pinned thread submits.
-pub(crate) fn scoped_numerics() -> usize {
-    SCOPED_NUMERICS.with(Cell::get)
-}
-
-/// Runs `f` with the calling thread's pinned tier code set to `code`,
-/// restoring the previous code afterwards, also when `f` panics.
-pub(crate) fn with_scoped_numerics<R>(code: usize, f: impl FnOnce() -> R) -> R {
-    /// Restores the previous code on drop.
-    struct Restore(usize);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            SCOPED_NUMERICS.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(SCOPED_NUMERICS.with(|c| c.replace(code)));
-    f()
 }
 
 impl NumericsMode {
-    /// Resolves the knob from the `SBRL_NUMERICS` environment variable:
-    /// `fast` (case-insensitive) = [`NumericsMode::Fast`], anything
-    /// else/unset = [`NumericsMode::BitExact`].
-    fn from_env() -> Self {
-        match std::env::var("SBRL_NUMERICS") {
-            Ok(v) if v.trim().eq_ignore_ascii_case("fast") => NumericsMode::Fast,
-            _ => NumericsMode::BitExact,
-        }
-    }
-
-    /// True for [`NumericsMode::Fast`].
-    pub fn is_fast(self) -> bool {
-        matches!(self, NumericsMode::Fast)
-    }
-
-    /// The knob's canonical spelling (`"bitexact"` / `"fast"`), as accepted
-    /// by `SBRL_NUMERICS` and recorded in `FittedModel` provenance.
+    /// The contract's name, `"bitexact"`.
     pub fn as_str(self) -> &'static str {
         match self {
             NumericsMode::BitExact => "bitexact",
-            NumericsMode::Fast => "fast",
         }
     }
 
-    /// The knob's storage code (1 = bit-exact, 2 = fast).
-    fn code(self) -> usize {
-        match self {
-            NumericsMode::BitExact => 1,
-            NumericsMode::Fast => 2,
-        }
-    }
-
-    /// Runs `f` with `self` pinned as the tier of the calling thread and of
-    /// every pool task it submits (a sweep's fits and scoring, decorrelation
-    /// terms, row shards), whatever `SBRL_NUMERICS` says; other threads are
-    /// unaffected. The previous pin is restored when `f` returns or panics. A
-    /// fit that must not depend on `SBRL_NUMERICS` (the golden fixtures), a
-    /// differential test or a bench case runs its work inside such a scope.
-    pub fn scoped<R>(self, f: impl FnOnce() -> R) -> R {
-        with_scoped_numerics(self.code(), f)
-    }
-
-    /// The tier in force on the calling thread: the one pinned by an
-    /// enclosing [`NumericsMode::scoped`], otherwise the process-wide tier,
-    /// which the first call resolves from `SBRL_NUMERICS` and caches.
+    /// The contract in force: always [`NumericsMode::BitExact`].
     pub fn global() -> Self {
-        match scoped_numerics() {
-            1 => NumericsMode::BitExact,
-            2 => NumericsMode::Fast,
-            _ => *ENV_NUMERICS.get_or_init(NumericsMode::from_env),
-        }
-    }
-}
-
-impl std::fmt::Display for NumericsMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
+        NumericsMode::BitExact
     }
 }
 
@@ -383,30 +280,14 @@ where
 /// dispatch, so binaries stay portable to baseline x86-64.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn avx2_available() -> bool {
-    use std::sync::OnceLock;
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
-/// True when the running CPU supports AVX2 **and** FMA3 (checked once,
-/// cached). [`NumericsMode::Fast`] only fuses on such CPUs; elsewhere `Fast`
-/// runs the `BitExact` chains of the portable clone (a scalar `f64::mul_add`
-/// without hardware FMA would be a slow `libm` call, not an optimisation),
-/// which trivially satisfies the Fast error bounds.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn fma_available() -> bool {
-    use std::sync::OnceLock;
-    static FMA: OnceLock<bool> = OnceLock::new();
-    *FMA.get_or_init(|| {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    })
-}
-
 /// True when the running CPU supports AVX-512F (checked once, cached). The
-/// GEMM products of both tiers then run on the `__m512d` clone.
+/// GEMM products then run on the `__m512d` clone.
 #[cfg(target_arch = "x86_64")]
 fn avx512_available() -> bool {
-    use std::sync::OnceLock;
     static AVX512: OnceLock<bool> = OnceLock::new();
     *AVX512.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
 }
@@ -431,8 +312,8 @@ const MR: usize = 4;
 /// An implementation's `load`, `store` and `load_t` must access no lane
 /// past the low `w` ones: a short tile column or `n = 1` block ends where
 /// its operand or `out` ends. Every method may use the instructions of its
-/// type's target features (FMA too for `madd::<true, _>`), so callers must
-/// be compiled with those features and run on a CPU that has them.
+/// type's target features, so callers must be compiled with those features
+/// and run on a CPU that has them.
 unsafe trait Lanes: Copy {
     /// Lanes per vector.
     const W: usize;
@@ -452,11 +333,11 @@ unsafe trait Lanes: Copy {
     /// Writes the low `w <= W` lanes of `v` to `p[..w]`. Safety: the
     /// trait's, and `p[..w]` must be writable.
     unsafe fn store(p: *mut f64, w: usize, v: Self);
-    /// One chain step, `acc + a * b` (one fused multiply-add for `FMA`), on
-    /// the lanes that join the chain: all of them, or for `SKIP` those where
-    /// `a != 0.0` as Rust evaluates it (true for NaN, false for `-0.0`). The
-    /// other lanes keep `acc`. Safety: the trait's.
-    unsafe fn madd<const FMA: bool, const SKIP: bool>(acc: Self, a: Self, b: Self) -> Self;
+    /// One chain step, `acc + a * b` (a rounded product, then a rounded
+    /// sum), on the lanes that join the chain: all of them, or for `SKIP`
+    /// those where `a != 0.0` as Rust evaluates it (true for NaN, false for
+    /// `-0.0`). The other lanes keep `acc`. Safety: the trait's.
+    unsafe fn madd<const SKIP: bool>(acc: Self, a: Self, b: Self) -> Self;
     /// The low `w` lanes of the `W` rows at `a + r * lda`, transposed:
     /// vector `c` holds lane `c` of every row. Rows from `rows` on repeat row
     /// `rows - 1`. Safety: the trait's, and the low `w` lanes of rows
@@ -518,10 +399,10 @@ unsafe impl Lanes for [f64; 4] {
 
     // SAFETY: as the trait method states.
     #[inline(always)]
-    unsafe fn madd<const FMA: bool, const SKIP: bool>(acc: Self, a: Self, b: Self) -> Self {
+    unsafe fn madd<const SKIP: bool>(acc: Self, a: Self, b: Self) -> Self {
         let mut out = acc;
         for (l, o) in out.iter_mut().enumerate() {
-            let step = if FMA { a[l].mul_add(b[l], acc[l]) } else { acc[l] + a[l] * b[l] };
+            let step = acc[l] + a[l] * b[l];
             // A select rather than a branch, like the SIMD lanes' mask.
             *o = if SKIP && a[l] == 0.0 { acc[l] } else { step };
         }
@@ -592,9 +473,7 @@ struct Tile {
 /// column (`tail` for `v = NV - 1`), and readable unless `t.first`.
 #[inline(always)]
 // lint: no_alloc
-unsafe fn tile<V: Lanes, const R: usize, const NV: usize, const FMA: bool, const SKIP: bool>(
-    t: &Tile,
-) {
+unsafe fn tile<V: Lanes, const R: usize, const NV: usize, const SKIP: bool>(t: &Tile) {
     let lanes = |v: usize| if v + 1 == NV { t.tail } else { V::W };
     // SAFETY: every pointer stays on a row `min(r, rows - 1) < rows` and a
     // step `dk < kc`, and `out` is read and written in the lanes of
@@ -616,7 +495,7 @@ unsafe fn tile<V: Lanes, const R: usize, const NV: usize, const FMA: bool, const
             for (acc_r, &a_r) in acc.iter_mut().zip(&a) {
                 let av = V::splat(*a_r.add(dk * t.a_step));
                 for (acc_rv, &bvv) in acc_r.iter_mut().zip(&bv) {
-                    *acc_rv = V::madd::<FMA, SKIP>(*acc_rv, av, bvv);
+                    *acc_rv = V::madd::<SKIP>(*acc_rv, av, bvv);
                 }
             }
         }
@@ -635,14 +514,14 @@ unsafe fn tile<V: Lanes, const R: usize, const NV: usize, const FMA: bool, const
 /// As for [`tile`], with `1 <= nv <= V::NV`.
 #[inline(always)]
 // lint: no_alloc
-unsafe fn run_tile<V: Lanes, const FMA: bool>(t: &Tile, skip_zero: bool, nv: usize) {
+unsafe fn run_tile<V: Lanes>(t: &Tile, skip_zero: bool, nv: usize) {
     // SAFETY: the contract above.
     unsafe {
         match (t.rows == 1 || V::ROWS == 1, skip_zero) {
-            (true, true) => tile_nv::<V, 1, FMA, true>(t, nv),
-            (true, false) => tile_nv::<V, 1, FMA, false>(t, nv),
-            (false, true) => tile_nv::<V, MR, FMA, true>(t, nv),
-            (false, false) => tile_nv::<V, MR, FMA, false>(t, nv),
+            (true, true) => tile_nv::<V, 1, true>(t, nv),
+            (true, false) => tile_nv::<V, 1, false>(t, nv),
+            (false, true) => tile_nv::<V, MR, true>(t, nv),
+            (false, false) => tile_nv::<V, MR, false>(t, nv),
         }
     }
 }
@@ -653,18 +532,15 @@ unsafe fn run_tile<V: Lanes, const FMA: bool>(t: &Tile, skip_zero: bool, nv: usi
 /// As for [`tile`], with `1 <= nv <= V::NV`.
 #[inline(always)]
 // lint: no_alloc
-unsafe fn tile_nv<V: Lanes, const R: usize, const FMA: bool, const SKIP: bool>(
-    t: &Tile,
-    nv: usize,
-) {
+unsafe fn tile_nv<V: Lanes, const R: usize, const SKIP: bool>(t: &Tile, nv: usize) {
     // SAFETY: the contract above; the clamp only tells the compiler which
     // widths `V` can take.
     unsafe {
         match nv.clamp(1, V::NV) {
-            1 => tile::<V, R, 1, FMA, SKIP>(t),
-            2 => tile::<V, R, 2, FMA, SKIP>(t),
-            3 => tile::<V, R, 3, FMA, SKIP>(t),
-            _ => tile::<V, R, 4, FMA, SKIP>(t),
+            1 => tile::<V, R, 1, SKIP>(t),
+            2 => tile::<V, R, 2, SKIP>(t),
+            3 => tile::<V, R, 3, SKIP>(t),
+            _ => tile::<V, R, 4, SKIP>(t),
         }
     }
 }
@@ -727,7 +603,7 @@ fn pack_bt(
 /// `m x k_dim x n` product.
 #[inline(always)]
 // lint: no_alloc
-unsafe fn gemm_tiled<V: Lanes, const L: u8, const FMA: bool>(
+unsafe fn gemm_tiled<V: Lanes, const L: u8>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -786,7 +662,7 @@ unsafe fn gemm_tiled<V: Lanes, const L: u8, const FMA: bool>(
                     // whole, so the tile reads no unwritten panel lane.
                     // Output rows `i0..i0 + rows` hold columns `j0..j0 + w`,
                     // which the earlier slabs stored.
-                    unsafe { run_tile::<V, FMA>(&t, skip_zero, nv) };
+                    unsafe { run_tile::<V>(&t, skip_zero, nv) };
                 }
             }
         }
@@ -803,7 +679,7 @@ unsafe fn gemm_tiled<V: Lanes, const L: u8, const FMA: bool>(
 /// `m x k_dim x 1` product.
 #[inline(always)]
 // lint: no_alloc
-unsafe fn matvec<V: Lanes, const L: u8, const FMA: bool, const SKIP: bool>(
+unsafe fn matvec<V: Lanes, const L: u8, const SKIP: bool>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -813,11 +689,11 @@ unsafe fn matvec<V: Lanes, const L: u8, const FMA: bool, const SKIP: bool>(
     // SAFETY: the contract above; each block's rows lie in `0..m`.
     unsafe {
         for i0 in (0..full).step_by(2 * V::W) {
-            matvec_block::<V, L, FMA, SKIP>(a, b, out, (m, k_dim), i0, [V::W; 2]);
+            matvec_block::<V, L, SKIP>(a, b, out, (m, k_dim), i0, [V::W; 2]);
         }
         if full < m {
             let rows = [(m - full).min(V::W), (m - full).saturating_sub(V::W)];
-            matvec_block::<V, L, FMA, SKIP>(a, b, out, (m, k_dim), full, rows);
+            matvec_block::<V, L, SKIP>(a, b, out, (m, k_dim), full, rows);
         }
     }
 }
@@ -835,7 +711,7 @@ unsafe fn matvec<V: Lanes, const L: u8, const FMA: bool, const SKIP: bool>(
 /// As for [`matvec`], with rows `i0..i0 + rows[0] + rows[1]` in `0..m`.
 #[inline(always)]
 // lint: no_alloc
-unsafe fn matvec_block<V: Lanes, const L: u8, const FMA: bool, const SKIP: bool>(
+unsafe fn matvec_block<V: Lanes, const L: u8, const SKIP: bool>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -855,7 +731,7 @@ unsafe fn matvec_block<V: Lanes, const L: u8, const FMA: bool, const SKIP: bool>
             for (a_k, &bk) in a.chunks_exact(m).zip(b) {
                 for (h, acc_h) in acc.iter_mut().enumerate() {
                     let col = V::load(a_k[first[h]..].as_ptr(), rows[h]);
-                    *acc_h = V::madd::<FMA, SKIP>(*acc_h, col, V::splat(bk));
+                    *acc_h = V::madd::<SKIP>(*acc_h, col, V::splat(bk));
                 }
             }
         } else {
@@ -863,10 +739,10 @@ unsafe fn matvec_block<V: Lanes, const L: u8, const FMA: bool, const SKIP: bool>
             let k_full = k_dim - k_dim % V::W;
             let a_at = |k0: usize| first.map(|i| a[i * k_dim + k0..].as_ptr());
             for k0 in (0..k_full).step_by(V::W) {
-                matvec_cols::<V, FMA, SKIP>(a_at(k0), k_dim, rows, &b[k0..k0 + V::W], &mut acc);
+                matvec_cols::<V, SKIP>(a_at(k0), k_dim, rows, &b[k0..k0 + V::W], &mut acc);
             }
             if k_full < k_dim {
-                matvec_cols::<V, FMA, SKIP>(a_at(k_full), k_dim, rows, &b[k_full..], &mut acc);
+                matvec_cols::<V, SKIP>(a_at(k_full), k_dim, rows, &b[k_full..], &mut acc);
             }
         }
         for (h, &acc_h) in acc.iter().enumerate() {
@@ -884,7 +760,7 @@ unsafe fn matvec_block<V: Lanes, const L: u8, const FMA: bool, const SKIP: bool>
 /// rows (at least one) from `a[h]`, `lda` apart, must be readable.
 #[inline(always)]
 // lint: no_alloc
-unsafe fn matvec_cols<V: Lanes, const FMA: bool, const SKIP: bool>(
+unsafe fn matvec_cols<V: Lanes, const SKIP: bool>(
     a: [*const f64; 2],
     lda: usize,
     rows: [usize; 2],
@@ -897,8 +773,8 @@ unsafe fn matvec_cols<V: Lanes, const FMA: bool, const SKIP: bool>(
         let c1 = V::load_t(a[1], lda, rows[1].max(1), bk.len());
         for ((c0, c1), &bk) in c0.into_iter().zip(c1).zip(bk) {
             let bk = V::splat(bk);
-            acc[0] = V::madd::<FMA, SKIP>(acc[0], c0, bk);
-            acc[1] = V::madd::<FMA, SKIP>(acc[1], c1, bk);
+            acc[0] = V::madd::<SKIP>(acc[0], c0, bk);
+            acc[1] = V::madd::<SKIP>(acc[1], c1, bk);
         }
     }
 }
@@ -912,7 +788,7 @@ unsafe fn matvec_cols<V: Lanes, const FMA: bool, const SKIP: bool>(
 /// target features, running on a CPU that has them.
 #[inline(always)]
 // lint: no_alloc
-unsafe fn gemm_lanes<V: Lanes, const L: u8, const FMA: bool>(
+unsafe fn gemm_lanes<V: Lanes, const L: u8>(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -923,9 +799,9 @@ unsafe fn gemm_lanes<V: Lanes, const L: u8, const FMA: bool>(
     // the product's shapes.
     unsafe {
         match (n, L) {
-            (1, NT) => matvec::<V, L, FMA, false>(a, b, out, (m, k_dim)),
-            (1, _) => matvec::<V, L, FMA, true>(a, b, out, (m, k_dim)),
-            _ => gemm_tiled::<V, L, FMA>(a, b, out, (m, k_dim, n)),
+            (1, NT) => matvec::<V, L, false>(a, b, out, (m, k_dim)),
+            (1, _) => matvec::<V, L, true>(a, b, out, (m, k_dim)),
+            _ => gemm_tiled::<V, L>(a, b, out, (m, k_dim, n)),
         }
     }
 }
@@ -977,7 +853,7 @@ mod x86 {
 
         // SAFETY: as the trait method states.
         #[inline(always)]
-        unsafe fn madd<const FMA: bool, const SKIP: bool>(acc: Self, a: Self, b: Self) -> Self {
+        unsafe fn madd<const SKIP: bool>(acc: Self, a: Self, b: Self) -> Self {
             // SAFETY: AVX-512F is the caller's contract.
             unsafe {
                 let live = if SKIP {
@@ -985,11 +861,7 @@ mod x86 {
                 } else {
                     0xFF
                 };
-                if FMA {
-                    _mm512_mask3_fmadd_pd(a, b, acc, live)
-                } else {
-                    _mm512_mask_add_pd(acc, live, acc, _mm512_mul_pd(a, b))
-                }
+                _mm512_mask_add_pd(acc, live, acc, _mm512_mul_pd(a, b))
             }
         }
 
@@ -1106,15 +978,10 @@ mod x86 {
 
         // SAFETY: as the trait method states.
         #[inline(always)]
-        unsafe fn madd<const FMA: bool, const SKIP: bool>(acc: Self, a: Self, b: Self) -> Self {
-            // SAFETY: AVX, and FMA for `FMA = true`, are the caller's
-            // contract.
+        unsafe fn madd<const SKIP: bool>(acc: Self, a: Self, b: Self) -> Self {
+            // SAFETY: AVX is the caller's contract.
             unsafe {
-                let step = if FMA {
-                    _mm256_fmadd_pd(a, b, acc)
-                } else {
-                    _mm256_add_pd(acc, _mm256_mul_pd(a, b))
-                };
+                let step = _mm256_add_pd(acc, _mm256_mul_pd(a, b));
                 if !SKIP {
                     return step;
                 }
@@ -1156,7 +1023,7 @@ mod x86 {
     /// The CPU must support AVX-512F.
     #[target_feature(enable = "avx512f")]
     // lint: no_alloc
-    pub(super) unsafe fn gemm_avx512<const L: u8, const FMA: bool>(
+    pub(super) unsafe fn gemm_avx512<const L: u8>(
         a: &[f64],
         b: &[f64],
         out: &mut [f64],
@@ -1164,10 +1031,10 @@ mod x86 {
     ) {
         // SAFETY: this clone is compiled with AVX-512F, which the caller
         // verified.
-        unsafe { gemm_lanes::<__m512d, L, FMA>(a, b, out, dims) }
+        unsafe { gemm_lanes::<__m512d, L>(a, b, out, dims) }
     }
 
-    /// The AVX2 clone of the layout-`L` GEMM: the `BitExact` chains.
+    /// The AVX2 clone of the layout-`L` GEMM.
     ///
     /// # Safety
     /// The CPU must support AVX2.
@@ -1181,25 +1048,7 @@ mod x86 {
     ) {
         // SAFETY: this clone is compiled with AVX2, which the caller
         // verified.
-        unsafe { gemm_lanes::<__m256d, L, false>(a, b, out, dims) }
-    }
-
-    /// The AVX2+FMA clone of the layout-`L` GEMM: the
-    /// [`NumericsMode::Fast`](super::NumericsMode::Fast) chains.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 and FMA3.
-    #[target_feature(enable = "avx2,fma")]
-    // lint: no_alloc
-    pub(super) unsafe fn gemm_fma<const L: u8>(
-        a: &[f64],
-        b: &[f64],
-        out: &mut [f64],
-        dims: (usize, usize, usize),
-    ) {
-        // SAFETY: this clone is compiled with AVX2 and FMA, which the caller
-        // verified.
-        unsafe { gemm_lanes::<__m256d, L, true>(a, b, out, dims) }
+        unsafe { gemm_lanes::<__m256d, L>(a, b, out, dims) }
     }
 }
 
@@ -1211,58 +1060,43 @@ mod x86 {
 enum Isa {
     /// Over `[f64; 4]`, compiled for the baseline target.
     Portable,
-    /// Over `__m256d`: an AVX2 clone, and an AVX2+FMA one for
-    /// [`NumericsMode::Fast`].
+    /// Over `__m256d`, with AVX2.
     Avx2,
     /// Over `__m512d`, with AVX-512F.
     Avx512,
 }
 
 /// Runs the layout-`L` product on the widest clone, no wider than
-/// `widest`, that the CPU supports: AVX-512F, then AVX2 (its FMA clone for
-/// [`NumericsMode::Fast`]), then the portable one. Every clone of a tier
-/// computes the same chains and overwrites `out`.
+/// `widest`, that the CPU supports: AVX-512F, then AVX2, then the portable
+/// one. Every clone computes the same chains and overwrites `out`.
 fn gemm<const L: u8>(
     widest: Isa,
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
     dims: (usize, usize, usize),
-    fast: bool,
 ) {
     #[cfg(target_arch = "x86_64")]
     {
-        let fma = fast && fma_available();
         if widest >= Isa::Avx512 && avx512_available() {
             // SAFETY: AVX-512F presence just verified by `avx512_available`.
-            return unsafe {
-                if fma {
-                    x86::gemm_avx512::<L, true>(a, b, out, dims)
-                } else {
-                    x86::gemm_avx512::<L, false>(a, b, out, dims)
-                }
-            };
-        }
-        if widest >= Isa::Avx2 && fma {
-            // SAFETY: AVX2+FMA presence just verified by `fma_available`.
-            return unsafe { x86::gemm_fma::<L>(a, b, out, dims) };
+            return unsafe { x86::gemm_avx512::<L>(a, b, out, dims) };
         }
         if widest >= Isa::Avx2 && avx2_available() {
             // SAFETY: AVX2 presence just verified by `avx2_available`.
             return unsafe { x86::gemm_avx2::<L>(a, b, out, dims) };
         }
     }
-    // Non-x86 (or pre-AVX2) fallback: Fast keeps the exact chains — a scalar
-    // `mul_add` without hardware FMA would be a slow libm call.
-    let _ = (widest, fast);
+    // Off x86-64 the portable clone is the only one, so `widest` goes unread.
+    let _ = widest;
     // SAFETY: the portable lanes use no target feature.
-    unsafe { gemm_lanes::<[f64; 4], L, false>(a, b, out, dims) }
+    unsafe { gemm_lanes::<[f64; 4], L>(a, b, out, dims) }
 }
 
 /// Matrix product `a * b` into a caller-provided `a.rows() x b.cols()`
-/// buffer, under the calling thread's [`NumericsMode`] — the entry point
-/// behind `Matrix::matmul` and the pooled autodiff tape. The buffer is fully
-/// overwritten (any prior contents are discarded).
+/// buffer — the entry point behind `Matrix::matmul` and the pooled autodiff
+/// tape. The buffer is fully overwritten (any prior contents are
+/// discarded).
 ///
 /// # Panics
 /// Panics if the inner dimensions differ or the output shape is wrong.
@@ -1280,8 +1114,7 @@ pub fn gemm_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let (m, k_dim, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(out.shape(), (m, n), "gemm_into: output buffer has the wrong shape");
     let (a, b) = (a.as_slice(), b.as_slice());
-    let fast = NumericsMode::global().is_fast();
-    gemm::<NN>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n), fast);
+    gemm::<NN>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n));
 }
 
 /// Matrix product `a * b^T` into a caller-provided `a.rows() x b.rows()`
@@ -1304,8 +1137,7 @@ pub fn gemm_nt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let (m, k_dim, n) = (a.rows(), a.cols(), b.rows());
     assert_eq!(out.shape(), (m, n), "gemm_nt_into: output buffer has the wrong shape");
     let (a, b) = (a.as_slice(), b.as_slice());
-    let fast = NumericsMode::global().is_fast();
-    gemm::<NT>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n), fast);
+    gemm::<NT>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n));
 }
 
 /// Matrix product `a^T * b` into a caller-provided `a.cols() x b.cols()`
@@ -1328,8 +1160,7 @@ pub fn gemm_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     let (k_dim, m, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(out.shape(), (m, n), "gemm_tn_into: output buffer has the wrong shape");
     let (a, b) = (a.as_slice(), b.as_slice());
-    let fast = NumericsMode::global().is_fast();
-    gemm::<TN>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n), fast);
+    gemm::<TN>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n));
 }
 
 #[cfg(test)]
@@ -1337,13 +1168,8 @@ mod tests {
     use super::*;
     use crate::rng::{randn, rng_from_seed};
 
+    /// The historical unblocked i-k-j loop, the bit-identity oracle.
     fn reference_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        reference_matmul_with(a, b, false)
-    }
-
-    /// The historical unblocked i-k-j loop, the bit-identity oracle;
-    /// `fused` contracts each step to a `mul_add`.
-    fn reference_matmul_with(a: &Matrix, b: &Matrix, fused: bool) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
         let oc = b.cols();
         for i in 0..a.rows() {
@@ -1353,11 +1179,7 @@ mod tests {
                     continue;
                 }
                 for j in 0..oc {
-                    out[(i, j)] = if fused {
-                        aik.mul_add(b[(k, j)], out[(i, j)])
-                    } else {
-                        out[(i, j)] + aik * b[(k, j)]
-                    };
+                    out[(i, j)] += aik * b[(k, j)];
                 }
             }
         }
@@ -1366,19 +1188,10 @@ mod tests {
 
     /// The dot-product chain of every element of `A * B^T` (`b` holds `B`'s
     /// rows): `+0.0`, then each term in ascending `k` with no exact-zero
-    /// skip; `fused` contracts each step to a `mul_add`.
-    fn reference_nt(a: &Matrix, b: &Matrix, fused: bool) -> Matrix {
+    /// skip.
+    fn reference_nt(a: &Matrix, b: &Matrix) -> Matrix {
         Matrix::from_fn(a.rows(), b.rows(), |i, j| {
-            a.row(i).iter().zip(b.row(j)).fold(
-                0.0,
-                |s, (&x, &y)| {
-                    if fused {
-                        x.mul_add(y, s)
-                    } else {
-                        s + x * y
-                    }
-                },
-            )
+            a.row(i).iter().zip(b.row(j)).fold(0.0, |s, (&x, &y)| s + x * y)
         })
     }
 
@@ -1387,14 +1200,6 @@ mod tests {
     fn class_bits(m: &Matrix) -> Vec<u64> {
         let bits = |x: f64| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() };
         m.as_slice().iter().map(|&x| bits(x)).collect()
-    }
-
-    /// True when the CPU has FMA, so that Fast fuses on the SIMD clones.
-    fn fma() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        return fma_available();
-        #[cfg(not(target_arch = "x86_64"))]
-        false
     }
 
     /// The GEMM clones this CPU runs, widest first. The dispatcher only ever
@@ -1416,14 +1221,9 @@ mod tests {
         all.into_iter().filter(|&isa| supported(isa)).collect()
     }
 
-    /// True when clone `isa` fuses the steps of tier `mode`.
-    fn fuses(isa: Isa, mode: NumericsMode) -> bool {
-        mode.is_fast() && fma() && isa >= Isa::Avx2
-    }
-
     /// The layout-`L` product on clone `isa` (no wider), with its operands
     /// as that layout stores them: `A * B`, `A * B^T` or `A^T * B`.
-    fn product_on<const L: u8>(isa: Isa, a: &Matrix, b: &Matrix, mode: NumericsMode) -> Matrix {
+    fn product_on<const L: u8>(isa: Isa, a: &Matrix, b: &Matrix) -> Matrix {
         let dims = match L {
             NN => (a.rows(), a.cols(), b.cols()),
             NT => (a.rows(), a.cols(), b.rows()),
@@ -1431,7 +1231,7 @@ mod tests {
         };
         // The kernels overwrite `out`: a stale NaN must not leak into a chain.
         let mut out = Matrix::full(dims.0, dims.2, f64::NAN);
-        gemm::<L>(isa, a.as_slice(), b.as_slice(), out.as_mut_slice(), dims, mode.is_fast());
+        gemm::<L>(isa, a.as_slice(), b.as_slice(), out.as_mut_slice(), dims);
         out
     }
 
@@ -1462,19 +1262,16 @@ mod tests {
                         *v = specials[(idx / 37) % specials.len()];
                     }
                     let (a_t, b_t) = (a.transpose(), b.transpose());
-                    let want = [false, true].map(|f| class_bits(&reference_matmul_with(&a, &b, f)));
-                    let want_nt = [false, true].map(|f| class_bits(&reference_nt(&a, &b_t, f)));
-                    for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
-                        for &isa in &clones {
-                            let f = usize::from(fuses(isa, mode));
-                            let case = format!("{m}x{k}x{n} {mode} {isa:?}");
-                            let nn = product_on::<NN>(isa, &a, &b, mode);
-                            assert_eq!(class_bits(&nn), want[f], "nn {case}");
-                            let tn = product_on::<TN>(isa, &a_t, &b, mode);
-                            assert_eq!(class_bits(&tn), want[f], "tn {case}");
-                            let nt = product_on::<NT>(isa, &a, &b_t, mode);
-                            assert_eq!(class_bits(&nt), want_nt[f], "nt {case}");
-                        }
+                    let want = class_bits(&reference_matmul(&a, &b));
+                    let want_nt = class_bits(&reference_nt(&a, &b_t));
+                    for &isa in &clones {
+                        let case = format!("{m}x{k}x{n} {isa:?}");
+                        let nn = product_on::<NN>(isa, &a, &b);
+                        assert_eq!(class_bits(&nn), want, "nn {case}");
+                        let tn = product_on::<TN>(isa, &a_t, &b);
+                        assert_eq!(class_bits(&tn), want, "tn {case}");
+                        let nt = product_on::<NT>(isa, &a, &b_t);
+                        assert_eq!(class_bits(&nt), want_nt, "nt {case}");
                     }
                 }
             }
@@ -1483,25 +1280,15 @@ mod tests {
 
     #[test]
     fn blocked_serial_gemm_is_bit_identical_to_reference() {
-        // Pins the BitExact contract explicitly (outside a scope the product
-        // reads `SBRL_NUMERICS`, which a Fast test run sets).
-        // The Fast leg pins nn and tn against the same loop with every step
-        // fused where the CPU has FMA.
+        // nn and tn through the public entry points, against the loop.
         let mut rng = rng_from_seed(0);
         for (m, k, n) in [(1, 1, 1), (3, 5, 7), (40, 33, 29), (130, 257, 65), (256, 64, 129)] {
             let a = randn(&mut rng, m, k);
             let b = randn(&mut rng, k, n);
-            let blocked = NumericsMode::BitExact.scoped(|| a.matmul(&b));
             let reference = reference_matmul(&a, &b);
-            assert_eq!(blocked.as_slice(), reference.as_slice(), "shape {m}x{k}x{n}");
-
-            let fused = reference_matmul_with(&a, &b, fma());
             let a_t = a.transpose();
-            for (name, got) in [
-                ("nn", NumericsMode::Fast.scoped(|| a.matmul(&b))),
-                ("tn", NumericsMode::Fast.scoped(|| a_t.matmul_tn(&b))),
-            ] {
-                assert_eq!(got.as_slice(), fused.as_slice(), "fast {name} {m}x{k}x{n}");
+            for (name, got) in [("nn", a.matmul(&b)), ("tn", a_t.matmul_tn(&b))] {
+                assert_eq!(got.as_slice(), reference.as_slice(), "{name} {m}x{k}x{n}");
             }
         }
     }
@@ -1531,19 +1318,15 @@ mod tests {
             let a = Matrix::full(m, k, -1.5);
             let b = Matrix::full(k, n, 2.0);
             let (a_t, b_t) = (a.transpose(), b.transpose());
-            for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
-                for (name, got) in [
-                    ("nn", mode.scoped(|| a.matmul(&b))),
-                    ("nt", mode.scoped(|| a.matmul_nt(&b_t))),
-                    ("tn", mode.scoped(|| a_t.matmul_tn(&b))),
-                ] {
-                    assert_eq!(got.shape(), (m, n), "{name} {m}x{k}x{n} {mode}");
-                    if k == 0 {
-                        assert!(
-                            got.as_slice().iter().all(|v| v.to_bits() == 0.0f64.to_bits()),
-                            "{name} {m}x{k}x{n} {mode}: not +0.0"
-                        );
-                    }
+            for (name, got) in
+                [("nn", a.matmul(&b)), ("nt", a.matmul_nt(&b_t)), ("tn", a_t.matmul_tn(&b))]
+            {
+                assert_eq!(got.shape(), (m, n), "{name} {m}x{k}x{n}");
+                if k == 0 {
+                    assert!(
+                        got.as_slice().iter().all(|v| v.to_bits() == 0.0f64.to_bits()),
+                        "{name} {m}x{k}x{n}: not +0.0"
+                    );
                 }
             }
         }
@@ -1552,8 +1335,7 @@ mod tests {
     #[test]
     fn gemm_nt_is_bit_identical_to_its_dot_product_definition() {
         // Every element of A * B^T is the plain dot-product chain from +0.0
-        // in ascending k, with no exact-zero skip (0 * inf stays NaN); Fast
-        // fuses every step where the CPU has FMA.
+        // in ascending k, with no exact-zero skip (0 * inf stays NaN).
         let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
         let mut rng = rng_from_seed(11);
         // 41 rows: the 4-row tiles leave a 1-row tile.
@@ -1570,11 +1352,8 @@ mod tests {
                 for (idx, v) in b.as_mut_slice().iter_mut().enumerate().skip(3).step_by(37) {
                     *v = specials[(idx / 37) % specials.len()];
                 }
-                for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
-                    let want = class_bits(&reference_nt(&a, &b, mode.is_fast() && fma()));
-                    let got = class_bits(&mode.scoped(|| a.matmul_nt(&b)));
-                    assert_eq!(got, want, "k={k} n={n} {mode}");
-                }
+                let want = class_bits(&reference_nt(&a, &b));
+                assert_eq!(class_bits(&a.matmul_nt(&b)), want, "k={k} n={n}");
             }
         }
     }
@@ -1585,7 +1364,7 @@ mod tests {
         // transpose square blocks of `a`). Each element must still be its
         // own chain from +0.0 in ascending k: nn/tn skip an exactly-zero `a`
         // (0 * inf never joins the chain), nt adds every term (0 * inf is
-        // NaN); Fast fuses every step on the SIMD clones of a CPU with FMA.
+        // NaN).
         let specials = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
         let clones = clones();
         let mut rng = rng_from_seed(19);
@@ -1602,32 +1381,27 @@ mod tests {
                     *v = specials[(idx / 5) % specials.len()];
                 }
                 let (a_t, b_t) = (a.transpose(), b.transpose());
-                for mode in [NumericsMode::BitExact, NumericsMode::Fast] {
-                    for &isa in &clones {
-                        let fused = fuses(isa, mode);
-                        let chain = |i: usize, skip_zero: bool| {
-                            a.row(i).iter().zip(b.as_slice()).fold(0.0, |s, (&x, &y)| {
-                                if skip_zero && x == 0.0 {
-                                    s
-                                } else if fused {
-                                    x.mul_add(y, s)
-                                } else {
-                                    s + x * y
-                                }
-                            })
-                        };
-                        for (name, got, skip_zero) in [
-                            ("nn", product_on::<NN>(isa, &a, &b, mode), true),
-                            ("nt", product_on::<NT>(isa, &a, &b_t, mode), false),
-                            ("tn", product_on::<TN>(isa, &a_t, &b, mode), true),
-                        ] {
-                            let want = Matrix::from_fn(m, 1, |i, _| chain(i, skip_zero));
-                            assert_eq!(
-                                class_bits(&got),
-                                class_bits(&want),
-                                "{name} m={m} k={k} {mode} {isa:?}"
-                            );
+                let chain = |i: usize, skip_zero: bool| {
+                    a.row(i).iter().zip(b.as_slice()).fold(0.0, |s, (&x, &y)| {
+                        if skip_zero && x == 0.0 {
+                            s
+                        } else {
+                            s + x * y
                         }
+                    })
+                };
+                for &isa in &clones {
+                    for (name, got, skip_zero) in [
+                        ("nn", product_on::<NN>(isa, &a, &b), true),
+                        ("nt", product_on::<NT>(isa, &a, &b_t), false),
+                        ("tn", product_on::<TN>(isa, &a_t, &b), true),
+                    ] {
+                        let want = Matrix::from_fn(m, 1, |i, _| chain(i, skip_zero));
+                        assert_eq!(
+                            class_bits(&got),
+                            class_bits(&want),
+                            "{name} m={m} k={k} {isa:?}"
+                        );
                     }
                 }
             }
@@ -1695,31 +1469,8 @@ mod tests {
 
     #[test]
     fn numerics_mode_semantics() {
-        // Pure semantics only: the scoped tier's reach (pool tasks, other
-        // threads) is pinned in tests/numerics_mode.rs.
-        assert_eq!(NumericsMode::default(), NumericsMode::BitExact);
-        assert!(!NumericsMode::BitExact.is_fast());
-        assert!(NumericsMode::Fast.is_fast());
-        assert_eq!(NumericsMode::BitExact.as_str(), "bitexact");
-        assert_eq!(NumericsMode::Fast.as_str(), "fast");
-        assert_eq!(NumericsMode::Fast.to_string(), "fast");
-    }
-
-    #[test]
-    fn fast_gemm_stays_within_relative_tolerance_of_bitexact() {
-        let mut rng = rng_from_seed(7);
-        for (m, k, n) in [(3, 5, 7), (40, 33, 29), (64, 128, 48)] {
-            let a = randn(&mut rng, m, k);
-            let b = randn(&mut rng, k, n);
-            let exact = NumericsMode::BitExact.scoped(|| a.matmul(&b));
-            let fast = NumericsMode::Fast.scoped(|| a.matmul(&b));
-            for (x, y) in exact.as_slice().iter().zip(fast.as_slice()) {
-                let scale = k as f64 * x.abs().max(1.0);
-                assert!(
-                    (x - y).abs() <= 1e-13 * scale,
-                    "{m}x{k}x{n}: {x} vs {y} exceeds tolerance"
-                );
-            }
-        }
+        // One arithmetic: the banner's name for it.
+        assert_eq!(NumericsMode::global(), NumericsMode::BitExact);
+        assert_eq!(NumericsMode::global().as_str(), "bitexact");
     }
 }

@@ -15,7 +15,7 @@
 //! Modules:
 //! * [`matrix`] — the dense matrix type and BLAS-free operations.
 //! * [`kernels`] — the cache-blocked GEMM layer every matrix product
-//!   funnels through, its [`kernels::NumericsMode`] tier, and the
+//!   funnels through, its bit-exact [`kernels::NumericsMode`], and the
 //!   workspace-wide [`kernels::Parallelism`] knob of the coarse tasks.
 //! * [`workers`] — the persistent worker pool (lazily spawned threads, a
 //!   chunked work queue) that executes every coarse parallel task without

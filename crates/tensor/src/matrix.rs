@@ -349,10 +349,8 @@ impl Matrix {
     /// Matrix product `self * other`.
     ///
     /// Allocates the result and fills it through the cache-blocked
-    /// [`kernels::gemm_into`](crate::kernels::gemm_into) under the calling
-    /// thread's [`NumericsMode`](crate::kernels::NumericsMode) (choose one
-    /// with [`NumericsMode::scoped`](crate::kernels::NumericsMode::scoped));
-    /// `BitExact` reproduces the historical `i-k-j` loop exactly.
+    /// [`kernels::gemm_into`](crate::kernels::gemm_into), which reproduces
+    /// the historical `i-k-j` loop exactly.
     #[track_caller]
     pub fn matmul(&self, other: &Self) -> Self {
         let mut out = Self::zeros(self.rows, other.cols);

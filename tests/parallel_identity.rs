@@ -3,10 +3,11 @@
 //! caller's thread; for random shapes and data, several copies running
 //! concurrently as coarse tasks on the worker pool, the way sweep
 //! replications and decorrelation terms call them, must reproduce the
-//! calling thread's output bit for bit in **both** numerics tiers. A whole
-//! fit under `Parallelism::Serial` and the default `NumericsMode::BitExact`
-//! must reproduce the exact predictions recorded before the kernel layer
-//! existed, and `Parallelism::Threads(4)` the same bits.
+//! calling thread's output bit for bit, and the plain statistics must
+//! reproduce their recorded bits on fixed inputs. A whole fit under
+//! `Parallelism::Serial` must reproduce the exact predictions recorded
+//! before the kernel layer existed, and `Parallelism::Threads(4)` the same
+//! bits.
 //!
 //! The weight objective, whose decorrelation terms run concurrently on
 //! tapes of their own, must reproduce the one-tape build's loss and
@@ -23,18 +24,18 @@ use sbrl_hap::data::synthetic::CHECKPOINT_ROWS;
 use sbrl_hap::data::{SyntheticConfig, SyntheticProcess};
 use sbrl_hap::models::{BatchContext, CfrConfig, LayerTaps};
 use sbrl_hap::stats::{
-    decorrelation_loss_graph_scratch, ipm_plain, ipm_weighted_graph, pairwise_hsic_matrix,
-    pairwise_sq_dists, rbf_kernel, DecorrelationConfig, HsicScratch, IpmKind, Rff,
+    decorrelation_loss_graph_scratch, hsic_biased, ipm_plain, ipm_weighted_graph,
+    ipm_weighted_plain, median_bandwidth, pairwise_hsic_matrix, pairwise_sq_dists, rbf_kernel,
+    DecorrelationConfig, HsicScratch, IpmKind, Rff,
 };
-use sbrl_hap::tensor::kernels::{NumericsMode, Parallelism};
+use sbrl_hap::tensor::kernels::Parallelism;
 use sbrl_hap::tensor::rng::{randn, rng_from_seed};
 use sbrl_hap::tensor::workers::run_coarse_tasks;
 use sbrl_hap::tensor::{Graph, Matrix, TensorId};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Serialises the tests that set the global `Parallelism` knob, so each
-/// sees the worker counts it compares. Every test chooses its numerics tier
-/// with `NumericsMode::scoped`, which needs no lock.
+/// sees the worker counts it compares.
 static GLOBAL_KNOBS: Mutex<()> = Mutex::new(());
 
 fn knobs() -> MutexGuard<'static, ()> {
@@ -51,20 +52,15 @@ fn random_matrix(seed: u64, rows: usize, cols: usize) -> Matrix {
 }
 
 /// Whether `threads` copies of `f`, run concurrently as coarse tasks on the
-/// worker pool, all give the bits `f` gives on the calling thread, with
-/// `mode` pinned on the calling thread (and so on its tasks).
-fn same_bits_on_pool(mode: NumericsMode, threads: usize, f: impl Fn() -> Vec<u64> + Sync) -> bool {
-    mode.scoped(|| {
-        let serial = f();
-        let on_pool: Vec<OnceLock<Vec<u64>>> = (0..threads).map(|_| OnceLock::new()).collect();
-        run_coarse_tasks(threads, threads, &|i| {
-            on_pool[i].get_or_init(&f);
-        });
-        on_pool.iter().all(|got| got.get() == Some(&serial))
-    })
+/// worker pool, all give the bits `f` gives on the calling thread.
+fn same_bits_on_pool(threads: usize, f: impl Fn() -> Vec<u64> + Sync) -> bool {
+    let serial = f();
+    let on_pool: Vec<OnceLock<Vec<u64>>> = (0..threads).map(|_| OnceLock::new()).collect();
+    run_coarse_tasks(threads, threads, &|i| {
+        on_pool[i].get_or_init(&f);
+    });
+    on_pool.iter().all(|got| got.get() == Some(&serial))
 }
-
-const MODES: [NumericsMode; 2] = [NumericsMode::BitExact, NumericsMode::Fast];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -77,9 +73,7 @@ proptest! {
         let (m, k, n, threads) = dims;
         let a = random_matrix(seed, m, k);
         let b = random_matrix(seed ^ 0xabcd, k, n);
-        for mode in MODES {
-            prop_assert!(same_bits_on_pool(mode, threads, || bits(&a.matmul(&b))));
-        }
+        prop_assert!(same_bits_on_pool(threads, || bits(&a.matmul(&b))));
     }
 
     #[test]
@@ -91,10 +85,8 @@ proptest! {
         let a = random_matrix(seed, m, k);
         let b_nt = random_matrix(seed ^ 1, n, k); // a * b_nt^T
         let b_tn = random_matrix(seed ^ 2, m, n); // a^T * b_tn
-        for mode in MODES {
-            prop_assert!(same_bits_on_pool(mode, threads, || bits(&a.matmul_nt(&b_nt))));
-            prop_assert!(same_bits_on_pool(mode, threads, || bits(&a.matmul_tn(&b_tn))));
-        }
+        prop_assert!(same_bits_on_pool(threads, || bits(&a.matmul_nt(&b_nt))));
+        prop_assert!(same_bits_on_pool(threads, || bits(&a.matmul_tn(&b_tn))));
     }
 
     #[test]
@@ -105,12 +97,10 @@ proptest! {
         let (n, m, d, threads) = dims;
         let a = random_matrix(seed, n, d);
         let b = random_matrix(seed ^ 7, m, d);
-        for mode in MODES {
-            let dists = || bits(&pairwise_sq_dists(&a, &b));
-            prop_assert!(same_bits_on_pool(mode, threads, dists));
-            let rbf = || bits(&rbf_kernel(&a, &b, 1.0));
-            prop_assert!(same_bits_on_pool(mode, threads, rbf));
-        }
+        let dists = || bits(&pairwise_sq_dists(&a, &b));
+        prop_assert!(same_bits_on_pool(threads, dists));
+        let rbf = || bits(&rbf_kernel(&a, &b, 1.0));
+        prop_assert!(same_bits_on_pool(threads, rbf));
     }
 
     #[test]
@@ -123,11 +113,9 @@ proptest! {
         let mut rng = rng_from_seed(seed ^ 99);
         let rff = Rff::sample(&mut rng, 5);
         let weights: Vec<f64> = (0..n).map(|i| 0.5 + (i % 7) as f64 * 0.25).collect();
-        for mode in MODES {
-            for w in [None, Some(weights.as_slice())] {
-                let hsic = || bits(&pairwise_hsic_matrix(&z, &rff, w));
-                prop_assert!(same_bits_on_pool(mode, threads, hsic));
-            }
+        for w in [None, Some(weights.as_slice())] {
+            let hsic = || bits(&pairwise_hsic_matrix(&z, &rff, w));
+            prop_assert!(same_bits_on_pool(threads, hsic));
         }
     }
 
@@ -139,17 +127,62 @@ proptest! {
         let (nt, nc, d, threads) = dims;
         let phi_t = random_matrix(seed, nt, d);
         let phi_c = random_matrix(seed ^ 3, nc, d);
-        for mode in MODES {
-            for kind in [
-                IpmKind::MmdLin,
-                IpmKind::MmdRbf { sigma: 1.0 },
-                IpmKind::MmdRbf { sigma: -1.0 }, // median heuristic path
-                IpmKind::Wasserstein { lambda: 10.0, iterations: 5 },
-            ] {
-                let ipm = || vec![ipm_plain(kind, &phi_t, &phi_c).to_bits()];
-                prop_assert!(same_bits_on_pool(mode, threads, ipm), "{kind:?} ({mode})");
-            }
+        for kind in [
+            IpmKind::MmdLin,
+            IpmKind::MmdRbf { sigma: 1.0 },
+            IpmKind::MmdRbf { sigma: -1.0 }, // median heuristic path
+            IpmKind::Wasserstein { lambda: 10.0, iterations: 5 },
+        ] {
+            let ipm = || vec![ipm_plain(kind, &phi_t, &phi_c).to_bits()];
+            prop_assert!(same_bits_on_pool(threads, ipm), "{kind:?}");
         }
+    }
+}
+
+/// FNV-1a over the bit patterns of `values`, so one recorded constant pins a
+/// whole matrix bit for bit.
+fn digest(values: &[f64]) -> u64 {
+    values
+        .iter()
+        .flat_map(|v| v.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, byte| (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The plain statistics reproduce their recorded bits on fixed
+/// seeded inputs: the kernel fills, the median heuristic, the HSIC folds and
+/// every plain IPM, with a zero weight on each side to reach the quadratic
+/// forms' zero-weight skip. A change to any accumulation order fails here;
+/// the constants change only with a deliberate re-recording.
+#[test]
+fn bitexact_statistics_reproduce_recorded_bits() {
+    let (a, b) = (random_matrix(41, 70, 3), random_matrix(42, 70, 2));
+    let (phi_t, phi_c) = (random_matrix(43, 37, 4), random_matrix(44, 29, 4));
+    let z = random_matrix(45, 70, 6);
+    let rff = Rff::sample(&mut rng_from_seed(46), Rff::DEFAULT_NUM_FUNCTIONS);
+    let ramp = |n: usize| -> Vec<f64> { (0..n).map(|i| (i % 7) as f64 * 0.25).collect() };
+    let (w_t, w_c, w_z) = (ramp(37), ramp(29), ramp(70));
+    let ipm = |kind| ipm_weighted_plain(kind, &phi_t, &phi_c, Some(&w_t), Some(&w_c)).to_bits();
+
+    let got = [
+        ("hsic_biased", hsic_biased(&a, &b, -1.0, -1.0).to_bits()),
+        ("median_bandwidth", median_bandwidth(&a).to_bits()),
+        ("pairwise_hsic_matrix", digest(pairwise_hsic_matrix(&z, &rff, Some(&w_z)).as_slice())),
+        ("pairwise_sq_dists", digest(pairwise_sq_dists(&phi_t, &phi_c).as_slice())),
+        ("MmdLin", ipm(IpmKind::MmdLin)),
+        ("MmdRbf", ipm(IpmKind::MmdRbf { sigma: -1.0 })),
+        ("Wasserstein", ipm(IpmKind::Wasserstein { lambda: 10.0, iterations: 10 })),
+    ];
+    let recorded: [u64; 7] = [
+        0x3f73_e94d_b8f4_51d7,
+        0x3ff9_2e55_a3b3_3ec8,
+        0x7cb8_8f29_576b_7e92,
+        0x026b_851d_b672_ea8e,
+        0x3fbf_98a9_cb8e_fb63,
+        0x3f93_a9db_c965_03a0,
+        0x3ff7_4001_9299_1309,
+    ];
+    for ((what, bits), want) in got.into_iter().zip(recorded) {
+        assert_eq!(bits, want, "{what}: got {bits:#018x}, recorded {want:#018x}");
     }
 }
 
@@ -187,19 +220,14 @@ fn serial_mode_reproduces_recorded_pr2_predictions() {
     let _knobs = knobs();
     let fit = |par: Parallelism| {
         par.set_global();
-        // Pin the default tier explicitly: the golden bits are a BitExact
-        // contract and must hold even when the suite runs with
-        // SBRL_NUMERICS=fast in the environment.
-        NumericsMode::BitExact.scoped(|| {
-            let fitted = Estimator::builder()
-                .backbone(CfrConfig::small(train_data.dim()))
-                .sbrl(SbrlConfig::sbrl_hap(1.0, 1.0, 0.1, 0.01))
-                .train(cfg)
-                .seed(11)
-                .fit(&train_data, &val_data)
-                .expect("training succeeds");
-            fitted.predict(&test_data.x)
-        })
+        let fitted = Estimator::builder()
+            .backbone(CfrConfig::small(train_data.dim()))
+            .sbrl(SbrlConfig::sbrl_hap(1.0, 1.0, 0.1, 0.01))
+            .train(cfg)
+            .seed(11)
+            .fit(&train_data, &val_data)
+            .expect("training succeeds");
+        fitted.predict(&test_data.x)
     };
 
     let serial = fit(Parallelism::Serial);
@@ -329,7 +357,7 @@ fn weight_objective_bits(cfg: &SbrlConfig, widths: [usize; 4], one_tape: bool) -
 }
 
 /// The concurrent weight objective reproduces the one-tape build's loss
-/// and weight-gradient bits for every worker count and numerics tier.
+/// and weight-gradient bits for every worker count.
 #[test]
 fn weight_objective_matches_the_one_tape_build() {
     let _knobs = knobs();
@@ -349,22 +377,15 @@ fn weight_objective_matches_the_one_tape_build() {
         ("taps wider than max_features", decor(|d| d.max_features = Some(3)), default_widths),
         ("one-column tap", hap, [1, 8, 1, 4]),
     ];
-    for mode in MODES {
-        mode.scoped(|| {
-            for (name, cfg, widths) in &cases {
-                Parallelism::Serial.set_global();
-                let reference = weight_objective_bits(cfg, *widths, true);
-                for par in [Parallelism::Serial, Parallelism::Threads(2), Parallelism::Threads(4)] {
-                    par.set_global();
-                    let got = weight_objective_bits(cfg, *widths, false);
-                    let first_diff = got.iter().zip(&reference).position(|(a, b)| a != b);
-                    assert!(
-                        got == reference,
-                        "{name}: {par:?}, {mode:?}: bits differ from word {first_diff:?} on"
-                    );
-                }
-            }
-        });
+    for (name, cfg, widths) in &cases {
+        Parallelism::Serial.set_global();
+        let reference = weight_objective_bits(cfg, *widths, true);
+        for par in [Parallelism::Serial, Parallelism::Threads(2), Parallelism::Threads(4)] {
+            par.set_global();
+            let got = weight_objective_bits(cfg, *widths, false);
+            let first_diff = got.iter().zip(&reference).position(|(a, b)| a != b);
+            assert!(got == reference, "{name}: {par:?}: bits differ from word {first_diff:?} on");
+        }
     }
     Parallelism::from_env().set_global();
 }

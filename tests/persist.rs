@@ -6,10 +6,6 @@
 //! `cargo run --release -p sbrl-core --bin serve -- make-fixtures tests/fixtures`
 //! from the recipe in `sbrl_core::persist::fixture`; regenerating them is a
 //! deliberate, reviewed act (it re-pins the golden prediction bits).
-//!
-//! Tests that pin the `BitExact` tier do so with `NumericsMode::scoped`,
-//! which holds on the test's own thread only, so no test here needs a lock:
-//! the tier a test reads cannot change under it.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -20,7 +16,6 @@ use sbrl_hap::core::{
     FitReport, FittedModel, InferenceService, ModelRegistry, PersistError, SbrlError, ServeConfig,
 };
 use sbrl_hap::models::Backbone;
-use sbrl_hap::tensor::kernels::NumericsMode;
 
 fn fixture_path(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -70,8 +65,8 @@ fn assert_bit_identical(
 // Round trips
 // ---------------------------------------------------------------------------
 
-/// save -> load -> predict is bit-identical in the *ambient* numerics mode,
-/// so both `SBRL_NUMERICS` CI legs exercise their own tier here.
+/// save -> load -> predict is bit-identical. The name dates from a second,
+/// since retired, numerics tier.
 #[test]
 fn round_trip_is_bit_identical_in_the_ambient_numerics_mode() {
     let fitted = fixture::train_golden().expect("fixture fit succeeds");
@@ -82,7 +77,6 @@ fn round_trip_is_bit_identical_in_the_ambient_numerics_mode() {
 
     assert_eq!(loaded.seed(), fitted.seed());
     assert_eq!(loaded.framework(), fitted.framework());
-    assert_eq!(loaded.numerics(), fitted.numerics());
     assert_eq!(loaded.method_spec().name(), fitted.method_spec().name());
 
     let probe = fixture::probe_matrix(fitted.model().export_config().in_dim());
@@ -123,9 +117,9 @@ fn committed_probe_bits() -> (Vec<u64>, Vec<u64>) {
     (y0, y1)
 }
 
-/// The committed `golden_v2.sbrl` still predicts the committed bits under
-/// the pinned `BitExact` tier — any accidental format or numerics drift
-/// breaks this, and fixing it requires deliberately regenerating fixtures.
+/// The committed `golden_v2.sbrl` still predicts the committed bits — any
+/// accidental format or numerics drift breaks this, and fixing it requires
+/// deliberately regenerating fixtures.
 #[test]
 fn golden_v2_fixture_predicts_the_committed_bits() {
     let loaded = FittedModel::load(&fixture_path("golden_v2.sbrl")).expect("golden v2 loads");
@@ -134,7 +128,7 @@ fn golden_v2_fixture_predicts_the_committed_bits() {
     assert_eq!(y1_expected.len(), fixture::PROBE_ROWS);
 
     let probe = fixture::probe_matrix(loaded.model().export_config().in_dim());
-    let est = NumericsMode::BitExact.scoped(|| loaded.predict(&probe));
+    let est = loaded.predict(&probe);
 
     let y0: Vec<u64> = est.y0_hat.iter().map(|v| v.to_bits()).collect();
     let y1: Vec<u64> = est.y1_hat.iter().map(|v| v.to_bits()).collect();
@@ -172,8 +166,7 @@ fn golden_v1_fixture_loads_with_defaulted_fit_report_and_identical_bits() {
     assert_eq!(v1.fit_report(), &FitReport::default());
 
     let probe = fixture::probe_matrix(v1.model().export_config().in_dim());
-    let (est1, est2) = NumericsMode::BitExact.scoped(|| (v1.predict(&probe), v2.predict(&probe)));
-    assert_bit_identical(&est1, &est2, "v1 vs v2 golden");
+    assert_bit_identical(&v1.predict(&probe), &v2.predict(&probe), "v1 vs v2 golden");
 }
 
 /// Version skew, future side: an artifact stamped with a not-yet-invented
@@ -229,6 +222,31 @@ fn a_relabelled_backbone_kind_is_a_provenance_conflict() {
         matches!(err, PersistError::ProvenanceConflict { .. } | PersistError::Malformed { .. }),
         "got: {err}"
     );
+}
+
+/// The `META` numerics byte (absolute offset 26, after the backbone kind and
+/// the framework). The writer stores `0`; `1` is what the retired FMA tier
+/// wrote, and such an artifact loads, predicts the bits of its byte-`0`
+/// original and re-encodes to it. Any other byte is a typed error.
+#[test]
+fn a_retired_numerics_byte_loads_and_an_unknown_one_is_malformed() {
+    let original = golden_bytes();
+    assert_eq!(original[26], 0, "the committed golden carries numerics byte 0");
+    let with_numerics_byte = |b: u8| {
+        let mut bytes = original.clone();
+        bytes[26] = b;
+        repatch_crc(&mut bytes);
+        bytes
+    };
+
+    let v0 = FittedModel::from_sbrl_bytes(&original).expect("golden v2 loads");
+    let v1 = FittedModel::from_sbrl_bytes(&with_numerics_byte(1)).expect("byte 1 loads");
+    let probe = fixture::probe_matrix(v0.model().export_config().in_dim());
+    assert_bit_identical(&v0.predict(&probe), &v1.predict(&probe), "numerics byte 1 vs 0");
+    assert!(v1.to_sbrl_bytes() == original, "a byte-1 model must re-encode with byte 0");
+
+    let err = expect_persist_err(FittedModel::from_sbrl_bytes(&with_numerics_byte(2)));
+    assert!(matches!(err, PersistError::Malformed { .. }), "got: {err}");
 }
 
 #[test]
