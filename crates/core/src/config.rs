@@ -164,20 +164,13 @@ impl SbrlConfig {
     /// Validates the coefficients: every weight must be finite and
     /// non-negative, and the RFF bank non-empty.
     pub fn validate(&self) -> Result<(), SbrlError> {
-        let coeffs = [
+        check_non_negative(&[
             ("sbrl.alpha", self.alpha),
             ("sbrl.gamma1", self.gamma1),
             ("sbrl.gamma2", self.gamma2),
             ("sbrl.gamma3", self.gamma3),
-        ];
-        for (what, v) in coeffs {
-            if !v.is_finite() || v < 0.0 {
-                return Err(SbrlError::InvalidConfig {
-                    what,
-                    message: format!("must be finite and non-negative, got {v}"),
-                });
-            }
-        }
+        ])?;
+        check_ipm("sbrl.ipm", self.ipm)?;
         if self.rff_functions == 0 {
             return Err(SbrlError::InvalidConfig {
                 what: "sbrl.rff_functions",
@@ -185,6 +178,36 @@ impl SbrlConfig {
             });
         }
         Ok(())
+    }
+}
+
+/// Rejects the first `(name, value)` pair whose value is NaN, infinite or
+/// negative, naming it in the typed error.
+pub(crate) fn check_non_negative(values: &[(&'static str, f64)]) -> Result<(), SbrlError> {
+    for &(what, v) in values {
+        if !v.is_finite() || v < 0.0 {
+            return Err(SbrlError::InvalidConfig {
+                what,
+                message: format!("must be finite and non-negative, got {v}"),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Rejects a Wasserstein IPM whose inverse-temperature `lambda` is NaN,
+/// infinite or negative; `what` names the IPM's place in the configuration.
+pub(crate) fn check_ipm(what: &'static str, ipm: IpmKind) -> Result<(), SbrlError> {
+    match ipm {
+        IpmKind::Wasserstein { lambda, .. } if !lambda.is_finite() || lambda < 0.0 => {
+            Err(SbrlError::InvalidConfig {
+                what,
+                message: format!(
+                    "Wasserstein lambda must be finite and non-negative, got {lambda}"
+                ),
+            })
+        }
+        _ => Ok(()),
     }
 }
 

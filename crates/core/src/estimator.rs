@@ -2,7 +2,7 @@
 //! surface.
 //!
 //! ```no_run
-//! use sbrl_core::{Estimator, Framework};
+//! use sbrl_core::Estimator;
 //! use sbrl_data::{SyntheticConfig, SyntheticProcess};
 //!
 //! let process = SyntheticProcess::new(SyntheticConfig::syn_8_8_8_2(), 0);
@@ -26,7 +26,7 @@ use sbrl_data::CausalDataset;
 use sbrl_models::{Backbone, BackboneConfig, BackboneKind};
 use sbrl_tensor::rng::rng_from_seed;
 
-use crate::config::{Framework, SbrlConfig};
+use crate::config::{check_ipm, check_non_negative, Framework, SbrlConfig};
 use crate::error::SbrlError;
 use crate::method::MethodSpec;
 use crate::trainer::{fit_backbone, FittedModel, TrainConfig};
@@ -104,11 +104,8 @@ impl Estimator {
 /// Fluent builder for [`Estimator`]; every setter returns `self`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EstimatorBuilder {
-    backbone: Option<BackboneChoice>,
-    /// Backbone kind demanded by [`EstimatorBuilder::method`]; checked
-    /// against an explicitly configured backbone at build time.
-    method_backbone: Option<BackboneKind>,
-    framework: Option<Framework>,
+    backbone: Option<BackboneConfig>,
+    method: Option<MethodSpec>,
     sbrl: Option<SbrlConfig>,
     train_cfg: Option<TrainConfig>,
     seed: Option<u64>,
@@ -119,39 +116,23 @@ impl EstimatorBuilder {
     /// [`sbrl_models::CfrConfig`] and [`sbrl_models::DerCfrConfig`] convert
     /// implicitly).
     pub fn backbone(mut self, cfg: impl Into<BackboneConfig>) -> Self {
-        self.backbone = Some(BackboneChoice::Config(cfg.into()));
-        self
-    }
-
-    /// Selects the backbone by kind only; the default (`small()`)
-    /// architecture is sized to the training data at fit time.
-    pub fn backbone_kind(mut self, kind: BackboneKind) -> Self {
-        self.backbone = Some(BackboneChoice::Kind(kind));
-        self
-    }
-
-    /// Selects the wrapping framework with its default coefficients. Use
-    /// [`EstimatorBuilder::sbrl`] instead for full coefficient control; a
-    /// `.sbrl(..)` whose flags encode a *different* framework than the one
-    /// named here is rejected at build time.
-    pub fn framework(mut self, framework: Framework) -> Self {
-        self.framework = Some(framework);
+        self.backbone = Some(cfg.into());
         self
     }
 
     /// Selects a whole grid cell by [`MethodSpec`] — backbone kind plus
     /// framework — enabling `"CFR+SBRL-HAP".parse()`-driven configuration.
+    /// Without `.backbone(..)` the kind's default (`small()`) architecture
+    /// is sized to the training data at fit time; without `.sbrl(..)` the
+    /// framework runs with its default coefficients.
     ///
     /// An explicitly configured `.backbone(..)` supplies the architecture
-    /// hyper-parameters, but its kind must agree with the spec; a mismatch
-    /// is rejected at build time so a name-selected method can never run a
-    /// different architecture than its name says.
+    /// hyper-parameters, but its kind must agree with the spec, and an
+    /// explicit `.sbrl(..)` must encode the spec's framework; a mismatch is
+    /// rejected at build time so a name-selected method can never run a
+    /// different method than its name says.
     pub fn method(mut self, spec: MethodSpec) -> Self {
-        if self.backbone.is_none() {
-            self.backbone = Some(BackboneChoice::Kind(spec.backbone));
-        }
-        self.method_backbone = Some(spec.backbone);
-        self.framework = Some(spec.framework);
+        self.method = Some(spec);
         self
     }
 
@@ -161,25 +142,10 @@ impl EstimatorBuilder {
         self
     }
 
-    /// Optimisation budget (iterations, batch size, learning rates, ...).
+    /// Optimisation budget (iterations, batch size, learning rates, the
+    /// divergence-recovery policy and the wall-clock watchdog, ...).
     pub fn train(mut self, cfg: TrainConfig) -> Self {
         self.train_cfg = Some(cfg);
-        self
-    }
-
-    /// Recovery policy for non-finite divergence (rollback + backoff +
-    /// resume); overrides `TrainConfig::recovery`.
-    pub fn recovery(mut self, policy: crate::RecoveryPolicy) -> Self {
-        let cfg = self.train_cfg.unwrap_or_default();
-        self.train_cfg = Some(TrainConfig { recovery: policy, ..cfg });
-        self
-    }
-
-    /// Wall-clock watchdog budget checked every iteration; overrides
-    /// `TrainConfig::time_budget`.
-    pub fn time_budget(mut self, budget: std::time::Duration) -> Self {
-        let cfg = self.train_cfg.unwrap_or_default();
-        self.train_cfg = Some(TrainConfig { time_budget: Some(budget), ..cfg });
         self
     }
 
@@ -192,34 +158,36 @@ impl EstimatorBuilder {
 
     /// Validates the configuration into a reusable [`Estimator`].
     pub fn build(self) -> Result<Estimator, SbrlError> {
-        let backbone = self.backbone.ok_or(SbrlError::InvalidConfig {
-            what: "backbone",
-            message: "no backbone selected: call .backbone(config), .backbone_kind(kind) or \
-                      .method(spec)"
-                .into(),
-        })?;
-        if let Some(required) = self.method_backbone {
-            let configured = match backbone {
-                BackboneChoice::Config(cfg) => cfg.kind(),
-                BackboneChoice::Kind(kind) => kind,
-            };
-            if configured != required {
+        let backbone = match (self.backbone, self.method) {
+            (Some(cfg), Some(spec)) if cfg.kind() != spec.backbone => {
                 return Err(SbrlError::InvalidConfig {
                     what: "backbone",
                     message: format!(
-                        ".method(..) names a {required} backbone but .backbone(..) configures \
-                         {configured}"
+                        ".method(..) names a {} backbone but .backbone(..) configures {}",
+                        spec.backbone,
+                        cfg.kind()
                     ),
                 });
             }
-        }
-        let sbrl = match (self.sbrl, self.framework) {
+            (Some(cfg), _) => {
+                validate_backbone(&cfg)?;
+                BackboneChoice::Config(cfg)
+            }
+            (None, Some(spec)) => BackboneChoice::Kind(spec.backbone),
+            (None, None) => {
+                return Err(SbrlError::InvalidConfig {
+                    what: "backbone",
+                    message: "no backbone selected: call .backbone(config) or .method(spec)".into(),
+                })
+            }
+        };
+        let sbrl = match (self.sbrl, self.method.map(|spec| spec.framework)) {
             (Some(cfg), Some(fw)) if cfg.framework() != fw => {
                 return Err(SbrlError::InvalidConfig {
                     what: "framework",
                     message: format!(
-                        ".framework({fw}) conflicts with the .sbrl(..) configuration (which \
-                         encodes {})",
+                        ".method(..) names the {fw} framework but the .sbrl(..) configuration \
+                         encodes {}",
                         cfg.framework()
                     ),
                 });
@@ -246,8 +214,30 @@ impl EstimatorBuilder {
     }
 }
 
-/// The framework's textbook coefficients, used when only a framework (not a
-/// full [`SbrlConfig`]) selects the weight objective.
+/// Validates an explicit backbone configuration's penalty weights and IPM:
+/// a NaN or negative value would otherwise surface only at fit time, as a
+/// non-finite loss a sweep would retry as transient.
+fn validate_backbone(cfg: &BackboneConfig) -> Result<(), SbrlError> {
+    match cfg {
+        BackboneConfig::Tarnet(_) => Ok(()),
+        BackboneConfig::Cfr(c) => {
+            check_non_negative(&[("backbone.alpha", c.alpha)])?;
+            check_ipm("backbone.ipm", c.ipm)
+        }
+        BackboneConfig::DerCfr(c) => {
+            check_non_negative(&[
+                ("backbone.alpha", c.alpha),
+                ("backbone.beta", c.beta),
+                ("backbone.gamma", c.gamma),
+                ("backbone.mu", c.mu),
+            ])?;
+            check_ipm("backbone.ipm", c.ipm)
+        }
+    }
+}
+
+/// The framework's textbook coefficients, used when only a method name (not
+/// a full [`SbrlConfig`]) selects the weight objective.
 fn default_sbrl_for(framework: Framework) -> SbrlConfig {
     match framework {
         Framework::Vanilla => SbrlConfig::vanilla(),
@@ -284,8 +274,7 @@ mod tests {
     #[test]
     fn framework_conflicting_with_sbrl_is_rejected() {
         let err = Estimator::builder()
-            .backbone_kind(BackboneKind::Cfr)
-            .framework(Framework::Vanilla)
+            .method("CFR".parse().unwrap())
             .sbrl(SbrlConfig::sbrl(1.0, 1.0))
             .build()
             .unwrap_err();
@@ -295,7 +284,7 @@ mod tests {
     #[test]
     fn invalid_train_config_is_a_typed_error() {
         let err = Estimator::builder()
-            .backbone_kind(BackboneKind::Tarnet)
+            .method("TARNet".parse().unwrap())
             .train(TrainConfig { iterations: 0, ..TrainConfig::default() })
             .build()
             .unwrap_err();
@@ -316,7 +305,7 @@ mod tests {
     #[test]
     fn seed_overrides_the_train_config_seed() {
         let est = Estimator::builder()
-            .backbone_kind(BackboneKind::Tarnet)
+            .method("TARNet".parse().unwrap())
             .train(TrainConfig { seed: 1, ..TrainConfig::smoke() })
             .seed(99)
             .build()
@@ -326,12 +315,18 @@ mod tests {
 
     #[test]
     fn method_spec_configures_backbone_and_framework() {
-        let est = Estimator::builder()
-            .method("DeRCFR+SBRL".parse().unwrap())
-            .train(TrainConfig::smoke())
-            .build()
-            .unwrap();
-        assert_eq!(est.sbrl().framework(), Framework::Sbrl);
+        for spec in MethodSpec::grid() {
+            let est = Estimator::builder()
+                .method(spec.name().parse().unwrap())
+                .train(TrainConfig::smoke())
+                .build()
+                .unwrap();
+            assert!(
+                matches!(est.backbone, BackboneChoice::Kind(k) if k == spec.backbone),
+                "{spec}"
+            );
+            assert_eq!(est.sbrl().framework(), spec.framework, "{spec}");
+        }
     }
 
     #[test]
@@ -358,7 +353,7 @@ mod tests {
         let (train, val) = tiny_data();
         let fitted = Estimator::builder()
             .backbone(CfrConfig::small(train.dim()))
-            .framework(Framework::SbrlHap)
+            .method("CFR+SBRL-HAP".parse().unwrap())
             .train(TrainConfig::smoke())
             .seed(3)
             .fit(&train, &val)
@@ -373,7 +368,7 @@ mod tests {
         let (train, val) = tiny_data();
         let fit_with = |seed: u64| {
             Estimator::builder()
-                .backbone_kind(BackboneKind::Cfr)
+                .method("CFR".parse().unwrap())
                 .train(TrainConfig::smoke())
                 .seed(seed)
                 .fit(&train, &val)

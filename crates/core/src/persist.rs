@@ -840,8 +840,9 @@ impl<B: Backbone> FittedModel<B> {
         })
     }
 
-    /// The covariate scaler fitted on the training fold (`None` when the
-    /// fit ran with `standardize: false`).
+    /// The covariate scaler fitted on the training fold. Every fit sets
+    /// one; `None` only for a model loaded from a file whose `SCAL` section
+    /// carries none, which the format still admits.
     pub fn scaler(&self) -> Option<&Scaler> {
         self.scaler.as_ref()
     }
@@ -997,7 +998,7 @@ pub mod fixture {
     use sbrl_models::{Backbone, CfrConfig, TarnetConfig};
     use sbrl_tensor::Matrix;
 
-    use crate::config::{Framework, SbrlConfig};
+    use crate::config::SbrlConfig;
     use crate::error::SbrlError;
     use crate::estimator::Estimator;
     use crate::trainer::{FittedModel, TrainConfig};
@@ -1044,10 +1045,10 @@ pub mod fixture {
         let (train, val) = dataset();
         Estimator::builder()
             .backbone(CfrConfig { arch: arch(train.dim()), ..CfrConfig::small(train.dim()) })
-            .framework(Framework::SbrlHap)
             .sbrl(SbrlConfig::sbrl_hap(1.0, 1.0, 0.1, 0.01))
             .train(budget(11))
             .fit(&train, &val)
+            .map(without_wall_clock)
     }
 
     /// The registry's second model: a vanilla `TARNet` on the same data, so
@@ -1056,9 +1057,19 @@ pub mod fixture {
         let (train, val) = dataset();
         Estimator::builder()
             .backbone(arch(train.dim()))
-            .framework(Framework::Vanilla)
             .train(budget(13))
             .fit(&train, &val)
+            .map(without_wall_clock)
+    }
+
+    /// Zeroes the fit's wall-clock `train_seconds`, the one field of a
+    /// fixture that differs between two runs of the same recipe, so a
+    /// regenerated fixture is byte-identical to the committed one.
+    fn without_wall_clock(
+        mut fitted: FittedModel<Box<dyn Backbone>>,
+    ) -> FittedModel<Box<dyn Backbone>> {
+        fitted.report.train_seconds = 0.0;
+        fitted
     }
 
     /// The deterministic probe matrix the golden prediction bits are pinned
@@ -1155,7 +1166,7 @@ mod tests {
                 arch: fixture::arch(train.dim()),
                 ..CfrConfig::small(train.dim())
             })
-            .framework(Framework::SbrlHap)
+            .method("CFR+SBRL-HAP".parse().expect("a grid method name"))
             .train(crate::trainer::TrainConfig {
                 iterations: 25,
                 eval_every: 10,

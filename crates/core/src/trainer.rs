@@ -25,7 +25,7 @@ use sbrl_stats::{HsicScratch, Rff};
 use sbrl_tensor::rng::rng_from_seed;
 use sbrl_tensor::{Graph, Matrix, TensorId};
 
-use crate::config::SbrlConfig;
+use crate::config::{check_non_negative, SbrlConfig};
 use crate::error::{NonFiniteTerm, SbrlError};
 use crate::faults;
 use crate::recovery::{FitReport, RecoveryEvent, RecoveryPolicy};
@@ -71,13 +71,6 @@ pub struct TrainConfig {
     pub patience: usize,
     /// RNG seed for batching, RFF sampling and column subsampling.
     pub seed: u64,
-    /// Standardise covariates with train-fold statistics.
-    pub standardize: bool,
-    /// Standardise *continuous* outcomes with train-fold statistics during
-    /// training and invert at prediction time (the reference CFR's `y`
-    /// normalisation; prevents divergence on heavy-tailed surfaces such as
-    /// IHDP's exponential response).
-    pub standardize_outcome: bool,
     /// What to do when a training-objective term goes non-finite: the
     /// default performs no retries (the fit fails with a typed
     /// [`NonFiniteLoss`](SbrlError::NonFiniteLoss), exactly as before);
@@ -101,8 +94,6 @@ impl Default for TrainConfig {
             eval_every: 25,
             patience: 10,
             seed: 0,
-            standardize: true,
-            standardize_outcome: true,
             recovery: RecoveryPolicy::default(),
             time_budget: None,
         }
@@ -136,16 +127,11 @@ impl TrainConfig {
                 });
             }
         }
-        let rates =
-            [("train.lr", self.lr), ("train.weight_lr", self.weight_lr), ("train.l2", self.l2)];
-        for (what, v) in rates {
-            if !v.is_finite() || v < 0.0 {
-                return Err(SbrlError::InvalidConfig {
-                    what,
-                    message: format!("must be finite and non-negative, got {v}"),
-                });
-            }
-        }
+        check_non_negative(&[
+            ("train.lr", self.lr),
+            ("train.weight_lr", self.weight_lr),
+            ("train.l2", self.l2),
+        ])?;
         if let Some((rate, steps)) = self.lr_decay {
             if !rate.is_finite() || rate <= 0.0 || steps == 0 {
                 return Err(SbrlError::InvalidConfig {
@@ -426,12 +412,16 @@ pub(crate) fn fit_backbone<B: Backbone>(
     let loss_kind = loss_kind_for(train.outcome);
     let mut rng = rng_from_seed(cfg.seed ^ 0x5b71_7a11);
 
-    let scaler = cfg.standardize.then(|| Scaler::fit(&train.x));
+    // Covariates are standardised with train-fold statistics.
+    let scaler = Some(Scaler::fit(&train.x));
     let x_train = prep(&scaler, &train.x);
     let x_val = prep(&scaler, &val.x);
 
-    // Outcome standardisation (continuous outcomes only, train statistics).
-    let y_transform = if cfg.standardize_outcome && train.outcome == OutcomeKind::Continuous {
+    // Continuous outcomes are standardised with train-fold statistics and
+    // the transform is inverted at prediction time (the reference CFR's `y`
+    // normalisation; prevents divergence on heavy-tailed surfaces such as
+    // IHDP's exponential response).
+    let y_transform = if train.outcome == OutcomeKind::Continuous {
         let mean = train.yf.iter().sum::<f64>() / train.n() as f64;
         let var = train.yf.iter().map(|y| (y - mean) * (y - mean)).sum::<f64>() / train.n() as f64;
         (mean, var.sqrt().max(1e-8))

@@ -7,14 +7,15 @@
 //! by the NPCI package. The covariate files are not available offline, so
 //! this module simulates covariates with matched dimensionality, types and
 //! correlation structure, and then applies the published protocol verbatim
-//! (substitution argument in DESIGN.md §5):
+//! (substitution argument in the `sbrl_data` crate documentation,
+//! `crates/data/src/lib.rs`):
 //!
 //! * treatment assignment confounded through a logistic model on the
 //!   covariates, calibrated to exactly 139 treated units;
-//! * response surfaces from NPCI: the nonlinear/heterogeneous surface
-//!   (`mu0 = exp((X + 0.5) beta)`, `mu1 = X beta - omega`, with `omega`
-//!   calibrated so the average effect on the treated is 4) used by the
-//!   CFR/TARNet line of work, plus the simpler linear surface as an option;
+//! * the NPCI nonlinear/heterogeneous response surface (Hill's surface B,
+//!   NPCI setting "A": `mu0 = exp((X + 0.5) beta)`, `mu1 = X beta - omega`,
+//!   with `omega` calibrated so the average effect on the treated is 4), as
+//!   used by the CFR/TARNet line of work and this paper;
 //! * continuous outcomes `y = mu + N(0, 1)`, re-simulated per replication
 //!   (the paper averages 100 replications);
 //! * OOD test fold: 10% of records drawn with bias-rate `rho` sampling where
@@ -27,16 +28,6 @@ use sbrl_tensor::{stable_sigmoid, Matrix};
 use crate::dataset::{CausalDataset, DataError, OutcomeKind, Scaler};
 use crate::sampling::weighted_sample_without_replacement;
 use crate::splits::{train_val_indices, DataSplit};
-
-/// Which NPCI response surface to simulate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ResponseSurface {
-    /// Linear surface with a constant effect of 4 (Hill's surface A).
-    Linear,
-    /// Log-linear heterogeneous surface (Hill's surface B / NPCI setting "A"
-    /// as used by the CFR line of work and this paper).
-    Nonlinear,
-}
 
 /// Configuration of the IHDP-like benchmark.
 #[derive(Clone, Copy, Debug)]
@@ -51,20 +42,11 @@ pub struct IhdpConfig {
     pub test_fraction: f64,
     /// Fraction of the remainder assigned to validation (paper: 30%).
     pub val_fraction: f64,
-    /// Response surface.
-    pub surface: ResponseSurface,
 }
 
 impl Default for IhdpConfig {
     fn default() -> Self {
-        Self {
-            n: 747,
-            n_treated: 139,
-            rho: -2.5,
-            test_fraction: 0.1,
-            val_fraction: 0.3,
-            surface: ResponseSurface::Nonlinear,
-        }
+        Self { n: 747, n_treated: 139, rho: -2.5, test_fraction: 0.1, val_fraction: 0.3 }
     }
 }
 
@@ -234,25 +216,14 @@ impl IhdpSimulator {
         let mut rng = rng_from_seed(rep_seed ^ IHDP_TAG ^ 0xabcd);
         let n = self.config.n;
         // NPCI coefficient draw: beta_j in {0, .1, .2, .3, .4} with
-        // probabilities (.6, .1, .1, .1, .1) for the nonlinear surface,
-        // {0..4} x (.5, .125, .125, .125, .125) for the linear one.
+        // probabilities (.6, .1, .1, .1, .1).
         let beta: Vec<f64> = (0..TOTAL_COVARIATES)
-            .map(|_| match self.config.surface {
-                ResponseSurface::Nonlinear => {
-                    let u = sample_uniform(&mut rng, 0.0, 1.0);
-                    if u < 0.6 {
-                        0.0
-                    } else {
-                        0.1 * (((u - 0.6) / 0.1).floor() + 1.0).min(4.0)
-                    }
-                }
-                ResponseSurface::Linear => {
-                    let u = sample_uniform(&mut rng, 0.0, 1.0);
-                    if u < 0.5 {
-                        0.0
-                    } else {
-                        (((u - 0.5) / 0.125).floor() + 1.0).min(4.0)
-                    }
+            .map(|_| {
+                let u = sample_uniform(&mut rng, 0.0, 1.0);
+                if u < 0.6 {
+                    0.0
+                } else {
+                    0.1 * (((u - 0.6) / 0.1).floor() + 1.0).min(4.0)
                 }
             })
             .collect();
@@ -262,30 +233,17 @@ impl IhdpSimulator {
         };
         let (mut mu0, mut mu1): (Vec<f64>, Vec<f64>) =
             (Vec::with_capacity(n), Vec::with_capacity(n));
-        match self.config.surface {
-            ResponseSurface::Nonlinear => {
-                for i in 0..n {
-                    let row = self.x_std.row(i);
-                    mu0.push(dot(row, 0.5).exp());
-                    mu1.push(dot(row, 0.0));
-                }
-                // Calibrate omega so the average effect on the treated is 4.
-                let treated: Vec<usize> = (0..n).filter(|&i| self.t[i] > 0.5).collect();
-                let gap: f64 =
-                    treated.iter().map(|&i| mu1[i] - mu0[i]).sum::<f64>() / treated.len() as f64;
-                let omega = gap - 4.0;
-                for m in &mut mu1 {
-                    *m -= omega;
-                }
-            }
-            ResponseSurface::Linear => {
-                for i in 0..n {
-                    let row = self.x_std.row(i);
-                    let base = dot(row, 0.0);
-                    mu0.push(base);
-                    mu1.push(base + 4.0);
-                }
-            }
+        for i in 0..n {
+            let row = self.x_std.row(i);
+            mu0.push(dot(row, 0.5).exp());
+            mu1.push(dot(row, 0.0));
+        }
+        // Calibrate omega so the average effect on the treated is 4.
+        let treated: Vec<usize> = (0..n).filter(|&i| self.t[i] > 0.5).collect();
+        let gap: f64 = treated.iter().map(|&i| mu1[i] - mu0[i]).sum::<f64>() / treated.len() as f64;
+        let omega = gap - 4.0;
+        for m in &mut mu1 {
+            *m -= omega;
         }
 
         let y0: Vec<f64> = mu0.iter().map(|&m| m + sample_standard_normal(&mut rng)).collect();
@@ -429,18 +387,6 @@ mod tests {
         let mu1 = d.mu1.as_ref().unwrap();
         let att: f64 = treated.iter().map(|&i| mu1[i] - mu0[i]).sum::<f64>() / treated.len() as f64;
         assert!((att - 4.0).abs() < 1e-9, "ATT should be calibrated to 4, got {att}");
-    }
-
-    #[test]
-    fn linear_surface_has_constant_effect() {
-        let s = IhdpSimulator::try_new(
-            IhdpConfig { surface: ResponseSurface::Linear, ..Default::default() },
-            1,
-        )
-        .expect("valid config");
-        let d = s.simulate_outcomes(3);
-        let ite = d.true_ite().unwrap();
-        assert!(ite.iter().all(|&e| (e - 4.0).abs() < 1e-9));
     }
 
     #[test]

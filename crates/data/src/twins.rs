@@ -4,7 +4,8 @@
 //! twins born 1989–1991 weighing under 2000 g (5271 records after filtering).
 //! Those files are not available offline, so this module ships a simulator
 //! that reproduces the benchmark's *published schema and augmentation
-//! protocol* exactly (see DESIGN.md §5 for the substitution argument):
+//! protocol* exactly (the substitution argument is in the `sbrl_data` crate
+//! documentation, `crates/data/src/lib.rs`):
 //!
 //! * 28 "real" covariates `X1..X28` about parents / pregnancy / birth,
 //!   generated from shared latent health & socioeconomic factors with mixed

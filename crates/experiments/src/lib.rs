@@ -1,7 +1,8 @@
 //! # sbrl-experiments
 //!
 //! The benchmark harness regenerating every table and figure of the paper's
-//! evaluation section (see DESIGN.md §4 for the experiment index):
+//! evaluation section (README.md's "Reproducing the paper's tables and
+//! figures" gives each binary's command line):
 //!
 //! | Artefact | Module | Binary |
 //! |----------|--------|--------|

@@ -23,7 +23,7 @@
 //! `T` from `[I | C]`.
 
 use rand::rngs::StdRng;
-use sbrl_nn::{Activation, BatchNorm, Binding, Init, Mlp, ParamHandle, ParamStore};
+use sbrl_nn::{Activation, BatchNorm, Binding, Mlp, ParamHandle, ParamStore};
 use sbrl_stats::{ipm_graph, IpmKind};
 use sbrl_tensor::{Graph, TensorId};
 
@@ -89,15 +89,7 @@ impl DerCfr {
         let mut rep_dims = vec![arch.in_dim];
         rep_dims.extend(std::iter::repeat_n(arch.rep_width, arch.rep_layers.max(1)));
         let mk_rep = |store: &mut ParamStore, rng: &mut StdRng, name: &str| {
-            Mlp::new(
-                store,
-                rng,
-                name,
-                &rep_dims,
-                Activation::Elu(1.0),
-                Activation::Elu(1.0),
-                Init::HeNormal,
-            )
+            Mlp::new(store, rng, name, &rep_dims, Activation::Elu)
         };
         let rep_i = mk_rep(&mut store, rng, "rep_i");
         let rep_c = mk_rep(&mut store, rng, "rep_c");
@@ -109,32 +101,14 @@ impl DerCfr {
             rng,
             "treat_head",
             &[2 * arch.rep_width, arch.head_width, 1],
-            Activation::Elu(1.0),
             Activation::Identity,
-            Init::HeNormal,
         );
         // Outcome heads on [C | A].
         let mut head_dims = vec![2 * arch.rep_width];
         head_dims.extend(std::iter::repeat_n(arch.head_width, arch.head_layers.max(1)));
         head_dims.push(1);
-        let head0 = Mlp::new(
-            &mut store,
-            rng,
-            "head0",
-            &head_dims,
-            Activation::Elu(1.0),
-            Activation::Identity,
-            Init::HeNormal,
-        );
-        let head1 = Mlp::new(
-            &mut store,
-            rng,
-            "head1",
-            &head_dims,
-            Activation::Elu(1.0),
-            Activation::Identity,
-            Init::HeNormal,
-        );
+        let head0 = Mlp::new(&mut store, rng, "head0", &head_dims, Activation::Identity);
+        let head1 = Mlp::new(&mut store, rng, "head1", &head_dims, Activation::Identity);
         Self { cfg, store, input_bn, rep_i, rep_c, rep_a, treat_head, head0, head1 }
     }
 

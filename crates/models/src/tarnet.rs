@@ -2,7 +2,7 @@
 //! network with two outcome heads and no balancing penalty.
 
 use rand::rngs::StdRng;
-use sbrl_nn::{Activation, BatchNorm, Binding, Init, Mlp, ParamHandle, ParamStore};
+use sbrl_nn::{Activation, BatchNorm, Binding, Mlp, ParamHandle, ParamStore};
 use sbrl_tensor::{Graph, TensorId};
 
 use crate::backbone::{
@@ -63,36 +63,12 @@ impl Tarnet {
         let input_bn = cfg.batch_norm.then(|| BatchNorm::new(&mut store, "input_bn", cfg.in_dim));
         let mut rep_dims = vec![cfg.in_dim];
         rep_dims.extend(std::iter::repeat_n(cfg.rep_width, cfg.rep_layers.max(1)));
-        let rep = Mlp::new(
-            &mut store,
-            rng,
-            "rep",
-            &rep_dims,
-            Activation::Elu(1.0),
-            Activation::Elu(1.0),
-            Init::HeNormal,
-        );
+        let rep = Mlp::new(&mut store, rng, "rep", &rep_dims, Activation::Elu);
         let mut head_dims = vec![cfg.rep_width];
         head_dims.extend(std::iter::repeat_n(cfg.head_width, cfg.head_layers.max(1)));
         head_dims.push(1);
-        let head0 = Mlp::new(
-            &mut store,
-            rng,
-            "head0",
-            &head_dims,
-            Activation::Elu(1.0),
-            Activation::Identity,
-            Init::HeNormal,
-        );
-        let head1 = Mlp::new(
-            &mut store,
-            rng,
-            "head1",
-            &head_dims,
-            Activation::Elu(1.0),
-            Activation::Identity,
-            Init::HeNormal,
-        );
+        let head0 = Mlp::new(&mut store, rng, "head0", &head_dims, Activation::Identity);
+        let head1 = Mlp::new(&mut store, rng, "head1", &head_dims, Activation::Identity);
         Self { cfg, store, input_bn, rep, head0, head1 }
     }
 

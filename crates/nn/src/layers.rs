@@ -3,9 +3,9 @@
 //! Hierarchical-Attention Paradigm decorrelates).
 
 use rand::rngs::StdRng;
-use sbrl_tensor::{Graph, TensorId};
+use sbrl_tensor::rng::randn_scaled;
+use sbrl_tensor::{Graph, Matrix, TensorId};
 
-use crate::init::Init;
 use crate::params::{Binding, ParamHandle, ParamStore};
 
 /// Nonlinearity applied after a dense layer.
@@ -13,14 +13,9 @@ use crate::params::{Binding, ParamHandle, ParamStore};
 pub enum Activation {
     /// Identity (linear output layer).
     Identity,
-    /// Exponential linear unit — the paper's activation (Sec. V-C).
-    Elu(f64),
-    /// Rectified linear unit.
-    Relu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
+    /// Exponential linear unit with `alpha = 1` — the paper's activation
+    /// (Sec. V-C).
+    Elu,
 }
 
 impl Activation {
@@ -28,10 +23,7 @@ impl Activation {
     pub fn apply(self, g: &mut Graph, x: TensorId) -> TensorId {
         match self {
             Activation::Identity => x,
-            Activation::Elu(alpha) => g.elu(x, alpha),
-            Activation::Relu => g.relu(x),
-            Activation::Tanh => g.tanh(x),
-            Activation::Sigmoid => g.sigmoid(x),
+            Activation::Elu => g.elu(x, 1.0),
         }
     }
 }
@@ -45,17 +37,19 @@ pub struct Linear {
 }
 
 impl Linear {
-    /// Registers a new dense layer's parameters in `store`.
+    /// Registers a new dense layer's parameters in `store`: He-normal
+    /// weights `N(0, 2 / in_dim)`, the usual choice for ELU stacks, and
+    /// zero biases.
     pub fn new(
         store: &mut ParamStore,
         rng: &mut StdRng,
         name: &str,
         in_dim: usize,
         out_dim: usize,
-        init: Init,
     ) -> Self {
-        let w = store.register(format!("{name}.w"), init.sample(rng, in_dim, out_dim));
-        let b = store.register(format!("{name}.b"), Init::Zeros.sample(rng, 1, out_dim));
+        let std = (2.0 / in_dim.max(1) as f64).sqrt();
+        let w = store.register(format!("{name}.w"), randn_scaled(rng, in_dim, out_dim, 0.0, std));
+        let b = store.register(format!("{name}.b"), Matrix::zeros(1, out_dim));
         Self { w, b, in_dim, out_dim }
     }
 
@@ -113,8 +107,8 @@ pub struct BatchNorm {
 impl BatchNorm {
     /// Registers batch-norm parameters for `dim` features.
     pub fn new(store: &mut ParamStore, name: &str, dim: usize) -> Self {
-        let gamma = store.register(format!("{name}.gamma"), sbrl_tensor::Matrix::ones(1, dim));
-        let beta = store.register(format!("{name}.beta"), sbrl_tensor::Matrix::zeros(1, dim));
+        let gamma = store.register(format!("{name}.gamma"), Matrix::ones(1, dim));
+        let beta = store.register(format!("{name}.beta"), Matrix::zeros(1, dim));
         Self {
             gamma,
             beta,
@@ -194,9 +188,9 @@ impl BatchNorm {
     ) -> TensorId {
         let gamma = binding.bind(store, g, self.gamma);
         let beta = binding.bind(store, g, self.beta);
-        let mean = g.constant(sbrl_tensor::Matrix::row_vec(&self.running_mean));
+        let mean = g.constant(Matrix::row_vec(&self.running_mean));
         let std_vals: Vec<f64> = self.running_var.iter().map(|v| (v + self.eps).sqrt()).collect();
-        let std = g.constant(sbrl_tensor::Matrix::row_vec(&std_vals));
+        let std = g.constant(Matrix::row_vec(&std_vals));
         let centred = g.sub_row(x, mean);
         let normalised = g.div_row(centred, std);
         let scaled = g.mul_row(normalised, gamma);
@@ -214,11 +208,10 @@ pub fn l2_normalize_rows(g: &mut Graph, x: TensorId) -> TensorId {
     g.div_col(x, norm)
 }
 
-/// A stack of dense layers with a shared activation, exposing every hidden
-/// activation ("taps") for the Hierarchical-Attention Paradigm.
+/// A stack of dense layers with ELU hidden activations, exposing every
+/// layer's activation ("taps") for the Hierarchical-Attention Paradigm.
 pub struct Mlp {
     layers: Vec<Linear>,
-    activation: Activation,
     output_activation: Activation,
 }
 
@@ -232,6 +225,8 @@ pub struct MlpOutput {
 
 impl Mlp {
     /// Builds an MLP with `dims = [in, h1, ..., out]`; `dims.len() >= 2`.
+    /// Every layer but the last applies ELU; the last applies
+    /// `output_activation`.
     ///
     /// # Panics
     /// Panics if fewer than two dims are given.
@@ -241,17 +236,15 @@ impl Mlp {
         rng: &mut StdRng,
         name: &str,
         dims: &[usize],
-        activation: Activation,
         output_activation: Activation,
-        init: Init,
     ) -> Self {
         assert!(dims.len() >= 2, "Mlp::new requires at least [in, out] dims");
         let layers = dims
             .windows(2)
             .enumerate()
-            .map(|(i, w)| Linear::new(store, rng, &format!("{name}.l{i}"), w[0], w[1], init))
+            .map(|(i, w)| Linear::new(store, rng, &format!("{name}.l{i}"), w[0], w[1]))
             .collect();
-        Self { layers, activation, output_activation }
+        Self { layers, output_activation }
     }
 
     /// Number of dense layers.
@@ -287,7 +280,7 @@ impl Mlp {
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
             let pre = layer.forward(store, binding, g, h);
-            let act = if i == last { self.output_activation } else { self.activation };
+            let act = if i == last { self.output_activation } else { Activation::Elu };
             h = act.apply(g, pre);
             taps.push(h);
         }
@@ -299,13 +292,12 @@ impl Mlp {
 mod tests {
     use super::*;
     use sbrl_tensor::rng::{randn, rng_from_seed};
-    use sbrl_tensor::Matrix;
 
     #[test]
     fn linear_forward_matches_manual() {
         let mut store = ParamStore::new();
         let mut rng = rng_from_seed(0);
-        let layer = Linear::new(&mut store, &mut rng, "l", 3, 2, Init::HeNormal);
+        let layer = Linear::new(&mut store, &mut rng, "l", 3, 2);
         // Overwrite with known values.
         *store.get_mut(layer.weight()) = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
         *store.get_mut(layer.bias()) = Matrix::from_vec(1, 2, vec![0.5, -0.5]);
@@ -319,18 +311,39 @@ mod tests {
     }
 
     #[test]
+    fn linear_init_shapes() {
+        let mut store = ParamStore::new();
+        let mut rng = rng_from_seed(0);
+        let layer = Linear::new(&mut store, &mut rng, "l", 7, 3);
+        assert_eq!(store.get(layer.weight()).shape(), (7, 3));
+        assert_eq!(store.get(layer.bias()).shape(), (1, 3));
+    }
+
+    #[test]
+    fn linear_bias_init_is_zero() {
+        let mut store = ParamStore::new();
+        let mut rng = rng_from_seed(2);
+        let layer = Linear::new(&mut store, &mut rng, "l", 3, 3);
+        assert_eq!(store.get(layer.bias()).sum(), 0.0);
+        assert!(store.get(layer.bias()).as_slice().iter().all(|&b| b == 0.0));
+    }
+
+    #[test]
+    fn he_scale_shrinks_with_fan_in() {
+        let mut store = ParamStore::new();
+        let mut rng = rng_from_seed(1);
+        let narrow = Linear::new(&mut store, &mut rng, "narrow", 4, 2000);
+        let wide = Linear::new(&mut store, &mut rng, "wide", 400, 2000);
+        let std_narrow = store.get(narrow.weight()).std_axis0().mean();
+        let std_wide = store.get(wide.weight()).std_axis0().mean();
+        assert!(std_narrow > std_wide * 5.0, "He init should scale ~1/sqrt(fan_in)");
+    }
+
+    #[test]
     fn mlp_tap_count_and_shapes() {
         let mut store = ParamStore::new();
         let mut rng = rng_from_seed(1);
-        let mlp = Mlp::new(
-            &mut store,
-            &mut rng,
-            "mlp",
-            &[4, 8, 8, 2],
-            Activation::Elu(1.0),
-            Activation::Identity,
-            Init::HeNormal,
-        );
+        let mlp = Mlp::new(&mut store, &mut rng, "mlp", &[4, 8, 8, 2], Activation::Identity);
         assert_eq!(mlp.num_layers(), 3);
         assert_eq!(mlp.out_dim(), 2);
 
@@ -414,15 +427,7 @@ mod tests {
     fn gradients_flow_through_mlp() {
         let mut store = ParamStore::new();
         let mut rng = rng_from_seed(5);
-        let mlp = Mlp::new(
-            &mut store,
-            &mut rng,
-            "mlp",
-            &[3, 4, 1],
-            Activation::Elu(1.0),
-            Activation::Identity,
-            Init::XavierNormal,
-        );
+        let mlp = Mlp::new(&mut store, &mut rng, "mlp", &[3, 4, 1], Activation::Identity);
         let mut g = Graph::new();
         let mut binding = Binding::new(&store);
         let x = g.constant(randn(&mut rng, 8, 3));

@@ -9,14 +9,12 @@
 //! optimisation step binds them into a fresh [`sbrl_tensor::Graph`] through a
 //! [`Binding`], runs backward, and lets an [`Optimizer`] update the store.
 
-pub mod init;
 pub mod layers;
 pub mod loss;
 pub mod optim;
 pub mod params;
 pub mod train;
 
-pub use init::Init;
 pub use layers::{l2_normalize_rows, Activation, BatchNorm, Linear, Mlp, MlpOutput};
 pub use loss::OutcomeLoss;
 pub use optim::{Adam, LrSchedule, Optimizer};

@@ -8,7 +8,8 @@
 //! (Eq. 9) plugs normalised sample weights into the covariance. The
 //! decorrelation loss `L_D` (Eq. 10) sums the statistic over feature pairs.
 //!
-//! Implementation notes (recorded in DESIGN.md):
+//! Implementation notes (how the weight phase schedules these terms is in
+//! `docs/PERFORMANCE.md`, "Term-level parallelism in the weight phase"):
 //! * one bank of `k` Fourier functions is shared across features (they are
 //!   identically distributed, so this is a variance-reduction-neutral
 //!   simplification that lets the pair sum collapse into a single

@@ -48,11 +48,6 @@ pub fn randn_scaled(rng: &mut StdRng, rows: usize, cols: usize, mean: f64, std: 
     Matrix::from_fn(rows, cols, |_, _| sample_normal(rng, mean, std))
 }
 
-/// A matrix with i.i.d. `U(lo, hi)` entries.
-pub fn rand_uniform(rng: &mut StdRng, rows: usize, cols: usize, lo: f64, hi: f64) -> Matrix {
-    Matrix::from_fn(rows, cols, |_, _| sample_uniform(rng, lo, hi))
-}
-
 /// A random permutation of `0..n` (Fisher–Yates).
 pub fn permutation(rng: &mut StdRng, n: usize) -> Vec<usize> {
     let mut idx = Vec::with_capacity(n);
@@ -161,6 +156,5 @@ mod tests {
     fn randn_shape() {
         let mut rng = rng_from_seed(1);
         assert_eq!(randn(&mut rng, 3, 4).shape(), (3, 4));
-        assert_eq!(rand_uniform(&mut rng, 2, 2, 0.0, 1.0).shape(), (2, 2));
     }
 }

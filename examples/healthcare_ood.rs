@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example healthcare_ood`
 
-use sbrl_hap::core::{Estimator, Framework, SbrlConfig, TrainConfig};
+use sbrl_hap::core::{Estimator, SbrlConfig, TrainConfig};
 use sbrl_hap::data::{SyntheticConfig, SyntheticProcess};
 use sbrl_hap::models::{CfrConfig, TarnetConfig};
 use sbrl_hap::stats::IpmKind;
@@ -47,7 +47,6 @@ fn main() {
     println!("fitting on the urban observational cohort ({} patients)...\n", train_data.n());
     let vanilla = Estimator::builder()
         .backbone(cfg)
-        .framework(Framework::Vanilla)
         .train(budget)
         .seed(1)
         .fit(&train_data, &val_data)

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use sbrl_hap::core::{Estimator, Framework, SbrlConfig, TrainConfig};
+use sbrl_hap::core::{Estimator, SbrlConfig, TrainConfig};
 use sbrl_hap::data::{DatasetOptions, DatasetRegistry};
 use sbrl_hap::models::{CfrConfig, TarnetConfig};
 use sbrl_hap::stats::IpmKind;
@@ -58,7 +58,6 @@ fn main() {
     //    the fluent builder. A fitted model is immutable and thread-safe.
     let fitted_vanilla = Estimator::builder()
         .backbone(cfr_config)
-        .framework(Framework::Vanilla)
         .train(train_cfg)
         .seed(0)
         .fit(&train_data, &val_data)

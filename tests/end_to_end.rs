@@ -2,7 +2,7 @@
 //! through training to evaluation, exercised through the public meta-crate
 //! API exactly as a downstream user would.
 
-use sbrl_hap::core::{Estimator, SbrlConfig, TrainConfig};
+use sbrl_hap::core::{Estimator, Framework, MethodSpec, SbrlConfig, TrainConfig};
 use sbrl_hap::data::{CausalDataset, SyntheticConfig, SyntheticProcess};
 use sbrl_hap::metrics::pehe;
 use sbrl_hap::models::{BackboneKind, CfrConfig};
@@ -49,7 +49,7 @@ fn every_backbone_trains_and_tracks_the_zero_effect_predictor_in_distribution() 
 
     for kind in BackboneKind::ALL {
         let fitted = Estimator::builder()
-            .backbone_kind(kind)
+            .method(MethodSpec { backbone: kind, framework: Framework::Vanilla })
             .train(TrainConfig { iterations: 150, ..smoke_budget() })
             .fit(&train_data, &val_data)
             .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
@@ -158,8 +158,8 @@ fn reproducibility_same_seed_same_predictions() {
 
 #[test]
 fn all_nine_grid_methods_run_on_one_replication() {
+    use sbrl_hap::experiments::fit_method;
     use sbrl_hap::experiments::presets::{bench_variant, paper_syn_8_8_8_2};
-    use sbrl_hap::experiments::{fit_method, MethodSpec};
 
     let (train_data, val_data, ood) = tiny_splits();
     let preset = bench_variant(paper_syn_8_8_8_2());
@@ -180,7 +180,7 @@ fn twins_and_ihdp_pipelines_run_end_to_end() {
         .expect("valid config");
     let split = twins.try_partition(0).expect("simulated data carries the oracle");
     let fitted = Estimator::builder()
-        .backbone_kind(BackboneKind::Tarnet)
+        .method("TARNet".parse().expect("a grid method name"))
         .train(smoke_budget())
         .seed(9)
         .fit(&split.train, &split.val)
@@ -190,7 +190,7 @@ fn twins_and_ihdp_pipelines_run_end_to_end() {
     let ihdp = IhdpSimulator::try_new(IhdpConfig::default(), 4).expect("valid config");
     let split = ihdp.try_replicate(0).expect("simulated data carries the oracle");
     let fitted = Estimator::builder()
-        .backbone_kind(BackboneKind::Tarnet)
+        .method("TARNet".parse().expect("a grid method name"))
         .train(smoke_budget())
         .seed(10)
         .fit(&split.train, &split.val)

@@ -3,7 +3,8 @@
 
 use sbrl_hap::core::{Estimator, SbrlConfig, SbrlError, TrainConfig};
 use sbrl_hap::data::{CausalDataset, DataError, OutcomeKind};
-use sbrl_hap::models::TarnetConfig;
+use sbrl_hap::models::{CfrConfig, DerCfrConfig, TarnetConfig};
+use sbrl_hap::stats::IpmKind;
 use sbrl_hap::tensor::rng::{randn, rng_from_seed};
 use sbrl_hap::tensor::Matrix;
 
@@ -109,6 +110,55 @@ fn misconfigured_builders_are_typed_errors() {
         .train(TrainConfig { batch_size: 0, ..budget() })
         .fit(&train, &val);
     assert!(matches!(err, Err(SbrlError::InvalidConfig { what: "train.batch_size", .. })));
+}
+
+/// A NaN or negative backbone penalty weight or Wasserstein `lambda` is
+/// rejected by `build`, before any fit: at fit time it would surface only as
+/// a `NonFiniteLoss`, which a sweep retries as transient.
+#[test]
+fn invalid_backbone_and_ipm_coefficients_are_rejected_at_build_time() {
+    let wasserstein = |lambda| IpmKind::Wasserstein { lambda, iterations: 10 };
+    let build_err = |builder: sbrl_hap::core::EstimatorBuilder| match builder.build() {
+        Err(SbrlError::InvalidConfig { what, .. }) => what,
+        Err(other) => panic!("expected InvalidConfig, got {other}"),
+        Ok(_) => panic!("expected InvalidConfig, got an estimator"),
+    };
+    let cfr = |c: CfrConfig| Estimator::builder().backbone(c);
+    let dercfr = |c: DerCfrConfig| Estimator::builder().backbone(c);
+    assert_eq!(
+        build_err(cfr(CfrConfig { alpha: f64::NAN, ..CfrConfig::small(4) })),
+        "backbone.alpha"
+    );
+    assert_eq!(
+        build_err(cfr(CfrConfig { ipm: wasserstein(f64::NAN), ..CfrConfig::small(4) })),
+        "backbone.ipm"
+    );
+    assert_eq!(
+        build_err(dercfr(DerCfrConfig { alpha: -1.0, ..DerCfrConfig::small(4) })),
+        "backbone.alpha"
+    );
+    assert_eq!(
+        build_err(dercfr(DerCfrConfig { beta: -1.0, ..DerCfrConfig::small(4) })),
+        "backbone.beta"
+    );
+    assert_eq!(
+        build_err(dercfr(DerCfrConfig { gamma: f64::INFINITY, ..DerCfrConfig::small(4) })),
+        "backbone.gamma"
+    );
+    assert_eq!(
+        build_err(dercfr(DerCfrConfig { mu: f64::NAN, ..DerCfrConfig::small(4) })),
+        "backbone.mu"
+    );
+    assert_eq!(
+        build_err(dercfr(DerCfrConfig { ipm: wasserstein(-10.0), ..DerCfrConfig::small(4) })),
+        "backbone.ipm"
+    );
+    let sbrl = SbrlConfig::sbrl(1.0, 1.0).with_ipm(wasserstein(f64::NAN));
+    assert_eq!(build_err(cfr(CfrConfig::small(4)).sbrl(sbrl)), "sbrl.ipm");
+    // The paper's coefficients build.
+    let ok = CfrConfig { ipm: wasserstein(10.0), ..CfrConfig::small(4) };
+    assert!(cfr(ok).sbrl(SbrlConfig::sbrl(1.0, 1.0).with_ipm(wasserstein(10.0))).build().is_ok());
+    assert!(dercfr(DerCfrConfig::small(4)).build().is_ok());
 }
 
 #[test]

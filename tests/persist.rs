@@ -137,21 +137,29 @@ fn golden_v2_fixture_predicts_the_committed_bits() {
 }
 
 /// Each committed fixture re-encodes to its own bytes at its own format
-/// version. A round trip alone would still pass if the encoder and decoder
-/// drifted together; this pins the on-disk layout itself.
+/// version, and the `persist::fixture` recipes, fitted afresh, encode to
+/// those same bytes. A round trip alone would still pass if the encoder and
+/// decoder drifted together; this pins the on-disk layout itself, and shows
+/// that `serve make-fixtures` reproduces every committed file.
 #[test]
 fn committed_fixtures_re_encode_byte_for_byte() {
-    for (name, version) in [
-        ("golden_v1.sbrl", 1),
-        ("golden_v2.sbrl", 2),
-        ("registry/cfr-sbrl-hap.sbrl", 2),
-        ("registry/tarnet.sbrl", 2),
+    let golden = fixture::train_golden().expect("fixture fit succeeds");
+    let second = fixture::train_second().expect("fixture fit succeeds");
+    for (name, version, recipe) in [
+        ("golden_v1.sbrl", 1, &golden),
+        ("golden_v2.sbrl", 2, &golden),
+        ("registry/cfr-sbrl-hap.sbrl", 2, &golden),
+        ("registry/tarnet.sbrl", 2, &second),
     ] {
         let bytes = fs::read(fixture_path(name)).expect("committed fixture readable");
         let loaded = FittedModel::from_sbrl_bytes(&bytes).expect("committed fixture loads");
         assert!(
             loaded.to_sbrl_bytes_versioned(version) == bytes,
             "{name} does not re-encode byte for byte at format version {version}"
+        );
+        assert!(
+            recipe.to_sbrl_bytes_versioned(version) == bytes,
+            "the fixture recipe no longer encodes to {name} at format version {version}"
         );
     }
 }

@@ -143,9 +143,11 @@ fn builder_threads_recovery_knobs_into_the_config() {
     let fitted = Estimator::builder()
         .backbone(CfrConfig::small(train.dim()))
         .sbrl(SbrlConfig::sbrl_hap(1.0, 1.0, 0.1, 0.01))
-        .train(train_cfg())
-        .recovery(RecoveryPolicy::retries(1))
-        .time_budget(Duration::from_secs(600))
+        .train(TrainConfig {
+            recovery: RecoveryPolicy::retries(1),
+            time_budget: Some(Duration::from_secs(600)),
+            ..train_cfg()
+        })
         .seed(11)
         .fit(&train, &val)
         .expect("training succeeds");

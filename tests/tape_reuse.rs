@@ -5,7 +5,7 @@
 //! and through the scratch-reusing decorrelation regularizer.
 
 use proptest::prelude::*;
-use sbrl_hap::nn::{Activation, Adam, Binding, Init, Mlp, Optimizer, ParamStore};
+use sbrl_hap::nn::{Activation, Adam, Binding, Mlp, Optimizer, ParamStore};
 use sbrl_hap::stats::{decorrelation_loss_graph_scratch, DecorrelationConfig, HsicScratch, Rff};
 use sbrl_hap::tensor::rng::{randn, rng_from_seed};
 use sbrl_hap::tensor::{Graph, Matrix};
@@ -40,15 +40,7 @@ fn train_step(
 fn build_mlp(dims: &[usize], seed: u64) -> (ParamStore, Mlp) {
     let mut store = ParamStore::new();
     let mut rng = rng_from_seed(seed);
-    let mlp = Mlp::new(
-        &mut store,
-        &mut rng,
-        "mlp",
-        dims,
-        Activation::Elu(1.0),
-        Activation::Identity,
-        Init::HeNormal,
-    );
+    let mlp = Mlp::new(&mut store, &mut rng, "mlp", dims, Activation::Identity);
     (store, mlp)
 }
 

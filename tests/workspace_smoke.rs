@@ -5,7 +5,7 @@
 
 use sbrl_hap::core::{Estimator, TrainConfig};
 use sbrl_hap::data::{SyntheticConfig, SyntheticProcess};
-use sbrl_hap::models::{BackboneKind, TarnetConfig};
+use sbrl_hap::models::TarnetConfig;
 
 /// Every re-exported module path must resolve to a usable item. Touching one
 /// item per module keeps this a compile-time wiring check, not a logic test.
@@ -49,7 +49,7 @@ fn minimal_train_eval_round_trip() {
         ..TrainConfig::default()
     };
     let fitted = Estimator::builder()
-        .backbone_kind(BackboneKind::Tarnet)
+        .method("TARNet".parse().expect("a grid method name"))
         .train(budget)
         .seed(5)
         .fit(&train_data, &val_data)
