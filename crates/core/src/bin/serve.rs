@@ -2,8 +2,6 @@
 //!
 //! ```text
 //! serve check <registry-dir>             load + smoke-test every artifact
-//! serve demo-train <out-dir>             train tiny models, save, verify the
-//!                                        save→load round trip bit-for-bit
 //! serve bench <registry-dir> [opts]      threaded load run; p50/p99/throughput
 //!     --requests N   total requests          (default 200)
 //!     --clients C    client threads          (default 4)
@@ -35,7 +33,7 @@ use std::time::Instant;
 use sbrl_core::persist::{fixture, ModelRegistry};
 use sbrl_core::serve::{summarize_latencies, InferenceService, ServeConfig, SocketServer};
 use sbrl_core::wire::{ClientConfig, ServeClient};
-use sbrl_core::{FittedModel, SbrlError};
+use sbrl_core::SbrlError;
 use sbrl_models::Backbone;
 use sbrl_tensor::Matrix;
 
@@ -43,9 +41,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("check") => args.get(1).map(|d| check(Path::new(d))).unwrap_or_else(usage_err),
-        Some("demo-train") => {
-            args.get(1).map(|d| demo_train(Path::new(d))).unwrap_or_else(usage_err)
-        }
         Some("bench") => {
             args.get(1).map(|d| bench(Path::new(d), &args[2..])).unwrap_or_else(usage_err)
         }
@@ -69,8 +64,7 @@ fn main() -> ExitCode {
 fn usage_err() -> Result<(), SbrlError> {
     Err(SbrlError::InvalidConfig {
         what: "serve.args",
-        message: "usage: serve <check|demo-train|bench|listen|make-fixtures> <dir> [options]"
-            .into(),
+        message: "usage: serve <check|bench|listen|make-fixtures> <dir> [options]".into(),
     })
 }
 
@@ -109,43 +103,6 @@ fn check(dir: &Path) -> Result<(), SbrlError> {
         println!("  {name}: smoke request OK ({} rows, all finite)", est.y0_hat.len());
     }
     println!("check OK");
-    Ok(())
-}
-
-/// Trains the two fixture-recipe models, saves them into `dir`, reloads
-/// them, and verifies save→load→predict is bit-identical.
-fn demo_train(dir: &Path) -> Result<(), SbrlError> {
-    std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    type TrainFn = fn() -> Result<FittedModel<Box<dyn Backbone>>, SbrlError>;
-    let specs: [(&str, TrainFn); 2] =
-        [("cfr-sbrl-hap.sbrl", fixture::train_golden), ("tarnet.sbrl", fixture::train_second)];
-    for (file_name, train) in specs {
-        let fitted = train()?;
-        let path = dir.join(file_name);
-        fitted.save(&path)?;
-        let loaded = FittedModel::load(&path)?;
-        let probe = fixture::probe_matrix(loaded.model().export_config().in_dim());
-        let before = fitted.predict(&probe);
-        let after = loaded.predict(&probe);
-        let identical = before
-            .y0_hat
-            .iter()
-            .zip(&after.y0_hat)
-            .chain(before.y1_hat.iter().zip(&after.y1_hat))
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !identical {
-            return Err(SbrlError::InvalidConfig {
-                what: "serve.demo-train",
-                message: format!("round trip of {} was not bit-identical", path.display()),
-            });
-        }
-        println!(
-            "trained {} -> {} ({} bytes), round trip bit-identical",
-            fitted.method_spec().name(),
-            path.display(),
-            fitted.to_sbrl_bytes().len()
-        );
-    }
     Ok(())
 }
 

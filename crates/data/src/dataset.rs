@@ -48,13 +48,6 @@ pub enum DataError {
     },
     /// The dataset holds no samples.
     Empty,
-    /// A dataset name was not found in the registry.
-    UnknownDataset {
-        /// The rejected name.
-        name: String,
-        /// Comma-separated list of registered names.
-        known: String,
-    },
     /// A simulator/dataset specification is structurally invalid (e.g. a
     /// treated count outside `1..n`): the spec degrades to a typed error
     /// instead of panicking a sweep.
@@ -87,9 +80,6 @@ impl fmt::Display for DataError {
                 write!(f, "treatment[{index}] = {value} is not 0/1")
             }
             DataError::Empty => write!(f, "dataset holds no samples"),
-            DataError::UnknownDataset { name, known } => {
-                write!(f, "unknown dataset '{name}' (registered datasets: {known})")
-            }
             DataError::InvalidSpec { what, message } => {
                 write!(f, "invalid dataset spec ({what}): {message}")
             }

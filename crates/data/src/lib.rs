@@ -31,7 +31,6 @@
 
 pub mod dataset;
 pub mod ihdp;
-pub mod registry;
 pub mod sampling;
 pub mod splits;
 pub mod synthetic;
@@ -39,7 +38,6 @@ pub mod twins;
 
 pub use dataset::{CausalDataset, DataError, OutcomeKind, Scaler};
 pub use ihdp::{IhdpConfig, IhdpSimulator};
-pub use registry::{DatasetGenerator, DatasetOptions, DatasetRegistry};
 pub use sampling::{selection_log_weight, weighted_sample_without_replacement};
 pub use splits::{split_train_val, train_val_indices, DataSplit};
 pub use synthetic::{SyntheticConfig, SyntheticProcess, PAPER_BIAS_RATES, TRAIN_BIAS_RATE};

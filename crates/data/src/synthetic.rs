@@ -240,7 +240,7 @@ pub const CHECKPOINT_ROWS: usize = 1024;
 /// would.
 ///
 /// The pool is drawn in parallel row shards on [`Parallelism::global`]'s
-/// workers (inline when serial or inside a coarse task); each row is
+/// workers (inline when serial or inside a pool task); each row is
 /// drawn from its own position in the stream, so the output is the same
 /// at any worker count.
 fn summarise_pool<F>(

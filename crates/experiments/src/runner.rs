@@ -7,7 +7,7 @@ use sbrl_core::{Estimator, FittedModel, SbrlError, TrainConfig};
 use sbrl_data::{CausalDataset, SyntheticConfig, SyntheticProcess};
 use sbrl_metrics::Evaluation;
 use sbrl_models::Backbone;
-use sbrl_tensor::workers::run_coarse_tasks;
+use sbrl_tensor::workers::run_tasks;
 use sbrl_tensor::Parallelism;
 
 use crate::methods::{ExperimentPreset, MethodSpec};
@@ -331,14 +331,14 @@ fn run_synthetic_sweep_on(
 /// `report(rep, &fitted)` runs once per replication, in replication order,
 /// as soon as that fit and every earlier one have finished.
 ///
-/// Every fit and scoring task is one coarse task of a single
-/// [`run_coarse_tasks`] call, the fits first. A scoring task waits for its
-/// replication's fit, which is then already running or done, because every
-/// fit index is claimed before any scoring index. A fit that unwinds still
-/// publishes its slot, empty, so its scoring tasks skip instead of waiting
-/// forever, and `run_coarse_tasks` re-raises the panic. A single
-/// replication fits on the calling thread before the scoring tasks start,
-/// so the parallel kernels inside its fit keep the pool.
+/// Every fit and scoring task is one pool task of a single [`run_tasks`]
+/// call, the fits first. A scoring task waits for its replication's fit,
+/// which is then already running or done, because every fit index is
+/// claimed before any scoring index. A fit that unwinds still publishes its
+/// slot, empty, so its scoring tasks skip instead of waiting forever, and
+/// `run_tasks` re-raises the panic. A single replication fits on the
+/// calling thread before the scoring tasks start, so the parallel kernels
+/// inside its fit keep the pool.
 fn fit_then_score<F: Send + Sync, S: Send + Sync>(
     reps: usize,
     envs: usize,
@@ -385,7 +385,7 @@ fn fit_then_score<F: Send + Sync, S: Send + Sync>(
         reps
     };
     let total = fit_tasks + reps * envs;
-    run_coarse_tasks(total, workers.min(total), &|i| {
+    run_tasks(total, workers.min(total), &|i| {
         if i < fit_tasks {
             fit_task(i);
         } else {
@@ -396,7 +396,7 @@ fn fit_then_score<F: Send + Sync, S: Send + Sync>(
     let mut scores = scores.into_iter().map(OnceLock::into_inner);
     fits.into_iter()
         .map(|slot| {
-            // lint: allow(panic) — infallible: `run_coarse_tasks` returned, so
+            // lint: allow(panic) — infallible: `run_tasks` returned, so
             // every fit and scoring task ran to completion and set its slot.
             let fitted = slot.into_inner().flatten().expect("a completed fit set its slot");
             let scores = scores.by_ref().take(envs).collect::<Option<Vec<S>>>();
@@ -668,7 +668,7 @@ mod tests {
 
     #[test]
     fn a_single_replication_fits_off_the_coarse_task_path() {
-        // Inside a coarse task every parallel call runs inline and never
+        // Inside a pool task every parallel call runs inline and never
         // reaches the pool; a single replication's fit must instead keep
         // the pool for its kernels. A parallel call asking for one worker
         // more than the pool has grows the pool only off that path.

@@ -23,7 +23,7 @@ impl Activation {
     pub fn apply(self, g: &mut Graph, x: TensorId) -> TensorId {
         match self {
             Activation::Identity => x,
-            Activation::Elu => g.elu(x, 1.0),
+            Activation::Elu => g.elu(x),
         }
     }
 }

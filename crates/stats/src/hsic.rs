@@ -23,7 +23,7 @@
 use rand::rngs::StdRng;
 use sbrl_tensor::kernels::Parallelism;
 use sbrl_tensor::rng::{permutation_into, sample_standard_normal, sample_uniform};
-use sbrl_tensor::workers::run_coarse_tasks;
+use sbrl_tensor::workers::run_tasks;
 use sbrl_tensor::{Graph, Matrix, TensorId};
 use std::sync::{Mutex, PoisonError};
 
@@ -398,9 +398,9 @@ pub fn decorrelation_loss_graph_scratch(
 
 /// Several weighted decorrelation terms `γ_i · L_D(z_i, w)` at once, the
 /// weight phase's HSIC work. Each term is built and back-propagated on its
-/// own tape in `scratch`, the terms running concurrently as coarse tasks of
-/// the worker pool (inline under [`Parallelism::Serial`] or inside another
-/// coarse task). Each is then spliced into `g` with [`Graph::replay`]; `out`
+/// own tape in `scratch`, the terms running concurrently as tasks of the
+/// worker pool (inline under [`Parallelism::Serial`] or inside another pool
+/// task). Each is then spliced into `g` with [`Graph::replay`]; `out`
 /// (cleared first) receives the spliced `1 x 1` nodes in term order.
 ///
 /// Values and `w`'s gradient are bit-identical to building each term on `g`
@@ -449,18 +449,18 @@ pub fn decorrelation_losses_graph(
     }
     scratch.fill_coefs(rff);
 
-    // `run_coarse_tasks` re-raises a task's panic, and every build resets
+    // `run_tasks` re-raises a task's panic, and every build resets
     // its tape first, so a guard poisoned by an earlier panic is safe to
     // reuse.
     let (tapes, coefs, src) = (&scratch.terms[..count], &scratch.coefs[..], &*g);
-    run_coarse_tasks(count, Parallelism::global().workers(), &|k| {
+    run_tasks(count, Parallelism::global().workers(), &|k| {
         tapes[k].lock().unwrap_or_else(PoisonError::into_inner).build(src, w, coefs, cfg);
     });
 
     out.clear();
     for term in &mut scratch.terms[..count] {
         let term = term.get_mut().unwrap_or_else(PoisonError::into_inner);
-        // Every planned term was built: `run_coarse_tasks` runs each task
+        // Every planned term was built: `run_tasks` runs each task
         // once or re-raises its panic.
         let Some((loss, w_div, w_sum)) = term.built.take() else { continue };
         out.push(g.replay(&term.tape, loss, &[(w_div, w), (w_sum, w)]));

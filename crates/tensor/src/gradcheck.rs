@@ -132,14 +132,13 @@ mod tests {
         check(&|g, a| { let t = g.relu(a); g.sumsq(t) }, &y.map(|v| v + 0.5 * v.signum()));
         check(&|g, a| { let t = g.exp(a); g.sum(t) }, &y);
         check(&|g, a| { let t = g.cos(a); g.sum(t) }, &y);
-        check(&|g, a| { let t = g.tanh(a); g.sum(t) }, &y);
         check(&|g, a| { let t = g.sigmoid(a); g.sum(t) }, &y);
         check(&|g, a| { let t = g.softplus(a); g.sum(t) }, &y);
         check(&|g, a| { let t = g.square(a); g.sum(t) }, &y);
         check(&|g, a| { let t = g.neg(a); g.sumsq(t) }, &y);
         check(&|g, a| { let t = g.scale(a, -1.7); g.sumsq(t) }, &y);
         check(&|g, a| { let t = g.add_scalar(a, 3.0); g.sumsq(t) }, &y);
-        check(&|g, a| { let t = g.elu(a, 1.0); g.sumsq(t) }, &y);
+        check(&|g, a| { let t = g.elu(a); g.sumsq(t) }, &y);
     }
 
     #[test]
@@ -280,7 +279,7 @@ mod tests {
                 let w2c = g.constant(w2.clone());
                 let h = g.matmul(a, w1c);
                 let h = g.add_row(h, b1c);
-                let h = g.elu(h, 1.0);
+                let h = g.elu(h);
                 let y = g.matmul(h, w2c);
                 g.sumsq(y)
             },

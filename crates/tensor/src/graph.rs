@@ -8,9 +8,10 @@
 //! batch normalisation, the weighted factual losses, the weighted integral
 //! probability metrics (including a differentiable Sinkhorn loop), the
 //! weighted HSIC-RFF decorrelation penalty and the weight anchor `R_w`.
-//! [`Graph::cos`] and [`Graph::cos_affine`] are the one exception: no loss
-//! builds them, but they are the unfused reference that
-//! [`Graph::rff_features`] is held to bit for bit.
+//! [`Graph::cos`] is the one exception: no loss builds it, but with
+//! [`Graph::scale`], [`Graph::add_scalar`] and [`Graph::concat_cols`] it
+//! spells the unfused reference that [`Graph::rff_features`] is held to bit
+//! for bit.
 //!
 //! The tape is **reusable**: [`Graph::reset`] clears the recorded nodes but
 //! parks every value/gradient buffer in an internal shape-keyed
@@ -46,12 +47,13 @@ use crate::pool::BufferPool;
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct TensorId(pub(crate) usize);
 
-/// The primitive operations the tape understands (39 variants). The
+/// The primitive operations the tape understands (37 variants). The
 /// training losses and the layers they train record every variant except
-/// [`Op::Cos`] and [`Op::CosAffine`], which are the reference
-/// [`Op::RffFeatures`] is tested against. The composite builders
-/// ([`Graph::sub_row`], [`Graph::div_row`], [`Graph::div_col`],
-/// [`Graph::sq_dist`]) record existing ops and add none.
+/// [`Op::Cos`], which with [`Op::Scale`], [`Op::AddScalar`] and
+/// [`Op::ConcatCols`] spells the reference [`Op::RffFeatures`] is tested
+/// against. The composite builders ([`Graph::sub_row`], [`Graph::div_row`],
+/// [`Graph::div_col`], [`Graph::sq_dist`]) record existing ops and add
+/// none.
 ///
 /// Gather ops reference index lists interned in the graph's arena (see
 /// [`Graph::intern_indices`]) so that recording them is allocation-free on a
@@ -78,11 +80,11 @@ pub(crate) enum Op {
     Exp(TensorId),
     Sqrt(TensorId),
     Cos(TensorId),
-    Tanh(TensorId),
     Sigmoid(TensorId),
     Softplus(TensorId),
     Relu(TensorId),
-    Elu(TensorId, f64),
+    /// Exponential linear unit with `alpha = 1`.
+    Elu(TensorId),
     Square(TensorId),
     Recip(TensorId),
     Scale(TensorId, f64),
@@ -103,15 +105,12 @@ pub(crate) enum Op {
     /// Column gather (indices may repeat); backward scatter-adds.
     GatherCols(TensorId, usize),
     ConcatCols(TensorId, TensorId),
-    /// `post_scale * cos(omega * x + phi)` — the fused random-Fourier
-    /// feature map step (bit-identical to the `scale`/`add_scalar`/`cos`/
-    /// `scale` chain it replaces, at a quarter of the tape traffic).
-    CosAffine(TensorId, f64, f64, f64),
     /// Full random-Fourier feature matrix `[s cos(w_1 z + p_1) | ... |
     /// s cos(w_k z + p_k)]` built in one pass — the fused form of `k`
-    /// [`Op::CosAffine`] blocks plus the left-nested `concat_cols` chain,
-    /// with identical per-element arithmetic and gradient accumulation
-    /// order. Fields: `(input, coefficient-list id, post_scale)`.
+    /// `scale`/`add_scalar`/`cos`/`scale` blocks plus the left-nested
+    /// `concat_cols` chain, with identical per-element arithmetic and
+    /// gradient accumulation order. Fields:
+    /// `(input, coefficient-list id, post_scale)`.
     RffFeatures(TensorId, usize, f64),
     /// Sum of squares of all elements -> `1 x 1` (fused `square` + `sum`).
     SumSq(TensorId),
@@ -518,11 +517,6 @@ impl Graph {
         self.unary_map(a, Op::Cos(a), f64::cos)
     }
 
-    /// Elementwise hyperbolic tangent.
-    pub fn tanh(&mut self, a: TensorId) -> TensorId {
-        self.unary_map(a, Op::Tanh(a), f64::tanh)
-    }
-
     /// Elementwise logistic sigmoid (numerically stable).
     pub fn sigmoid(&mut self, a: TensorId) -> TensorId {
         self.unary_map(a, Op::Sigmoid(a), stable_sigmoid)
@@ -538,9 +532,9 @@ impl Graph {
         self.unary_map(a, Op::Relu(a), |x| x.max(0.0))
     }
 
-    /// Elementwise exponential linear unit with slope `alpha`.
-    pub fn elu(&mut self, a: TensorId, alpha: f64) -> TensorId {
-        self.unary_map(a, Op::Elu(a, alpha), |x| if x > 0.0 { x } else { alpha * (x.exp() - 1.0) })
+    /// Elementwise exponential linear unit with `alpha = 1`.
+    pub fn elu(&mut self, a: TensorId) -> TensorId {
+        self.unary_map(a, Op::Elu(a), |x| if x > 0.0 { x } else { x.exp() - 1.0 })
     }
 
     /// Elementwise square.
@@ -563,20 +557,10 @@ impl Graph {
         self.unary_map(a, Op::AddScalar(a), |x| x + s)
     }
 
-    /// Fused affine-cosine `post_scale * cos(omega * x + phi)` — one tape
-    /// node and one pass instead of the historical four-op
-    /// `scale`/`add_scalar`/`cos`/`scale` chain, with identical per-element
-    /// arithmetic (used by the HSIC-RFF feature map).
-    pub fn cos_affine(&mut self, a: TensorId, omega: f64, phi: f64, post_scale: f64) -> TensorId {
-        self.unary_map(a, Op::CosAffine(a, omega, phi, post_scale), |x| {
-            (x * omega + phi).cos() * post_scale
-        })
-    }
-
     /// Full random-Fourier feature matrix: for an `n x d` input and `k`
     /// coefficient pairs, the `n x (k*d)` matrix whose block `i` is
     /// `post_scale * cos(omega_i * z + phi_i)` — one tape node instead of
-    /// `k` [`Graph::cos_affine`] blocks chained through
+    /// `k` `scale`/`add_scalar`/`cos`/`scale` blocks chained through
     /// [`Graph::concat_cols`], with identical values and gradients.
     ///
     /// # Panics
@@ -697,7 +681,7 @@ impl Graph {
     pub fn concat_cols(&mut self, a: TensorId, b: TensorId) -> TensorId {
         let (ar, ac) = self.nodes[a.0].value.shape();
         let (br, bc) = self.nodes[b.0].value.shape();
-        assert_eq!(ar, br, "hstack: row counts differ");
+        assert_eq!(ar, br, "concat_cols: row counts differ");
         let mut v = self.pool.take(ar, ac + bc);
         let av = &self.nodes[a.0].value;
         let bv = &self.nodes[b.0].value;
@@ -1090,13 +1074,6 @@ impl Graph {
                     self.accumulate(a, d);
                 }
             }
-            Op::Tanh(a) => {
-                if self.requires(a) {
-                    let mut d = self.take_like_grad(g);
-                    d.fill_zip(g, &self.nodes[i].value, |gv, out| gv * (1.0 - out * out));
-                    self.accumulate(a, d);
-                }
-            }
             Op::Sigmoid(a) => {
                 if self.requires(a) {
                     let mut d = self.take_like_grad(g);
@@ -1118,14 +1095,14 @@ impl Graph {
                     self.accumulate(a, d);
                 }
             }
-            Op::Elu(a, alpha) => {
+            Op::Elu(a) => {
                 if self.requires(a) {
                     let mut d = self.take_like_grad(g);
                     d.fill_zip(g, &self.nodes[i].value, |gv, out| {
                         if out > 0.0 {
                             gv
                         } else {
-                            gv * (out + alpha)
+                            gv * (out + 1.0)
                         }
                     });
                     self.accumulate(a, d);
@@ -1246,18 +1223,6 @@ impl Graph {
                 if self.requires(b) {
                     let d = slice_cols_of(&mut self.pool, g, ac, total);
                     self.accumulate(b, d);
-                }
-            }
-            Op::CosAffine(a, omega, phi, post_scale) => {
-                if self.requires(a) {
-                    // Matches the historical scale/add_scalar/cos/scale
-                    // backward chain term for term.
-                    let mut d = self.take_like_grad(g);
-                    d.fill_zip(g, &self.nodes[a.0].value, |gv, x| {
-                        let t = gv * post_scale;
-                        (-t * (x * omega + phi).sin()) * omega
-                    });
-                    self.accumulate(a, d);
                 }
             }
             Op::RffFeatures(a, list, post_scale) => {
@@ -1571,7 +1536,7 @@ mod tests {
         let x = g.constant(Matrix::from_fn(4, 3, |i, j| (i * 3 + j) as f64 * 0.25 - 1.0));
         let w = g.param(Matrix::from_fn(3, 2, |i, j| ((i + 2 * j) as f64).sin()));
         let y = g.matmul(x, w);
-        let t = g.tanh(y);
+        let t = g.sigmoid(y);
         let gathered = g.gather_rows(t, &[0, 2, 2, 3]);
         let cat = g.concat_cols(t, y);
         let sl = g.gather_cols(cat, &[1, 2]);
@@ -1606,7 +1571,7 @@ mod tests {
         let x = g.constant_copied(&xv);
         let w = g.param_copied(&wv);
         let y = g.matmul(x, w);
-        let t = g.tanh(y);
+        let t = g.sigmoid(y);
         let gathered = g.gather_rows(t, &[0, 2, 2, 3]);
         let s = g.sumsq(gathered);
         let loss = g.mean(s);

@@ -61,15 +61,6 @@ impl Matrix {
         Self { rows, cols, data: vec![value; rows * cols] }
     }
 
-    /// Creates the identity matrix of size `n x n`.
-    pub fn eye(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Creates a matrix from a flat row-major vector.
     ///
     /// # Panics
@@ -169,13 +160,6 @@ impl Matrix {
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "row index {i} out of bounds for {} rows", self.rows);
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Copy of column `j`.
-    #[track_caller]
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "col index {j} out of bounds for {} cols", self.cols);
-        (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
     /// The single value of a `1 x 1` matrix.
@@ -431,14 +415,6 @@ impl Matrix {
         out
     }
 
-    /// Row means as an `rows x 1` column vector.
-    pub fn mean_axis1(&self) -> Self {
-        if self.cols == 0 {
-            return Self::zeros(self.rows, 1);
-        }
-        self.sum_axis1().scale(1.0 / self.cols as f64)
-    }
-
     /// Per-column (population) variance as a `1 x cols` row vector.
     pub fn var_axis0(&self) -> Self {
         let means = self.mean_axis0();
@@ -502,18 +478,6 @@ impl Matrix {
             for i in 0..self.rows {
                 out[(i, k)] = self[(i, j)];
             }
-        }
-        out
-    }
-
-    /// Horizontal concatenation `[self | other]`.
-    #[track_caller]
-    pub fn hstack(&self, other: &Self) -> Self {
-        assert_eq!(self.rows, other.rows, "hstack: row counts differ");
-        let mut out = Self::zeros(self.rows, self.cols + other.cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(other.row(i));
         }
         out
     }
@@ -635,11 +599,6 @@ mod tests {
         let o = Matrix::ones(3, 2);
         assert_eq!(o.sum(), 6.0);
 
-        let e = Matrix::eye(3);
-        assert_eq!(e[(0, 0)], 1.0);
-        assert_eq!(e[(0, 1)], 0.0);
-        assert_eq!(e.sum(), 3.0);
-
         let f = Matrix::from_fn(2, 2, |i, j| (i * 10 + j) as f64);
         assert_eq!(f[(1, 0)], 10.0);
     }
@@ -662,8 +621,9 @@ mod tests {
     #[test]
     fn matmul_identity_is_noop() {
         let a = Matrix::from_fn(4, 4, |i, j| (i + 2 * j) as f64);
-        assert!(a.matmul(&Matrix::eye(4)).approx_eq(&a, 1e-12));
-        assert!(Matrix::eye(4).matmul(&a).approx_eq(&a, 1e-12));
+        let eye = Matrix::from_fn(4, 4, |i, j| if i == j { 1.0 } else { 0.0 });
+        assert!(a.matmul(&eye).approx_eq(&a, 1e-12));
+        assert!(eye.matmul(&a).approx_eq(&a, 1e-12));
     }
 
     #[test]
@@ -691,7 +651,6 @@ mod tests {
         assert_eq!(a.sum_axis0().as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(a.sum_axis1().as_slice(), &[6.0, 15.0]);
         assert_eq!(a.mean_axis0().as_slice(), &[2.5, 3.5, 4.5]);
-        assert_eq!(a.mean_axis1().as_slice(), &[2.0, 5.0]);
         assert_eq!(a.max(), 6.0);
         assert_eq!(a.min(), 1.0);
     }
@@ -728,18 +687,16 @@ mod tests {
 
         let c = a.select_cols(&[2, 1]);
         assert_eq!(c.shape(), (4, 2));
-        assert_eq!(c.col(0), a.col(2));
-        assert_eq!(c.col(1), a.col(1));
+        for i in 0..4 {
+            assert_eq!(c.row(i), &[a[(i, 2)], a[(i, 1)]]);
+        }
     }
 
     #[test]
     fn stack_and_slice() {
         let a = Matrix::ones(2, 2);
         let b = Matrix::zeros(2, 3);
-        let h = a.hstack(&b);
-        assert_eq!(h.shape(), (2, 5));
-        assert_eq!(h[(0, 1)], 1.0);
-        assert_eq!(h[(0, 2)], 0.0);
+        let h = Matrix::from_fn(2, 5, |_, j| if j < 2 { 1.0 } else { 0.0 });
         assert!(h.slice_cols(0, 2).approx_eq(&a, 0.0));
         assert!(h.slice_cols(2, 5).approx_eq(&b, 0.0));
 

@@ -3,7 +3,8 @@
 //! The regions are coarse tasks sized by the
 //! [`Parallelism`](crate::kernels::Parallelism) knob: the fits and the
 //! per-environment scoring of a synthetic sweep's replications and the
-//! weight phase's decorrelation terms (both through [`run_coarse_tasks`]), the row shards of synthetic generation
+//! weight phase's decorrelation terms (both through [`run_tasks`]), the
+//! row shards of synthetic generation
 //! ([`par_for_row_chunks`](crate::kernels::par_for_row_chunks)) and of
 //! `predict_batched` (through [`run_tasks_catching`]). The GEMM,
 //! elementwise and statistics kernels never submit work here; they run on
@@ -23,10 +24,16 @@
 //!   writes disjoint output and is computed exactly once, so results are
 //!   identical to a serial left-to-right pass — the pool never changes a
 //!   floating-point chain.
-//! * A claim loop never blocks on another job: if every pool thread is busy
-//!   (including the nested-parallelism case of a parallel region entered
-//!   from inside a pool worker), the submitter simply runs all of its own
-//!   chunks inline. Deadlock is impossible by construction.
+//! * A claim loop never blocks on another job: if every pool thread is
+//!   busy, the submitter simply runs all of its own chunks inline.
+//!   Deadlock is impossible by construction.
+//! * A parallel call made while a thread runs a pool task, on a pool
+//!   worker or on a submitter inside its own claim loop, runs inline on
+//!   that thread. The task's siblings occupy the other workers, so a
+//!   nested job would find no thread to help it and would only take the
+//!   shared queue lock on every nested call, where one task can stall
+//!   behind a sibling whose CPU was preempted while holding it. The tasks
+//!   of one call thereby run independently of each other.
 //!
 //! Panics inside task bodies are contained per chunk either way: the
 //! training-facing [`run_tasks`] re-raises them on the submitting thread,
@@ -110,9 +117,9 @@ struct Pool {
 static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// Set while this thread runs a task of [`run_coarse_tasks`]; parallel
-    /// calls made meanwhile run inline.
-    static IN_COARSE_TASK: Cell<bool> = const { Cell::new(false) };
+    /// Set while this thread runs a pool task; parallel calls made
+    /// meanwhile run inline.
+    static IN_POOL_TASK: Cell<bool> = const { Cell::new(false) };
 }
 
 #[cfg(test)]
@@ -125,7 +132,7 @@ thread_local! {
 
 /// Whether parallel calls on this thread must stay inline.
 fn inline_here(total: usize, workers: usize) -> bool {
-    workers <= 1 || total == 1 || IN_COARSE_TASK.with(Cell::get)
+    workers <= 1 || total == 1 || IN_POOL_TASK.with(Cell::get)
 }
 
 fn pool() -> &'static Pool {
@@ -170,7 +177,9 @@ fn ensure_threads(want: usize) {
     }
 }
 
-/// Claims and executes chunks of `job` until the cursor is exhausted.
+/// Claims and executes chunks of `job` until the cursor is exhausted. Each
+/// chunk runs as a pool task: its parallel calls stay inline, and the
+/// thread's flag is restored afterwards (a panic is caught before that).
 fn execute_claims(job: &Job) {
     loop {
         let i = job.next.fetch_add(1, Ordering::Relaxed);
@@ -180,7 +189,10 @@ fn execute_claims(job: &Job) {
         // SAFETY: the submitter keeps the closure alive until `done == total`
         // and this chunk has not yet been counted as done.
         let f = unsafe { &*job.f };
-        if catch_unwind(AssertUnwindSafe(|| f(i))).is_err() {
+        let outer = IN_POOL_TASK.with(|c| c.replace(true));
+        let panicked = catch_unwind(AssertUnwindSafe(|| f(i))).is_err();
+        IN_POOL_TASK.with(|c| c.set(outer));
+        if panicked {
             job.first_panic.fetch_min(i, Ordering::Relaxed);
         }
         if job.done.fetch_add(1, Ordering::AcqRel) + 1 == job.total {
@@ -271,7 +283,8 @@ fn run_parallel(
 /// completes. `workers <= 1` (or `total <= 1`) runs everything inline on
 /// the calling thread and never touches the pool — the
 /// [`Parallelism::Serial`](crate::kernels::Parallelism) guarantee. So does
-/// any call made inside a [`run_coarse_tasks`] task.
+/// any call made inside a pool task; the inline path marks nothing, so
+/// under `workers <= 1` the nested calls of its tasks keep the pool.
 ///
 /// Chunks are claimed dynamically, so thread assignment is
 /// scheduling-dependent; callers must make each `f(i)` independent (write
@@ -297,35 +310,6 @@ pub fn run_tasks(total: usize, workers: usize, f: &(dyn Fn(usize) + Sync)) {
         // needing a recoverable result use `run_tasks_catching`.
         panic!("a worker-pool task panicked (task {})", e.task);
     }
-}
-
-/// [`run_tasks`] for coarse tasks that each keep their thread busy for a
-/// long stretch, such as a sweep replication's fits. Every parallel
-/// call made inside a task runs inline on the task's thread: its siblings
-/// occupy the other workers, so a nested job would find no thread to help
-/// it and would only take the shared queue lock on every nested call,
-/// where one task can stall behind a sibling whose CPU was preempted while
-/// holding it. The tasks thereby run independently of each other.
-/// `workers <= 1` (or `total <= 1`) is plain [`run_tasks`]: the tasks run
-/// one after another and their nested parallel calls keep the pool.
-///
-/// # Panics
-/// As [`run_tasks`].
-pub fn run_coarse_tasks(total: usize, workers: usize, f: &(dyn Fn(usize) + Sync)) {
-    if workers <= 1 || total <= 1 {
-        return run_tasks(total, workers, f);
-    }
-    /// Restores the flag even when the task panics.
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            IN_COARSE_TASK.with(|c| c.set(self.0));
-        }
-    }
-    run_tasks(total, workers, &|i| {
-        let _restore = Restore(IN_COARSE_TASK.with(|c| c.replace(true)));
-        f(i);
-    });
 }
 
 /// Like [`run_tasks`], but converts task panics into the typed
@@ -473,7 +457,7 @@ mod tests {
     #[test]
     fn nested_parallel_calls_complete() {
         // A task that itself submits a parallel call must not deadlock: the
-        // inner submitter claims its own chunks when no worker is free.
+        // inner call runs inline on the task's thread.
         let outer_hits = AtomicU32::new(0);
         let inner_hits = AtomicU32::new(0);
         run_tasks(4, 4, &|_| {
@@ -488,10 +472,12 @@ mod tests {
 
     #[test]
     fn coarse_tasks_run_their_nested_calls_inline() {
+        // Every pool task, whichever thread claims it, keeps its nested
+        // parallel calls on that thread.
         run_tasks(2, 2, &|_| {}); // warm the pool
         let threads: Vec<Mutex<Vec<std::thread::ThreadId>>> =
             (0..4).map(|_| Mutex::new(Vec::new())).collect();
-        run_coarse_tasks(4, 2, &|i| {
+        run_tasks(4, 2, &|i| {
             run_tasks(8, 2, &|_| {
                 threads[i].lock().unwrap().push(std::thread::current().id());
             });
@@ -502,7 +488,7 @@ mod tests {
             assert!(ids.iter().all(|id| *id == ids[0]), "task {i} left its thread");
         }
         // The flag ends with the task: this thread's calls may use the pool.
-        assert!(!IN_COARSE_TASK.with(Cell::get));
+        assert!(!IN_POOL_TASK.with(Cell::get));
     }
 
     #[test]

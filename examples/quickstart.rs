@@ -1,38 +1,26 @@
-//! Five-minute tour of the library: pull a selection-biased synthetic
-//! population from the name-addressable dataset registry, fit a vanilla CFR
-//! and a CFR+SBRL-HAP through the fluent `Estimator` builder, and compare
-//! their heterogeneous-treatment-effect error in-distribution versus on a
+//! Five-minute tour of the library: draw a selection-biased synthetic
+//! population from the paper's synthetic process, fit a vanilla CFR and a
+//! CFR+SBRL-HAP through the fluent `Estimator` builder, and compare their
+//! heterogeneous-treatment-effect error in-distribution versus on a
 //! strongly shifted out-of-distribution population.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use sbrl_hap::core::{Estimator, SbrlConfig, TrainConfig};
-use sbrl_hap::data::{DatasetOptions, DatasetRegistry};
+use sbrl_hap::data::{SyntheticConfig, SyntheticProcess};
 use sbrl_hap::models::{CfrConfig, TarnetConfig};
 use sbrl_hap::stats::IpmKind;
 
 fn main() {
-    // 1. Benchmarks are selected by name. "syn_8_8_8_2" is the paper's
-    //    synthetic process: 8 instruments, 8 confounders, 8 adjustment
-    //    variables and 2 unstable features whose correlation with the
-    //    outcome flips across environments.
-    let registry = DatasetRegistry::builtin();
-    let opts = DatasetOptions {
-        n_train: 2000,
-        n_val: 600,
-        n_test: 1000,
-        train_shift: 2.5, // training environment
-        test_shift: 2.5,  // same distribution
-        seed: 7,
-    };
-    let id = registry.generate("syn_8_8_8_2", &opts).expect("registered dataset");
-    // Second generation fetches only the shifted OOD *test* fold (same
-    // seed, zero-sized train/val): the training folds above are reused, not
-    // regenerated.
-    let ood = registry
-        .generate("syn_8_8_8_2", &DatasetOptions { n_train: 0, n_val: 0, test_shift: -3.0, ..opts })
-        .expect("registered dataset");
-    let (train_data, val_data, id_test, ood_test) = (id.train, id.val, id.test, ood.test);
+    // 1. The paper's synthetic process Syn_8_8_8_2: 8 instruments, 8
+    //    confounders, 8 adjustment variables and 2 unstable features whose
+    //    correlation with the outcome flips across environments. One seeded
+    //    mechanism yields every environment; the bias rate rho picks it.
+    let process = SyntheticProcess::new(SyntheticConfig::syn_8_8_8_2(), 7);
+    let train_data = process.generate(2.5, 2000, 70); // training environment
+    let val_data = process.generate(2.5, 600, 71);
+    let id_test = process.generate(2.5, 1000, 72); // same distribution
+    let ood_test = process.generate(-3.0, 1000, 72); // shifted environment
 
     println!(
         "train: {} units, {:.0}% treated",
@@ -86,7 +74,7 @@ fn main() {
     }
 
     // 5. Serving-shaped inference: predict_batched shards the rows across
-    //    scoped threads and returns bit-identical outputs.
+    //    the persistent worker pool and returns bit-identical outputs.
     let sequential = fitted_hap.predict(&ood_test.x);
     let sharded = fitted_hap.predict_batched(&ood_test.x, 4);
     assert_eq!(sequential.y0_hat, sharded.y0_hat);

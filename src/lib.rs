@@ -22,27 +22,29 @@
 //!
 //! ```no_run
 //! use sbrl_hap::core::{Estimator, SbrlConfig, TrainConfig};
-//! use sbrl_hap::data::{DatasetOptions, DatasetRegistry};
+//! use sbrl_hap::data::{SyntheticConfig, SyntheticProcess};
 //! use sbrl_hap::models::CfrConfig;
 //!
-//! // Datasets are name-addressable through the registry.
-//! let registry = DatasetRegistry::builtin();
-//! let opts = DatasetOptions { n_train: 2000, n_val: 600, n_test: 1000, ..Default::default() };
-//! let split = registry.generate("syn_8_8_8_2", &opts)?; // OOD test at rho = -3
+//! // One seeded mechanism; the bias rate rho picks the environment.
+//! let process = SyntheticProcess::new(SyntheticConfig::syn_8_8_8_2(), 7);
+//! let train = process.generate(2.5, 2000, 70);
+//! let val = process.generate(2.5, 600, 71);
+//! let ood_test = process.generate(-3.0, 1000, 72);
 //!
 //! // Fit through the fluent builder; the result is an immutable,
 //! // thread-safe artifact.
 //! let fitted = Estimator::builder()
-//!     .backbone(CfrConfig::small(split.train.dim()))
+//!     .backbone(CfrConfig::small(train.dim()))
 //!     .sbrl(SbrlConfig::sbrl_hap(1.0, 1.0, 1.0, 0.1))
 //!     .train(TrainConfig::default())
 //!     .seed(0)
-//!     .fit(&split.train, &split.val)?;
-//! println!("OOD PEHE: {:.3}", fitted.evaluate(&split.test).unwrap().pehe);
+//!     .fit(&train, &val)?;
+//! println!("OOD PEHE: {:.3}", fitted.evaluate(&ood_test).unwrap().pehe);
 //!
-//! // Grid cells parse from strings, and inference shards across threads.
-//! let hap = Estimator::builder().method("CFR+SBRL-HAP".parse()?).fit(&split.train, &split.val)?;
-//! let est = hap.predict_batched(&split.test.x, 8); // bit-identical to predict()
+//! // Grid cells parse from strings, and inference shards across the
+//! // persistent worker pool.
+//! let hap = Estimator::builder().method("CFR+SBRL-HAP".parse()?).fit(&train, &val)?;
+//! let est = hap.predict_batched(&ood_test.x, 8); // bit-identical to predict()
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -162,15 +162,6 @@ fn invalid_backbone_and_ipm_coefficients_are_rejected_at_build_time() {
 }
 
 #[test]
-fn unknown_dataset_names_are_typed_errors() {
-    use sbrl_hap::data::{DatasetOptions, DatasetRegistry};
-    let err =
-        DatasetRegistry::builtin().generate("imagenet", &DatasetOptions::default()).unwrap_err();
-    assert!(matches!(err, DataError::UnknownDataset { .. }));
-    assert!(err.to_string().contains("syn_8_8_8_2"));
-}
-
-#[test]
 #[should_panic(expected = "Scaler: column count mismatch")]
 fn scaler_rejects_wrong_width() {
     use sbrl_hap::data::Scaler;

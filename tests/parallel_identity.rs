@@ -1,7 +1,7 @@
 //! Bit-identity guarantees of the parallel layer. The kernels (blocked
 //! GEMM, pairwise distances, HSIC matrices, plain IPMs) run on their
 //! caller's thread; for random shapes and data, several copies running
-//! concurrently as coarse tasks on the worker pool, the way sweep
+//! concurrently as tasks on the worker pool, the way sweep
 //! replications and decorrelation terms call them, must reproduce the
 //! calling thread's output bit for bit, and the plain statistics must
 //! reproduce their recorded bits on fixed inputs. A whole fit under
@@ -15,7 +15,7 @@
 //!
 //! The synthetic generator, which draws its pools in parallel row shards
 //! from generator checkpoints, must output the same bits at every worker
-//! count and inside a coarse task.
+//! count and inside a pool task.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -30,7 +30,7 @@ use sbrl_hap::stats::{
 };
 use sbrl_hap::tensor::kernels::Parallelism;
 use sbrl_hap::tensor::rng::{randn, rng_from_seed};
-use sbrl_hap::tensor::workers::run_coarse_tasks;
+use sbrl_hap::tensor::workers::run_tasks;
 use sbrl_hap::tensor::{Graph, Matrix, TensorId};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -51,12 +51,12 @@ fn random_matrix(seed: u64, rows: usize, cols: usize) -> Matrix {
     randn(&mut rng, rows, cols)
 }
 
-/// Whether `threads` copies of `f`, run concurrently as coarse tasks on the
-/// worker pool, all give the bits `f` gives on the calling thread.
+/// Whether `threads` copies of `f`, run concurrently as tasks on the worker
+/// pool, all give the bits `f` gives on the calling thread.
 fn same_bits_on_pool(threads: usize, f: impl Fn() -> Vec<u64> + Sync) -> bool {
     let serial = f();
     let on_pool: Vec<OnceLock<Vec<u64>>> = (0..threads).map(|_| OnceLock::new()).collect();
-    run_coarse_tasks(threads, threads, &|i| {
+    run_tasks(threads, threads, &|i| {
         on_pool[i].get_or_init(&f);
     });
     on_pool.iter().all(|got| got.get() == Some(&serial))
@@ -409,7 +409,7 @@ fn synthetic_bits(config: SyntheticConfig, rho: f64, n: usize) -> Vec<u64> {
 /// Threshold and environment pools below, at and off a multiple of the
 /// checkpoint spacing, a one-row environment, `pool_factor = 1`, and both
 /// signs of the bias rate come out the same at every worker count and
-/// inside a coarse task, where every shard runs inline.
+/// inside a pool task, where every shard runs inline.
 #[test]
 fn synthetic_generation_is_thread_count_invariant() {
     let _knobs = knobs();
@@ -439,12 +439,12 @@ fn synthetic_generation_is_thread_count_invariant() {
             assert!(&got == expected, "{par:?}, rho {rho}, n {n}: bits differ");
         }
         let coarse: Vec<OnceLock<Vec<u64>>> = cases.iter().map(|_| OnceLock::new()).collect();
-        run_coarse_tasks(cases.len(), par.workers(), &|i| {
+        run_tasks(cases.len(), par.workers(), &|i| {
             let (cfg, rho, n) = cases[i];
             coarse[i].get_or_init(|| synthetic_bits(cfg, rho, n));
         });
         for (got, expected) in coarse.iter().zip(&reference) {
-            assert!(got.get() == Some(expected), "{par:?} inside a coarse task: bits differ");
+            assert!(got.get() == Some(expected), "{par:?} inside a pool task: bits differ");
         }
     }
     Parallelism::from_env().set_global();

@@ -55,6 +55,8 @@ fn assert_bit_identical(
     b: &sbrl_hap::metrics::EffectEstimate,
     what: &str,
 ) {
+    assert_eq!(a.y0_hat.len(), b.y0_hat.len(), "{what}: y0 lengths differ");
+    assert_eq!(a.y1_hat.len(), b.y1_hat.len(), "{what}: y1 lengths differ");
     let pairs = a.y0_hat.iter().zip(&b.y0_hat).chain(a.y1_hat.iter().zip(&b.y1_hat));
     for (i, (x, y)) in pairs.enumerate() {
         assert_eq!(x.to_bits(), y.to_bits(), "{what}: value {i} differs: {x} vs {y}");
@@ -65,22 +67,26 @@ fn assert_bit_identical(
 // Round trips
 // ---------------------------------------------------------------------------
 
-/// save -> load -> predict is bit-identical. The name dates from a second,
-/// since retired, numerics tier.
+/// save -> load -> predict is bit-identical for both fixture recipes. The
+/// name dates from a second, since retired, numerics tier.
 #[test]
 fn round_trip_is_bit_identical_in_the_ambient_numerics_mode() {
-    let fitted = fixture::train_golden().expect("fixture fit succeeds");
     let dir = scratch_dir("round_trip");
-    let path = dir.join("model.sbrl");
-    fitted.save(&path).expect("save succeeds");
-    let loaded = FittedModel::load(&path).expect("load succeeds");
+    let recipes = [("golden", fixture::train_golden()), ("second", fixture::train_second())];
+    for (recipe, fitted) in recipes {
+        let fitted = fitted.expect("fixture fit succeeds");
+        let path = dir.join(format!("{recipe}.sbrl"));
+        fitted.save(&path).expect("save succeeds");
+        let loaded = FittedModel::load(&path).expect("load succeeds");
 
-    assert_eq!(loaded.seed(), fitted.seed());
-    assert_eq!(loaded.framework(), fitted.framework());
-    assert_eq!(loaded.method_spec().name(), fitted.method_spec().name());
+        assert_eq!(loaded.seed(), fitted.seed(), "{recipe}");
+        assert_eq!(loaded.framework(), fitted.framework(), "{recipe}");
+        assert_eq!(loaded.method_spec().name(), fitted.method_spec().name(), "{recipe}");
 
-    let probe = fixture::probe_matrix(fitted.model().export_config().in_dim());
-    assert_bit_identical(&fitted.predict(&probe), &loaded.predict(&probe), "round trip");
+        let probe = fixture::probe_matrix(fitted.model().export_config().in_dim());
+        let what = format!("{recipe} round trip");
+        assert_bit_identical(&fitted.predict(&probe), &loaded.predict(&probe), &what);
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -20,14 +20,14 @@ proptest! {
 
     #[test]
     fn autodiff_matches_finite_differences_on_random_composites(x in matrix_strategy(4, 3)) {
-        // softplus -> matmul with transpose -> tanh -> mean: a composite
+        // softplus -> matmul with transpose -> sigmoid -> mean: a composite
         // touching several backward rules at once.
         check_gradient(
             &|g, a| {
                 let s = g.softplus(a);
                 let t = g.transpose(s);
                 let m = g.matmul(s, t); // 4x4
-                let h = g.tanh(m);
+                let h = g.sigmoid(m);
                 g.mean(h)
             },
             &x,

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use sbrl_hap::nn::{Activation, Adam, Binding, Mlp, Optimizer, ParamStore};
 use sbrl_hap::stats::{decorrelation_loss_graph_scratch, DecorrelationConfig, HsicScratch, Rff};
 use sbrl_hap::tensor::rng::{randn, rng_from_seed};
-use sbrl_hap::tensor::{Graph, Matrix};
+use sbrl_hap::tensor::{Graph, Matrix, TensorId};
 
 fn bits(m: &Matrix) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
@@ -128,11 +128,28 @@ proptest! {
     }
 }
 
-/// The fused ops (`cos_affine`, `rff_features`, `sumsq`, `matmul_tn`,
+/// The fused ops (`rff_features`, `sumsq`, `matmul_tn`,
 /// `block_masked_sumsq`) must reproduce the historical op chains bit for
 /// bit, values and gradients, on random inputs.
 #[test]
 fn fused_ops_match_their_op_chains() {
+    /// The unfused feature map: one `scale`/`add_scalar`/`cos`/`scale` block
+    /// per coefficient pair, left-nested through `concat_cols`.
+    fn rff_chain(g: &mut Graph, z: TensorId, coefs: &[(f64, f64)], s: f64) -> TensorId {
+        let mut chain = None;
+        for &(omega, phi) in coefs {
+            let sc = g.scale(z, omega);
+            let sh = g.add_scalar(sc, phi);
+            let co = g.cos(sh);
+            let block = g.scale(co, s);
+            chain = Some(match chain {
+                None => block,
+                Some(acc) => g.concat_cols(acc, block),
+            });
+        }
+        chain.expect("at least one coefficient pair")
+    }
+
     let mut rng = rng_from_seed(42);
     for case in 0..20 {
         let n = 2 + case % 7;
@@ -140,50 +157,34 @@ fn fused_ops_match_their_op_chains() {
         let z = randn(&mut rng, n, d);
         let (omega, phi, s) = (0.3 + case as f64 * 0.17, 1.1 - case as f64 * 0.05, 1.25);
 
-        // cos_affine == scale/add_scalar/cos/scale
-        let mut ga = Graph::new();
-        let za = ga.param_copied(&z);
-        let fused = ga.cos_affine(za, omega, phi, s);
-        let la = ga.sumsq(fused);
-        ga.backward(la);
-        let mut gb = Graph::new();
-        let zb = gb.param_copied(&z);
-        let sc = gb.scale(zb, omega);
-        let sh = gb.add_scalar(sc, phi);
-        let co = gb.cos(sh);
-        let bl = gb.scale(co, s);
-        let sq = gb.square(bl);
-        let lb = gb.sum(sq);
-        gb.backward(lb);
-        assert_eq!(ga.scalar(la).to_bits(), gb.scalar(lb).to_bits(), "cos_affine value");
-        assert_eq!(bits(ga.grad(za).unwrap()), bits(gb.grad(zb).unwrap()), "cos_affine gradient");
-
-        // rff_features == chained cos_affine + concat_cols
-        let coefs: Vec<(f64, f64)> =
-            (0..3).map(|i| (omega + i as f64 * 0.4, phi - i as f64 * 0.2)).collect();
-        let mut gc = Graph::new();
-        let zc = gc.param_copied(&z);
-        let f_fused = gc.rff_features(zc, &coefs, s);
-        let lc = gc.sumsq(f_fused);
-        gc.backward(lc);
-        let mut gd = Graph::new();
-        let zd = gd.param_copied(&z);
-        let mut f_chain = None;
-        for &(om, ph) in &coefs {
-            let block = gd.cos_affine(zd, om, ph, s);
-            f_chain = Some(match f_chain {
-                None => block,
-                Some(acc) => gd.concat_cols(acc, block),
-            });
+        // rff_features == scale/add_scalar/cos/scale blocks + concat_cols,
+        // a single block included
+        for k in [1, 3] {
+            let coefs: Vec<(f64, f64)> =
+                (0..k).map(|i| (omega + i as f64 * 0.4, phi - i as f64 * 0.2)).collect();
+            let mut gc = Graph::new();
+            let zc = gc.param_copied(&z);
+            let f_fused = gc.rff_features(zc, &coefs, s);
+            let lc = gc.sumsq(f_fused);
+            gc.backward(lc);
+            let mut gd = Graph::new();
+            let zd = gd.param_copied(&z);
+            let f_chain = rff_chain(&mut gd, zd, &coefs, s);
+            let ld = gd.sumsq(f_chain);
+            gd.backward(ld);
+            assert_eq!(gc.scalar(lc).to_bits(), gd.scalar(ld).to_bits(), "rff_features value");
+            assert_eq!(
+                bits(gc.grad(zc).unwrap()),
+                bits(gd.grad(zd).unwrap()),
+                "rff_features gradient ({k} blocks)"
+            );
         }
-        let ld = gd.sumsq(f_chain.unwrap());
-        gd.backward(ld);
-        assert_eq!(gc.scalar(lc).to_bits(), gd.scalar(ld).to_bits(), "rff_features value");
-        assert_eq!(bits(gc.grad(zc).unwrap()), bits(gd.grad(zd).unwrap()), "rff_features gradient");
 
         // ... including when the input has a second, later-recorded consumer
         // (the input's gradient slot is already populated when the fused
         // backward runs, exercising the per-block replay path).
+        let coefs: Vec<(f64, f64)> =
+            (0..3).map(|i| (omega + i as f64 * 0.4, phi - i as f64 * 0.2)).collect();
         let mut gm = Graph::new();
         let zm = gm.param_copied(&z);
         let fm = gm.rff_features(zm, &coefs, s);
@@ -193,18 +194,12 @@ fn fused_ops_match_their_op_chains() {
         gm.backward(lm);
         let mut gn = Graph::new();
         let zn = gn.param_copied(&z);
-        let mut f_chain2 = None;
-        for &(om, ph) in &coefs {
-            let block = gn.cos_affine(zn, om, ph, s);
-            f_chain2 = Some(match f_chain2 {
-                None => block,
-                Some(acc) => gn.concat_cols(acc, block),
-            });
-        }
-        let ln1 = gn.sumsq(f_chain2.unwrap());
+        let f_chain = rff_chain(&mut gn, zn, &coefs, s);
+        let ln1 = gn.sumsq(f_chain);
         let ln2 = gn.sumsq(zn);
         let ln = gn.add(ln1, ln2);
         gn.backward(ln);
+        assert_eq!(gm.scalar(lm).to_bits(), gn.scalar(ln).to_bits(), "rff_features value");
         assert_eq!(
             bits(gm.grad(zm).unwrap()),
             bits(gn.grad(zn).unwrap()),

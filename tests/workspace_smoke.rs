@@ -20,7 +20,6 @@ fn meta_crate_re_exports_resolve() {
     let _ = sbrl_hap::stats::IpmKind::MmdLin;
     // data
     let _ = SyntheticConfig::syn_8_8_8_2();
-    let _ = sbrl_hap::data::DatasetRegistry::builtin();
     // models
     let _ = TarnetConfig::small(4);
     // core
