@@ -69,6 +69,19 @@ fn bench_micro(c: &mut Criterion) {
         bch.iter(|| black_box(grad.matmul_nt(&weight)));
     });
 
+    // One ELU of a quick-preset hidden layer on a reused tape: the
+    // activation every backbone layer applies, mostly `exp` on `z`'s
+    // negative half.
+    let mut g = Graph::new();
+    group.bench_function("elu_fwd_128x48", |bch| {
+        bch.iter(|| {
+            g.reset();
+            let x = g.constant_copied(&z);
+            let y = g.elu(x);
+            black_box(g.value(y)[(0, 0)])
+        });
+    });
+
     for (label, kind) in [
         ("ipm_mmd_lin_fwd_bwd", IpmKind::MmdLin),
         ("ipm_wasserstein_fwd_bwd", IpmKind::Wasserstein { lambda: 10.0, iterations: 5 }),

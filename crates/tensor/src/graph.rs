@@ -40,6 +40,7 @@
 //! }
 //! ```
 
+use crate::kernels;
 use crate::matrix::Matrix;
 use crate::pool::BufferPool;
 
@@ -502,9 +503,11 @@ impl Graph {
         self.unary_map(a, Op::Neg(a), |x| -x)
     }
 
-    /// Elementwise `exp`.
+    /// Elementwise `exp`, bit for bit `f64::exp` (see [`kernels::exp_into`]).
     pub fn exp(&mut self, a: TensorId) -> TensorId {
-        self.unary_map(a, Op::Exp(a), f64::exp)
+        let mut v = self.take_like(a);
+        kernels::exp_into(self.nodes[a.0].value.as_slice(), v.as_mut_slice());
+        self.unary(a, v, Op::Exp(a))
     }
 
     /// Elementwise square root.
@@ -532,9 +535,12 @@ impl Graph {
         self.unary_map(a, Op::Relu(a), |x| x.max(0.0))
     }
 
-    /// Elementwise exponential linear unit with `alpha = 1`.
+    /// Elementwise exponential linear unit with `alpha = 1`,
+    /// `x > 0 ? x : exp(x) - 1` (see [`kernels::elu_into`]).
     pub fn elu(&mut self, a: TensorId) -> TensorId {
-        self.unary_map(a, Op::Elu(a), |x| if x > 0.0 { x } else { x.exp() - 1.0 })
+        let mut v = self.take_like(a);
+        kernels::elu_into(self.nodes[a.0].value.as_slice(), v.as_mut_slice());
+        self.unary(a, v, Op::Elu(a))
     }
 
     /// Elementwise square.
@@ -632,8 +638,8 @@ impl Graph {
         self.unary(a, v, Op::MeanAxis0(a))
     }
 
-    /// Row sums into a pooled `rows x 1` buffer (order matches
-    /// [`Matrix::sum_axis1`]).
+    /// Row sums into a pooled `rows x 1` buffer: a serial left-to-right fold
+    /// per row.
     fn fill_row_sums(&mut self, a: TensorId) -> Matrix {
         row_sums_of(&mut self.pool, &self.nodes[a.0].value)
     }
@@ -1389,8 +1395,8 @@ fn col_sums_of(pool: &mut BufferPool, g: &Matrix) -> Matrix {
     d
 }
 
-/// Row sums of `g` into a pooled `rows x 1` buffer (order matches
-/// [`Matrix::sum_axis1`]).
+/// Row sums of `g` into a pooled `rows x 1` buffer: a serial left-to-right
+/// fold per row.
 fn row_sums_of(pool: &mut BufferPool, g: &Matrix) -> Matrix {
     let mut d = pool.take(g.rows(), 1);
     for (r, o) in d.as_mut_slice().iter_mut().enumerate() {
@@ -1421,6 +1427,40 @@ mod tests {
         assert_eq!(g.value(s).as_slice(), &[4.0, 6.0]);
         let p = g.mul(a, b);
         assert_eq!(g.value(p).as_slice(), &[3.0, 8.0]);
+    }
+
+    #[test]
+    fn row_sums_are_a_serial_left_to_right_fold_per_row() {
+        // Cancellation-heavy rows: 1 + 1e16 rounds back to 1e16, so a fold in
+        // any other order (reversed, pairwise, by vector lanes) sums
+        // differently, as the reversed fold below shows.
+        let m = Matrix::from_fn(6, 9, |i, j| {
+            let big = 1e16 * (i + 1) as f64;
+            [big, 1.0 + 0.25 * j as f64, -big][(i + j) % 3]
+        });
+        let folds: Vec<u64> =
+            (0..m.rows()).map(|r| m.row(r).iter().sum::<f64>().to_bits()).collect();
+        let reversed: Vec<u64> =
+            (0..m.rows()).map(|r| m.row(r).iter().rev().sum::<f64>().to_bits()).collect();
+        assert_ne!(folds, reversed, "the input does not tell fold orders apart");
+        let bits = |x: &Matrix| x.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        // Forward: `sum_axis1`.
+        let mut g = Graph::new();
+        let a = g.constant_copied(&m);
+        let s = g.sum_axis1(a);
+        assert_eq!(bits(g.value(s)), folds);
+
+        // Backward: `col_plus_row` hands its column the row sums of the
+        // incoming gradient, here `m` itself.
+        let col = g.param(Matrix::zeros(m.rows(), 1));
+        let row = g.constant(Matrix::zeros(1, m.cols()));
+        let outer = g.col_plus_row(col, row);
+        let weights = g.constant_copied(&m);
+        let weighted = g.mul(outer, weights);
+        let loss = g.sum(weighted);
+        g.backward(loss);
+        assert_eq!(bits(g.grad(col).unwrap()), folds);
     }
 
     #[test]

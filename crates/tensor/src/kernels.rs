@@ -20,6 +20,9 @@
 //!   buffer and call them. Each output element is accumulated in the same
 //!   floating-point order as the historical unblocked loop, whatever the
 //!   blocking or the instruction set.
+//! * [`exp_into`], [`elu_into`] — `exp` and ELU over a slice, with the
+//!   platform libm's bits at every input checked (see "`exp` on lanes"
+//!   below). `Graph::exp` and `Graph::elu` call them.
 //! * [`shard_ranges`], [`par_for_row_chunks`] — the sharding primitives of
 //!   the coarse tasks (synthetic generation in `sbrl-data`, batched
 //!   inference in `sbrl-core`). They execute on the persistent worker pool
@@ -59,6 +62,30 @@
 //! skips the add; a tiled product whose `A` holds no zero runs without it,
 //! since it would keep no accumulator. So the clones agree bit for bit, and
 //! nothing above the three entry points can tell which one ran.
+//!
+//! # `exp` on lanes
+//!
+//! `f64::exp` calls the platform libm. On x86-64, glibc 2.28 and later runs
+//! its FMA build of `exp` whenever the CPU has FMA and AVX2. That build is a
+//! fixed sequence of correctly rounded operations: a fused `x N / ln 2 +
+//! SHIFT` that rounds `k`, two fused steps for `r = x - k ln 2 / N`, a
+//! lookup in a 128-entry table, a fused polynomial in `r`, and a last fused
+//! `s + s * tmp`. Each is an IEEE operation with one rounding, so the same
+//! steps on `__m512d` or `__m256d` lanes give that build's bits, lane by
+//! lane, for every `x` on its fast path (`2^-54 <= |x| < 512`). Lanes off it
+//! (zero, tiny, large, infinite, NaN) call `f64::exp`. The steps were read
+//! from the disassembly of glibc 2.36's `__exp_fma`; for that build the
+//! lanes are its bits by construction.
+//!
+//! Another libm build is checked, not proved: the lanes run only when a
+//! one-shot probe, on first use, has found every clone the CPU has to return
+//! `f64::exp`'s bits at every table index, at the fast path's ends and at
+//! witness inputs that tell glibc's build from near ones (another rounding,
+//! or one fused step split). A build that differs from the lanes
+//! only where no probe input falls would pass it; the two splits no witness
+//! is known for change no result among 1.4e9 random inputs. Elsewhere, or on
+//! a mismatch, every value is the libm's own; no option chooses between
+//! them.
 //!
 //! # Example
 //!
@@ -183,10 +210,13 @@ pub fn available_cores() -> usize {
 /// Floating-point contract of the numerical kernels: bit-exactness, the
 /// only arithmetic there is.
 ///
-/// Every kernel keeps every historical accumulation chain (no FMA
-/// contraction, no reduction reordering), so output is bit-identical to the
-/// pre-kernel-layer code at every [`Parallelism`] setting and on every
-/// instruction set. Nothing chooses it: the type has one value, and keeps
+/// Every kernel keeps every historical accumulation chain (no chain is ever
+/// fused into FMAs, no reduction is reordered), so output is bit-identical
+/// to the pre-kernel-layer code at every [`Parallelism`] setting and on
+/// every instruction set. `exp` is the platform libm's: [`exp_into`] and
+/// [`elu_into`] reproduce its steps on lanes only after a first-use probe
+/// has matched them with it on the probe's inputs, and call it otherwise. Nothing chooses the
+/// contract: the type has one value, and keeps
 /// [`NumericsMode::global`] and [`NumericsMode::as_str`] only so that the
 /// benchmark's banner can name the arithmetic it measured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -809,7 +839,8 @@ unsafe fn gemm_lanes<V: Lanes, const L: u8>(
 /// The x86-64 lanes and the clones compiled for them.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{gemm_lanes, Lanes};
+    use super::{exp_scalar, gemm_lanes, Lanes, EXP_FAST_HI, EXP_FAST_LO, EXP_TABLE};
+    use super::{EXP_INV_LN2_N, EXP_NEG_LN2_HI_N, EXP_NEG_LN2_LO_N, EXP_POLY, EXP_SHIFT};
     use std::arch::x86_64::*;
 
     /// The mask of the low `w <= 8` lanes of a zmm register.
@@ -1050,6 +1081,260 @@ mod x86 {
         // verified.
         unsafe { gemm_lanes::<__m256d, L>(a, b, out, dims) }
     }
+
+    /// The lane operations of libm's `exp` fast path beyond the GEMM's.
+    ///
+    /// # Safety
+    /// As for [`Lanes`]: every method may use the instructions of its type's
+    /// target features, FMA included.
+    unsafe trait ExpLanes: Lanes {
+        /// `a * b + c`, rounded once: libm's `exp` fuses eight of its steps,
+        /// so its lanes must too, and no accumulation chain may. Safety: the
+        /// trait's.
+        unsafe fn fused(a: Self, b: Self, c: Self) -> Self;
+        /// `a + b`. Safety: the trait's.
+        unsafe fn add(a: Self, b: Self) -> Self;
+        /// `a - b`. Safety: the trait's.
+        unsafe fn sub(a: Self, b: Self) -> Self;
+        /// `a * b`. Safety: the trait's.
+        unsafe fn mul(a: Self, b: Self) -> Self;
+        /// The lanes where `2^-54 <= |x| < 512`, libm's fast path, as a bit
+        /// mask (bit `l` for lane `l`). Safety: the trait's.
+        unsafe fn fast_path(x: Self) -> u32;
+        /// `x > 0.0 ? x : y`, lane by lane. Safety: the trait's.
+        unsafe fn elu_select(x: Self, y: Self) -> Self;
+        /// From the bits of `kd = SHIFT + k`, libm's table lookup: the tail
+        /// `T[2i]` and the scale with bits `T[2i + 1] + (k << 45)`, where
+        /// `i = k mod N`. Safety: the trait's.
+        unsafe fn lookup(kd: Self) -> (Self, Self);
+    }
+
+    /// glibc's FMA build of `exp` on every lane, step for step: that
+    /// build's bits on the lanes of [`ExpLanes::fast_path`], meaningless on
+    /// the others. With `k = round(x N / ln 2)` and
+    /// `r = x - k ln 2 / N`, `exp(x) = 2^(k/N) exp(r)`, and
+    /// `2^(k/N) exp(r) ~= s + s (t + r + r^2 (C2 + r C3) + r^4 (C4 + r C5))`.
+    ///
+    /// # Safety
+    /// As for the methods of `V`.
+    #[inline(always)]
+    unsafe fn exp_fast<V: ExpLanes>(x: V) -> V {
+        // SAFETY: the contract above.
+        unsafe {
+            let [c2, c3, c4, c5] = EXP_POLY;
+            let shift = V::splat(EXP_SHIFT);
+            let kd = V::fused(x, V::splat(EXP_INV_LN2_N), shift);
+            let (tail, scale) = V::lookup(kd);
+            let k = V::sub(kd, shift);
+            let r = V::fused(k, V::splat(EXP_NEG_LN2_HI_N), x);
+            let r = V::fused(k, V::splat(EXP_NEG_LN2_LO_N), r);
+            let r2 = V::mul(r, r);
+            let low = V::fused(r, V::splat(c3), V::splat(c2));
+            let high = V::fused(r, V::splat(c5), V::splat(c4));
+            let tmp = V::fused(low, r2, V::add(tail, r));
+            let tmp = V::fused(V::mul(r2, r2), high, tmp);
+            V::fused(scale, tmp, scale)
+        }
+    }
+
+    /// `out[i] = exp_scalar::<ELU>(src[i])`, `W` lanes at a time: the lanes
+    /// on libm's fast path take [`exp_fast`], every other lane (zero, tiny,
+    /// large or not finite) calls the scalar map.
+    ///
+    /// # Safety
+    /// As for the methods of `V`; `src` and `out` have the same length.
+    #[inline(always)]
+    // lint: no_alloc
+    unsafe fn exp_slice<V: ExpLanes, const ELU: bool>(src: &[f64], out: &mut [f64]) {
+        for (s, o) in src.chunks(V::W).zip(out.chunks_mut(V::W)) {
+            let w = s.len();
+            // SAFETY: `V`'s features are the caller's contract, and `s` and
+            // `o` hold the `w` lanes loaded and stored.
+            let slow = unsafe {
+                let x = V::load(s.as_ptr(), w);
+                let e = exp_fast(x);
+                let y = if ELU { V::elu_select(x, V::sub(e, V::splat(1.0))) } else { e };
+                V::store(o.as_mut_ptr(), w, y);
+                !V::fast_path(x)
+            };
+            let mut slow = slow & ((1 << w) - 1);
+            while slow != 0 {
+                let l = slow.trailing_zeros() as usize;
+                o[l] = exp_scalar::<ELU>(s[l]);
+                slow &= slow - 1;
+            }
+        }
+    }
+
+    // SAFETY: every method is lane arithmetic on registers; `lookup` reads
+    // the table at indices `2i` and `2i + 1` with `i < 128`.
+    unsafe impl ExpLanes for __m512d {
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn fused(a: Self, b: Self, c: Self) -> Self {
+            // SAFETY: AVX-512F is the caller's contract.
+            // lint: allow(fma) — reproduces libm's own fused chain, not a bit-exact chain
+            unsafe { _mm512_fmadd_pd(a, b, c) }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn add(a: Self, b: Self) -> Self {
+            // SAFETY: AVX-512F is the caller's contract.
+            unsafe { _mm512_add_pd(a, b) }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn sub(a: Self, b: Self) -> Self {
+            // SAFETY: AVX-512F is the caller's contract.
+            unsafe { _mm512_sub_pd(a, b) }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn mul(a: Self, b: Self) -> Self {
+            // SAFETY: AVX-512F is the caller's contract.
+            unsafe { _mm512_mul_pd(a, b) }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn fast_path(x: Self) -> u32 {
+            // `|x| - 2^-54` below `512 - 2^-54` in the bits, unsigned: a
+            // smaller `|x|` wraps past it.
+            // SAFETY: AVX-512F is the caller's contract.
+            unsafe {
+                let abs = _mm512_and_si512(_mm512_castpd_si512(x), _mm512_set1_epi64(i64::MAX));
+                let off = _mm512_sub_epi64(abs, _mm512_set1_epi64(EXP_FAST_LO as i64));
+                let width = _mm512_set1_epi64((EXP_FAST_HI - EXP_FAST_LO) as i64);
+                u32::from(_mm512_cmplt_epu64_mask(off, width))
+            }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn elu_select(x: Self, y: Self) -> Self {
+            // SAFETY: AVX-512F is the caller's contract.
+            unsafe {
+                let positive = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(x, _mm512_setzero_pd());
+                _mm512_mask_blend_pd(positive, y, x)
+            }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn lookup(kd: Self) -> (Self, Self) {
+            let table = EXP_TABLE.as_ptr();
+            // SAFETY: AVX-512F is the caller's contract. Every lane of `at`
+            // is an even index below 256, so the gathers read words `at` and
+            // `at + 1` of the 256-word table.
+            unsafe {
+                let ki = _mm512_castpd_si512(kd);
+                let at = _mm512_slli_epi64::<1>(_mm512_and_si512(ki, _mm512_set1_epi64(127)));
+                let tail = _mm512_i64gather_pd::<8>(at, table.cast());
+                let top = _mm512_i64gather_epi64::<8>(at, table.add(1).cast());
+                let scale = _mm512_add_epi64(top, _mm512_slli_epi64::<45>(ki));
+                (tail, _mm512_castsi512_pd(scale))
+            }
+        }
+    }
+
+    // SAFETY: as for the `__m512d` implementation.
+    unsafe impl ExpLanes for __m256d {
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn fused(a: Self, b: Self, c: Self) -> Self {
+            // SAFETY: AVX2 and FMA is the caller's contract.
+            // lint: allow(fma) — reproduces libm's own fused chain, not a bit-exact chain
+            unsafe { _mm256_fmadd_pd(a, b, c) }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn add(a: Self, b: Self) -> Self {
+            // SAFETY: AVX2 and FMA is the caller's contract.
+            unsafe { _mm256_add_pd(a, b) }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn sub(a: Self, b: Self) -> Self {
+            // SAFETY: AVX2 and FMA is the caller's contract.
+            unsafe { _mm256_sub_pd(a, b) }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn mul(a: Self, b: Self) -> Self {
+            // SAFETY: AVX2 and FMA is the caller's contract.
+            unsafe { _mm256_mul_pd(a, b) }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn fast_path(x: Self) -> u32 {
+            // `|x|` in `2^-54..512` in the bits, which order like the
+            // non-negative `i64` they are.
+            // SAFETY: AVX2 is the caller's contract.
+            unsafe {
+                let abs = _mm256_and_si256(_mm256_castpd_si256(x), _mm256_set1_epi64x(i64::MAX));
+                let from_lo = _mm256_cmpgt_epi64(abs, _mm256_set1_epi64x(EXP_FAST_LO as i64 - 1));
+                let below_hi = _mm256_cmpgt_epi64(_mm256_set1_epi64x(EXP_FAST_HI as i64), abs);
+                let fast = _mm256_castsi256_pd(_mm256_and_si256(from_lo, below_hi));
+                _mm256_movemask_pd(fast) as u32
+            }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn elu_select(x: Self, y: Self) -> Self {
+            // SAFETY: AVX is the caller's contract.
+            unsafe { _mm256_blendv_pd(y, x, _mm256_cmp_pd::<_CMP_GT_OQ>(x, _mm256_setzero_pd())) }
+        }
+
+        // SAFETY: as the trait method states.
+        #[inline(always)]
+        unsafe fn lookup(kd: Self) -> (Self, Self) {
+            let table = EXP_TABLE.as_ptr();
+            // SAFETY: AVX2 is the caller's contract. Every lane of `at` is an
+            // even index below 256, so the gathers read words `at` and
+            // `at + 1` of the 256-word table.
+            unsafe {
+                let ki = _mm256_castpd_si256(kd);
+                let at = _mm256_slli_epi64::<1>(_mm256_and_si256(ki, _mm256_set1_epi64x(127)));
+                let tail = _mm256_i64gather_pd::<8>(table.cast(), at);
+                let top = _mm256_i64gather_epi64::<8>(table.add(1).cast(), at);
+                let scale = _mm256_add_epi64(top, _mm256_slli_epi64::<45>(ki));
+                (tail, _mm256_castsi256_pd(scale))
+            }
+        }
+    }
+
+    /// The AVX-512F clone of the `exp` kernel.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F; `src` and `out` have the same length.
+    #[target_feature(enable = "avx512f")]
+    // lint: no_alloc
+    pub(super) unsafe fn exp_avx512<const ELU: bool>(src: &[f64], out: &mut [f64]) {
+        // SAFETY: this clone is compiled with AVX-512F, which the caller
+        // verified.
+        unsafe { exp_slice::<__m512d, ELU>(src, out) }
+    }
+
+    /// The AVX2 clone of the `exp` kernel.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA; `src` and `out` have the same
+    /// length.
+    #[target_feature(enable = "avx2,fma")]
+    // lint: no_alloc
+    pub(super) unsafe fn exp_avx2<const ELU: bool>(src: &[f64], out: &mut [f64]) {
+        // SAFETY: this clone is compiled with AVX2 and FMA, which the caller
+        // verified.
+        unsafe { exp_slice::<__m256d, ELU>(src, out) }
+    }
 }
 
 /// The instruction-set clones of the GEMM, narrowest first.
@@ -1163,6 +1448,254 @@ pub fn gemm_tn_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     gemm::<TN>(Isa::Avx512, a, b, out.as_mut_slice(), (m, k_dim, n));
 }
 
+// ----- exp ----------------------------------------------------------------------
+
+/// `N / ln 2`, with `N = 128` table entries per octave. This and the
+/// constants and table below are glibc's `__exp_data`
+/// (`sysdeps/ieee754/dbl-64/e_exp_data.c`), bit for bit.
+const EXP_INV_LN2_N: f64 = f64::from_bits(0x4067_1547_652b_82fe);
+/// The high part of `-ln 2 / N`, whose low bits are zero.
+const EXP_NEG_LN2_HI_N: f64 = f64::from_bits(0xbf76_2e42_fefa_0000);
+/// The rest of `-ln 2 / N`.
+const EXP_NEG_LN2_LO_N: f64 = f64::from_bits(0xbd0c_f79a_bc9e_3b3a);
+/// `1.5 * 2^52`: `z + SHIFT` rounds `z` to the integer `k` and holds it in
+/// the low mantissa bits.
+const EXP_SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+/// The coefficients of `r^2` to `r^5` in `exp(r) - 1`.
+const EXP_POLY: [f64; 4] = [
+    f64::from_bits(0x3fdf_ffff_ffff_fdbd),
+    f64::from_bits(0x3fc5_5555_5555_543c),
+    f64::from_bits(0x3fa5_5555_cf17_2b91),
+    f64::from_bits(0x3f81_1111_67a4_d017),
+];
+/// The bits of `2^-54`, where the fast path starts.
+const EXP_FAST_LO: u64 = 0x3c90_0000_0000_0000;
+/// The bits of `512`, below which the fast path ends.
+const EXP_FAST_HI: u64 = 0x4080_0000_0000_0000;
+
+/// `2^(i/N)` for `i` in `0..N`, as glibc stores it: word `2i` holds the bits
+/// of the tail `t` with `2^(i/N) ~= s * (1 + t)`, word `2i + 1` the bits of
+/// `s` less `i << 45`, so that adding `k << 45` for `k = i (mod N)` makes the
+/// bits of `s * 2^((k - i)/N)`.
+#[rustfmt::skip]
+static EXP_TABLE: [u64; 256] = [
+    0x0000_0000_0000_0000, 0x3ff0_0000_0000_0000, 0x3c9b_3b4f_1a88_bf6e, 0x3fef_f63d_a9fb_3335,
+    0xbc71_6013_9cd8_dc5d, 0x3fef_ec9a_3e77_8061, 0xbc90_5e7a_1087_66d1, 0x3fef_e315_e86e_7f85,
+    0x3c8c_d252_3567_f613, 0x3fef_d9b0_d315_8574, 0xbc8b_ce80_23f9_8efa, 0x3fef_d06b_29dd_f6de,
+    0x3c60_f74e_61e6_c861, 0x3fef_c745_1875_9bc8, 0x3c90_a3e4_5b33_d399, 0x3fef_be3e_cac6_f383,
+    0x3c97_9aa6_5d83_7b6d, 0x3fef_b558_6cf9_890f, 0x3c8e_b51a_92fd_effc, 0x3fef_ac92_2b72_47f7,
+    0x3c3e_be3d_702f_9cd1, 0x3fef_a3ec_32d3_d1a2, 0xbc6a_0334_8990_6e0b, 0x3fef_9b66_affe_d31b,
+    0xbc95_5652_2a2f_bd0e, 0x3fef_9301_d012_5b51, 0xbc50_80ef_8c4e_ea55, 0x3fef_8abd_c06c_31cc,
+    0xbc91_c923_b9d5_f416, 0x3fef_829a_aea9_2de0, 0x3c80_d3e3_e95c_55af, 0x3fef_7a98_c8a5_8e51,
+    0xbc80_1b15_eaa5_9348, 0x3fef_72b8_3c7d_517b, 0xbc8f_1ff0_55de_323d, 0x3fef_6af9_388c_8dea,
+    0x3c8b_898c_3f13_53bf, 0x3fef_635b_eb6f_cb75, 0xbc96_d99c_7611_eb26, 0x3fef_5be0_8404_5cd4,
+    0x3c9a_ecf7_3e3a_2f60, 0x3fef_5487_3168_b9aa, 0xbc8f_e782_cb86_389d, 0x3fef_4d50_22fc_d91d,
+    0x3c8a_6f41_44a6_c38d, 0x3fef_463b_8862_8cd6, 0x3c80_7a05_b0e4_047d, 0x3fef_3f49_917d_dc96,
+    0x3c96_8efd_e3a8_a894, 0x3fef_387a_6e75_6238, 0x3c87_5e18_f274_487d, 0x3fef_31ce_4fb2_a63f,
+    0x3c80_472b_981f_e7f2, 0x3fef_2b45_65e2_7cdd, 0xbc96_b87b_3f71_085e, 0x3fef_24df_e1f5_6381,
+    0x3c82_f7e1_6d09_ab31, 0x3fef_1e9d_f51f_dee1, 0xbc3d_219b_1a6f_bffa, 0x3fef_187f_d0da_d990,
+    0x3c8b_3782_720c_0ab4, 0x3fef_1285_a6e4_030b, 0x3c6e_1492_89ce_cb8f, 0x3fef_0caf_a93e_2f56,
+    0x3c83_4d75_4db0_abb6, 0x3fef_06fe_0a31_b715, 0x3c86_4201_e2ac_744c, 0x3fef_0170_fc4c_d831,
+    0x3c8f_dd39_5dd3_f84a, 0x3fee_fc08_b264_16ff, 0xbc86_a380_3b8e_5b04, 0x3fee_f6c5_5f92_9ff1,
+    0xbc92_4aed_cc4b_5068, 0x3fee_f1a7_373a_a9cb, 0xbc99_07f8_1b51_2d8e, 0x3fee_ecae_6d05_d866,
+    0xbc71_d1e8_3e94_36d2, 0x3fee_e7db_34e5_9ff7, 0xbc99_1919_b3ce_1b15, 0x3fee_e32d_c313_a8e5,
+    0x3c85_9f48_a72a_4c6d, 0x3fee_dea6_4c12_3422, 0xbc93_1260_7a28_698a, 0x3fee_da45_04ac_801c,
+    0xbc58_a78f_4817_895b, 0x3fee_d60a_21f7_2e2a, 0xbc7c_2c9b_6749_9a1b, 0x3fee_d1f5_d950_a897,
+    0x3c43_63ed_60c2_ac11, 0x3fee_ce08_6061_892d, 0x3c96_6609_3b06_64ef, 0x3fee_ca41_ed1d_0057,
+    0x3c6e_cce1_daa1_0379, 0x3fee_c6a2_b5c1_3cd0, 0x3c93_ff8e_3f0f_1230, 0x3fee_c32a_f0d7_d3de,
+    0x3c76_90ce_bb7a_afb0, 0x3fee_bfda_d536_2a27, 0x3c93_1dbd_eb54_e077, 0x3fee_bcb2_99fd_dd0d,
+    0xbc8f_9434_0071_a38e, 0x3fee_b9b2_769d_2ca7, 0xbc87_decc_dc93_a349, 0x3fee_b6da_a2cf_6642,
+    0xbc78_dec6_bd0f_385f, 0x3fee_b42b_569d_4f82, 0xbc86_1246_ec7b_5cf6, 0x3fee_b1a4_ca5d_920f,
+    0x3c93_3505_18fd_d78e, 0x3fee_af47_36b5_27da, 0x3c7b_98b7_2f8a_9b05, 0x3fee_ad12_d497_c7fd,
+    0x3c90_63e1_e21c_5409, 0x3fee_ab07_dd48_5429, 0x3c34_c785_5019_c6ea, 0x3fee_a926_8a59_46b7,
+    0x3c94_32e6_2b64_c035, 0x3fee_a76f_15ad_2148, 0xbc8c_e44a_6199_769f, 0x3fee_a5e1_b976_dc09,
+    0xbc8c_33c5_3bef_4da8, 0x3fee_a47e_b03a_5585, 0xbc84_5378_892b_e9ae, 0x3fee_a346_34cc_c320,
+    0xbc93_cedd_7856_5858, 0x3fee_a238_8255_2225, 0x3c57_10aa_807e_1964, 0x3fee_a155_d44c_a973,
+    0xbc93_b3ef_bf5e_2228, 0x3fee_a09e_667f_3bcd, 0xbc6a_12ad_8734_b982, 0x3fee_a012_750b_dabf,
+    0xbc63_67ef_b86d_a9ee, 0x3fee_9fb2_3c65_1a2f, 0xbc80_dc3d_54e0_8851, 0x3fee_9f7d_f951_9484,
+    0xbc78_1f64_7e5a_3ecf, 0x3fee_9f75_e8ec_5f74, 0xbc86_ee4a_c08b_7db0, 0x3fee_9f9a_48a5_8174,
+    0xbc86_1932_1e55_e68a, 0x3fee_9feb_5642_67c9, 0x3c90_9ccb_5e09_d4d3, 0x3fee_a069_4fde_5d3f,
+    0xbc7b_32dc_b94d_a51d, 0x3fee_a114_73eb_0187, 0x3c94_ecfd_5467_c06b, 0x3fee_a1ed_0130_c132,
+    0x3c65_ebe1_abd6_6c55, 0x3fee_a2f3_36cf_4e62, 0xbc88_a1c5_2fb3_cf42, 0x3fee_a427_543e_1a12,
+    0xbc93_69b6_f13b_3734, 0x3fee_a589_994c_ce13, 0xbc80_5e84_3a19_ff1e, 0x3fee_a71a_4623_c7ad,
+    0xbc94_d450_d872_576e, 0x3fee_a8d9_9b44_92ed, 0x3c90_ad67_5b0e_8a00, 0x3fee_aac7_d98a_6699,
+    0x3c8d_b72f_c1f0_eab4, 0x3fee_ace5_422a_a0db, 0xbc65_b660_9cc5_e7ff, 0x3fee_af32_16b5_448c,
+    0x3c7b_f683_59f3_5f44, 0x3fee_b1ae_9915_7736, 0xbc93_091f_a71e_3d83, 0x3fee_b45b_0b91_ffc6,
+    0xbc5d_a9b8_8b6c_1e29, 0x3fee_b737_b0cd_c5e5, 0xbc6c_23f9_7c90_b959, 0x3fee_ba44_cbc8_520f,
+    0xbc92_4343_22f4_f9aa, 0x3fee_bd82_9fde_4e50, 0xbc85_ca6c_d766_8e4b, 0x3fee_c0f1_70ca_07ba,
+    0x3c71_affc_2b91_ce27, 0x3fee_c491_82a3_f090, 0x3c6d_d235_e10a_73bb, 0x3fee_c863_19e3_2323,
+    0xbc87_c504_2262_2263, 0x3fee_cc66_7b5d_e565, 0x3c8b_1c86_e3e2_31d5, 0x3fee_d09b_ec4a_2d33,
+    0xbc91_bbd1_d3bc_bb15, 0x3fee_d503_b23e_255d, 0x3c90_cc31_9cee_31d2, 0x3fee_d99e_1330_b358,
+    0x3c84_6984_6e73_5ab3, 0x3fee_de6b_5579_fdbf, 0xbc82_dfcd_978e_9db4, 0x3fee_e36b_bfd3_f37a,
+    0x3c8c_1a77_92cb_3387, 0x3fee_e89f_995a_d3ad, 0xbc90_7b8f_4ad1_d9fa, 0x3fee_ee07_298d_b666,
+    0xbc55_c3d9_56dc_aeba, 0x3fee_f3a2_b84f_15fb, 0xbc90_a40e_3da6_f640, 0x3fee_f972_8de5_593a,
+    0xbc68_d6f4_38ad_9334, 0x3fee_ff76_f2fb_5e47, 0xbc91_eee2_6b58_8a35, 0x3fef_05b0_30a1_064a,
+    0x3c74_ffd7_0a5f_ddcd, 0x3fef_0c1e_904b_c1d2, 0xbc91_bdfb_fa92_98ac, 0x3fef_12c2_5bd7_1e09,
+    0x3c73_6eae_30af_0cb3, 0x3fef_199b_dd85_529c, 0x3c8e_e332_5c9f_fd94, 0x3fef_20ab_5fff_d07a,
+    0x3c84_e08f_d109_59ac, 0x3fef_27f1_2e57_d14b, 0x3c63_cdaf_384e_1a67, 0x3fef_2f6d_9406_e7b5,
+    0x3c67_6b2c_6c92_1968, 0x3fef_3720_dcef_9069, 0xbc80_8a18_83cc_b5d2, 0x3fef_3f0b_555d_c3fa,
+    0xbc8f_ad5d_3fff_fa6f, 0x3fef_472d_4a07_897c, 0xbc90_0dae_3875_a949, 0x3fef_4f87_080d_89f2,
+    0x3c74_a385_a63d_07a7, 0x3fef_5818_dcfb_a487, 0xbc82_919e_2040_220f, 0x3fef_60e3_16c9_8398,
+    0x3c8e_5a50_d5c1_92ac, 0x3fef_69e6_03db_3285, 0x3c84_3a59_ac01_6b4b, 0x3fef_7321_f301_b460,
+    0xbc82_d521_07b4_3e1f, 0x3fef_7c97_337b_9b5f, 0xbc89_2ab9_3b47_0dc9, 0x3fef_8646_14f5_a129,
+    0x3c74_b604_603a_88d3, 0x3fef_902e_e78b_3ff6, 0x3c83_c5ec_519d_7271, 0x3fef_9a51_fbc7_4c83,
+    0xbc8f_f712_8fd3_91f0, 0x3fef_a4af_a2a4_90da, 0xbc8d_ae98_e223_747d, 0x3fef_af48_2d8e_67f1,
+    0x3c8e_c3bc_41aa_2008, 0x3fef_ba1b_ee61_5a27, 0x3c84_2b94_c3a9_eb32, 0x3fef_c52b_376b_ba97,
+    0x3c8a_64a9_31d1_85ee, 0x3fef_d076_5b6e_4540, 0xbc8e_37ba_e43b_e3ed, 0x3fef_dbfd_ad9c_be14,
+    0x3c77_893b_4d91_cd9d, 0x3fef_e7c1_819e_90d8, 0x3c53_05c1_4160_cc89, 0x3fef_f3c2_2b8f_71f1,
+];
+
+/// The scalar map the `exp` kernel reproduces: `x.exp()`, or for `ELU` the
+/// exponential linear unit `x > 0 ? x : exp(x) - 1`.
+#[inline(always)]
+fn exp_scalar<const ELU: bool>(x: f64) -> f64 {
+    if ELU && x > 0.0 {
+        x
+    } else if ELU {
+        x.exp() - 1.0
+    } else {
+        x.exp()
+    }
+}
+
+/// Inputs on which glibc's FMA build of `exp` parts from near builds. At the
+/// first two its result is not the correctly rounded one (found against
+/// 60-digit decimal arithmetic). Each of the other five tells it from the same
+/// steps with one fused multiply-add split into a rounded product and a
+/// rounded sum: in turn the rounding of `k`, the low part of `k ln 2 / N`,
+/// `C2 + r C3`, the `r^2` term and the last `s + s tmp`. Of the other three
+/// fused steps, the high part of `k ln 2 / N` is an exact product, so its split
+/// changes nothing, and a split `C4 + r C5` or `r^4` term changes no result
+/// among 1.4e9 random inputs, so no probe can tell those builds.
+const EXP_WITNESSES: [u64; 7] = [
+    0xbfc2_ff97_88e6_0ae0,
+    0xc010_2258_b880_9756,
+    0xc06f_523d_6ccb_59d5,
+    0xc07f_8305_2b67_32bc,
+    0x4077_fa08_7dda_db22,
+    0xc059_3bf0_1268_9720,
+    0xc072_f0f4_5515_f542,
+];
+
+/// Length of [`exp_probe_inputs`]: four inputs per table index, the fast
+/// path's ends and the witnesses.
+const EXP_PROBE_LEN: usize = 4 * 128 + 4 + EXP_WITNESSES.len();
+
+/// The inputs the probe compares with `f64::exp`. Input `4j + q` sits 0.3,
+/// 0.4, 0.1 or 0.2 steps of `ln 2 / N` past `k = j`, `j - 384`, `j + 38 400`
+/// or `j - 89 600` (near 0, -2, 208 and -485), so every table index `j` is
+/// read with positive and negative `k`. Then come the fast path's ends,
+/// `±2^-54` and `±(512 - ulp)`, and the [`EXP_WITNESSES`].
+fn exp_probe_inputs() -> [f64; EXP_PROBE_LEN] {
+    let mut x = [0.0; EXP_PROBE_LEN];
+    let step = std::f64::consts::LN_2 / 128.0;
+    for (j, quad) in x.chunks_exact_mut(4).take(128).enumerate() {
+        let j = j as f64;
+        let at = [j + 0.3, j - 384.4, j + 38_400.1, j - 89_600.2];
+        for (v, k) in quad.iter_mut().zip(at) {
+            *v = k * step;
+        }
+    }
+    let lo = f64::from_bits(EXP_FAST_LO);
+    let hi = f64::from_bits(EXP_FAST_HI - 1);
+    x[4 * 128..4 * 128 + 4].copy_from_slice(&[lo, -lo, hi, -hi]);
+    for (v, &bits) in x[4 * 128 + 4..].iter_mut().zip(&EXP_WITNESSES) {
+        *v = f64::from_bits(bits);
+    }
+    x
+}
+
+/// The widest clone the `exp` kernel runs on: the probe's verdict, taken on
+/// first use and kept for the life of the process.
+///
+/// The lanes reproduce glibc's `exp` as its FMA build computes it, the build
+/// glibc (2.28 and later) selects when the CPU has FMA and AVX2. So they run
+/// only on an x86-64 glibc target whose CPU has both, and only when every
+/// clone the CPU has returns the bits of `f64::exp` at every
+/// [`exp_probe_inputs`] point; otherwise every value is `f64::exp`'s own.
+/// The probe samples the libm: it does not prove a build other than glibc
+/// 2.36's, whose steps the lanes were read from, equal at every input.
+fn exp_lanes() -> Isa {
+    static LANES: OnceLock<Isa> = OnceLock::new();
+    *LANES.get_or_init(probe_exp_lanes)
+}
+
+#[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+fn probe_exp_lanes() -> Isa {
+    let fma = std::arch::is_x86_feature_detected!("fma");
+    if !(fma && avx2_available()) {
+        return Isa::Portable;
+    }
+    let widest = if avx512_available() { Isa::Avx512 } else { Isa::Avx2 };
+    let inputs = exp_probe_inputs();
+    let mut out = [0.0; EXP_PROBE_LEN];
+    for isa in [Isa::Avx2, Isa::Avx512].into_iter().filter(|&isa| isa <= widest) {
+        // SAFETY: AVX2 and FMA were just detected, and AVX-512F too when
+        // `widest` admits its clone.
+        unsafe {
+            match isa {
+                Isa::Avx512 => x86::exp_avx512::<false>(&inputs, &mut out),
+                _ => x86::exp_avx2::<false>(&inputs, &mut out),
+            }
+        }
+        if inputs.iter().zip(&out).any(|(x, y)| x.exp().to_bits() != y.to_bits()) {
+            return Isa::Portable;
+        }
+    }
+    widest
+}
+
+#[cfg(not(all(target_arch = "x86_64", target_env = "gnu")))]
+fn probe_exp_lanes() -> Isa {
+    Isa::Portable
+}
+
+/// `out[i] = exp_scalar::<ELU>(src[i])` on the widest clone, no wider than
+/// `widest`, that [`exp_lanes`] admits.
+#[track_caller]
+// lint: no_alloc
+fn exp_map<const ELU: bool>(widest: Isa, src: &[f64], out: &mut [f64]) {
+    assert_eq!(src.len(), out.len(), "exp: source and output lengths differ");
+    #[cfg(target_arch = "x86_64")]
+    {
+        match widest.min(exp_lanes()) {
+            // SAFETY: `exp_lanes` admits a clone only on a CPU that has its
+            // features (AVX-512F, AVX2 and FMA; AVX2 and FMA).
+            Isa::Avx512 => return unsafe { x86::exp_avx512::<ELU>(src, out) },
+            // SAFETY: as above.
+            Isa::Avx2 => return unsafe { x86::exp_avx2::<ELU>(src, out) },
+            Isa::Portable => {}
+        }
+    }
+    // Off x86-64 the scalar map is the only one, so `widest` goes unread.
+    let _ = widest;
+    for (o, &x) in out.iter_mut().zip(src) {
+        *o = exp_scalar::<ELU>(x);
+    }
+}
+
+/// `out[i] = src[i].exp()`, bit for bit: the platform libm's `exp`, or its
+/// fast path reproduced on AVX-512F or AVX2 lanes once a first-use probe
+/// has found the libm to compute exactly that (see the module docs).
+///
+/// # Panics
+/// Panics if the lengths differ.
+#[track_caller]
+pub fn exp_into(src: &[f64], out: &mut [f64]) {
+    exp_map::<false>(Isa::Avx512, src, out);
+}
+
+/// The exponential linear unit (`alpha = 1`) of every element,
+/// `out[i] = if x > 0.0 { x } else { x.exp() - 1.0 }` for `x = src[i]`,
+/// with [`exp_into`]'s `exp`.
+///
+/// # Panics
+/// Panics if the lengths differ.
+#[track_caller]
+pub fn elu_into(src: &[f64], out: &mut [f64]) {
+    exp_map::<true>(Isa::Avx512, src, out);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1216,7 +1749,7 @@ mod tests {
         let supported = |isa| isa == Isa::Portable;
         let all = [Isa::Avx512, Isa::Avx2, Isa::Portable];
         for isa in all.into_iter().filter(|&isa| !supported(isa)) {
-            println!("skipped the {isa:?} GEMM clone: this CPU lacks it");
+            println!("skipped the {isa:?} clone: this CPU lacks it");
         }
         all.into_iter().filter(|&isa| supported(isa)).collect()
     }
@@ -1405,6 +1938,234 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The `exp` clones this CPU runs, widest first, and the probe admits:
+    /// beyond [`clones`]'s, a clone is skipped, and named on stdout, when the
+    /// probe keeps the kernel on `f64::exp`.
+    fn exp_clones() -> Vec<Isa> {
+        let lanes = exp_lanes();
+        let all = clones();
+        for isa in all.iter().filter(|&&isa| isa > lanes) {
+            println!("skipped the {isa:?} exp clone: the probe keeps exp on f64::exp");
+        }
+        all.into_iter().filter(|&isa| isa <= lanes).collect()
+    }
+
+    /// Asserts that `exp` and ELU over `x` on clone `isa` (no wider) return,
+    /// bit for bit, `f64::exp` and the scalar ELU formula.
+    fn assert_exp_bits(isa: Isa, x: &[f64], case: &str) {
+        let mut out = vec![0.0; x.len()];
+        exp_map::<false>(isa, x, &mut out);
+        for (&x, &y) in x.iter().zip(&out) {
+            assert_eq!(
+                y.to_bits(),
+                x.exp().to_bits(),
+                "exp({x:e} = {:#x}) {isa:?} {case}",
+                x.to_bits()
+            );
+        }
+        exp_map::<true>(isa, x, &mut out);
+        for (&x, &y) in x.iter().zip(&out) {
+            let want = if x > 0.0 { x } else { x.exp() - 1.0 };
+            assert_eq!(
+                y.to_bits(),
+                want.to_bits(),
+                "elu({x:e} = {:#x}) {isa:?} {case}",
+                x.to_bits()
+            );
+        }
+    }
+
+    /// `n` inputs drawn from four families in turn: uniform over the whole
+    /// finite range of `exp` and a little past it, standard normal (ELU's
+    /// pre-activations), `±2^u` for `u` uniform in `-60..12` (every binade of
+    /// the fast path and its ends), and arbitrary bit patterns (subnormals,
+    /// infinities and NaNs included).
+    fn random_exp_inputs(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<f64> {
+        use crate::rng::{sample_standard_normal, sample_uniform};
+        use rand::RngExt;
+        (0..n)
+            .map(|i| match i % 4 {
+                0 => sample_uniform(rng, -760.0, 720.0),
+                1 => sample_standard_normal(rng),
+                2 => {
+                    let sign = if rng.random::<bool>() { 1.0 } else { -1.0 };
+                    sign * sample_uniform(rng, -60.0, 12.0).exp2()
+                }
+                _ => f64::from_bits(rng.random::<u64>()),
+            })
+            .collect()
+    }
+
+    /// glibc's FMA build of `exp` on its fast path in scalar code, with
+    /// fused step `s` (numbered from 0 in `exp_fast`'s order) split into a
+    /// rounded product and a rounded sum when bit `s` of `split` is set: the
+    /// oracle of [`EXP_WITNESSES`].
+    fn exp_fast_scalar(x: f64, split: u32) -> f64 {
+        let fma = |s: u32, a: f64, b: f64, c: f64| {
+            if split >> s & 1 == 1 {
+                a * b + c
+            } else {
+                a.mul_add(b, c)
+            }
+        };
+        let [c2, c3, c4, c5] = EXP_POLY;
+        let kd = fma(0, x, EXP_INV_LN2_N, EXP_SHIFT);
+        let i = 2 * (kd.to_bits() % 128) as usize;
+        let scale = f64::from_bits(EXP_TABLE[i + 1].wrapping_add(kd.to_bits() << 45));
+        let k = kd - EXP_SHIFT;
+        let r = fma(1, k, EXP_NEG_LN2_HI_N, x);
+        let r = fma(2, k, EXP_NEG_LN2_LO_N, r);
+        let r2 = r * r;
+        let low = fma(3, r, c3, c2);
+        let high = fma(4, r, c5, c4);
+        let tmp = fma(5, low, r2, f64::from_bits(EXP_TABLE[i]) + r);
+        let tmp = fma(6, r2 * r2, high, tmp);
+        fma(7, scale, tmp, scale)
+    }
+
+    #[test]
+    fn exp_lanes_reproduce_libm() {
+        let probe = exp_probe_inputs();
+        // The probe reads every table index with positive and negative `k`.
+        let k_of = |x: f64| (x * EXP_INV_LN2_N).round() as i64;
+        for positive in [true, false] {
+            let mut seen = [false; 128];
+            for &x in probe.iter().filter(|&&x| (k_of(x) > 0) == positive) {
+                seen[k_of(x).rem_euclid(128) as usize] = true;
+            }
+            assert!(seen.iter().all(|&s| s), "positive k: {positive}");
+        }
+        let lo = f64::from_bits(EXP_FAST_LO);
+        let hi = f64::from_bits(EXP_FAST_HI);
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            // The fast path's ends and their neighbours.
+            lo,
+            -lo,
+            f64::from_bits(EXP_FAST_LO - 1),
+            f64::from_bits(EXP_FAST_LO + 1),
+            hi,
+            -hi,
+            f64::from_bits(EXP_FAST_HI - 1),
+            -f64::from_bits(EXP_FAST_HI - 1),
+            // Past the fast path, up to and past overflow and underflow.
+            600.0,
+            -600.0,
+            700.0,
+            -708.4,
+            709.78,
+            709.79,
+            710.0,
+            -744.4,
+            -745.0,
+            -745.2,
+            -746.0,
+            1000.0,
+            -1000.0,
+            1023.99,
+            -1023.99,
+            1024.0,
+            -1024.0,
+            // ELU's sign boundary.
+            1e-300,
+            -1e-300,
+            1e-17,
+            -1e-17,
+            1e-10,
+            -1e-10,
+            1.0,
+            -1.0,
+        ];
+        for i in 0..64 {
+            let t = f64::from(i) / 8.0;
+            edges.extend([lo * t, -lo * t, 512.0 + 8.0 * t, -512.0 - 8.0 * t]);
+        }
+        let mut rng = rng_from_seed(29);
+        let random = random_exp_inputs(&mut rng, 200_000);
+        for isa in exp_clones() {
+            assert_exp_bits(isa, &probe, "probe inputs");
+            assert_exp_bits(isa, &edges, "edges");
+            assert_exp_bits(isa, &random, "random");
+            // Every tail length of one or two vectors, at three offsets; the
+            // kernel writes only the output it is given.
+            for len in 0..=17 {
+                for off in 0..3 {
+                    let x = &random[off..off + len];
+                    assert_exp_bits(isa, x, &format!("len {len} off {off}"));
+                    let mut out = [f64::NAN; 24];
+                    exp_map::<true>(isa, x, &mut out[..len]);
+                    assert!(out[len..].iter().all(|v| v.is_nan()), "wrote past {len} {isa:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "1e8 inputs per clone: run in release, `cargo test --release -p sbrl-tensor -- --ignored exp_lanes`"]
+    fn exp_lanes_reproduce_libm_on_1e8_inputs() {
+        let clones = exp_clones();
+        let mut rng = rng_from_seed(31);
+        for batch in 0..1_000 {
+            let x = random_exp_inputs(&mut rng, 100_000);
+            for &isa in &clones {
+                assert_exp_bits(isa, &x, &format!("batch {batch}"));
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "asserts that the host's libm is glibc's FMA build of exp: run in release, `cargo test --release -p sbrl-tensor -- --ignored exp_lanes`"]
+    fn exp_lanes_are_admitted_on_glibc_with_avx2_and_fma() {
+        // A silent fall-back to the scalar `exp` would keep every bit and
+        // lose the speed; this test makes it loud where the lanes must run.
+        // It tests the host as much as the code: an older glibc, or one told
+        // to mask AVX2, keeps `exp` on `f64::exp`, and fails it.
+        #[cfg(all(target_arch = "x86_64", target_env = "gnu"))]
+        if avx2_available() && std::arch::is_x86_feature_detected!("fma") {
+            let widest = if avx512_available() { Isa::Avx512 } else { Isa::Avx2 };
+            assert_eq!(exp_lanes(), widest, "the probe found libm's exp unlike glibc's FMA build");
+            return;
+        }
+        println!("skipped: the exp lanes need an x86-64 glibc target with AVX2 and FMA");
+    }
+
+    #[test]
+    fn exp_witnesses_tell_glibc_from_near_builds() {
+        // The fused steps whose split the last five witnesses show.
+        let split_steps = [0, 2, 3, 5, 7];
+        for (i, &bits) in EXP_WITNESSES.iter().enumerate() {
+            let x = f64::from_bits(bits);
+            let fused = exp_fast_scalar(x, 0).to_bits();
+            if exp_lanes() > Isa::Portable {
+                assert_eq!(fused, x.exp().to_bits(), "{x:e}");
+            }
+            if let Some(&step) = i.checked_sub(2).and_then(|w| split_steps.get(w)) {
+                assert_ne!(fused, exp_fast_scalar(x, 1 << step).to_bits(), "{x:e} step {step}");
+            }
+        }
+        // glibc's SSE2 build splits every step.
+        let split_all = |&bits: &u64| {
+            let x = f64::from_bits(bits);
+            exp_fast_scalar(x, 0).to_bits() != exp_fast_scalar(x, u32::MAX).to_bits()
+        };
+        assert!(EXP_WITNESSES.iter().any(split_all));
+        // Step 1's product, a 17-bit `k` times a 36-bit constant, is exact.
+        for x in exp_probe_inputs() {
+            assert_eq!(exp_fast_scalar(x, 0).to_bits(), exp_fast_scalar(x, 1 << 1).to_bits());
         }
     }
 

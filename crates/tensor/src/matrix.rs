@@ -406,15 +406,6 @@ impl Matrix {
         self.sum_axis0().scale(1.0 / self.rows as f64)
     }
 
-    /// Row sums as an `rows x 1` column vector.
-    pub fn sum_axis1(&self) -> Self {
-        let mut out = Self::zeros(self.rows, 1);
-        for i in 0..self.rows {
-            out.data[i] = self.row(i).iter().sum();
-        }
-        out
-    }
-
     /// Per-column (population) variance as a `1 x cols` row vector.
     pub fn var_axis0(&self) -> Self {
         let means = self.mean_axis0();
@@ -649,7 +640,6 @@ mod tests {
         assert_eq!(a.sum(), 21.0);
         assert!((a.mean() - 3.5).abs() < 1e-12);
         assert_eq!(a.sum_axis0().as_slice(), &[5.0, 7.0, 9.0]);
-        assert_eq!(a.sum_axis1().as_slice(), &[6.0, 15.0]);
         assert_eq!(a.mean_axis0().as_slice(), &[2.5, 3.5, 4.5]);
         assert_eq!(a.max(), 6.0);
         assert_eq!(a.min(), 1.0);
