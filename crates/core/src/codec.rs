@@ -151,7 +151,8 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0, what }
     }
 
-    fn remaining(&self) -> usize {
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len().saturating_sub(self.pos)
     }
 

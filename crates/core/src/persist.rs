@@ -574,6 +574,40 @@ fn decode_backbone_config(r: &mut Reader<'_>) -> Result<BackboneConfig, PersistE
     }
 }
 
+/// The fewest `PARM` bytes that can hold the parameters of the architecture
+/// `config` builds: the `u64` tensor count, then per tensor a `u64` name
+/// length, `u64` rows and cols, and 8 bytes per scalar (the names' own bytes
+/// are not counted). `None` when the count overflows `usize`.
+fn min_parm_bytes(config: &BackboneConfig) -> Option<usize> {
+    // A dense layer `a -> b`: a weight and a bias tensor, `a*b + b` scalars.
+    let dense = |a: usize, b: usize| -> Option<usize> {
+        a.checked_mul(b)?.checked_add(b)?.checked_mul(8)?.checked_add(2 * 24)
+    };
+    // `layers.max(1)` dense layers of `width` outputs after an `input`.
+    let stack = |input: usize, width: usize, layers: usize| -> Option<usize> {
+        dense(width, width)?.checked_mul(layers.max(1) - 1)?.checked_add(dense(input, width)?)
+    };
+    let (arch, reps, head_in) = match config {
+        BackboneConfig::Tarnet(arch) => (arch, 1, arch.rep_width),
+        BackboneConfig::Cfr(c) => (&c.arch, 1, c.arch.rep_width),
+        BackboneConfig::DerCfr(c) => (&c.arch, 3, c.arch.rep_width.checked_mul(2)?),
+    };
+    // A head: `layers` hidden layers of `head_width`, then one output.
+    let head = |layers: usize| -> Option<usize> {
+        stack(head_in, arch.head_width, layers)?.checked_add(dense(arch.head_width, 1)?)
+    };
+    let batch_norm =
+        if arch.batch_norm { arch.in_dim.checked_mul(16)?.checked_add(2 * 24)? } else { 0 };
+    // DeR-CFR's treatment head is a one-hidden-layer head on `[I | C]`.
+    let treatment_head = if reps == 3 { head(1)? } else { 0 };
+    stack(arch.in_dim, arch.rep_width, arch.rep_layers)?
+        .checked_mul(reps)?
+        .checked_add(head(arch.head_layers)?.checked_mul(2)?)?
+        .checked_add(treatment_head)?
+        .checked_add(batch_norm)?
+        .checked_add(8)
+}
+
 fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> {
     // --- Magic -------------------------------------------------------------
     let head = bytes.get(..8).unwrap_or(bytes);
@@ -630,13 +664,22 @@ fn decode(bytes: &[u8]) -> Result<FittedModel<Box<dyn Backbone>>, PersistError> 
         )));
     }
 
+    // --- PARM --------------------------------------------------------------
+    // `BCFG`'s dimensions are only capped, so a short artifact can describe
+    // a huge model: size it against `PARM` before building it.
+    let mut parm = open_section(&mut body, b"PARM", "PARM")?;
+    let available = parm.remaining();
+    let needed = min_parm_bytes(&config)
+        .ok_or_else(|| malformed("the BCFG architecture's parameter count overflows"))?;
+    if needed > available {
+        return Err(PersistError::Truncated { section: "PARM", needed, available });
+    }
+
     // Rebuild the architecture with the fit's own init RNG, then overwrite
     // every parameter below — shapes and names must line up exactly.
     let mut init_rng = rng_from_seed(seed ^ INIT_SEED_SALT);
     let mut model = config.build(&mut init_rng);
 
-    // --- PARM --------------------------------------------------------------
-    let mut parm = open_section(&mut body, b"PARM", "PARM")?;
     let expected: Vec<(sbrl_nn::ParamHandle, String, (usize, usize))> =
         model.store().iter().map(|(h, name, value)| (h, name.to_string(), value.shape())).collect();
     let stored_params = parm.count(Prefix::U64, 8)?;
@@ -1090,6 +1133,36 @@ pub mod fixture {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `min_parm_bytes` counts exactly the tensors and scalars of the store
+    /// each backbone builds, over depths 0, 1 and 3 and with and without
+    /// batch normalisation.
+    #[test]
+    fn min_parm_bytes_matches_the_built_store() {
+        for kind in BackboneKind::ALL {
+            for (layers, batch_norm) in [(0, false), (1, true), (3, false), (3, true)] {
+                let mut config = kind.small_config(5);
+                let arch = match &mut config {
+                    BackboneConfig::Tarnet(arch) => arch,
+                    BackboneConfig::Cfr(c) => &mut c.arch,
+                    BackboneConfig::DerCfr(c) => &mut c.arch,
+                };
+                arch.rep_layers = layers;
+                arch.head_layers = 3 - layers.min(3);
+                arch.batch_norm = batch_norm;
+                let model = config.build(&mut rng_from_seed(0));
+                let stored: usize =
+                    8 + model.store().iter().map(|(_, _, m)| 24 + 8 * m.len()).sum::<usize>();
+                let case = format!("{} layers={layers} batch_norm={batch_norm}", kind.name());
+                assert_eq!(min_parm_bytes(&config), Some(stored), "{case}");
+            }
+        }
+        let mut huge = BackboneKind::DerCfr.small_config(MAX_DIM);
+        if let BackboneConfig::DerCfr(c) = &mut huge {
+            (c.arch.rep_width, c.arch.rep_layers) = (MAX_DIM, MAX_LAYERS);
+        }
+        assert!(min_parm_bytes(&huge).is_some_and(|b| b > 1 << 50), "8 TiB and more, no overflow");
+    }
 
     #[test]
     fn crc32_matches_the_ieee_check_value() {

@@ -18,7 +18,10 @@
 //!   penalises feature variance rather than dependence); set
 //!   [`DecorrelationConfig::include_diagonal`] to restore the literal sum;
 //! * features can be standardised and column-subsampled per call to keep the
-//!   loss scale-free and affordable on wide layers.
+//!   loss scale-free and affordable on wide layers;
+//! * only the sample weights are learned (the weight step runs with the
+//!   network frozen), so the Fourier features are computed off the tape by
+//!   one forward-only kernel and enter it as a constant.
 
 use rand::rngs::StdRng;
 use sbrl_tensor::kernels::Parallelism;
@@ -52,16 +55,81 @@ impl Rff {
         self.omegas.len()
     }
 
-    /// Applies function `i` to a scalar.
-    #[inline]
-    pub fn apply(&self, i: usize, x: f64) -> f64 {
-        (2.0f64).sqrt() * (self.omegas[i] * x + self.phis[i]).cos()
-    }
-
     /// Feature map of a scalar series: `n x k` matrix `U` with
     /// `U[r][i] = u_i(x_r)`.
     pub fn feature_map(&self, xs: &[f64]) -> Matrix {
-        Matrix::from_fn(xs.len(), self.num_functions(), |r, i| self.apply(i, xs[r]))
+        let mut u = Matrix::zeros(xs.len(), self.num_functions());
+        fourier_features_into(xs, 1, &[0], false, self, &mut u);
+        u
+    }
+}
+
+/// The Fourier features of columns `cols` of the row-major `z` (`width`
+/// columns per row), forward only: `out`'s block `i` (columns
+/// `i*d .. (i+1)*d`, `d = cols.len()`) is `sqrt(2) cos(w_i x + phi_i)` of
+/// the `n x d` input `x`, whose column `c` is column `cols[c]` of `z`.
+///
+/// With `standardize`, each input column is first shifted and scaled by its
+/// batch statistics: `x = (z + (-m)) * s` with `m` the column mean and
+/// `s = 1 / max(std, 1e-6)`, each a serial fold over the rows. The rounding
+/// order (`(z + (-m)) * s`, then `cos(x * w_i + phi_i) * sqrt(2)`, with no
+/// fused multiply-add) is fixed: the committed goldens and fixtures pin
+/// these bits. Nothing is differentiated: the weights are the only thing
+/// the decorrelation loss learns.
+fn fourier_features_into(
+    z: &[f64],
+    width: usize,
+    cols: &[usize],
+    standardize: bool,
+    rff: &Rff,
+    out: &mut Matrix,
+) {
+    let (n, d) = (out.rows(), cols.len());
+    debug_assert_eq!(out.cols(), rff.num_functions() * d, "one block per Fourier function");
+    if out.cols() == 0 {
+        return;
+    }
+    // Block 0 first holds the (standardised) inputs, one column per pass.
+    let inv_n = 1.0 / n as f64;
+    for (c, &j) in cols.iter().enumerate() {
+        let src = z.iter().skip(j).step_by(width);
+        let dst = out.as_mut_slice().iter_mut().skip(c).step_by(rff.num_functions() * d);
+        if standardize {
+            let mut mean = 0.0;
+            for &v in src.clone() {
+                mean += v;
+            }
+            mean *= inv_n;
+            let mut ss = 0.0;
+            for &v in src.clone() {
+                let dv = v - mean;
+                ss += dv * dv;
+            }
+            let (neg_mean, inv_std) = (-mean, 1.0 / (ss * inv_n).sqrt().max(1e-6));
+            for (o, &v) in dst.zip(src) {
+                *o = (v + neg_mean) * inv_std;
+            }
+        } else {
+            for (o, &v) in dst.zip(src) {
+                *o = v;
+            }
+        }
+    }
+    // Then every other block reads them, and block 0 is mapped last, in
+    // place.
+    let feature = |x: f64, omega: f64, phi: f64| (x * omega + phi).cos() * std::f64::consts::SQRT_2;
+    let mut coefs = rff.omegas.iter().copied().zip(rff.phis.iter().copied());
+    let Some((omega0, phi0)) = coefs.next() else { return };
+    for r in 0..n {
+        let (x, rest) = out.row_mut(r).split_at_mut(d);
+        for (block, (omega, phi)) in rest.chunks_exact_mut(d).zip(coefs.clone()) {
+            for (o, &v) in block.iter_mut().zip(x.iter()) {
+                *o = feature(v, omega, phi);
+            }
+        }
+        for v in x {
+            *v = feature(*v, omega0, phi0);
+        }
     }
 }
 
@@ -251,7 +319,7 @@ pub fn hsic_biased(a: &Matrix, b: &Matrix, sigma_a: f64, sigma_b: f64) -> f64 {
     trace / denom
 }
 
-/// Options for the differentiable decorrelation loss `L_D` (Eq. 10).
+/// Options for the decorrelation loss `L_D` (Eq. 10).
 #[derive(Clone, Copy, Debug)]
 pub struct DecorrelationConfig {
     /// Include the `a = b` self-dependence terms of the literal Eq. 10 sum.
@@ -279,19 +347,17 @@ impl Default for DecorrelationConfig {
 /// the step-invariant pieces alive across steps, so a warmed-up step
 /// allocates nothing in this module:
 ///
-/// * the column-subsample permutation buffer of
-///   [`decorrelation_loss_graph_scratch`], refilled in place with the same
-///   RNG draws as `sample_without_replacement`;
-/// * the Fourier coefficient list;
+/// * the column list of [`decorrelation_loss_graph_scratch`], refilled in
+///   place (a subsample with the same RNG draws as
+///   `sample_without_replacement`);
 /// * one tape per term of [`decorrelation_losses_graph`], reset each step
-///   rather than rebuilt, with that term's own permutation buffer.
+///   rather than rebuilt, with that term's own column list.
 ///
 /// All tensor values flow through pooled graph buffers, so results are
 /// bit-identical with or without a reused scratch.
 #[derive(Default)]
 pub struct HsicScratch {
     perm: Vec<usize>,
-    coefs: Vec<(f64, f64)>,
     terms: Vec<Mutex<TermTape>>,
 }
 
@@ -300,44 +366,49 @@ impl HsicScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Refills the `(omega, phi)` list from `rff`.
-    fn fill_coefs(&mut self, rff: &Rff) {
-        self.coefs.clear();
-        self.coefs.extend(rff.omegas.iter().copied().zip(rff.phis.iter().copied()));
-    }
 }
 
-/// Which columns of a tap a decorrelation term reads, decided (and, when
-/// subsampling, drawn) before the term is built.
-#[derive(Clone, Copy, Debug)]
-enum Columns {
-    /// Fewer than two rows or no columns: the term is the constant zero.
-    Zero,
-    /// Every column.
-    All,
-    /// The first `s` entries of the term's drawn permutation.
-    Sampled(usize),
-}
-
-/// Decides a term's columns for an `n x d_full` tap, drawing the subsample
-/// into `perm` when [`DecorrelationConfig::max_features`] caps the width.
+/// Writes into `perm` the columns of an `n x d_full` tap a decorrelation
+/// term reads: the first `s` entries of a fresh permutation when
+/// [`DecorrelationConfig::max_features`] caps the width at `s`, else every
+/// column in order. Returns how many leading entries of `perm` the term
+/// reads, or `None` when the term is the constant zero: fewer than two rows,
+/// no columns, or one column without the diagonal term.
 fn draw_columns(
     n: usize,
     d_full: usize,
     cfg: &DecorrelationConfig,
     rng: &mut StdRng,
     perm: &mut Vec<usize>,
-) -> Columns {
+) -> Option<usize> {
     if n < 2 || d_full < 1 {
-        return Columns::Zero;
+        return None;
     }
-    match cfg.max_features {
+    let d = match cfg.max_features {
         Some(s) if d_full > s => {
             permutation_into(rng, perm, d_full);
-            Columns::Sampled(s)
+            s
         }
-        _ => Columns::All,
+        _ => {
+            perm.clear();
+            perm.extend(0..d_full);
+            d_full
+        }
+    };
+    let min_width = if cfg.include_diagonal { 1 } else { 2 };
+    (d >= min_width).then_some(d)
+}
+
+/// Panics if `tap` requires gradients: a term reads its tap's values into
+/// constant Fourier features, so a trainable tap would silently lose its
+/// gradient.
+#[track_caller]
+fn assert_frozen_tap(g: &Graph, tap: TensorId) {
+    if g.requires_grad(tap) {
+        // lint: allow(panic) — documented precondition (`# Panics`) of both
+        // entry points: a trainable tap would otherwise lose its gradient
+        // silently.
+        panic!("decorrelation loss: tap {tap:?} requires gradients");
     }
 }
 
@@ -347,8 +418,9 @@ fn draw_columns(
 struct TermTape {
     tape: Graph,
     perm: Vec<usize>,
-    /// `(tap, γ, columns)`, planned on the calling thread before dispatch.
-    plan: Option<(TensorId, f64, Columns)>,
+    /// `(tap, γ, width)`, planned on the calling thread before dispatch;
+    /// `width` is [`draw_columns`]'s.
+    plan: Option<(TensorId, f64, Option<usize>)>,
     /// `(γ · L_D, w leaf feeding div, w leaf feeding sum)` on `tape`.
     built: Option<(TensorId, TensorId, TensorId)>,
 }
@@ -356,31 +428,43 @@ struct TermTape {
 impl TermTape {
     /// Builds `γ · L_D(tap, w)` on this term's tape from the values in `src`
     /// and back-propagates it with seed 1.0.
-    fn build(&mut self, src: &Graph, w: TensorId, coefs: &[(f64, f64)], cfg: &DecorrelationConfig) {
-        let Some((tap, gamma, cols)) = self.plan.take() else { return };
+    fn build(&mut self, src: &Graph, w: TensorId, rff: &Rff, cfg: &DecorrelationConfig) {
+        let Some((tap, gamma, width)) = self.plan.take() else { return };
         let t = &mut self.tape;
         t.reset();
-        let z = t.constant_copied(src.value(tap));
         // One leaf per use of `w`, so each receives exactly one delta.
         let w_sum = t.param_copied(src.value(w));
         let w_div = t.param_copied(src.value(w));
-        let loss = loss_term(t, z, w_sum, w_div, coefs, cfg, cols, &self.perm);
+        let loss = match width {
+            Some(d) => {
+                let (z, cols) = (src.value(tap), &self.perm[..d]);
+                let mut f = t.take_buffer(z.rows(), rff.num_functions() * d);
+                fourier_features_into(z.as_slice(), z.cols(), cols, cfg.standardize, rff, &mut f);
+                let f = t.constant(f);
+                loss_term(t, f, d, w_sum, w_div, cfg)
+            }
+            None => t.scalar_const(0.0),
+        };
         let out = t.scale(loss, gamma);
         t.backward(out);
         self.built = Some((out, w_div, w_sum));
     }
 }
 
-/// Differentiable weighted decorrelation loss `L_D(Z, w)` (Eq. 10):
-/// the sum over feature pairs of `HSIC^w_RFF` between columns of `z`.
+/// Weighted decorrelation loss `L_D(Z, w)` (Eq. 10): the sum over feature
+/// pairs of `HSIC^w_RFF` between columns of `z`.
 ///
 /// `w` is an `n x 1` column of positive sample weights (renormalised
-/// internally, Eq. 9); gradients flow into both `z` and `w`. `rng` drives the
-/// per-call column subsample when [`DecorrelationConfig::max_features`] caps
-/// the width. `scratch` holds the subsample permutation and the Fourier
-/// coefficients; step loops keep one per fit, so a warm step allocates
-/// nothing (a one-off call passes `&mut HsicScratch::new()`).
-#[allow(clippy::too_many_arguments)]
+/// internally, Eq. 9); gradients flow into `w` only. The Fourier features
+/// of `z` enter `g` as a constant, computed off the tape. `rng` drives the
+/// per-call column subsample when [`DecorrelationConfig::max_features`]
+/// caps the width. `scratch` holds the column list; step loops keep one per
+/// fit, so a warm step allocates nothing (a one-off call passes
+/// `&mut HsicScratch::new()`).
+///
+/// # Panics
+/// Panics if `z` requires gradients, which would be silently lost.
+#[track_caller]
 pub fn decorrelation_loss_graph_scratch(
     g: &mut Graph,
     z: TensorId,
@@ -390,10 +474,16 @@ pub fn decorrelation_loss_graph_scratch(
     rng: &mut StdRng,
     scratch: &mut HsicScratch,
 ) -> TensorId {
+    assert_frozen_tap(g, z);
     let (n, d_full) = g.value(z).shape();
-    let cols = draw_columns(n, d_full, cfg, rng, &mut scratch.perm);
-    scratch.fill_coefs(rff);
-    loss_term(g, z, w, w, &scratch.coefs, cfg, cols, &scratch.perm)
+    let Some(d) = draw_columns(n, d_full, cfg, rng, &mut scratch.perm) else {
+        return g.scalar_const(0.0);
+    };
+    let mut f = g.take_buffer(n, rff.num_functions() * d);
+    let zv = g.value(z).as_slice();
+    fourier_features_into(zv, d_full, &scratch.perm[..d], cfg.standardize, rff, &mut f);
+    let f = g.constant(f);
+    loss_term(g, f, d, w, w, cfg)
 }
 
 /// Several weighted decorrelation terms `γ_i · L_D(z_i, w)` at once, the
@@ -418,9 +508,10 @@ pub fn decorrelation_loss_graph_scratch(
 ///   last term first, as it visits the terms on one tape.
 ///
 /// # Panics
-/// Panics if a tap requires gradients: a term tape binds its tap as a
-/// constant, so a trainable tap would silently lose its gradient.
+/// Panics if a tap requires gradients, as
+/// [`decorrelation_loss_graph_scratch`] does.
 #[allow(clippy::too_many_arguments)]
+#[track_caller]
 pub fn decorrelation_losses_graph(
     g: &mut Graph,
     terms: impl IntoIterator<Item = (TensorId, f64)>,
@@ -433,28 +524,23 @@ pub fn decorrelation_losses_graph(
 ) {
     let mut count = 0;
     for (tap, gamma) in terms {
-        if g.requires_grad(tap) {
-            // lint: allow(panic) — documented precondition (`# Panics`): a
-            // trainable tap would otherwise lose its gradient silently.
-            panic!("decorrelation_losses_graph: tap {tap:?} requires gradients");
-        }
+        assert_frozen_tap(g, tap);
         if scratch.terms.len() == count {
             scratch.terms.push(Mutex::default());
         }
         let term = scratch.terms[count].get_mut().unwrap_or_else(PoisonError::into_inner);
         let (n, d_full) = g.value(tap).shape();
-        let cols = draw_columns(n, d_full, cfg, rng, &mut term.perm);
-        term.plan = Some((tap, gamma, cols));
+        let width = draw_columns(n, d_full, cfg, rng, &mut term.perm);
+        term.plan = Some((tap, gamma, width));
         count += 1;
     }
-    scratch.fill_coefs(rff);
 
     // `run_tasks` re-raises a task's panic, and every build resets
     // its tape first, so a guard poisoned by an earlier panic is safe to
     // reuse.
-    let (tapes, coefs, src) = (&scratch.terms[..count], &scratch.coefs[..], &*g);
+    let (tapes, src) = (&scratch.terms[..count], &*g);
     run_tasks(count, Parallelism::global().workers(), &|k| {
-        tapes[k].lock().unwrap_or_else(PoisonError::into_inner).build(src, w, coefs, cfg);
+        tapes[k].lock().unwrap_or_else(PoisonError::into_inner).build(src, w, rff, cfg);
     });
 
     out.clear();
@@ -467,79 +553,19 @@ pub fn decorrelation_losses_graph(
     }
 }
 
-/// Builds one `L_D` term (Eq. 10) on `g` from already-decided columns. `w`
-/// enters twice: `w_sum` is summed into the normaliser and `w_div` divided
-/// by it; pass the same node for both to build on a single tape.
-#[allow(clippy::too_many_arguments)]
+/// Builds one `L_D` term (Eq. 10) on `g` from the constant `n x (k*d)`
+/// Fourier features `f` of its `d` columns; feature `a`'s functions sit at
+/// columns `{a, d+a, ...}`. `w` enters twice: `w_sum` is summed into the
+/// normaliser and `w_div` divided by it; pass the same node for both to
+/// build on a single tape.
 fn loss_term(
     g: &mut Graph,
-    z: TensorId,
+    f: TensorId,
+    d: usize,
     w_sum: TensorId,
     w_div: TensorId,
-    coefs: &[(f64, f64)],
     cfg: &DecorrelationConfig,
-    cols: Columns,
-    perm: &[usize],
 ) -> TensorId {
-    let z = match cols {
-        Columns::Zero => return g.scalar_const(0.0),
-        Columns::All => z,
-        Columns::Sampled(s) => g.gather_cols(z, &perm[..s]),
-    };
-    let (n, d) = g.value(z).shape();
-    if d < 2 && !cfg.include_diagonal {
-        return g.scalar_const(0.0);
-    }
-    // Optional standardisation with batch statistics held constant. The
-    // statistics are computed straight into pooled graph buffers with the
-    // same accumulation order as `mean_axis0` / `std_axis0`.
-    let z = if cfg.standardize {
-        let mut mean = g.take_buffer(1, d);
-        {
-            let zv = g.value(z);
-            mean.fill_with(0.0);
-            for i in 0..n {
-                for (m, &v) in mean.as_mut_slice().iter_mut().zip(zv.row(i)) {
-                    *m += v;
-                }
-            }
-            let inv = 1.0 / n as f64;
-            for m in mean.as_mut_slice() {
-                *m *= inv;
-            }
-        }
-        let mut inv_std = g.take_buffer(1, d);
-        {
-            let zv = g.value(z);
-            inv_std.fill_with(0.0);
-            for i in 0..n {
-                for ((s, &v), &m) in
-                    inv_std.as_mut_slice().iter_mut().zip(zv.row(i)).zip(mean.as_slice())
-                {
-                    let dv = v - m;
-                    *s += dv * dv;
-                }
-            }
-            let inv = 1.0 / n as f64;
-            for s in inv_std.as_mut_slice() {
-                *s = 1.0 / (*s * inv).sqrt().max(1e-6);
-            }
-        }
-        let mean_c = g.constant(mean);
-        let inv_std_c = g.constant(inv_std);
-        let centred = g.sub_row(z, mean_c);
-        g.mul_row(centred, inv_std_c)
-    } else {
-        z
-    };
-
-    // F = [sqrt(2) cos(w_1 z + phi_1) | ... | sqrt(2) cos(w_k z + phi_k)],
-    // shape n x (k*d); feature `a`'s functions sit at columns {a, d+a, ...}.
-    // One fused tape node builds the whole matrix (bit-identical to the
-    // historical per-function scale/add_scalar/cos/scale + concat chain).
-    let sqrt2 = (2.0f64).sqrt();
-    let f = g.rff_features(z, coefs, sqrt2);
-
     // Normalised weights and weighted covariance C = F^T diag(w_hat) F - m m^T.
     let w_total = g.sum(w_sum);
     let w_safe = g.add_scalar(w_total, 1e-12);
@@ -754,31 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_decorrelation_wrt_representation() {
-        use sbrl_tensor::gradcheck::check_gradient;
-        let mut rng = rng_from_seed(9);
-        let rff = Rff::sample(&mut rng, 3);
-        let z0 = randn(&mut rng, 12, 3);
-        let cfg = DecorrelationConfig {
-            include_diagonal: false,
-            standardize: false,
-            max_features: None,
-            normalize: true,
-        };
-        check_gradient(
-            &move |g, z| {
-                let w = g.constant(Matrix::ones(12, 1));
-                let (mut r, mut scratch) = (rng_from_seed(1), HsicScratch::new());
-                decorrelation_loss_graph_scratch(g, z, w, &rff, &cfg, &mut r, &mut scratch)
-            },
-            &z0,
-            1e-5,
-            1e-4,
-        )
-        .unwrap();
-    }
-
-    #[test]
     fn gradcheck_decorrelation_wrt_weights() {
         use sbrl_tensor::gradcheck::check_gradient;
         let mut rng = rng_from_seed(10);
@@ -824,17 +825,25 @@ mod tests {
         assert_ne!(g.scalar(loss), g.scalar(loss2), "subsampling should vary across draws");
     }
 
+    /// Both entry points refuse a trainable tap: its features enter the
+    /// tape as a constant, so its gradient would be lost.
     #[test]
     #[should_panic(expected = "requires gradients")]
     fn multi_term_losses_reject_a_trainable_tap() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let mut rng = rng_from_seed(12);
         let rff = Rff::sample(&mut rng, 3);
         let mut g = Graph::new();
         let z = g.param(randn(&mut rng, 8, 3));
         let w = g.param(Matrix::ones(8, 1));
-        let mut out = Vec::new();
         let cfg = DecorrelationConfig::default();
         let mut scratch = HsicScratch::new();
+        let single = catch_unwind(AssertUnwindSafe(|| {
+            decorrelation_loss_graph_scratch(&mut g, z, w, &rff, &cfg, &mut rng, &mut scratch)
+        }));
+        let message = single.unwrap_err().downcast::<String>();
+        assert!(message.is_ok_and(|m| m.contains("requires gradients")), "single-term entry");
+        let mut out = Vec::new();
         decorrelation_losses_graph(
             &mut g,
             [(z, 1.0)],
@@ -845,5 +854,65 @@ mod tests {
             &mut scratch,
             &mut out,
         );
+    }
+
+    /// The feature kernel reproduces, bit for bit, the per-element formula
+    /// spelled with `Matrix` reductions: `x = (z + (-mean)) * (1 / max(std,
+    /// 1e-6))` per selected column when standardising, then block `i` is
+    /// `cos(x * w_i + phi_i) * sqrt(2)`.
+    #[test]
+    fn fourier_features_match_the_per_element_formula() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(std::f64::consts::SQRT_2.to_bits(), 2.0f64.sqrt().to_bits());
+        let mut rng = rng_from_seed(13);
+        for (n, d_full) in [(2, 1), (5, 4), (9, 7)] {
+            // Offset, scaled columns, so standardising changes every value.
+            let z = randn(&mut rng, n, d_full).map(|v| 3.0 * v + 1.5);
+            let all: Vec<usize> = (0..d_full).collect();
+            let mut sampled = Vec::new();
+            permutation_into(&mut rng, &mut sampled, d_full);
+            sampled.truncate(d_full.div_ceil(2));
+            for k in [1, 3] {
+                let rff = Rff::sample(&mut rng, k);
+                for cols in [&all, &sampled] {
+                    for standardize in [false, true] {
+                        let d = cols.len();
+                        let x = z.select_cols(cols);
+                        let x = if standardize {
+                            let mean = x.mean_axis0();
+                            let std = x.std_axis0();
+                            Matrix::from_fn(n, d, |r, c| {
+                                (x[(r, c)] + -mean[(0, c)]) * (1.0 / std[(0, c)].max(1e-6))
+                            })
+                        } else {
+                            x
+                        };
+                        let want = Matrix::from_fn(n, k * d, |r, p| {
+                            let (i, c) = (p / d, p % d);
+                            (x[(r, c)] * rff.omegas[i] + rff.phis[i]).cos()
+                                * std::f64::consts::SQRT_2
+                        });
+                        let mut got = Matrix::full(n, k * d, f64::NAN);
+                        fourier_features_into(
+                            z.as_slice(),
+                            d_full,
+                            cols,
+                            standardize,
+                            &rff,
+                            &mut got,
+                        );
+                        let case = format!("n={n} cols={cols:?} k={k} standardize={standardize}");
+                        assert_eq!(bits(&got), bits(&want), "{case}");
+                    }
+                }
+                // The plain path's feature map is the same kernel on one
+                // raw column.
+                let column: Vec<f64> = (0..n).map(|r| z[(r, 0)]).collect();
+                let want = Matrix::from_fn(n, k, |r, i| {
+                    (column[r] * rff.omegas[i] + rff.phis[i]).cos() * std::f64::consts::SQRT_2
+                });
+                assert_eq!(bits(&rff.feature_map(&column)), bits(&want));
+            }
+        }
     }
 }

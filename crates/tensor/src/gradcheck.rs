@@ -131,7 +131,6 @@ mod tests {
         let y = randn(&mut rng, 3, 4);
         check(&|g, a| { let t = g.relu(a); g.sumsq(t) }, &y.map(|v| v + 0.5 * v.signum()));
         check(&|g, a| { let t = g.exp(a); g.sum(t) }, &y);
-        check(&|g, a| { let t = g.cos(a); g.sum(t) }, &y);
         check(&|g, a| { let t = g.sigmoid(a); g.sum(t) }, &y);
         check(&|g, a| { let t = g.softplus(a); g.sum(t) }, &y);
         check(&|g, a| { let t = g.square(a); g.sum(t) }, &y);
@@ -205,13 +204,6 @@ mod tests {
             },
             &x,
         );
-        check(
-            &|g, a| {
-                let gth = g.gather_cols(a, &[2, 0, 2]);
-                g.sumsq(gth)
-            },
-            &x,
-        );
         let other = randn(&mut rng, 5, 2);
         check(
             &move |g, a| {
@@ -253,12 +245,6 @@ mod tests {
     #[rustfmt::skip]
     fn grad_of_fused_hsic_ops() {
         let mut rng = rng_from_seed(109);
-        let z = randn(&mut rng, 5, 2);
-        let coefs = [(0.7, 0.3), (-1.2, 2.0), (0.4, -1.1)];
-        // Sole consumer (one folded delta), then with `z` already holding a
-        // gradient from a later node (per-block deltas).
-        check(&|g, a| { let f = g.rff_features(a, &coefs, 0.5); g.sumsq(f) }, &z);
-        check(&|g, a| { let f = g.rff_features(a, &coefs, 0.5); let s = g.sumsq(f); let t = g.sumsq(a); g.add(s, t) }, &z);
         let k = randn(&mut rng, 6, 6);
         check(&|g, a| g.block_masked_sumsq(a, 3, true), &k);
         check(&|g, a| g.block_masked_sumsq(a, 3, false), &k);

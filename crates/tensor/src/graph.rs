@@ -8,10 +8,8 @@
 //! batch normalisation, the weighted factual losses, the weighted integral
 //! probability metrics (including a differentiable Sinkhorn loop), the
 //! weighted HSIC-RFF decorrelation penalty and the weight anchor `R_w`.
-//! [`Graph::cos`] is the one exception: no loss builds it, but with
-//! [`Graph::scale`], [`Graph::add_scalar`] and [`Graph::concat_cols`] it
-//! spells the unfused reference that [`Graph::rff_features`] is held to bit
-//! for bit.
+//! That penalty learns only the sample weights, so its Fourier feature map
+//! is not an op: it is computed off the tape and enters it as a constant.
 //!
 //! The tape is **reusable**: [`Graph::reset`] clears the recorded nodes but
 //! parks every value/gradient buffer in an internal shape-keyed
@@ -48,13 +46,10 @@ use crate::pool::BufferPool;
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct TensorId(pub(crate) usize);
 
-/// The primitive operations the tape understands (37 variants). The
-/// training losses and the layers they train record every variant except
-/// [`Op::Cos`], which with [`Op::Scale`], [`Op::AddScalar`] and
-/// [`Op::ConcatCols`] spells the reference [`Op::RffFeatures`] is tested
-/// against. The composite builders ([`Graph::sub_row`], [`Graph::div_row`],
-/// [`Graph::div_col`], [`Graph::sq_dist`]) record existing ops and add
-/// none.
+/// The primitive operations the tape understands (34 variants), each
+/// recorded by the training losses or the layers they train. The composite
+/// builders ([`Graph::sub_row`], [`Graph::div_row`], [`Graph::div_col`],
+/// [`Graph::sq_dist`]) record existing ops and add none.
 ///
 /// Gather ops reference index lists interned in the graph's arena (see
 /// [`Graph::intern_indices`]) so that recording them is allocation-free on a
@@ -80,7 +75,6 @@ pub(crate) enum Op {
     Neg(TensorId),
     Exp(TensorId),
     Sqrt(TensorId),
-    Cos(TensorId),
     Sigmoid(TensorId),
     Softplus(TensorId),
     Relu(TensorId),
@@ -103,16 +97,7 @@ pub(crate) enum Op {
     /// Row gather (indices may repeat); backward scatter-adds. The second
     /// field indexes the graph's interned index-list arena.
     GatherRows(TensorId, usize),
-    /// Column gather (indices may repeat); backward scatter-adds.
-    GatherCols(TensorId, usize),
     ConcatCols(TensorId, TensorId),
-    /// Full random-Fourier feature matrix `[s cos(w_1 z + p_1) | ... |
-    /// s cos(w_k z + p_k)]` built in one pass — the fused form of `k`
-    /// `scale`/`add_scalar`/`cos`/`scale` blocks plus the left-nested
-    /// `concat_cols` chain, with identical per-element arithmetic and
-    /// gradient accumulation order. Fields:
-    /// `(input, coefficient-list id, post_scale)`.
-    RffFeatures(TensorId, usize, f64),
     /// Sum of squares of all elements -> `1 x 1` (fused `square` + `sum`).
     SumSq(TensorId),
     /// Block-masked sum of squares over a `kd x kd` matrix -> `1 x 1`:
@@ -150,9 +135,6 @@ pub struct Graph {
     /// Index lists referenced by gather ops, recycled across resets.
     idx_lists: Vec<Vec<usize>>,
     free_idx_lists: Vec<Vec<usize>>,
-    /// `(omega, phi)` lists referenced by [`Op::RffFeatures`] nodes.
-    coef_lists: Vec<Vec<(f64, f64)>>,
-    free_coef_lists: Vec<Vec<(f64, f64)>>,
     /// Recycled `Vec<TensorId>` scratch buffers (layer-tap lists etc.).
     free_id_bufs: Vec<Vec<TensorId>>,
     /// `(target, gradient)` lists referenced by [`Op::Replay`] nodes; the
@@ -187,10 +169,6 @@ impl Graph {
         for mut list in self.idx_lists.drain(..) {
             list.clear();
             self.free_idx_lists.push(list);
-        }
-        for mut list in self.coef_lists.drain(..) {
-            list.clear();
-            self.free_coef_lists.push(list);
         }
         for mut list in self.replay_lists.drain(..) {
             for (_, delta) in list.drain(..) {
@@ -236,15 +214,6 @@ impl Graph {
         list.extend_from_slice(idx);
         self.idx_lists.push(list);
         self.idx_lists.len() - 1
-    }
-
-    /// Interns an `(omega, phi)` coefficient list and returns its slot.
-    fn intern_coefs(&mut self, coefs: &[(f64, f64)]) -> usize {
-        let mut list = self.free_coef_lists.pop().unwrap_or_default();
-        list.clear();
-        list.extend_from_slice(coefs);
-        self.coef_lists.push(list);
-        self.coef_lists.len() - 1
     }
 
     /// Pool buffer shaped like an existing node's value.
@@ -515,11 +484,6 @@ impl Graph {
         self.unary_map(a, Op::Sqrt(a), f64::sqrt)
     }
 
-    /// Elementwise cosine.
-    pub fn cos(&mut self, a: TensorId) -> TensorId {
-        self.unary_map(a, Op::Cos(a), f64::cos)
-    }
-
     /// Elementwise logistic sigmoid (numerically stable).
     pub fn sigmoid(&mut self, a: TensorId) -> TensorId {
         self.unary_map(a, Op::Sigmoid(a), stable_sigmoid)
@@ -561,36 +525,6 @@ impl Graph {
     /// Adds the constant `s` to every element.
     pub fn add_scalar(&mut self, a: TensorId, s: f64) -> TensorId {
         self.unary_map(a, Op::AddScalar(a), |x| x + s)
-    }
-
-    /// Full random-Fourier feature matrix: for an `n x d` input and `k`
-    /// coefficient pairs, the `n x (k*d)` matrix whose block `i` is
-    /// `post_scale * cos(omega_i * z + phi_i)` — one tape node instead of
-    /// `k` `scale`/`add_scalar`/`cos`/`scale` blocks chained through
-    /// [`Graph::concat_cols`], with identical values and gradients.
-    ///
-    /// # Panics
-    /// Panics if `coefs` is empty.
-    #[track_caller]
-    pub fn rff_features(&mut self, a: TensorId, coefs: &[(f64, f64)], post_scale: f64) -> TensorId {
-        assert!(!coefs.is_empty(), "rff_features: need at least one (omega, phi) pair");
-        let (n, d) = self.nodes[a.0].value.shape();
-        let k = coefs.len();
-        let mut v = self.pool.take(n, k * d);
-        {
-            let av = &self.nodes[a.0].value;
-            for r in 0..n {
-                let src = av.row(r);
-                let dst = v.row_mut(r);
-                for (i, &(omega, phi)) in coefs.iter().enumerate() {
-                    for (o, &x) in dst[i * d..(i + 1) * d].iter_mut().zip(src) {
-                        *o = (x * omega + phi).cos() * post_scale;
-                    }
-                }
-            }
-        }
-        let list = self.intern_coefs(coefs);
-        self.unary(a, v, Op::RffFeatures(a, list, post_scale))
     }
 
     // ----- reductions ---------------------------------------------------------
@@ -664,22 +598,6 @@ impl Graph {
         }
         let list = self.intern_indices(idx);
         self.unary(a, v, Op::GatherRows(a, list))
-    }
-
-    /// Gathers the listed columns (indices may repeat).
-    #[track_caller]
-    pub fn gather_cols(&mut self, a: TensorId, idx: &[usize]) -> TensorId {
-        let (rows, cols) = self.nodes[a.0].value.shape();
-        let mut v = self.pool.take(rows, idx.len());
-        let av = &self.nodes[a.0].value;
-        for (k, &j) in idx.iter().enumerate() {
-            assert!(j < cols, "gather_cols: index {j} out of bounds ({cols} cols)");
-            for i in 0..rows {
-                v[(i, k)] = av[(i, j)];
-            }
-        }
-        let list = self.intern_indices(idx);
-        self.unary(a, v, Op::GatherCols(a, list))
     }
 
     /// Horizontal concatenation `[a | b]`.
@@ -1073,13 +991,6 @@ impl Graph {
                     self.accumulate(a, d);
                 }
             }
-            Op::Cos(a) => {
-                if self.requires(a) {
-                    let mut d = self.take_like_grad(g);
-                    d.fill_zip(g, &self.nodes[a.0].value, |gv, x| -gv * x.sin());
-                    self.accumulate(a, d);
-                }
-            }
             Op::Sigmoid(a) => {
                 if self.requires(a) {
                     let mut d = self.take_like_grad(g);
@@ -1207,18 +1118,6 @@ impl Graph {
                     self.accumulate(a, d);
                 }
             }
-            Op::GatherCols(a, list) => {
-                if self.requires(a) {
-                    let (r, c) = self.nodes[a.0].value.shape();
-                    let mut d = self.pool.take_zeroed(r, c);
-                    for (k, &src) in self.idx_lists[list].iter().enumerate() {
-                        for row in 0..r {
-                            d[(row, src)] += g[(row, k)];
-                        }
-                    }
-                    self.accumulate(a, d);
-                }
-            }
             Op::ConcatCols(a, b) => {
                 let ac = self.nodes[a.0].value.cols();
                 let total = g.cols();
@@ -1229,66 +1128,6 @@ impl Graph {
                 if self.requires(b) {
                     let d = slice_cols_of(&mut self.pool, g, ac, total);
                     self.accumulate(b, d);
-                }
-            }
-            Op::RffFeatures(a, list, post_scale) => {
-                if self.requires(a) {
-                    // The historical chain accumulated one delta per block
-                    // into the input's gradient in descending block order
-                    // (reverse tape order). When the gradient slot is still
-                    // empty that chain is `t_{k-1} + t_{k-2} + ...` and can
-                    // be folded in one pass; when another consumer already
-                    // stored a gradient, the chain's per-block add_assigns
-                    // must be replayed verbatim to keep the association —
-                    // and therefore the bits — identical.
-                    let (n, d) = self.nodes[a.0].value.shape();
-                    if self.nodes[a.0].grad.is_none() {
-                        let mut delta = self.pool.take(n, d);
-                        {
-                            let av = &self.nodes[a.0].value;
-                            let coefs = &self.coef_lists[list];
-                            for r in 0..n {
-                                let src = av.row(r);
-                                let grow = g.row(r);
-                                let drow = delta.row_mut(r);
-                                for (c, (o, &x)) in drow.iter_mut().zip(src).enumerate() {
-                                    let mut acc = 0.0;
-                                    for (i, &(omega, phi)) in coefs.iter().enumerate().rev() {
-                                        let gv = grow[i * d + c];
-                                        let t = gv * post_scale;
-                                        let term = (-t * (x * omega + phi).sin()) * omega;
-                                        if i + 1 == coefs.len() {
-                                            acc = term;
-                                        } else {
-                                            acc += term;
-                                        }
-                                    }
-                                    *o = acc;
-                                }
-                            }
-                        }
-                        self.accumulate(a, delta);
-                    } else {
-                        let k = self.coef_lists[list].len();
-                        for i in (0..k).rev() {
-                            let (omega, phi) = self.coef_lists[list][i];
-                            let mut delta = self.pool.take(n, d);
-                            {
-                                let av = &self.nodes[a.0].value;
-                                for r in 0..n {
-                                    let src = av.row(r);
-                                    let grow = &g.row(r)[i * d..(i + 1) * d];
-                                    for ((o, &x), &gv) in
-                                        delta.row_mut(r).iter_mut().zip(src).zip(grow)
-                                    {
-                                        let t = gv * post_scale;
-                                        *o = (-t * (x * omega + phi).sin()) * omega;
-                                    }
-                                }
-                            }
-                            self.accumulate(a, delta);
-                        }
-                    }
                 }
             }
             Op::SumSq(a) => {
@@ -1542,7 +1381,8 @@ mod tests {
         let a = g.param(Matrix::ones(2, 2));
         let b = g.param(Matrix::ones(2, 3));
         let cat = g.concat_cols(a, b);
-        let sl = g.gather_cols(cat, &[1, 2, 3]); // one col of a, two cols of b
+        let cat_t = g.transpose(cat);
+        let sl = g.gather_rows(cat_t, &[1, 2, 3]); // one col of a, two cols of b
         let loss = g.sum(sl);
         g.backward(loss);
         assert!(g
@@ -1579,7 +1419,8 @@ mod tests {
         let t = g.sigmoid(y);
         let gathered = g.gather_rows(t, &[0, 2, 2, 3]);
         let cat = g.concat_cols(t, y);
-        let sl = g.gather_cols(cat, &[1, 2]);
+        let cat_t = g.transpose(cat);
+        let sl = g.gather_rows(cat_t, &[1, 2]);
         let s1 = g.sumsq(gathered);
         let s2 = g.sumsq(sl);
         let loss = g.add(s1, s2);
