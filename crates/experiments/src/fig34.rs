@@ -11,7 +11,7 @@ use sbrl_metrics::{env_aggregate, Evaluation};
 
 use crate::methods::MethodSpec;
 use crate::presets::paper_syn_16_16_16_2;
-use crate::report::{fmt_mean_std, fmt_num, render_table, results_dir, write_tsv};
+use crate::report::{fmt_mean_std, fmt_opt, render_table, save_table};
 use crate::runner::{run_synthetic_sweep, FitNotes, MethodEnvResults, SyntheticExperiment};
 use crate::scale::Scale;
 
@@ -21,7 +21,10 @@ pub fn experiment(scale: Scale) -> SyntheticExperiment {
     SyntheticExperiment::paper_sweep(SyntheticConfig::syn_16_16_16_2(), preset, scale)
 }
 
-/// Per-method series of one metric across environments (a "figure" as rows).
+/// Per-method series of one metric across environments (a "figure" as rows),
+/// with the mean and std of the method's environment means. An environment
+/// where every replication failed is left out of them; a method with none
+/// left renders `n/a`.
 pub fn series_block(
     rhos: &[f64],
     results: &[MethodEnvResults],
@@ -35,17 +38,18 @@ pub fn series_block(
     for r in results {
         let mut row = vec![r.method.clone()];
         row.extend((0..rhos.len()).map(|env| fmt_mean_std(&r.metric(env, metric))));
-        let env_means: Vec<f64> = (0..rhos.len()).map(|env| r.mean(env, metric)).collect();
-        let agg = env_aggregate(&env_means);
-        row.push(fmt_num(agg.mean));
-        row.push(fmt_num(agg.std));
+        let env_means: Vec<f64> = (0..rhos.len()).filter_map(|env| r.mean(env, metric)).collect();
+        let agg = (!env_means.is_empty()).then(|| env_aggregate(&env_means));
+        row.push(fmt_opt(agg.map(|a| a.mean)));
+        row.push(fmt_opt(agg.map(|a| a.std)));
         rows.push(row);
     }
     (header, rows)
 }
 
 /// The paper's headline degradation statistic (footnote 2 of Sec. V-D):
-/// `(metric(ρ=-3) - metric(ρ=2.5)) / metric(ρ=2.5)` per method.
+/// `(metric(ρ=-3) - metric(ρ=2.5)) / metric(ρ=2.5)` per method; `n/a`
+/// where every replication of either environment failed.
 pub fn degradation_block(
     rhos: &[f64],
     results: &[MethodEnvResults],
@@ -62,12 +66,11 @@ pub fn degradation_block(
         for r in results {
             let base = r.mean(id_train, |e| e.pehe);
             let far = r.mean(id_far, |e| e.pehe);
-            rows.push(vec![
-                r.method.clone(),
-                fmt_num(base),
-                fmt_num(far),
-                format!("{:+.1}%", 100.0 * (far - base) / base.max(1e-12)),
-            ]);
+            let decrease = base.zip(far).map_or_else(
+                || "n/a".to_string(),
+                |(base, far)| format!("{:+.1}%", 100.0 * (far - base) / base.max(1e-12)),
+            );
+            rows.push(vec![r.method.clone(), fmt_opt(base), fmt_opt(far), decrease]);
         }
     }
     (header, rows)
@@ -83,34 +86,32 @@ pub fn run(scale: Scale) -> String {
 
 /// Renders from precomputed results (shared with the bench harness).
 pub fn render(exp: &SyntheticExperiment, results: &[MethodEnvResults], scale: Scale) -> String {
-    let mut out = String::new();
-
     let (h3, r3) = series_block(&exp.test_rhos, results, |e| e.pehe);
-    out.push_str(&render_table(
+    let mut out = save_table(
         &format!("Fig. 3 — PEHE vs rho on Syn_16_16_16_2, scale {}", scale.name()),
+        "fig3_pehe.tsv",
         &h3,
         &r3,
-    ));
-    write_tsv(results_dir().join("fig3_pehe.tsv"), &h3, &r3).ok();
+    );
 
     let (hd, rd) = degradation_block(&exp.test_rhos, results);
     out.push_str(&render_table("Fig. 3 companion — OOD performance decrease", &hd, &rd));
 
     let (h4f, r4f) = series_block(&exp.test_rhos, results, |e| e.factual_score);
-    out.push_str(&render_table(
+    out.push_str(&save_table(
         &format!("Fig. 4a — factual F1 vs rho, scale {}", scale.name()),
+        "fig4_factual_f1.tsv",
         &h4f,
         &r4f,
     ));
-    write_tsv(results_dir().join("fig4_factual_f1.tsv"), &h4f, &r4f).ok();
 
     let (h4c, r4c) = series_block(&exp.test_rhos, results, |e| e.counterfactual_score);
-    out.push_str(&render_table(
+    out.push_str(&save_table(
         &format!("Fig. 4b — counterfactual F1 vs rho, scale {}", scale.name()),
+        "fig4_counterfactual_f1.tsv",
         &h4c,
         &r4c,
     ));
-    write_tsv(results_dir().join("fig4_counterfactual_f1.tsv"), &h4c, &r4c).ok();
     out.push_str(&FitNotes::of_sweep(results).render());
     out
 }
@@ -149,6 +150,30 @@ mod tests {
         assert_eq!(rows.len(), 1);
         // (0.7 - 0.4)/0.4 = +75%
         assert_eq!(rows[0][3], "+75.0%");
+    }
+
+    #[test]
+    fn failed_cells_are_left_out_not_read_as_zero() {
+        let eval = |pehe: f64| Evaluation { pehe, ..Default::default() };
+        let mut results = fake();
+        // Every replication of the far environment failed.
+        results.push(MethodEnvResults {
+            method: "TARNet".into(),
+            per_env: vec![vec![eval(0.4)], Vec::new()],
+            ..MethodEnvResults::default()
+        });
+        // Every replication failed.
+        results.push(MethodEnvResults {
+            method: "DeR-CFR".into(),
+            per_env: vec![Vec::new(), Vec::new()],
+            ..MethodEnvResults::default()
+        });
+        let (_, rows) = series_block(&[2.5, -3.0], &results, |e| e.pehe);
+        assert_eq!(rows[1][1..], ["0.400±0.000", "n/a", "0.400", "0.000"]);
+        assert_eq!(rows[2][1..], ["n/a", "n/a", "n/a", "n/a"]);
+        let (_, rows) = degradation_block(&[2.5, -3.0], &results);
+        assert_eq!(rows[1][1..], ["0.400", "n/a", "n/a"]);
+        assert_eq!(rows[2][1..], ["n/a", "n/a", "n/a"]);
     }
 
     #[test]

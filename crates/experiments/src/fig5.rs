@@ -15,7 +15,7 @@ use sbrl_tensor::Matrix;
 
 use crate::methods::{BackboneKind, MethodSpec};
 use crate::presets::paper_syn_16_16_16_2;
-use crate::report::{fmt_num, render_table, results_dir, write_tsv};
+use crate::report::{fmt_num, save_table};
 use crate::runner::{fit_method, fit_noted, FitNotes};
 use crate::scale::Scale;
 
@@ -96,12 +96,12 @@ pub fn run(scale: Scale) -> String {
     let header = vec!["Method".to_string(), "avg HSIC_RFF".to_string()];
     let rows: Vec<Vec<String>> =
         results.iter().map(|r| vec![r.method.clone(), fmt_num(r.mean_hsic)]).collect();
-    let mut out = render_table(
+    let mut out = save_table(
         &format!("Fig. 5 — representation decorrelation, scale {}", scale.name()),
+        "fig5_hsic.tsv",
         &header,
         &rows,
     );
-    write_tsv(results_dir().join("fig5_hsic.tsv"), &header, &rows).ok();
     out.push_str(&notes.render());
     for r in &results {
         out.push_str(&format!(

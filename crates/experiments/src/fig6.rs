@@ -6,30 +6,20 @@
 //! environment (`ρ = 2.5`) and the factual F1 score on the far OOD
 //! environment (`ρ = −3`).
 
+use std::borrow::Cow;
+
 use sbrl_core::Framework;
 use sbrl_data::{SyntheticConfig, SyntheticProcess};
 
-use crate::methods::{BackboneKind, MethodSpec};
+use crate::methods::{BackboneKind, ExperimentPreset, MethodSpec};
 use crate::presets::paper_syn_16_16_16_2;
-use crate::report::{fmt_num, render_table, results_dir, write_tsv};
-use crate::runner::{fit_method, fit_noted, FitNotes};
+use crate::report::{fmt_num, save_table};
+use crate::runner::{fit_method, fit_noted, run_grid, FitNotes};
 use crate::scale::Scale;
+use crate::table2::ID_OOD_RHOS;
 
 /// The sweep values of Fig. 6.
 pub const SWEEP: [f64; 6] = [0.0, 0.01, 0.1, 1.0, 10.0, 100.0];
-
-/// One sweep point result.
-#[derive(Clone, Debug)]
-pub struct SweepPoint {
-    /// Which coefficient was swept (1, 2 or 3).
-    pub gamma_index: usize,
-    /// The coefficient value.
-    pub value: f64,
-    /// PEHE at `ρ = 2.5`.
-    pub pehe_id: f64,
-    /// Factual F1 at `ρ = −3`.
-    pub f1_ood: f64,
-}
 
 /// Enumerates `(gamma_index, gammas)` combinations for the sweep.
 pub fn sweep_grid(optimum: (f64, f64, f64)) -> Vec<(usize, f64, (f64, f64, f64))> {
@@ -48,54 +38,42 @@ pub fn sweep_grid(optimum: (f64, f64, f64)) -> Vec<(usize, f64, (f64, f64, f64))
     grid
 }
 
-/// Runs the sweep and returns the points; failed sweep points are skipped,
-/// and the notes record them and the points recovered by reseeded retries.
-pub fn analyse(scale: Scale) -> (Vec<SweepPoint>, FitNotes) {
+/// Runs Fig. 6 and renders the report: one fit per sweep point, scored on
+/// the ID and the far OOD environment. Failed sweep points are left out of
+/// the table; the notes record them and the points recovered by reseeded
+/// retries.
+pub fn run(scale: Scale) -> String {
     let base_preset = scale.preset(paper_syn_16_16_16_2());
     let (n_train, n_val, n_test) = scale.synthetic_samples();
-    let process = SyntheticProcess::new(SyntheticConfig::syn_16_16_16_2(), 9);
-    let train_data = process.generate(2.5, n_train, 0);
-    let val_data = process.generate(2.5, n_val, 1);
-    let test_id = process.generate(2.5, n_test, 2);
-    let test_ood = process.generate(-3.0, n_test, 3);
     let spec = MethodSpec { backbone: BackboneKind::Cfr, framework: Framework::SbrlHap };
+    let points = sweep_grid(base_preset.gammas);
+    let arms: Vec<String> =
+        points.iter().map(|(idx, value, _)| format!("sweep point gamma{idx} = {value}")).collect();
+    let results = run_grid(
+        &arms,
+        1,
+        ID_OOD_RHOS.len(),
+        |msg| eprintln!("[fig6] {msg}"),
+        |_| {
+            let process = SyntheticProcess::new(SyntheticConfig::syn_16_16_16_2(), 9);
+            let train_data = process.generate(2.5, n_train, 0);
+            let val_data = process.generate(2.5, n_val, 1);
+            let fits = points
+                .iter()
+                .zip(&arms)
+                .map(|(&(idx, _, gammas), label)| {
+                    let preset = ExperimentPreset { gammas, ..base_preset };
+                    let train_cfg = scale.train_config(preset.lr, preset.l2, (idx * 17) as u64);
+                    fit_noted(label, &train_cfg, |cfg| {
+                        fit_method(spec, &preset, &train_data, &val_data, cfg)
+                    })
+                })
+                .collect();
+            (process, fits)
+        },
+        |_, k, process| Cow::Owned(process.generate(ID_OOD_RHOS[k], n_test, 2 + k as u64)),
+    );
 
-    let mut notes = FitNotes::default();
-    let points = sweep_grid(base_preset.gammas)
-        .into_iter()
-        .filter_map(|(idx, value, gammas)| {
-            let preset = crate::methods::ExperimentPreset { gammas, ..base_preset };
-            let train_cfg = scale.train_config(preset.lr, preset.l2, (idx * 17) as u64);
-            let label = format!("sweep point gamma{idx} = {value}");
-            let fitted = notes.keep(
-                "fig6",
-                fit_noted(&label, &train_cfg, |cfg| {
-                    fit_method(spec, &preset, &train_data, &val_data, cfg)
-                }),
-            )?;
-            // lint: allow(panic) — simulator splits always carry the oracle;
-            // a miss is a generator bug that must stop the sweep loudly.
-            let id = fitted.evaluate(&test_id).expect("oracle");
-            // lint: allow(panic) — as above.
-            let ood = fitted.evaluate(&test_ood).expect("oracle");
-            eprintln!(
-                "[fig6] gamma{idx} = {value}: PEHE_id {:.3}, F1_ood {:.3}",
-                id.pehe, ood.factual_score
-            );
-            Some(SweepPoint {
-                gamma_index: idx,
-                value,
-                pehe_id: id.pehe,
-                f1_ood: ood.factual_score,
-            })
-        })
-        .collect();
-    (points, notes)
-}
-
-/// Runs Fig. 6 and renders the report.
-pub fn run(scale: Scale) -> String {
-    let (points, notes) = analyse(scale);
     let header = vec![
         "Coefficient".to_string(),
         "Value".into(),
@@ -104,22 +82,24 @@ pub fn run(scale: Scale) -> String {
     ];
     let rows: Vec<Vec<String>> = points
         .iter()
-        .map(|p| {
-            vec![
-                format!("gamma{}", p.gamma_index),
-                format!("{}", p.value),
-                fmt_num(p.pehe_id),
-                fmt_num(p.f1_ood),
-            ]
+        .zip(&results)
+        .filter_map(|((idx, value, _), r)| {
+            let (id, ood) = (r.per_env[0].first()?, r.per_env[1].first()?);
+            Some(vec![
+                format!("gamma{idx}"),
+                format!("{value}"),
+                fmt_num(id.pehe),
+                fmt_num(ood.factual_score),
+            ])
         })
         .collect();
-    let mut out = render_table(
+    let mut out = save_table(
         &format!("Fig. 6 — gamma sensitivity (CFR+SBRL-HAP), scale {}", scale.name()),
+        "fig6_gamma_sensitivity.tsv",
         &header,
         &rows,
     );
-    write_tsv(results_dir().join("fig6_gamma_sensitivity.tsv"), &header, &rows).ok();
-    out.push_str(&notes.render());
+    out.push_str(&FitNotes::of_sweep(&results).render());
     out
 }
 

@@ -7,7 +7,7 @@
 //! | Artefact | Module | Binary |
 //! |----------|--------|--------|
 //! | Table I  | [`table1`] | `table1` |
-//! | Fig. 3 & Fig. 4 | [`fig34`] | `fig3`, `fig4` |
+//! | Fig. 3 & Fig. 4 | [`fig34`] | `fig3` |
 //! | Fig. 5   | [`fig5`] | `fig5` |
 //! | Table II | [`table2`] | `table2_ablation` |
 //! | Table III| [`table3`] | `table3_realworld` |

@@ -22,6 +22,12 @@ pub fn fmt_num(v: f64) -> String {
     format!("{v:.3}")
 }
 
+/// Formats a number cell that may be empty (every replication failed) as
+/// `n/a`, like [`fmt_mean_std`].
+pub fn fmt_opt(v: Option<f64>) -> String {
+    v.map_or_else(|| "n/a".to_string(), fmt_num)
+}
+
 /// Renders a markdown table with a title.
 pub fn render_table(title: &str, header: &[String], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(String::len).collect();
@@ -47,6 +53,17 @@ pub fn render_table(title: &str, header: &[String], rows: &[Vec<String>]) -> Str
         out.push('\n');
     }
     out
+}
+
+/// Renders a titled table and persists its rows as `results/<file>`. A TSV
+/// that cannot be written is reported on stderr with its path; the table
+/// is returned either way.
+pub fn save_table(title: &str, file: &str, header: &[String], rows: &[Vec<String>]) -> String {
+    let path = results_dir().join(file);
+    if let Err(e) = write_tsv(&path, header, rows) {
+        eprintln!("warning: could not write {}: {e}", path.display());
+    }
+    render_table(title, header, rows)
 }
 
 /// Writes a TSV file (creating parent directories) alongside the rendered
@@ -91,6 +108,8 @@ mod tests {
         assert_eq!(fmt_mean_std(&[1.0, 3.0]), "2.000±1.000");
         assert_eq!(fmt_mean_std(&[]), "n/a");
         assert_eq!(fmt_num(0.12345), "0.123");
+        assert_eq!(fmt_opt(Some(0.12345)), "0.123");
+        assert_eq!(fmt_opt(None), "n/a");
     }
 
     #[test]

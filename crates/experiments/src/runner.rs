@@ -1,7 +1,10 @@
-//! Shared experiment execution: fit one method on one split, and run the
-//! full method grid over synthetic environment sweeps with replications.
+//! Shared experiment execution: fit one method on one split, and the one
+//! fit grid (replications × arms, each fit scored on its replication's
+//! scoring sets) that every table and figure with held-out scores runs on.
 
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError, RwLock};
 
 use sbrl_core::{Estimator, FittedModel, SbrlError, TrainConfig};
 use sbrl_data::{CausalDataset, SyntheticConfig, SyntheticProcess};
@@ -197,15 +200,16 @@ impl SyntheticExperiment {
     }
 }
 
-/// Evaluations of one method across environments, accumulated over
-/// replications: `per_env[env_index][replication]`.
+/// Evaluations of one arm of a grid (a method, an ablation row, a sweep
+/// point) on each scoring set (a sweep's test environments, or folds),
+/// accumulated over replications: `per_env[set][replication]`.
 #[derive(Clone, Debug, Default)]
 pub struct MethodEnvResults {
-    /// Method label.
+    /// Arm label.
     pub method: String,
-    /// One vector of per-replication evaluations per test environment.
+    /// One vector of per-replication evaluations per scoring set.
     pub per_env: Vec<Vec<Evaluation>>,
-    /// Human-readable descriptions of failed replications (the sweep skips
+    /// Human-readable descriptions of failed replications (the grid skips
     /// them instead of aborting).
     pub failures: Vec<String>,
     /// Human-readable descriptions of fits that only succeeded after one or
@@ -214,108 +218,155 @@ pub struct MethodEnvResults {
 }
 
 impl MethodEnvResults {
-    /// Extracts one metric across replications for an environment.
+    /// Extracts one metric across replications for a scoring set.
     pub fn metric(&self, env: usize, f: impl Fn(&Evaluation) -> f64) -> Vec<f64> {
         self.per_env[env].iter().map(f).collect()
     }
 
-    /// The mean of one metric over replications for an environment (0 when
-    /// every replication failed).
-    pub fn mean(&self, env: usize, f: impl Fn(&Evaluation) -> f64) -> f64 {
+    /// The mean of one metric over replications for a scoring set; `None`
+    /// when every replication failed, so an empty cell cannot pass for a
+    /// perfect score.
+    pub fn mean(&self, env: usize, f: impl Fn(&Evaluation) -> f64) -> Option<f64> {
         let vals = self.metric(env, f);
-        vals.iter().sum::<f64>() / vals.len().max(1) as f64
+        (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64)
     }
 }
 
-/// Runs the method grid over the synthetic sweep.
-///
-/// For every replication a fresh causal mechanism is drawn (process seed =
-/// replication index), one training/validation pair is generated at
-/// `train_rho`, every method is fitted once, and each fitted model is
-/// evaluated on every test environment. A failed fit is reported through
-/// `progress` and recorded in [`MethodEnvResults::failures`] instead of
-/// aborting the whole sweep.
-///
-/// Each replication is one fit task (its data and every method's fit) and
-/// one scoring task per test environment (that environment's test set and
-/// every fitted method's evaluation). The tasks share the workers of the
-/// global [`Parallelism`] knob, every fit ahead of every scoring task, so
-/// the last replication's fit overlaps the scoring of the earlier ones;
-/// `SBRL_THREADS=1` runs them one after another on the calling thread. A
-/// single-replication sweep fits on the calling thread, where the fits'
-/// kernels keep the pool, and runs only its scoring as tasks. Results and
-/// `progress` lines are merged in replication order, so neither depends on
-/// the worker count; a replication's lines are reported once its fit and
-/// every earlier replication's fit have finished. Builds with fault
-/// injection compiled in always run serially, so an armed fault hits the
-/// same fit on every run.
+/// Runs the method grid over the synthetic sweep: every replication draws
+/// a fresh causal mechanism (process seed `1000 + rep`) and one
+/// training/validation pair at `train_rho`, fits every method once, and
+/// scores each fit on every test environment. A failed fit is reported
+/// through `progress` and recorded in [`MethodEnvResults::failures`]
+/// instead of aborting the whole sweep.
 pub fn run_synthetic_sweep(
     exp: &SyntheticExperiment,
     methods: &[MethodSpec],
     progress: impl FnMut(&str) + Send,
 ) -> Vec<MethodEnvResults> {
-    let workers =
-        if sbrl_core::faults::compiled_in() { 1 } else { Parallelism::global().workers() };
-    run_synthetic_sweep_on(exp, methods, workers, progress)
-}
-
-/// A replication's fits: its mechanism, which draws the test environments,
-/// and every method's noted fit.
-type FittedReplication = (SyntheticProcess, Vec<Noted<FittedModel<Box<dyn Backbone>>>>);
-
-/// [`run_synthetic_sweep`] on `workers` workers.
-fn run_synthetic_sweep_on(
-    exp: &SyntheticExperiment,
-    methods: &[MethodSpec],
-    workers: usize,
-    mut progress: impl FnMut(&str) + Send,
-) -> Vec<MethodEnvResults> {
     let reps = exp.scale.replications();
-    let sweep = fit_then_score(
+    let (n_train, n_val, n_test) = exp.scale.synthetic_samples();
+    let arms: Vec<String> = methods.iter().map(|m| m.name()).collect();
+    run_grid(
+        &arms,
         reps,
         exp.test_rhos.len(),
+        progress,
+        |rep| {
+            let process = SyntheticProcess::new(exp.data_cfg, 1000 + rep as u64);
+            let train_data = process.generate(exp.train_rho, n_train, 10 * rep as u64);
+            let val_data = process.generate(exp.train_rho, n_val, 10 * rep as u64 + 1);
+            let fits = methods
+                .iter()
+                .map(|spec| {
+                    let label = format!("rep {}/{} method {}", rep + 1, reps, spec.name());
+                    let seed = method_seed(rep, *spec);
+                    let train_cfg = exp.scale.train_config(exp.preset.lr, exp.preset.l2, seed);
+                    fit_noted(&label, &train_cfg, |cfg| {
+                        fit_method(*spec, &exp.preset, &train_data, &val_data, cfg)
+                    })
+                })
+                .collect();
+            (process, fits)
+        },
+        |rep, k, process| {
+            let seed = 10 * rep as u64 + 2 + k as u64;
+            Cow::Owned(process.generate(exp.test_rhos[k], n_test, seed))
+        },
+    )
+}
+
+/// One arm's fit in one replication, as a grid's fit task returns it.
+pub(crate) type Fit = Noted<FittedModel<Box<dyn Backbone>>>;
+
+/// The fit grid of every runner: `reps` replications of every arm, each fit
+/// scored on the `sets` scoring sets of its replication. `fit(rep)` builds
+/// the replication's data once, fits every arm (in `arms` order) through
+/// [`fit_noted`], and returns the fits with what the scoring sets come from;
+/// its training folds die on return. `scoring_set(rep, k, &from)` draws or
+/// lends set `k`. Notes and one line per fit go to `progress` in
+/// replication order. The schedule is [`fit_then_score`]'s on the global
+/// [`Parallelism`] workers, serial when fault injection is compiled in so
+/// an armed fault hits the same fit on every run; the output does not
+/// depend on the worker count.
+pub(crate) fn run_grid<C: Send + Sync>(
+    arms: &[String],
+    reps: usize,
+    sets: usize,
+    progress: impl FnMut(&str) + Send,
+    fit: impl Fn(usize) -> (C, Vec<Fit>) + Sync,
+    scoring_set: impl Fn(usize, usize, &C) -> Cow<'_, CausalDataset> + Sync,
+) -> Vec<MethodEnvResults> {
+    let workers =
+        if sbrl_core::faults::compiled_in() { 1 } else { Parallelism::global().workers() };
+    run_grid_on(workers, arms, reps, sets, progress, fit, scoring_set)
+}
+
+/// [`run_grid`] on `workers` workers.
+fn run_grid_on<C: Send + Sync>(
+    workers: usize,
+    arms: &[String],
+    reps: usize,
+    sets: usize,
+    mut progress: impl FnMut(&str) + Send,
+    fit: impl Fn(usize) -> (C, Vec<Fit>) + Sync,
+    scoring_set: impl Fn(usize, usize, &C) -> Cow<'_, CausalDataset> + Sync,
+) -> Vec<MethodEnvResults> {
+    let grid = fit_then_score(
+        reps,
+        sets,
         workers,
-        |rep| fit_replication(exp, methods, rep),
-        |rep, (_, fits): &FittedReplication| {
-            for (mi, fit) in fits.iter().enumerate() {
-                match fit {
-                    Err(msg) => progress(msg),
-                    Ok((fitted, retry)) => {
-                        if let Some(msg) = retry {
-                            progress(msg);
-                        }
-                        progress(&format!(
-                            "rep {}/{} method {}/{} ({}) done in {:.1}s",
-                            rep + 1,
-                            reps,
-                            mi + 1,
-                            methods.len(),
-                            methods[mi].name(),
-                            fitted.report().train_seconds
-                        ));
+        |rep| {
+            let (from, fits) = fit(rep);
+            // The notes and train times outlive the models.
+            let notes: Vec<Noted<f64>> = fits
+                .iter()
+                .map(|fit| {
+                    let (model, retry) = fit.as_ref().map_err(Clone::clone)?;
+                    Ok((model.report().train_seconds, retry.clone()))
+                })
+                .collect();
+            ((from, fits), notes)
+        },
+        |rep, notes: &Vec<Noted<f64>>| {
+            for (note, arm) in notes.iter().zip(arms) {
+                match note {
+                    Ok((seconds, retry)) => {
+                        retry.iter().for_each(|msg| progress(msg));
+                        progress(&format!("rep {}/{reps} {arm} done in {seconds:.1}s", rep + 1));
                     }
+                    Err(msg) => progress(msg),
                 }
             }
         },
-        |rep, k, fitted: &FittedReplication| score_environment(exp, fitted, rep, k),
+        |rep, k, (from, fits)| {
+            let set = scoring_set(rep, k, from);
+            fits.iter()
+                .map(|fit| {
+                    let (model, _) = fit.as_ref().ok()?;
+                    // lint: allow(panic) — every scoring set (synthetic
+                    // environments, simulator folds) carries the oracle; a
+                    // miss is a generator bug, not a recoverable state.
+                    Some(model.evaluate(&set).expect("scoring sets carry the oracle"))
+                })
+                .collect::<Vec<_>>()
+        },
     );
 
-    let mut results: Vec<MethodEnvResults> = methods
+    let mut results: Vec<MethodEnvResults> = arms
         .iter()
-        .map(|m| MethodEnvResults {
-            method: m.name(),
-            per_env: vec![Vec::with_capacity(reps); exp.test_rhos.len()],
-            failures: Vec::new(),
-            retries: Vec::new(),
+        .map(|arm| MethodEnvResults {
+            method: arm.clone(),
+            per_env: vec![Vec::with_capacity(reps); sets],
+            ..MethodEnvResults::default()
         })
         .collect();
-    for ((_, fits), scores) in sweep {
+    for (notes, scores) in grid {
         let mut scores: Vec<_> = scores.into_iter().map(Vec::into_iter).collect();
-        for (result, fit) in results.iter_mut().zip(fits) {
-            for (env, evals) in result.per_env.iter_mut().zip(&mut scores) {
-                env.extend(evals.next().flatten());
+        for (result, note) in results.iter_mut().zip(notes) {
+            for (set, evals) in result.per_env.iter_mut().zip(&mut scores) {
+                set.extend(evals.next().flatten());
             }
-            match fit {
+            match note {
                 Ok((_, retry)) => result.retries.extend(retry),
                 Err(msg) => result.failures.push(msg),
             }
@@ -324,86 +375,107 @@ fn run_synthetic_sweep_on(
     results
 }
 
-/// The schedule of a sweep of `reps` replications with `envs` test
-/// environments each, on `workers` workers: `fit(rep)` once per
-/// replication, then `score(rep, k, &fitted)` for every environment `k`,
-/// returned per replication as `(fitted, scores in k order)`.
-/// `report(rep, &fitted)` runs once per replication, in replication order,
+/// The schedule of a grid of `reps` replications with `sets` scoring sets
+/// each, on `workers` workers: `fit(rep)` once per replication, returning
+/// what its scoring needs and its notes, then `score(rep, k, &fitted)` for
+/// every set `k`. Returns per replication `(notes, scores in k order)`.
+/// `report(rep, &notes)` runs once per replication, in replication order,
 /// as soon as that fit and every earlier one have finished.
 ///
-/// Every fit and scoring task is one pool task of a single [`run_tasks`]
-/// call, the fits first. A scoring task waits for its replication's fit,
-/// which is then already running or done, because every fit index is
-/// claimed before any scoring index. A fit that unwinds still publishes its
-/// slot, empty, so its scoring tasks skip instead of waiting forever, and
-/// `run_tasks` re-raises the panic. A single replication fits on the
-/// calling thread before the scoring tasks start, so the parallel kernels
-/// inside its fit keep the pool.
-fn fit_then_score<F: Send + Sync, S: Send + Sync>(
+/// Every task is one pool task of a single [`run_tasks`] call, claimed in
+/// [`task_order`], so a scoring task waits only for a fit that is already
+/// running or done. The last scoring task of a replication drops its
+/// fitted value: at most `2 · workers` replications' values are alive at
+/// once, whatever `reps` is. A fit that unwinds still publishes its slot,
+/// empty, so its scoring tasks skip instead of waiting forever, and
+/// `run_tasks` re-raises the panic.
+fn fit_then_score<F: Send + Sync, N: Send + Sync, S: Send + Sync>(
     reps: usize,
-    envs: usize,
+    sets: usize,
     workers: usize,
-    fit: impl Fn(usize) -> F + Sync,
-    report: impl FnMut(usize, &F) + Send,
+    fit: impl Fn(usize) -> (F, N) + Sync,
+    report: impl FnMut(usize, &N) + Send,
     score: impl Fn(usize, usize, &F) -> S + Sync,
-) -> Vec<(F, Vec<S>)> {
-    /// Publishes an empty fit when dropped before the fit was published.
-    struct Publish<'a, F>(&'a OnceLock<Option<F>>);
-    impl<F> Drop for Publish<'_, F> {
+) -> Vec<(N, Vec<S>)> {
+    /// Publishes empty notes when dropped before the notes were published.
+    struct Publish<'a, N>(&'a OnceLock<Option<N>>);
+    impl<N> Drop for Publish<'_, N> {
         fn drop(&mut self) {
             let _ = self.0.set(None);
         }
     }
 
-    let fits: Vec<OnceLock<Option<F>>> = (0..reps).map(|_| OnceLock::new()).collect();
-    let scores: Vec<OnceLock<S>> = (0..reps * envs).map(|_| OnceLock::new()).collect();
+    let notes: Vec<OnceLock<Option<N>>> = (0..reps).map(|_| OnceLock::new()).collect();
+    let fitted: Vec<RwLock<Option<F>>> = (0..reps).map(|_| RwLock::new(None)).collect();
+    let unscored: Vec<AtomicUsize> = (0..reps).map(|_| AtomicUsize::new(sets)).collect();
+    let scores: Vec<OnceLock<S>> = (0..reps * sets).map(|_| OnceLock::new()).collect();
     // The next replication to report, and the sink it is reported to.
     let reporter = Mutex::new((0, report));
     let fit_task = |rep: usize| {
-        let slot = Publish(&fits[rep]);
-        let _ = slot.0.set(Some(fit(rep)));
+        let slot = Publish(&notes[rep]);
+        let (value, note) = fit(rep);
+        *fitted[rep].write().unwrap_or_else(PoisonError::into_inner) = Some(value);
+        let _ = slot.0.set(Some(note));
         let mut guard = reporter.lock().unwrap_or_else(PoisonError::into_inner);
         let (next, report) = &mut *guard;
-        while let Some(fitted) = fits.get(*next).and_then(OnceLock::get) {
-            if let Some(fitted) = fitted {
-                report(*next, fitted);
+        while let Some(note) = notes.get(*next).and_then(OnceLock::get) {
+            if let Some(note) = note {
+                report(*next, note);
             }
             *next += 1;
         }
     };
-    let score_task = |i: usize| {
-        let rep = i / envs;
-        if let Some(fitted) = fits[rep].wait() {
-            let _ = scores[i].set(score(rep, i % envs, fitted));
+    let score_task = |rep: usize, k: usize| {
+        if notes[rep].wait().is_some() {
+            if let Some(value) = &*fitted[rep].read().unwrap_or_else(PoisonError::into_inner) {
+                let _ = scores[rep * sets + k].set(score(rep, k, value));
+            }
+        }
+        if unscored[rep].fetch_sub(1, Ordering::AcqRel) == 1 {
+            *fitted[rep].write().unwrap_or_else(PoisonError::into_inner) = None;
         }
     };
 
-    let fit_tasks = if reps == 1 {
+    if reps == 1 {
         fit_task(0);
-        0
-    } else {
-        reps
-    };
-    let total = fit_tasks + reps * envs;
-    run_tasks(total, workers.min(total), &|i| {
-        if i < fit_tasks {
-            fit_task(i);
-        } else {
-            score_task(i - fit_tasks);
-        }
+    }
+    let order = task_order(reps, sets, workers);
+    run_tasks(order.len(), workers.min(order.len()), &|i| match order[i] {
+        (rep, None) => fit_task(rep),
+        (rep, Some(k)) => score_task(rep, k),
     });
 
     let mut scores = scores.into_iter().map(OnceLock::into_inner);
-    fits.into_iter()
+    notes
+        .into_iter()
         .map(|slot| {
             // lint: allow(panic) — infallible: `run_tasks` returned, so
             // every fit and scoring task ran to completion and set its slot.
-            let fitted = slot.into_inner().flatten().expect("a completed fit set its slot");
-            let scores = scores.by_ref().take(envs).collect::<Option<Vec<S>>>();
+            let note = slot.into_inner().flatten().expect("a completed fit set its slot");
+            let scores = scores.by_ref().take(sets).collect::<Option<Vec<S>>>();
             // lint: allow(panic) — infallible, as above.
-            (fitted, scores.expect("a completed scoring task set its slot"))
+            (note, scores.expect("a completed scoring task set its slot"))
         })
         .collect()
+}
+
+/// The claim order of [`fit_then_score`]'s pool tasks: `(rep, None)` fits
+/// replication `rep`, `(rep, Some(k))` scores it on set `k`. The first
+/// `workers + 1` fits lead, so the next fit overlaps the scoring of earlier
+/// replications; each later fit follows the scoring tasks of the
+/// replication `workers + 1` before it. A single replication fits on the
+/// calling thread first, so the kernels inside its fit keep the pool.
+fn task_order(reps: usize, sets: usize, workers: usize) -> Vec<(usize, Option<usize>)> {
+    let lead = (workers + 1).min(reps);
+    let mut order: Vec<_> =
+        if reps == 1 { Vec::new() } else { (0..lead).map(|r| (r, None)).collect() };
+    for rep in 0..reps {
+        order.extend((0..sets).map(|k| (rep, Some(k))));
+        if rep + lead < reps {
+            order.push((rep + lead, None));
+        }
+    }
+    order
 }
 
 /// The fit seed of `spec` in replication `rep`: common random numbers. A
@@ -414,54 +486,6 @@ fn fit_then_score<F: Send + Sync, S: Send + Sync>(
 /// declaration order.
 fn method_seed(rep: usize, spec: MethodSpec) -> u64 {
     (rep * 97 + spec.backbone as usize) as u64
-}
-
-/// Replication `rep`'s fit task: draws its mechanism and train/val pair
-/// and fits every method. The folds die on return, before any of the
-/// replication's test environments is drawn.
-fn fit_replication(
-    exp: &SyntheticExperiment,
-    methods: &[MethodSpec],
-    rep: usize,
-) -> FittedReplication {
-    let (n_train, n_val, _) = exp.scale.synthetic_samples();
-    let reps = exp.scale.replications();
-    let process = SyntheticProcess::new(exp.data_cfg, 1000 + rep as u64);
-    let train_data = process.generate(exp.train_rho, n_train, 10 * rep as u64);
-    let val_data = process.generate(exp.train_rho, n_val, 10 * rep as u64 + 1);
-    let fits = methods
-        .iter()
-        .map(|spec| {
-            let label = format!("rep {}/{} method {}", rep + 1, reps, spec.name());
-            let train_cfg =
-                exp.scale.train_config(exp.preset.lr, exp.preset.l2, method_seed(rep, *spec));
-            fit_noted(&label, &train_cfg, |cfg| {
-                fit_method(*spec, &exp.preset, &train_data, &val_data, cfg)
-            })
-        })
-        .collect();
-    (process, fits)
-}
-
-/// Replication `rep`'s scoring task for test environment `k`: draws the
-/// environment's test set, so at most one is alive per worker, and
-/// evaluates every fitted method on it (`None` for a failed fit).
-fn score_environment(
-    exp: &SyntheticExperiment,
-    (process, fits): &FittedReplication,
-    rep: usize,
-    k: usize,
-) -> Vec<Option<Evaluation>> {
-    let (_, _, n_test) = exp.scale.synthetic_samples();
-    let test = process.generate(exp.test_rhos[k], n_test, 10 * rep as u64 + 2 + k as u64);
-    fits.iter()
-        .map(|fit| {
-            let (fitted, _) = fit.as_ref().ok()?;
-            // lint: allow(panic) — synthetic environments always carry the
-            // oracle; a miss is a generator bug, not a recoverable state.
-            Some(fitted.evaluate(&test).expect("synthetic data carries the oracle"))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -533,26 +557,58 @@ mod tests {
         (exp.preset.rep_layers, exp.preset.head_layers) = (1, 1);
         (exp.preset.rep_width, exp.preset.head_width) = (8, 4);
         exp.preset.ipm = sbrl_stats::IpmKind::MmdLin;
-        let mut broken = exp.clone();
-        broken.preset.lr = f64::NAN; // every fit fails: exercises `failures`
-        let methods = vec![
-            MethodSpec { backbone: BackboneKind::Tarnet, framework: Framework::Vanilla },
-            MethodSpec { backbone: BackboneKind::Cfr, framework: Framework::Vanilla },
+        let mut broken = exp.preset;
+        broken.lr = f64::NAN; // every fit of this arm fails: exercises `failures`
+        let arms = [
+            (BackboneKind::Tarnet, exp.preset),
+            (BackboneKind::Cfr, exp.preset),
+            (BackboneKind::Tarnet, broken),
         ];
-        let run = |exp: &SyntheticExperiment, workers| {
+        let names: Vec<String> = ["TARNet", "CFR", "broken"].map(String::from).to_vec();
+        let reps = exp.scale.replications();
+        let (n_train, n_val, n_test) = exp.scale.synthetic_samples();
+        let run = |workers| {
             let mut lines = Vec::new();
-            let results = run_synthetic_sweep_on(exp, &methods, workers, |m: &str| {
-                // Fit wall-clock varies run to run; the line order must not.
-                lines.push(m.split(" done in ").next().unwrap_or(m).to_string());
-            });
-            let per_method: Vec<_> = results
+            let results = run_grid_on(
+                workers,
+                &names,
+                reps,
+                exp.test_rhos.len(),
+                |m: &str| {
+                    // Fit wall-clock varies run to run; the line order must not.
+                    lines.push(m.split(" done in ").next().unwrap_or(m).to_string());
+                },
+                |rep| {
+                    let process = SyntheticProcess::new(exp.data_cfg, 1000 + rep as u64);
+                    let train = process.generate(exp.train_rho, n_train, 10 * rep as u64);
+                    let val = process.generate(exp.train_rho, n_val, 10 * rep as u64 + 1);
+                    let fits = arms
+                        .iter()
+                        .enumerate()
+                        .map(|(arm, (backbone, preset))| {
+                            let spec =
+                                MethodSpec { backbone: *backbone, framework: Framework::Vanilla };
+                            let cfg = exp.scale.train_config(preset.lr, preset.l2, rep as u64);
+                            fit_noted(&format!("rep {rep} arm {arm}"), &cfg, |cfg| {
+                                fit_method(spec, preset, &train, &val, cfg)
+                            })
+                        })
+                        .collect();
+                    (process, fits)
+                },
+                |rep, k, process| {
+                    let seed = 10 * rep as u64 + 2 + k as u64;
+                    Cow::Owned(process.generate(exp.test_rhos[k], n_test, seed))
+                },
+            );
+            let per_arm: Vec<_> = results
                 .iter()
                 .map(|r| {
                     let bits: Vec<Vec<[u64; 4]>> = r
                         .per_env
                         .iter()
-                        .map(|env| {
-                            env.iter()
+                        .map(|set| {
+                            set.iter()
                                 .map(|e| {
                                     [e.pehe, e.ate_bias, e.factual_score, e.counterfactual_score]
                                         .map(f64::to_bits)
@@ -560,22 +616,24 @@ mod tests {
                                 .collect()
                         })
                         .collect();
-                    (bits, r.failures.clone(), r.retries.clone())
+                    (r.method.clone(), bits, r.failures.clone(), r.retries.clone())
                 })
                 .collect();
-            (per_method, lines)
+            (per_arm, lines)
         };
-        for (exp, failed) in [(&exp, 0), (&broken, 3)] {
-            let serial = run(exp, 1);
-            for (bits, failures, _) in &serial.0 {
-                assert!(bits.iter().all(|env| env.len() == 3 - failed));
-                assert_eq!(failures.len(), failed);
-            }
-            assert_eq!(serial.1.len(), 6, "one progress line per replication and method");
-            // More workers than replications leaves some only scoring.
-            for workers in [2, 3, 5, 8] {
-                assert_eq!(run(exp, workers), serial, "workers = {workers}");
-            }
+        let serial = run(1);
+        for (arm, (name, bits, failures, _)) in serial.0.iter().enumerate() {
+            let failed = if arm == 2 { reps } else { 0 };
+            assert_eq!(name, &names[arm]);
+            assert_eq!(bits.len(), 2, "one cell per scoring set");
+            assert!(bits.iter().all(|set| set.len() == reps - failed));
+            assert_eq!(failures.len(), failed);
+        }
+        assert_eq!(serial.1.len(), 9, "one progress line per replication and arm");
+        // One worker interleaves fits and scoring; two run every fit first;
+        // more than three leave some only scoring.
+        for workers in [2, 3, 5, 8] {
+            assert_eq!(run(workers), serial, "workers = {workers}");
         }
     }
 
@@ -625,7 +683,7 @@ mod tests {
                         scoring.wait();
                         panic!("fit {rep} unwinds");
                     }
-                    rep
+                    (rep, ())
                 },
                 |_, _| {},
                 |rep, k, &fitted| {
@@ -653,15 +711,15 @@ mod tests {
                         1 => fit1_done.raise(),
                         _ => {}
                     }
-                    10 * rep
+                    (10 * rep, rep)
                 },
-                |rep, &fitted| reported.push((rep, fitted)),
+                |rep, &note| reported.push((rep, note)),
                 |rep, k, &fitted| (rep, k, fitted),
             );
-            assert_eq!(reported, [(0, 0), (1, 10), (2, 20)], "workers = {workers}");
-            for (rep, (fitted, scores)) in sweep.into_iter().enumerate() {
-                assert_eq!(fitted, 10 * rep);
-                assert_eq!(scores, (0..4).map(|k| (rep, k, fitted)).collect::<Vec<_>>());
+            assert_eq!(reported, [(0, 0), (1, 1), (2, 2)], "workers = {workers}");
+            for (rep, (note, scores)) in sweep.into_iter().enumerate() {
+                assert_eq!(note, rep);
+                assert_eq!(scores, (0..4).map(|k| (rep, k, 10 * rep)).collect::<Vec<_>>());
             }
         }
     }
@@ -682,7 +740,7 @@ mod tests {
             |_| {
                 let want = sbrl_tensor::workers::pool_size() + 2;
                 sbrl_tensor::workers::run_tasks(2, want, &|_| {});
-                (std::thread::current().id(), sbrl_tensor::workers::pool_size() + 1 >= want)
+                ((), (std::thread::current().id(), sbrl_tensor::workers::pool_size() + 1 >= want))
             },
             |_, _| {},
             |_, _, _| (),
@@ -691,6 +749,67 @@ mod tests {
         assert_eq!(*fit_thread, caller, "the fit runs on the calling thread");
         assert!(reached_the_pool, "the fit's parallel calls reach the pool");
         assert_eq!(scores.len(), 3);
+    }
+
+    #[test]
+    fn a_replications_fits_are_dropped_once_its_sets_are_scored() {
+        /// A fitted value that keeps a count of the live ones.
+        struct Counted<'a>(&'a AtomicUsize);
+        impl Drop for Counted<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let reps = 8;
+        for workers in [1, 2, 3] {
+            let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let sweep = fit_then_score(
+                reps,
+                3,
+                workers,
+                |rep| {
+                    peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                    (Counted(&live), rep)
+                },
+                |_, _| {},
+                |rep, k, _| (rep, k),
+            );
+            let peak = peak.load(Ordering::SeqCst);
+            // Serially, replication `rep`'s fits die before fit `rep + 2`.
+            let bound = if workers == 1 { 2 } else { 2 * workers };
+            assert!(peak <= bound, "workers = {workers}: {peak} replications alive at once");
+            assert_eq!(live.load(Ordering::SeqCst), 0, "no fit outlives the grid");
+            for (rep, (note, scores)) in sweep.into_iter().enumerate() {
+                assert_eq!(note, rep);
+                assert_eq!(scores, [(rep, 0), (rep, 1), (rep, 2)]);
+            }
+        }
+    }
+
+    #[test]
+    fn every_scoring_task_follows_its_fit() {
+        for (reps, sets, workers) in
+            [(1, 3, 2), (3, 8, 2), (3, 2, 1), (8, 3, 1), (8, 3, 3), (2, 0, 4)]
+        {
+            let order = task_order(reps, sets, workers);
+            let first_fits = if reps > 1 { reps } else { 0 };
+            assert_eq!(order.len(), first_fits + reps * sets);
+            for rep in 0..reps {
+                let fit = order.iter().position(|&t| t == (rep, None));
+                assert_eq!(fit.is_some(), reps > 1, "a single replication fits off the pool");
+                for k in 0..sets {
+                    let score = order.iter().position(|&t| t == (rep, Some(k)));
+                    assert!(score > fit, "reps {reps}, workers {workers}: score ({rep}, {k})");
+                }
+            }
+        }
+        // Up to `workers + 1` replications, every fit comes first.
+        let fits_first: Vec<_> = (0..3).map(|r| (r, None)).collect();
+        assert_eq!(task_order(3, 8, 2)[..3], fits_first[..]);
+        assert_eq!(
+            task_order(3, 1, 1),
+            [(0, None), (1, None), (0, Some(0)), (2, None), (1, Some(0)), (2, Some(0))]
+        );
     }
 
     #[test]

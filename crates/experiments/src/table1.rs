@@ -9,7 +9,7 @@ use sbrl_metrics::Evaluation;
 
 use crate::methods::MethodSpec;
 use crate::presets::paper_syn_8_8_8_2;
-use crate::report::{fmt_mean_std, render_table, results_dir, write_tsv};
+use crate::report::{fmt_mean_std, save_table};
 use crate::runner::{run_synthetic_sweep, FitNotes, MethodEnvResults, SyntheticExperiment};
 use crate::scale::Scale;
 
@@ -20,7 +20,9 @@ pub fn experiment(scale: Scale) -> SyntheticExperiment {
 }
 
 /// The paper's per-column improvement: relative reduction of the best
-/// `+SBRL-HAP` mean over the best vanilla mean (positive = we win).
+/// `+SBRL-HAP` mean over the best vanilla mean (positive = we win). A
+/// method whose every replication failed in a column takes no part in it;
+/// a column with no vanilla or no `+SBRL-HAP` mean renders `n/a`.
 pub fn improvement_row(
     results: &[MethodEnvResults],
     env_count: usize,
@@ -28,18 +30,18 @@ pub fn improvement_row(
 ) -> Vec<String> {
     let mut row = vec!["Improvement".to_string()];
     for env in 0..env_count {
-        let best_vanilla = results
-            .iter()
-            .filter(|r| !r.method.contains("+SBRL"))
-            .map(|r| r.mean(env, metric))
-            .fold(f64::INFINITY, f64::min);
-        let best_ours = results
-            .iter()
-            .filter(|r| r.method.ends_with("+SBRL-HAP"))
-            .map(|r| r.mean(env, metric))
-            .fold(f64::INFINITY, f64::min);
-        let pct = 100.0 * (best_vanilla - best_ours) / best_vanilla.max(1e-12);
-        row.push(format!("{pct:+.1}%"));
+        let best = |keep: fn(&str) -> bool| {
+            results
+                .iter()
+                .filter(|r| keep(&r.method))
+                .filter_map(|r| r.mean(env, metric))
+                .reduce(f64::min)
+        };
+        let (vanilla, ours) = (best(|m| !m.contains("+SBRL")), best(|m| m.ends_with("+SBRL-HAP")));
+        row.push(vanilla.zip(ours).map_or_else(
+            || "n/a".to_string(),
+            |(vanilla, ours)| format!("{:+.1}%", 100.0 * (vanilla - ours) / vanilla.max(1e-12)),
+        ));
     }
     row
 }
@@ -70,22 +72,20 @@ pub fn run(scale: Scale) -> String {
     let methods = MethodSpec::grid();
     let results = run_synthetic_sweep(&exp, &methods, |msg| eprintln!("[table1] {msg}"));
 
-    let mut out = String::new();
     let (header, rows) = metric_block(&exp.test_rhos, &results, |e| e.pehe);
-    out.push_str(&render_table(
+    let mut out = save_table(
         &format!("Table I (PEHE) — Syn_8_8_8_2, scale {}", scale.name()),
+        "table1_pehe.tsv",
         &header,
         &rows,
-    ));
-    write_tsv(results_dir().join("table1_pehe.tsv"), &header, &rows).ok();
-
+    );
     let (header_a, rows_a) = metric_block(&exp.test_rhos, &results, |e| e.ate_bias);
-    out.push_str(&render_table(
+    out.push_str(&save_table(
         &format!("Table I (eATE) — Syn_8_8_8_2, scale {}", scale.name()),
+        "table1_ate.tsv",
         &header_a,
         &rows_a,
     ));
-    write_tsv(results_dir().join("table1_ate.tsv"), &header_a, &rows_a).ok();
     out.push_str(&FitNotes::of_sweep(&results).render());
     out
 }
@@ -115,6 +115,13 @@ mod tests {
                 failures: Vec::new(),
                 retries: Vec::new(),
             },
+            // Every replication of this method failed.
+            MethodEnvResults {
+                method: "TARNet+SBRL-HAP".into(),
+                per_env: vec![Vec::new(), Vec::new()],
+                failures: vec!["rep 1/1 method TARNet+SBRL-HAP FAILED".into()],
+                retries: Vec::new(),
+            },
         ]
     }
 
@@ -122,17 +129,28 @@ mod tests {
     fn improvement_row_compares_best_ours_vs_best_vanilla() {
         let row = improvement_row(&fake_results(), 2, |e| e.pehe);
         assert_eq!(row[0], "Improvement");
-        // (0.5 - 0.4)/0.5 = 20%, (0.6 - 0.45)/0.6 = 25%
+        // (0.5 - 0.4)/0.5 = 20%, (0.6 - 0.45)/0.6 = 25%; the failed
+        // TARNet+SBRL-HAP row is no perfect score.
+        assert_ne!(row[1], "+100.0%");
         assert_eq!(row[1], "+20.0%");
         assert_eq!(row[2], "+25.0%");
+    }
+
+    #[test]
+    fn a_fully_failed_side_leaves_the_improvement_empty() {
+        let mut results = fake_results();
+        // Every vanilla replication failed: no baseline to improve on.
+        results[0].per_env = vec![Vec::new(), Vec::new()];
+        assert_eq!(improvement_row(&results, 2, |e| e.pehe), ["Improvement", "n/a", "n/a"]);
     }
 
     #[test]
     fn metric_block_shapes() {
         let (header, rows) = metric_block(&[2.5, -3.0], &fake_results(), |e| e.pehe);
         assert_eq!(header.len(), 3);
-        assert_eq!(rows.len(), 4); // 3 methods + improvement
+        assert_eq!(rows.len(), 5); // 4 methods + improvement
         assert!(rows[0][1].contains('±'));
+        assert_eq!(rows[3][1], "n/a");
     }
 
     #[test]

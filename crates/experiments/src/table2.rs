@@ -3,13 +3,15 @@
 //! PEHE on the ID environment (`ρ = 2.5`) and the far OOD environment
 //! (`ρ = −3`), with the CFR backbone.
 
+use std::borrow::Cow;
+
 use sbrl_core::{Estimator, SbrlConfig};
 use sbrl_data::{SyntheticConfig, SyntheticProcess};
 
 use crate::methods::{BackboneKind, ExperimentPreset};
 use crate::presets::paper_syn_16_16_16_2;
-use crate::report::{fmt_mean_std, render_table, results_dir, write_tsv};
-use crate::runner::{fit_noted, FitNotes};
+use crate::report::{fmt_mean_std, save_table};
+use crate::runner::{fit_noted, run_grid, FitNotes, MethodEnvResults};
 use crate::scale::Scale;
 
 /// One ablation row: which sub-modules stay on.
@@ -58,55 +60,59 @@ impl AblationRow {
     }
 }
 
+/// The scoring sets of Table II and Fig. 6: the ID environment and the far
+/// OOD environment.
+pub(crate) const ID_OOD_RHOS: [f64; 2] = [2.5, -3.0];
+
 /// Runs Table II and renders the report.
 pub fn run(scale: Scale) -> String {
     let preset = scale.preset(paper_syn_16_16_16_2());
     let (n_train, n_val, n_test) = scale.synthetic_samples();
-    let reps = scale.replications();
-
-    let mut per_row: Vec<(String, Vec<f64>, Vec<f64>)> =
-        AblationRow::ALL.iter().map(|r| (r.label(), Vec::new(), Vec::new())).collect();
-    let mut notes = FitNotes::default();
-
-    for rep in 0..reps {
-        let process = SyntheticProcess::new(SyntheticConfig::syn_16_16_16_2(), 2000 + rep as u64);
-        let train_data = process.generate(2.5, n_train, 20 * rep as u64);
-        let val_data = process.generate(2.5, n_val, 20 * rep as u64 + 1);
-        let test_id = process.generate(2.5, n_test, 20 * rep as u64 + 2);
-        let test_ood = process.generate(-3.0, n_test, 20 * rep as u64 + 3);
-
-        for (k, row) in AblationRow::ALL.iter().enumerate() {
-            let cfg = row.config(&preset);
-            let train_cfg = scale.train_config(preset.lr, preset.l2, (rep * 31 + k) as u64);
-            let label = format!("rep {} row {}", rep + 1, per_row[k].0);
-            let fit = fit_noted(&label, &train_cfg, |train_cfg| {
-                Estimator::builder()
-                    .backbone(preset.backbone_config(BackboneKind::Cfr, train_data.dim()))
-                    .sbrl(cfg)
-                    .train(*train_cfg)
-                    .fit(&train_data, &val_data)
-            });
-            let Some(fitted) = notes.keep("table2", fit) else { continue };
-            // lint: allow(panic) — simulator splits always carry the oracle.
-            per_row[k].1.push(fitted.evaluate(&test_id).expect("oracle").pehe);
-            // lint: allow(panic) — as above.
-            per_row[k].2.push(fitted.evaluate(&test_ood).expect("oracle").pehe);
-            eprintln!("[table2] rep {} row {} done", rep + 1, per_row[k].0);
-        }
-    }
+    let arms: Vec<String> = AblationRow::ALL.iter().map(|r| r.label()).collect();
+    let results = run_grid(
+        &arms,
+        scale.replications(),
+        ID_OOD_RHOS.len(),
+        |msg| eprintln!("[table2] {msg}"),
+        |rep| {
+            let process =
+                SyntheticProcess::new(SyntheticConfig::syn_16_16_16_2(), 2000 + rep as u64);
+            let train_data = process.generate(2.5, n_train, 20 * rep as u64);
+            let val_data = process.generate(2.5, n_val, 20 * rep as u64 + 1);
+            let fits = AblationRow::ALL
+                .iter()
+                .zip(&arms)
+                .enumerate()
+                .map(|(k, (row, label))| {
+                    let train_cfg = scale.train_config(preset.lr, preset.l2, (rep * 31 + k) as u64);
+                    fit_noted(&format!("rep {} row {label}", rep + 1), &train_cfg, |train_cfg| {
+                        Estimator::builder()
+                            .backbone(preset.backbone_config(BackboneKind::Cfr, train_data.dim()))
+                            .sbrl(row.config(&preset))
+                            .train(*train_cfg)
+                            .fit(&train_data, &val_data)
+                    })
+                })
+                .collect();
+            (process, fits)
+        },
+        |rep, k, process| {
+            let seed = 20 * rep as u64 + 2 + k as u64;
+            Cow::Owned(process.generate(ID_OOD_RHOS[k], n_test, seed))
+        },
+    );
 
     let header = vec!["Modules".to_string(), "PEHE rho=2.5".to_string(), "PEHE rho=-3".to_string()];
-    let rows: Vec<Vec<String>> = per_row
-        .iter()
-        .map(|(label, id, ood)| vec![label.clone(), fmt_mean_std(id), fmt_mean_std(ood)])
-        .collect();
-    let mut out = render_table(
+    let pehe = |r: &MethodEnvResults, set| fmt_mean_std(&r.metric(set, |e| e.pehe));
+    let rows: Vec<Vec<String>> =
+        results.iter().map(|r| vec![r.method.clone(), pehe(r, 0), pehe(r, 1)]).collect();
+    let mut out = save_table(
         &format!("Table II — sub-module ablation (CFR backbone), scale {}", scale.name()),
+        "table2_ablation.tsv",
         &header,
         &rows,
     );
-    write_tsv(results_dir().join("table2_ablation.tsv"), &header, &rows).ok();
-    out.push_str(&notes.render());
+    out.push_str(&FitNotes::of_sweep(&results).render());
     out
 }
 

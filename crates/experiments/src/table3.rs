@@ -3,69 +3,18 @@
 //! replications), reporting PEHE and `ε_ATE` on the train / validation /
 //! (OOD) test folds for the 9-method grid.
 
+use std::borrow::Cow;
+
 use sbrl_data::{DataError, DataSplit, IhdpConfig, IhdpSimulator, TwinsConfig, TwinsSimulator};
 use sbrl_metrics::Evaluation;
 
-use crate::methods::MethodSpec;
+use crate::methods::{ExperimentPreset, MethodSpec};
 use crate::presets::{paper_ihdp, paper_twins};
-use crate::report::{fmt_mean_std, render_table, results_dir, write_tsv};
-use crate::runner::{fit_method, fit_noted, FitNotes};
+use crate::report::{fmt_mean_std, save_table};
+use crate::runner::{fit_method, fit_noted, run_grid, FitNotes, MethodEnvResults};
 use crate::scale::Scale;
 
-/// Per-method, per-fold evaluations across replications.
-pub struct RealWorldResults {
-    /// Method label.
-    pub method: String,
-    /// Evaluations on the training fold.
-    pub train: Vec<Evaluation>,
-    /// Evaluations on the validation fold.
-    pub val: Vec<Evaluation>,
-    /// Evaluations on the (distribution-shifted) test fold.
-    pub test: Vec<Evaluation>,
-    /// Failed replications (skipped rather than fatal) and replications
-    /// that only succeeded after one or more reseeded retries.
-    pub notes: FitNotes,
-}
-
-fn run_splits(
-    name: &str,
-    splits: &[DataSplit],
-    preset: &crate::methods::ExperimentPreset,
-    scale: Scale,
-    methods: &[MethodSpec],
-) -> Vec<RealWorldResults> {
-    let mut results: Vec<RealWorldResults> = methods
-        .iter()
-        .map(|m| RealWorldResults {
-            method: m.name(),
-            train: Vec::new(),
-            val: Vec::new(),
-            test: Vec::new(),
-            notes: FitNotes::default(),
-        })
-        .collect();
-    let tag = format!("table3:{name}");
-    for (rep, split) in splits.iter().enumerate() {
-        for (mi, spec) in methods.iter().enumerate() {
-            let train_cfg = scale.train_config(preset.lr, preset.l2, (rep * 131 + mi) as u64);
-            let label = format!("rep {}/{} method {}", rep + 1, splits.len(), spec.name());
-            let fit = fit_noted(&label, &train_cfg, |cfg| {
-                fit_method(*spec, preset, &split.train, &split.val, cfg)
-            });
-            let Some(fitted) = results[mi].notes.keep(&tag, fit) else { continue };
-            // lint: allow(panic) — simulator splits always carry the oracle.
-            results[mi].train.push(fitted.evaluate(&split.train).expect("oracle"));
-            // lint: allow(panic) — as above.
-            results[mi].val.push(fitted.evaluate(&split.val).expect("oracle"));
-            // lint: allow(panic) — as above.
-            results[mi].test.push(fitted.evaluate(&split.test).expect("oracle"));
-            eprintln!("[{tag}] {label} done");
-        }
-    }
-    results
-}
-
-fn blocks(results: &[RealWorldResults]) -> (Vec<String>, Vec<Vec<String>>) {
+fn blocks(results: &[MethodEnvResults]) -> (Vec<String>, Vec<Vec<String>>) {
     let header = vec![
         "Method".to_string(),
         "PEHE train".into(),
@@ -75,50 +24,69 @@ fn blocks(results: &[RealWorldResults]) -> (Vec<String>, Vec<Vec<String>>) {
         "eATE val".into(),
         "eATE test".into(),
     ];
-    let pick = |evals: &[Evaluation], f: fn(&Evaluation) -> f64| -> Vec<f64> {
-        evals.iter().map(f).collect()
-    };
+    let metrics: [fn(&Evaluation) -> f64; 2] = [|e| e.pehe, |e| e.ate_bias];
     let rows = results
         .iter()
         .map(|r| {
-            vec![
-                r.method.clone(),
-                fmt_mean_std(&pick(&r.train, |e| e.pehe)),
-                fmt_mean_std(&pick(&r.val, |e| e.pehe)),
-                fmt_mean_std(&pick(&r.test, |e| e.pehe)),
-                fmt_mean_std(&pick(&r.train, |e| e.ate_bias)),
-                fmt_mean_std(&pick(&r.val, |e| e.ate_bias)),
-                fmt_mean_std(&pick(&r.test, |e| e.ate_bias)),
-            ]
+            let cells = metrics
+                .iter()
+                .flat_map(|&metric| (0..3).map(move |fold| fmt_mean_std(&r.metric(fold, metric))));
+            std::iter::once(r.method.clone()).chain(cells).collect()
         })
         .collect();
     (header, rows)
 }
 
-/// Fits every method on every replication and renders one block of the
-/// table. A [`DataError`] from the simulator leaves the block without
+/// Fits every method on every replication's train/val folds, scores each
+/// fit on the train, validation and test folds, and renders one block of
+/// the table. A [`DataError`] from the simulator leaves the block without
 /// replications and is reported the way a failed fit is.
 fn run_block(
     name: &str,
     title: &str,
     splits: Result<Vec<DataSplit>, DataError>,
-    preset: &crate::methods::ExperimentPreset,
+    preset: &ExperimentPreset,
     scale: Scale,
     methods: &[MethodSpec],
 ) -> String {
+    let tag = format!("table3:{name}");
     let mut notes = FitNotes::default();
     let splits = splits.unwrap_or_else(|e| {
-        notes.fail(&format!("table3:{name}"), format!("{title} data FAILED: {e}"));
+        notes.fail(&tag, format!("{title} data FAILED: {e}"));
         Vec::new()
     });
-    let mut results = run_splits(name, &splits, preset, scale, methods);
+    let arms: Vec<String> = methods.iter().map(|m| m.name()).collect();
+    let results = run_grid(
+        &arms,
+        splits.len(),
+        3,
+        |msg| eprintln!("[{tag}] {msg}"),
+        |rep| {
+            let split = &splits[rep];
+            let fits = methods
+                .iter()
+                .enumerate()
+                .map(|(mi, spec)| {
+                    let train_cfg =
+                        scale.train_config(preset.lr, preset.l2, (rep * 131 + mi) as u64);
+                    let label = format!("rep {}/{} method {}", rep + 1, splits.len(), spec.name());
+                    fit_noted(&label, &train_cfg, |cfg| {
+                        fit_method(*spec, preset, &split.train, &split.val, cfg)
+                    })
+                })
+                .collect();
+            (split, fits)
+        },
+        |_, fold, split| Cow::Borrowed([&split.train, &split.val, &split.test][fold]),
+    );
     let (header, rows) = blocks(&results);
-    let mut out =
-        render_table(&format!("Table III ({title}) — scale {}", scale.name()), &header, &rows);
-    write_tsv(results_dir().join(format!("table3_{name}.tsv")), &header, &rows).ok();
-    for r in &mut results {
-        notes.append(&mut r.notes);
-    }
+    let mut out = save_table(
+        &format!("Table III ({title}) — scale {}", scale.name()),
+        &format!("table3_{name}.tsv"),
+        &header,
+        &rows,
+    );
+    notes.append(&mut FitNotes::of_sweep(&results));
     out.push_str(&notes.render());
     out
 }
@@ -157,12 +125,10 @@ mod tests {
     #[test]
     fn blocks_format_all_folds() {
         let eval = Evaluation { pehe: 0.5, ate_bias: 0.1, ..Default::default() };
-        let results = vec![RealWorldResults {
+        let results = vec![MethodEnvResults {
             method: "CFR".into(),
-            train: vec![eval],
-            val: vec![eval],
-            test: vec![eval],
-            notes: FitNotes::default(),
+            per_env: vec![vec![eval]; 3],
+            ..MethodEnvResults::default()
         }];
         let (header, rows) = blocks(&results);
         assert_eq!(header.len(), 7);

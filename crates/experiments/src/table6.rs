@@ -8,7 +8,7 @@ use sbrl_data::{IhdpConfig, IhdpSimulator};
 
 use crate::methods::MethodSpec;
 use crate::presets::paper_ihdp;
-use crate::report::{render_table, results_dir, write_tsv};
+use crate::report::save_table;
 use crate::runner::{fit_method, fit_noted, FitNotes};
 use crate::scale::Scale;
 
@@ -71,12 +71,12 @@ pub fn run(scale: Scale) -> String {
             vec![t.method.clone(), format!("{:.2}", t.seconds), format!("{ratio:.2}x")]
         })
         .collect();
-    let mut out = render_table(
+    let mut out = save_table(
         &format!("Table VI — training time per execution on IHDP, scale {}", scale.name()),
+        "table6_time.tsv",
         &header,
         &rows,
     );
-    write_tsv(results_dir().join("table6_time.tsv"), &header, &rows).ok();
     out.push_str(&notes.render());
     out
 }
